@@ -231,13 +231,11 @@ func BenchmarkShardedIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkRecovery measures a full 100k-graph restart: the segmented
-// path (gsim.Open — parallel segment decode, parallel branch-multiset
-// interning, bulk per-shard install) against the legacy single-file path
-// (LoadBinary — one gob stream decoded and re-interned sequentially).
-// Both gate in CI; their ratio is the recovery win the per-shard segment
-// layout exists for. The fixture is built once per run with the WAL off
-// (bulk load) and closed, so each Open is a pure cold-start recovery.
+// BenchmarkRecovery measures a full 100k-graph restart through gsim.Open:
+// parallel segment decode, parallel branch-multiset interning, bulk
+// per-shard install. Gated in CI. The fixture is built once per run with
+// the WAL off (bulk load) and closed, so each Open is a pure cold-start
+// recovery.
 func BenchmarkRecovery(b *testing.B) {
 	const n = 100_000
 	base := b.TempDir()
@@ -260,10 +258,6 @@ func BenchmarkRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	var legacy bytes.Buffer
-	if err := d.SaveBinary(&legacy); err != nil {
-		b.Fatal(err)
-	}
 	if err := d.Close(); err != nil {
 		b.Fatal(err)
 	}
@@ -279,18 +273,6 @@ func BenchmarkRecovery(b *testing.B) {
 			}
 			if r.Len() != n {
 				b.Fatalf("recovered %d graphs, want %d", r.Len(), n)
-			}
-		}
-	})
-	b.Run("legacy-loadbinary", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r := gsim.New()
-			if err := r.LoadBinary(bytes.NewReader(legacy.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-			if r.Len() != n {
-				b.Fatalf("loaded %d graphs, want %d", r.Len(), n)
 			}
 		}
 	})

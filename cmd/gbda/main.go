@@ -42,8 +42,6 @@ func main() {
 		stats   = flag.Bool("stats", false, "print database statistics and exit")
 		topk    = flag.Int("topk", 0, "return the k most similar graphs instead of thresholding")
 		prefilt = flag.Bool("prefilter", false, "apply the admissible size/label/branch pre-filter")
-		binary  = flag.Bool("binary", false, "the -db file is a binary snapshot (see -save-binary)")
-		saveBin = flag.String("save-binary", "", "convert the loaded database to a binary snapshot and exit")
 	)
 	flag.Parse()
 	if *dbPath == "" {
@@ -52,31 +50,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	d := gsim.NewDatabase(*dbPath)
+	d := gsim.New(gsim.WithName(*dbPath))
 	f, err := os.Open(*dbPath)
 	if err != nil {
 		fail(err)
 	}
-	if *binary {
-		err = d.LoadBinary(f)
-	} else {
-		_, err = d.LoadText(f)
-	}
+	_, err = d.LoadText(f)
 	f.Close()
 	if err != nil {
 		fail(fmt.Errorf("loading %s: %w", *dbPath, err))
-	}
-	if *saveBin != "" {
-		out, err := os.Create(*saveBin)
-		if err != nil {
-			fail(err)
-		}
-		defer out.Close()
-		if err := d.SaveBinary(out); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "gbda: wrote binary snapshot of %d graphs to %s\n", d.Len(), *saveBin)
-		return
 	}
 	if *stats {
 		fmt.Printf("%s: %d graphs, %v\n", *dbPath, d.Len(), d.Stats())

@@ -6,21 +6,20 @@
 // Usage:
 //
 //	gsimd -data /var/lib/gsim -addr :8764          # durable database
-//	gsimd -data /var/lib/gsim -db molecules.gsim   # one-time import
-//	gsimd -db molecules.gsim -build-priors         # in-memory (legacy)
+//	gsimd -data /var/lib/gsim -db molecules.gsim   # durable, seeded once
+//	gsimd -db molecules.gsim -build-priors         # in-memory, preloaded
 //	gsimd -addr :8764                  # start empty, fill via /v1/graphs
 //
 // With -data the database is durable: per-shard write-ahead logs journal
 // every mutation (fsync discipline under -fsync: always, interval,
 // never), checkpoints write per-shard snapshot segments, and a restart
 // recovers by loading segments in parallel and replaying the logs. The
-// -db flag (with or without -binary — the format is sniffed) then acts
-// as a one-time import: it seeds the data directory on first boot and is
-// ignored once a manifest exists, so a legacy deployment migrates by
-// adding -data and keeping its old flags for one release. Without -data
-// the database is in-memory and -db preloads it on every boot (the
-// legacy behaviour, deprecated). POST /v1/admin/checkpoint forces a
-// snapshot; /v1/stats carries a "persistence" block.
+// -db flag names a .gsim text seed: with -data it is imported once — it
+// seeds the data directory on first boot and is ignored once a manifest
+// exists, so the flag can stay across restarts — and without -data the
+// database is in-memory and the seed is preloaded on every boot. POST
+// /v1/admin/checkpoint forces a snapshot; /v1/stats carries a
+// "persistence" block.
 //
 // The store is partitioned over -shards shards (default GOMAXPROCS) —
 // concurrent ingest, DELETE /v1/graphs/{id} and update-by-re-POST commit
@@ -91,7 +90,6 @@ type config struct {
 	dataDir      string
 	fsync        string
 	dbPath       string
-	binary       bool
 	priorsPath   string
 	buildPriors  bool
 	tauMax       int
@@ -130,8 +128,8 @@ func load(cfg config) (*server.Server, *gsim.Database, error) {
 			opts = append(opts, gsim.WithFsyncPolicy(p))
 		}
 		if cfg.dbPath != "" {
-			// Legacy import path: consulted only while the directory has no
-			// manifest, so keeping the flag across restarts is harmless.
+			// Consulted only while the directory has no manifest, so keeping
+			// the flag across restarts is harmless.
 			log.Printf("gsimd: -db with -data imports %s once; the data directory owns the contents afterwards", cfg.dbPath)
 			opts = append(opts, gsim.WithImport(cfg.dbPath))
 		}
@@ -144,20 +142,13 @@ func load(cfg config) (*server.Server, *gsim.Database, error) {
 		if name == "" {
 			name = "gsimd"
 		}
-		if cfg.dbPath != "" {
-			log.Printf("gsimd: -db without -data is deprecated: contents are in-memory and reload on every boot; add -data <dir> for durability")
-		}
 		d = gsim.New(gsim.WithName(name), gsim.WithShards(cfg.shards))
 		if cfg.dbPath != "" {
 			f, err := os.Open(cfg.dbPath)
 			if err != nil {
 				return nil, nil, err
 			}
-			if cfg.binary {
-				err = d.LoadBinary(f)
-			} else {
-				_, err = d.LoadText(f)
-			}
+			_, err = d.LoadText(f)
 			f.Close()
 			if err != nil {
 				return nil, nil, fmt.Errorf("loading %s: %w", cfg.dbPath, err)
@@ -245,8 +236,7 @@ func main() {
 	)
 	flag.StringVar(&cfg.dataDir, "data", "", "durable data directory (WAL + snapshot segments); empty = in-memory")
 	flag.StringVar(&cfg.fsync, "fsync", "", "WAL fsync policy with -data: always (default), interval, never")
-	flag.StringVar(&cfg.dbPath, "db", "", "legacy snapshot to preload; with -data it is imported once, without it contents are in-memory (deprecated)")
-	flag.BoolVar(&cfg.binary, "binary", false, "the -db file is a binary snapshot (with -data the format is sniffed; the flag is advisory)")
+	flag.StringVar(&cfg.dbPath, "db", "", ".gsim text seed (imported once with -data, preloaded without)")
 	flag.StringVar(&cfg.priorsPath, "priors", "", "path to priors saved by SavePriors (gob)")
 	flag.BoolVar(&cfg.buildPriors, "build-priors", false, "fit the offline GBDA priors at startup")
 	flag.IntVar(&cfg.tauMax, "tau-max", 10, "largest τ̂ the offline priors support (-build-priors)")

@@ -215,7 +215,7 @@ func TestWarmAndShards(t *testing.T) {
 }
 
 // TestDataDirLifecycle drives the -data path of load: first boot imports
-// the legacy -db file into the directory, a second boot recovers from
+// the -db seed file into the directory, a second boot recovers from
 // the directory alone (the import flag now being a no-op), and the admin
 // checkpoint endpoint is live.
 func TestDataDirLifecycle(t *testing.T) {
@@ -247,7 +247,7 @@ func TestDataDirLifecycle(t *testing.T) {
 	}
 
 	// Second boot: the directory owns the contents; -db must not re-import
-	// (delete the legacy file to prove it is not consulted).
+	// (delete the seed file to prove it is not consulted).
 	if err := os.Remove(dbPath); err != nil {
 		t.Fatal(err)
 	}

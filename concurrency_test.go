@@ -1,7 +1,6 @@
 package gsim_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -35,7 +34,7 @@ func chainText(prefix string, n int) string {
 // collection (Scanned equal to the snapshot's active size, matches only
 // from graphs that existed at prepare time).
 func TestConcurrentStoreDuringStream(t *testing.T) {
-	d := gsim.NewDatabase("race")
+	d := gsim.New(gsim.WithName("race"))
 	if _, err := d.LoadText(strings.NewReader(chainText("seed", 20))); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +132,7 @@ func TestConcurrentStoreDuringStream(t *testing.T) {
 // TestEpochAdvancesOnMutations: every mutation class bumps Epoch, reads
 // do not.
 func TestEpochAdvancesOnMutations(t *testing.T) {
-	d := gsim.NewDatabase("epoch")
+	d := gsim.New(gsim.WithName("epoch"))
 	e0 := d.Epoch()
 	if _, err := d.LoadText(strings.NewReader(chainText("a", 8))); err != nil {
 		t.Fatal(err)
@@ -165,27 +164,5 @@ func TestEpochAdvancesOnMutations(t *testing.T) {
 	}
 	if d.Epoch() != e2 {
 		t.Fatalf("reads moved the epoch: %d != %d", d.Epoch(), e2)
-	}
-}
-
-// TestStoreAfterLoadBinaryRejected: a builder created against contents
-// that LoadBinary has since replaced must not insert its graph (its label
-// IDs belong to the replaced dictionary).
-func TestStoreAfterLoadBinaryRejected(t *testing.T) {
-	d := gsim.NewDatabase("swap")
-	if _, err := d.LoadText(strings.NewReader(chainText("a", 4))); err != nil {
-		t.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := d.SaveBinary(&snap); err != nil {
-		t.Fatal(err)
-	}
-	b := d.NewGraph("stale")
-	b.AddVertex("L9")
-	if err := d.LoadBinary(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Store(); err == nil {
-		t.Fatal("Store against replaced contents succeeded")
 	}
 }

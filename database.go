@@ -44,14 +44,15 @@ var ErrNotFound = errors.New("gsim: no graph with that id")
 // at epoch E is stale once Epoch() > E, which is what the serving layer's
 // result cache keys on (see internal/qcache).
 type Database struct {
-	mu     sync.RWMutex
-	epoch  uint64 // db-level component: priors, snapshot swaps
-	store  *shard.Map
-	shardN int      // configured shard count, reused when loads rebuild the store
-	active []int    // graph IDs scanned by Search; nil = all (immutable once set)
-	dur    *durable // persistence state; nil for an in-memory database
-	health health   // degraded-mode state machine (health.go); zero value = healthy
+	store  *shard.Map // assigned once at construction, never replaced
+	active []int      // graph IDs scanned by Search; nil = all (immutable once set)
+	dur    *durable   // persistence state; nil for an in-memory database
+	health health     // degraded-mode state machine (health.go); zero value = healthy
 
+	// mu guards the offline artifacts and the epoch component their
+	// refits advance; the store synchronises itself.
+	mu       sync.RWMutex
+	epoch    uint64 // db-level component: prior fits (plus the recovered floor)
 	tauMax   int
 	ws       *core.Workspace
 	gbdPrior *core.GBDPrior
@@ -65,10 +66,8 @@ type Database struct {
 
 	// Telemetry lives as value fields so every constructor — literal
 	// structs included — gets working metrics with zero initialisation:
-	// the histograms' zero values are ready to record. tele spans the
-	// database's lifetime (it survives LoadBinary swaps — request
-	// metrics describe the process, not one store); the store's own
-	// per-shard counters live on shard.Map and restart with it.
+	// the histograms' zero values are ready to record. The store's own
+	// per-shard counters live on shard.Map.
 	tele    telemetry.SearchMetrics
 	walTele telemetry.WALMetrics
 }
@@ -84,23 +83,15 @@ func (d *Database) Telemetry() *telemetry.SearchMetrics { return &d.tele }
 // empty.
 func (d *Database) WALTelemetry() *telemetry.WALMetrics { return &d.walTele }
 
-// StoreTelemetry returns the current store's metric group: per-shard
+// StoreTelemetry returns the store's metric group: per-shard
 // scanned/pruned/mutation counters and mutation-latency histograms.
-// A LoadBinary swap replaces it along with the store it describes.
-func (d *Database) StoreTelemetry() *telemetry.StoreMetrics {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.store.Telemetry()
-}
+func (d *Database) StoreTelemetry() *telemetry.StoreMetrics { return d.store.Telemetry() }
 
 // projection is the memoised flat scan set over one store epoch's
 // consistent cut: concatenated shard snapshots for a full scan, the
 // picked active subset (in list order) otherwise, plus the aligned
-// columnar prefilter when built with it. store pins the Map the cut
-// was taken from: a LoadBinary swap installs a fresh Map whose epoch
-// restarts at zero, so epoch equality alone cannot validate the cache.
+// columnar prefilter when built with it.
 type projection struct {
-	store   *shard.Map
 	epoch   uint64
 	withPre bool
 	entries []*db.Entry
@@ -114,11 +105,11 @@ type projection struct {
 
 // Epoch returns the database version: a counter advanced by every
 // mutation that can change search results (graph inserts, deletes,
-// updates, snapshot loads, prior fits). Two equal-epoch observations
+// updates, prior fits). Two equal-epoch observations
 // bracket an interval with no mutations, so a result computed in between
 // is still current — the invalidation contract of the serving layer's
-// query cache. The value combines the db-level epoch (priors, loads)
-// with the sharded store's own mutation counter.
+// query cache. The value combines the db-level epoch (prior fits) with
+// the sharded store's own mutation counter.
 func (d *Database) Epoch() uint64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -141,29 +132,18 @@ func FromCollection(col *db.Collection, active []int) *Database {
 //
 // Deprecated: see FromCollection.
 func FromCollectionShards(col *db.Collection, active []int, n int) *Database {
-	n = shard.Shards(n)
-	return &Database{store: shard.FromCollection(col, n), shardN: n, active: active}
+	return &Database{store: shard.FromCollection(col, shard.Shards(n)), active: active}
 }
 
 // NumShards reports the storage shard count.
-func (d *Database) NumShards() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.store.NumShards()
-}
+func (d *Database) NumShards() int { return d.store.NumShards() }
 
 // Len reports the number of stored graphs (including any not in the active
 // scan subset).
-func (d *Database) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.store.Len()
-}
+func (d *Database) Len() int { return d.store.Len() }
 
 // ActiveLen reports how many graphs Search scans.
 func (d *Database) ActiveLen() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	if d.active == nil {
 		return d.store.Len()
 	}
@@ -177,26 +157,14 @@ func (d *Database) ActiveLen() int {
 }
 
 // Stats summarises the stored graphs.
-func (d *Database) Stats() Stats {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.store.Stats()
-}
+func (d *Database) Stats() Stats { return d.store.Stats() }
 
 // Name returns the database name.
-func (d *Database) Name() string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.store.Name()
-}
+func (d *Database) Name() string { return d.store.Name() }
 
 // ShardSizes reports how many graphs each storage shard holds —
 // placement diagnostics surfaced by the serving layer's /v1/stats.
-func (d *Database) ShardSizes() []int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.store.ShardSizes()
-}
+func (d *Database) ShardSizes() []int { return d.store.ShardSizes() }
 
 // LoadText bulk-loads graphs in .gsim text form (see internal/graph codec:
 // "g <name> <n>" header, "v <i> <label>" and "e <u> <v> <label>" records).
@@ -207,17 +175,9 @@ func (d *Database) LoadText(r io.Reader) (int, error) {
 	if err := d.writable(); err != nil {
 		return 0, err
 	}
-	d.mu.RLock()
-	store := d.store
-	d.mu.RUnlock()
-	gs, err := graph.ReadAll(r, store.Dict())
+	gs, err := graph.ReadAll(r, d.store.Dict())
 	if err != nil {
 		return 0, err
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.store != store {
-		return 0, fmt.Errorf("gsim: database contents replaced while loading")
 	}
 	batch := make([]shard.Mutation, len(gs))
 	for i, g := range gs {
@@ -234,87 +194,12 @@ func (d *Database) LoadText(r io.Reader) (int, error) {
 // SaveText writes every stored graph in .gsim text form, in insertion
 // (ID) order — one logical collection, whatever the shard layout.
 func (d *Database) SaveText(w io.Writer) error {
-	d.mu.RLock()
-	store := d.store
-	d.mu.RUnlock()
-	entries := store.Ordered()
+	entries := d.store.Ordered()
 	gs := make([]*graph.Graph, len(entries))
 	for i, e := range entries {
 		gs[i] = e.G
 	}
-	return graph.WriteAll(w, gs, store.Dict())
-}
-
-// SaveBinary writes a fast gob snapshot of the stored graphs, in
-// insertion (ID) order. The format is the flat collection's — no shard
-// structure is serialised, so snapshots are interchangeable across shard
-// counts and with pre-shard files; loading reassigns dense IDs in file
-// order.
-func (d *Database) SaveBinary(w io.Writer) error {
-	d.mu.RLock()
-	store := d.store
-	d.mu.RUnlock()
-	return db.SaveBinaryEntries(w, store.Name(), store.Dict(), store.Ordered())
-}
-
-// LoadBinary replaces the database contents with a snapshot written by
-// SaveBinary, resetting any fitted priors and the active scan subset. The
-// snapshot is re-sharded on load across the configured shard count.
-// Searches already in flight finish against the contents they started
-// with; searches prepared after LoadBinary returns see only the snapshot.
-//
-// On a durable database the swap checkpoints immediately, while writes
-// are still excluded: the new contents hit segments and the manifest
-// before any mutation can journal against them, so a crash at any point
-// recovers either the old contents (LoadBinary unacknowledged) or the
-// new ones — never a mix.
-func (d *Database) LoadBinary(r io.Reader) error {
-	if err := d.writable(); err != nil {
-		return err
-	}
-	col, err := db.LoadBinary(r)
-	if err != nil {
-		return err
-	}
-	du := d.dur
-	if du != nil {
-		du.pmu.Lock()
-		defer du.pmu.Unlock()
-		if du.closed {
-			return ErrClosed
-		}
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// Fold the replaced store's epoch into the db-level component so the
-	// combined Epoch() never moves backwards across the swap.
-	d.epoch += d.store.Epoch() + 1
-	store := shard.FromCollection(col, d.shardN)
-	if du != nil && du.ws != nil {
-		// Journal records encode against the new store's dictionary from
-		// here on; safe because d.mu excludes every mutation path.
-		du.ws.dict.Store(store.Dict())
-		store.SetJournal(du.ws)
-	}
-	d.store = store
-	d.active = nil
-	d.ws = nil
-	d.gbdPrior = nil
-	d.tauMax = 0
-	// Drop the cached projection now rather than at the next prepare:
-	// it would never be served (store identity mismatch), but it pins
-	// the replaced store's whole entry slice in memory until then.
-	d.apMu.Lock()
-	d.proj = nil
-	d.apMu.Unlock()
-	if du != nil {
-		_, err := du.checkpoint(store, d.epoch)
-		d.noteCheckpoint(err)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return graph.WriteAll(w, gs, d.store.Dict())
 }
 
 // Delete removes the graph with the given ID (the value Store returned
@@ -327,8 +212,6 @@ func (d *Database) Delete(id int) error {
 	if err := d.writable(); err != nil {
 		return err
 	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	if id < 0 {
 		return fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
@@ -349,20 +232,16 @@ func (d *Database) Delete(id int) error {
 // searches (the dictionary is internally synchronised); each builder is
 // itself single-goroutine.
 type GraphBuilder struct {
-	d     *Database
-	store *shard.Map // dictionary owner captured at NewGraph
-	g     *graph.Graph
-	eph   map[string]graph.ID // non-nil: query-only builder, see NewQuery
+	d   *Database
+	g   *graph.Graph
+	eph map[string]graph.ID // non-nil: query-only builder, see NewQuery
 }
 
 // NewGraph starts building a graph with the given name.
 func (d *Database) NewGraph(name string) *GraphBuilder {
 	g := graph.New(8)
 	g.Name = name
-	d.mu.RLock()
-	store := d.store
-	d.mu.RUnlock()
-	return &GraphBuilder{d: d, store: store, g: g}
+	return &GraphBuilder{d: d, g: g}
 }
 
 // NewQuery starts building a query-only graph: labels already known to
@@ -385,10 +264,11 @@ func (d *Database) NewQuery(name string) *GraphBuilder {
 // dictionary for storable builders, lookup-with-ephemeral-fallback for
 // query-only ones.
 func (b *GraphBuilder) intern(label string) graph.ID {
+	dict := b.d.store.Dict()
 	if b.eph == nil {
-		return b.store.Dict().Intern(label)
+		return dict.Intern(label)
 	}
-	if id, ok := b.store.Dict().Lookup(label); ok {
+	if id, ok := dict.Lookup(label); ok {
 		return id
 	}
 	if id, ok := b.eph[label]; ok {
@@ -417,7 +297,7 @@ func (b *GraphBuilder) AddDirectedEdge(u, v int, base string) error {
 	if b.eph != nil {
 		return errors.New("gsim: AddDirectedEdge needs a storable builder (NewGraph, not NewQuery)")
 	}
-	return graph.AddDirectedEdge(b.g, b.store.Dict(), u, v, base)
+	return graph.AddDirectedEdge(b.g, b.d.store.Dict(), u, v, base)
 }
 
 // WeightBuckets re-exports the weight-folding quantiser: edge weights are
@@ -430,11 +310,11 @@ func (b *GraphBuilder) AddWeightedEdge(u, v int, weight float64, wb WeightBucket
 	if b.eph != nil {
 		return errors.New("gsim: AddWeightedEdge needs a storable builder (NewGraph, not NewQuery)")
 	}
-	return graph.AddWeightedEdge(b.g, b.store.Dict(), wb, u, v, weight)
+	return graph.AddWeightedEdge(b.g, b.d.store.Dict(), wb, u, v, weight)
 }
 
 // storable validates that the builder can mutate the database: built by
-// NewGraph (not NewQuery) against the current contents.
+// NewGraph (not NewQuery) and structurally valid.
 func (b *GraphBuilder) storable() error {
 	if b.eph != nil {
 		return errors.New("gsim: a NewQuery builder cannot mutate the database (its unknown labels are ephemeral); build with NewGraph")
@@ -451,20 +331,13 @@ func (b *GraphBuilder) storable() error {
 // indexes). The insert bumps the database epoch; a search already in
 // flight keeps scanning its own snapshot and never sees the new graph,
 // the next search does. Only the receiving storage shard is locked, so
-// concurrent Stores proceed in parallel. Store fails if LoadBinary
-// replaced the database contents since NewGraph — the builder's labels
-// were interned against the replaced dictionary.
+// concurrent Stores proceed in parallel.
 func (b *GraphBuilder) Store() (int, error) {
 	if err := b.d.writable(); err != nil {
 		return 0, err
 	}
 	if err := b.storable(); err != nil {
 		return 0, err
-	}
-	b.d.mu.RLock()
-	defer b.d.mu.RUnlock()
-	if b.d.store != b.store {
-		return 0, fmt.Errorf("gsim: database contents replaced since NewGraph; rebuild the graph")
 	}
 	id, err := b.d.store.Add(b.g)
 	if err != nil {
@@ -484,11 +357,6 @@ func (b *GraphBuilder) Update(id int) error {
 	}
 	if err := b.storable(); err != nil {
 		return err
-	}
-	b.d.mu.RLock()
-	defer b.d.mu.RUnlock()
-	if b.d.store != b.store {
-		return fmt.Errorf("gsim: database contents replaced since NewGraph; rebuild the graph")
 	}
 	if id < 0 {
 		return fmt.Errorf("%w: %d", ErrNotFound, id)
@@ -533,13 +401,6 @@ func (d *Database) CommitAll(muts []BuilderMutation) ([]int, error) {
 			return nil, fmt.Errorf("%w: %d", ErrNotFound, *mu.UpdateID)
 		}
 	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for i, mu := range muts {
-		if mu.Builder.store != d.store {
-			return nil, fmt.Errorf("gsim: CommitAll: database contents replaced since NewGraph of builder %d; rebuild the graphs", i)
-		}
-	}
 	batch := make([]shard.Mutation, len(muts))
 	for i, mu := range muts {
 		batch[i] = shard.Mutation{G: mu.Builder.g}
@@ -579,8 +440,6 @@ func (d *Database) CommitAll(muts []BuilderMutation) ([]int, error) {
 // graph ID of the first inserted graph (the rest follow contiguously).
 func (d *Database) StoreAll(builders []*GraphBuilder) (int, error) {
 	if len(builders) == 0 {
-		d.mu.RLock()
-		defer d.mu.RUnlock()
 		return int(d.store.NextID()), nil
 	}
 	muts := make([]BuilderMutation, len(builders))
@@ -606,10 +465,7 @@ func (b *GraphBuilder) Query() *Query {
 // LoadQueryText parses exactly one .gsim stanza against the database's
 // label dictionary and prepares it as a query.
 func (d *Database) LoadQueryText(r io.Reader) (*Query, error) {
-	d.mu.RLock()
-	dict := d.store.Dict()
-	d.mu.RUnlock()
-	gs, err := graph.ReadAll(r, dict)
+	gs, err := graph.ReadAll(r, d.store.Dict())
 	if err != nil {
 		return nil, err
 	}
@@ -643,9 +499,7 @@ func (q *Query) Name() string { return q.g.Name }
 // paper's 5% split). It panics if no graph carries the ID; callers
 // driving it from external input should look the graph up themselves.
 func (d *Database) Query(i int) *Query {
-	d.mu.RLock()
 	e, ok := d.store.Get(uint64(i))
-	d.mu.RUnlock()
 	if !ok {
 		panic(fmt.Sprintf("gsim: Query(%d): no graph with that id", i))
 	}
@@ -680,8 +534,7 @@ var ErrNoPriors = method.ErrNoPriors
 // order) and the fit runs without holding the database write lock, so
 // concurrent inserts and searches proceed during the offline stage;
 // graphs stored mid-fit simply miss the sample (the priors are
-// statistical). Only the final artifact install takes the write lock,
-// and it fails cleanly if LoadBinary replaced the contents mid-fit.
+// statistical). Only the final artifact install takes the write lock.
 func (d *Database) BuildPriors(cfg OfflineConfig) error {
 	if cfg.TauMax <= 0 {
 		cfg.TauMax = 10
@@ -692,23 +545,17 @@ func (d *Database) BuildPriors(cfg OfflineConfig) error {
 	if cfg.Components <= 0 {
 		cfg.Components = 3
 	}
-	d.mu.RLock()
-	store := d.store
-	d.mu.RUnlock()
-	if store.Len() < 2 {
+	if d.store.Len() < 2 {
 		return errors.New("gsim: need at least two graphs to fit priors")
 	}
-	samples := store.SamplePairGBDs(cfg.SamplePairs, cfg.Seed)
+	samples := d.store.SamplePairGBDs(cfg.SamplePairs, cfg.Seed)
 	prior, err := core.FitGBDPrior(samples, cfg.Components)
 	if err != nil {
 		return fmt.Errorf("gsim: fitting GBD prior: %w", err)
 	}
-	s := store.Stats()
+	s := d.store.Stats()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.store != store {
-		return fmt.Errorf("gsim: database contents replaced while fitting priors; rebuild them")
-	}
 	d.gbdPrior = prior
 	d.tauMax = cfg.TauMax
 	d.ws = core.NewWorkspace(core.Params{LV: s.LV, LE: s.LE, TauMax: cfg.TauMax})
@@ -739,7 +586,6 @@ func (d *Database) TauMax() int {
 func (d *Database) WarmPosteriorTables(tau int) error {
 	d.mu.RLock()
 	ws, prior, tauMax := d.ws, d.gbdPrior, d.tauMax
-	store := d.store
 	d.mu.RUnlock()
 	if ws == nil {
 		return ErrNoPriors
@@ -748,7 +594,7 @@ func (d *Database) WarmPosteriorTables(tau int) error {
 		return fmt.Errorf("%w: warm tau %d outside (0, %d]", ErrBadOptions, tau, tauMax)
 	}
 	s := &core.Searcher{WS: ws, GBD: prior}
-	ws.PosteriorTable(s, tau, store.DistinctSizes())
+	ws.PosteriorTable(s, tau, d.store.DistinctSizes())
 	return nil
 }
 
@@ -781,21 +627,13 @@ func (d *Database) GEDPriorRow(v int) ([]float64, error) {
 // multisets index into. Query traffic never grows it (unknown query
 // branches stay ephemeral); only Store/Load paths do, and Delete/Update
 // release refcounts so compaction can reclaim dead keys.
-func (d *Database) BranchDictLen() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.store.BranchDict().Len()
-}
+func (d *Database) BranchDictLen() int { return d.store.BranchDict().Len() }
 
 // BranchDictStats reports the branch dictionary's lifecycle counters:
 // live and dead interned keys, cumulative retired IDs and compaction
 // passes — the observable effect of Delete/Update on the shared
 // dictionary.
-func (d *Database) BranchDictStats() db.DictStats {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.store.BranchDict().Stats()
-}
+func (d *Database) BranchDictStats() db.DictStats { return d.store.BranchDict().Stats() }
 
 // PrefilterStats is the columnar prefilter's aggregate memory footprint
 // across shards — see index.MemStats for the counters.
@@ -804,11 +642,7 @@ type PrefilterStats = index.MemStats
 // PrefilterStats aggregates the per-shard columnar prefilter footprint.
 // All counters are zero until a prefiltered search (or a with-prefilter
 // cut) first activates the stores.
-func (d *Database) PrefilterStats() PrefilterStats {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.store.PrefilterMem()
-}
+func (d *Database) PrefilterStats() PrefilterStats { return d.store.PrefilterMem() }
 
 // PosteriorTableStats reports the posterior lookup tables cached on the
 // model workspace — one per (τ̂, variant) search configuration seen since

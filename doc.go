@@ -86,7 +86,7 @@
 //
 // Every stored graph gets a stable ID at insert time (the value Store
 // returns, Match.Index reports, and Delete/Update accept) and is hashed
-// onto one of N shards — N is configurable (NewDatabaseShards, gsimd
+// onto one of N shards — N is configurable (WithShards, gsimd
 // -shards), defaulting to GOMAXPROCS. Each shard owns its entry slice,
 // its succinct prefilter store (internal/index), an epoch counter and a
 // mutation lock, so ingest, delete and update on different shards commit
@@ -131,10 +131,9 @@
 // early, never a spurious match. The
 // global epoch derives from the shard epochs (one advance per mutation
 // batch), so a result computed at epoch E is cacheable exactly while
-// Epoch() == E — unchanged qcache semantics. Legacy persistence
-// (SaveBinary/SaveText) writes one logical collection in ID order;
-// snapshots are interchangeable across shard counts and with pre-shard
-// files, re-sharded on load.
+// Epoch() == E — unchanged qcache semantics. SaveText writes one
+// logical collection in ID order, so .gsim files are interchangeable
+// across shard counts, re-sharded on load.
 //
 // # The durability layer
 //
@@ -175,12 +174,11 @@
 // damage like a missing segment. If anything replayed or the shard
 // count changed (WithShards re-shards on open), the recovered state is
 // checkpointed immediately, so a clean Open always starts compact.
-// BenchmarkRecovery gates the segmented path against the legacy
-// single-file LoadBinary in CI.
+// BenchmarkRecovery gates recovery time in CI.
 //
-// Legacy single-file snapshots migrate via WithImport (consulted only
-// until the first manifest lands) or by calling LoadBinary on an open
-// durable database, which swaps contents and checkpoints atomically.
+// A fresh directory can be seeded from a .gsim text file via WithImport
+// (consulted only until the first manifest lands). The on-disk formats
+// are this directory for durability and .gsim text for interchange.
 //
 // # Batch strategies
 //
@@ -226,8 +224,8 @@
 // search-prepare time; branches the database has never seen map to
 // per-search ephemeral IDs that are never interned (query traffic cannot
 // grow the dictionary) and match nothing, which is exactly the key
-// semantics. Binary snapshots stay compatible: branch data is derived,
-// and loading re-interns it from the graphs.
+// semantics. No on-disk format carries branch data: it is derived, and
+// every load path re-interns it from the graphs.
 //
 // Posterior tables. The posterior Φ = Pr[GED ≤ τ̂ | GBD = ϕ] depends only
 // on (v, ϕ) for a fixed configuration, and ϕ ≤ 3τ̂ for any reachable pair

@@ -95,7 +95,7 @@ type durable struct {
 type walSet struct {
 	dir     string
 	opts    wal.Options
-	dict    atomic.Pointer[graph.Labels]
+	dict    *graph.Labels
 	writers []atomic.Pointer[wal.Writer]
 	bufs    sync.Pool
 	// onFault, when set, receives every journaling I/O error (a failed
@@ -106,14 +106,13 @@ type walSet struct {
 }
 
 func newWalSet(dir string, n int, opts wal.Options, dict *graph.Labels) *walSet {
-	s := &walSet{
+	return &walSet{
 		dir:     dir,
 		opts:    opts,
+		dict:    dict,
 		writers: make([]atomic.Pointer[wal.Writer], n),
 		bufs:    sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }},
 	}
-	s.dict.Store(dict)
-	return s
 }
 
 // Append journals one mutation record to shard i's log. Called inside
@@ -124,7 +123,7 @@ func (s *walSet) Append(i int, op wal.Op, id uint64, g *graph.Graph) (shard.Toke
 		return shard.Token{}, fmt.Errorf("gsim: shard %d has no journal writer", i)
 	}
 	bp := s.bufs.Get().(*[]byte)
-	buf := wal.AppendRecord((*bp)[:0], op, id, g, s.dict.Load())
+	buf := wal.AppendRecord((*bp)[:0], op, id, g, s.dict)
 	seq, err := w.Append(buf)
 	*bp = buf
 	s.bufs.Put(bp)
@@ -224,13 +223,13 @@ func openDurable(dir string, o dbOptions) (*Database, error) {
 	return d, nil
 }
 
-// initFresh lays out a new data directory: empty store (or a legacy
+// initFresh lays out a new data directory: empty store (or a text
 // import), first checkpoint, generation-1 logs.
 func initFresh(dir string, o dbOptions, du *durable) (*Database, error) {
 	n := shard.Shards(o.shards)
-	d := &Database{store: shard.New(o.name, n), shardN: n, dur: du}
+	d := &Database{store: shard.New(o.name, n), dur: du}
 	if o.importPath != "" {
-		if err := importLegacy(d, o.importPath); err != nil {
+		if err := importText(d, o.importPath); err != nil {
 			return nil, err
 		}
 	}
@@ -247,28 +246,16 @@ func initFresh(dir string, o dbOptions, du *durable) (*Database, error) {
 	return d, nil
 }
 
-// importLegacy seeds a fresh durable database from a legacy single-file
-// snapshot: a SaveBinary gob or a .gsim text dump, sniffed in that
-// order. The imported collection is re-sharded across the configured
-// shard count; the caller's first checkpoint makes it durable.
-func importLegacy(d *Database, path string) error {
+// importText seeds a fresh durable database from a .gsim text file;
+// the caller's first checkpoint makes it durable.
+func importText(d *Database, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("gsim: import: %w", err)
 	}
-	col, gobErr := db.LoadBinary(f)
-	f.Close()
-	if gobErr == nil {
-		d.store = shard.FromCollection(col, d.shardN)
-		return nil
-	}
-	f, err = os.Open(path)
-	if err != nil {
-		return fmt.Errorf("gsim: import: %w", err)
-	}
 	defer f.Close()
-	if _, textErr := d.LoadText(f); textErr != nil {
-		return fmt.Errorf("gsim: import %s: not a binary snapshot (%v) nor text (%v)", path, gobErr, textErr)
+	if _, err := d.LoadText(f); err != nil {
+		return fmt.Errorf("gsim: import %s: not .gsim text: %w", path, err)
 	}
 	return nil
 }
@@ -370,7 +357,7 @@ func recover_(dir string, o dbOptions, du *durable, man *manifest) (*Database, e
 		}
 	}
 
-	d := &Database{store: store, shardN: n, dur: du, epoch: man.Epoch}
+	d := &Database{store: store, dur: du, epoch: man.Epoch}
 	if !o.noWAL {
 		du.ws = newWalSet(dir, n, wal.Options{Policy: o.policy, Metrics: &d.walTele, FS: o.fs}, dict)
 	}
@@ -466,9 +453,9 @@ func (d *Database) Checkpoint() (CheckpointStats, error) {
 		return CheckpointStats{}, ErrClosed
 	}
 	d.mu.RLock()
-	store, epoch := d.store, d.epoch
+	epoch := d.epoch
 	d.mu.RUnlock()
-	st, err := d.dur.checkpoint(store, epoch)
+	st, err := d.dur.checkpoint(d.store, epoch)
 	// A successful checkpoint is the recovery action: every shard is on
 	// fresh logs and the segments capture the whole store, so it clears a
 	// degraded state whoever ran it — the background probe or an
@@ -738,9 +725,9 @@ func (d *Database) Close() error {
 		return nil
 	}
 	d.mu.RLock()
-	store, epoch := d.store, d.epoch
+	epoch := d.epoch
 	d.mu.RUnlock()
-	_, cpErr := du.checkpoint(store, epoch)
+	_, cpErr := du.checkpoint(d.store, epoch)
 	du.closed = true
 	var closeErr error
 	if du.ws != nil {

@@ -1,7 +1,6 @@
 package gsim
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -276,46 +275,6 @@ func TestReshardOnOpen(t *testing.T) {
 	if segs, _ := filepath.Glob(filepath.Join(dir, "seg-*-*.bin")); len(segs) != 4 {
 		t.Fatalf("%d segments after re-shard, want 4", len(segs))
 	}
-}
-
-// TestLoadBinaryOnDurable: a legacy snapshot loaded into an open durable
-// database lands in segments immediately and survives a reopen; the WAL
-// keeps working for mutations after the swap.
-func TestLoadBinaryOnDurable(t *testing.T) {
-	src := New(WithName("legacy-src"))
-	legacyIDs := make([]int, 5)
-	for i := range legacyIDs {
-		legacyIDs[i] = storeChain(t, src, fmt.Sprintf("l%d", i), 4)
-	}
-	var snap bytes.Buffer
-	if err := src.SaveBinary(&snap); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	d, err := Open(dir, WithAutoCheckpoint(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	storeChain(t, d, "pre-swap", 3) // replaced by the load
-	if err := d.LoadBinary(bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() != 5 {
-		t.Fatalf("Len after LoadBinary = %d, want 5", d.Len())
-	}
-	post := storeChain(t, d, "post-swap", 3) // journaled against the new store
-	// Abandon without Close: the swap's checkpoint plus the post-swap WAL
-	// record must both survive.
-	r, err := Open(dir, WithAutoCheckpoint(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Len() != 6 {
-		t.Fatalf("recovered Len = %d, want 6", r.Len())
-	}
-	wantGraph(t, r, post, "post-swap", 3)
 }
 
 // TestErrNotDurableAndClosed: the persistence surface degrades loudly —

@@ -8,7 +8,7 @@ import (
 )
 
 func TestEmptyDatabaseSearch(t *testing.T) {
-	d := gsim.NewDatabase("empty")
+	d := gsim.New(gsim.WithName("empty"))
 	q := d.NewGraph("q")
 	q.AddVertex("A")
 	// Baselines scan nothing and return cleanly.
@@ -26,7 +26,7 @@ func TestEmptyDatabaseSearch(t *testing.T) {
 }
 
 func TestUnknownMethodRejected(t *testing.T) {
-	d := gsim.NewDatabase("x")
+	d := gsim.New(gsim.WithName("x"))
 	b := d.NewGraph("g")
 	b.AddVertex("A")
 	if _, err := b.Store(); err != nil {
@@ -42,7 +42,7 @@ func TestUnknownMethodRejected(t *testing.T) {
 func TestStoreRejectsInvalidGraph(t *testing.T) {
 	// The builder API cannot create invalid graphs through its methods,
 	// but Store must still validate (defense in depth for future APIs).
-	d := gsim.NewDatabase("x")
+	d := gsim.New(gsim.WithName("x"))
 	b := d.NewGraph("ok")
 	b.AddVertex("A")
 	if _, err := b.Store(); err != nil {
@@ -76,19 +76,19 @@ func TestV2WeightOneMatchesPlainGBDA(t *testing.T) {
 	}
 }
 
-func TestBinarySnapshotThroughFacade(t *testing.T) {
+func TestTextReloadThroughFacade(t *testing.T) {
 	ds := tinyDataset(t, 31)
 	d := gsim.FromCollection(ds.Col, nil)
 	var buf bytes.Buffer
-	if err := d.SaveBinary(&buf); err != nil {
+	if err := d.SaveText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d2 := gsim.NewDatabase("reload")
-	if err := d2.LoadBinary(&buf); err != nil {
+	d2 := gsim.New(gsim.WithName("reload"))
+	if _, err := d2.LoadText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if d2.Len() != d.Len() || d2.Stats() != d.Stats() {
-		t.Fatalf("binary reload drifted: %v vs %v", d2.Stats(), d.Stats())
+		t.Fatalf("text reload drifted: %v vs %v", d2.Stats(), d.Stats())
 	}
 	// A reloaded database is fully functional end to end.
 	if err := d2.BuildPriors(gsim.OfflineConfig{TauMax: 4, SamplePairs: 1000}); err != nil {
@@ -101,13 +101,13 @@ func TestBinarySnapshotThroughFacade(t *testing.T) {
 	if res.Scanned != d2.Len() {
 		t.Fatalf("scanned %d of %d after reload", res.Scanned, d2.Len())
 	}
-	if err := d2.LoadBinary(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("garbage snapshot accepted")
+	if _, err := d2.LoadText(bytes.NewReader([]byte("junk"))); err == nil {
+		t.Fatal("garbage text accepted")
 	}
 }
 
 func TestDirectedAndWeightedBuilders(t *testing.T) {
-	d := gsim.NewDatabase("dw")
+	d := gsim.New(gsim.WithName("dw"))
 	mk := func(name string, flip bool) int {
 		b := d.NewGraph(name)
 		a := b.AddVertex("P")
@@ -155,7 +155,7 @@ func TestDirectedAndWeightedBuilders(t *testing.T) {
 }
 
 func TestQueryAccessors(t *testing.T) {
-	d := gsim.NewDatabase("acc")
+	d := gsim.New(gsim.WithName("acc"))
 	b := d.NewGraph("named")
 	b.AddVertex("A")
 	b.AddVertex("B")

@@ -58,7 +58,7 @@ func TestErrBadOptionsSentinel(t *testing.T) {
 // while unknown labels stay out of the dictionary; the builder refuses
 // the operations that would need durable labels.
 func TestNewQueryEphemeralLabels(t *testing.T) {
-	d := gsim.NewDatabase("eph")
+	d := gsim.New(gsim.WithName("eph"))
 	for i := 0; i < 3; i++ {
 		b := d.NewGraph("g")
 		b.AddVertex("A")

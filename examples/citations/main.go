@@ -54,7 +54,7 @@ func egoNetwork(d *gsim.Database, name string, rng *rand.Rand, mutate int) *gsim
 }
 
 func main() {
-	d := gsim.NewDatabase("citations")
+	d := gsim.New(gsim.WithName("citations"))
 	rng := rand.New(rand.NewSource(7))
 
 	for i := 0; i < 24; i++ {

@@ -55,7 +55,7 @@ func compound(d *gsim.Database, name string, rng *rand.Rand, mutations int) {
 }
 
 func main() {
-	d := gsim.NewDatabase("compound-library")
+	d := gsim.New(gsim.WithName("compound-library"))
 	rng := rand.New(rand.NewSource(42))
 
 	// 30 analogues of the scaffold at increasing mutation depth, plus 20

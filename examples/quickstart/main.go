@@ -11,7 +11,7 @@ import (
 )
 
 func main() {
-	d := gsim.NewDatabase("quickstart")
+	d := gsim.New(gsim.WithName("quickstart"))
 
 	// A tiny "molecule" library. Each graph is a labeled undirected
 	// graph; labels are free-form strings interned by the database.

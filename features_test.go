@@ -114,7 +114,7 @@ func TestPriorsSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestSavePriorsWithoutFitFails(t *testing.T) {
-	d := gsim.NewDatabase("empty")
+	d := gsim.New(gsim.WithName("empty"))
 	var buf bytes.Buffer
 	if err := d.SavePriors(&buf); err != gsim.ErrNoPriors {
 		t.Fatalf("err = %v, want ErrNoPriors", err)
@@ -122,7 +122,7 @@ func TestSavePriorsWithoutFitFails(t *testing.T) {
 }
 
 func TestLoadPriorsRejectsGarbage(t *testing.T) {
-	d := gsim.NewDatabase("x")
+	d := gsim.New(gsim.WithName("x"))
 	if err := d.LoadPriors(bytes.NewReader([]byte("not a gob"))); err == nil {
 		t.Fatal("garbage accepted")
 	}

@@ -37,7 +37,7 @@ func openDataset(t testing.TB, ds *dataset.Dataset) *gsim.Database {
 }
 
 func TestBuilderQuickstartFlow(t *testing.T) {
-	d := gsim.NewDatabase("demo")
+	d := gsim.New(gsim.WithName("demo"))
 	mk := func(name string, edgeLabel string) {
 		b := d.NewGraph(name)
 		c1 := b.AddVertex("C")
@@ -292,7 +292,7 @@ func TestTextRoundTripThroughFacade(t *testing.T) {
 	if err := d.SaveText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d2 := gsim.NewDatabase("copy")
+	d2 := gsim.New(gsim.WithName("copy"))
 	n, err := d2.LoadText(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)

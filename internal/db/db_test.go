@@ -195,59 +195,3 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("stats changed: %+v vs %+v", a, b)
 	}
 }
-
-func TestBinarySnapshotRoundTrip(t *testing.T) {
-	c := testCollection(t, 25)
-	var buf bytes.Buffer
-	if err := c.SaveBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != c.Len() {
-		t.Fatalf("loaded %d graphs, want %d", back.Len(), c.Len())
-	}
-	if back.Stats() != c.Stats() {
-		t.Fatalf("stats drifted: %v vs %v", back.Stats(), c.Stats())
-	}
-	for i := 0; i < c.Len(); i++ {
-		if !c.Graph(i).Equal(back.Graph(i)) {
-			t.Fatalf("graph %d changed in binary round trip", i)
-		}
-		if d := branch.GBDGraphs(c.Graph(i), back.Graph(i)); d != 0 {
-			t.Fatalf("branch index drifted for graph %d", i)
-		}
-	}
-}
-
-func TestLoadBinaryRejectsGarbage(t *testing.T) {
-	if _, err := LoadBinary(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("garbage snapshot accepted")
-	}
-}
-
-func TestBinaryAndTextAgree(t *testing.T) {
-	c := testCollection(t, 10)
-	var bin, txt bytes.Buffer
-	if err := c.SaveBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Save(&txt); err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := LoadBinary(&bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromTxt, err := Load("t", &txt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < c.Len(); i++ {
-		if d := branch.GBDGraphs(fromBin.Graph(i), fromTxt.Graph(i)); d != 0 {
-			t.Fatalf("binary and text loads disagree on graph %d", i)
-		}
-	}
-}

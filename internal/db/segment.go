@@ -11,10 +11,9 @@ import (
 	"gsim/internal/graph"
 )
 
-// Snapshot segments: the per-shard durable form behind gsim.Open. Unlike
-// the legacy single-file snapshot (snapshot.go), a segment carries
-// explicit graph IDs — recovery must preserve identity, not renumber —
-// and no dictionary of its own: label IDs reference the manifest's
+// Snapshot segments: the per-shard durable form behind gsim.Open. A
+// segment carries explicit graph IDs — recovery must preserve identity,
+// not renumber — and no dictionary of its own: label IDs reference the manifest's
 // dictionary, written once for the whole checkpoint, so N segments
 // encode and decode in parallel without coordinating on strings. The
 // encoding is a flat varint layout rather than gob: recovery decodes
@@ -23,7 +22,7 @@ import (
 // dance. A CRC-32C trailer over the whole payload makes corruption a
 // loud Open failure rather than a quietly wrong database. Branch
 // multisets stay derived data, recomputed in parallel on load
-// (BuildEntries), which keeps the format as stable as the legacy one.
+// (BuildEntries), so the format has no branch section to version.
 //
 // Layout:
 //

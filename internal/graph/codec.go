@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The .gsim text format, one graph per stanza:
@@ -15,33 +17,79 @@ import (
 //	e <u> <v> <label>
 //	#  comment lines and blank lines are ignored
 //
-// Labels are free-form tokens without whitespace. The format is meant to be
-// diff-friendly and easy to produce from other tools; the db package layers
-// a faster binary snapshot on top.
+// Names and labels are whitespace-delimited tokens. A token that could not
+// survive that framing is escaped with a backslash: `\0` stands for the
+// empty token, `\uXXXX` for a (Unicode) whitespace rune, and `\u005c` for
+// a literal backslash — so every name and label round-trips, while a file
+// without backslashes reads exactly as its bytes say. The format is meant
+// to be diff-friendly and easy to produce from other tools.
 
 // Write encodes g to w in .gsim text form, resolving labels through dict.
 func Write(w io.Writer, g *Graph, dict *Labels) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "g %s %d\n", sanitizeName(g.Name), g.NumVertices())
+	fmt.Fprintf(bw, "g %s %d\n", escapeToken(g.Name), g.NumVertices())
 	for v := 0; v < g.NumVertices(); v++ {
-		fmt.Fprintf(bw, "v %d %s\n", v, dict.Name(g.VertexLabel(v)))
+		fmt.Fprintf(bw, "v %d %s\n", v, escapeToken(dict.Name(g.VertexLabel(v))))
 	}
 	for _, e := range g.Edges() {
-		fmt.Fprintf(bw, "e %d %d %s\n", e.U, e.V, dict.Name(e.Label))
+		fmt.Fprintf(bw, "e %d %d %s\n", e.U, e.V, escapeToken(dict.Name(e.Label)))
 	}
 	return bw.Flush()
 }
 
-func sanitizeName(s string) string {
+// needsEscape reports whether r cannot appear raw inside a token.
+func needsEscape(r rune) bool { return r == '\\' || unicode.IsSpace(r) }
+
+// escapeToken renders s as one whitespace-free, non-empty token.
+func escapeToken(s string) string {
 	if s == "" {
-		return "unnamed"
+		return `\0`
 	}
-	return strings.Map(func(r rune) rune {
-		if r == ' ' || r == '\t' || r == '\n' {
-			return '_'
+	if strings.IndexFunc(s, needsEscape) < 0 {
+		return s
+	}
+	var b strings.Builder
+	for i := 0; i < len(s); {
+		// Decode by hand to keep the byte width: invalid UTF-8 decodes to
+		// U+FFFD one byte at a time and must be copied through unchanged.
+		r, n := utf8.DecodeRuneInString(s[i:])
+		if needsEscape(r) {
+			fmt.Fprintf(&b, `\u%04x`, r)
+		} else {
+			b.WriteString(s[i : i+n])
 		}
-		return r
-	}, s)
+		i += n
+	}
+	return b.String()
+}
+
+// unescapeToken inverts escapeToken.
+func unescapeToken(tok string) (string, error) {
+	if strings.IndexByte(tok, '\\') < 0 {
+		return tok, nil
+	}
+	var b strings.Builder
+	for i := 0; i < len(tok); i++ {
+		if tok[i] != '\\' {
+			b.WriteByte(tok[i])
+			continue
+		}
+		rest := tok[i+1:]
+		switch {
+		case strings.HasPrefix(rest, "0"):
+			i++
+		case len(rest) >= 5 && rest[0] == 'u':
+			r, err := strconv.ParseUint(rest[1:5], 16, 16)
+			if err != nil {
+				return "", fmt.Errorf("bad escape in %q", tok)
+			}
+			b.WriteRune(rune(r))
+			i += 5
+		default:
+			return "", fmt.Errorf("bad escape in %q", tok)
+		}
+	}
+	return b.String(), nil
 }
 
 // WriteAll encodes each graph in sequence.
@@ -93,8 +141,12 @@ func ReadAll(r io.Reader, dict *Labels) ([]*Graph, error) {
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("gsim:%d: bad vertex count %q", line, fields[2])
 			}
+			name, err := unescapeToken(fields[1])
+			if err != nil {
+				return nil, fmt.Errorf("gsim:%d: %v", line, err)
+			}
 			cur = New(n)
-			cur.Name = fields[1]
+			cur.Name = name
 		case "v":
 			if cur == nil {
 				return nil, fmt.Errorf("gsim:%d: vertex before graph header", line)
@@ -106,7 +158,11 @@ func ReadAll(r io.Reader, dict *Labels) ([]*Graph, error) {
 			if err != nil || idx != cur.NumVertices() {
 				return nil, fmt.Errorf("gsim:%d: vertices must appear in order, got index %q after %d", line, fields[1], cur.NumVertices())
 			}
-			cur.AddVertex(dict.Intern(fields[2]))
+			label, err := unescapeToken(fields[2])
+			if err != nil {
+				return nil, fmt.Errorf("gsim:%d: %v", line, err)
+			}
+			cur.AddVertex(dict.Intern(label))
 		case "e":
 			if cur == nil {
 				return nil, fmt.Errorf("gsim:%d: edge before graph header", line)
@@ -119,7 +175,11 @@ func ReadAll(r io.Reader, dict *Labels) ([]*Graph, error) {
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("gsim:%d: bad edge endpoints %q", line, text)
 			}
-			if err := cur.AddEdge(u, v, dict.Intern(fields[3])); err != nil {
+			label, err := unescapeToken(fields[3])
+			if err != nil {
+				return nil, fmt.Errorf("gsim:%d: %v", line, err)
+			}
+			if err := cur.AddEdge(u, v, dict.Intern(label)); err != nil {
 				return nil, fmt.Errorf("gsim:%d: %v", line, err)
 			}
 		default:

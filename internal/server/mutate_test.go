@@ -60,7 +60,7 @@ func TestDeleteEndpoint(t *testing.T) {
 // a fresh full-scan database (no active subset) so ingested graphs are
 // searchable; LSAP needs no priors.
 func TestDeleteInvalidatesSearch(t *testing.T) {
-	db := gsim.NewDatabase("mut")
+	db := gsim.New(gsim.WithName("mut"))
 	srv := New(Config{DB: db, CacheEntries: 32})
 	h := srv.Handler()
 	ingestOne(t, h, "decoy")

@@ -359,7 +359,7 @@ func TestErrorMapping(t *testing.T) {
 	}
 
 	// GBDA search against a priorless database → 409.
-	empty := gsim.NewDatabase("empty")
+	empty := gsim.New(gsim.WithName("empty"))
 	for i := 0; i < 3; i++ {
 		b := empty.NewGraph(fmt.Sprintf("g%d", i))
 		b.AddVertex("A")
@@ -488,7 +488,7 @@ func TestHealthz(t *testing.T) {
 // fixture's restricts scans to its pre-split subset, which ingested
 // graphs are outside of by construction).
 func TestGraphLabelRoundTrip(t *testing.T) {
-	db := gsim.NewDatabase("rt")
+	db := gsim.New(gsim.WithName("rt"))
 	h := New(Config{DB: db}).Handler()
 	g := wireGraph{Name: "rt", Vertices: []string{"Zq", "Zr", "Zs"},
 		Edges: []wireEdge{{U: 0, V: 1, Label: "zz"}, {U: 1, V: 2, Label: "zz"}}}

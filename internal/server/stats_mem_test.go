@@ -16,7 +16,7 @@ import (
 // together must cost at most a quarter of what the former slice-of-slices
 // Summary layout would spend on the same entries.
 func TestPrefilterMemoryRatioAtScale(t *testing.T) {
-	db := gsim.NewDatabaseShards("memscale", 8)
+	db := gsim.New(gsim.WithName("memscale"), gsim.WithShards(8))
 	rng := rand.New(rand.NewSource(17))
 	const batch = 2000
 	builders := make([]*gsim.GraphBuilder, 0, batch)

@@ -103,8 +103,7 @@ type Map struct {
 	// tele holds the store's telemetry: mutation-latency histograms per
 	// op kind plus per-shard scanned/pruned/mutation counters (the scan
 	// side is attributed by the search layer, which knows the scan's
-	// projection). Owned here so a snapshot swap starts counters fresh
-	// with the store they describe.
+	// projection).
 	tele *telemetry.StoreMetrics
 }
 

@@ -102,8 +102,7 @@ type ShardCounters struct {
 }
 
 // StoreMetrics is the sharded store's telemetry: mutation-latency
-// histograms per op kind and per-shard counters. Owned by shard.Map, so
-// a snapshot swap (LoadBinary) starts fresh with the new store.
+// histograms per op kind and per-shard counters. Owned by shard.Map.
 type StoreMetrics struct {
 	Mut    [NumMutOps]Histogram
 	Shards []ShardCounters

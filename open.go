@@ -98,12 +98,11 @@ func WithoutWAL() Option {
 	return func(o *dbOptions) { o.noWAL = true }
 }
 
-// WithImport seeds a fresh data directory from a legacy snapshot file —
-// either a SaveBinary gob or a .gsim text dump. It is consulted only
-// when the directory has no manifest yet; once the first checkpoint
-// lands, reopening with the same option is a no-op, so a one-line
-// migration (point -data at a new dir, keep the old -db/-binary flag)
-// converges after one boot.
+// WithImport seeds a fresh data directory from a .gsim text file (the
+// SaveText format). It is consulted only when the directory has no
+// manifest yet; once the first checkpoint lands, reopening with the same
+// option is a no-op, so a deployment can keep passing it across
+// restarts.
 func WithImport(path string) Option {
 	return func(o *dbOptions) { o.importPath = path }
 }
@@ -135,14 +134,12 @@ func WithRecoveryBackoff(min, max time.Duration) Option {
 
 // New creates an in-memory database — no directory, no WAL, no
 // checkpoints (Checkpoint returns ErrNotDurable; Close is a no-op).
-// This is the constructor behind the deprecated NewDatabase wrappers.
 func New(opts ...Option) *Database {
 	o := applyOptions(opts)
 	if o.name == "" {
 		o.name = "db"
 	}
-	n := shard.Shards(o.shards)
-	return &Database{store: shard.New(o.name, n), shardN: n}
+	return &Database{store: shard.New(o.name, shard.Shards(o.shards))}
 }
 
 // Open opens (creating if needed) the durable database stored in dir:
@@ -161,21 +158,4 @@ func Open(dir string, opts ...Option) (*Database, error) {
 		o.name = filepath.Base(dir)
 	}
 	return openDurable(dir, o)
-}
-
-// NewDatabase creates an empty in-memory database with GOMAXPROCS
-// storage shards.
-//
-// Deprecated: use New(WithName(name)); Open for a durable database.
-func NewDatabase(name string) *Database {
-	return New(WithName(name))
-}
-
-// NewDatabaseShards creates an empty in-memory database with an explicit
-// storage shard count (n ≤ 0 selects GOMAXPROCS). One shard reproduces
-// the unsharded layout exactly — the equivalence tests rely on it.
-//
-// Deprecated: use New(WithName(name), WithShards(n)).
-func NewDatabaseShards(name string, n int) *Database {
-	return New(WithName(name), WithShards(n))
 }

@@ -11,7 +11,7 @@ import (
 // fittedDatabase builds a small database and runs the offline stage.
 func fittedDatabase(t *testing.T) *Database {
 	t.Helper()
-	d := NewDatabase("persist")
+	d := New(WithName("persist"))
 	var b strings.Builder
 	for i := 0; i < 16; i++ {
 		n := 3 + i%4
@@ -43,7 +43,7 @@ func TestPriorsRoundTripExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst := NewDatabase("restored")
+	dst := New(WithName("restored"))
 	if err := dst.LoadPriors(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestLoadPriorsTruncated(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for _, cut := range []int{0, 1, len(full) / 2, len(full) - 1} {
-		d := NewDatabase("trunc")
+		d := New(WithName("trunc"))
 		if err := d.LoadPriors(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncated snapshot (%d of %d bytes) loaded", cut, len(full))
 		}
@@ -144,7 +144,7 @@ func TestLoadPriorsCorrupt(t *testing.T) {
 		snap.Mus = append([]float64(nil), valid.Mus...)
 		snap.Sigmas = append([]float64(nil), valid.Sigmas...)
 		tc.mut(&snap)
-		d := NewDatabase("corrupt")
+		d := New(WithName("corrupt"))
 		if err := d.LoadPriors(encodeSnapshot(t, snap)); err == nil {
 			t.Fatalf("%s: corrupt snapshot loaded", tc.name)
 		}
@@ -153,7 +153,7 @@ func TestLoadPriorsCorrupt(t *testing.T) {
 		}
 	}
 	// The unmutated control must load.
-	d := NewDatabase("control")
+	d := New(WithName("control"))
 	if err := d.LoadPriors(encodeSnapshot(t, valid)); err != nil {
 		t.Fatalf("control snapshot rejected: %v", err)
 	}
@@ -164,7 +164,7 @@ func TestLoadPriorsCorrupt(t *testing.T) {
 
 // TestLoadPriorsGarbage: non-gob bytes fail cleanly.
 func TestLoadPriorsGarbage(t *testing.T) {
-	d := NewDatabase("garbage")
+	d := New(WithName("garbage"))
 	if err := d.LoadPriors(strings.NewReader("this is not a gob stream")); err == nil {
 		t.Fatal("garbage input loaded")
 	}

@@ -84,7 +84,7 @@ func checkPruneSet(t *testing.T, d *Database, rng *rand.Rand, round int) {
 // followed by a full prune-set comparison and a real prefiltered search
 // (GreedySort — no priors needed) to exercise the public path.
 func TestPrefilterPruneSetMatchesLegacy(t *testing.T) {
-	d := NewDatabaseShards("peq", 5)
+	d := New(WithName("peq"), WithShards(5))
 	rng := rand.New(rand.NewSource(31))
 	var live []int
 	for round := 0; round < 6; round++ {
@@ -122,7 +122,7 @@ func TestPrefilterPruneSetMatchesLegacy(t *testing.T) {
 // detector on); afterwards the settled prune set must still match the
 // oracle.
 func TestPrefilterUnderConcurrentMutation(t *testing.T) {
-	d := NewDatabaseShards("peqc", 4)
+	d := New(WithName("peqc"), WithShards(4))
 	seedRng := rand.New(rand.NewSource(37))
 	var mu sync.Mutex
 	var live []int
@@ -211,7 +211,7 @@ func TestPrefilterUnderConcurrentMutation(t *testing.T) {
 // search returns identical results — the prefilter only removes pairs the
 // admissible bounds prove cannot match.
 func TestPrefilterSearchEquivalence(t *testing.T) {
-	d := NewDatabaseShards("peqs", 3)
+	d := New(WithName("peqs"), WithShards(3))
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < 80; i++ {
 		if _, err := buildRandomGraph(d, rng, fmt.Sprintf("g%d", i)).Store(); err != nil {

@@ -2,10 +2,13 @@ package gsim
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -273,65 +276,140 @@ func TestRecoveryMissingSegment(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotMigration is the compatibility path from the
-// single-file era: a SaveBinary snapshot opens via WithImport, re-shards
-// to the configured count, lands in segmented form at the boot
-// checkpoint, and subsequent boots ignore the (even deleted) legacy file.
-func TestLegacySnapshotMigration(t *testing.T) {
-	src := New(WithName("legacy"))
+// TestTextImport is the seeding path gsimd's "-data <dir> -db base.gsim"
+// boots through: a SaveText dump opens via WithImport, re-shards to the
+// configured count, lands in segmented form at the boot checkpoint,
+// answers searches exactly like the source database, and subsequent boots
+// ignore the (even deleted) file.
+func TestTextImport(t *testing.T) {
+	src := New(WithName("src"))
 	names := make([]string, 10)
 	for i := range names {
 		names[i] = fmt.Sprintf("old%d", i)
 		storeChain(t, src, names[i], 3+i%3)
 	}
-	snap := filepath.Join(t.TempDir(), "snap.bin")
-	f, err := os.Create(snap)
+	// One graph whose tokens need the codec's escapes.
+	odd := src.NewGraph("odd name")
+	odd.AddVertex("C H")
+	odd.AddVertex("")
+	if err := odd.AddEdge(0, 1, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := odd.Store(); err != nil {
+		t.Fatal(err)
+	}
+	names = append(names, "odd name")
+	dump := filepath.Join(t.TempDir(), "base.gsim")
+	f, err := os.Create(dump)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.SaveBinary(f); err != nil {
+	if err := src.SaveText(f); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 
 	dir := t.TempDir()
-	d, err := Open(dir, WithImport(snap), WithShards(3))
+	d, err := Open(dir, WithImport(dump), WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Len() != 10 || d.NumShards() != 3 {
-		t.Fatalf("imported Len=%d shards=%d, want 10/3", d.Len(), d.NumShards())
+	if d.Len() != 11 || d.NumShards() != 3 {
+		t.Fatalf("imported Len=%d shards=%d, want 11/3", d.Len(), d.NumShards())
 	}
 	// The boot checkpoint migrated the import to segmented form.
 	if segs, _ := filepath.Glob(filepath.Join(dir, "seg-*-*.bin")); len(segs) != 3 {
 		t.Fatalf("%d segments after import, want 3", len(segs))
+	}
+	for id := 0; id < src.Len(); id++ {
+		opt := SearchOptions{Method: LSAP, Tau: 2}
+		want, err := src.Search(src.Query(id), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.Search(d.Query(id), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Matches, want.Matches) {
+			t.Fatalf("query %d: imported database answers %v, source %v", id, got.Matches, want.Matches)
+		}
 	}
 	extra := storeChain(t, d, "new0", 4)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	if err := os.Remove(snap); err != nil {
+	if err := os.Remove(dump); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(dir, WithImport(snap)) // stale flag: must not be consulted
+	r, err := Open(dir, WithImport(dump)) // stale flag: must not be consulted
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Len() != 11 {
-		t.Fatalf("reopened Len = %d, want 11", r.Len())
+	if r.Len() != 12 {
+		t.Fatalf("reopened Len = %d, want 12", r.Len())
 	}
 	wantGraph(t, r, extra, "new0", 4)
 	seen := make(map[string]bool)
-	for id := 0; id < 12; id++ {
+	for id := 0; id < 13; id++ {
 		if e, ok := r.store.Get(uint64(id)); ok {
 			seen[e.G.Name] = true
 		}
 	}
 	for _, n := range names {
 		if !seen[n] {
-			t.Fatalf("legacy graph %q lost in migration", n)
+			t.Fatalf("imported graph %q lost", n)
 		}
+	}
+}
+
+// TestImportRejectsNonText: a WithImport file that is not .gsim text —
+// here the bytes of a gob snapshot, the format older releases wrote —
+// fails Open with an error naming the file and the expected format,
+// leaves the directory without a manifest, and a retry with a good file
+// succeeds.
+func TestImportRejectsNonText(t *testing.T) {
+	type flatGraph struct {
+		Name           string
+		VLabels, EdgeU []int32
+	}
+	var snap bytes.Buffer
+	if err := gob.NewEncoder(&snap).Encode(struct {
+		Name   string
+		Labels []string
+		Graphs []flatGraph
+	}{"legacy", []string{"ε", "C"}, []flatGraph{{"g0", []int32{1, 1}, []int32{0}}}}); err != nil {
+		t.Fatal(err)
+	}
+	tmp := t.TempDir()
+	bad := filepath.Join(tmp, "snap.bin")
+	if err := os.WriteFile(bad, snap.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(tmp, "data")
+	_, err := Open(dir, WithImport(bad))
+	if err == nil {
+		t.Fatal("Open imported a gob snapshot as text")
+	}
+	if msg := err.Error(); !strings.Contains(msg, bad) || !strings.Contains(msg, ".gsim text") {
+		t.Fatalf("error %q does not name the file and the expected format", msg)
+	}
+	if _, err := os.Stat(filepath.Join(dir, manifestName)); !os.IsNotExist(err) {
+		t.Fatalf("failed import left a manifest behind (stat err %v)", err)
+	}
+
+	good := filepath.Join(tmp, "base.gsim")
+	if err := os.WriteFile(good, []byte("g a 2\nv 0 C\nv 1 N\ne 0 1 s\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(dir, WithImport(good))
+	if err != nil {
+		t.Fatalf("retry with a good file: %v", err)
+	}
+	defer d.Close()
+	if d.Len() != 1 {
+		t.Fatalf("retry imported %d graphs, want 1", d.Len())
 	}
 }

@@ -361,9 +361,8 @@ func (ps *preparedSearch) key(pos int) int {
 
 // prepare validates opt against the database state, takes a consistent
 // cut of the sharded store and readies a scorer. It holds the database
-// read lock (which excludes prior refits and snapshot swaps, not
-// per-shard ingest) while preparing; the scan itself runs lock-free
-// against the cut.
+// read lock (which excludes prior refits, not per-shard ingest) while
+// preparing; the scan itself runs lock-free against the cut.
 func (d *Database) prepare(opt SearchOptions) (*preparedSearch, error) {
 	start := time.Now()
 	opt = opt.withDefaults()
@@ -423,21 +422,18 @@ func (d *Database) prepare(opt SearchOptions) (*preparedSearch, error) {
 // over the cut (the pre-shard code paid the same O(n) on every prepare),
 // so searches between mutations reuse it and prepare in O(1). A cached
 // projection built with the prefilter also serves non-prefiltered
-// searches (they never read it); the reverse rebuilds. The caller must
-// hold d.mu (read suffices); apMu serialises rebuilds against each other.
+// searches (they never read it); the reverse rebuilds. apMu serialises
+// rebuilds against each other.
 func (d *Database) projection(withPre bool) *projection {
 	d.apMu.Lock()
 	defer d.apMu.Unlock()
-	if p := d.proj; p != nil && p.store == d.store && p.epoch == d.store.Epoch() && (p.withPre || !withPre) {
-		// Same store and equal epoch means no shard mutated since the
-		// cached cut was taken, so its slices are the current state. The
-		// store identity check matters: LoadBinary installs a fresh Map
-		// whose epoch restarts at zero, which a bare epoch compare could
-		// mistake for the cached cut.
+	if p := d.proj; p != nil && p.epoch == d.store.Epoch() && (p.withPre || !withPre) {
+		// Equal epoch means no shard mutated since the cached cut was
+		// taken, so its slices are the current state.
 		return p
 	}
 	views, epoch := d.store.Views(withPre)
-	p := &projection{store: d.store, epoch: epoch, withPre: withPre}
+	p := &projection{epoch: epoch, withPre: withPre}
 	var pviews []index.View
 	if withPre {
 		pviews = make([]index.View, len(views))

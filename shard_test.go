@@ -1,7 +1,6 @@
 package gsim_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -146,7 +145,7 @@ func TestShardedEquivalenceBatchAndTopK(t *testing.T) {
 // ErrNotFound for unknown IDs, and Update swaps content under a stable
 // ID.
 func TestDeleteVisibilityAndEpoch(t *testing.T) {
-	d := gsim.NewDatabaseShards("mut", 4)
+	d := gsim.New(gsim.WithName("mut"), gsim.WithShards(4))
 	if _, err := d.LoadText(strings.NewReader(chainText("seed", 10))); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +248,7 @@ func TestDeleteVisibilityAndEpoch(t *testing.T) {
 // automatic compaction threshold and reclaims them, while surviving
 // graphs keep matching exactly.
 func TestBranchDictCompactionViaDatabase(t *testing.T) {
-	d := gsim.NewDatabaseShards("compact", 4)
+	d := gsim.New(gsim.WithName("compact"), gsim.WithShards(4))
 	keep := d.NewGraph("keeper")
 	keep.AddVertex("keep")
 	keep.AddVertex("keep")
@@ -312,7 +311,7 @@ func TestBranchDictCompactionViaDatabase(t *testing.T) {
 // a consistent snapshot, the epoch must never regress, and the final
 // state must reconcile.
 func TestMutationUnderScan(t *testing.T) {
-	d := gsim.NewDatabaseShards("race", 4)
+	d := gsim.New(gsim.WithName("race"), gsim.WithShards(4))
 	if _, err := d.LoadText(strings.NewReader(chainText("seed", 40))); err != nil {
 		t.Fatal(err)
 	}
@@ -418,61 +417,12 @@ func TestMutationUnderScan(t *testing.T) {
 	}
 }
 
-// TestLoadBinarySwapInvalidatesProjection is the regression for the
-// stale scan-projection cache: a second LoadBinary installs a fresh
-// store whose epoch restarts at zero, which an epoch-only cache check
-// mistakes for the already-cached cut — searches then scan the replaced
-// contents.
-func TestLoadBinarySwapInvalidatesProjection(t *testing.T) {
-	mkSnap := func(n int) *bytes.Buffer {
-		d := gsim.NewDatabaseShards("snap", 3)
-		if _, err := d.LoadText(strings.NewReader(chainText("s", n))); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := d.SaveBinary(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return &buf
-	}
-	snapA, snapB := mkSnap(2), mkSnap(5)
-
-	d := gsim.NewDatabaseShards("swap", 3)
-	if err := d.LoadBinary(snapA); err != nil {
-		t.Fatal(err)
-	}
-	q := d.NewQuery("probe")
-	q.AddVertex("L0")
-	probe := q.Query()
-	res, err := d.Search(probe, gsim.SearchOptions{Method: gsim.LSAP, Tau: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Scanned != 2 {
-		t.Fatalf("first search scanned %d, want 2", res.Scanned)
-	}
-	e1 := res.Epoch
-	if err := d.LoadBinary(snapB); err != nil {
-		t.Fatal(err)
-	}
-	res, err = d.Search(probe, gsim.SearchOptions{Method: gsim.LSAP, Tau: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Scanned != 5 {
-		t.Fatalf("post-swap search scanned %d of %d graphs — stale projection", res.Scanned, d.Len())
-	}
-	if res.Epoch <= e1 {
-		t.Fatalf("epoch regressed across LoadBinary: %d -> %d", e1, res.Epoch)
-	}
-}
-
 // TestStoreAllIDsExactUnderConcurrentStore is the regression for the
 // Commit ID race: the contiguous ID run a batch reports must address
 // exactly the batch's graphs even while single Stores race it on the
 // same sequence.
 func TestStoreAllIDsExactUnderConcurrentStore(t *testing.T) {
-	d := gsim.NewDatabaseShards("idrace", 4)
+	d := gsim.New(gsim.WithName("idrace"), gsim.WithShards(4))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

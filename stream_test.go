@@ -87,7 +87,7 @@ func TestSearchStreamCancellation(t *testing.T) {
 // the old ixOnce staleness: a graph stored after the first prefiltered
 // search was silently invisible to every later prefiltered search.
 func TestPrefilterSeesGraphsAddedAfterFirstSearch(t *testing.T) {
-	d := gsim.NewDatabase("fresh")
+	d := gsim.New(gsim.WithName("fresh"))
 	mk := func(name string, labels ...string) int {
 		b := d.NewGraph(name)
 		ids := make([]int, len(labels))
@@ -203,7 +203,7 @@ func TestSearchBatchCancellation(t *testing.T) {
 // K-boundary and the result order must not depend on the worker count —
 // ties order by ascending collection index.
 func TestSearchTopKDeterministicTieBreak(t *testing.T) {
-	d := gsim.NewDatabase("ties")
+	d := gsim.New(gsim.WithName("ties"))
 	clone := func(name string) {
 		b := d.NewGraph(name)
 		x := b.AddVertex("X")
