@@ -604,6 +604,48 @@ func BenchmarkKernel_GBD1000(b *testing.B) {
 	}
 }
 
+// BenchmarkKernel_GBDBounded measures the intersection the posterior
+// scorers actually run: branch.IntersectAtLeastIDs with need = max size −
+// 3τ̂ (τ̂ = 3), one held-out query against every stored graph of an
+// AASD-shaped corpus in turn — mostly far pairs decided by the sizes or
+// within a few merge steps, and the query's own cluster as the few near
+// ones that merge to the end. ns/op is per pair; 0 allocs/op is gated.
+func BenchmarkKernel_GBDBounded(b *testing.B) {
+	cfg, err := dataset.Profile("aasd", 0.02)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := dataset.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := ds.Col.Entry(ds.Queries[0]).Branches
+	stored := make([]branch.IDs, len(ds.DBGraphs))
+	near := 0
+	for i, idx := range ds.DBGraphs {
+		stored[i] = ds.Col.Entry(idx).Branches
+		if _, ok := branch.IntersectAtLeastIDs(q, stored[i], max(len(q), len(stored[i]))-9); ok {
+			near++
+		}
+	}
+	if near == 0 || near*10 > len(stored) {
+		b.Fatalf("%d of %d pairs are near; the mix should be mostly far with a few near", near, len(stored))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, k := 0, 0; i < b.N; i++ {
+		e := stored[k]
+		if k++; k == len(stored) {
+			k = 0
+		}
+		n, _ := branch.IntersectAtLeastIDs(q, e, max(len(q), len(e))-9)
+		kernelSink += n
+	}
+}
+
+// kernelSink keeps the kernel benchmarks' results live.
+var kernelSink int
+
 // BenchmarkKernel_Posterior measures the steady-state posterior kernel:
 // the (v, ϕ) table lookup every scored pair performs after Prepare has
 // built the posterior table — lock-free and 0 allocs/op by design (the

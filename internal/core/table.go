@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -109,17 +108,10 @@ func (t *PosteriorTable) Posterior(vmax, phi int) float64 {
 // weight is a lookup-time parameter, not table state: rows never depend
 // on it, so every V2 weight shares one table (the cache key deliberately
 // omits it — a client-supplied weight must not grow server-side state).
-// The rounding mirrors Searcher.PosteriorVGBDTau exactly, so table and
-// direct results agree bit for bit.
+// The rounding is RoundVGBD, shared with Searcher.PosteriorVGBDTau, so
+// table and direct results agree bit for bit.
 func (t *PosteriorTable) PosteriorVGBD(vmax, intersect int, w float64) float64 {
-	if w <= 0 {
-		w = 1
-	}
-	phi := int(math.Round(float64(vmax) - w*float64(intersect)))
-	if phi < 0 {
-		phi = 0
-	}
-	return t.Posterior(vmax, phi)
+	return t.Posterior(vmax, RoundVGBD(vmax, intersect, w))
 }
 
 // miss builds (or finds, if another goroutine won the race) the row for

@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -53,9 +52,7 @@ func ScanBatch[T any](ctx context.Context, n, q int, opt Options, process func(p
 	}
 
 	var (
-		next     atomic.Int64 // next unclaimed position
-		scanned  atomic.Int64 // positions fully processed
-		stop     atomic.Bool  // error, cancellation, or emit returned false
+		st       scanState
 		errOnce  sync.Once
 		firstErr error
 		emitMu   sync.Mutex
@@ -63,14 +60,43 @@ func ScanBatch[T any](ctx context.Context, n, q int, opt Options, process func(p
 	)
 	fail := func(err error) {
 		errOnce.Do(func() { firstErr = err })
-		stop.Store(true)
+		st.stop.Store(true)
+	}
+	// runChunk mirrors Scan's: positions finished, and whether to go on.
+	runChunk := func(lo, hi int, buf []T) (done int, more bool) {
+		for pos := lo; pos < hi; pos++ {
+			if st.stop.Load() {
+				return done, false
+			}
+			if err := process(pos, buf); err != nil {
+				fail(err)
+				return done, false
+			}
+			done++
+			emitMu.Lock()
+			if st.stop.Load() {
+				emitMu.Unlock()
+				return done, false
+			}
+			cont := emit(pos, buf)
+			if !cont {
+				// Set under emitMu: a worker waiting on the lock
+				// must see the stop before it can emit again.
+				st.stop.Store(true)
+			}
+			emitMu.Unlock()
+			if !cont {
+				return done, false
+			}
+		}
+		return done, true
 	}
 
 	worker := func() {
 		defer wg.Done()
 		buf := make([]T, q) // worker-local verdict buffer, reused per position
-		for !stop.Load() {
-			lo := int(next.Add(int64(chunk))) - chunk
+		for !st.stop.Load() {
+			lo, hi := st.claim(chunk, n)
 			if lo >= n {
 				return
 			}
@@ -78,34 +104,10 @@ func ScanBatch[T any](ctx context.Context, n, q int, opt Options, process func(p
 				fail(err)
 				return
 			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			for pos := lo; pos < hi; pos++ {
-				if stop.Load() {
-					return
-				}
-				if err := process(pos, buf); err != nil {
-					fail(err)
-					return
-				}
-				scanned.Add(1)
-				emitMu.Lock()
-				if stop.Load() {
-					emitMu.Unlock()
-					return
-				}
-				cont := emit(pos, buf)
-				if !cont {
-					// Set under emitMu: a worker waiting on the lock
-					// must see the stop before it can emit again.
-					stop.Store(true)
-				}
-				emitMu.Unlock()
-				if !cont {
-					return
-				}
+			done, more := runChunk(lo, hi, buf)
+			st.scanned.Add(int64(done))
+			if !more {
+				return
 			}
 		}
 	}
@@ -114,5 +116,5 @@ func ScanBatch[T any](ctx context.Context, n, q int, opt Options, process func(p
 		go worker()
 	}
 	wg.Wait()
-	return int(scanned.Load()), firstErr
+	return int(st.scanned.Load()), firstErr
 }

@@ -65,9 +65,7 @@ func Scan[T any](ctx context.Context, n int, opt Options, process func(pos int) 
 	}
 
 	var (
-		next     atomic.Int64 // next unclaimed position
-		scanned  atomic.Int64 // positions fully processed
-		stop     atomic.Bool  // error, cancellation, or emit returned false
+		st       scanState
 		errOnce  sync.Once
 		firstErr error
 		emitMu   sync.Mutex
@@ -75,13 +73,47 @@ func Scan[T any](ctx context.Context, n int, opt Options, process func(pos int) 
 	)
 	fail := func(err error) {
 		errOnce.Do(func() { firstErr = err })
-		stop.Store(true)
+		st.stop.Store(true)
+	}
+	// runChunk processes [lo, hi) and reports how many positions it
+	// finished and whether the worker should claim another chunk.
+	runChunk := func(lo, hi int) (done int, more bool) {
+		for pos := lo; pos < hi; pos++ {
+			if st.stop.Load() {
+				return done, false
+			}
+			item, keep, err := process(pos)
+			if err != nil {
+				fail(err)
+				return done, false
+			}
+			done++
+			if !keep {
+				continue
+			}
+			emitMu.Lock()
+			if st.stop.Load() {
+				emitMu.Unlock()
+				return done, false
+			}
+			cont := emit(pos, item)
+			if !cont {
+				// Set under emitMu: a worker waiting on the lock
+				// must see the stop before it can emit again.
+				st.stop.Store(true)
+			}
+			emitMu.Unlock()
+			if !cont {
+				return done, false
+			}
+		}
+		return done, true
 	}
 
 	worker := func() {
 		defer wg.Done()
-		for !stop.Load() {
-			lo := int(next.Add(int64(chunk))) - chunk
+		for !st.stop.Load() {
+			lo, hi := st.claim(chunk, n)
 			if lo >= n {
 				return
 			}
@@ -89,38 +121,10 @@ func Scan[T any](ctx context.Context, n int, opt Options, process func(pos int) 
 				fail(err)
 				return
 			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			for pos := lo; pos < hi; pos++ {
-				if stop.Load() {
-					return
-				}
-				item, keep, err := process(pos)
-				if err != nil {
-					fail(err)
-					return
-				}
-				scanned.Add(1)
-				if !keep {
-					continue
-				}
-				emitMu.Lock()
-				if stop.Load() {
-					emitMu.Unlock()
-					return
-				}
-				cont := emit(pos, item)
-				if !cont {
-					// Set under emitMu: a worker waiting on the lock
-					// must see the stop before it can emit again.
-					stop.Store(true)
-				}
-				emitMu.Unlock()
-				if !cont {
-					return
-				}
+			done, more := runChunk(lo, hi)
+			st.scanned.Add(int64(done))
+			if !more {
+				return
 			}
 		}
 	}
@@ -129,5 +133,35 @@ func Scan[T any](ctx context.Context, n int, opt Options, process func(pos int) 
 		go worker()
 	}
 	wg.Wait()
-	return int(scanned.Load()), firstErr
+	return int(st.scanned.Load()), firstErr
+}
+
+// cacheLine is the padding unit of scanState; 64 bytes covers amd64 and
+// most arm64 parts.
+const cacheLine = 64
+
+// scanState is the cross-worker state of one scan. Each word sits on its
+// own cache line: next is written once per claimed chunk by every worker
+// and stop is read before every position, so sharing a line would have
+// each claim invalidate the line every other worker polls per entry.
+// scanned is likewise added to once per chunk — with the exact number of
+// positions the worker finished, so an early-stopped or cancelled scan
+// still reports the true count — not once per entry.
+type scanState struct {
+	next    atomic.Int64 // next unclaimed position
+	_       [cacheLine - 8]byte
+	scanned atomic.Int64 // positions fully processed
+	_       [cacheLine - 8]byte
+	stop    atomic.Bool // error, cancellation, or emit returned false
+	_       [cacheLine - 1]byte
+}
+
+// claim takes the next chunk of positions; lo ≥ n means none are left.
+func (st *scanState) claim(chunk, n int) (lo, hi int) {
+	lo = int(st.next.Add(int64(chunk))) - chunk
+	hi = lo + chunk
+	if hi > n {
+		hi = n
+	}
+	return lo, hi
 }

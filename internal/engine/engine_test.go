@@ -157,3 +157,45 @@ func TestScanEmpty(t *testing.T) {
 		}
 	}
 }
+
+// TestScanCountsExactlyWhatItProcessed: scanned is added once per claimed
+// chunk, so a worker that stops mid-chunk must still report exactly the
+// positions it finished — after an early stop and after a cancellation,
+// whether the stop lands on a chunk boundary or inside one.
+func TestScanCountsExactlyWhatItProcessed(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		for _, stopAt := range []int{0, 5, 16, 100, 1000} {
+			var processed atomic.Int64
+			process := func(pos int) (int, bool, error) {
+				processed.Add(1)
+				return pos, pos >= stopAt, nil
+			}
+			scanned, err := Scan(context.Background(), 5000, Options{Workers: workers}, process,
+				func(pos, item int) bool { return false })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := int(processed.Load()); scanned != got || scanned > 4999 {
+				t.Fatalf("early stop at %d, workers=%d: scanned %d, processed %d", stopAt, workers, scanned, got)
+			}
+
+			processed.Store(0)
+			ctx, cancel := context.WithCancel(context.Background())
+			scanned, err = Scan(ctx, 5000, Options{Workers: workers},
+				func(pos int) (int, bool, error) {
+					if pos == stopAt {
+						cancel()
+					}
+					return process(pos)
+				},
+				func(pos, item int) bool { return true })
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if got := int(processed.Load()); scanned != got || scanned == 5000 {
+				t.Fatalf("cancel at %d, workers=%d: scanned %d, processed %d", stopAt, workers, scanned, got)
+			}
+		}
+	}
+}

@@ -44,7 +44,7 @@ func (x *exactScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 // hybridScorer runs the GBDA filter and then verifies small candidates with
 // exact A*, the filter-verify extension of Section VIII-A. Its filter
 // stage shares the GBDA table hot path: posterior by lookup, branch
-// distance by integer merge.
+// distance by bounded integer merge.
 type hybridScorer struct {
 	table *lazyTable
 	opt   Options
@@ -61,9 +61,14 @@ func (h *hybridScorer) Prepare(d *DB, opt Options) error {
 
 func (h *hybridScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 	countEntryDecomp()
-	vmax := maxInt(q.G.NumVertices(), e.G.NumVertices())
-	phi := branch.GBDIDs(q.Branches, e.Branches)
-	post := h.table.get().Posterior(vmax, phi)
+	// The filter is the GBDA merge path (see gbdaScorer.score): an
+	// intersection too small to reach the table's 3τ̂ support is Φ = 0.
+	t := h.table.get()
+	vmax := maxInt(len(q.Branches), len(e.Branches))
+	post := 0.0
+	if inter, ok := branch.IntersectAtLeastIDs(q.Branches, e.Branches, needGBD(vmax, t.Tau())); ok {
+		post = t.Posterior(vmax, branch.GBDOf(len(q.Branches), len(e.Branches), inter))
+	}
 	if post < h.opt.Gamma {
 		return false, post, nil
 	}

@@ -28,7 +28,8 @@ func init() {
 // posterior thresholded at γ — and its V1 (fixed |V'1|) and V2 (weighted
 // VGBD observation) variants. Scoring is allocation- and lock-free in
 // steady state: the posterior comes from a precomputed (v, ϕ) table and
-// the branch distance from an integer merge of interned multisets.
+// the branch distance from an integer merge of interned multisets that
+// stops once the pair is past the table's 3τ̂ support (see score).
 type gbdaScorer struct {
 	variant  ID
 	table    *lazyTable
@@ -95,6 +96,9 @@ func (g *gbdaScorer) Prepare(d *DB, opt Options) error {
 	case GBDAV1:
 		s.FixedV = d.AvgActiveSize(opt.V1Sample, 1)
 	case GBDAV2:
+		if opt.V2Weight <= 0 {
+			opt.V2Weight = 1 // what core.RoundVGBD would read it as
+		}
 		s.Weight = opt.V2Weight
 	}
 	g.table, g.opt = newLazyTable(d, s, opt), opt
@@ -108,23 +112,69 @@ func (g *gbdaScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 	return keep, post, nil
 }
 
+// score is the merge path of Algorithm 1. Φ is exactly 0 whenever the
+// observed distance exceeds 3τ̂ (the Section VI-B short circuit the table
+// applies before any row access), so the merge is asked only for the
+// intersections that can reach a table row and an aborted merge is that
+// same Φ = 0 — a scored pair, not a prune. Sizes are the branch multiset
+// lengths (one branch per vertex), so a discarded entry never touches
+// e.G.
 func (g *gbdaScorer) score(q *Query, e *db.Entry) (bool, float64) {
-	return g.scoreInter(q, e, branch.IntersectSizeIDs(q.Branches, e.Branches))
+	t := g.table.get()
+	vmax := maxInt(len(q.Branches), len(e.Branches))
+	need := needGBD(vmax, t.Tau())
+	if g.variant == GBDAV2 {
+		need = needVGBD(vmax, t.Tau(), g.opt.V2Weight)
+	}
+	post := 0.0
+	if inter, ok := branch.IntersectAtLeastIDs(q.Branches, e.Branches, need); ok {
+		post = g.posterior(t, q, e, inter)
+	}
+	return g.keep(post), post
 }
 
-// scoreInter applies the posterior model to a precomputed intersection
-// size — the only quantity both GBD (Definition 4) and VGBD (Eq. 26)
-// consume — so the merge and bitset kernels share one scoring tail.
-func (g *gbdaScorer) scoreInter(q *Query, e *db.Entry, inter int) (bool, float64) {
-	vmax := maxInt(q.G.NumVertices(), e.G.NumVertices())
-	t := g.table.get()
-	var post float64
-	if g.variant == GBDAV2 {
-		post = t.PosteriorVGBD(vmax, inter, g.opt.V2Weight)
-	} else {
-		post = t.Posterior(vmax, branch.GBDOf(len(q.Branches), len(e.Branches), inter))
+// needGBD returns the smallest |B∩B| that keeps a pair of extended size
+// vmax within the 3τ̂ support of Φ: GBD = vmax − |B∩B| (Definition 4).
+func needGBD(vmax, tau int) int { return vmax - 3*tau }
+
+// needVGBD is needGBD for the GBDA-V2 observation: the smallest |B∩B|
+// whose rounded VGBD (Eq. 26) is ≤ 3τ̂, or vmax+1 — more than any pair of
+// that size can share — when none is. It solves vmax − w·n < 3τ̂ + ½ for n
+// and settles the last unit with the table's own rounding, which is
+// monotone in n, so the bound is exact at any weight. The estimate is
+// clamped to [0, vmax+1] while still a float — w is client-supplied and
+// the quotient overflows int for a tiny one (NaN compares false and
+// lands on 0) — which also bounds both loops by vmax+1 steps.
+func needVGBD(vmax, tau int, w float64) int {
+	n := 0
+	if x := (float64(vmax) - 3*float64(tau) - 0.5) / w; x >= float64(vmax) {
+		n = vmax + 1
+	} else if x > 0 {
+		n = int(x) + 1
 	}
-	return g.opt.CollectAll || post >= g.opt.Gamma, post
+	for n > 0 && core.RoundVGBD(vmax, n-1, w) <= 3*tau {
+		n--
+	}
+	for n <= vmax && core.RoundVGBD(vmax, n, w) > 3*tau {
+		n++
+	}
+	return n
+}
+
+// posterior applies the model to an exact intersection size — the only
+// quantity both GBD (Definition 4) and VGBD (Eq. 26) consume — so the
+// merge and bitset kernels share one lookup.
+func (g *gbdaScorer) posterior(t *core.PosteriorTable, q *Query, e *db.Entry, inter int) float64 {
+	lq, le := len(q.Branches), len(e.Branches)
+	if g.variant == GBDAV2 {
+		return t.PosteriorVGBD(maxInt(lq, le), inter, g.opt.V2Weight)
+	}
+	return t.Posterior(maxInt(lq, le), branch.GBDOf(lq, le, inter))
+}
+
+// keep is Step 4 of Algorithm 1, or everything under CollectAll.
+func (g *gbdaScorer) keep(post float64) bool {
+	return g.opt.CollectAll || post >= g.opt.Gamma
 }
 
 // densePool recycles the per-entry bitset scratch across ScoreEntry
@@ -154,8 +204,9 @@ func (g *gbdaScorer) PrepareBatch(queries []*Query) error {
 
 // useDense picks the kernel for one (query, entry) pair: bitset when the
 // sides are balanced and long enough to pay for the word sweep, the
-// merge/gallop dispatcher otherwise (a heavily skewed pair gallops in
-// fewer operations than the fixed word-AND over the whole universe).
+// bounded merge otherwise (a heavily skewed pair is usually decided by
+// its sizes alone, where the bitset pays a fixed word-AND over the whole
+// universe).
 func (g *gbdaScorer) useDense(q *Query, e *db.Entry) bool {
 	lq, le := len(q.Branches), len(e.Branches)
 	small, big := lq, le
@@ -183,18 +234,17 @@ func (g *gbdaScorer) ScoreEntry(e *db.Entry, out []Verdict) error {
 			countEntryDecomp()
 			counted = true
 		}
-		var keep bool
-		var post float64
 		if g.qdense != nil && g.useDense(q, e) {
 			if ed == nil {
 				ed = densePool.Get().(*branch.Dense)
 				ed.Fill(e.Branches, g.universe)
 			}
-			keep, post = g.scoreInter(q, e, branch.IntersectSizeDense(&g.qdense[k], ed))
+			post := g.posterior(g.table.get(), q, e, branch.IntersectSizeDense(&g.qdense[k], ed))
+			out[k] = Verdict{Keep: g.keep(post), Score: post}
 		} else {
-			keep, post = g.score(q, e)
+			keep, post := g.score(q, e)
+			out[k] = Verdict{Keep: keep, Score: post}
 		}
-		out[k] = Verdict{Keep: keep, Score: post}
 	}
 	if ed != nil {
 		densePool.Put(ed)

@@ -146,7 +146,8 @@ type Options struct {
 // Query is a prepared query graph with its branch multiset in interned
 // form: IDs resolved through the database's branch dictionary, with
 // ephemeral overlay IDs for branches the database has never seen (see
-// db.BranchDict.ResolveMultiset).
+// db.BranchDict.ResolveMultiset). Branches holds one ID per vertex of G,
+// so its length is the graph's size.
 type Query struct {
 	G        *graph.Graph
 	Branches branch.IDs

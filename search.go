@@ -507,8 +507,11 @@ func (ps *preparedSearch) ordered() []*db.Entry {
 
 // stream scans the flat cut for one query, feeding every kept match to
 // emit (serialised, position-tagged, unordered) and accumulating trace
-// state into tr (required). It returns the number of graphs examined.
-func (ps *preparedSearch) stream(ctx context.Context, q *Query, tr *traceAcc, emit func(pos int, m Match) bool) (int, error) {
+// state into tr (required). admit, when non-nil, is a consumer's
+// lock-free veto over kept entries (top-K's "cannot enter the heap"): an
+// entry it refuses is scanned and scored but never reaches emit. It
+// returns the number of graphs examined.
+func (ps *preparedSearch) stream(ctx context.Context, q *Query, tr *traceAcc, admit func(index int, score float64) bool, emit func(pos int, m Match) bool) (int, error) {
 	// Resolve the query's key-form multiset into interned IDs once per
 	// scan. Branch IDs are never reused (deletes retire them), so a
 	// resolution taken at-or-after prepare can never mis-match a snapshot
@@ -520,6 +523,15 @@ func (ps *preparedSearch) stream(ctx context.Context, q *Query, tr *traceAcc, em
 	if ps.opt.Prefilter {
 		qp = index.PrepareQuery(q.g)
 	}
+	// match builds the Match of a scored entry only when it is kept: on
+	// an unfiltered scan nearly every entry is discarded, and a discarded
+	// one should touch its Entry header and branch slice, not e.G.
+	match := func(e *db.Entry, keep bool, score float64, err error) (Match, bool, error) {
+		if err != nil || !keep || (admit != nil && !admit(int(e.ID), score)) {
+			return Match{}, false, err
+		}
+		return Match{Index: int(e.ID), Name: e.G.Name, Score: score}, true, nil
+	}
 	process := func(pos int) (Match, bool, error) {
 		e := ps.entries[pos]
 		if ps.opt.Prefilter && ps.pre.Prunable(&qp, qids, e, pos, ps.opt.Tau) {
@@ -527,10 +539,7 @@ func (ps *preparedSearch) stream(ctx context.Context, q *Query, tr *traceAcc, em
 			return Match{}, false, nil
 		}
 		keep, score, err := ps.scorer.Score(mq, e)
-		if err != nil {
-			return Match{}, false, err
-		}
-		return Match{Index: int(e.ID), Name: e.G.Name, Score: score}, keep, nil
+		return match(e, keep, score, err)
 	}
 	if tr.deep {
 		// Traced: sample the clock around each per-entry phase. The
@@ -549,10 +558,7 @@ func (ps *preparedSearch) stream(ctx context.Context, q *Query, tr *traceAcc, em
 			t0 := time.Now()
 			keep, score, err := ps.scorer.Score(mq, e)
 			tr.scoreNS.Add(int64(time.Since(t0)))
-			if err != nil {
-				return Match{}, false, err
-			}
-			return Match{Index: int(e.ID), Name: e.G.Name, Score: score}, keep, nil
+			return match(e, keep, score, err)
 		}
 	}
 	opt := engine.Options{Workers: ps.opt.Workers, Observe: func(d time.Duration) { tr.scanNS = int64(d) }}
@@ -569,7 +575,7 @@ func (ps *preparedSearch) collect(ctx context.Context, q *Query) (*Result, error
 	}
 	var hits []hit
 	tr := &traceAcc{deep: ps.opt.Trace}
-	scanned, err := ps.stream(ctx, q, tr, func(pos int, m Match) bool {
+	scanned, err := ps.stream(ctx, q, tr, nil, func(pos int, m Match) bool {
 		hits = append(hits, hit{ps.key(pos), m})
 		return true
 	})
@@ -638,7 +644,7 @@ func (d *Database) SearchStreamStats(ctx context.Context, q *Query, opt SearchOp
 	}
 	tr := &traceAcc{deep: ps.opt.Trace}
 	matched := 0
-	scanned, err := ps.stream(ctx, q, tr, func(_ int, m Match) bool {
+	scanned, err := ps.stream(ctx, q, tr, nil, func(_ int, m Match) bool {
 		matched++
 		return yield(m)
 	})

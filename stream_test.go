@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sort"
 	"testing"
 
 	"gsim"
@@ -246,6 +247,46 @@ func TestSearchTopKDeterministicTieBreak(t *testing.T) {
 			want = res.Matches
 		} else if !reflect.DeepEqual(res.Matches, want) {
 			t.Fatalf("workers=%d: ranking differs: %v vs %v", workers, res.Matches, want)
+		}
+	}
+}
+
+// TestSearchTopKZeroScoreTail: when fewer than K graphs have a posterior
+// above 0, the rest of the ranking is the zero-score tail in index order.
+// The scan refuses entries that cannot enter the heap before it takes the
+// emit lock; that pre-check must leave the (score, index) order — ties
+// included — exactly what ranking every scored graph produces, at any
+// worker count.
+func TestSearchTopKZeroScoreTail(t *testing.T) {
+	ds := tinyDataset(t, 45)
+	d := openDataset(t, ds)
+	q := d.Query(ds.Queries[0])
+	const k, tau = 25, 1
+	all, err := d.Search(q, gsim.SearchOptions{Method: gsim.GBDA, Tau: tau, CollectAll: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]gsim.Match(nil), all.Matches...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Score > want[j].Score }) // Matches arrive in index order
+	positive := 0
+	for _, m := range want {
+		if m.Score > 0 {
+			positive++
+		}
+	}
+	if positive == 0 || positive >= k || len(want) <= k {
+		t.Fatalf("fixture has %d of %d graphs above 0; the case needs some but fewer than K=%d", positive, len(want), k)
+	}
+	for _, workers := range []int{1, 2, 8, 32} {
+		res, err := d.SearchTopK(q, gsim.TopKOptions{Method: gsim.GBDA, K: k, Tau: tau, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Matches, want[:k]) {
+			t.Fatalf("workers=%d: ranking differs from the fully scored scan:\n got %v\nwant %v", workers, res.Matches, want[:k])
+		}
+		if res.Scanned != len(ds.DBGraphs) {
+			t.Fatalf("workers=%d: scanned %d, want %d", workers, res.Scanned, len(ds.DBGraphs))
 		}
 	}
 }

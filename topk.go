@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"gsim/internal/method"
@@ -154,7 +155,7 @@ func (ps *preparedSearch) topK(ctx context.Context, q *Query, k int, ascending b
 	start := time.Now()
 	h := &topKHeap{k: k, ascending: ascending}
 	tr := &traceAcc{deep: ps.opt.Trace}
-	scanned, err := ps.stream(ctx, q, tr, func(_ int, m Match) bool {
+	scanned, err := ps.stream(ctx, q, tr, h.admits, func(_ int, m Match) bool {
 		h.offer(m)
 		return true
 	})
@@ -184,6 +185,22 @@ type topKHeap struct {
 	k         int
 	ascending bool
 	items     []Match
+
+	// kth publishes the K-th match (the heap root) to the scan workers
+	// once the heap is full. It only ever improves, so an entry a stale
+	// value refuses could not have entered the current heap either.
+	kth atomic.Pointer[Match]
+}
+
+// admits reports whether an entry with this index and score could still
+// enter the heap. It is the scan's lock-free pre-check: a ranked scan is
+// CollectAll, so without it every entry would queue on the emit lock only
+// for offer to refuse it. The comparison is the heap's own total order —
+// a tie in score is refused only by a lower index — so the ranking is
+// what offering every entry would have produced.
+func (h *topKHeap) admits(index int, score float64) bool {
+	kth := h.kth.Load()
+	return kth == nil || !h.better(*kth, Match{Index: index, Score: score})
 }
 
 // better reports whether a outranks b.
@@ -209,14 +226,20 @@ func (h *topKHeap) Pop() interface{} {
 
 // offer admits m if it ranks above the current K-th match.
 func (h *topKHeap) offer(m Match) {
-	if len(h.items) < h.k {
+	switch {
+	case len(h.items) < h.k:
 		heap.Push(h, m)
-		return
-	}
-	if h.better(m, h.items[0]) {
+		if len(h.items) < h.k {
+			return
+		}
+	case h.better(m, h.items[0]):
 		h.items[0] = m
 		heap.Fix(h, 0)
+	default:
+		return
 	}
+	root := h.items[0]
+	h.kth.Store(&root)
 }
 
 // ranked drains the heap into best-first order.
