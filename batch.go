@@ -147,12 +147,13 @@ func (ps *preparedSearch) batchScorer() (method.BatchScorer, bool) {
 }
 
 // streamBatch runs one entry-major scan over the flat cut: bs is
-// prepared with the whole workload, then every entry's verdict vector is
-// fed to emit (serialised, position-tagged, unordered; the vector is
-// reused, so emit must copy what it retains). With Prefilter, each
-// query's summary is computed once and pruned (query, entry) pairs reach
-// emit as Skip verdicts without touching the scorer — exactly the pairs
-// the query-major path would prune. It returns the number of entries
+// prepared with the whole workload, then the verdict vector of every
+// entry some query keeps is fed to emit (serialised, position-tagged,
+// unordered; the vector is reused, so emit must copy what it retains).
+// With Prefilter, each query's summary is computed once and pruned
+// (query, entry) pairs carry Skip verdicts without touching the scorer —
+// exactly the pairs the query-major path would prune; an entry every
+// query prunes is never loaded. It returns the number of entries
 // examined.
 func (ps *preparedSearch) streamBatch(ctx context.Context, queries []*Query, bs method.BatchScorer, tr *traceAcc, emit func(pos int, verdicts []method.Verdict) bool) (int, error) {
 	// Each query's key multiset resolves to interned IDs once per batch
@@ -165,40 +166,87 @@ func (ps *preparedSearch) streamBatch(ctx context.Context, queries []*Query, bs 
 		return 0, err
 	}
 	var qps []index.QueryPre
-	if ps.opt.Prefilter {
+	if ps.pre != nil {
 		qps = make([]index.QueryPre, len(queries))
 		for k, q := range queries {
 			qps[k] = index.PrepareQuery(q.g)
 		}
 	}
-	process := func(pos int, out []method.Verdict) error {
-		e := ps.entries[pos]
-		if !ps.opt.Prefilter {
-			for k := range out {
-				out[k] = method.Verdict{}
-			}
-			return bs.ScoreEntry(e, out)
-		}
-		skipped := 0
-		for k := range out {
-			skip := ps.pre.Prunable(&qps[k], mqs[k].Branches, e, pos, ps.opt.Tau)
-			out[k] = method.Verdict{Skip: skip}
-			if skip {
-				skipped++
-			}
-		}
-		if skipped > 0 {
-			// One atomic pair per entry, not per (entry, query): pruned
-			// pairs skip scoring anyway, so this stays off the hot path.
-			tr.pruned.Add(int64(skipped))
-			if ps.stele != nil {
-				ps.stele.Shards[ps.smap.ShardIndex(e.ID)].Pruned.Add(uint64(skipped))
-			}
-		}
-		return bs.ScoreEntry(e, out)
-	}
+	bq := &batchScan{ps: ps, tr: tr, bs: bs, mqs: mqs, qps: qps}
 	opt := engine.Options{Workers: ps.opt.Workers, Observe: func(d time.Duration) { tr.scanNS = int64(d) }}
-	return engine.ScanBatch(ctx, len(ps.entries), len(queries), opt, process, emit)
+	return engine.ScanRanges(ctx, len(ps.entries), opt, bq.newRunner, emit)
+}
+
+// batchScan is what the workers of one entry-major scan share, read-only
+// while they run.
+type batchScan struct {
+	ps  *preparedSearch
+	tr  *traceAcc
+	bs  method.BatchScorer
+	mqs []*method.Query
+	qps []index.QueryPre // prefiltered scans only
+}
+
+// batchRange is one worker's side of an entry-major scan: it owns the
+// verdict vector and the tally of skipped pairs. The tally is published
+// once per range — the scan-wide and per-shard pruned counters are lines
+// every worker writes, and with a prefilter nearly every entry has a
+// skipped pair — and attributes by position, so an entry every query
+// prunes is never loaded.
+type batchRange struct {
+	*batchScan
+	out   []method.Verdict
+	tally pruneTally // prefiltered scans only
+}
+
+func (bq *batchScan) newRunner() engine.Runner[[]method.Verdict] {
+	w := &batchRange{batchScan: bq, out: make([]method.Verdict, len(bq.mqs))}
+	if bq.ps.pre != nil {
+		w.tally = bq.ps.newTally()
+	}
+	return w.run
+}
+
+func (w *batchRange) run(s *engine.Scanner[[]method.Verdict], lo, hi int) (int, error) {
+	defer w.tally.publish(w.tr) // nothing to publish without a prefilter
+	for pos := lo; pos < hi; pos++ {
+		if s.Stopped() {
+			return pos - lo, nil
+		}
+		clear(w.out)
+		if w.ps.pre != nil && w.skip(pos) == len(w.out) {
+			continue
+		}
+		if err := w.bs.ScoreEntry(w.ps.entries[pos], w.out); err != nil {
+			return pos - lo, err
+		}
+		for _, v := range w.out {
+			if v.Keep && !v.Skip {
+				if !s.Emit(pos, w.out) {
+					return pos - lo + 1, nil
+				}
+				break
+			}
+		}
+	}
+	return hi - lo, nil
+}
+
+// skip marks the queries whose prefilter prunes the entry at pos and
+// returns how many it marked. Prunable reads the entry it is handed only
+// when a signature cannot decide.
+func (w *batchRange) skip(pos int) int {
+	ps, skipped := w.ps, 0
+	for k := range w.out {
+		if ps.pre.Prunable(&w.qps[k], w.mqs[k].Branches, ps.entries[pos], pos, ps.opt.Tau) {
+			w.out[k].Skip = true
+			skipped++
+		}
+	}
+	if skipped > 0 {
+		w.tally.add(pos, skipped)
+	}
+	return skipped
 }
 
 // collectBatch gathers an entry-major scan into per-query Results
@@ -213,13 +261,13 @@ func (ps *preparedSearch) collectBatch(ctx context.Context, queries []*Query, bs
 	hits := make([][]hit, len(queries))
 	tr := &traceAcc{deep: ps.opt.Trace}
 	scanned, err := ps.streamBatch(ctx, queries, bs, tr, func(pos int, verdicts []method.Verdict) bool {
-		e := ps.entries[pos]
+		id, name := int(ps.ids[pos]), ps.entries[pos].G.Name
 		key := ps.key(pos)
 		for k, v := range verdicts {
 			if v.Skip || !v.Keep {
 				continue
 			}
-			hits[k] = append(hits[k], hit{key, Match{Index: int(e.ID), Name: e.G.Name, Score: v.Score}})
+			hits[k] = append(hits[k], hit{key, Match{Index: id, Name: name, Score: v.Score}})
 		}
 		return true
 	})

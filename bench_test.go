@@ -172,6 +172,92 @@ func BenchmarkSearchBatch(b *testing.B) {
 	}
 }
 
+var (
+	corpusOnce sync.Once
+	corpusDB   *gsim.Database
+	corpusQs   []*gsim.Query
+)
+
+// corpusFixture is the repository benchmark's served corpus, in process:
+// the first 30,000 database graphs of the aasd profile stored one by one
+// (a full scan, not an active subset), priors fitted as gsimd fits them
+// at boot, and eight of the held-out query graphs.
+func corpusFixture(b *testing.B) (*gsim.Database, []*gsim.Query) {
+	b.Helper()
+	corpusOnce.Do(func() {
+		cfg, err := dataset.Profile("aasd", 1.0)
+		if err != nil {
+			panic(err)
+		}
+		cfg.Seed = 1
+		ds, err := dataset.Generate(cfg)
+		if err != nil {
+			panic(err)
+		}
+		d := gsim.New(gsim.WithName("corpus"))
+		build := func(gb *gsim.GraphBuilder, idx int) *gsim.GraphBuilder {
+			g := ds.Col.Graph(idx)
+			for v := 0; v < g.NumVertices(); v++ {
+				gb.AddVertex(ds.Col.Dict.Name(g.VertexLabel(v)))
+			}
+			for _, e := range g.Edges() {
+				if err := gb.AddEdge(int(e.U), int(e.V), ds.Col.Dict.Name(e.Label)); err != nil {
+					panic(err)
+				}
+			}
+			return gb
+		}
+		for _, idx := range ds.DBGraphs[:30000] {
+			if _, err := build(d.NewGraph(ds.Col.Graph(idx).Name), idx).Store(); err != nil {
+				panic(err)
+			}
+		}
+		if err := d.BuildPriors(gsim.OfflineConfig{TauMax: 5, SamplePairs: 20000}); err != nil {
+			panic(err)
+		}
+		corpusDB = d
+		for _, idx := range ds.Queries[:8] {
+			corpusQs = append(corpusQs, build(d.NewQuery("q"), idx).Query())
+		}
+	})
+	return corpusDB, corpusQs
+}
+
+// BenchmarkSearchPrefilterWorkers is the paper configuration (GBDA, τ̂ = 3,
+// priors, admissible prefilter) on the benchmark corpus, where ~99.97% of
+// entries are pruned, at one and at two scan workers. CI gates both: the
+// pruned path once ran 1.85× slower on two workers than on one — two
+// shared counters bumped per pruned entry — and no benchmark saw it.
+// benchgate compares allocation counts only against a zero baseline, so
+// the budget — what a search cost before the scan counted per range — is
+// checked here.
+func BenchmarkSearchPrefilterWorkers(b *testing.B) {
+	const maxAllocs = 38
+	d, queries := corpusFixture(b)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprint(workers), func(b *testing.B) {
+			opt := gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Prefilter: true, Workers: workers}
+			search := func(i int) {
+				if _, err := d.Search(queries[i%len(queries)], opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := range queries { // warm the projection and the posterior table
+				search(i)
+			}
+			i := 0
+			if a := testing.AllocsPerRun(4*len(queries), func() { search(i); i++ }); a > maxAllocs {
+				b.Fatalf("%.0f allocations per search, budget %d", a, maxAllocs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				search(i)
+			}
+		})
+	}
+}
+
 // BenchmarkShardedIngest measures parallel Store throughput into the
 // sharded store (one small labeled graph per op, built and interned from
 // scratch) at one shard — every insert serialises behind a single

@@ -95,12 +95,18 @@ type projection struct {
 	epoch   uint64
 	withPre bool
 	entries []*db.Entry
-	pre     *index.Flat
-	// lens records how many entries each shard contributed to the flat
-	// concatenation (nil for an active subset) — the reverse map the
-	// telemetry layer uses to attribute a completed scan's per-shard
-	// scanned counts in O(shards) instead of one atomic per entry.
-	lens []int
+	// ids and sizes are the shards' columns (see shard.View) in entry
+	// order: what a scan reads instead of entries[pos] for every
+	// position a column decides.
+	ids   []uint64
+	sizes []uint32
+	pre   *index.Flat
+	// starts[i] is the flat position where shard i's span begins and
+	// starts[len(shards)] the scan length (nil for an active subset) —
+	// the reverse map the telemetry layer uses to attribute per-shard
+	// scanned and pruned counts without one atomic, or one entry
+	// dereference, per position.
+	starts []int
 }
 
 // Epoch returns the database version: a counter advanced by every

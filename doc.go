@@ -26,12 +26,15 @@
 // in by registration, not by editing a switch.
 //
 // Scan engine (internal/engine). One streaming executor runs every
-// search: chunked atomic work distribution over a worker pool, context
-// cancellation and deadlines, first-error capture, and serialised
-// emission with early stop. The optional admissible prefilter
-// (internal/index) runs inside the scan; its layered size/label/branch
-// lower bounds are incremental — graphs stored after the index is built
-// are summarised on the next prefiltered search, never silently skipped.
+// search: workers claim ranges of scan positions with one atomic add and
+// hand each to a runner that loops over it privately, with context
+// cancellation and deadlines (polled before every expensive step, not
+// once per claim), first-error capture, and serialised emission with
+// early stop; counts are published once per range. The optional
+// admissible prefilter (internal/index) runs inside the scan; its layered
+// size/label/branch lower bounds are incremental — graphs stored after
+// the index is built are summarised on the next prefiltered search, never
+// silently skipped.
 //
 // Consumers. SearchStream feeds matches to a callback as the scan finds
 // them and stops when the callback says so; Search collects the full
@@ -55,8 +58,9 @@
 // exact-rank p50/p99/p999 extraction. Each search records coarse stage
 // spans (prepare, consistent cut, scan, merge) from a handful of clock
 // reads and reports them in Result.Stages; SearchOptions.Trace addition-
-// ally times the per-entry prefilter/score split for one diagnosed
-// query. The sharded store times committed mutations and counts
+// ally times the prefilter/score split — per claimed range, so a traced
+// scan runs the untraced loop — for one diagnosed query. The sharded
+// store times committed mutations and counts
 // scanned-vs-pruned entries per shard, the WAL times appends, fsyncs and
 // group-commit waits, and the HTTP layer adds per-endpoint request
 // histograms, status-class counters and an in-flight gauge. Everything
@@ -87,9 +91,9 @@
 // Every stored graph gets a stable ID at insert time (the value Store
 // returns, Match.Index reports, and Delete/Update accept) and is hashed
 // onto one of N shards — N is configurable (WithShards, gsimd
-// -shards), defaulting to GOMAXPROCS. Each shard owns its entry slice,
-// its succinct prefilter store (internal/index), an epoch counter and a
-// mutation lock, so ingest, delete and update on different shards commit
+// -shards), defaulting to GOMAXPROCS. Each shard owns its entry slice
+// with an id and a size column parallel to it, its succinct prefilter
+// store (internal/index), an epoch counter and a mutation lock, so ingest, delete and update on different shards commit
 // concurrently instead of serialising behind one collection-wide mutex;
 // bulk ingest (LoadText, StoreAll, CommitAll) briefly locks every shard
 // for its none-or-all contract.
@@ -119,7 +123,7 @@
 //
 // A search takes a consistent cut of per-shard snapshots at prepare time
 // (optimistic epoch double-read, shard-locked fallback) and scans it
-// lock-free: the scan engine scatters chunked work claims across the
+// lock-free: the scan engine scatters range claims across the
 // concatenated per-shard position space and the gather side orders
 // matches by stable graph ID, so results — values and order — are
 // bit-identical to the unsharded layout. A graph stored during a scan is
@@ -212,7 +216,28 @@
 //
 // Steady-state pair scoring is lock-free and allocation-free: the cost of
 // a scored pair is one bounded integer merge plus, when the pair survives
-// it, one table lookup.
+// it, one table lookup — and most stored graphs never become a scored
+// pair.
+//
+// Columns and ranges. The scan set is a slice of entry pointers plus
+// three columns over the same positions: stable IDs, sizes (branch
+// counts) and, with the prefilter, signature words. A worker takes each
+// claimed range in two passes. The filter pass reads one column and
+// nothing else: a prefiltered scan skip-scans the signatures to the next
+// position they cannot prune, an unfiltered GBDA/V1/V2/Hybrid scan
+// skip-scans the sizes to the next entry inside the scorer's size window
+// (method.SizeWindower: outside [|Vq| − 3τ̂, |Vq| + 3τ̂], or the weighted
+// equivalent for V2, the bounded merge fails on the lengths alone and Φ
+// is exactly 0 — 76% of pairs at τ̂ = 3 on the benchmark corpus). The
+// scoring pass then loads the *db.Entry of the positions left over, and
+// only theirs: a pruned or size-decided graph costs one column read, no
+// pointer chase and no shared write. What the filter discarded is
+// counted in the worker and published — to the search's counter and,
+// attributed by the projection's shard spans, to the per-shard ones —
+// once per range; before that, two shared atomic adds per pruned entry
+// were most of a prefiltered search and made two workers slower than
+// one. Top-K's zero-score tail and every result's order key take their
+// index from the ids column.
 //
 // Interned branch IDs. The database layer interns every distinct branch
 // key into a shared dictionary (db.BranchDict) and stores each graph's

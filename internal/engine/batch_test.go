@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 )
 
@@ -76,68 +75,8 @@ func TestScanBatchBufferReset(t *testing.T) {
 	}
 }
 
-// TestScanBatchFirstError: a process error stops the scan and is returned.
-func TestScanBatchFirstError(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := ScanBatch(context.Background(), 1000, 2, Options{Workers: 8},
-		func(pos int, out []int) error {
-			if pos == 100 {
-				return boom
-			}
-			return nil
-		},
-		func(pos int, out []int) bool { return true })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-}
-
-// TestScanBatchEarlyStop: emit returning false ends the scan without error
-// and without further emissions.
-func TestScanBatchEarlyStop(t *testing.T) {
-	var emits int
-	scanned, err := ScanBatch(context.Background(), 10_000, 2, Options{Workers: 8},
-		func(pos int, out []int) error { return nil },
-		func(pos int, out []int) bool { emits++; return false })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if emits != 1 {
-		t.Fatalf("emit called %d times after stop", emits)
-	}
-	if scanned > 10_000 {
-		t.Fatalf("scanned %d > n", scanned)
-	}
-}
-
-// TestScanBatchCancellation: an already-cancelled context aborts before
-// processing; cancelling midway stops remaining chunks.
-func TestScanBatchCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var processed int
-	_, err := ScanBatch(ctx, 1000, 2, Options{Workers: 4},
-		func(pos int, out []int) error { processed++; return nil },
-		func(pos int, out []int) bool { return true })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if processed != 0 {
-		t.Fatalf("processed %d positions under a cancelled context", processed)
-	}
-
-	ctx, cancel = context.WithCancel(context.Background())
-	var once sync.Once
-	scanned, err := ScanBatch(ctx, 100_000, 2, Options{Workers: 4},
-		func(pos int, out []int) error { once.Do(cancel); return nil },
-		func(pos int, out []int) bool { return true })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if scanned == 100_000 {
-		t.Fatal("cancellation did not shorten the scan")
-	}
-}
+// First error, early stop and cancellation through ScanBatch are the
+// engine_test.go cases, which run through every entry point.
 
 // TestScanBatchEmpty: n ≤ 0 or q ≤ 0 is a clean no-op.
 func TestScanBatchEmpty(t *testing.T) {

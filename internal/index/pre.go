@@ -531,19 +531,23 @@ func (b *FlatBuilder) Done() *Flat { return &b.f }
 
 // FlattenViews builds a Flat covering every slot of every view in order —
 // the full-scan projection, whose position ordering matches concatenating
-// the views' entry slices.
+// the views' entry slices. It runs on every projection rebuild (the first
+// read after each write), so the signature column is concatenated with
+// copy and the locators filled in one pass per view.
 func FlattenViews(views []View) *Flat {
 	n := 0
 	for _, v := range views {
 		n += v.Len()
 	}
-	b := NewFlatBuilder(views, n)
+	f := &Flat{sig: make([]uint64, 0, n), loc: make([]uint64, n), views: views}
 	for vi, v := range views {
-		for slot := 0; slot < v.Len(); slot++ {
-			b.Add(vi, slot)
+		loc := f.loc[len(f.sig) : len(f.sig)+v.Len()]
+		for slot := range loc {
+			loc[slot] = uint64(vi)<<32 | uint64(slot)
 		}
+		f.sig = append(f.sig, v.Sig...)
 	}
-	return b.Done()
+	return f
 }
 
 // Len reports the number of scan positions.
@@ -552,11 +556,30 @@ func (f *Flat) Len() int { return len(f.sig) }
 // Prunable reports whether the entry at scan position pos provably
 // violates GED ≤ tau — the signature word first, the exact arena-based
 // composite bound only when the signature cannot decide. The decision is
-// bit-identical to PairPrunable over the legacy Summary.
+// bit-identical to PairPrunable over the legacy Summary. A scan over a
+// range of positions takes the same decision in two steps that read less:
+// NextUndecided over the signature column, then PrunableExact for the
+// positions it stops at.
 func (f *Flat) Prunable(q *QueryPre, qBranches branch.IDs, e *db.Entry, pos, tau int) bool {
-	if sigPrunes(q.Sig, f.sig[pos], tau) {
-		return true
+	return sigPrunes(q.Sig, f.sig[pos], tau) || f.PrunableExact(q, qBranches, e, pos, tau)
+}
+
+// NextUndecided returns the first position in [pos, hi) whose signature
+// cannot prove GED > tau, or hi when every one of them can. It reads the
+// signature column and nothing else: no locator, no entry.
+func (f *Flat) NextUndecided(q *QueryPre, pos, hi, tau int) int {
+	for i, sig := range f.sig[pos:hi] {
+		if !sigPrunes(q.Sig, sig, tau) {
+			return pos + i
+		}
 	}
+	return hi
+}
+
+// PrunableExact evaluates the exact composite bound for the entry at scan
+// position pos — what Prunable falls back to when the signature cannot
+// decide.
+func (f *Flat) PrunableExact(q *QueryPre, qBranches branch.IDs, e *db.Entry, pos, tau int) bool {
 	l := f.loc[pos]
 	return f.views[l>>32].prunableExact(q, qBranches, e, int(uint32(l)), tau)
 }

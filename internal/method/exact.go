@@ -59,6 +59,12 @@ func (h *hybridScorer) Prepare(d *DB, opt Options) error {
 	return nil
 }
 
+// SizeWindow is the GBDA filter's: outside it the posterior is 0 and the
+// pair is dropped before any verification.
+func (h *hybridScorer) SizeWindow(q *Query) (lo, hi int) {
+	return windowGBD(len(q.Branches), h.opt.Tau)
+}
+
 func (h *hybridScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 	countEntryDecomp()
 	// The filter is the GBDA merge path (see gbdaScorer.score): an

@@ -2,6 +2,7 @@ package method
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"gsim/internal/branch"
@@ -121,16 +122,21 @@ func (g *gbdaScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 // e.G.
 func (g *gbdaScorer) score(q *Query, e *db.Entry) (bool, float64) {
 	t := g.table.get()
-	vmax := maxInt(len(q.Branches), len(e.Branches))
-	need := needGBD(vmax, t.Tau())
-	if g.variant == GBDAV2 {
-		need = needVGBD(vmax, t.Tau(), g.opt.V2Weight)
-	}
 	post := 0.0
+	need := g.need(maxInt(len(q.Branches), len(e.Branches)))
 	if inter, ok := branch.IntersectAtLeastIDs(q.Branches, e.Branches, need); ok {
 		post = g.posterior(t, q, e, inter)
 	}
 	return g.keep(post), post
+}
+
+// need is the smallest |B∩B| that keeps a pair of extended size vmax
+// within the 3τ̂ support of Φ under this variant's observation.
+func (g *gbdaScorer) need(vmax int) int {
+	if g.variant == GBDAV2 {
+		return needVGBD(vmax, g.opt.Tau, g.opt.V2Weight)
+	}
+	return needGBD(vmax, g.opt.Tau)
 }
 
 // needGBD returns the smallest |B∩B| that keeps a pair of extended size
@@ -159,6 +165,48 @@ func needVGBD(vmax, tau int, w float64) int {
 		n++
 	}
 	return n
+}
+
+// SizeWindow returns the entry sizes score can give a non-zero posterior:
+// outside it the intersection score asks for exceeds the smaller side, so
+// IntersectAtLeastIDs fails on the lengths alone.
+func (g *gbdaScorer) SizeWindow(q *Query) (lo, hi int) {
+	if g.variant == GBDAV2 {
+		return windowVGBD(len(q.Branches), g.opt.Tau, g.opt.V2Weight)
+	}
+	return windowGBD(len(q.Branches), g.opt.Tau)
+}
+
+// windowGBD solves needGBD(max(m, s), tau) ≤ min(m, s) for the entry size
+// s: a smaller entry must hold the m − 3τ̂ branches the query needs
+// matched, a larger one may exceed the query by at most 3τ̂.
+func windowGBD(m, tau int) (lo, hi int) { return m - 3*tau, m + 3*tau }
+
+// windowVGBD is windowGBD under needVGBD. Below the query size the pair's
+// vmax is m, so the bound is needVGBD(m) itself (m+1, and the window
+// empty, when even a full match rounds past 3τ̂). Above it the entry can
+// match at most the query's m branches, so hi is the largest s whose
+// RoundVGBD(s, m) is still ≤ 3τ̂ — solved as needVGBD solves its bound:
+// a float estimate of s − w·m < 3τ̂ + ½, clamped while still a float
+// because w is client-supplied, then settled with the table's own
+// rounding, which is monotone in s.
+func windowVGBD(m, tau int, w float64) (lo, hi int) {
+	lo = needVGBD(m, tau, w)
+	if lo > m {
+		return lo, m - 1
+	}
+	const ceiling = math.MaxInt32 // no stored graph has more vertices
+	hi = ceiling
+	if x := 3*float64(tau) + 0.5 + w*float64(m); x < ceiling {
+		hi = maxInt(int(x), m)
+		for hi > m && core.RoundVGBD(hi, m, w) > 3*tau {
+			hi--
+		}
+		for hi < ceiling && core.RoundVGBD(hi+1, m, w) <= 3*tau {
+			hi++
+		}
+	}
+	return lo, hi
 }
 
 // posterior applies the model to an exact intersection size — the only

@@ -162,6 +162,18 @@ type Scorer interface {
 	Score(q *Query, e *db.Entry) (keep bool, score float64, err error)
 }
 
+// SizeWindower is the optional capability behind the scan's size column: a
+// scorer whose score is exactly 0 for every entry whose size (its branch
+// count, one per vertex) lies outside a window it can compute from the
+// query alone. The scan then decides those entries from a column of
+// sizes — a zero score, kept only where a zero score is — and calls Score
+// only inside the window. lo > hi is an empty window: nothing stored can
+// score above 0.
+type SizeWindower interface {
+	Scorer
+	SizeWindow(q *Query) (lo, hi int)
+}
+
 // Traits are the static properties of a registered scorer that the search
 // consumers dispatch on (instead of switching on method constants).
 type Traits struct {

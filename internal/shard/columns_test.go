@@ -1,0 +1,135 @@
+package shard
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"gsim/internal/db"
+)
+
+// checkColumns holds one cut to the column contract: ids and sizes run
+// parallel to entries, slot for slot.
+func checkColumns(t *testing.T, views []View) {
+	t.Helper()
+	for s, v := range views {
+		if len(v.IDs) != len(v.Entries) || len(v.Sizes) != len(v.Entries) {
+			t.Fatalf("shard %d: %d ids, %d sizes for %d entries", s, len(v.IDs), len(v.Sizes), len(v.Entries))
+		}
+		for i, e := range v.Entries {
+			if v.IDs[i] != e.ID || int(v.Sizes[i]) != len(e.Branches) {
+				t.Fatalf("shard %d slot %d: columns say (id %d, size %d), entry is (id %d, size %d)",
+					s, i, v.IDs[i], v.Sizes[i], e.ID, len(e.Branches))
+			}
+		}
+	}
+}
+
+// checkMaxima compares the store's high-water marks with a rescan.
+func checkMaxima(t *testing.T, m *Map, when string) {
+	t.Helper()
+	maxV, maxE := 0, 0
+	for _, e := range m.Ordered() {
+		maxV, maxE = max(maxV, e.G.NumVertices()), max(maxE, e.G.NumEdges())
+	}
+	if st := m.Stats(); st.MaxV != maxV || st.MaxE != maxE {
+		t.Fatalf("%s: maxima (%d, %d), stored graphs say (%d, %d)", when, st.MaxV, st.MaxE, maxV, maxE)
+	}
+}
+
+// TestColumnsFollowMutations: through a random mix of adds, deletes,
+// updates and batch commits, every cut's id and size columns match its
+// entries, the maxima stay exact, and a cut once published never changes
+// — columns included — whatever the store does afterwards.
+func TestColumnsFollowMutations(t *testing.T) {
+	type published struct {
+		views   []View
+		entries [][]*db.Entry
+		ids     [][]uint64
+		sizes   [][]uint32
+	}
+	for _, shards := range []int{1, 4} {
+		rng := rand.New(rand.NewSource(int64(7 + shards)))
+		m := New("t", shards)
+		graphOf := func(i int) (name string, n int) { return fmt.Sprintf("g%d", i), 2 + rng.Intn(14) }
+		var live []uint64
+		var cuts []published
+		for step := 0; step < 600; step++ {
+			name, n := graphOf(step)
+			g := chain(m.Dict(), name, n, "L")
+			switch op := rng.Intn(10); {
+			case op < 4 || len(live) == 0:
+				id, _ := m.Add(g)
+				live = append(live, id)
+			case op < 7:
+				k := rng.Intn(len(live))
+				if ok, _ := m.Delete(live[k]); !ok {
+					t.Fatalf("delete %d failed", live[k])
+				}
+				live = slices.Delete(live, k, k+1)
+			case op < 9:
+				if ok, _ := m.Update(live[rng.Intn(len(live))], g); !ok {
+					t.Fatal("update failed")
+				}
+			default:
+				target := live[rng.Intn(len(live))]
+				first, _, ok, _ := m.Commit([]Mutation{{G: g}, {ID: &target, G: chain(m.Dict(), name+"u", 2+rng.Intn(14), "M")}})
+				if !ok {
+					t.Fatal("commit failed")
+				}
+				live = append(live, first)
+			}
+			checkMaxima(t, m, fmt.Sprintf("%d shards, step %d", shards, step))
+			if step%7 != 0 {
+				continue
+			}
+			views, _ := m.Views(step%2 == 0)
+			checkColumns(t, views)
+			p := published{views: views}
+			for _, v := range views {
+				p.entries = append(p.entries, slices.Clone(v.Entries))
+				p.ids = append(p.ids, slices.Clone(v.IDs))
+				p.sizes = append(p.sizes, slices.Clone(v.Sizes))
+			}
+			cuts = append(cuts, p)
+		}
+		for c, p := range cuts {
+			for s, v := range p.views {
+				if !slices.Equal(v.Entries, p.entries[s]) || !slices.Equal(v.IDs, p.ids[s]) || !slices.Equal(v.Sizes, p.sizes[s]) {
+					t.Fatalf("%d shards: cut %d, shard %d changed after it was published", shards, c, s)
+				}
+			}
+		}
+	}
+}
+
+// TestMaximaAfterDeletingTheLargestTwice: the marks are recomputed only
+// when the departing graph held one, so the case to get right is the
+// holder leaving — and then its successor, whose mark that recomputation
+// set.
+func TestMaximaAfterDeletingTheLargestTwice(t *testing.T) {
+	m := New("t", 1)
+	var ids []uint64
+	for _, n := range []int{4, 15, 9, 12, 6} {
+		id, _ := m.Add(chain(m.Dict(), fmt.Sprintf("g%d", n), n, "L"))
+		ids = append(ids, id)
+	}
+	for _, step := range []struct {
+		del        int
+		maxV, maxE int
+	}{{1, 12, 11}, {3, 9, 8}, {0, 9, 8}, {2, 6, 5}} {
+		if ok, _ := m.Delete(ids[step.del]); !ok {
+			t.Fatal("delete failed")
+		}
+		if st := m.Stats(); st.MaxV != step.maxV || st.MaxE != step.maxE {
+			t.Fatalf("after deleting graph %d: maxima (%d, %d), want (%d, %d)", step.del, st.MaxV, st.MaxE, step.maxV, step.maxE)
+		}
+	}
+	// The holder shrinking in place must lower the marks too.
+	big, _ := m.Add(chain(m.Dict(), "big", 20, "L"))
+	m.Update(big, chain(m.Dict(), "shrunk", 3, "L"))
+	if st := m.Stats(); st.MaxV != 6 || st.MaxE != 5 {
+		t.Fatalf("after shrinking the largest: maxima (%d, %d), want (6, 5)", st.MaxV, st.MaxE)
+	}
+}

@@ -128,10 +128,17 @@ type sizesCache struct {
 type bucket struct {
 	mu      sync.RWMutex
 	entries []*db.Entry
-	slots   map[uint64]int // graph ID → position in entries
-	pre     *index.Store   // columnar prefilter, maintained incrementally once non-nil
-	epoch   uint64         // mutations on this shard; guarded by mu
-	st      stats
+	// ids and sizes are columns parallel to entries — ids[i] is
+	// entries[i].ID, sizes[i] is len(entries[i].Branches), the graph's
+	// vertex count — published under the same discipline (appended in
+	// place, copied on delete/update). A scan decides most positions
+	// from a column and never loads their Entry.
+	ids   []uint64
+	sizes []uint32
+	slots map[uint64]int // graph ID → position in entries
+	pre   *index.Store   // columnar prefilter, maintained incrementally once non-nil
+	epoch uint64         // mutations on this shard; guarded by mu
+	st    stats
 }
 
 // stats is one shard's contribution to the collection statistics,
@@ -177,8 +184,8 @@ func (s *stats) add(g *graph.Graph) {
 
 // remove undoes add's counting for g. It deliberately leaves the maxV /
 // maxE high-water marks alone: every mutation path that removes a graph
-// finishes with bucket.fixMaxima over the post-mutation entries — one
-// implementation, no stale-maxima protocol between the two.
+// follows it with bucket.fixMaxima — one implementation, no
+// stale-maxima protocol between the two.
 func (s *stats) remove(g *graph.Graph) {
 	s.n--
 	if s.sizes[g.NumVertices()]--; s.sizes[g.NumVertices()] == 0 {
@@ -247,10 +254,7 @@ func FromCollection(col *db.Collection, n int) *Map {
 	m.dict = col.Dict
 	m.bdict = col.BranchDict()
 	for _, e := range col.Entries() {
-		b := m.shardOf(e.ID)
-		b.entries = append(b.entries, e)
-		b.slots[e.ID] = len(b.entries) - 1
-		b.st.add(e.G)
+		m.shardOf(e.ID).insert(e)
 	}
 	m.seq.Store(uint64(col.Len()))
 	return m
@@ -318,6 +322,8 @@ func (m *Map) intern(g *graph.Graph) branch.IDs {
 // insert appends e to the bucket; the caller holds b.mu.
 func (b *bucket) insert(e *db.Entry) {
 	b.entries = append(b.entries, e)
+	b.ids = append(b.ids, e.ID)
+	b.sizes = append(b.sizes, uint32(len(e.Branches)))
 	b.slots[e.ID] = len(b.entries) - 1
 	if b.pre != nil {
 		b.pre.Append(index.Summarize(e.G))
@@ -336,12 +342,16 @@ func (b *bucket) removeAt(slot int) {
 	victim := b.entries[slot]
 	fresh := make([]*db.Entry, n-1)
 	copy(fresh, b.entries[:n-1])
+	ids := make([]uint64, n-1)
+	copy(ids, b.ids[:n-1])
+	sizes := make([]uint32, n-1)
+	copy(sizes, b.sizes[:n-1])
 	if slot != n-1 {
-		fresh[slot] = b.entries[n-1]
-		b.slots[fresh[slot].ID] = slot
+		fresh[slot], ids[slot], sizes[slot] = b.entries[n-1], b.ids[n-1], b.sizes[n-1]
+		b.slots[ids[slot]] = slot
 	}
 	delete(b.slots, victim.ID)
-	b.entries = fresh
+	b.entries, b.ids, b.sizes = fresh, ids, sizes
 	if b.pre != nil {
 		b.pre.RemoveAt(slot)
 		b.pre.MaybeCompact()
@@ -349,12 +359,16 @@ func (b *bucket) removeAt(slot int) {
 }
 
 // replaceAt swaps a new entry into slot (same ID, new graph), publishing
-// fresh slices; the caller holds b.mu.
+// fresh slices — the ids column stays, the ID does; the caller holds
+// b.mu.
 func (b *bucket) replaceAt(slot int, e *db.Entry) {
 	fresh := make([]*db.Entry, len(b.entries))
 	copy(fresh, b.entries)
 	fresh[slot] = e
-	b.entries = fresh
+	sizes := make([]uint32, len(b.sizes))
+	copy(sizes, b.sizes)
+	sizes[slot] = uint32(len(e.Branches))
+	b.entries, b.sizes = fresh, sizes
 	if b.pre != nil {
 		b.pre.ReplaceAt(slot, index.Summarize(e.G))
 		b.pre.MaybeCompact()
@@ -436,7 +450,7 @@ func (m *Map) Delete(id uint64) (bool, error) {
 	e := b.entries[slot]
 	b.removeAt(slot)
 	b.st.remove(e.G)
-	b.fixMaxima()
+	b.fixMaxima(e.G)
 	m.bump(b)
 	b.mu.Unlock()
 	m.bdict.Release(e.Branches)
@@ -467,7 +481,7 @@ func (m *Map) Update(id uint64, g *graph.Graph) (bool, error) {
 	b.replaceAt(slot, e)
 	b.st.remove(old.G)
 	b.st.add(g)
-	b.fixMaxima()
+	b.fixMaxima(old.G)
 	m.bump(b)
 	b.mu.Unlock()
 	m.bdict.Release(old.Branches)
@@ -476,20 +490,29 @@ func (m *Map) Update(id uint64, g *graph.Graph) (bool, error) {
 	return true, err
 }
 
-// fixMaxima recomputes the shard's high-water marks exactly over the
-// current entries; the caller holds b.mu. Every mutation path that
-// removes or replaces a graph ends with this pass (stats.remove never
-// touches the maxima), so the marks stay exact after deletes of the
-// largest graph. The scan is O(shard), the same order as the slice
-// clone those paths already pay.
-func (b *bucket) fixMaxima() {
-	b.st.maxV, b.st.maxE = 0, 0
-	for _, e := range b.entries {
-		if e.G.NumVertices() > b.st.maxV {
-			b.st.maxV = e.G.NumVertices()
+// fixMaxima keeps the shard's high-water marks exact after gone left the
+// bucket (removed, or replaced — its replacement already counted by
+// stats.add); the caller holds b.mu, and every mutation path that removes
+// or replaces a graph calls it (stats.remove never touches the maxima).
+// A mark is recomputed only when gone held it: the rescan runs inside
+// the shard's write lock, and a graph below both marks — nearly every
+// one — cannot have moved either. The vertex mark reads the sizes column;
+// the edge mark has no column and walks the graphs.
+func (b *bucket) fixMaxima(gone *graph.Graph) {
+	if gone.NumVertices() == b.st.maxV {
+		b.st.maxV = 0
+		for _, v := range b.sizes {
+			if int(v) > b.st.maxV {
+				b.st.maxV = int(v)
+			}
 		}
-		if e.G.NumEdges() > b.st.maxE {
-			b.st.maxE = e.G.NumEdges()
+	}
+	if gone.NumEdges() == b.st.maxE {
+		b.st.maxE = 0
+		for _, e := range b.entries {
+			if e.G.NumEdges() > b.st.maxE {
+				b.st.maxE = e.G.NumEdges()
+			}
 		}
 	}
 }
@@ -610,11 +633,11 @@ func (m *Map) commitLocked(batch []Mutation) (firstID uint64, missing uint64, ok
 		b.replaceAt(slot, &db.Entry{ID: *mu.ID, G: mu.G, Branches: m.intern(mu.G)})
 		b.st.remove(old.G)
 		b.st.add(mu.G)
+		b.fixMaxima(old.G)
 		released = append(released, old.Branches)
 		touched[b] = struct{}{}
 	}
 	for b := range touched {
-		b.fixMaxima()
 		b.epoch++
 	}
 	if len(touched) > 0 {
@@ -675,7 +698,7 @@ func (m *Map) Replay(op wal.Op, id uint64, g *graph.Graph) {
 			e := b.entries[slot]
 			b.removeAt(slot)
 			b.st.remove(e.G)
-			b.fixMaxima()
+			b.fixMaxima(e.G)
 			m.bump(b)
 			b.mu.Unlock()
 			m.bdict.Release(e.Branches)
@@ -692,7 +715,7 @@ func (m *Map) Replay(op wal.Op, id uint64, g *graph.Graph) {
 		b.replaceAt(slot, e)
 		b.st.remove(prev.G)
 		b.st.add(g)
-		b.fixMaxima()
+		b.fixMaxima(prev.G)
 		old = prev.Branches
 	} else {
 		b.insert(e)
@@ -774,11 +797,15 @@ func (b *bucket) ensurePre() {
 
 // View is one shard's contribution to a consistent cut: immutable slices
 // (never written after publication) plus the shard epoch they correspond
-// to. Pre is populated only when the cut was taken with the prefilter.
+// to. IDs and Sizes are columns parallel to Entries (IDs[i] is
+// Entries[i].ID, Sizes[i] its branch count). Pre is populated only when
+// the cut was taken with the prefilter.
 type View struct {
 	Entries []*db.Entry
 	Pre     index.View
 	Epoch   uint64
+	IDs     []uint64
+	Sizes   []uint32
 }
 
 // Views assembles a consistent cut across every shard: per-shard snapshot
@@ -828,7 +855,7 @@ func (m *Map) snapshot(withPre bool) []View {
 
 // view builds b's View; the caller holds b.mu (read suffices).
 func (b *bucket) view(withPre bool) View {
-	v := View{Entries: b.entries, Epoch: b.epoch}
+	v := View{Entries: b.entries, Epoch: b.epoch, IDs: b.ids, Sizes: b.sizes}
 	if withPre && b.pre != nil {
 		v.Pre = b.pre.View()
 	}

@@ -3,6 +3,7 @@ package gsim
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -121,13 +122,13 @@ type SearchOptions struct {
 	// searches ignore it.
 	BatchStrategy BatchStrategy
 	// Trace enables the fine-grained stage split for this search: the
-	// scan's per-entry prefilter and scoring work is timed individually
-	// (two clock samples per scanned entry) and reported in
-	// Result.Stages alongside the coarse stages, which are recorded for
-	// every search from a handful of clock reads per request. Meant for
-	// diagnosing individual queries (the serving layer's ?debug=trace),
-	// not steady-state traffic — the per-entry sampling is the one
-	// telemetry cost too large to leave on unconditionally.
+	// scan's prefilter and scoring phases are timed separately — three
+	// clock samples per claimed range, whose filter pass runs to the end
+	// before its scoring pass starts — and reported in Result.Stages
+	// alongside the coarse stages, which are recorded for every search
+	// from a handful of clock reads per request. Meant for diagnosing
+	// individual queries (the serving layer's ?debug=trace); a traced
+	// scan executes the same loop as an untraced one.
 	Trace bool
 }
 
@@ -229,15 +230,17 @@ type StageStats struct {
 	// as executed by the engine worker pool.
 	ScanNS  int64
 	MergeNS int64
-	// PrefilterNS and ScoreNS split the scan's per-entry work; only
+	// PrefilterNS and ScoreNS split the scan's work by phase; only
 	// recorded when Traced (they are summed CPU time across workers,
-	// so they can exceed ScanNS wall time on multi-core scans).
+	// so they can exceed ScanNS wall time on multi-core scans). An
+	// unfiltered scan's size-window pass counts as scoring: it takes
+	// the scorer's own decision from a column.
 	PrefilterNS int64
 	ScoreNS     int64
 	// Pruned counts entries the admissible prefilter discarded before
 	// scoring ((entry, query) pairs for a batch).
 	Pruned int
-	// Traced reports whether the fine per-entry split above was
+	// Traced reports whether the prefilter/score split above was
 	// recorded.
 	Traced bool
 }
@@ -260,17 +263,20 @@ func (r *Result) Indexes() []int {
 // database's concurrency model — the scan reads only this cut, so
 // mutations committed after prepare never reach an in-flight search.
 //
-// The flat scan set is the gather side of scatter-gather: entries come
-// from per-shard snapshot slices (concatenated for a full scan, picked
-// in list order for an active subset), the flattening is memoised per
-// store epoch (see Database.projection), and the output order key — the
-// stable graph ID, or the flat position itself for an active subset —
-// reproduces the pre-shard result order exactly.
+// The flat scan set is the gather side of scatter-gather: entries and
+// their id and size columns come from per-shard snapshot slices
+// (concatenated for a full scan, picked in list order for an active
+// subset), the flattening is memoised per store epoch (see
+// Database.projection), and the output order key — the stable graph ID,
+// or the flat position itself for an active subset — reproduces the
+// pre-shard result order exactly.
 type preparedSearch struct {
 	opt     SearchOptions
 	info    method.Info
 	scorer  method.Scorer
 	entries []*db.Entry    // the scan set: one flat slice over the cut
+	ids     []uint64       // ids[pos] == entries[pos].ID, without the dereference
+	sizes   []uint32       // sizes[pos] == len(entries[pos].Branches)
 	pre     *index.Flat    // aligned columnar prefilter; nil without Prefilter
 	byPos   bool           // active subset: output order is flat position, not graph ID
 	bdict   *db.BranchDict // branch dictionary queries resolve against (IDs are never reused, so resolving after prepare can only miss deleted entries, never mis-match)
@@ -278,12 +284,12 @@ type preparedSearch struct {
 
 	// Telemetry plumbing: the database's stage histograms, the store's
 	// per-shard counters (with the Map for ID→shard attribution), the
-	// projection's per-shard span lengths (nil for an active subset),
+	// projection's per-shard span starts (nil for an active subset),
 	// and the prepare/cut spans this preparation cost.
 	tele          *telemetry.SearchMetrics
 	stele         *telemetry.StoreMetrics
 	smap          *shard.Map
-	lens          []int
+	starts        []int
 	prepNS, cutNS int64
 
 	orderedOnce sync.Once
@@ -291,9 +297,12 @@ type preparedSearch struct {
 }
 
 // traceAcc accumulates one scan's trace state: the scan wall span, the
-// pruned count (always on — the prune branch skips scoring, so one
-// atomic add there is off the scoring hot path), and with deep tracing
-// the per-entry prefilter/score split.
+// pruned count and, with deep tracing, the prefilter/score split. The
+// atomics are shared by every worker of the scan, so one add costs a
+// cache-line transfer whenever another worker added last — on a scan
+// that prunes 99.97% of its entries, more than the pruning itself.
+// Workers therefore count into a private pruneTally and fold it in here
+// once per claimed range.
 type traceAcc struct {
 	deep        bool
 	scanNS      int64 // written once by the engine's Observe hook
@@ -302,12 +311,70 @@ type traceAcc struct {
 	scoreNS     atomic.Int64 // deep only
 }
 
-// notePruned counts one prefilter discard, attributed to the owning
-// shard.
-func (ps *preparedSearch) notePruned(tr *traceAcc, e *db.Entry) {
-	tr.pruned.Add(1)
-	if ps.stele != nil {
-		ps.stele.Shards[ps.smap.ShardIndex(e.ID)].Pruned.Add(1)
+// pruneTally is one scan worker's private count of prefilter discards,
+// in total and by owning shard. The owner of a position is read off the
+// projection's spans (a full scan concatenates the shards in order), or
+// hashed from the ids column for an active subset — never from the entry.
+type pruneTally struct {
+	ps      *preparedSearch
+	total   int
+	byShard []int
+	span    int // shard whose span held the last attributed position
+}
+
+func (ps *preparedSearch) newTally() pruneTally {
+	return pruneTally{ps: ps, byShard: make([]int, len(ps.stele.Shards))}
+}
+
+// shardAt returns the shard owning scan position pos. A worker's claims
+// ascend and so does its walk through each, so the span cursor almost
+// always stays or steps forward.
+func (t *pruneTally) shardAt(pos int) int {
+	starts := t.ps.starts
+	if starts == nil {
+		return t.ps.smap.ShardIndex(t.ps.ids[pos])
+	}
+	if pos < starts[t.span] {
+		t.span = 0
+	}
+	for pos >= starts[t.span+1] {
+		t.span++
+	}
+	return t.span
+}
+
+// discard counts every position of [lo, hi) as pruned once.
+func (t *pruneTally) discard(lo, hi int) {
+	t.total += hi - lo
+	for lo < hi {
+		sh, end := t.shardAt(lo), lo+1 // an active subset goes position by position
+		if starts := t.ps.starts; starts != nil {
+			end = min(hi, starts[sh+1]) // a full scan span by span
+		}
+		t.byShard[sh] += end - lo
+		lo = end
+	}
+}
+
+// add counts n pruned (entry, query) pairs at position pos.
+func (t *pruneTally) add(pos, n int) {
+	t.total += n
+	t.byShard[t.shardAt(pos)] += n
+}
+
+// publish folds the tally into the scan's and the shards' counters and
+// zeroes it; runners call it once per range.
+func (t *pruneTally) publish(tr *traceAcc) {
+	if t.total == 0 {
+		return
+	}
+	tr.pruned.Add(int64(t.total))
+	t.total = 0
+	for i, n := range t.byShard {
+		if n != 0 {
+			t.ps.stele.Shards[i].Pruned.Add(uint64(n))
+			t.byShard[i] = 0
+		}
 	}
 }
 
@@ -330,13 +397,13 @@ func (ps *preparedSearch) record(tr *traceAcc, scanned, searches, matched int, m
 			t.Stage[telemetry.StageScore].RecordNS(tr.scoreNS.Load())
 		}
 	}
-	// Attribute per-shard scanned counts from the projection's span
-	// lengths — O(shards) once per scan instead of one atomic per
-	// entry. Only exact for completed full scans; early-stopped scans
-	// and active subsets are skipped rather than guessed.
-	if ps.stele != nil && ps.lens != nil && scanned == len(ps.entries) {
-		for i, n := range ps.lens {
-			ps.stele.Shards[i].Scanned.Add(uint64(n))
+	// Attribute per-shard scanned counts from the projection's spans —
+	// O(shards) once per scan instead of one atomic per entry. Only
+	// exact for completed full scans; early-stopped scans and active
+	// subsets are skipped rather than guessed.
+	if ps.stele != nil && ps.starts != nil && scanned == len(ps.entries) {
+		for i := range ps.stele.Shards {
+			ps.stele.Shards[i].Scanned.Add(uint64(ps.starts[i+1] - ps.starts[i]))
 		}
 	}
 	return StageStats{
@@ -356,7 +423,7 @@ func (ps *preparedSearch) key(pos int) int {
 	if ps.byPos {
 		return pos
 	}
-	return int(ps.entries[pos].ID)
+	return int(ps.ids[pos])
 }
 
 // prepare validates opt against the database state, takes a consistent
@@ -387,13 +454,15 @@ func (d *Database) prepare(opt SearchOptions) (*preparedSearch, error) {
 		info:    info,
 		scorer:  scorer,
 		entries: proj.entries,
+		ids:     proj.ids,
+		sizes:   proj.sizes,
 		byPos:   d.active != nil,
 		bdict:   d.store.BranchDict(),
 		epoch:   d.epoch + proj.epoch,
 		tele:    &d.tele,
 		stele:   d.store.Telemetry(),
 		smap:    d.store,
-		lens:    proj.lens,
+		starts:  proj.starts,
 		cutNS:   cutNS,
 	}
 	if opt.Prefilter {
@@ -442,15 +511,18 @@ func (d *Database) projection(withPre bool) *projection {
 		}
 	}
 	if d.active == nil {
-		n := 0
-		p.lens = make([]int, len(views))
+		p.starts = make([]int, len(views)+1)
 		for i, v := range views {
-			n += len(v.Entries)
-			p.lens[i] = len(v.Entries)
+			p.starts[i+1] = p.starts[i] + len(v.Entries)
 		}
+		n := p.starts[len(views)]
 		p.entries = make([]*db.Entry, 0, n)
+		p.ids = make([]uint64, 0, n)
+		p.sizes = make([]uint32, 0, n)
 		for _, v := range views {
 			p.entries = append(p.entries, v.Entries...)
+			p.ids = append(p.ids, v.IDs...)
+			p.sizes = append(p.sizes, v.Sizes...)
 		}
 		if withPre {
 			// Flattening every view slot in shard order matches the
@@ -463,11 +535,13 @@ func (d *Database) projection(withPre bool) *projection {
 		type loc struct{ part, slot int }
 		where := make(map[uint64]loc)
 		for pi, v := range views {
-			for si, e := range v.Entries {
-				where[e.ID] = loc{pi, si}
+			for si, id := range v.IDs {
+				where[id] = loc{pi, si}
 			}
 		}
 		p.entries = make([]*db.Entry, 0, len(d.active))
+		p.ids = make([]uint64, 0, len(d.active))
+		p.sizes = make([]uint32, 0, len(d.active))
 		var fb *index.FlatBuilder
 		if withPre {
 			fb = index.NewFlatBuilder(pviews, len(d.active))
@@ -477,7 +551,10 @@ func (d *Database) projection(withPre bool) *projection {
 			if !ok {
 				continue
 			}
-			p.entries = append(p.entries, views[l.part].Entries[l.slot])
+			v := views[l.part]
+			p.entries = append(p.entries, v.Entries[l.slot])
+			p.ids = append(p.ids, v.IDs[l.slot])
+			p.sizes = append(p.sizes, v.Sizes[l.slot])
 			if withPre {
 				fb.Add(l.part, l.slot)
 			}
@@ -517,52 +594,167 @@ func (ps *preparedSearch) stream(ctx context.Context, q *Query, tr *traceAcc, ad
 	// resolution taken at-or-after prepare can never mis-match a snapshot
 	// entry; unknown keys get ephemeral IDs that match nothing — exactly
 	// the key semantics.
-	qids := ps.bdict.ResolveMultiset(q.branches)
-	mq := &method.Query{G: q.g, Branches: qids}
-	var qp index.QueryPre
-	if ps.opt.Prefilter {
-		qp = index.PrepareQuery(q.g)
+	qs := &queryScan{
+		ps:    ps,
+		tr:    tr,
+		mq:    method.Query{G: q.g, Branches: ps.bdict.ResolveMultiset(q.branches)},
+		admit: admit,
+		winHi: math.MaxInt,
 	}
-	// match builds the Match of a scored entry only when it is kept: on
-	// an unfiltered scan nearly every entry is discarded, and a discarded
-	// one should touch its Entry header and branch slice, not e.G.
-	match := func(e *db.Entry, keep bool, score float64, err error) (Match, bool, error) {
-		if err != nil || !keep || (admit != nil && !admit(int(e.ID), score)) {
-			return Match{}, false, err
-		}
-		return Match{Index: int(e.ID), Name: e.G.Name, Score: score}, true, nil
-	}
-	process := func(pos int) (Match, bool, error) {
-		e := ps.entries[pos]
-		if ps.opt.Prefilter && ps.pre.Prunable(&qp, qids, e, pos, ps.opt.Tau) {
-			ps.notePruned(tr, e)
-			return Match{}, false, nil
-		}
-		keep, score, err := ps.scorer.Score(mq, e)
-		return match(e, keep, score, err)
-	}
-	if tr.deep {
-		// Traced: sample the clock around each per-entry phase. The
-		// fast process above stays branch-free for the common case.
-		process = func(pos int) (Match, bool, error) {
-			e := ps.entries[pos]
-			if ps.opt.Prefilter {
-				t0 := time.Now()
-				pruned := ps.pre.Prunable(&qp, qids, e, pos, ps.opt.Tau)
-				tr.prefilterNS.Add(int64(time.Since(t0)))
-				if pruned {
-					ps.notePruned(tr, e)
-					return Match{}, false, nil
-				}
-			}
-			t0 := time.Now()
-			keep, score, err := ps.scorer.Score(mq, e)
-			tr.scoreNS.Add(int64(time.Since(t0)))
-			return match(e, keep, score, err)
-		}
+	if ps.pre != nil {
+		qs.qp = index.PrepareQuery(q.g)
+	} else if sw, ok := ps.scorer.(method.SizeWindower); ok {
+		qs.winLo, qs.winHi = sw.SizeWindow(&qs.mq)
 	}
 	opt := engine.Options{Workers: ps.opt.Workers, Observe: func(d time.Duration) { tr.scanNS = int64(d) }}
-	return engine.Scan(ctx, len(ps.entries), opt, process, emit)
+	return engine.ScanRanges(ctx, len(ps.entries), opt, qs.newRunner, emit)
+}
+
+// queryScan is what the workers of one single-query scan share, all of it
+// read-only while they run.
+type queryScan struct {
+	ps    *preparedSearch
+	tr    *traceAcc
+	mq    method.Query
+	qp    index.QueryPre // prefiltered scans only
+	admit func(index int, score float64) bool
+
+	// An unfiltered scan: entries sized outside [winLo, winHi] score
+	// exactly 0 (winLo > winHi: all do). Every size is inside unless the
+	// scorer is a method.SizeWindower.
+	winLo, winHi int
+}
+
+// rangeScan is one worker's side of a single-query scan. It takes each
+// claimed range in two passes: a filter pass that reads one column —
+// signatures for a prefiltered scan, sizes for an unfiltered one — and
+// collects the positions the column cannot decide, then a scoring pass
+// over those. Only a collected position ever has its *db.Entry loaded,
+// and nothing is shared between workers within a range but the engine's
+// stop flag; the pruned tally and, when traced, the two passes' clock
+// spans are published when the range is done.
+type rangeScan struct {
+	*queryScan
+	tally pruneTally // prefiltered scans only
+	// open holds the positions the filter pass left for scoring. int32
+	// halves the scratch: a scan set is memory-resident, far below 2³¹
+	// entries. buf backs it while the filter keeps few (a prefilter
+	// prunes nearly everything); the other scans size it by their first
+	// claim.
+	open []int32
+	buf  [16]int32
+}
+
+func (qs *queryScan) newRunner() engine.Runner[Match] {
+	w := &rangeScan{queryScan: qs}
+	w.open = w.buf[:0]
+	if qs.ps.pre != nil {
+		w.tally = qs.ps.newTally()
+	}
+	return w.run
+}
+
+func (w *rangeScan) run(s *engine.Scanner[Match], lo, hi int) (int, error) {
+	ps, tr := w.ps, w.tr
+	var t0, t1 time.Time
+	if tr.deep {
+		t0 = time.Now()
+	}
+	if ps.pre == nil && cap(w.open) < hi-lo {
+		w.open = make([]int32, 0, hi-lo) // the first claim is the longest
+	}
+	w.open = w.open[:0]
+	var end int // positions [lo, end) went through the filter pass
+	if ps.pre != nil {
+		end = w.prefilter(s, lo, hi)
+		w.tally.publish(tr)
+	} else {
+		end = w.sizeFilter(s, lo, hi)
+	}
+	if tr.deep {
+		t1 = time.Now()
+	}
+	scored, err := w.score(s)
+	if tr.deep {
+		if ps.pre == nil {
+			t1 = t0 // no prefilter: the whole range is scoring
+		}
+		tr.prefilterNS.Add(int64(t1.Sub(t0)))
+		tr.scoreNS.Add(int64(time.Since(t1)))
+	}
+	// Finished: what the filter decided plus what the scorer got to.
+	return end - lo - (len(w.open) - scored), err
+}
+
+// prefilter skip-scans the signature column: every position a signature
+// prunes is counted from its index alone, and the exact bound runs — on
+// the one entry loaded for it — where the signature cannot decide.
+func (w *rangeScan) prefilter(s *engine.Scanner[Match], lo, hi int) int {
+	ps, tau := w.ps, w.ps.opt.Tau
+	for pos := lo; ; pos++ {
+		next := ps.pre.NextUndecided(&w.qp, pos, hi, tau)
+		w.tally.discard(pos, next)
+		if next == hi {
+			return hi
+		}
+		if pos = next; s.Stopped() {
+			return pos
+		}
+		if ps.pre.PrunableExact(&w.qp, w.mq.Branches, ps.entries[pos], pos, tau) {
+			w.tally.discard(pos, pos+1)
+		} else {
+			w.open = append(w.open, int32(pos))
+		}
+	}
+}
+
+// sizeFilter reads the sizes column: an entry outside the scorer's window
+// scores exactly 0, which only a CollectAll consumer keeps (withDefaults
+// makes γ positive) — top-K's tail, refused by admit from the ids column
+// once the heap holds K better matches.
+func (w *rangeScan) sizeFilter(s *engine.Scanner[Match], lo, hi int) int {
+	ps := w.ps
+	for pos := lo; pos < hi; pos++ {
+		if size := int(ps.sizes[pos]); size >= w.winLo && size <= w.winHi {
+			w.open = append(w.open, int32(pos))
+			continue
+		}
+		if !ps.opt.CollectAll {
+			continue
+		}
+		id := int(ps.ids[pos])
+		if w.admit != nil && !w.admit(id, 0) {
+			continue
+		}
+		if !s.Emit(pos, Match{Index: id, Name: ps.entries[pos].G.Name}) {
+			return pos + 1
+		}
+	}
+	return hi
+}
+
+// score runs the scorer over the open positions and reports how many it
+// finished. A Match is built only for a kept entry: a discarded one
+// touches its Entry header and branch slice, not e.G.
+func (w *rangeScan) score(s *engine.Scanner[Match]) (int, error) {
+	ps := w.ps
+	for i, pos := range w.open {
+		if s.Stopped() {
+			return i, nil
+		}
+		e := ps.entries[pos]
+		keep, score, err := ps.scorer.Score(&w.mq, e)
+		if err != nil {
+			return i, err
+		}
+		if !keep || (w.admit != nil && !w.admit(int(e.ID), score)) {
+			continue
+		}
+		if !s.Emit(int(pos), Match{Index: int(e.ID), Name: e.G.Name, Score: score}) {
+			return i + 1, nil
+		}
+	}
+	return len(w.open), nil
 }
 
 // collect runs one query to completion and gathers matches in

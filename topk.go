@@ -86,12 +86,14 @@ func (d *Database) SearchTopKBatch(ctx context.Context, queries []*Query, opt To
 	}
 	tr := &traceAcc{}
 	scanned, err := ps.streamBatch(ctx, queries, bs, tr, func(pos int, verdicts []method.Verdict) bool {
-		e := ps.entries[pos]
+		// A ranked scan keeps every verdict; the graph's name is read
+		// only for one that can still enter its query's heap.
+		id := int(ps.ids[pos])
 		for k, v := range verdicts {
-			if v.Skip || !v.Keep {
+			if v.Skip || !v.Keep || !heaps[k].admits(id, v.Score) {
 				continue
 			}
-			heaps[k].offer(Match{Index: int(e.ID), Name: e.G.Name, Score: v.Score})
+			heaps[k].offer(Match{Index: id, Name: ps.entries[pos].G.Name, Score: v.Score})
 		}
 		return true
 	})
