@@ -251,11 +251,11 @@
 // score an aborted merge as Φ = 0, which is what the full count returned.
 // On the repository benchmark's corpus 99.9% of (query, graph) pairs stop
 // early (76% on the sizes alone at τ̂ = 3) at ~10 ns per pair instead of
-// ~200 ns. The exact kernels (merge, galloping search for skewed sizes,
-// blocked merge, bitset) remain behind branch.IntersectSizeIDs for prior
-// sampling and the prefilter's branch tier, which consume the count
-// itself. Dictionary entries are refcounted; deletes drive them dead and
-// compaction reclaims them.
+// ~200 ns. The prefilter's branch tier asks the same function for
+// max − 2τ̂ (⌈GBD/2⌉ > τ̂ otherwise); the plain merge behind
+// branch.IntersectSizeIDs remains for prior sampling, which consumes the
+// count itself. Dictionary entries are refcounted; deletes drive them
+// dead and compaction reclaims them.
 // Queries resolve their key-form multisets against the dictionary at
 // search-prepare time; branches the database has never seen map to
 // per-search ephemeral IDs that are never interned (query traffic cannot

@@ -3,7 +3,6 @@ package branch
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"gsim/internal/graph"
@@ -54,122 +53,4 @@ func sizeName(n int) string {
 		return fmt.Sprintf("n=%dK", n/1000)
 	}
 	return fmt.Sprintf("n=%d", n)
-}
-
-// denseWorkload is the dense-dictionary shape the bitset kernel targets:
-// a small interned universe (the whole collection exhibits few distinct
-// branch shapes) and multisets that cover a large fraction of it.
-func denseWorkload(seed int64) (a, b IDs, span int) {
-	rng := rand.New(rand.NewSource(seed))
-	span = 4096
-	a = randomIDs(rng, 1000, span)
-	b = randomIDs(rng, 1000, span)
-	return a, b, span
-}
-
-// BenchmarkIntersectBitset is the CI-gated bitset kernel: word-AND +
-// popcount over prebuilt Dense forms (the batch scan builds each side
-// once and intersects many times, so the build is setup, not steady
-// state). Compare against BenchmarkIntersectDenseLinear for the
-// dense-dictionary speedup the layout exists for.
-func BenchmarkIntersectBitset(b *testing.B) {
-	x, y, span := denseWorkload(31)
-	dx, dy := MakeDense(x, span), MakeDense(y, span)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = IntersectSizeDense(dx, dy)
-	}
-}
-
-// BenchmarkIntersectDenseLinear runs the linear merge over the exact
-// workload of BenchmarkIntersectBitset — the denominator of the ≥3×
-// dense-dictionary claim in README's performance notes.
-func BenchmarkIntersectDenseLinear(b *testing.B) {
-	x, y, _ := denseWorkload(31)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = intersectMerge(x, y)
-	}
-}
-
-// bandedIDs draws IDs clustered into 64-wide bands with the two sides on
-// alternating bands — the shape dictionary interning produces for large
-// graphs (each graph's branches intern contiguously) and the one the
-// blocked kernel's skip test exists for.
-func bandedIDs(rng *rand.Rand, n, phase int) IDs {
-	out := make(IDs, n)
-	for i := range out {
-		band := 2*rng.Intn(64) + phase
-		out[i] = uint32(band*64 + rng.Intn(64))
-	}
-	slices.Sort(out)
-	return out
-}
-
-// BenchmarkIntersectBlocked is the CI-gated blocked merge kernel on
-// balanced clustered multisets — the shape the dispatcher routes to it
-// (balanced, ≥ blockedMinLen elements). intersectMerge runs this same
-// workload ~3× slower; the sweep behind that claim is in README's
-// performance notes.
-func BenchmarkIntersectBlocked(b *testing.B) {
-	rng := rand.New(rand.NewSource(37))
-	x := bandedIDs(rng, 4096, 0)
-	y := bandedIDs(rng, 4096, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = intersectBlocked(x, y)
-	}
-}
-
-// BenchmarkGallopSweep measures merge vs blocked vs gallop across size
-// skews — the measurement behind the GallopRatio constant; the resulting
-// table lives in README's performance notes. The small side is fixed at
-// 512 elements so only the skew varies.
-func BenchmarkGallopSweep(b *testing.B) {
-	rng := rand.New(rand.NewSource(41))
-	const small = 512
-	for _, skew := range []int{2, 4, 8, 16, 32, 64} {
-		x := randomIDs(rng, small, 1<<24)
-		y := randomIDs(rng, small*skew, 1<<24)
-		b.Run(fmt.Sprintf("skew=%dx/merge", skew), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = intersectMerge(x, y)
-			}
-		})
-		b.Run(fmt.Sprintf("skew=%dx/blocked", skew), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = intersectBlocked(x, y)
-			}
-		})
-		b.Run(fmt.Sprintf("skew=%dx/gallop", skew), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = intersectGallop(x, y)
-			}
-		})
-	}
-}
-
-// BenchmarkBlockedSweep measures merge vs blocked on balanced banded
-// (clustered-ID) multisets across lengths — the measurement behind the
-// blockedMinLen constant; the resulting table lives in README's
-// performance notes.
-func BenchmarkBlockedSweep(b *testing.B) {
-	rng := rand.New(rand.NewSource(43))
-	for _, n := range []int{512, 1024, 2048, 4096} {
-		x := bandedIDs(rng, n, 0)
-		y := bandedIDs(rng, n, 1)
-		b.Run(fmt.Sprintf("n=%d/merge", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = intersectMerge(x, y)
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/blocked", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = intersectBlocked(x, y)
-			}
-		})
-	}
 }

@@ -81,59 +81,11 @@ func MultisetOf(g *graph.Graph) Multiset {
 	return ms
 }
 
-// GallopRatio is the size skew at which intersectSorted abandons the
-// merge kernels for galloping search: once the larger multiset is at
-// least this many times the smaller, probing the big side with
-// exponential search costs O(|small|·log(|big|/|small|)) comparisons
-// where the merge pays O(|small|+|big|). The value comes from the
-// BenchmarkGallopSweep measurement recorded in README.md's performance
-// notes, not from theory: galloping won at every measured skew from 2×
-// up (1.2× faster at 2×, 7.7× at 64×) and merely tied the merge on
-// balanced inputs, so the crossover sits at the textbook ratio of ~2 —
-// the doubling probes' branch mispredictions never push it higher on
-// this workload.
-const GallopRatio = 2
-
-// blockedMinLen is the smaller-side length below which the blocked merge
-// kernel is not worth its block bookkeeping and the plain merge runs.
-// Measured on clustered-ID multisets (the shape interning produces —
-// see intersectBlocked): blocked loses ~25% at 512 elements, wins 1.8×
-// at 1024 and 3× at 4096, so the cutover sits at 1024.
-const blockedMinLen = 1024
-
-// mergeBlock is the skip granularity of intersectBlocked: one comparison
-// against a block's last element can retire the whole block.
-const mergeBlock = 8
-
-// intersectSorted returns |a ∩ b| for two multisets sorted under the same
-// total order — the single implementation behind both the Key and the
-// interned-ID paths, and the dispatcher of the three merge strategies:
-// skewed inputs (size ratio ≥ GallopRatio) gallop the small side through
-// the big one, balanced inputs of real length take the blocked merge,
-// and tiny inputs take the plain linear merge. All paths implement the
-// same multiset semantics: each matched pair consumes one occurrence
-// from each side, so duplicates count as min(countA, countB). The
-// dispatcher is kept tiny so it inlines into the scan hot path; the
-// loops live in their own functions. (A fourth strategy — the bitset
-// kernel of dense.go — needs per-side precomputation over the interned
-// universe, so the batch scan layer dispatches to it by dictionary
-// density rather than this per-call size check.)
-func intersectSorted[T cmp.Ordered](a, b []T) int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a)*GallopRatio <= len(b) {
-		return intersectGallop(a, b)
-	}
-	if len(a) >= blockedMinLen {
-		return intersectBlocked(a, b)
-	}
-	return intersectMerge(a, b)
-}
-
-// intersectMerge is the linear merge for balanced inputs. Requires
-// len(a) ≤ len(b) (the dispatcher's invariant; the result is symmetric
-// either way).
+// intersectMerge returns |a ∩ b| for two multisets sorted under the same
+// total order — the paper's linear merge (Eq. 2) and the single
+// implementation behind both the Key and the interned-ID exact counts.
+// Each matched pair consumes one occurrence from each side, so duplicates
+// count as min(countA, countB).
 func intersectMerge[T cmp.Ordered](a, b []T) int {
 	i, j, n := 0, 0, 0
 	for i < len(a) && j < len(b) {
@@ -151,131 +103,26 @@ func intersectMerge[T cmp.Ordered](a, b []T) int {
 	return n
 }
 
-// intersectBlocked is the merge kernel for balanced inputs long enough to
-// amortise block bookkeeping: both cursors advance in blocks of
-// mergeBlock, skipping a whole block with one comparison when its last
-// element is still below the other side's cursor, and falling into a
-// reduced-branch scalar merge — equality, ≤ and ≥ each advance
-// independently, which compiles without the three-way branch ladder of
-// intersectMerge — only when the blocks can actually overlap. The skip
-// pays off on clustered IDs: the dictionary interns a graph's branches
-// contiguously, so two large graphs' multisets occupy mostly-disjoint ID
-// bands and one comparison retires eight elements at a time. On fully
-// interleaved (uniform-random) inputs the skips never fire and the
-// bookkeeping costs ~25%, which is why blockedMinLen keeps small inputs
-// on the plain merge. Requires nothing of the argument order;
-// equivalence with the linear merge is pinned by TestBlockedMatchesMerge.
-func intersectBlocked[T cmp.Ordered](a, b []T) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if i+mergeBlock <= len(a) && a[i+mergeBlock-1] < b[j] {
-			i += mergeBlock
-			continue
-		}
-		if j+mergeBlock <= len(b) && b[j+mergeBlock-1] < a[i] {
-			j += mergeBlock
-			continue
-		}
-		for s := 0; s < mergeBlock && i < len(a) && j < len(b); s++ {
-			va, vb := a[i], b[j]
-			if va == vb {
-				n++
-			}
-			if va <= vb {
-				i++
-			}
-			if vb <= va {
-				j++
-			}
-		}
-	}
-	return n
-}
-
-// intersectGallop intersects a small sorted multiset against a much larger
-// one: for each element of small it advances a cursor into big by doubling
-// steps (exponential search) and finishes with a binary search over the
-// final probe window, so the cursor moves monotonically and each element
-// costs O(log gap). Requires len(small) ≤ len(big); equivalence with the
-// linear merge is pinned by TestGallopMatchesMerge.
-func intersectGallop[T cmp.Ordered](small, big []T) int {
-	n, j := 0, 0
-	for i := 0; i < len(small) && j < len(big); i++ {
-		x := small[i]
-		if big[j] < x {
-			// Gallop: find the first step whose element is ≥ x…
-			step := 1
-			lo := j
-			for j+step < len(big) && big[j+step] < x {
-				lo = j + step
-				step <<= 1
-			}
-			hi := j + step
-			if hi > len(big) {
-				hi = len(big)
-			}
-			// …then binary-search the (lo, hi] window for the lower bound.
-			for lo+1 < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if big[mid] < x {
-					lo = mid
-				} else {
-					hi = mid
-				}
-			}
-			j = hi
-			if j >= len(big) {
-				break
-			}
-		}
-		if big[j] == x {
-			n++
-			j++ // consume one occurrence: multiset, not set, semantics
-		}
-	}
-	return n
-}
-
-// gbdOf applies Definition 4 / Eq. 1 to precomputed lengths and
-// intersection size: max{|V1|,|V2|} − |B∩B|.
-func gbdOf(la, lb, intersect int) int {
+// GBDOf applies Definition 4 / Eq. 1 to precomputed multiset sizes and
+// their intersection size: max{|V1|,|V2|} − |B∩B|.
+func GBDOf(la, lb, intersect int) int {
 	if lb > la {
 		la = lb
 	}
 	return la - intersect
 }
 
-// IntersectSize returns |a ∩ b| for sorted key multisets (the Key
-// instantiation of intersectSorted's dispatch).
-func IntersectSize(a, b Multiset) int { return intersectSorted(a, b) }
+// IntersectSize returns |a ∩ b| for sorted key multisets.
+func IntersectSize(a, b Multiset) int { return intersectMerge(a, b) }
 
 // GBD computes the Graph Branch Distance between two graphs whose branch
 // multisets have been precomputed (Definition 4, Eq. 1).
-func GBD(a, b Multiset) int { return gbdOf(len(a), len(b), IntersectSize(a, b)) }
+func GBD(a, b Multiset) int { return GBDOf(len(a), len(b), IntersectSize(a, b)) }
 
 // GBDGraphs computes GBD directly from graphs, building both multisets.
 // Prefer GBD with cached multisets inside search loops.
 func GBDGraphs(g1, g2 *graph.Graph) int {
 	return GBD(MultisetOf(g1), MultisetOf(g2))
-}
-
-// VGBD is the variant branch distance of Eq. (26) used by the GBDA-V2
-// alternative in Section VII-D:
-//
-//	VGBD(G1,G2) = max{|V1|,|V2|} − w·|BG1 ∩ BG2|
-//
-// The result is real-valued for fractional w; GBDA-V2 rounds it to the
-// nearest integer before entering the probabilistic model.
-func VGBD(a, b Multiset, w float64) float64 {
-	return vgbdOf(len(a), len(b), IntersectSize(a, b), w)
-}
-
-// vgbdOf applies Eq. 26 to precomputed lengths and intersection size.
-func vgbdOf(la, lb, intersect int, w float64) float64 {
-	if lb > la {
-		la = lb
-	}
-	return float64(la) - w*float64(intersect)
 }
 
 // IDs is a branch multiset in interned form: one dense uint32 branch ID
@@ -292,28 +139,29 @@ func vgbdOf(la, lb, intersect int, w float64) float64 {
 // independent.
 type IDs []uint32
 
-// IntersectSizeIDs returns the exact |a ∩ b| for sorted ID multisets
-// through intersectSorted's gallop / blocked / merge dispatch. It serves
-// the callers that consume the count itself whatever its value: prior
-// sampling (db.SamplePairGBDs fits the GBD distribution, far pairs
-// included), the prefilter's branch tier and index.Pruning (which compare
-// the distance against their own bound), and the benchmark ladder's
-// kernel rung. The posterior scorers do not: Φ is exactly 0 beyond
-// GBD = 3τ̂, so they call IntersectAtLeastIDs and stop as soon as the
-// intersection is provably too small to matter.
-func IntersectSizeIDs(a, b IDs) int { return intersectSorted(a, b) }
+// IntersectSizeIDs returns the exact |a ∩ b| for sorted ID multisets by
+// the plain linear merge. It serves the callers that consume the count
+// itself whatever its value: prior sampling (db.SamplePairGBDsEntries fits
+// the GBD distribution, far pairs included), the legacy
+// index.PairLowerBound / Index.Pruning oracle the flat prefilter is tested
+// against, and the benchmark ladder's kernel rung. The query path does
+// not: the posterior scorers and the prefilter's branch tier only ask
+// whether the intersection reaches a bound, so they call
+// IntersectAtLeastIDs and stop as soon as it provably cannot.
+func IntersectSizeIDs(a, b IDs) int { return intersectMerge(a, b) }
 
 // GBDIDs computes the exact Graph Branch Distance from interned
 // multisets (Definition 4, Eq. 1), for the same callers as
 // IntersectSizeIDs.
-func GBDIDs(a, b IDs) int { return gbdOf(len(a), len(b), IntersectSizeIDs(a, b)) }
+func GBDIDs(a, b IDs) int { return GBDOf(len(a), len(b), IntersectSizeIDs(a, b)) }
 
-// IntersectAtLeastIDs is the bounded intersection behind the posterior
-// scorers: it reports whether |a ∩ b| ≥ need, and the exact |a ∩ b| when
-// it is. Algorithm 1 consumes GBD only through Φ = Pr[GED ≤ τ̂ | GBD = ϕ],
-// which the Section VI-B short circuit makes exactly 0 for ϕ > 3τ̂; with
+// IntersectAtLeastIDs is the bounded intersection of the query path: it
+// reports whether |a ∩ b| ≥ need, and the exact |a ∩ b| when it is.
+// Algorithm 1 consumes GBD only through Φ = Pr[GED ≤ τ̂ | GBD = ϕ], which
+// the Section VI-B short circuit makes exactly 0 for ϕ > 3τ̂; with
 // need = max{|V1|,|V2|} − 3τ̂ a false answer therefore decides the pair
-// without its count.
+// without its count. The prefilter's branch tier asks the same question
+// with need = max − 2τ̂ (⌈GBD/2⌉ > τ̂ ⇔ |a ∩ b| < max − 2τ̂).
 //
 // It is one linear merge carrying a miss budget per side: an element
 // passed over without a partner can never be matched later (both sides
@@ -350,11 +198,6 @@ func IntersectAtLeastIDs(a, b IDs, need int) (n int, ok bool) {
 	}
 	// The unvisited tail of the longer side misses too.
 	return n, n >= need
-}
-
-// VGBDIDs is VGBD (Eq. 26) over interned multisets.
-func VGBDIDs(a, b IDs, w float64) float64 {
-	return vgbdOf(len(a), len(b), IntersectSizeIDs(a, b), w)
 }
 
 // LowerBoundGED is the classic branch-based GED lower bound used by the

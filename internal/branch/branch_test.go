@@ -218,16 +218,15 @@ func TestQuickSingleEditChangesGBDByAtMostTwo(t *testing.T) {
 	}
 }
 
-func TestVGBD(t *testing.T) {
-	dict := graph.NewLabels()
-	g1, g2 := paperG1(dict), paperG2(dict)
-	b1, b2 := MultisetOf(g1), MultisetOf(g2)
-	// |∩| = 1, max = 4: VGBD(w=1) must equal GBD; w=0.5 gives 3.5.
-	if got := VGBD(b1, b2, 1.0); got != float64(GBD(b1, b2)) {
-		t.Fatalf("VGBD(w=1) = %v, want %d", got, GBD(b1, b2))
+// TestGBDOf pins Definition 4 on precomputed sizes, in both size orders.
+func TestGBDOf(t *testing.T) {
+	cases := []struct{ la, lb, inter, want int }{
+		{5, 3, 2, 3}, {3, 5, 2, 3}, {0, 0, 0, 0}, {7, 7, 7, 0},
 	}
-	if got := VGBD(b1, b2, 0.5); got != 3.5 {
-		t.Fatalf("VGBD(w=0.5) = %v, want 3.5", got)
+	for _, c := range cases {
+		if got := GBDOf(c.la, c.lb, c.inter); got != c.want {
+			t.Errorf("GBDOf(%d,%d,%d) = %d, want %d", c.la, c.lb, c.inter, got, c.want)
+		}
 	}
 }
 

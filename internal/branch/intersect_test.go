@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// linearIntersect is the reference merge the galloping path must match —
-// a copy of the pre-gallop implementation, kept here so the equivalence
-// tests compare against a fixed oracle rather than the code under test.
+// linearIntersect is the reference merge the exact intersection must
+// match, kept here so the equivalence tests compare against a fixed
+// oracle rather than the code under test.
 func linearIntersect(a, b IDs) int {
 	i, j, n := 0, 0, 0
 	for i < len(a) && j < len(b) {
@@ -39,16 +39,13 @@ func randomIDs(rng *rand.Rand, n, u int) IDs {
 }
 
 // TestGallopMatchesMerge: for randomized sorted multisets across the full
-// range of size skews — balanced pairs that take the merge, skewed pairs
-// that take the galloping path, and both argument orders — the public
-// intersection must equal the linear-merge oracle.
+// range of size skews and duplicate densities, in both argument orders,
+// the public intersection must equal the linear-merge oracle.
 func TestGallopMatchesMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := []struct{ na, nb, u int }{
 		{0, 0, 1}, {0, 50, 8}, {1, 1, 1}, {3, 3, 2},
 		{5, 400, 16}, {5, 400, 1000}, {2, 64, 4},
-		{7, 7 * GallopRatio, 32},   // exactly at the crossover
-		{7, 7*GallopRatio - 1, 32}, // just below: merge path
 		{1, 10000, 4}, {1, 10000, 100000},
 		{100, 100, 16}, {64, 4096, 64},
 	}
@@ -69,9 +66,9 @@ func TestGallopMatchesMerge(t *testing.T) {
 	}
 }
 
-// TestGallopDirect pins the galloping routine itself (not just the
-// auto-picked path) on crafted duplicate-heavy cases where a naive
-// set-based gallop would over- or under-count.
+// TestGallopDirect pins the exact intersection on crafted duplicate-heavy
+// cases with hand-computed answers, where a set-based count would over-
+// or under-count.
 func TestGallopDirect(t *testing.T) {
 	cases := []struct {
 		small, big IDs
@@ -83,13 +80,16 @@ func TestGallopDirect(t *testing.T) {
 		{IDs{5, 5, 5}, IDs{5, 5}, 2},                // min-count: 2
 		{IDs{1, 3, 9}, IDs{0, 2, 4, 6, 8, 10}, 0},   // interleaved misses
 		{IDs{7, 7}, IDs{1, 7, 7, 7, 12}, 2},         // duplicates both sides
-		{IDs{0, 100}, IDs{0, 1, 2, 3, 100, 100}, 2}, // gallop across a long gap
+		{IDs{0, 100}, IDs{0, 1, 2, 3, 100, 100}, 2}, // match across a long gap
 		{IDs{9, 9}, IDs{9}, 1},                      // small larger count
 		{IDs{1, 2, 3}, IDs{3, 3, 3, 3}, 1},          // tail match only
 	}
 	for i, tc := range cases {
-		if got := intersectGallop(tc.small, tc.big); got != tc.want {
-			t.Errorf("case %d: intersectGallop(%v, %v) = %d, want %d", i, tc.small, tc.big, got, tc.want)
+		if got := IntersectSizeIDs(tc.small, tc.big); got != tc.want {
+			t.Errorf("case %d: IntersectSizeIDs(%v, %v) = %d, want %d", i, tc.small, tc.big, got, tc.want)
+		}
+		if got := IntersectSizeIDs(tc.big, tc.small); got != tc.want {
+			t.Errorf("case %d: IntersectSizeIDs(%v, %v) = %d, want %d", i, tc.big, tc.small, got, tc.want)
 		}
 		if got := linearIntersect(tc.small, tc.big); got != tc.want {
 			t.Errorf("case %d: oracle disagrees with the hand-computed answer: %d vs %d", i, got, tc.want)
@@ -98,8 +98,7 @@ func TestGallopDirect(t *testing.T) {
 }
 
 // TestGallopKeyPath: the Key-form intersection shares the generic
-// implementation, so a skewed Key pair must also route through galloping
-// and agree with a count-map oracle.
+// implementation, so a skewed Key pair must agree with a count-map oracle.
 func TestGallopKeyPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	letters := []Key{"a", "b", "c", "d", "e", "f"}
@@ -112,7 +111,7 @@ func TestGallopKeyPath(t *testing.T) {
 		return ms
 	}
 	for trial := 0; trial < 50; trial++ {
-		a, b := mk(3), mk(3+3*GallopRatio)
+		a, b := mk(3), mk(9)
 		counts := map[Key]int{}
 		for _, k := range b {
 			counts[k]++
@@ -128,22 +127,4 @@ func TestGallopKeyPath(t *testing.T) {
 			t.Fatalf("trial %d: key-form intersect = %d, want %d", trial, got, want)
 		}
 	}
-}
-
-func BenchmarkIntersectSkewed(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	small := randomIDs(rng, 8, 1<<20)
-	big := randomIDs(rng, 1<<16, 1<<20)
-	b.Run("gallop", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			intersectGallop(small, big)
-		}
-	})
-	b.Run("merge", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			linearIntersect(small, big)
-		}
-	})
 }

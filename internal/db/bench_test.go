@@ -1,26 +1,12 @@
 package db
 
-import (
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
 func BenchmarkSamplePairGBDs(b *testing.B) {
 	c := testCollection(b, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = c.SamplePairGBDs(5000, int64(i))
-	}
-}
-
-func BenchmarkScanParallel(b *testing.B) {
-	c := testCollection(b, 5000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var n int64
-		c.Scan(0, func(_ int, e *Entry) {
-			atomic.AddInt64(&n, int64(len(e.Branches)))
-		})
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"gsim/internal/branch"
 	"gsim/internal/graph"
@@ -193,47 +192,6 @@ func SamplePairGBDsEntries(entries []*Entry, n int, seed int64) []float64 {
 		out[i] = float64(branch.GBDIDs(entries[p.a].Branches, entries[p.b].Branches))
 	})
 	return out
-}
-
-// Scan applies fn to every entry index using a worker pool (workers ≤ 0
-// selects GOMAXPROCS). fn must be safe for concurrent invocation.
-func (c *Collection) Scan(workers int, fn func(i int, e *Entry)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := len(c.entries)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i, e := range c.entries {
-			fn(i, e)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	const chunk = 16
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(chunk)) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					fn(i, c.entries[i])
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func parallel(n int, fn func(i int)) {

@@ -3,7 +3,6 @@ package db
 import (
 	"bytes"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"gsim/internal/branch"
@@ -143,29 +142,6 @@ func TestSamplePairsNeverPairGraphWithItself(t *testing.T) {
 	for _, v := range c.SamplePairGBDs(100, 3) {
 		if v != 2 {
 			t.Fatalf("sample GBD = %v, want 2", v)
-		}
-	}
-}
-
-func TestScanVisitsEveryEntryOnce(t *testing.T) {
-	c := testCollection(t, 103)
-	for _, workers := range []int{0, 1, 4, 64, 200} {
-		var count int64
-		seen := make([]int64, c.Len())
-		c.Scan(workers, func(i int, e *Entry) {
-			atomic.AddInt64(&count, 1)
-			atomic.AddInt64(&seen[i], 1)
-			if e.G == nil || len(e.Branches) != e.G.NumVertices() {
-				t.Errorf("bad entry at %d", i)
-			}
-		})
-		if count != int64(c.Len()) {
-			t.Fatalf("workers=%d: visited %d of %d", workers, count, c.Len())
-		}
-		for i, s := range seen {
-			if s != 1 {
-				t.Fatalf("workers=%d: entry %d visited %d times", workers, i, s)
-			}
 		}
 	}
 }

@@ -78,8 +78,7 @@ type DictStats struct {
 	Retired int
 	// Compactions counts completed compaction passes.
 	Compactions uint64
-	// Universe is the exclusive upper bound of ever-assigned branch IDs —
-	// the bitset span a dense intersection over this dictionary needs.
+	// Universe is the exclusive upper bound of ever-assigned branch IDs.
 	// Monotonic (retired IDs are not reused).
 	Universe int
 }
@@ -99,8 +98,7 @@ func (d *BranchDict) Stats() DictStats {
 
 // Universe reports the exclusive upper bound of assigned branch IDs —
 // every stored multiset's IDs lie below it (ephemeral query IDs live at
-// EphemeralBranchBase and above). The branch layer's density dispatch
-// compares it against branch.DenseSpanLimit.
+// EphemeralBranchBase and above).
 func (d *BranchDict) Universe() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

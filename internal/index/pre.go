@@ -480,7 +480,10 @@ func (v *View) prunableExact(q *QueryPre, qBranches branch.IDs, e *db.Entry, slo
 	if vd+ed > tau {
 		return true
 	}
-	return branch.LowerBoundGED(branch.GBDIDs(qBranches, e.Branches)) > tau
+	// ⌈GBD/2⌉ > τ̂ ⇔ |B∩B| < max{|V1|,|V2|} − 2τ̂: the scorers' bounded
+	// merge answers it without finishing a merge that is already lost.
+	_, ok := branch.IntersectAtLeastIDs(qBranches, e.Branches, max(len(qBranches), len(e.Branches))-2*tau)
+	return !ok
 }
 
 // QueryPre is a query prepared for the columnar prefilter: its signature

@@ -73,13 +73,12 @@ func newEquivFixture(t *testing.T) *equivFixture {
 	}
 	st := stored.Stats()
 	fx.mdb = &DB{
-		ActiveN:        len(fx.entries),
-		Ordered:        func() []*db.Entry { return fx.entries },
-		Sizes:          stored.DistinctSizes,
-		BranchUniverse: stored.BranchDict().Universe,
-		WS:             core.NewWorkspace(core.Params{LV: st.LV, LE: st.LE, TauMax: 5}),
-		GBDPrior:       prior,
-		TauMax:         5,
+		ActiveN:  len(fx.entries),
+		Ordered:  func() []*db.Entry { return fx.entries },
+		Sizes:    stored.DistinctSizes,
+		WS:       core.NewWorkspace(core.Params{LV: st.LV, LE: st.LE, TauMax: 5}),
+		GBDPrior: prior,
+		TauMax:   5,
 	}
 	return fx
 }
@@ -224,30 +223,25 @@ func TestBoundedScorersMatchUnbounded(t *testing.T) {
 						}
 					}
 
-					// Entry-major, with the bitset arm available (dense
-					// dictionary) and without it (merge arm only).
-					for _, universe := range []func() int{fx.mdb.BranchUniverse, nil} {
-						mdb := *fx.mdb
-						mdb.BranchUniverse = universe
-						bs, _ := AsBatch(info.New())
-						if err := bs.Prepare(&mdb, opt); err != nil {
+					// Entry-major.
+					bs, _ := AsBatch(info.New())
+					if err := bs.Prepare(fx.mdb, opt); err != nil {
+						t.Fatal(err)
+					}
+					if err := bs.PrepareBatch(fx.queries); err != nil {
+						t.Fatal(err)
+					}
+					out := make([]Verdict, len(fx.queries))
+					for _, e := range fx.entries {
+						clear(out)
+						if err := bs.ScoreEntry(e, out); err != nil {
 							t.Fatal(err)
 						}
-						if err := bs.PrepareBatch(fx.queries); err != nil {
-							t.Fatal(err)
-						}
-						out := make([]Verdict, len(fx.queries))
-						for _, e := range fx.entries {
-							clear(out)
-							if err := bs.ScoreEntry(e, out); err != nil {
-								t.Fatal(err)
-							}
-							for qi, q := range fx.queries {
-								wantKeep, wantScore := ref.score(q, e)
-								if out[qi].Keep != wantKeep || out[qi].Score != wantScore {
-									t.Fatalf("query %d × entry %d (dense=%v): ScoreEntry = (%v, %v), unbounded reference (%v, %v)",
-										qi, e.ID, universe != nil, out[qi].Keep, out[qi].Score, wantKeep, wantScore)
-								}
+						for qi, q := range fx.queries {
+							wantKeep, wantScore := ref.score(q, e)
+							if out[qi].Keep != wantKeep || out[qi].Score != wantScore {
+								t.Fatalf("query %d × entry %d: ScoreEntry = (%v, %v), unbounded reference (%v, %v)",
+									qi, e.ID, out[qi].Keep, out[qi].Score, wantKeep, wantScore)
 							}
 						}
 					}

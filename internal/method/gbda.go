@@ -32,20 +32,10 @@ func init() {
 // the branch distance from an integer merge of interned multisets that
 // stops once the pair is past the table's 3τ̂ support (see score).
 type gbdaScorer struct {
-	variant  ID
-	table    *lazyTable
-	opt      Options
-	universe int      // branch dictionary ID bound captured at Prepare
-	batch    []*Query // workload of an entry-major scan; see PrepareBatch
-
-	// Bitset fast path for dense dictionaries (universe ≤
-	// branch.DenseSpanLimit): each query's multiset precomputed in Dense
-	// form once per batch, each entry's built once per ScoreEntry from a
-	// pooled scratch and intersected by word-AND/popcount against every
-	// applicable query. nil when the dictionary is too sparse or the
-	// batch too small to amortise the builds.
-	qdense []branch.Dense
-	dwords int // words per Dense side at this universe
+	variant ID
+	table   *lazyTable
+	opt     Options
+	batch   []*Query // workload of an entry-major scan; see PrepareBatch
 }
 
 // preparePosterior validates the offline artifacts and builds the shared
@@ -103,7 +93,6 @@ func (g *gbdaScorer) Prepare(d *DB, opt Options) error {
 		s.Weight = opt.V2Weight
 	}
 	g.table, g.opt = newLazyTable(d, s, opt), opt
-	g.universe = d.BranchIDUniverse()
 	return nil
 }
 
@@ -113,7 +102,7 @@ func (g *gbdaScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 	return keep, post, nil
 }
 
-// score is the merge path of Algorithm 1. Φ is exactly 0 whenever the
+// score is Algorithm 1 for one pair. Φ is exactly 0 whenever the
 // observed distance exceeds 3τ̂ (the Section VI-B short circuit the table
 // applies before any row access), so the merge is asked only for the
 // intersections that can reach a table row and an aborted merge is that
@@ -210,8 +199,7 @@ func windowVGBD(m, tau int, w float64) (lo, hi int) {
 }
 
 // posterior applies the model to an exact intersection size — the only
-// quantity both GBD (Definition 4) and VGBD (Eq. 26) consume — so the
-// merge and bitset kernels share one lookup.
+// quantity both GBD (Definition 4) and VGBD (Eq. 26) consume.
 func (g *gbdaScorer) posterior(t *core.PosteriorTable, q *Query, e *db.Entry, inter int) float64 {
 	lq, le := len(q.Branches), len(e.Branches)
 	if g.variant == GBDAV2 {
@@ -225,55 +213,21 @@ func (g *gbdaScorer) keep(post float64) bool {
 	return g.opt.CollectAll || post >= g.opt.Gamma
 }
 
-// densePool recycles the per-entry bitset scratch across ScoreEntry
-// calls, which run concurrently on scan workers.
-var densePool = sync.Pool{New: func() any { return new(branch.Dense) }}
-
 // PrepareBatch captures the workload for entry-major scans and warms the
-// posterior table while no scan worker is waiting. On dense dictionaries
-// (every stored branch ID below branch.DenseSpanLimit) with at least two
-// queries it also precomputes each query's bitset form: one entry-side
-// build then amortises across the whole query batch, turning each
-// intersection into word-ANDs. Ephemeral query branch IDs sit at 2³¹ and
-// land in the Dense overflow list, where they match nothing stored.
+// posterior table while no scan worker is waiting.
 func (g *gbdaScorer) PrepareBatch(queries []*Query) error {
 	g.batch = queries
-	g.qdense, g.dwords = nil, 0
-	if g.universe > 0 && g.universe <= branch.DenseSpanLimit && len(queries) >= 2 {
-		g.dwords = branch.DenseWords(g.universe)
-		g.qdense = make([]branch.Dense, len(queries))
-		for k, q := range queries {
-			g.qdense[k].Fill(q.Branches, g.universe)
-		}
-	}
 	g.table.get()
 	return nil
-}
-
-// useDense picks the kernel for one (query, entry) pair: bitset when the
-// sides are balanced and long enough to pay for the word sweep, the
-// bounded merge otherwise (a heavily skewed pair is usually decided by
-// its sizes alone, where the bitset pays a fixed word-AND over the whole
-// universe).
-func (g *gbdaScorer) useDense(q *Query, e *db.Entry) bool {
-	lq, le := len(q.Branches), len(e.Branches)
-	small, big := lq, le
-	if small > big {
-		small, big = big, small
-	}
-	return small*branch.GallopRatio > big && lq+le >= g.dwords
 }
 
 // ScoreEntry scores one entry against every prepared query: the entry's
 // representation (its precomputed branch multiset, kept hot in cache
 // across the whole workload) is visited once per batch, so the
 // decomposition counter fires once per entry — not once per pair as in
-// the query-major Score path. On dense dictionaries the entry's bitset
-// form is built lazily — only if some pair actually dispatches dense —
-// and reused for every query in the batch.
+// the query-major Score path.
 func (g *gbdaScorer) ScoreEntry(e *db.Entry, out []Verdict) error {
 	counted := false
-	var ed *branch.Dense
 	for k, q := range g.batch {
 		if out[k].Skip {
 			continue
@@ -282,20 +236,8 @@ func (g *gbdaScorer) ScoreEntry(e *db.Entry, out []Verdict) error {
 			countEntryDecomp()
 			counted = true
 		}
-		if g.qdense != nil && g.useDense(q, e) {
-			if ed == nil {
-				ed = densePool.Get().(*branch.Dense)
-				ed.Fill(e.Branches, g.universe)
-			}
-			post := g.posterior(g.table.get(), q, e, branch.IntersectSizeDense(&g.qdense[k], ed))
-			out[k] = Verdict{Keep: g.keep(post), Score: post}
-		} else {
-			keep, post := g.score(q, e)
-			out[k] = Verdict{Keep: keep, Score: post}
-		}
-	}
-	if ed != nil {
-		densePool.Put(ed)
+		keep, post := g.score(q, e)
+		out[k] = Verdict{Keep: keep, Score: post}
 	}
 	return nil
 }

@@ -72,24 +72,14 @@ type DB struct {
 	// Sizes lists the distinct vertex counts of stored graphs, ascending —
 	// the sizes a posterior table prebuilds rows for at Prepare time.
 	Sizes func() []int
-	// BranchUniverse reports the branch dictionary's assigned-ID upper
-	// bound (db.BranchDict.Universe); nil when the caller has no
-	// dictionary. Scorers compare it against branch.DenseSpanLimit to
-	// decide whether bitset intersection is worth precomputing.
+	// BranchUniverse is read by no scorer. It stays because
+	// benchmark/ladder.go sets it and a change there is a
+	// benchmark-archetype PR of its own (ROADMAP item 5(e)).
 	BranchUniverse func() int
 	// Offline artifacts; WS == nil before BuildPriors.
 	WS       *core.Workspace
 	GBDPrior *core.GBDPrior
 	TauMax   int
-}
-
-// BranchIDUniverse reports the dictionary's ID upper bound, 0 when
-// unknown.
-func (d *DB) BranchIDUniverse() int {
-	if d.BranchUniverse == nil {
-		return 0
-	}
-	return d.BranchUniverse()
 }
 
 // HasPriors reports whether the offline stage has run.

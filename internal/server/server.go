@@ -53,7 +53,6 @@ import (
 	"time"
 
 	"gsim"
-	"gsim/internal/branch"
 	"gsim/internal/qcache"
 	"gsim/internal/telemetry"
 )
@@ -310,10 +309,7 @@ type modelStats struct {
 //   - legacy_equiv_bytes: what the former slice-of-slices Summary layout
 //     would spend on the same entries — the denominator of the memory-
 //     reduction claim;
-//   - arena_compactions: completed per-shard arena compaction passes;
-//   - bitset_span_words: per-side 64-bit words a dense branch-bitset
-//     intersection needs at the current dictionary universe, 0 when the
-//     dictionary is too sparse for the bitset kernel.
+//   - arena_compactions: completed per-shard arena compaction passes.
 type prefilterStats struct {
 	Entries          int    `json:"entries"`
 	SigBytes         int64  `json:"sig_bytes"`
@@ -322,7 +318,6 @@ type prefilterStats struct {
 	DeadArenaBytes   int64  `json:"dead_arena_bytes"`
 	LegacyEquivBytes int64  `json:"legacy_equiv_bytes"`
 	ArenaCompactions uint64 `json:"arena_compactions"`
-	BitsetSpanWords  int    `json:"bitset_span_words"`
 }
 
 type dbStats struct {
@@ -389,10 +384,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	tables, tableBytes := s.db.PosteriorTableStats()
 	dict := s.db.BranchDictStats()
 	pre := s.db.PrefilterStats()
-	spanWords := 0
-	if dict.Universe > 0 && dict.Universe <= branch.DenseSpanLimit {
-		spanWords = branch.DenseWords(dict.Universe)
-	}
 	sizes := s.db.ShardSizes()
 	shardMin, shardMax := 0, 0
 	for i, n := range sizes {
@@ -437,7 +428,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			DeadArenaBytes:   pre.DeadBytes,
 			LegacyEquivBytes: pre.LegacyBytes,
 			ArenaCompactions: pre.Compactions,
-			BitsetSpanWords:  spanWords,
 		},
 		Persistence: persistenceBlock(s.db.PersistStats()),
 		Epoch:       s.db.Epoch(),

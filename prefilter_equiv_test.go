@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"gsim/internal/branch"
 	"gsim/internal/index"
 )
 
@@ -134,6 +133,27 @@ func TestPrefilterUnderConcurrentMutation(t *testing.T) {
 		live = append(live, id)
 	}
 
+	put := func(id int) {
+		mu.Lock()
+		live = append(live, id)
+		mu.Unlock()
+	}
+	// take checks a random ID out of live when more than keep are in it.
+	// Until it is put back no other mutator can pick it, so a Delete or
+	// Update of a taken ID must succeed.
+	take := func(rng *rand.Rand, keep int) (id int, ok bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(live) <= keep {
+			return 0, false
+		}
+		k := rng.Intn(len(live))
+		id = live[k]
+		live[k] = live[len(live)-1]
+		live = live[:len(live)-1]
+		return id, true
+	}
+
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
@@ -148,36 +168,19 @@ func TestPrefilterUnderConcurrentMutation(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					mu.Lock()
-					live = append(live, id)
-					mu.Unlock()
+					put(id)
 				case 1:
-					mu.Lock()
-					var id int
-					ok := len(live) > 10
-					if ok {
-						k := rng.Intn(len(live))
-						id = live[k]
-						live[k] = live[len(live)-1]
-						live = live[:len(live)-1]
-					}
-					mu.Unlock()
-					if ok {
+					if id, ok := take(rng, 10); ok {
 						if err := d.Delete(id); err != nil {
 							t.Error(err)
 							return
 						}
 					}
 				default:
-					mu.Lock()
-					var id int
-					ok := len(live) > 0
-					if ok {
-						id = live[rng.Intn(len(live))]
-					}
-					mu.Unlock()
-					if ok {
-						if err := buildRandomGraph(d, rng, fmt.Sprintf("mu%d_%d", seed, i)).Update(id); err != nil {
+					if id, ok := take(rng, 0); ok {
+						err := buildRandomGraph(d, rng, fmt.Sprintf("mu%d_%d", seed, i)).Update(id)
+						put(id)
+						if err != nil {
 							t.Error(err)
 							return
 						}
@@ -244,5 +247,3 @@ func TestPrefilterSearchEquivalence(t *testing.T) {
 		}
 	}
 }
-
-var _ = branch.DenseSpanLimit // keep the import meaningful if checks above change

@@ -469,13 +469,12 @@ func (d *Database) prepare(opt SearchOptions) (*preparedSearch, error) {
 		ps.pre = proj.pre
 	}
 	mdb := &method.DB{
-		ActiveN:        len(ps.entries),
-		Ordered:        ps.ordered,
-		Sizes:          d.store.DistinctSizes,
-		BranchUniverse: ps.bdict.Universe,
-		WS:             d.ws,
-		GBDPrior:       d.gbdPrior,
-		TauMax:         d.tauMax,
+		ActiveN:  len(ps.entries),
+		Ordered:  ps.ordered,
+		Sizes:    d.store.DistinctSizes,
+		WS:       d.ws,
+		GBDPrior: d.gbdPrior,
+		TauMax:   d.tauMax,
 	}
 	if err := scorer.Prepare(mdb, opt.methodOptions()); err != nil {
 		return nil, err
