@@ -71,16 +71,8 @@
 // stage breakdown, remote address and X-Request-Id, rate-limited by a
 // token bucket so overload cannot amplify through the logger.
 //
-// Load harness (internal/load, cmd/gsimload). The same histograms serve
-// the other side of the wire: gsimload drives a live gsimd with N
-// concurrent agents over a deterministic mixed workload (Zipf query
-// popularity with a churning hot set, near-duplicate queries aimed at a
-// generated corpus, NDJSON stream consumption with done-trailer
-// verification, open- or closed-loop pacing) and reports
-// client-observed percentiles from per-agent histograms merged once at
-// report time. Reports are JSON artifacts that gate CI: comparing a run
-// against a checked-in baseline (BENCH_soak.json) fails the build on
-// p99/error-rate/throughput regressions past tolerances.
+// The served system is load-tested and gated by benchmark/ (its own
+// module; bash benchmark/run.sh), which BENCHMARK.json declares.
 //
 // # Storage layer
 //

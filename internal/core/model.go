@@ -180,15 +180,6 @@ func (m *Model) Omega2(mm, y int) float64 {
 	return m.omega2[y][mm]
 }
 
-// Omega2Deriv returns ∂/∂y Pr[Z = m | Y = y] from the precomputed table
-// (diagnostics and tests; the score function consumes it internally).
-func (m *Model) Omega2Deriv(mm, y int) float64 {
-	if y < 0 || y > m.TauMax || mm < 0 || mm >= len(m.omega2d[y]) {
-		return 0
-	}
-	return m.omega2d[y][mm]
-}
-
 // Omega3 returns Ω3(r, ϕ) = C(r, r−ϕ)·(D−1)^ϕ / D^r (Lemma 3, Eq. 30):
 // the probability that exactly ϕ of r relabelled branches leave the branch
 // multiset changed.

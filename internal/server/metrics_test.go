@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"gsim"
-	"gsim/internal/load"
 )
 
 // httptestRequest builds a bodyless request, optionally carrying an
@@ -43,20 +42,16 @@ func recordRequest(h http.Handler, req *http.Request) *httptest.ResponseRecorder
 	return rec
 }
 
-// streamAndTrail posts a stream request and consumes the NDJSON body via
-// the shared parser (internal/load) — the one gsimload runs, so the
-// handler's framing is asserted by the exact consumer production uses.
-func streamAndTrail(t *testing.T, h http.Handler, path string, body any) load.Trailer {
+// streamAndTrail posts a stream request and returns the trailer of its
+// NDJSON body, with the framing asserted by parseStream.
+func streamAndTrail(t *testing.T, h http.Handler, path string, body any) streamTrailer {
 	t.Helper()
 	rec := recordRequest(h, httptestRequestJSON(t, "POST", path, body))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body.String())
 	}
-	res, err := load.ParseStream(rec.Body)
-	if err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	return res.Trailer
+	_, trailer := parseStream(t, rec.Body)
+	return trailer
 }
 
 // TestMetricsExposition: after serving traffic, GET /metrics renders the
@@ -307,7 +302,7 @@ func TestSlowlogRateLimit(t *testing.T) {
 
 // TestBuildInfoAndUptime: the process identifies its build on /metrics
 // (gsim_build_info, process_start_time_seconds) and /v1/stats (version,
-// uptime_seconds) — what gsimload embeds in soak reports.
+// uptime_seconds), so a scrape names the build that produced it.
 func TestBuildInfoAndUptime(t *testing.T) {
 	fx := newFixture(t, 0)
 	h := fx.srv.Handler()

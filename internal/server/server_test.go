@@ -1,18 +1,22 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gsim"
 	"gsim/internal/dataset"
-	"gsim/internal/load"
 )
 
 // fixture builds a served database over the deterministic cluster corpus
@@ -77,6 +81,53 @@ func do(t *testing.T, h http.Handler, method, path string, body any, out any) *h
 		}
 	}
 	return rec
+}
+
+// parseStream consumes one /v1/stream body with the handler's own wire
+// types and asserts the NDJSON framing: every line is valid JSON, exactly
+// one record — the trailer — carries a "done" key, and nothing follows
+// it. Violations are reported through t.Errorf, so it may run off the
+// test goroutine, and yield a zero trailer (done: false), which no
+// caller accepts.
+func parseStream(t testing.TB, r io.Reader) ([]wireMatch, streamTrailer) {
+	t.Helper()
+	var (
+		matches []wireMatch
+		trailer streamTrailer
+		done    bool
+	)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 4<<20)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if done {
+			t.Errorf("stream: data after the done-trailer: %q", line)
+			return nil, streamTrailer{}
+		}
+		// Only the trailer has a "done" key; the pointer tells
+		// done:false from absent.
+		var probe struct {
+			Done *bool `json:"done"`
+		}
+		err := json.Unmarshal(line, &probe)
+		if err == nil && probe.Done != nil {
+			done = true
+			err = json.Unmarshal(line, &trailer)
+		} else if err == nil {
+			var m wireMatch
+			err = json.Unmarshal(line, &m)
+			matches = append(matches, m)
+		}
+		if err != nil {
+			t.Errorf("stream: malformed record %q: %v", line, err)
+			return nil, streamTrailer{}
+		}
+	}
+	if err := sc.Err(); err != nil || !done {
+		t.Errorf("stream: ended without a done-trailer after %d matches (read error: %v)", len(matches), err)
+		return nil, streamTrailer{}
+	}
+	return matches, trailer
 }
 
 func matchesEqual(a []wireMatch, b []gsim.Match) bool {
@@ -201,18 +252,12 @@ func TestStreamEndpoint(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("Content-Type %q", ct)
 	}
-	// The shared NDJSON consumer (internal/load) parses exactly what the
-	// handler writes — the same parser gsimload runs against a live server.
-	res, err := load.ParseStream(rec.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trailer := res.Trailer
-	if err := trailer.Err(); err != nil {
-		t.Fatalf("trailer: %v (%+v)", err, trailer)
+	matches, trailer := parseStream(t, rec.Body)
+	if !trailer.Done || trailer.Error != "" {
+		t.Fatalf("trailer %+v: want done and no error", trailer)
 	}
 	gotIdx := map[int]bool{}
-	for _, m := range res.Matches {
+	for _, m := range matches {
 		gotIdx[m.Index] = true
 	}
 	if trailer.Matches != len(want.Matches) || len(gotIdx) != len(want.Matches) {
@@ -222,6 +267,76 @@ func TestStreamEndpoint(t *testing.T) {
 		if !gotIdx[m.Index] {
 			t.Fatalf("match %d missing from stream", m.Index)
 		}
+	}
+}
+
+// TestConcurrentMixedTraffic drives streams, ingest and delete at once
+// over real HTTP for ~300 ms: every response is 200, every stream ends in
+// a done-trailer with no error while writers bump the epoch under the
+// scans, and the database ends holding exactly what was not deleted.
+func TestConcurrentMixedTraffic(t *testing.T) {
+	db := gsim.New(gsim.WithName("mixed"))
+	ts := httptest.NewServer(New(Config{DB: db, CacheEntries: 32, DefaultMethod: gsim.LSAP}).Handler())
+	defer ts.Close()
+	graph := wireGraph{Vertices: []string{"mut-A", "mut-B"}, Edges: []wireEdge{{U: 0, V: 1, Label: "mut-e"}}}
+	// call sends one JSON request and returns the body of its 200 reply.
+	call := func(method, path string, body any) []byte {
+		var buf bytes.Buffer
+		json.NewEncoder(&buf).Encode(body)
+		req, _ := http.NewRequest(method, ts.URL+path, &buf)
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Errorf("%s %s: %v", method, path, err)
+			return nil
+		}
+		defer resp.Body.Close()
+		reply, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("%s %s: status %d, read error %v: %s", method, path, resp.StatusCode, err, reply)
+		}
+		return reply
+	}
+	ingest := func() int {
+		var resp ingestResponse
+		err := json.Unmarshal(call("POST", "/v1/graphs", ingestGraphs{Graphs: []wireGraph{graph}}), &resp)
+		if err != nil || len(resp.IDs) != 1 {
+			t.Errorf("ingest response %+v: %v", resp, err)
+			return -1
+		}
+		return resp.IDs[0]
+	}
+	const seeded = 20
+	for i := 0; i < seeded; i++ {
+		ingest()
+	}
+	var streams, kept atomic.Int64
+	agents := []func(){
+		func() {
+			reply := call("POST", "/v1/stream", searchRequest{Graph: graph, wireOptions: wireOptions{Tau: 1}})
+			matches, trailer := parseStream(t, bytes.NewReader(reply))
+			if !trailer.Done || trailer.Error != "" || trailer.Matches != len(matches) || len(matches) < seeded {
+				t.Errorf("stream: %d matches, trailer %+v", len(matches), trailer)
+			}
+			streams.Add(1)
+		},
+		func() { ingest(); kept.Add(1) },
+		func() { call("DELETE", "/v1/graphs/"+itoa(ingest()), nil) },
+	}
+	deadline := time.Now().Add(300 * time.Millisecond)
+	var wg sync.WaitGroup
+	for _, agent := range append(agents, agents[0]) { // two streamers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(deadline) && !t.Failed() {
+				agent()
+			}
+		}()
+	}
+	wg.Wait()
+	if streams.Load() == 0 || db.Len() != seeded+int(kept.Load()) {
+		t.Fatalf("%d streams completed; %d graphs stored, want %d", streams.Load(), db.Len(), seeded+int(kept.Load()))
 	}
 }
 

@@ -89,7 +89,7 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 func (h *Histogram) SumNS() uint64 { return h.sum.Load() }
 
 // Snapshot is a point-in-time copy of a histogram, suitable for
-// merging across shards and quantile extraction. Under concurrent
+// quantile extraction. Under concurrent
 // recording the copy is not a linearizable cut — each bucket (and the
 // count/sum pair) is individually exact and monotone, but a recorder
 // racing the copy may land in count and not yet in its bucket, or vice
@@ -109,17 +109,6 @@ func (h *Histogram) Load(s *Snapshot) {
 	s.SumNS = h.sum.Load()
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
-	}
-}
-
-// Merge adds o's observations into s. Merging is commutative and
-// associative, so per-shard snapshots fold into a global one in any
-// order with identical quantiles.
-func (s *Snapshot) Merge(o *Snapshot) {
-	s.Count += o.Count
-	s.SumNS += o.SumNS
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
 	}
 }
 

@@ -158,55 +158,6 @@ func TestConcurrentRecord(t *testing.T) {
 	}
 }
 
-// TestMergeAssociativity folds per-shard snapshots in different
-// groupings and orders and requires bit-identical aggregates — the
-// property the stats endpoint relies on when it merges shard
-// histograms scatter-gather style.
-func TestMergeAssociativity(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	shards := make([]*Histogram, 5)
-	for i := range shards {
-		shards[i] = &Histogram{}
-		for j := 0; j < 1000+i*137; j++ {
-			shards[i].RecordNS(rng.Int63n(1 << uint(10+i*8)))
-		}
-	}
-	snap := func(i int) *Snapshot {
-		var s Snapshot
-		shards[i].Load(&s)
-		return &s
-	}
-	// ((0+1)+2)+(3+4) vs 4+(3+(2+(1+0)))
-	left := snap(0)
-	left.Merge(snap(1))
-	left.Merge(snap(2))
-	tail := snap(3)
-	tail.Merge(snap(4))
-	left.Merge(tail)
-
-	right := snap(0)
-	for i := 1; i < 5; i++ {
-		r := snap(i)
-		r.Merge(right)
-		right = r
-	}
-	if *left != *right {
-		t.Fatal("merge result depends on association order")
-	}
-	var total uint64
-	for i := range shards {
-		total += shards[i].Count()
-	}
-	if left.Count != total || left.Total() != total {
-		t.Fatalf("merged Count=%d Total=%d, want %d", left.Count, left.Total(), total)
-	}
-	for _, q := range []float64{0.5, 0.99, 0.999} {
-		if left.Quantile(q) != right.Quantile(q) {
-			t.Fatalf("quantile %v differs across merge orders", q)
-		}
-	}
-}
-
 // TestWriteProm checks the exposition's invariants: cumulative bucket
 // counts, a +Inf bucket equal to _count, and seconds-scaled bounds.
 func TestWriteProm(t *testing.T) {

@@ -1,8 +1,7 @@
 package gsim
 
 // Version identifies the library build. It is surfaced by the serving
-// layer (gsim_build_info on /metrics, the "version" field of /v1/stats),
-// by the daemon's -version flag, and embedded — for both ends of the
-// connection — in gsimload soak reports, so a latency regression can be
+// layer (gsim_build_info on /metrics, the "version" field of /v1/stats)
+// and by the daemon's -version flag, so a latency regression can be
 // attributed to the build that produced it.
 const Version = "0.10.0"
