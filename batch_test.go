@@ -3,13 +3,10 @@ package gsim_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"gsim"
-	"gsim/internal/method"
 )
 
 // batchQueries materialises n queries from the dataset's workload, cycling
@@ -22,144 +19,82 @@ func batchQueries(d *gsim.Database, qis []int, n int) []*gsim.Query {
 	return out
 }
 
-// TestSearchBatchStrategiesAgree: the entry-major and query-major
-// strategies must produce identical Results — same matches, same scores,
-// same scan counts — for every registered method, with and without the
-// prefilter.
+// TestSearchBatchStrategiesAgree: the two ways to consume a batch — the
+// collected SearchBatch and the streamed SearchBatchFunc — must produce
+// identical Results (same matches, same scores, same scan counts), each
+// query delivered once and in order, for every registered method with and
+// without the prefilter, and for CollectAll. (The name predates the single
+// executor, when it compared entry-major with query-major.)
 func TestSearchBatchStrategiesAgree(t *testing.T) {
 	ds := tinyDataset(t, 46)
 	d := openDataset(t, ds)
 	queries := batchQueries(d, ds.Queries, len(ds.Queries))
+	var opts []gsim.SearchOptions
 	for _, m := range gsim.Methods() {
-		for _, prefilter := range []bool{false, true} {
-			opt := gsim.SearchOptions{Method: m, Tau: 3, Gamma: 0.5, Prefilter: prefilter}
-			opt.BatchStrategy = gsim.BatchQueryMajor
-			want, err := d.SearchBatch(context.Background(), queries, opt)
-			if err != nil {
-				t.Fatalf("%v prefilter=%v query-major: %v", m, prefilter, err)
-			}
-			opt.BatchStrategy = gsim.BatchEntryMajor
-			got, err := d.SearchBatch(context.Background(), queries, opt)
-			if err != nil {
-				t.Fatalf("%v prefilter=%v entry-major: %v", m, prefilter, err)
-			}
-			for i := range queries {
-				if !reflect.DeepEqual(got[i].Matches, want[i].Matches) {
-					t.Fatalf("%v prefilter=%v query %d: entry-major %v, query-major %v",
-						m, prefilter, i, got[i].Matches, want[i].Matches)
-				}
-				if got[i].Scanned != want[i].Scanned {
-					t.Fatalf("%v prefilter=%v query %d: entry-major scanned %d, query-major %d",
-						m, prefilter, i, got[i].Scanned, want[i].Scanned)
-				}
-			}
-		}
+		opts = append(opts,
+			gsim.SearchOptions{Method: m, Tau: 3, Gamma: 0.5},
+			gsim.SearchOptions{Method: m, Tau: 3, Gamma: 0.5, Prefilter: true})
 	}
-	// CollectAll batches agree too (forced entry-major: auto keeps
-	// CollectAll on the streaming query-major path).
-	for _, m := range []gsim.Method{gsim.GBDA, gsim.Seriation} {
-		opt := gsim.SearchOptions{Method: m, Tau: 3, Gamma: 0.5, CollectAll: true}
+	opts = append(opts,
+		gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.5, CollectAll: true},
+		gsim.SearchOptions{Method: gsim.Seriation, Tau: 3, CollectAll: true})
+	for _, opt := range opts {
 		want, err := d.SearchBatch(context.Background(), queries, opt)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v prefilter=%v collectAll=%v collected: %v", opt.Method, opt.Prefilter, opt.CollectAll, err)
 		}
-		opt.BatchStrategy = gsim.BatchEntryMajor
-		got, err := d.SearchBatch(context.Background(), queries, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range queries {
-			if !reflect.DeepEqual(got[i].Matches, want[i].Matches) {
-				t.Fatalf("%v CollectAll query %d: strategies disagree", m, i)
+		next := 0
+		err = d.SearchBatchFunc(context.Background(), queries, opt, func(i int, got *gsim.Result) error {
+			if i != next {
+				t.Fatalf("%v prefilter=%v collectAll=%v: streamed query %d, want %d",
+					opt.Method, opt.Prefilter, opt.CollectAll, i, next)
 			}
+			next++
+			if !reflect.DeepEqual(got.Matches, want[i].Matches) {
+				t.Fatalf("%v prefilter=%v collectAll=%v query %d: streamed %v, collected %v",
+					opt.Method, opt.Prefilter, opt.CollectAll, i, got.Matches, want[i].Matches)
+			}
+			if got.Scanned != want[i].Scanned {
+				t.Fatalf("%v prefilter=%v collectAll=%v query %d: streamed scanned %d, collected %d",
+					opt.Method, opt.Prefilter, opt.CollectAll, i, got.Scanned, want[i].Scanned)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%v prefilter=%v collectAll=%v streamed: %v", opt.Method, opt.Prefilter, opt.CollectAll, err)
+		}
+		if next != len(queries) {
+			t.Fatalf("%v prefilter=%v collectAll=%v: streamed %d results for %d queries",
+				opt.Method, opt.Prefilter, opt.CollectAll, next, len(queries))
 		}
 	}
 }
 
-// TestSearchBatchEntryMajorSharesEntryWork is the acceptance criterion of
-// the entry-major strategy: on a 64-query batch it must materialise each
-// entry's representation at least 2× less often than the query-major path
-// (it actually pays it once per entry — a 64× reduction).
-func TestSearchBatchEntryMajorSharesEntryWork(t *testing.T) {
-	ds := tinyDataset(t, 47)
-	d := openDataset(t, ds)
-	queries := batchQueries(d, ds.Queries, 64)
-	count := func(strat gsim.BatchStrategy) int64 {
-		var decomps atomic.Int64
-		method.SetDecompCounter(&decomps)
-		defer method.SetDecompCounter(nil)
-		opt := gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.5, BatchStrategy: strat}
-		if _, err := d.SearchBatch(context.Background(), queries, opt); err != nil {
-			t.Fatal(err)
-		}
-		return decomps.Load()
-	}
-	qd := count(gsim.BatchQueryMajor)
-	ed := count(gsim.BatchEntryMajor)
-	n := int64(len(ds.DBGraphs))
-	if qd != 64*n {
-		t.Fatalf("query-major decompositions = %d, want %d (64 queries × %d entries)", qd, 64*n, n)
-	}
-	if ed != n {
-		t.Fatalf("entry-major decompositions = %d, want %d (one per entry)", ed, n)
-	}
-	if ed*2 > qd {
-		t.Fatalf("entry-major shares too little: %d decompositions vs query-major %d", ed, qd)
-	}
-}
-
-// TestSearchBatchAutoStrategy: BatchAuto runs entry-major for scorers with
-// native batch support — observable through the shared decomposition count
-// — but keeps CollectAll workloads on the streaming query-major path.
-func TestSearchBatchAutoStrategy(t *testing.T) {
-	ds := tinyDataset(t, 48)
-	d := openDataset(t, ds)
-	queries := batchQueries(d, ds.Queries, 4)
-	n := int64(len(ds.DBGraphs))
-	run := func(opt gsim.SearchOptions) int64 {
-		var decomps atomic.Int64
-		method.SetDecompCounter(&decomps)
-		defer method.SetDecompCounter(nil)
-		if _, err := d.SearchBatch(context.Background(), queries, opt); err != nil {
-			t.Fatal(err)
-		}
-		return decomps.Load()
-	}
-	if got := run(gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.5}); got != n {
-		t.Fatalf("auto threshold batch decompositions = %d, want %d (entry-major)", got, n)
-	}
-	if got := run(gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.5, CollectAll: true}); got != 4*n {
-		t.Fatalf("auto CollectAll batch decompositions = %d, want %d (query-major)", got, 4*n)
-	}
-}
-
-// TestSearchBatchEntryMajorCancellation: a cancelled context fails an
-// entry-major batch before any result reaches the callback, and a
-// mid-batch cancellation aborts the remaining query-major scans.
+// TestSearchBatchEntryMajorCancellation: a cancelled context fails a
+// streamed batch before any result reaches the callback, and a mid-batch
+// cancellation aborts the remaining scans. (The name predates the single
+// executor; the checks now run against it.)
 func TestSearchBatchEntryMajorCancellation(t *testing.T) {
 	ds := tinyDataset(t, 49)
 	d := openDataset(t, ds)
 	queries := batchQueries(d, ds.Queries, 4)
+	opt := gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.5}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := d.SearchBatchFunc(ctx, queries, gsim.SearchOptions{
-		Method: gsim.GBDA, Tau: 3, Gamma: 0.5, BatchStrategy: gsim.BatchEntryMajor,
-	}, func(i int, res *gsim.Result) error {
+	err := d.SearchBatchFunc(ctx, queries, opt, func(i int, res *gsim.Result) error {
 		t.Fatal("callback fired under a cancelled context")
 		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("entry-major err = %v, want context.Canceled", err)
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
-	// Query-major: cancel after the first result; the second scan aborts.
+	// Cancel after the first result; the second scan aborts.
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	var calls int
-	err = d.SearchBatchFunc(ctx, queries, gsim.SearchOptions{
-		Method: gsim.GBDA, Tau: 3, Gamma: 0.5, BatchStrategy: gsim.BatchQueryMajor,
-	}, func(i int, res *gsim.Result) error {
+	err = d.SearchBatchFunc(ctx, queries, opt, func(i int, res *gsim.Result) error {
 		calls++
 		cancel()
 		return nil
@@ -173,7 +108,7 @@ func TestSearchBatchEntryMajorCancellation(t *testing.T) {
 }
 
 // TestSearchBatchFuncCallbackErrorAborts: a callback error aborts the rest
-// of the batch on the entry-major path and is returned verbatim.
+// of the batch and is returned verbatim.
 func TestSearchBatchFuncCallbackErrorAborts(t *testing.T) {
 	ds := tinyDataset(t, 50)
 	d := openDataset(t, ds)
@@ -181,7 +116,7 @@ func TestSearchBatchFuncCallbackErrorAborts(t *testing.T) {
 	boom := errors.New("consumer failed")
 	var calls int
 	err := d.SearchBatchFunc(context.Background(), queries, gsim.SearchOptions{
-		Method: gsim.GBDA, Tau: 3, Gamma: 0.5, BatchStrategy: gsim.BatchEntryMajor,
+		Method: gsim.GBDA, Tau: 3, Gamma: 0.5,
 	}, func(i int, res *gsim.Result) error {
 		calls++
 		if i == 1 {
@@ -225,22 +160,5 @@ func TestSearchTopKBatchMatchesSearchTopK(t *testing.T) {
 	}
 	if _, err := d.SearchTopKBatch(context.Background(), queries, gsim.TopKOptions{Method: gsim.Exact, K: 5}); err == nil {
 		t.Fatal("SearchTopKBatch accepted a non-rankable method")
-	}
-}
-
-// TestParseBatchStrategyRoundTrip: every strategy parses from its own
-// rendered name; unknown names are rejected.
-func TestParseBatchStrategyRoundTrip(t *testing.T) {
-	for _, s := range []gsim.BatchStrategy{gsim.BatchAuto, gsim.BatchQueryMajor, gsim.BatchEntryMajor} {
-		got, err := gsim.ParseBatchStrategy(s.String())
-		if err != nil || got != s {
-			t.Fatalf("ParseBatchStrategy(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	if _, err := gsim.ParseBatchStrategy("diagonal"); err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
-	if fmt.Sprint(gsim.BatchEntryMajor) != "entry" {
-		t.Fatalf("BatchEntryMajor renders as %q", gsim.BatchEntryMajor)
 	}
 }

@@ -111,7 +111,7 @@ func searchBench(b *testing.B, fx *fixture, opt gsim.SearchOptions) {
 	}
 }
 
-// ---- batch strategies ----------------------------------------------------
+// ---- batches -------------------------------------------------------------
 
 var (
 	batchOnce sync.Once
@@ -143,8 +143,8 @@ func batchFixture(b *testing.B) *fixture {
 }
 
 // BenchmarkSearchBatch measures one whole-batch search per iteration at
-// each workload size under both execution strategies — the stable signal
-// the CI bench job gates on (cmd/benchgate vs BENCH_baseline.json).
+// each workload size — the stable signal the CI bench job gates on
+// (cmd/benchgate vs BENCH_baseline.json).
 func BenchmarkSearchBatch(b *testing.B) {
 	fx := batchFixture(b)
 	for _, nq := range []int{1, 8, 64} {
@@ -152,23 +152,21 @@ func BenchmarkSearchBatch(b *testing.B) {
 		for i := range queries {
 			queries[i] = fx.db.Query(fx.ds.Queries[i%len(fx.ds.Queries)])
 		}
-		for _, strat := range []gsim.BatchStrategy{gsim.BatchQueryMajor, gsim.BatchEntryMajor} {
-			b.Run(fmt.Sprintf("queries=%d/strategy=%s", nq, strat), func(b *testing.B) {
-				opt := gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.5, BatchStrategy: strat}
-				ctx := context.Background()
-				// One untimed batch warms the per-size models and
-				// Jeffreys priors (offline artifacts, not batch cost).
+		b.Run(fmt.Sprintf("queries=%d", nq), func(b *testing.B) {
+			opt := gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.5}
+			ctx := context.Background()
+			// One untimed batch warms the per-size models and
+			// Jeffreys priors (offline artifacts, not batch cost).
+			if _, err := fx.db.SearchBatch(ctx, queries, opt); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, err := fx.db.SearchBatch(ctx, queries, opt); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := fx.db.SearchBatch(ctx, queries, opt); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -9,7 +9,6 @@
 //	experiments -exp all                  # the whole suite, paper order
 //	experiments -exp fig8 -syn-sizes 1000,2000,5000,10000 -syn-graphs 50
 //	experiments -exp fig10 -scale 0.25 -queries 20
-//	experiments -exp xbatch -batch entry   # pin the SearchBatch strategy
 //
 // Default volumes are laptop-sized; raise -scale/-syn-sizes toward the
 // paper's dimensions given time and memory.
@@ -22,7 +21,6 @@ import (
 	"strconv"
 	"strings"
 
-	"gsim"
 	"gsim/internal/exper"
 )
 
@@ -37,7 +35,6 @@ func main() {
 		lsapCap  = flag.Int("lsap-cap", 1000, "largest synthetic size for the O(n^3) LSAP baseline")
 		baseCap  = flag.Int("baseline-cap", 5000, "largest synthetic size for greedy/seriation baselines")
 		workers  = flag.Int("workers", 0, "scan workers (0 = GOMAXPROCS)")
-		batch    = flag.String("batch", "auto", "SearchBatch strategy: auto, query or entry")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
@@ -57,11 +54,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
-	strategy, err := gsim.ParseBatchStrategy(*batch)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
-	}
 	opt := exper.Options{
 		Scale:          *scale,
 		SynSizes:       sizes,
@@ -71,7 +63,6 @@ func main() {
 		LSAPSynCap:     *lsapCap,
 		BaselineSynCap: *baseCap,
 		Workers:        *workers,
-		Batch:          strategy,
 	}
 	if strings.EqualFold(*exp, "all") {
 		err = exper.RunAll(opt, os.Stdout)

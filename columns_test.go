@@ -53,16 +53,14 @@ func prunedCounters(d *Database) (pruned, scanned uint64, byShard []uint64) {
 }
 
 // recount is the oracle: how many of the projection's entries the
-// prefilter prunes for these queries, by owning shard.
-func recount(d *Database, p *projection, queries []*Query, tau int) []uint64 {
+// prefilter prunes for q, by owning shard.
+func recount(d *Database, p *projection, q *Query, tau int) []uint64 {
 	byShard := make([]uint64, d.NumShards())
-	for _, q := range queries {
-		qp := index.PrepareQuery(q.g)
-		qids := d.store.BranchDict().ResolveMultiset(q.branches)
-		for pos, e := range p.entries {
-			if p.pre.Prunable(&qp, qids, e, pos, tau) {
-				byShard[d.store.ShardIndex(e.ID)]++
-			}
+	qp := index.PrepareQuery(q.g)
+	qids := d.store.BranchDict().ResolveMultiset(q.branches)
+	for pos, e := range p.entries {
+		if p.pre.Prunable(&qp, qids, e, pos, tau) {
+			byShard[d.store.ShardIndex(e.ID)]++
 		}
 	}
 	return byShard
@@ -104,10 +102,10 @@ func searchForms(t *testing.T, label string, d *Database, rng *rand.Rand) {
 	n := len(p.entries)
 	ctx := context.Background()
 	opt := SearchOptions{Method: GreedySort, Tau: tau, Prefilter: true, Workers: 1 + rng.Intn(4)}
-	queries := []*Query{buildRandomQuery(d, rng), buildRandomQuery(d, rng), buildRandomQuery(d, rng)}
-	q := queries[0]
+	q := buildRandomQuery(d, rng)
+	want := recount(d, p, q, tau)
 
-	expectPruned(t, label+"/full", d, recount(d, p, queries[:1], tau), true, func() (int, int) {
+	expectPruned(t, label+"/full", d, want, true, func() (int, int) {
 		res, err := d.Search(q, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +120,7 @@ func searchForms(t *testing.T, label string, d *Database, rng *rand.Rand) {
 		}
 		return res.Stages.Pruned, res.Scanned
 	})
-	expectPruned(t, label+"/traced", d, recount(d, p, queries[:1], tau), true, func() (int, int) {
+	expectPruned(t, label+"/traced", d, want, true, func() (int, int) {
 		traced := opt
 		traced.Trace = true
 		res, err := d.Search(q, traced)
@@ -131,7 +129,7 @@ func searchForms(t *testing.T, label string, d *Database, rng *rand.Rand) {
 		}
 		return res.Stages.Pruned, res.Scanned
 	})
-	expectPruned(t, label+"/early-stop", d, recount(d, p, queries[:1], tau), false, func() (int, int) {
+	expectPruned(t, label+"/early-stop", d, want, false, func() (int, int) {
 		st, err := d.SearchStreamStats(ctx, q, opt, func(Match) bool { return false })
 		if err != nil {
 			t.Fatal(err)
@@ -140,15 +138,6 @@ func searchForms(t *testing.T, label string, d *Database, rng *rand.Rand) {
 			t.Fatalf("%s: stopped scan examined %d of %d", label, st.Scanned, n)
 		}
 		return st.Stages.Pruned, st.Scanned
-	})
-	expectPruned(t, label+"/entry-major", d, recount(d, p, queries, tau), true, func() (int, int) {
-		batch := opt
-		batch.BatchStrategy = BatchEntryMajor
-		res, err := d.SearchBatch(ctx, queries, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res[0].Stages.Pruned, res[0].Scanned // the shared scan, reported on every result
 	})
 	expectPruned(t, label+"/top-k", d, make([]uint64, d.NumShards()), true, func() (int, int) {
 		res, err := d.SearchTopK(q, TopKOptions{Method: GreedySort, K: 5, Tau: tau})

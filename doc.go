@@ -176,29 +176,15 @@
 // (consulted only until the first manifest lands). The on-disk formats
 // are this directory for durability and .gsim text for interchange.
 //
-// # Batch strategies
+// # Batches
 //
-// A batch (SearchBatch, SearchBatchFunc, SearchTopKBatch) executes under
-// one of two strategies:
-//
-// Query-major pipelines queries one at a time through a hot engine: the
-// scorer is prepared once, then each query runs a full parallel scan.
-// Results stream to the caller per query, so a SearchBatchFunc consumer
-// holds at most one query's result — the right shape for CollectAll
-// workloads, whose per-query result is the whole scored database.
-//
-// Entry-major flips the loop: workers claim database entries, compute each
-// entry's shared representation once (its branch decomposition stays hot
-// in cache, the seriation baseline seriates it exactly once), and score it
-// against every query in the batch before moving on — entries are scanned
-// once per batch instead of once per query. Methods without native batch
-// support run through a pairwise adapter with identical results.
-//
-// SearchOptions.BatchStrategy selects explicitly; the default BatchAuto
-// picks entry-major whenever the scorer natively shares per-entry work and
-// the search is not CollectAll. Both strategies return identical Results
-// (entry-major reports the shared scan's wall time as every Result's
-// Elapsed).
+// A batch (SearchBatch, SearchBatchFunc, SearchTopKBatch) validates and
+// prepares the scorer and takes the consistent cut once, then runs each
+// query through the same parallel scan a single search runs — size window,
+// signature skip-scan and bounded merge included. Results reach the caller
+// per query, so a SearchBatchFunc consumer holds at most one query's
+// result (for CollectAll, the whole scored database), and each Result
+// reports its own Scanned, Elapsed and Stages.
 //
 // The offline stage (BuildPriors) fits the GBD prior — a Gaussian mixture
 // over sampled pair GBDs — and prepares the per-size Jeffreys priors the
@@ -308,9 +294,9 @@
 //	d.SearchStream(ctx, query, opt, func(m gsim.Match) bool { return false })
 //	// the 10 most similar graphs, O(10) memory
 //	d.SearchTopK(query, gsim.TopKOptions{Method: gsim.GBDA, K: 10})
-//	// one prepared scorer over a whole workload, entries scanned once
+//	// one prepared scorer over a whole workload, one scan per query
 //	d.SearchBatch(ctx, queries, opt)
-//	// the 10 most similar graphs per query, one entry-major pass
+//	// the 10 most similar graphs per query
 //	d.SearchTopKBatch(ctx, queries, gsim.TopKOptions{Method: gsim.GBDA, K: 10})
 //
 // To serve the database over HTTP, run the gsimd command (see "Serving

@@ -91,16 +91,16 @@ func main() {
 	}
 	fmt.Printf("first streamed hit: %s (posterior=%.3f)\n", first.Name, first.Score)
 
-	// Multi-query batch: rank the top 3 neighbours of several queries in
-	// one entry-major pass — each stored graph is scanned once for the
-	// whole workload, not once per query.
+	// Multi-query batch: rank the top 3 neighbours of several queries with
+	// one prepared search — the scorer and snapshot are set up once, then
+	// each query runs its own ranked scan.
 	batch := []*gsim.Query{q, d.Query(0), d.Query(4)}
 	ranked, err := d.SearchTopKBatch(context.Background(), batch,
 		gsim.TopKOptions{Method: gsim.GBDA, K: 3, Tau: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("top-3 per query, one shared scan:\n")
+	fmt.Printf("top-3 per query, one prepared search:\n")
 	for i, r := range ranked {
 		fmt.Printf("  %-14s →", batch[i].Name())
 		for _, m := range r.Matches {

@@ -19,7 +19,8 @@ import "context"
 //
 // It is ScanRanges with a runner that owns the verdict buffer and emits
 // every position — a consumer that wants only some of them writes its
-// own runner and calls Emit for those.
+// own runner and calls Emit for those. benchmark/ladder.go is its only
+// non-test caller.
 func ScanBatch[T any](ctx context.Context, n, q int, opt Options, process func(pos int, out []T) error, emit func(pos int, out []T) bool) (int, error) {
 	if q <= 0 {
 		return 0, ctx.Err()

@@ -46,10 +46,6 @@ type Options struct {
 	MaxDBGraphs int
 	// Workers for parallel scans (≤ 0: GOMAXPROCS).
 	Workers int
-	// Batch selects the SearchBatch execution strategy for the query
-	// workloads the harness runs (default gsim.BatchAuto: entry-major
-	// whenever the scorer shares per-entry work).
-	Batch gsim.BatchStrategy
 }
 
 func (o Options) withDefaults() Options {
@@ -208,8 +204,6 @@ func (r *runner) run(id string) ([]*Table, error) {
 		return r.xPrefilter()
 	case id == "xhybrid":
 		return r.xHybrid()
-	case id == "xbatch":
-		return r.xBatch()
 	case id == "table3":
 		return r.table3()
 	case id == "table4":

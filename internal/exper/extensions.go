@@ -1,14 +1,10 @@
 package exper
 
 import (
-	"context"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"gsim"
 	"gsim/internal/index"
-	"gsim/internal/method"
 	"gsim/internal/metrics"
 )
 
@@ -17,7 +13,7 @@ import (
 // artifacts but listed separately.
 
 // ExtensionIDs lists the runnable extension experiments.
-func ExtensionIDs() []string { return []string{"xprefilter", "xhybrid", "xbatch"} }
+func ExtensionIDs() []string { return []string{"xprefilter", "xhybrid"} }
 
 // xPrefilter measures the layered admissible filter: pruning power per
 // layer and the end-to-end speedup it buys each method.
@@ -60,63 +56,6 @@ func (r *runner) xPrefilter() ([]*Table, error) {
 		speed.Rows = append(speed.Rows, []string{m.String(), fmtSeconds(plain), fmtSeconds(filt)})
 	}
 	return []*Table{power, speed}, nil
-}
-
-// xBatch measures the two SearchBatch execution strategies on the same
-// workload: wall-clock time for the whole batch and the number of entry
-// decompositions each strategy pays (counted via the method test hook).
-// Entry-major claims every database entry once per batch; query-major
-// revisits it once per query.
-func (r *runner) xBatch() ([]*Table, error) {
-	e, err := r.realEnv("grec")
-	if err != nil {
-		return nil, err
-	}
-	queries := r.prepared(e, r.queries(e.ds))
-	t := &Table{
-		ID:     "xbatch",
-		Title:  fmt.Sprintf("SearchBatch strategies on grec, %d queries (extension)", len(queries)),
-		Header: []string{"method", "query-major", "entry-major", "speedup", "decomp-q", "decomp-e"},
-		Notes: []string{
-			"decomp-* = entry representations materialised during the batch (test hook)",
-			"GBDA and seriation share each entry's representation across the workload; the matrix baselines rebuild per pair under either strategy",
-		},
-	}
-	run := func(m gsim.Method, strat gsim.BatchStrategy) (time.Duration, int64, error) {
-		opt := gsim.SearchOptions{Method: m, Tau: 5, Gamma: 0.9, Workers: r.opt.Workers, BatchStrategy: strat}
-		// One untimed batch warms the per-size models and Jeffreys
-		// priors: those are offline artifacts, not per-query cost.
-		if _, err := e.db.SearchBatch(context.Background(), queries, opt); err != nil {
-			return 0, 0, err
-		}
-		var decomps atomic.Int64
-		method.SetDecompCounter(&decomps)
-		defer method.SetDecompCounter(nil)
-		t0 := time.Now()
-		if _, err := e.db.SearchBatch(context.Background(), queries, opt); err != nil {
-			return 0, 0, err
-		}
-		return time.Since(t0), decomps.Load(), nil
-	}
-	for _, m := range []gsim.Method{gsim.GBDA, gsim.GreedySort, gsim.Seriation} {
-		qt, qd, err := run(m, gsim.BatchQueryMajor)
-		if err != nil {
-			return nil, err
-		}
-		et, ed, err := run(m, gsim.BatchEntryMajor)
-		if err != nil {
-			return nil, err
-		}
-		speed := "n/a"
-		if et > 0 {
-			speed = fmt.Sprintf("%.2fx", float64(qt)/float64(et))
-		}
-		t.Rows = append(t.Rows, []string{
-			m.String(), fmtSeconds(qt), fmtSeconds(et), speed,
-			fmt.Sprint(qd), fmt.Sprint(ed),
-		})
-	}
-	return []*Table{t}, nil
 }
 
 // xHybrid compares the plain GBDA filter with the hybrid filter-verify

@@ -355,10 +355,6 @@ func (r *runner) baselineCounts(e *realEnv, opt gsim.SearchOptions, taus []int) 
 	out := make(map[int]metrics.Counts, len(taus))
 	opt.CollectAll = true
 	opt.Workers = r.opt.Workers
-	// The harness-wide Batch strategy is deliberately NOT applied here:
-	// forcing entry-major onto a CollectAll sweep would materialise every
-	// query's full scored scan at once, losing the one-scan-at-a-time
-	// bound below. BatchAuto keeps CollectAll on the streaming path.
 	opt.Tau = taus[len(taus)-1]
 	qis := r.queries(e.ds)
 	// SearchBatchFunc keeps one scored scan live at a time — CollectAll
@@ -415,7 +411,6 @@ func (r *runner) gbdaCounts(e *realEnv, opt gsim.SearchOptions, taus []int) (map
 // the confusion against the dataset's certified ground truth.
 func (r *runner) effect(e *realEnv, opt gsim.SearchOptions) (metrics.Counts, error) {
 	var agg metrics.Counts
-	opt.BatchStrategy = r.opt.Batch
 	qis := r.queries(e.ds)
 	err := e.db.SearchBatchFunc(context.Background(), r.prepared(e, qis), opt, func(n int, res *gsim.Result) error {
 		agg.Add(metrics.Evaluate(res.Indexes(), e.ds.TruthSet(qis[n], opt.Tau)))

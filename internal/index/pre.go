@@ -562,7 +562,7 @@ func (f *Flat) Len() int { return len(f.sig) }
 // bit-identical to PairPrunable over the legacy Summary. A scan over a
 // range of positions takes the same decision in two steps that read less:
 // NextUndecided over the signature column, then PrunableExact for the
-// positions it stops at.
+// positions it stops at. benchmark/ladder.go is its only non-test caller.
 func (f *Flat) Prunable(q *QueryPre, qBranches branch.IDs, e *db.Entry, pos, tau int) bool {
 	return sigPrunes(q.Sig, f.sig[pos], tau) || f.PrunableExact(q, qBranches, e, pos, tau)
 }

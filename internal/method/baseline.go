@@ -1,8 +1,6 @@
 package method
 
 import (
-	"math"
-
 	"gsim/internal/db"
 	"gsim/internal/graph"
 	"gsim/internal/lsap"
@@ -31,8 +29,7 @@ func init() {
 // baselineScorer wraps the quadratic-memory competitors — branch-LSAP lower
 // bound [11] and Greedy-Sort-GED [12] — behind the shared size guard that
 // reproduces the paper's 128 GB memory wall. Both methods build a fresh
-// cost matrix per pair, so their entry-major batch pass shares only the
-// entry claim and the entry's cache residency, not computation.
+// cost matrix per pair.
 type baselineScorer struct {
 	estimate func(a, b *graph.Graph) float64
 	// bound marks an exact lower bound, whose threshold comparison needs
@@ -40,7 +37,6 @@ type baselineScorer struct {
 	// integers.
 	bound bool
 	opt   Options
-	batch []*Query // workload of an entry-major scan; see PrepareBatch
 }
 
 func (b *baselineScorer) Prepare(d *DB, opt Options) error {
@@ -50,41 +46,12 @@ func (b *baselineScorer) Prepare(d *DB, opt Options) error {
 
 func (b *baselineScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 	countEntryDecomp()
-	return b.scorePair(q, e)
-}
-
-func (b *baselineScorer) scorePair(q *Query, e *db.Entry) (bool, float64, error) {
 	if maxInt(q.G.NumVertices(), e.G.NumVertices()) > b.opt.BaselineMaxVertices {
 		return false, 0, ErrTooLarge
 	}
 	est := b.estimate(q.G, e.G)
 	keep := decideEstimate(est, b.opt, b.bound)
 	return keep, est, nil
-}
-
-// PrepareBatch captures the workload for entry-major scans.
-func (b *baselineScorer) PrepareBatch(queries []*Query) error {
-	b.batch = queries
-	return nil
-}
-
-// ScoreEntry scores one entry against every prepared query pairwise. The
-// decomposition counter fires per pair, as in Score: these methods build a
-// fresh cost matrix for every pairing, so entry-major genuinely shares no
-// representation — the count must say so.
-func (b *baselineScorer) ScoreEntry(e *db.Entry, out []Verdict) error {
-	for k, q := range b.batch {
-		if out[k].Skip {
-			continue
-		}
-		countEntryDecomp()
-		keep, est, err := b.scorePair(q, e)
-		if err != nil {
-			return err
-		}
-		out[k] = Verdict{Keep: keep, Score: est}
-	}
-	return nil
 }
 
 // decideEstimate applies the τ̂ threshold (or CollectAll) to a distance
@@ -97,16 +64,10 @@ func decideEstimate(est float64, opt Options, bound bool) bool {
 	return opt.CollectAll || est <= tau
 }
 
-// seriationScorer is the spectral baseline of Robles-Kelly & Hancock [13].
-// Unlike the matrix-building baselines it decomposes cleanly into a
-// per-graph spectral step (the seriation order) and a per-pair alignment,
-// so its entry-major batch pass computes each entry's order once per batch
-// and each query's order once per workload — where the query-major path
-// re-seriates both sides of every pair.
+// seriationScorer is the spectral baseline of Robles-Kelly & Hancock [13]:
+// each pair seriates both graphs and aligns the two orders.
 type seriationScorer struct {
-	opt    Options
-	batch  []*Query
-	orders [][]int // per-query seriation orders, computed in PrepareBatch
+	opt Options
 }
 
 func (s *seriationScorer) Prepare(d *DB, opt Options) error {
@@ -122,36 +83,4 @@ func (s *seriationScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 	est := float64(seriation.EstimateGEDInt(q.G, e.G))
 	keep := decideEstimate(est, s.opt, false)
 	return keep, est, nil
-}
-
-// PrepareBatch seriates every query once for the whole batch.
-func (s *seriationScorer) PrepareBatch(queries []*Query) error {
-	s.batch = queries
-	s.orders = make([][]int, len(queries))
-	for k, q := range queries {
-		s.orders[k] = seriation.Order(q.G)
-	}
-	return nil
-}
-
-// ScoreEntry seriates the entry once, then aligns every prepared query's
-// precomputed order against it.
-func (s *seriationScorer) ScoreEntry(e *db.Entry, out []Verdict) error {
-	var eo []int // entry order materialised lazily, once, on first live slot
-	for k, q := range s.batch {
-		if out[k].Skip {
-			continue
-		}
-		if maxInt(q.G.NumVertices(), e.G.NumVertices()) > s.opt.BaselineMaxVertices {
-			return ErrTooLarge
-		}
-		if eo == nil {
-			countEntryDecomp()
-			eo = seriation.Order(e.G)
-		}
-		est := math.Round(seriation.AlignOrdered(q.G, s.orders[k], e.G, eo))
-		keep := decideEstimate(est, s.opt, false)
-		out[k] = Verdict{Keep: keep, Score: est}
-	}
-	return nil
 }

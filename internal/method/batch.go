@@ -7,44 +7,34 @@ import (
 )
 
 // Verdict is the outcome of scoring one database entry against one query
-// of a batch. Skip marks a pair the caller excluded before scoring (the
-// prefilter pruned it); it is set by the scan driver and must be left
-// untouched by ScoreEntry.
+// of a batch. Skip marks a pair the caller excluded before scoring; it is
+// left untouched by ScoreEntry. benchmark/ladder.go is its only non-test
+// caller.
 type Verdict struct {
 	Skip  bool
 	Keep  bool
 	Score float64
 }
 
-// BatchScorer is the optional capability behind the entry-major batch
-// strategy: a scorer that evaluates one database entry against a whole
-// query workload in a single call, computing the entry's shared
-// representation (branch decomposition, seriation order, size) once
-// instead of once per query.
-//
-// The lifecycle extends Scorer's: Prepare, then PrepareBatch exactly once
-// with the workload, then ScoreEntry concurrently from the scan workers,
-// once per entry. ScoreEntry fills out[k] for every prepared query k whose
-// slot does not carry Skip, and must be safe for concurrent use.
+// BatchScorer scores one database entry against a whole query workload in
+// a single call: Prepare, then PrepareBatch once with the workload, then
+// ScoreEntry once per entry, filling out[k] for every query k whose slot
+// does not carry Skip. benchmark/ladder.go is its only non-test caller.
 type BatchScorer interface {
 	Scorer
 	PrepareBatch(queries []*Query) error
 	ScoreEntry(e *db.Entry, out []Verdict) error
 }
 
-// AsBatch returns s itself when it natively implements BatchScorer, or a
-// generic pairwise adapter otherwise. The bool reports native support: the
-// adapter makes any registered method run under the entry-major executor,
-// but only native implementations share per-entry work across queries.
+// AsBatch adapts s to BatchScorer with a pairwise loop over Score; the
+// bool is always false, since no scorer shares per-entry work across
+// queries. benchmark/ladder.go is its only non-test caller.
 func AsBatch(s Scorer) (BatchScorer, bool) {
-	if bs, ok := s.(BatchScorer); ok {
-		return bs, true
-	}
 	return &batchFallback{Scorer: s}, false
 }
 
 // batchFallback adapts a plain Scorer to the BatchScorer shape by scoring
-// each (query, entry) pair exactly as the query-major path would.
+// each (query, entry) pair exactly as a search would.
 type batchFallback struct {
 	Scorer
 	queries []*Query
@@ -69,19 +59,17 @@ func (f *batchFallback) ScoreEntry(e *db.Entry, out []Verdict) error {
 	return nil
 }
 
-// decompCounter is the test hook behind the batch-strategy acceptance
-// criterion: when set, scorers count one entry decomposition each time
-// they materialise an entry's scan-time representation — once per
-// (query, entry) pair under the query-major strategy, once per entry per
-// batch under entry-major. Nil (the default) keeps the hot path free of
-// contended atomics.
+// decompCounter is the test hook behind columns_test.go's cancellation
+// check: when set, every Score call counts one as it starts, so a test can
+// tell how many pairs a scan began after it was cancelled. Nil (the
+// default) keeps the hot path free of contended atomics.
 var decompCounter atomic.Pointer[atomic.Int64]
 
-// SetDecompCounter installs (or, with nil, removes) the entry
-// decomposition counter. Test-only.
+// SetDecompCounter installs (or, with nil, removes) the Score-call
+// counter. Test-only.
 func SetDecompCounter(c *atomic.Int64) { decompCounter.Store(c) }
 
-// countEntryDecomp records one entry-representation computation.
+// countEntryDecomp records one started Score call.
 func countEntryDecomp() {
 	if c := decompCounter.Load(); c != nil {
 		c.Add(1)

@@ -176,7 +176,7 @@ func TestBoundedScorersMatchUnbounded(t *testing.T) {
 					}
 					ref := reference{id: v.id, opt: opt, table: posteriorTable(s)}
 
-					// Query-major, with a census of what the corpus can see:
+					// Every pair, with a census of what the corpus can see:
 					// pairs on the last supported ϕ and one past it, pairs
 					// the bounded merge gives up on, and both decisions.
 					var atEdge, pastEdge, aborted, kept, dropped int
@@ -220,29 +220,6 @@ func TestBoundedScorersMatchUnbounded(t *testing.T) {
 						}
 						if kept == 0 || (dropped == 0 && !collectAll) {
 							t.Fatalf("degenerate decision split: %d kept, %d dropped", kept, dropped)
-						}
-					}
-
-					// Entry-major.
-					bs, _ := AsBatch(info.New())
-					if err := bs.Prepare(fx.mdb, opt); err != nil {
-						t.Fatal(err)
-					}
-					if err := bs.PrepareBatch(fx.queries); err != nil {
-						t.Fatal(err)
-					}
-					out := make([]Verdict, len(fx.queries))
-					for _, e := range fx.entries {
-						clear(out)
-						if err := bs.ScoreEntry(e, out); err != nil {
-							t.Fatal(err)
-						}
-						for qi, q := range fx.queries {
-							wantKeep, wantScore := ref.score(q, e)
-							if out[qi].Keep != wantKeep || out[qi].Score != wantScore {
-								t.Fatalf("query %d × entry %d: ScoreEntry = (%v, %v), unbounded reference (%v, %v)",
-									qi, e.ID, out[qi].Keep, out[qi].Score, wantKeep, wantScore)
-							}
 						}
 					}
 				})

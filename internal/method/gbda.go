@@ -35,7 +35,6 @@ type gbdaScorer struct {
 	variant ID
 	table   *lazyTable
 	opt     Options
-	batch   []*Query // workload of an entry-major scan; see PrepareBatch
 }
 
 // preparePosterior validates the offline artifacts and builds the shared
@@ -211,33 +210,4 @@ func (g *gbdaScorer) posterior(t *core.PosteriorTable, q *Query, e *db.Entry, in
 // keep is Step 4 of Algorithm 1, or everything under CollectAll.
 func (g *gbdaScorer) keep(post float64) bool {
 	return g.opt.CollectAll || post >= g.opt.Gamma
-}
-
-// PrepareBatch captures the workload for entry-major scans and warms the
-// posterior table while no scan worker is waiting.
-func (g *gbdaScorer) PrepareBatch(queries []*Query) error {
-	g.batch = queries
-	g.table.get()
-	return nil
-}
-
-// ScoreEntry scores one entry against every prepared query: the entry's
-// representation (its precomputed branch multiset, kept hot in cache
-// across the whole workload) is visited once per batch, so the
-// decomposition counter fires once per entry — not once per pair as in
-// the query-major Score path.
-func (g *gbdaScorer) ScoreEntry(e *db.Entry, out []Verdict) error {
-	counted := false
-	for k, q := range g.batch {
-		if out[k].Skip {
-			continue
-		}
-		if !counted {
-			countEntryDecomp()
-			counted = true
-		}
-		keep, post := g.score(q, e)
-		out[k] = Verdict{Keep: keep, Score: post}
-	}
-	return nil
 }

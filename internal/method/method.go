@@ -9,6 +9,8 @@
 // database state (priors fitted, τ̂ within the model ceiling) and captures
 // per-search state; Score is then called concurrently from the engine's
 // workers, once per candidate graph, and must be safe for concurrent use.
+// A batch prepares once and scans once per query, so it calls Score once
+// per (query, candidate) pair like any other search.
 package method
 
 import (

@@ -124,15 +124,7 @@ func Order(g *graph.Graph) []int {
 // The estimate carries no bound with respect to the true GED, matching the
 // behaviour of the original method in the paper's experiments.
 func EstimateGED(g1, g2 *graph.Graph) float64 {
-	return AlignOrdered(g1, Order(g1), g2, Order(g2))
-}
-
-// AlignOrdered is the alignment half of EstimateGED for callers that have
-// already seriated the graphs: it scores precomputed orders, so a batch
-// scan can pay each graph's spectral step once and reuse the order across
-// every pairing. AlignOrdered(g1, Order(g1), g2, Order(g2)) is exactly
-// EstimateGED(g1, g2).
-func AlignOrdered(g1 *graph.Graph, o1 []int, g2 *graph.Graph, o2 []int) float64 {
+	o1, o2 := Order(g1), Order(g2)
 	n, m := len(o1), len(o2)
 	// Two-row DP keeps memory linear; the quadratic time remains.
 	prev := make([]float64, m+1)

@@ -202,13 +202,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, 0, searchStatus(err), err
 		}
-		matched := 0
-		for _, res := range results {
+		// The request's breakdown is the shared preparation once plus
+		// every query's own scan.
+		stages, scanned, matched := results[0].Stages, 0, 0
+		for i, res := range results {
+			scanned += res.Scanned
 			matched += len(res.Matches)
+			if i > 0 {
+				st := res.Stages
+				stages.ScanNS += st.ScanNS
+				stages.MergeNS += st.MergeNS
+				stages.PrefilterNS += st.PrefilterNS
+				stages.ScoreNS += st.ScoreNS
+				stages.Pruned += st.Pruned
+			}
 		}
-		// The stage breakdown is the batch's shared scan, identical on
-		// every Result.
-		noteResult(r, &results[0].Stages, results[0].Scanned, matched)
+		noteResult(r, &stages, scanned, matched)
 		resp := batchResponse{Epoch: results[0].Epoch, Results: make([]searchResponse, len(results))}
 		for i, res := range results {
 			resp.Results[i] = toResponse(res, echo)

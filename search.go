@@ -115,12 +115,6 @@ type SearchOptions struct {
 	// remove false positives. Incompatible with CollectAll (pruned
 	// graphs have no score).
 	Prefilter bool
-	// BatchStrategy overrides how SearchBatch and SearchBatchFunc
-	// execute a multi-query workload (see the BatchStrategy constants).
-	// The zero value BatchAuto picks entry-major whenever the scorer
-	// natively shares per-entry work across queries. Single-query
-	// searches ignore it.
-	BatchStrategy BatchStrategy
 	// Trace enables the fine-grained stage split for this search: the
 	// scan's prefilter and scoring phases are timed separately — three
 	// clock samples per claimed range, whose filter pass runs to the end
@@ -219,8 +213,8 @@ type Result struct {
 
 // StageStats breaks one search down by pipeline stage. All durations
 // are nanoseconds. For batch searches the prepare/cut spans are the
-// batch's shared preparation (reported identically on every Result) and
-// the scan span is the shared scan.
+// batch's shared preparation (reported identically on every Result); the
+// other fields are the query's own.
 type StageStats struct {
 	// PrepareNS covers validation, the consistent cut and scorer
 	// preparation (CutNS is the cut sub-span within it).
@@ -238,7 +232,7 @@ type StageStats struct {
 	PrefilterNS int64
 	ScoreNS     int64
 	// Pruned counts entries the admissible prefilter discarded before
-	// scoring ((entry, query) pairs for a batch).
+	// scoring.
 	Pruned int
 	// Traced reports whether the prefilter/score split above was
 	// recorded.
@@ -356,12 +350,6 @@ func (t *pruneTally) discard(lo, hi int) {
 	}
 }
 
-// add counts n pruned (entry, query) pairs at position pos.
-func (t *pruneTally) add(pos, n int) {
-	t.total += n
-	t.byShard[t.shardAt(pos)] += n
-}
-
 // publish folds the tally into the scan's and the shards' counters and
 // zeroes it; runners call it once per range.
 func (t *pruneTally) publish(tr *traceAcc) {
@@ -379,14 +367,13 @@ func (t *pruneTally) publish(tr *traceAcc) {
 }
 
 // record folds one completed scan into the database's metric group and
-// returns the query's stage breakdown. searches is the number of
-// queries the scan answered (1, or the batch width); mergeNS the
-// post-scan ordering span.
-func (ps *preparedSearch) record(tr *traceAcc, scanned, searches, matched int, mergeNS int64) StageStats {
+// returns the query's stage breakdown; mergeNS is the post-scan ordering
+// span.
+func (ps *preparedSearch) record(tr *traceAcc, scanned, matched int, mergeNS int64) StageStats {
 	t := ps.tele
 	pruned := tr.pruned.Load()
 	if t != nil {
-		t.Searches.Add(uint64(searches))
+		t.Searches.Add(1)
 		t.Scanned.Add(uint64(scanned))
 		t.Pruned.Add(uint64(pruned))
 		t.Matched.Add(uint64(matched))
@@ -779,7 +766,7 @@ func (ps *preparedSearch) collect(ctx context.Context, q *Query) (*Result, error
 	for i, h := range hits {
 		matches[i] = h.m
 	}
-	stages := ps.record(tr, scanned, 1, len(matches), int64(time.Since(mergeStart)))
+	stages := ps.record(tr, scanned, len(matches), int64(time.Since(mergeStart)))
 	return &Result{
 		Method:  ps.opt.Method,
 		Matches: matches,
@@ -842,6 +829,6 @@ func (d *Database) SearchStreamStats(ctx context.Context, q *Query, opt SearchOp
 	if err != nil {
 		return StreamStats{}, err
 	}
-	stages := ps.record(tr, scanned, 1, matched, 0)
+	stages := ps.record(tr, scanned, matched, 0)
 	return StreamStats{Scanned: scanned, Epoch: ps.epoch, Stages: stages}, nil
 }

@@ -91,8 +91,8 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedEquivalenceBatchAndTopK: the entry-major batch executor and
-// the ranking consumer must also be layout-independent.
+// TestShardedEquivalenceBatchAndTopK: the batch and ranking consumers
+// must also be layout-independent.
 func TestShardedEquivalenceBatchAndTopK(t *testing.T) {
 	ds := equivDataset(t)
 	flat := gsim.FromCollectionShards(ds.Col, ds.DBGraphs, 1)
@@ -112,19 +112,17 @@ func TestShardedEquivalenceBatchAndTopK(t *testing.T) {
 		return qs
 	}
 	ctx := context.Background()
-	for _, strategy := range []gsim.BatchStrategy{gsim.BatchQueryMajor, gsim.BatchEntryMajor} {
-		opt := gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.8, BatchStrategy: strategy}
-		ra, err := flat.SearchBatch(ctx, mkQueries(flat), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := sharded.SearchBatch(ctx, mkQueries(sharded), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ra {
-			resultsIdentical(t, fmt.Sprintf("batch/%v/query%d", strategy, i), ra[i], rb[i])
-		}
+	opt := gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.8}
+	ra, err := flat.SearchBatch(ctx, mkQueries(flat), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := sharded.SearchBatch(ctx, mkQueries(sharded), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ra {
+		resultsIdentical(t, fmt.Sprintf("batch/query%d", i), ra[i], rb[i])
 	}
 	for _, m := range []gsim.Method{gsim.GBDA, gsim.LSAP, gsim.Seriation} {
 		opt := gsim.TopKOptions{Method: m, K: 7, Tau: 4}

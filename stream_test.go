@@ -152,7 +152,9 @@ func TestPrefilterSeesGraphsAddedAfterFirstSearch(t *testing.T) {
 }
 
 // TestSearchBatchMatchesSearch: the batch API must agree with per-query
-// Search, result for result.
+// Search, result for result — same matches, same scores, same scan
+// counts — for every registered method with and without the prefilter,
+// and for CollectAll.
 func TestSearchBatchMatchesSearch(t *testing.T) {
 	ds := tinyDataset(t, 43)
 	d := openDataset(t, ds)
@@ -160,14 +162,19 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 	for _, qi := range ds.Queries {
 		queries = append(queries, d.Query(qi))
 	}
-	for _, opt := range []gsim.SearchOptions{
-		{Method: gsim.GBDA, Tau: 3, Gamma: 0.5},
-		{Method: gsim.GreedySort, Tau: 3},
-		{Method: gsim.GBDA, Tau: 3, Gamma: 0.5, Prefilter: true},
-	} {
+	var opts []gsim.SearchOptions
+	for _, m := range gsim.Methods() {
+		opts = append(opts,
+			gsim.SearchOptions{Method: m, Tau: 3, Gamma: 0.5},
+			gsim.SearchOptions{Method: m, Tau: 3, Gamma: 0.5, Prefilter: true})
+	}
+	opts = append(opts,
+		gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.5, CollectAll: true},
+		gsim.SearchOptions{Method: gsim.Seriation, Tau: 3, CollectAll: true})
+	for _, opt := range opts {
 		batch, err := d.SearchBatch(context.Background(), queries, opt)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v prefilter=%v collectAll=%v: %v", opt.Method, opt.Prefilter, opt.CollectAll, err)
 		}
 		if len(batch) != len(queries) {
 			t.Fatalf("batch returned %d results for %d queries", len(batch), len(queries))
@@ -177,11 +184,13 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(batch[i].Indexes(), single.Indexes()) {
-				t.Fatalf("%v query %d: batch %v, single %v", opt.Method, i, batch[i].Indexes(), single.Indexes())
+			if !reflect.DeepEqual(batch[i].Matches, single.Matches) {
+				t.Fatalf("%v prefilter=%v collectAll=%v query %d: batch %v, single %v",
+					opt.Method, opt.Prefilter, opt.CollectAll, i, batch[i].Matches, single.Matches)
 			}
 			if batch[i].Scanned != single.Scanned {
-				t.Fatalf("%v query %d: batch scanned %d, single %d", opt.Method, i, batch[i].Scanned, single.Scanned)
+				t.Fatalf("%v prefilter=%v collectAll=%v query %d: batch scanned %d, single %d",
+					opt.Method, opt.Prefilter, opt.CollectAll, i, batch[i].Scanned, single.Scanned)
 			}
 		}
 	}

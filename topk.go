@@ -56,66 +56,20 @@ func (d *Database) SearchTopKContext(ctx context.Context, q *Query, opt TopKOpti
 	return ps.topK(ctx, q, opt.K, info.Ascending)
 }
 
-// SearchTopKBatch ranks a whole query workload in one pass, returning the
-// K most similar graphs per query in input order. When the scorer shares
-// per-entry work (the GBDA family and the baselines), the batch runs
-// entry-major: every database entry is scanned once and offered to each
-// query's bounded K-heap under the scan's serialised emit, so memory stays
-// O(queries × K) however large the database is. Methods without native
-// batch support fall back to one ranked scan per query. Each Result's
-// Elapsed reports the shared scan's wall-clock time.
+// SearchTopKBatch ranks a whole query workload, returning the K most
+// similar graphs per query in input order: one preparation for the batch,
+// then one ranked scan per query through its own bounded K-heap, exactly
+// as SearchTopK runs it.
 func (d *Database) SearchTopKBatch(ctx context.Context, queries []*Query, opt TopKOptions) ([]*Result, error) {
 	ps, info, err := d.prepareTopK(&opt)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*Result, len(queries))
-	bs, native := method.AsBatch(ps.scorer)
-	if !native {
-		for i, q := range queries {
-			if out[i], err = ps.topK(ctx, q, opt.K, info.Ascending); err != nil {
-				return nil, err
-			}
+	for i, q := range queries {
+		if out[i], err = ps.topK(ctx, q, opt.K, info.Ascending); err != nil {
+			return nil, err
 		}
-		return out, nil
-	}
-	start := time.Now()
-	heaps := make([]*topKHeap, len(queries))
-	for k := range heaps {
-		heaps[k] = &topKHeap{k: opt.K, ascending: info.Ascending}
-	}
-	tr := &traceAcc{}
-	scanned, err := ps.streamBatch(ctx, queries, bs, tr, func(pos int, verdicts []method.Verdict) bool {
-		// A ranked scan keeps every verdict; the graph's name is read
-		// only for one that can still enter its query's heap.
-		id := int(ps.ids[pos])
-		for k, v := range verdicts {
-			if v.Skip || !v.Keep || !heaps[k].admits(id, v.Score) {
-				continue
-			}
-			heaps[k].offer(Match{Index: id, Name: ps.entries[pos].G.Name, Score: v.Score})
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	mergeStart := time.Now()
-	matched := 0
-	for k := range queries {
-		out[k] = &Result{
-			Method:  opt.Method,
-			Matches: heaps[k].ranked(),
-			Scanned: scanned,
-			Elapsed: elapsed,
-			Epoch:   ps.epoch,
-		}
-		matched += len(out[k].Matches)
-	}
-	stages := ps.record(tr, scanned, len(queries), matched, int64(time.Since(mergeStart)))
-	for k := range out {
-		out[k].Stages = stages
 	}
 	return out, nil
 }
@@ -166,7 +120,7 @@ func (ps *preparedSearch) topK(ctx context.Context, q *Query, k int, ascending b
 	}
 	mergeStart := time.Now()
 	matches := h.ranked()
-	stages := ps.record(tr, scanned, 1, len(matches), int64(time.Since(mergeStart)))
+	stages := ps.record(tr, scanned, len(matches), int64(time.Since(mergeStart)))
 	return &Result{
 		Method:  ps.opt.Method,
 		Matches: matches,
