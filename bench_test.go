@@ -1,14 +1,14 @@
-// Benchmarks regenerating the paper's evaluation artifacts: one benchmark
-// per table and figure (the package overview in doc.go maps the paper's
-// sections to modules; `go run ./cmd/experiments -list` enumerates the
-// artifact ids), plus ablation benches for the repository's own design
-// decisions. Run everything with:
+// Benchmarks for the search path, the serving layer, recovery, the hot
+// kernels and ablations of the repository's own design decisions. Run
+// everything with:
 //
 //	go test -bench=. -benchmem
 //
-// Benchmarks use laptop-sized fixtures; the cmd/experiments tool runs the
-// same artifacts at configurable scale. BenchmarkSearchBatch is the CI
-// benchmark gate's signal (see cmd/benchgate and BENCH_baseline.json).
+// The paper's tables and figures are regenerated by cmd/experiments
+// (`go run ./cmd/experiments -list` enumerates the artifact ids), not
+// re-timed here. The benchmarks whose comments say they are gated run in
+// CI's bench job (its regex is in .github/workflows/ci.yml), and
+// cmd/benchgate compares them against BENCH_baseline.json.
 package gsim_test
 
 import (
@@ -27,7 +27,6 @@ import (
 	"gsim/internal/core"
 	"gsim/internal/dataset"
 	"gsim/internal/lsap"
-	"gsim/internal/metrics"
 	"gsim/internal/prob"
 	"gsim/internal/seriation"
 	"gsim/internal/server"
@@ -42,73 +41,42 @@ type fixture struct {
 
 var (
 	realOnce sync.Once
-	realFx   *fixture
+	realDS   *dataset.Dataset
 
 	synOnce sync.Once
-	synFx   map[int]*fixture
+	synDS   *dataset.Dataset
 )
 
-func realFixture(b *testing.B) *fixture {
+// realDataset is the GREC profile at 4% scale, behind the GMM and LSAP
+// ablations.
+func realDataset(b *testing.B) *dataset.Dataset {
 	b.Helper()
 	realOnce.Do(func() {
 		cfg, err := dataset.Profile("grec", 0.04)
 		if err != nil {
 			panic(err)
 		}
-		ds, err := dataset.Generate(cfg)
+		if realDS, err = dataset.Generate(cfg); err != nil {
+			panic(err)
+		}
+	})
+	return realDS
+}
+
+// synDataset is a Syn-1 subset of 1000-vertex graphs, behind the branch-key
+// ablations and the kernel benchmarks.
+func synDataset(b *testing.B) *dataset.Dataset {
+	b.Helper()
+	synOnce.Do(func() {
+		cfg, err := dataset.SynSubset("syn1", 1000, 8, 401)
 		if err != nil {
 			panic(err)
 		}
-		d := gsim.FromCollection(ds.Col, ds.DBGraphs)
-		if err := d.BuildPriors(gsim.OfflineConfig{TauMax: 10, SamplePairs: 8000, Seed: 3}); err != nil {
+		if synDS, err = dataset.Generate(cfg); err != nil {
 			panic(err)
 		}
-		realFx = &fixture{ds: ds, db: d}
 	})
-	return realFx
-}
-
-func synFixture(b *testing.B, size int) *fixture {
-	b.Helper()
-	synOnce.Do(func() {
-		synFx = make(map[int]*fixture)
-		for i, s := range []int{500, 1000} {
-			cfg, err := dataset.SynSubset("syn1", s, 8, int64(400+i))
-			if err != nil {
-				panic(err)
-			}
-			ds, err := dataset.Generate(cfg)
-			if err != nil {
-				panic(err)
-			}
-			d := gsim.FromCollection(ds.Col, ds.DBGraphs)
-			if err := d.BuildPriors(gsim.OfflineConfig{TauMax: 30, SamplePairs: 2000, Seed: 4}); err != nil {
-				panic(err)
-			}
-			synFx[s] = &fixture{ds: ds, db: d}
-		}
-	})
-	fx, ok := synFx[size]
-	if !ok {
-		b.Fatalf("no syn fixture of size %d", size)
-	}
-	return fx
-}
-
-func searchBench(b *testing.B, fx *fixture, opt gsim.SearchOptions) {
-	b.Helper()
-	q := fx.db.Query(fx.ds.Queries[0])
-	// One untimed search warms the per-size models and Jeffreys priors:
-	// those are offline artifacts (Table V), not per-query cost.
-	if _, err := fx.db.Search(q, opt); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fx.db.Search(q, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return synDS
 }
 
 // ---- batches -------------------------------------------------------------
@@ -421,181 +389,6 @@ func BenchmarkServerSearch(b *testing.B) {
 	}
 }
 
-// ---- Table III ----------------------------------------------------------
-
-func BenchmarkTable3_DatasetStats(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg, err := dataset.Profile("grec", 0.02)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg.Seed = int64(i)
-		ds, err := dataset.Generate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = ds.Col.Stats()
-	}
-}
-
-// ---- Table IV: GBD prior -----------------------------------------------
-
-func BenchmarkTable4_GBDPrior(b *testing.B) {
-	fx := realFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		samples := fx.ds.Col.SamplePairGBDs(8000, int64(i))
-		if _, err := core.FitGBDPrior(samples, 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---- Table V / Fig. 6: GED (Jeffreys) prior ------------------------------
-
-func BenchmarkTable5_GEDPrior(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := core.NewModel(50, core.Params{LV: 20, LE: 6, TauMax: 10})
-		_ = m.GEDPrior()
-	}
-}
-
-func BenchmarkFig6_JeffreysPrior(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, v := range []int{10, 100, 1000, 10000} {
-			m := core.NewModel(v, core.Params{LV: 20, LE: 6, TauMax: 10})
-			_ = m.GEDPrior()
-		}
-	}
-}
-
-// ---- Fig. 5: GMM fit -----------------------------------------------------
-
-func BenchmarkFig5_GMMFit(b *testing.B) {
-	fx := realFixture(b)
-	samples := fx.ds.Col.SamplePairGBDs(8000, 9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prob.FitGMM(samples, prob.GMMConfig{K: 3}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---- Fig. 7: query time on real data -------------------------------------
-
-func BenchmarkFig7_QueryGBDA(b *testing.B) {
-	searchBench(b, realFixture(b), gsim.SearchOptions{Method: gsim.GBDA, Tau: 5, Gamma: 0.9})
-}
-
-func BenchmarkFig7_QueryLSAP(b *testing.B) {
-	searchBench(b, realFixture(b), gsim.SearchOptions{Method: gsim.LSAP, Tau: 5})
-}
-
-func BenchmarkFig7_QueryGreedySort(b *testing.B) {
-	searchBench(b, realFixture(b), gsim.SearchOptions{Method: gsim.GreedySort, Tau: 5})
-}
-
-func BenchmarkFig7_QuerySeriation(b *testing.B) {
-	searchBench(b, realFixture(b), gsim.SearchOptions{Method: gsim.Seriation, Tau: 5})
-}
-
-// ---- Figs. 8-9: query time vs graph size ---------------------------------
-
-func BenchmarkFig8_GBDASize(b *testing.B) {
-	for _, size := range []int{500, 1000} {
-		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
-			searchBench(b, synFixture(b, size), gsim.SearchOptions{Method: gsim.GBDA, Tau: 20, Gamma: 0.8})
-		})
-	}
-}
-
-func BenchmarkFig8_GreedySortSize(b *testing.B) {
-	for _, size := range []int{500, 1000} {
-		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
-			searchBench(b, synFixture(b, size), gsim.SearchOptions{Method: gsim.GreedySort, Tau: 20})
-		})
-	}
-}
-
-func BenchmarkFig9_SeriationSize(b *testing.B) {
-	for _, size := range []int{500, 1000} {
-		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
-			searchBench(b, synFixture(b, size), gsim.SearchOptions{Method: gsim.Seriation, Tau: 20})
-		})
-	}
-}
-
-// ---- Figs. 10-21: effectiveness on real data ------------------------------
-
-func effectBench(b *testing.B, opt gsim.SearchOptions) {
-	fx := realFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var agg metrics.Counts
-		for _, qi := range fx.ds.Queries[:2] {
-			res, err := fx.db.Search(fx.db.Query(qi), opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			agg.Add(metrics.Evaluate(res.Indexes(), fx.ds.TruthSet(qi, opt.Tau)))
-		}
-		if agg.F1() < 0 {
-			b.Fatal("impossible F1")
-		}
-	}
-}
-
-func BenchmarkFig10_13_Precision(b *testing.B) {
-	effectBench(b, gsim.SearchOptions{Method: gsim.GBDA, Tau: 5, Gamma: 0.9})
-}
-
-func BenchmarkFig14_17_Recall(b *testing.B) {
-	effectBench(b, gsim.SearchOptions{Method: gsim.LSAP, Tau: 5})
-}
-
-func BenchmarkFig18_21_F1(b *testing.B) {
-	effectBench(b, gsim.SearchOptions{Method: gsim.GreedySort, Tau: 5})
-}
-
-// ---- Figs. 22-29: GBDA variants -------------------------------------------
-
-func BenchmarkFig22_25_V1(b *testing.B) {
-	effectBench(b, gsim.SearchOptions{Method: gsim.GBDAV1, Tau: 5, Gamma: 0.9, V1Sample: 50})
-}
-
-func BenchmarkFig26_29_V2(b *testing.B) {
-	effectBench(b, gsim.SearchOptions{Method: gsim.GBDAV2, Tau: 5, Gamma: 0.9, V2Weight: 0.5})
-}
-
-// ---- Figs. 31-42: effectiveness vs size on Syn-1 --------------------------
-
-func synEffectBench(b *testing.B, opt gsim.SearchOptions) {
-	fx := synFixture(b, 500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var agg metrics.Counts
-		qi := fx.ds.Queries[0]
-		res, err := fx.db.Search(fx.db.Query(qi), opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		agg.Add(metrics.Evaluate(res.Indexes(), fx.ds.TruthSet(qi, opt.Tau)))
-	}
-}
-
-func BenchmarkFig31_34_SynPrecision(b *testing.B) {
-	synEffectBench(b, gsim.SearchOptions{Method: gsim.GBDA, Tau: 15, Gamma: 0.7})
-}
-
-func BenchmarkFig35_38_SynRecall(b *testing.B) {
-	synEffectBench(b, gsim.SearchOptions{Method: gsim.GBDA, Tau: 20, Gamma: 0.7})
-}
-
-func BenchmarkFig39_42_SynF1(b *testing.B) {
-	synEffectBench(b, gsim.SearchOptions{Method: gsim.GreedySort, Tau: 20})
-}
-
 // ---- ablations -------------------------------------------------------------
 
 // Λ1 with the Eq. 20-23 table reuse vs the naive quadruple sum.
@@ -619,9 +412,9 @@ func BenchmarkAblation_Lambda1Naive(b *testing.B) {
 
 // Precomputed branch index vs recomputing multisets per comparison.
 func BenchmarkAblation_BranchKeyPrecomputed(b *testing.B) {
-	fx := synFixture(b, 1000)
-	e1 := fx.ds.Col.Entry(0)
-	e2 := fx.ds.Col.Entry(1)
+	ds := synDataset(b)
+	e1 := ds.Col.Entry(0)
+	e2 := ds.Col.Entry(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = branch.GBDIDs(e1.Branches, e2.Branches)
@@ -629,9 +422,9 @@ func BenchmarkAblation_BranchKeyPrecomputed(b *testing.B) {
 }
 
 func BenchmarkAblation_BranchKeyRecompute(b *testing.B) {
-	fx := synFixture(b, 1000)
-	g1 := fx.ds.Col.Graph(0)
-	g2 := fx.ds.Col.Graph(1)
+	ds := synDataset(b)
+	g1 := ds.Col.Graph(0)
+	g2 := ds.Col.Graph(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = branch.GBDGraphs(g1, g2)
@@ -640,8 +433,8 @@ func BenchmarkAblation_BranchKeyRecompute(b *testing.B) {
 
 // GMM component count sweep.
 func BenchmarkAblation_GMMComponents(b *testing.B) {
-	fx := realFixture(b)
-	samples := fx.ds.Col.SamplePairGBDs(4000, 5)
+	ds := realDataset(b)
+	samples := ds.Col.SamplePairGBDs(4000, 5)
 	for _, k := range []int{1, 2, 3, 5} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -655,9 +448,9 @@ func BenchmarkAblation_GMMComponents(b *testing.B) {
 
 // Exact Hungarian vs greedy-sort on identical branch cost matrices.
 func BenchmarkAblation_LSAPSolvers(b *testing.B) {
-	fx := realFixture(b)
-	g1 := fx.ds.Col.Graph(0)
-	g2 := fx.ds.Col.Graph(1)
+	ds := realDataset(b)
+	g1 := ds.Col.Graph(0)
+	g2 := ds.Col.Graph(1)
 	m := lsap.CostMatrix(g1, g2, lsap.FullCost)
 	b.Run("hungarian", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -678,9 +471,9 @@ func BenchmarkAblation_LSAPSolvers(b *testing.B) {
 // compares, 4 bytes per vertex). Gated in CI alongside the posterior
 // kernel — the two halves of the pair cost.
 func BenchmarkKernel_GBD1000(b *testing.B) {
-	fx := synFixture(b, 1000)
-	a := fx.ds.Col.Entry(0).Branches
-	c := fx.ds.Col.Entry(2).Branches
+	ds := synDataset(b)
+	a := ds.Col.Entry(0).Branches
+	c := ds.Col.Entry(2).Branches
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -737,9 +530,9 @@ var kernelSink int
 // build runs untimed, exactly as it lands in a search's prepare step, not
 // its per-pair cost.
 func BenchmarkKernel_Posterior(b *testing.B) {
-	fx := synFixture(b, 1000)
+	ds := synDataset(b)
 	ws := core.NewWorkspace(core.Params{LV: 20, LE: 10, TauMax: 30})
-	samples := fx.ds.Col.SamplePairGBDs(2000, 6)
+	samples := ds.Col.SamplePairGBDs(2000, 6)
 	prior, err := core.FitGBDPrior(samples, 3)
 	if err != nil {
 		b.Fatal(err)
@@ -754,8 +547,8 @@ func BenchmarkKernel_Posterior(b *testing.B) {
 }
 
 func BenchmarkKernel_SeriationOrder(b *testing.B) {
-	fx := synFixture(b, 1000)
-	g := fx.ds.Col.Graph(0)
+	ds := synDataset(b)
+	g := ds.Col.Graph(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

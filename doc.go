@@ -98,13 +98,12 @@
 // two signature words with a few SWAR operations and touches no
 // pointers; only pairs the signature cannot prove prunable pay for the
 // exact arena-walk label distance and the branch lower bound — with the
-// exact same prune set as the slice layout, since the signature is
-// admissible by construction (saturated bucket regions are dropped, so
-// it can only under-estimate distance, never over-prune). Stores append
-// incrementally, deletes swap-remove and account dead arena bytes, and
-// a per-shard compaction rewrites the arena once dead space crosses a
-// threshold; /v1/stats reports each column's footprint next to the
-// legacy-equivalent bytes.
+// exact same prune set as the per-pair oracle (index.PairPrunable), since
+// the signature is admissible by construction (saturated bucket regions
+// are dropped, so it can only under-estimate distance, never over-prune).
+// Stores append incrementally, deletes swap-remove and account dead arena
+// bytes, and a per-shard compaction rewrites the arena once dead space
+// crosses a threshold; /v1/stats reports each column's footprint.
 //
 // Deletion and update are first-class: Delete swap-removes within the
 // owning shard (no tombstones) and resyncs that shard's summaries;

@@ -142,12 +142,12 @@ type IDs []uint32
 // IntersectSizeIDs returns the exact |a ∩ b| for sorted ID multisets by
 // the plain linear merge. It serves the callers that consume the count
 // itself whatever its value: prior sampling (db.SamplePairGBDsEntries fits
-// the GBD distribution, far pairs included), the legacy
-// index.PairLowerBound / Index.Pruning oracle the flat prefilter is tested
-// against, and the benchmark ladder's kernel rung. The query path does
-// not: the posterior scorers and the prefilter's branch tier only ask
-// whether the intersection reaches a bound, so they call
-// IntersectAtLeastIDs and stop as soon as it provably cannot.
+// the GBD distribution, far pairs included), the index.PairLowerBound
+// oracle the columnar prefilter is tested against, and the benchmark
+// ladder's kernel rung. The query path does not: the posterior scorers
+// and the prefilter's branch tier only ask whether the intersection
+// reaches a bound, so they call IntersectAtLeastIDs and stop as soon as
+// it provably cannot.
 func IntersectSizeIDs(a, b IDs) int { return intersectMerge(a, b) }
 
 // GBDIDs computes the exact Graph Branch Distance from interned

@@ -94,7 +94,12 @@ func TestTablesAndPriors(t *testing.T) {
 	r := newRunner(tinyOpt().withDefaults())
 	// Restrict the real sets to the two smallest to keep the test quick.
 	r.realSets = []string{"finger", "grec"}
-	for _, id := range []string{"table3", "table4", "table5", "fig5", "fig6"} {
+	// One id per timing and effectiveness figure family rides along: the
+	// tables they print must be non-empty.
+	for _, id := range []string{
+		"table3", "table4", "table5", "fig5", "fig6",
+		"fig7", "fig10", "fig18", "fig22", "fig26", "fig31", "fig39",
+	} {
 		tables, err := r.run(id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)

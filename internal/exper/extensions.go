@@ -16,26 +16,35 @@ import (
 func ExtensionIDs() []string { return []string{"xprefilter", "xhybrid"} }
 
 // xPrefilter measures the layered admissible filter: pruning power per
-// layer and the end-to-end speedup it buys each method.
+// layer — the tier the columnar store's View.Tier names for each graph of
+// the set, the query included — and the end-to-end speedup it buys each
+// method.
 func (r *runner) xPrefilter() ([]*Table, error) {
 	e, err := r.realEnv("grec")
 	if err != nil {
 		return nil, err
 	}
-	ix := index.Build(e.ds.Col.Entries())
+	entries := e.ds.Col.Entries()
+	st := index.NewStore(len(entries))
+	for _, en := range entries {
+		st.Append(index.Summarize(en.G))
+	}
+	v := st.View()
 	power := &Table{
 		ID:     "xprefilter",
 		Title:  "Layered pre-filter pruning power on grec (extension)",
 		Header: []string{"tau", "total", "size-pruned", "label-pruned", "branch-pruned", "survivors"},
 	}
-	q := r.queries(e.ds)[0]
-	qs := ix.Summary(q)
-	qb := e.ds.Col.Entry(q).Branches
+	q := e.ds.Col.Entry(r.queries(e.ds)[0])
+	qp := index.PrepareQuery(q.G)
 	for _, tau := range []int{1, 3, 5, 10} {
-		st := ix.Pruning(qs, qb, tau)
+		var n [index.TierBranch + 1]int
+		for slot, en := range entries {
+			n[v.Tier(&qp, q.Branches, en, slot, tau)]++
+		}
 		power.Rows = append(power.Rows, []string{
-			fmt.Sprint(tau), fmt.Sprint(st.Total), fmt.Sprint(st.SizePruned),
-			fmt.Sprint(st.LabelPruned), fmt.Sprint(st.BranchPruned), fmt.Sprint(st.Survivors),
+			fmt.Sprint(tau), fmt.Sprint(len(entries)), fmt.Sprint(n[index.TierSize]),
+			fmt.Sprint(n[index.TierLabel]), fmt.Sprint(n[index.TierBranch]), fmt.Sprint(n[index.TierNone]),
 		})
 	}
 

@@ -23,37 +23,21 @@ func benchDataset(b *testing.B) *dataset.Dataset {
 	return ds
 }
 
-func BenchmarkBuild(b *testing.B) {
-	ds := benchDataset(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Build(ds.Col.Entries())
-	}
-}
-
-func BenchmarkPruningScan(b *testing.B) {
-	ds := benchDataset(b)
-	ix := Build(ds.Col.Entries())
-	q := ds.Queries[0]
-	qs := ix.Summary(q)
-	qb := ds.Col.Entry(q).Branches
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.Pruning(qs, qb, 5)
-	}
-}
-
+// BenchmarkLowerBoundPair times the oracle PairLowerBound: entry 0
+// against every other entry of the set in turn.
 func BenchmarkLowerBoundPair(b *testing.B) {
 	ds := benchDataset(b)
-	ix := Build(ds.Col.Entries())
-	qs := ix.Summary(0)
-	qb := ds.Col.Entry(0).Branches
+	entries := ds.Col.Entries()
+	sums := make([]Summary, len(entries))
+	for i, e := range entries {
+		sums[i] = Summarize(e.G)
+	}
+	qb := entries[0].Branches
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ix.LowerBound(qs, qb, 1+i%(ix.Len()-1))
+		j := 1 + i%(len(entries)-1)
+		_ = PairLowerBound(sums[0], qb, sums[j], entries[j])
 	}
 }
 

@@ -17,18 +17,18 @@
 //
 // The composite bound is the maximum of the three.
 //
-// The package is storage-layer agnostic: an Index summarises any entry
-// slice (the sharded store keeps one summary slice per shard, maintained
-// incrementally under the shard's mutation lock; see internal/shard),
-// and PairPrunable evaluates the composite bound for one
-// (query, entry) pair given its summary — the form the scatter-gather
-// scan consumes.
+// The filter is the columnar Store (pre.go): the sharded store keeps one
+// per shard, maintained incrementally under the shard's mutation lock
+// (see internal/shard), and View.Tier is the one place that decides
+// which layer prunes a pair. Summary is the uncompressed per-graph form
+// the store is built from and queries are prepared in; PairLowerBound
+// and PairPrunable evaluate the composite bound straight from two
+// Summaries and are the reference oracle the columnar path is tested
+// against.
 package index
 
 import (
-	"runtime"
 	"slices"
-	"sync"
 
 	"gsim/internal/branch"
 	"gsim/internal/db"
@@ -60,44 +60,9 @@ func Summarize(g *graph.Graph) Summary {
 	return s
 }
 
-// SummarizeAll summarises every entry in parallel — the bulk form behind
-// Build and the sharded store's per-shard index activation.
-func SummarizeAll(entries []*db.Entry) []Summary {
-	sums := make([]Summary, len(entries))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(entries) {
-		workers = len(entries)
-	}
-	if workers <= 1 {
-		for i, e := range entries {
-			sums[i] = Summarize(e.G)
-		}
-		return sums
-	}
-	var wg sync.WaitGroup
-	per := (len(entries) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > len(entries) {
-			hi = len(entries)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				sums[i] = Summarize(entries[i].G)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return sums
-}
-
 // LowerBound returns the composite size+label lower bound on GED between
-// the two summarised graphs.
+// the two summarised graphs — the oracle for the columnar size and label
+// tiers.
 func (s Summary) LowerBound(o Summary) int {
 	lb := abs(s.V - o.V)
 	if d := abs(s.E - o.E); d > lb {
@@ -139,8 +104,9 @@ func multisetDistance(a, b []graph.ID) int {
 
 // PairLowerBound computes the composite lower bound — size, label and
 // branch layers — between a prepared query (summary + interned branch
-// multiset) and one stored entry with its summary. This is the pairwise
-// form the scan hot path uses; Index wraps it for whole-slice consumers.
+// multiset) and one stored entry with its summary, by the plain
+// definitions: full multiset merges and the exact GBD. It is the
+// reference oracle View.Tier is tested against, not a scan path.
 func PairLowerBound(q Summary, qBranches branch.IDs, s Summary, e *db.Entry) int {
 	lb := q.LowerBound(s)
 	if bb := branch.LowerBoundGED(branch.GBDIDs(qBranches, e.Branches)); bb > lb {
@@ -149,69 +115,8 @@ func PairLowerBound(q Summary, qBranches branch.IDs, s Summary, e *db.Entry) int
 	return lb
 }
 
-// PairPrunable reports whether the entry provably violates GED ≤ tau.
+// PairPrunable reports whether the entry provably violates GED ≤ tau —
+// the oracle form of View.Tier(…) != TierNone.
 func PairPrunable(q Summary, qBranches branch.IDs, s Summary, e *db.Entry, tau int) bool {
 	return PairLowerBound(q, qBranches, s, e) > tau
-}
-
-// Index pairs an entry slice with its summaries — a static, point-in-time
-// filter over one snapshot. The sharded store does not use this type (it
-// owns raw summary slices, resynced incrementally under shard locks); it
-// serves standalone analysis such as the pruning-power experiment.
-type Index struct {
-	entries []*db.Entry
-	sums    []Summary
-}
-
-// Build summarises every entry (parallel, one pass).
-func Build(entries []*db.Entry) *Index {
-	return &Index{entries: entries, sums: SummarizeAll(entries)}
-}
-
-// Len reports the number of indexed graphs.
-func (ix *Index) Len() int { return len(ix.sums) }
-
-// Summary returns the stored summary of entry i.
-func (ix *Index) Summary(i int) Summary { return ix.sums[i] }
-
-// LowerBound computes the composite lower bound between a prepared query
-// and the indexed entry i.
-func (ix *Index) LowerBound(q Summary, qBranches branch.IDs, i int) int {
-	return PairLowerBound(q, qBranches, ix.sums[i], ix.entries[i])
-}
-
-// Prunable reports whether entry i provably violates GED ≤ tau.
-func (ix *Index) Prunable(q Summary, qBranches branch.IDs, i, tau int) bool {
-	return ix.LowerBound(q, qBranches, i) > tau
-}
-
-// Stats summarises pruning power for one query at one threshold: how many
-// graphs each successive layer would remove.
-type Stats struct {
-	Total, SizePruned, LabelPruned, BranchPruned, Survivors int
-}
-
-// Pruning evaluates the layered filter over the whole index.
-func (ix *Index) Pruning(q Summary, qBranches branch.IDs, tau int) Stats {
-	st := Stats{Total: len(ix.sums)}
-	for i, s := range ix.sums {
-		sizeLB := abs(q.V - s.V)
-		if d := abs(q.E - s.E); d > sizeLB {
-			sizeLB = d
-		}
-		if sizeLB > tau {
-			st.SizePruned++
-			continue
-		}
-		if multisetDistance(q.VLabels, s.VLabels)+multisetDistance(q.ELabels, s.ELabels) > tau {
-			st.LabelPruned++
-			continue
-		}
-		if branch.LowerBoundGED(branch.GBDIDs(qBranches, ix.entries[i].Branches)) > tau {
-			st.BranchPruned++
-			continue
-		}
-		st.Survivors++
-	}
-	return st
 }

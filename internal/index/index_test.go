@@ -45,8 +45,7 @@ func TestQuickLowerBoundIsAdmissible(t *testing.T) {
 		// Composite with the branch layer, both directions.
 		col := db.New("t")
 		col.Add(b)
-		ix := Build(col.Entries())
-		return ix.LowerBound(sa, col.BranchDict().ResolveMultiset(branch.MultisetOf(a)), 0) <= exact
+		return PairLowerBound(sa, col.BranchDict().ResolveMultiset(branch.MultisetOf(a)), sb, col.Entry(0)) <= exact
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -83,9 +82,10 @@ func TestSizeFilterDominatesOnSizeGap(t *testing.T) {
 	}
 }
 
-// TestPruningIsLossless runs the layered filter over a certified dataset:
-// no true answer may be pruned, and cross-cluster graphs must be pruned
-// when τ̂ is below the guard.
+// TestPruningIsLossless runs the layered filter over a certified dataset
+// through a columnar View: no true answer may be pruned, the per-tier
+// counts must partition the store, and cross-cluster graphs must be
+// pruned when τ̂ is below the guard.
 func TestPruningIsLossless(t *testing.T) {
 	ds, err := dataset.Generate(dataset.Config{
 		Name: "ix", NumGraphs: 40, MinV: 8, MaxV: 11, ExtraPerV: 0.3,
@@ -95,29 +95,29 @@ func TestPruningIsLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := Build(ds.Col.Entries())
-	if ix.Len() != ds.Col.Len() {
-		t.Fatalf("index covers %d of %d", ix.Len(), ds.Col.Len())
+	entries := ds.Col.Entries()
+	st := NewStore(len(entries))
+	for _, e := range entries {
+		st.Append(Summarize(e.G))
+	}
+	v := st.View()
+	if v.Len() != ds.Col.Len() {
+		t.Fatalf("store covers %d of %d", v.Len(), ds.Col.Len())
 	}
 	const tau = 3
 	for _, qi := range ds.Queries {
-		qs := ix.Summary(qi)
-		qb := ds.Col.Entry(qi).Branches
-		for i := 0; i < ds.Col.Len(); i++ {
-			if i == qi {
-				continue
-			}
-			pruned := ix.Prunable(qs, qb, i, tau)
-			if d, known := ds.KnownGED(qi, i); known && d <= tau && pruned {
-				t.Fatalf("true answer (%d,%d) GED=%d pruned at tau=%d", qi, i, d, tau)
+		q := ds.Col.Entry(qi)
+		qp := PrepareQuery(q.G)
+		var n [TierBranch + 1]int
+		for i, e := range entries {
+			tier := v.Tier(&qp, q.Branches, e, i, tau)
+			n[tier]++
+			if d, known := ds.KnownGED(qi, i); i != qi && known && d <= tau && tier != TierNone {
+				t.Fatalf("true answer (%d,%d) GED=%d pruned by tier %d at tau=%d", qi, i, d, tier, tau)
 			}
 		}
-		st := ix.Pruning(qs, qb, tau)
-		if st.Total != ds.Col.Len() {
-			t.Fatalf("stats total %d", st.Total)
-		}
-		if st.SizePruned+st.LabelPruned+st.BranchPruned+st.Survivors != st.Total {
-			t.Fatalf("stats do not partition: %+v", st)
+		if n[TierSize]+n[TierLabel]+n[TierBranch]+n[TierNone] != ds.Col.Len() {
+			t.Fatalf("tier counts do not partition: %v", n)
 		}
 		// Cross-cluster graphs (GED > 5 > tau) must mostly be pruned by
 		// the label layer given the generator's construction.
@@ -127,8 +127,8 @@ func TestPruningIsLossless(t *testing.T) {
 				intra++
 			}
 		}
-		if st.Survivors > intra {
-			t.Fatalf("survivors %d exceed cluster size %d — filter too weak", st.Survivors, intra)
+		if n[TierNone] > intra {
+			t.Fatalf("survivors %d exceed cluster size %d — filter too weak", n[TierNone], intra)
 		}
 	}
 }
@@ -150,38 +150,5 @@ func TestSummaryMultisetsSorted(t *testing.T) {
 	}
 	if s.V != g.NumVertices() || s.E != g.NumEdges() || len(s.ELabels) != g.NumEdges() {
 		t.Fatal("summary counts wrong")
-	}
-}
-
-// TestSummarizeAllMatchesSequential: the parallel bulk summariser must
-// produce exactly the summaries a one-by-one pass does, and the pairwise
-// PairPrunable form must agree with the Index form slot for slot.
-func TestSummarizeAllMatchesSequential(t *testing.T) {
-	dict := graph.NewLabels()
-	rng := rand.New(rand.NewSource(9))
-	col := db.New("bulk")
-	for i := 0; i < 37; i++ {
-		col.Add(randomGraph(rng, dict, 3+rng.Intn(6)))
-	}
-	entries := col.Entries()
-	sums := SummarizeAll(entries)
-	if len(sums) != len(entries) {
-		t.Fatalf("SummarizeAll built %d of %d", len(sums), len(entries))
-	}
-	ix := Build(entries)
-	q := randomGraph(rng, dict, 5)
-	qs := Summarize(q)
-	qb := col.BranchDict().ResolveMultiset(branch.MultisetOf(q))
-	for i, e := range entries {
-		want := Summarize(e.G)
-		got := sums[i]
-		if got.V != want.V || got.E != want.E || len(got.VLabels) != len(want.VLabels) || len(got.ELabels) != len(want.ELabels) {
-			t.Fatalf("summary %d diverges: %+v vs %+v", i, got, want)
-		}
-		for tau := 0; tau <= 6; tau++ {
-			if PairPrunable(qs, qb, sums[i], e, tau) != ix.Prunable(qs, qb, i, tau) {
-				t.Fatalf("PairPrunable disagrees with Index.Prunable at entry %d tau %d", i, tau)
-			}
-		}
 	}
 }

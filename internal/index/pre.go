@@ -1,7 +1,7 @@
-// Succinct columnar prefilter. The legacy Summary spends two sorted
-// []graph.ID allocations per entry (a struct, two slice headers, and two
-// backing arrays to pointer-chase at scan time). The Store below keeps the
-// same information per shard in three flat columns:
+// Succinct columnar prefilter. A Summary spends two sorted []graph.ID
+// allocations per graph (a struct, two slice headers, and two backing
+// arrays to pointer-chase at scan time). The Store below keeps the same
+// information per shard in three flat columns:
 //
 //   - sig: one fixed-width uint64 signature per entry — packed size bytes
 //     plus a label-histogram sketch — so the common prune decision is a
@@ -12,9 +12,9 @@
 //
 // The signature can only ever PRUNE (its bounds are provable lower bounds
 // below the exact ones, and it knows nothing of the branch filter); when
-// it cannot decide, the exact composite bound is recomputed from the
-// arena spans and the entry's interned branch multiset — bit-identical to
-// index.PairPrunable, which the equivalence tests use as oracle.
+// it cannot decide, View.Tier recomputes the exact composite bound from
+// the arena spans and the entry's interned branch multiset — bit-identical
+// to PairPrunable, which the equivalence tests use as oracle.
 //
 // Concurrency contract (matching internal/shard's snapshot discipline):
 // writers mutate a Store only under the owning bucket's lock; readers use
@@ -395,11 +395,9 @@ func (s *Store) Compact() {
 	s.compactions++
 }
 
-// Mem reports the store's memory footprint next to what the legacy
-// slice-of-slices Summary layout would spend on the same entries (struct
-// plus two slice headers plus 4 bytes per label occurrence).
+// Mem reports the store's memory footprint, column by column.
 func (s *Store) Mem() MemStats {
-	st := MemStats{
+	return MemStats{
 		Entries:     len(s.meta),
 		SigBytes:    int64(8 * len(s.sig)),
 		MetaBytes:   int64(12 * len(s.meta)),
@@ -407,10 +405,6 @@ func (s *Store) Mem() MemStats {
 		DeadBytes:   int64(s.dead),
 		Compactions: s.compactions,
 	}
-	for _, m := range s.meta {
-		st.LegacyBytes += 64 + 4*int64(m.V+m.E)
-	}
-	return st
 }
 
 // MemStats is the prefilter memory footprint surfaced through /v1/stats;
@@ -421,7 +415,6 @@ type MemStats struct {
 	MetaBytes   int64
 	ArenaBytes  int64
 	DeadBytes   int64
-	LegacyBytes int64
 	Compactions uint64
 }
 
@@ -432,7 +425,6 @@ func (m *MemStats) Add(o MemStats) {
 	m.MetaBytes += o.MetaBytes
 	m.ArenaBytes += o.ArenaBytes
 	m.DeadBytes += o.DeadBytes
-	m.LegacyBytes += o.LegacyBytes
 	m.Compactions += o.Compactions
 }
 
@@ -452,7 +444,7 @@ func (s *Store) View() View { return View{Sig: s.sig, Meta: s.meta, Arena: s.are
 // Len reports the number of entries in the snapshot.
 func (v View) Len() int { return len(v.Meta) }
 
-// SummaryOf decodes entry slot back into legacy Summary form — the
+// SummaryOf decodes entry slot back into Summary form — the
 // diagnostic/test inverse of Append.
 func (v View) SummaryOf(slot int) Summary {
 	m := v.Meta[slot]
@@ -461,33 +453,46 @@ func (v View) SummaryOf(slot int) Summary {
 	return Summary{V: int(m.V), E: int(m.E), VLabels: vl, ELabels: el}
 }
 
-// prunableExact evaluates the full composite bound for slot from the
-// arena spans — the same three layers, in the same max-of-bounds
-// semantics, as PairPrunable.
-func (v *View) prunableExact(q *QueryPre, qBranches branch.IDs, e *db.Entry, slot, tau int) bool {
+// Tier names the filter layer that proves a pair violates GED ≤ τ̂.
+type Tier uint8
+
+const (
+	TierNone   Tier = iota // no layer prunes: the pair survives
+	TierSize               // max(|ΔV|, |ΔE|) > τ̂
+	TierLabel              // vertex- plus edge-label multiset distance > τ̂
+	TierBranch             // ⌈GBD/2⌉ > τ̂
+)
+
+// Tier classifies slot against a prepared query: the first layer — size,
+// then labels, then branches — whose lower bound exceeds tau, evaluated
+// exactly from the arena spans, or TierNone when the pair survives all
+// three. The prune decision is PairPrunable's, bit for bit.
+func (v *View) Tier(q *QueryPre, qBranches branch.IDs, e *db.Entry, slot, tau int) Tier {
 	m := v.Meta[slot]
 	if d := q.Sum.V - int(m.V); d > tau || -d > tau {
-		return true
+		return TierSize
 	}
 	if d := q.Sum.E - int(m.E); d > tau || -d > tau {
-		return true
+		return TierSize
 	}
 	vd, end := spanDistance(q.Sum.VLabels, v.Arena, m.Off, int(m.V))
 	if vd > tau {
-		return true
+		return TierLabel
 	}
 	ed, _ := spanDistance(q.Sum.ELabels, v.Arena, end, int(m.E))
 	if vd+ed > tau {
-		return true
+		return TierLabel
 	}
 	// ⌈GBD/2⌉ > τ̂ ⇔ |B∩B| < max{|V1|,|V2|} − 2τ̂: the scorers' bounded
 	// merge answers it without finishing a merge that is already lost.
-	_, ok := branch.IntersectAtLeastIDs(qBranches, e.Branches, max(len(qBranches), len(e.Branches))-2*tau)
-	return !ok
+	if _, ok := branch.IntersectAtLeastIDs(qBranches, e.Branches, max(len(qBranches), len(e.Branches))-2*tau); !ok {
+		return TierBranch
+	}
+	return TierNone
 }
 
 // QueryPre is a query prepared for the columnar prefilter: its signature
-// word next to its legacy summary (for the exact fallback).
+// word next to its summary (for the exact fallback).
 type QueryPre struct {
 	Sig uint64
 	Sum Summary
@@ -559,10 +564,10 @@ func (f *Flat) Len() int { return len(f.sig) }
 // Prunable reports whether the entry at scan position pos provably
 // violates GED ≤ tau — the signature word first, the exact arena-based
 // composite bound only when the signature cannot decide. The decision is
-// bit-identical to PairPrunable over the legacy Summary. A scan over a
-// range of positions takes the same decision in two steps that read less:
-// NextUndecided over the signature column, then PrunableExact for the
-// positions it stops at. benchmark/ladder.go is its only non-test caller.
+// bit-identical to PairPrunable. A scan over a range of positions takes
+// the same decision in two steps that read less: NextUndecided over the
+// signature column, then PrunableExact for the positions it stops at.
+// benchmark/ladder.go is its only non-test caller.
 func (f *Flat) Prunable(q *QueryPre, qBranches branch.IDs, e *db.Entry, pos, tau int) bool {
 	return sigPrunes(q.Sig, f.sig[pos], tau) || f.PrunableExact(q, qBranches, e, pos, tau)
 }
@@ -584,5 +589,5 @@ func (f *Flat) NextUndecided(q *QueryPre, pos, hi, tau int) int {
 // decide.
 func (f *Flat) PrunableExact(q *QueryPre, qBranches branch.IDs, e *db.Entry, pos, tau int) bool {
 	l := f.loc[pos]
-	return f.views[l>>32].prunableExact(q, qBranches, e, int(uint32(l)), tau)
+	return f.views[l>>32].Tier(q, qBranches, e, int(uint32(l)), tau) != TierNone
 }

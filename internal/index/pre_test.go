@@ -84,7 +84,7 @@ func TestSpanDistanceMatchesOracle(t *testing.T) {
 // TestSigNeverOverPrunes: the signature quick path may only prune pairs
 // the exact size+label bound would prune — sigPrunes(a,b,τ) must imply
 // LowerBound > τ. This is the admissibility that keeps the columnar
-// prefilter bit-identical to the legacy path.
+// prefilter bit-identical to the PairPrunable oracle.
 func TestSigNeverOverPrunes(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 3000; trial++ {
@@ -132,9 +132,25 @@ func TestSigSaturationFallback(t *testing.T) {
 	}
 }
 
+// oracleTier is the layered classification by the oracle's definitions:
+// size if max(|ΔV|, |ΔE|) > τ̂, else label if Summary.LowerBound > τ̂,
+// else branch if PairLowerBound > τ̂.
+func oracleTier(q Summary, qBranches branch.IDs, s Summary, e *db.Entry, tau int) Tier {
+	switch {
+	case max(abs(q.V-s.V), abs(q.E-s.E)) > tau:
+		return TierSize
+	case q.LowerBound(s) > tau:
+		return TierLabel
+	case PairLowerBound(q, qBranches, s, e) > tau:
+		return TierBranch
+	}
+	return TierNone
+}
+
 // TestFlatPrunableMatchesLegacy: over random stored graphs and random
 // queries (with ephemeral branch IDs), Flat.Prunable must agree with
-// PairPrunable at every position and threshold.
+// PairPrunable at every position and threshold, and View.Tier with the
+// oracle's layered classification — the branch tier included.
 func TestFlatPrunableMatchesLegacy(t *testing.T) {
 	dict := graph.NewLabels()
 	rng := rand.New(rand.NewSource(19))
@@ -149,7 +165,9 @@ func TestFlatPrunableMatchesLegacy(t *testing.T) {
 		sums[i] = Summarize(e.G)
 		st.Append(sums[i])
 	}
-	f := FlattenViews([]View{st.View()})
+	v := st.View()
+	f := FlattenViews([]View{v})
+	branchPruned := 0
 	for qt := 0; qt < 25; qt++ {
 		qg := randomGraph(rng, dict, 2+rng.Intn(12))
 		qs := Summarize(qg)
@@ -162,9 +180,20 @@ func TestFlatPrunableMatchesLegacy(t *testing.T) {
 				if got != want {
 					t.Fatalf("query %d tau %d pos %d: flat %v, legacy %v", qt, tau, pos, got, want)
 				}
+				wantTier := oracleTier(qs, qids, sums[pos], e, tau)
+				if tier := v.Tier(&qp, qids, e, pos, tau); tier != wantTier {
+					t.Fatalf("query %d tau %d pos %d: tier %d, oracle %d", qt, tau, pos, tier, wantTier)
+				}
+				if wantTier == TierBranch {
+					branchPruned++
+				}
 			}
 		}
 	}
+	if branchPruned == 0 {
+		t.Fatal("no pair reached the branch tier: its arm went unchecked")
+	}
+	t.Logf("%d branch-tier prunes", branchPruned)
 }
 
 // TestStoreMutationModel: a Store driven through random append / swap-

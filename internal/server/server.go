@@ -306,9 +306,6 @@ type modelStats struct {
 //     arena (delta+run varint encoded);
 //   - dead_arena_bytes: arena space owned by deleted/updated entries,
 //     reclaimed when per-shard compaction next runs;
-//   - legacy_equiv_bytes: what the former slice-of-slices Summary layout
-//     would spend on the same entries — the denominator of the memory-
-//     reduction claim;
 //   - arena_compactions: completed per-shard arena compaction passes.
 type prefilterStats struct {
 	Entries          int    `json:"entries"`
@@ -316,7 +313,6 @@ type prefilterStats struct {
 	MetaBytes        int64  `json:"meta_bytes"`
 	ArenaBytes       int64  `json:"arena_bytes"`
 	DeadArenaBytes   int64  `json:"dead_arena_bytes"`
-	LegacyEquivBytes int64  `json:"legacy_equiv_bytes"`
 	ArenaCompactions uint64 `json:"arena_compactions"`
 }
 
@@ -426,7 +422,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			MetaBytes:        pre.MetaBytes,
 			ArenaBytes:       pre.ArenaBytes,
 			DeadArenaBytes:   pre.DeadBytes,
-			LegacyEquivBytes: pre.LegacyBytes,
 			ArenaCompactions: pre.Compactions,
 		},
 		Persistence: persistenceBlock(s.db.PersistStats()),

@@ -1,6 +1,6 @@
 // Package shard is the partitioned, mutable storage layer behind
 // gsim.Database: a Map hashes stable graph IDs onto N shards, each owning
-// its entry slice, its slice of prefilter summaries, an epoch counter and
+// its entry slice, its columnar prefilter store, an epoch counter and
 // a mutation lock — so ingest, delete and update on different shards
 // proceed concurrently, and a search scatter-gathers over per-shard
 // snapshots instead of serialising behind one collection-wide mutex.
@@ -37,14 +37,14 @@
 // corresponds to — the invalidation contract the serving layer's result
 // cache (internal/qcache) keys on.
 //
-// # Prefilter summaries
+// # Prefilter
 //
-// The layered admissible filter (internal/index) needs one Summary per
-// entry. Each shard keeps a summary slice exactly parallel to its entry
-// slice, activated lazily by the first prefiltered search (EnsureSums)
-// and maintained incrementally from then on: an insert appends one
-// summary, a delete swap-removes one, an update re-summarises one slot —
-// the per-shard index resync that keeps prefiltered scans O(1) to
+// The layered admissible filter (internal/index) is one columnar
+// index.Store per shard, slot-parallel to the entry slice. The first
+// prefiltered search activates it (Views(true) summarises each shard's
+// backlog once); from then on it is maintained incrementally: an insert
+// appends one slot, a delete swap-removes one, an update re-summarises
+// one — the per-shard resync that keeps prefiltered scans O(1) to
 // prepare after the first.
 package shard
 
@@ -182,10 +182,8 @@ func (s *stats) add(g *graph.Graph) {
 	}
 }
 
-// remove undoes add's counting for g. It deliberately leaves the maxV /
-// maxE high-water marks alone: every mutation path that removes a graph
-// follows it with bucket.fixMaxima — one implementation, no
-// stale-maxima protocol between the two.
+// remove undoes add's counting for g, except the maxV / maxE marks, which
+// only bucket.fixMaxima can recompute from the bucket's columns.
 func (s *stats) remove(g *graph.Graph) {
 	s.n--
 	if s.sizes[g.NumVertices()]--; s.sizes[g.NumVertices()] == 0 {
@@ -331,13 +329,13 @@ func (b *bucket) insert(e *db.Entry) {
 	b.st.add(e.G)
 }
 
-// removeAt swap-removes the entry at slot, publishing fresh slices so
-// snapshots handed to in-flight scans are never mutated; the caller holds
-// b.mu and is responsible for stats, refcounts and epochs. The prefilter
-// store mirrors the swap-remove (its mutations are copy-on-write for the
-// same snapshot reason) and compacts its arena once enough dead span
-// bytes accumulate.
-func (b *bucket) removeAt(slot int) {
+// removeAt swap-removes the entry at slot and returns it, publishing
+// fresh slices so snapshots handed to in-flight scans are never mutated,
+// and subtracts it from the shard's stats; the caller holds b.mu and is
+// responsible for refcounts and epochs. The prefilter store mirrors the
+// swap-remove (its mutations are copy-on-write for the same snapshot
+// reason) and compacts its arena once enough dead span bytes accumulate.
+func (b *bucket) removeAt(slot int) *db.Entry {
 	n := len(b.entries)
 	victim := b.entries[slot]
 	fresh := make([]*db.Entry, n-1)
@@ -356,12 +354,17 @@ func (b *bucket) removeAt(slot int) {
 		b.pre.RemoveAt(slot)
 		b.pre.MaybeCompact()
 	}
+	b.st.remove(victim.G)
+	b.fixMaxima(victim.G)
+	return victim
 }
 
-// replaceAt swaps a new entry into slot (same ID, new graph), publishing
-// fresh slices — the ids column stays, the ID does; the caller holds
-// b.mu.
-func (b *bucket) replaceAt(slot int, e *db.Entry) {
+// replaceAt swaps a new entry into slot (same ID, new graph) and returns
+// the one it displaced, publishing fresh slices — the ids column stays,
+// the ID does — and moving the shard's stats from the old graph to the
+// new; the caller holds b.mu and is responsible for refcounts and epochs.
+func (b *bucket) replaceAt(slot int, e *db.Entry) *db.Entry {
+	old := b.entries[slot]
 	fresh := make([]*db.Entry, len(b.entries))
 	copy(fresh, b.entries)
 	fresh[slot] = e
@@ -373,6 +376,10 @@ func (b *bucket) replaceAt(slot int, e *db.Entry) {
 		b.pre.ReplaceAt(slot, index.Summarize(e.G))
 		b.pre.MaybeCompact()
 	}
+	b.st.remove(old.G)
+	b.st.add(e.G)
+	b.fixMaxima(old.G)
+	return old
 }
 
 // bump records one mutation on b; the caller holds b.mu. The global
@@ -447,10 +454,7 @@ func (m *Map) Delete(id uint64) (bool, error) {
 		b.mu.Unlock()
 		return false, err
 	}
-	e := b.entries[slot]
-	b.removeAt(slot)
-	b.st.remove(e.G)
-	b.fixMaxima(e.G)
+	e := b.removeAt(slot)
 	m.bump(b)
 	b.mu.Unlock()
 	m.bdict.Release(e.Branches)
@@ -476,12 +480,7 @@ func (m *Map) Update(id uint64, g *graph.Graph) (bool, error) {
 		b.mu.Unlock()
 		return false, err
 	}
-	old := b.entries[slot]
-	e := &db.Entry{ID: id, G: g, Branches: m.intern(g)}
-	b.replaceAt(slot, e)
-	b.st.remove(old.G)
-	b.st.add(g)
-	b.fixMaxima(old.G)
+	old := b.replaceAt(slot, &db.Entry{ID: id, G: g, Branches: m.intern(g)})
 	m.bump(b)
 	b.mu.Unlock()
 	m.bdict.Release(old.Branches)
@@ -492,12 +491,11 @@ func (m *Map) Update(id uint64, g *graph.Graph) (bool, error) {
 
 // fixMaxima keeps the shard's high-water marks exact after gone left the
 // bucket (removed, or replaced — its replacement already counted by
-// stats.add); the caller holds b.mu, and every mutation path that removes
-// or replaces a graph calls it (stats.remove never touches the maxima).
-// A mark is recomputed only when gone held it: the rescan runs inside
-// the shard's write lock, and a graph below both marks — nearly every
-// one — cannot have moved either. The vertex mark reads the sizes column;
-// the edge mark has no column and walks the graphs.
+// stats.add); removeAt and replaceAt call it under b.mu. A mark is
+// recomputed only when gone held it: the rescan runs inside the shard's
+// write lock, and a graph below both marks — nearly every one — cannot
+// have moved either. The vertex mark reads the sizes column; the edge
+// mark has no column and walks the graphs.
 func (b *bucket) fixMaxima(gone *graph.Graph) {
 	if gone.NumVertices() == b.st.maxV {
 		b.st.maxV = 0
@@ -628,12 +626,7 @@ func (m *Map) commitLocked(batch []Mutation) (firstID uint64, missing uint64, ok
 			continue
 		}
 		b := m.shardOf(*mu.ID)
-		slot := b.slots[*mu.ID]
-		old := b.entries[slot]
-		b.replaceAt(slot, &db.Entry{ID: *mu.ID, G: mu.G, Branches: m.intern(mu.G)})
-		b.st.remove(old.G)
-		b.st.add(mu.G)
-		b.fixMaxima(old.G)
+		old := b.replaceAt(b.slots[*mu.ID], &db.Entry{ID: *mu.ID, G: mu.G, Branches: m.intern(mu.G)})
 		released = append(released, old.Branches)
 		touched[b] = struct{}{}
 	}
@@ -695,10 +688,7 @@ func (m *Map) Replay(op wal.Op, id uint64, g *graph.Graph) {
 	if op == wal.OpDelete {
 		b.mu.Lock()
 		if slot, ok := b.slots[id]; ok {
-			e := b.entries[slot]
-			b.removeAt(slot)
-			b.st.remove(e.G)
-			b.fixMaxima(e.G)
+			e := b.removeAt(slot)
 			m.bump(b)
 			b.mu.Unlock()
 			m.bdict.Release(e.Branches)
@@ -711,12 +701,7 @@ func (m *Map) Replay(op wal.Op, id uint64, g *graph.Graph) {
 	b.mu.Lock()
 	var old branch.IDs
 	if slot, ok := b.slots[id]; ok {
-		prev := b.entries[slot]
-		b.replaceAt(slot, e)
-		b.st.remove(prev.G)
-		b.st.add(g)
-		b.fixMaxima(prev.G)
-		old = prev.Branches
+		old = b.replaceAt(slot, e).Branches
 	} else {
 		b.insert(e)
 	}
@@ -774,9 +759,9 @@ func (m *Map) Get(id uint64) (*db.Entry, bool) {
 	return b.entries[slot], true
 }
 
-// ensurePre activates incremental prefilter maintenance on b, building
-// the backlog with one parallel summarise pass feeding the columnar
-// store.
+// ensurePre activates incremental prefilter maintenance on b, summarising
+// its backlog into a fresh columnar store. This runs once per shard per
+// process, at the first prefiltered search.
 func (b *bucket) ensurePre() {
 	b.mu.RLock()
 	on := b.pre != nil
@@ -787,8 +772,8 @@ func (b *bucket) ensurePre() {
 	b.mu.Lock()
 	if b.pre == nil {
 		st := index.NewStore(len(b.entries))
-		for _, s := range index.SummarizeAll(b.entries) {
-			st.Append(s)
+		for _, e := range b.entries {
+			st.Append(index.Summarize(e.G))
 		}
 		b.pre = st
 	}
