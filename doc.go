@@ -92,15 +92,17 @@
 //
 // The prefilter store keeps its admissible-filter summaries columnar
 // rather than as per-graph slices: one 8-byte quantized signature word
-// per entry (sizes plus saturating label-bucket counters), one 12-byte
-// span locator, and a shared label arena encoding each entry's sorted
-// label multisets as delta+run varints. The hot prune decision compares
-// two signature words with a few SWAR operations and touches no
-// pointers; only pairs the signature cannot prove prunable pay for the
-// exact arena-walk label distance and the branch lower bound — with the
-// exact same prune set as the per-pair oracle (index.PairPrunable), since
-// the signature is admissible by construction (saturated bucket regions
-// are dropped, so it can only under-estimate distance, never over-prune).
+// per entry (|V| and |E| bytes plus four vertex-label and two edge-label
+// byte counters saturating at 127), one 12-byte span locator, and a
+// shared label arena encoding each entry's sorted label multisets as
+// delta+run varints. The hot prune decision compares two signature words
+// with a few SWAR operations and touches no pointers; it settles the size
+// tier and nearly every label-tier prune on its own, and only pairs the
+// signature cannot prove prunable pay for the exact arena-walk label
+// distance and the branch lower bound — with the exact same prune set as
+// the per-pair oracle (index.PairPrunable), since the signature is
+// admissible by construction (saturated bucket regions are dropped, so it
+// can only under-estimate distance, never over-prune).
 // Stores append incrementally, deletes swap-remove and account dead arena
 // bytes, and a per-shard compaction rewrites the arena once dead space
 // crosses a threshold; /v1/stats reports each column's footprint.

@@ -618,6 +618,19 @@ func readManifest(fs faultfs.FS, dir string) (*manifest, error) {
 	if man.Shards <= 0 || len(man.Segments) != man.Shards {
 		return nil, fmt.Errorf("gsim: corrupt manifest: %d segments for %d shards", len(man.Segments), man.Shards)
 	}
+	// Recovery opens every listed segment inside dir and installs its
+	// graphs: a name that leaves dir would read outside it, and a name
+	// listed twice would install the same IDs twice.
+	seen := make(map[string]bool, len(man.Segments))
+	for _, s := range man.Segments {
+		if s == "" || s == "." || s == ".." || filepath.Base(s) != s {
+			return nil, fmt.Errorf("gsim: corrupt manifest: segment name %q is not a plain file name", s)
+		}
+		if seen[s] {
+			return nil, fmt.Errorf("gsim: corrupt manifest: segment %q listed twice", s)
+		}
+		seen[s] = true
+	}
 	return &man, nil
 }
 

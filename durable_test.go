@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"gsim/internal/faultfs"
 )
 
 // storeChain stores a small chain graph and returns its ID.
@@ -330,5 +333,57 @@ func TestOpenRejectsCorruptManifest(t *testing.T) {
 	}
 	if _, err := Open(dir); err == nil {
 		t.Fatal("Open accepted a corrupt manifest")
+	}
+}
+
+// TestOpenRejectsUnsafeSegmentNames: a manifest whose segment list leaves
+// the data directory, or names one segment twice, fails Open as corrupt
+// rather than reading a file outside the directory or installing the same
+// graphs twice. The traversal target exists, so only the name check stops
+// it.
+func TestOpenRejectsUnsafeSegmentNames(t *testing.T) {
+	fs := faultfs.Or(nil)
+	for _, tc := range []struct {
+		name string
+		edit func(segs []string)
+	}{
+		{"traversal", func(segs []string) { segs[0] = "../" + segs[0] }},
+		{"duplicate", func(segs []string) { segs[1] = segs[0] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			dir := filepath.Join(root, "data")
+			d, err := Open(dir, WithShards(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				storeChain(t, d, fmt.Sprintf("g%d", i), 3)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			man, err := readManifest(fs, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg, err := os.ReadFile(filepath.Join(dir, man.Segments[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(root, man.Segments[0]), seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(man.Segments)
+			if err := writeManifest(fs, dir, man); err != nil {
+				t.Fatal(err)
+			}
+			if d, err := Open(dir); err == nil {
+				d.Close()
+				t.Fatalf("Open accepted segments %q", man.Segments)
+			} else if !strings.Contains(err.Error(), "corrupt manifest") {
+				t.Fatalf("Open err = %v, want a corrupt manifest", err)
+			}
+		})
 	}
 }

@@ -4,17 +4,21 @@
 // information per shard in three flat columns:
 //
 //   - sig: one fixed-width uint64 signature per entry — packed size bytes
-//     plus a label-histogram sketch — so the common prune decision is a
-//     few word ops with zero pointer chasing (sigPrunes);
+//     plus six byte-wide label-bucket counters — so the common prune
+//     decision, by sizes or by labels, is a few word ops with zero
+//     pointer chasing (sigPrunes);
 //   - meta: {arena offset, |V|, |E|} per entry, 12 bytes;
 //   - arena: one shared byte slice holding every entry's sorted label
 //     multisets as delta+run varint spans.
 //
 // The signature can only ever PRUNE (its bounds are provable lower bounds
-// below the exact ones, and it knows nothing of the branch filter); when
-// it cannot decide, View.Tier recomputes the exact composite bound from
-// the arena spans and the entry's interned branch multiset — bit-identical
-// to PairPrunable, which the equivalence tests use as oracle.
+// below the exact ones, and it knows nothing of the branch filter). Its
+// counters hold up to 127 occurrences per bucket, so on graphs of tens of
+// vertices (the AIDS- and AASD-shaped sets) they rarely saturate and the
+// signature takes nearly every label-tier prune by itself. When it cannot
+// decide, View.Tier recomputes the exact composite bound from the arena
+// spans and the entry's interned branch multiset — bit-identical to
+// PairPrunable, which the equivalence tests use as oracle.
 //
 // Concurrency contract (matching internal/shard's snapshot discipline):
 // writers mutate a Store only under the owning bucket's lock; readers use
@@ -36,34 +40,36 @@ import (
 //
 //	bits 56–63  min(|V|, 255)
 //	bits 48–55  min(|E|, 255)
-//	bits 16–47  eight 4-bit vertex-label bucket counters, saturating at 7
-//	bits  0–15  four 4-bit edge-label bucket counters, saturating at 7
+//	bits 16–47  four 8-bit vertex-label bucket counters, saturating at 127
+//	bits  0–15  two 8-bit edge-label bucket counters, saturating at 127
 //
 // Labels hash into buckets by Fibonacci multiply; counters count multiset
-// occurrences. Capping and saturation keep every derived bound admissible
-// — see sigPrunes.
+// occurrences. The cap of 127 keeps each counter's bit 7 clear, so the
+// SWAR min in sigPrunes can set it and borrow from it without crossing
+// into the next byte. Capping and saturation keep every derived bound
+// admissible — see sigPrunes.
 const (
 	sigVShift = 56
 	sigEShift = 48
+	sigCap    = 127 // counter saturation value
 
-	nibVRegion = uint64(0x0000_FFFF_FFFF_0000) // vertex counter nibbles
-	nibERegion = uint64(0x0000_0000_0000_FFFF) // edge counter nibbles
-	nibMSB     = uint64(0x0000_8888_8888_8888) // per-nibble bit 3, low 48
-	nibLSB     = uint64(0x0000_1111_1111_1111) // per-nibble bit 0, low 48
+	sigVRegion = uint64(0x0000_FFFF_FFFF_0000) // vertex counter bytes
+	sigERegion = uint64(0x0000_0000_0000_FFFF) // edge counter bytes
+	sigMSB     = uint64(0x0000_8080_8080_8080) // per-counter bit 7
+	sigLSB     = uint64(0x0000_0101_0101_0101) // per-counter bit 0
 )
 
 func vbucketShift(id graph.ID) uint {
-	return uint(16 + 4*((uint32(id)*0x9E3779B1)>>29)) // 8 buckets
+	return uint(16 + 8*((uint32(id)*0x9E3779B1)>>30)) // 4 buckets
 }
 
 func ebucketShift(id graph.ID) uint {
-	return uint(4 * ((uint32(id) * 0x9E3779B1) >> 30)) // 4 buckets
+	return uint(8 * ((uint32(id) * 0x9E3779B1) >> 31)) // 2 buckets
 }
 
-// addNibble bumps the 4-bit counter at shift, saturating at 7 so the
-// sketch arithmetic below never carries across nibbles.
-func addNibble(sig uint64, shift uint) uint64 {
-	if (sig>>shift)&0xF < 7 {
+// addCounter bumps the byte counter at shift, saturating at sigCap.
+func addCounter(sig uint64, shift uint) uint64 {
+	if (sig>>shift)&0xFF < sigCap {
 		sig += 1 << shift
 	}
 	return sig
@@ -80,25 +86,26 @@ func sigOf(s Summary) uint64 {
 	}
 	sig := v<<sigVShift | e<<sigEShift
 	for _, id := range s.VLabels {
-		sig = addNibble(sig, vbucketShift(id))
+		sig = addCounter(sig, vbucketShift(id))
 	}
 	for _, id := range s.ELabels {
-		sig = addNibble(sig, ebucketShift(id))
+		sig = addCounter(sig, ebucketShift(id))
 	}
 	return sig
 }
 
-// sumNibbles adds the 4-bit fields of x (≤ 12 nibbles live, each ≤ 7, so
-// the byte-sum multiply cannot overflow).
-func sumNibbles(x uint64) int {
-	x = (x & 0x0F0F0F0F0F0F0F0F) + ((x >> 4) & 0x0F0F0F0F0F0F0F0F)
-	return int((x * 0x0101010101010101) >> 56)
+// sumCounters adds the byte counters of x. Four counters of up to 127 can
+// overflow a byte, so adjacent pairs first fold into 16-bit lanes, which
+// the lane-sum multiply then adds (six live counters sum to at most 762).
+func sumCounters(x uint64) int {
+	x = (x & 0x00FF_00FF_00FF_00FF) + ((x >> 8) & 0x00FF_00FF_00FF_00FF)
+	return int((x * 0x0001_0001_0001_0001) >> 48)
 }
 
-// saturated marks (in each nibble's low bit) the counters of x that hit
-// the cap of 7.
+// saturated marks (in each counter's bit 7) the counters of x at the cap:
+// 127 is the only counter value whose increment reaches bit 7.
 func saturated(x uint64) uint64 {
-	return x & (x >> 1) & (x >> 2) & nibLSB
+	return (x + sigLSB) & sigMSB
 }
 
 // sigPrunes reports whether the signatures alone prove GED(a, b) > tau.
@@ -109,7 +116,7 @@ func saturated(x uint64) uint64 {
 //     bound is too;
 //   - labels: per bucket, min(counterA, counterB) equals the true
 //     min(totalA, totalB) unless both sides saturate the same bucket
-//     (7 vs 7 says nothing about the real counts), and summing bucket
+//     (127 vs 127 says nothing about the real counts), and summing bucket
 //     minima over-counts the true multiset overlap, so
 //     max(capA, capB) − Σ min is ≤ the true multiset distance. A region
 //     with any doubly-saturated bucket contributes nothing (0 is always
@@ -135,29 +142,29 @@ func sigPrunes(a, b uint64, tau int) bool {
 		return true
 	}
 
-	// Per-nibble min over the 12 counter nibbles: (a|8)−b sets each
-	// nibble's bit 3 iff aᵢ ≥ bᵢ (values ≤ 7 keep borrows inside their
-	// nibble), and ×15 spreads that into a select mask.
-	al, bl := a&(nibVRegion|nibERegion), b&(nibVRegion|nibERegion)
-	diff := (al | nibMSB) - bl
-	ge := ((diff & nibMSB) >> 3) * 15
+	// Per-byte min over the six counters: (a|0x80)−b sets each byte's
+	// bit 7 iff aᵢ ≥ bᵢ (values ≤ 127 keep borrows inside their byte),
+	// and ×0xFF spreads that into a select mask.
+	al, bl := a&(sigVRegion|sigERegion), b&(sigVRegion|sigERegion)
+	diff := (al | sigMSB) - bl
+	ge := ((diff & sigMSB) >> 7) * 0xFF
 	mn := (bl & ge) | (al &^ ge)
 
 	sat := saturated(al) & saturated(bl)
 	dist := 0
-	if sat&nibVRegion == 0 {
+	if sat&sigVRegion == 0 {
 		mv := va
 		if vb > mv {
 			mv = vb
 		}
-		dist = mv - sumNibbles(mn&nibVRegion)
+		dist = mv - sumCounters(mn&sigVRegion)
 	}
-	if sat&nibERegion == 0 {
+	if sat&sigERegion == 0 {
 		me := ea
 		if eb > me {
 			me = eb
 		}
-		dist += me - sumNibbles(mn&nibERegion)
+		dist += me - sumCounters(mn&sigERegion)
 	}
 	return dist > tau
 }

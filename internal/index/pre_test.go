@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gsim/internal/branch"
+	"gsim/internal/dataset"
 	"gsim/internal/db"
 	"gsim/internal/graph"
 )
@@ -87,10 +88,7 @@ func TestSpanDistanceMatchesOracle(t *testing.T) {
 // prefilter bit-identical to the PairPrunable oracle.
 func TestSigNeverOverPrunes(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 3000; trial++ {
-		k := 1 + rng.Intn(12)
-		a := randSummary(rng, 40, k, int32(rng.Intn(3)*100))
-		b := randSummary(rng, 40, k, int32(rng.Intn(3)*100))
+	check := func(trial int, a, b Summary) {
 		sa, sb := sigOf(a), sigOf(b)
 		lb := a.LowerBound(b)
 		for tau := 0; tau < 14; tau++ {
@@ -103,22 +101,79 @@ func TestSigNeverOverPrunes(t *testing.T) {
 			t.Fatalf("trial %d: signature pruned itself at tau 0", trial)
 		}
 	}
+	for trial := 0; trial < 3000; trial++ {
+		k := 1 + rng.Intn(12)
+		a := randSummary(rng, 40, k, int32(rng.Intn(3)*100))
+		b := randSummary(rng, 40, k, int32(rng.Intn(3)*100))
+		check(trial, a, b)
+	}
+	// Few labels over up to ~600 occurrences drive counters to the cap
+	// of 127 on one side or both; the other side is a near copy, so the
+	// size tier rarely decides and the label bound is what is tested.
+	saturatedPairs := 0
+	for trial := 0; trial < 2000; trial++ {
+		k := 1 + rng.Intn(4)
+		base := int32(rng.Intn(3)*100 - 100)
+		a := randSummary(rng, 600, k, base)
+		b := nearCopy(rng, a, rng.Intn(16), k, base)
+		if saturated(sigOf(a))&saturated(sigOf(b)) != 0 {
+			saturatedPairs++
+		}
+		check(trial, a, b)
+	}
+	if saturatedPairs == 0 {
+		t.Fatal("no trial saturated one bucket on both sides")
+	}
+	t.Logf("%d of 2000 few-label pairs share a saturated bucket", saturatedPairs)
+}
+
+// nearCopy returns s with up to edits random label edits — a
+// substitution, insertion or deletion in either multiset — over labels
+// drawn from [base, base+k].
+func nearCopy(rng *rand.Rand, s Summary, edits, k int, base int32) Summary {
+	vl, el := slices.Clone(s.VLabels), slices.Clone(s.ELabels)
+	for i := 0; i < edits; i++ {
+		side := &vl
+		if rng.Intn(2) == 0 {
+			side = &el
+		}
+		l := graph.ID(base + int32(rng.Intn(k+1)))
+		switch op := rng.Intn(3); {
+		case op == 0 || len(*side) == 0:
+			*side = append(*side, l)
+		case op == 1:
+			(*side)[rng.Intn(len(*side))] = l
+		default:
+			j := rng.Intn(len(*side))
+			*side = append((*side)[:j], (*side)[j+1:]...)
+		}
+	}
+	slices.Sort(vl)
+	slices.Sort(el)
+	return Summary{V: len(vl), E: len(el), VLabels: vl, ELabels: el}
 }
 
 // TestSigSaturationFallback: heavily duplicated labels saturate the
-// 3-bit-capped counters on both sides; the sketch must then withhold the
-// label bound rather than overestimate it.
+// counters (capped at 127) on both sides; the sketch must then withhold that
+// region's label bound rather than overestimate it, while an unsaturated
+// region keeps pruning.
 func TestSigSaturationFallback(t *testing.T) {
-	mk := func(n int, id graph.ID) Summary {
-		vl := make([]graph.ID, n)
-		for i := range vl {
-			vl[i] = id
+	repeat := func(n int, id graph.ID) []graph.ID {
+		out := make([]graph.ID, n)
+		for i := range out {
+			out[i] = id
 		}
-		return Summary{V: n, E: 0, VLabels: vl}
+		return out
 	}
-	a, b := mk(20, 5), mk(20, 5)
-	// Identical graphs: true distance 0, but both counters sit at 7. Any
-	// pruning here would be a recall bug.
+	mk := func(vl, el []graph.ID) Summary {
+		return Summary{V: len(vl), E: len(el), VLabels: vl, ELabels: el}
+	}
+	a, b := mk(repeat(200, 5), nil), mk(repeat(200, 5), nil)
+	if saturated(sigOf(a)) == 0 {
+		t.Fatal("200 copies of one label left every counter below the cap")
+	}
+	// Identical graphs: true distance 0, but both counters sit at 127.
+	// Any pruning here would be a recall bug.
 	for tau := 0; tau < 10; tau++ {
 		if sigPrunes(sigOf(a), sigOf(b), tau) {
 			t.Fatalf("tau %d: doubly-saturated identical summaries pruned", tau)
@@ -126,10 +181,79 @@ func TestSigSaturationFallback(t *testing.T) {
 	}
 	// One side saturated, the other not: min(cap, exact) stays exact, so
 	// the sketch may (and here must) still prune at tau 0 via sizes.
-	c := mk(3, 5)
+	c := mk(repeat(3, 5), nil)
 	if !sigPrunes(sigOf(a), sigOf(c), 0) {
-		t.Fatal("size gap 17 not pruned at tau 0")
+		t.Fatal("size gap 197 not pruned at tau 0")
 	}
+
+	// Vertex region doubly saturated, edge region not: the vertex bound is
+	// withheld (the vertex multisets differ by 9, which 127 vs 127 cannot
+	// see) but the edge region still proves its distance of 10.
+	x, y := graph.ID(1), graph.ID(2)
+	for ebucketShift(y) == ebucketShift(x) {
+		y++
+	}
+	d := mk(repeat(200, 5), repeat(10, x))
+	e := mk(append(repeat(191, 5), repeat(9, 6)...), repeat(10, y))
+	for tau := 0; tau < 20; tau++ {
+		got, want := sigPrunes(sigOf(d), sigOf(e), tau), tau < 10
+		if got != want {
+			t.Fatalf("tau %d: sigPrunes %v, want %v (edge distance 10 alone)", tau, got, want)
+		}
+		if got && d.LowerBound(e) <= tau {
+			t.Fatalf("tau %d: pruned past the exact bound %d", tau, d.LowerBound(e))
+		}
+	}
+}
+
+// TestSigDecidesLabelTier pins where label-tier prunes are decided. On
+// AASD-shaped graphs (~72 vertices over a few dozen labels) the signature
+// word alone must prove nearly every prune whose exact label bound exceeds
+// τ̂, so View.Tier's arena walk runs only for the pairs the sketch cannot
+// settle. A layout that stays admissible but saturates again passes every
+// equivalence suite and silently loses the speed-up; this count does not.
+func TestSigDecidesLabelTier(t *testing.T) {
+	cfg, err := dataset.Profile("aasd", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Seed = 1
+	ds, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := ds.Col.Entries()
+	st := NewStore(len(ds.DBGraphs))
+	for _, idx := range ds.DBGraphs {
+		st.Append(Summarize(entries[idx].G))
+	}
+	v := st.View()
+	const tau = 3
+	queries := ds.Queries[:100]
+	labelTier, undecided := 0, 0
+	for _, qi := range queries {
+		qg := entries[qi].G
+		qp := PrepareQuery(qg)
+		qids := ds.Col.BranchDict().ResolveMultiset(branch.MultisetOf(qg))
+		for slot, idx := range ds.DBGraphs {
+			if v.Tier(&qp, qids, entries[idx], slot, tau) != TierLabel {
+				continue
+			}
+			labelTier++
+			if !sigPrunes(qp.Sig, v.Sig[slot], tau) {
+				undecided++
+			}
+		}
+	}
+	if labelTier < 1000 {
+		t.Fatalf("only %d label-tier prunes: the sample does not exercise the tier", labelTier)
+	}
+	if 50*undecided > labelTier {
+		t.Fatalf("signature left %d of %d label-tier prunes (%.1f%%) to the arena walk, budget 2%%",
+			undecided, labelTier, 100*float64(undecided)/float64(labelTier))
+	}
+	t.Logf("%d queries × %d graphs: %d label-tier prunes, %d left to the arena walk",
+		len(queries), len(ds.DBGraphs), labelTier, undecided)
 }
 
 // oracleTier is the layered classification by the oracle's definitions:
