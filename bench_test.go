@@ -224,6 +224,49 @@ func BenchmarkSearchPrefilterWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchAfterWrite is the write→read path of a served database:
+// each op stores one small graph into the BenchmarkSearchPrefilterWorkers
+// corpus and then runs one prefiltered search, which must read a cut the
+// write just moved. CI gates it. The stored graphs are deleted, untimed,
+// after each run, so every run starts from the same 30,000 graphs.
+func BenchmarkSearchAfterWrite(b *testing.B) {
+	d, queries := corpusFixture(b)
+	opt := gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Prefilter: true}
+	for i := range queries { // warm the prefilter columns and the posterior table
+		if _, err := d.Search(queries[i], opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	stored := make([]int, 0, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := d.NewGraph(fmt.Sprintf("w%d", i))
+		for v := 0; v < 6; v++ {
+			g.AddVertex(fmt.Sprintf("W%d", (i+v)%5))
+		}
+		for v := 0; v+1 < 6; v++ {
+			if err := g.AddEdge(v, v+1, "w"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		id, err := g.Store()
+		if err != nil {
+			b.Fatal(err)
+		}
+		stored = append(stored, id)
+		if _, err := d.Search(queries[i%len(queries)], opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	for _, id := range stored {
+		if err := d.Delete(id); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkShardedIngest measures parallel Store throughput into the
 // sharded store (one small labeled graph per op, built and interned from
 // scratch) at one shard — every insert serialises behind a single

@@ -1,8 +1,8 @@
 package gsim
 
-// The scan decides most positions from the projection's columns — ids,
+// The scan decides most positions from the shard views' columns — ids,
 // sizes, signatures — and counts what it prunes once per claimed range,
-// attributing it to shards from positions instead of entries. These
+// attributing it to shards by view instead of by entry. These
 // tests hold the columns to the entries they stand for and the three
 // pruned counters (per shard, per database, per result) to each other
 // and to a recount, for every way a scan can end.
@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -21,24 +22,26 @@ import (
 	"gsim/internal/method"
 )
 
-// checkProjectionColumns compares both column sets of the current
-// projection with its entries, position for position.
+// checkProjectionColumns compares every view's columns of the current
+// projection with its entries, slot for slot, and each span with its view.
 func checkProjectionColumns(t *testing.T, d *Database) *projection {
 	t.Helper()
 	d.mu.RLock()
 	p := d.projection(true)
 	d.mu.RUnlock()
-	if len(p.ids) != len(p.entries) || len(p.sizes) != len(p.entries) || p.pre.Len() != len(p.entries) {
-		t.Fatalf("%d ids, %d sizes, %d signatures for %d entries", len(p.ids), len(p.sizes), p.pre.Len(), len(p.entries))
-	}
-	for pos, e := range p.entries {
-		if p.ids[pos] != e.ID || int(p.sizes[pos]) != len(e.Branches) {
-			t.Fatalf("position %d: columns say (id %d, size %d), entry is (id %d, size %d)",
-				pos, p.ids[pos], p.sizes[pos], e.ID, len(e.Branches))
+	for vi, v := range p.views {
+		if len(v.IDs) != len(v.Entries) || len(v.Sizes) != len(v.Entries) || v.Pre.Len() != len(v.Entries) {
+			t.Fatalf("view %d: %d ids, %d sizes, %d signatures for %d entries", vi, len(v.IDs), len(v.Sizes), v.Pre.Len(), len(v.Entries))
 		}
-	}
-	if p.starts != nil && p.starts[len(p.starts)-1] != len(p.entries) {
-		t.Fatalf("spans end at %d, scan set has %d entries", p.starts[len(p.starts)-1], len(p.entries))
+		for slot, e := range v.Entries {
+			if v.IDs[slot] != e.ID || int(v.Sizes[slot]) != len(e.Branches) {
+				t.Fatalf("view %d slot %d: columns say (id %d, size %d), entry is (id %d, size %d)",
+					vi, slot, v.IDs[slot], v.Sizes[slot], e.ID, len(e.Branches))
+			}
+		}
+		if span := p.starts[vi+1] - p.starts[vi]; span != len(v.Entries) {
+			t.Fatalf("span %d covers %d positions, its view holds %d entries", vi, span, len(v.Entries))
+		}
 	}
 	return p
 }
@@ -58,9 +61,11 @@ func recount(d *Database, p *projection, q *Query, tau int) []uint64 {
 	byShard := make([]uint64, d.NumShards())
 	qp := index.PrepareQuery(q.g)
 	qids := d.store.BranchDict().ResolveMultiset(q.branches)
-	for pos, e := range p.entries {
-		if p.pre.Prunable(&qp, qids, e, pos, tau) {
-			byShard[d.store.ShardIndex(e.ID)]++
+	for _, v := range p.views {
+		for slot, e := range v.Entries {
+			if v.Pre.Prunable(&qp, qids, e, slot, tau) {
+				byShard[d.store.ShardIndex(e.ID)]++
+			}
 		}
 	}
 	return byShard
@@ -99,7 +104,7 @@ func searchForms(t *testing.T, label string, d *Database, rng *rand.Rand) {
 	t.Helper()
 	const tau = 2
 	p := checkProjectionColumns(t, d)
-	n := len(p.entries)
+	n := p.len()
 	ctx := context.Background()
 	opt := SearchOptions{Method: GreedySort, Tau: tau, Prefilter: true, Workers: 1 + rng.Intn(4)}
 	q := buildRandomQuery(d, rng)
@@ -181,7 +186,8 @@ func TestColumnsAndPrunedCountersAgree(t *testing.T) {
 		}
 
 		// The same store behind an active subset: every third graph, in
-		// descending ID order, so flat position and shard span part ways.
+		// descending ID order, with the first five listed twice — a set,
+		// so each is scanned once.
 		col := db.New("subset")
 		col.Dict = d.store.Dict()
 		for _, e := range d.store.Ordered() {
@@ -191,12 +197,102 @@ func TestColumnsAndPrunedCountersAgree(t *testing.T) {
 		for id := col.Len() - 1; id >= 0; id -= 3 {
 			active = append(active, id)
 		}
+		distinct := len(active)
+		active = append(active, active[:5]...)
 		sub := FromCollectionShards(col, active, shards)
-		if p := checkProjectionColumns(t, sub); p.starts != nil || len(p.entries) != len(active) {
-			t.Fatalf("active subset of %d projected %d entries (spans %v)", len(active), len(p.entries), p.starts)
+		p := checkProjectionColumns(t, sub)
+		if len(p.starts) != shards+1 || p.len() != distinct {
+			t.Fatalf("active subset of %d IDs projected %d positions (spans %v)", distinct, p.len(), p.starts)
 		}
 		searchForms(t, fmt.Sprintf("%d shards, active subset", shards), sub, rng)
+		checkSubsetScan(t, sub, active[:distinct], active[0])
 	}
+}
+
+// checkSubsetScan runs one complete scan of an active subset — the
+// distinct stored IDs ids — for the stored graph dup, which the subset
+// lists twice: every shard's scanned counter moves by the number of ids it
+// holds, and dup is matched once, in ascending ID order with the rest.
+func checkSubsetScan(t *testing.T, d *Database, ids []int, dup int) {
+	t.Helper()
+	share := make([]uint64, d.NumShards())
+	for _, id := range ids {
+		share[d.store.ShardIndex(uint64(id))]++
+	}
+	scanned := func() (out []uint64) {
+		for i := range d.store.Telemetry().Shards {
+			out = append(out, d.store.Telemetry().Shards[i].Scanned.Load())
+		}
+		return out
+	}
+	before := scanned()
+	res, err := d.Search(d.Query(dup), SearchOptions{Method: GreedySort, Tau: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := scanned()
+	for i := range share {
+		if delta := after[i] - before[i]; delta != share[i] {
+			t.Fatalf("shard %d counted %d scanned, it holds %d of the subset", i, delta, share[i])
+		}
+	}
+	seen := 0
+	for i, m := range res.Matches {
+		if i > 0 && m.Index <= res.Matches[i-1].Index {
+			t.Fatalf("matches out of ID order or repeated: %d after %d", m.Index, res.Matches[i-1].Index)
+		}
+		if m.Index == dup {
+			seen++
+		}
+	}
+	if seen != 1 {
+		t.Fatalf("graph %d, listed twice, matched itself %d times", dup, seen)
+	}
+}
+
+// TestWriteThenReadCopiesNoColumn: one Store followed by one prefiltered
+// Search allocates a bounded number of bytes, whatever the store's size.
+// The search reads the shards' views in place; re-concatenating their
+// columns after the write would cost 36 B per graph, ≈ 720 KB here. The
+// cheapest of several rounds is taken, so a column's amortised append
+// growth, which lands on one round in thousands, does not count.
+func TestWriteThenReadCopiesNoColumn(t *testing.T) {
+	const n, rounds, budget = 20000, 8, 64 << 10
+	d := New(WithName("w2r"))
+	rng := rand.New(rand.NewSource(67))
+	for stored := 0; stored < n; stored += 1000 {
+		batch := make([]*GraphBuilder, 1000)
+		for i := range batch {
+			batch[i] = buildRandomGraph(d, rng, fmt.Sprintf("g%d", stored+i))
+		}
+		if _, err := d.StoreAll(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := buildRandomQuery(d, rng)
+	opt := SearchOptions{Method: GreedySort, Tau: 1, Prefilter: true}
+	if _, err := d.Search(q, opt); err != nil { // activates the prefilter columns
+		t.Fatal(err)
+	}
+	least := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for r := 0; r < rounds; r++ {
+		b := buildRandomGraph(d, rng, fmt.Sprintf("w%d", r))
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		if _, err := b.Store(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Search(q, opt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.TotalAlloc-before)
+	}
+	if least > budget {
+		t.Fatalf("a store and a prefiltered search over %d graphs allocated %d B, budget %d B", n, least, budget)
+	}
+	t.Logf("a store and a prefiltered search over %d graphs: %d B", n, least)
 }
 
 // TestCancelledScanStopsWithinOnePairPerWorker: a scan claims ranges of

@@ -45,7 +45,7 @@ var ErrNotFound = errors.New("gsim: no graph with that id")
 // result cache keys on (see internal/qcache).
 type Database struct {
 	store  *shard.Map // assigned once at construction, never replaced
-	active []int      // graph IDs scanned by Search; nil = all (immutable once set)
+	active []int      // graph IDs scanned by Search, as a set; nil = all (immutable once set)
 	dur    *durable   // persistence state; nil for an in-memory database
 	health health     // degraded-mode state machine (health.go); zero value = healthy
 
@@ -57,10 +57,9 @@ type Database struct {
 	ws       *core.Workspace
 	gbdPrior *core.GBDPrior
 
-	// apMu guards the cached scan projection: flattening a consistent
-	// cut into one scan set costs a pointer pass over the store, so
-	// prepare reuses the projection until a mutation moves the store
-	// epoch (see Database.projection in search.go).
+	// apMu guards the cached scan projection: prepare reuses it until a
+	// mutation moves the store epoch (see Database.projection in
+	// search.go).
 	apMu sync.Mutex
 	proj *projection
 
@@ -87,27 +86,22 @@ func (d *Database) WALTelemetry() *telemetry.WALMetrics { return &d.walTele }
 // scanned/pruned/mutation counters and mutation-latency histograms.
 func (d *Database) StoreTelemetry() *telemetry.StoreMetrics { return d.store.Telemetry() }
 
-// projection is the memoised flat scan set over one store epoch's
-// consistent cut: concatenated shard snapshots for a full scan, the
-// picked active subset (in list order) otherwise, plus the aligned
-// columnar prefilter when built with it.
+// projection is one store epoch's consistent cut as the scan reads it:
+// the per-shard views, narrowed to the active subset's slots when there is
+// one, laid end to end. A full scan copies nothing per position.
 type projection struct {
 	epoch   uint64
 	withPre bool
-	entries []*db.Entry
-	// ids and sizes are the shards' columns (see shard.View) in entry
-	// order: what a scan reads instead of entries[pos] for every
-	// position a column decides.
-	ids   []uint64
-	sizes []uint32
-	pre   *index.Flat
-	// starts[i] is the flat position where shard i's span begins and
-	// starts[len(shards)] the scan length (nil for an active subset) —
-	// the reverse map the telemetry layer uses to attribute per-shard
-	// scanned and pruned counts without one atomic, or one entry
-	// dereference, per position.
+	views   []shard.View
+	// starts[i] is the scan position of views[i]'s slot 0 and
+	// starts[len(views)] the scan length: where a claimed range splits
+	// at view boundaries, and the span each shard's scanned count is
+	// attributed from.
 	starts []int
 }
+
+// len reports the number of scan positions.
+func (p *projection) len() int { return p.starts[len(p.views)] }
 
 // Epoch returns the database version: a counter advanced by every
 // mutation that can change search results (graph inserts, deletes,
@@ -124,9 +118,10 @@ func (d *Database) Epoch() uint64 {
 
 // FromCollection wraps an existing internal collection — the bridge used by
 // the experiment harness and dataset generators, which assemble collections
-// directly. active lists the graph IDs Search scans (the "95% database" of
-// Section VII-A; a flat collection's IDs equal its indexes); nil scans
-// everything.
+// directly. active is the set of graph IDs Search scans (the "95% database"
+// of Section VII-A; a flat collection's IDs equal its indexes): each listed
+// ID that is stored is scanned once, whatever the list order, and matches
+// come in ascending ID as for a full scan. nil scans everything.
 //
 // Deprecated: external users build databases with New (or Open) and
 // NewGraph; this bridge remains for the experiment harness.
@@ -148,18 +143,13 @@ func (d *Database) NumShards() int { return d.store.NumShards() }
 // scan subset).
 func (d *Database) Len() int { return d.store.Len() }
 
-// ActiveLen reports how many graphs Search scans.
+// ActiveLen reports how many graphs Search scans: for an active subset,
+// the distinct listed IDs still stored.
 func (d *Database) ActiveLen() int {
 	if d.active == nil {
 		return d.store.Len()
 	}
-	n := 0
-	for _, id := range d.active {
-		if _, ok := d.store.Get(uint64(id)); ok {
-			n++
-		}
-	}
-	return n
+	return d.projection(false).len()
 }
 
 // Stats summarises the stored graphs.

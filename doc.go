@@ -116,8 +116,9 @@
 //
 // A search takes a consistent cut of per-shard snapshots at prepare time
 // (optimistic epoch double-read, shard-locked fallback) and scans it
-// lock-free: the scan engine scatters range claims across the
-// concatenated per-shard position space and the gather side orders
+// lock-free: the shards' views are laid end to end by prefix sums — no
+// column is copied — the scan engine scatters range claims across them,
+// each claim read view by view in place, and the gather side orders
 // matches by stable graph ID, so results — values and order — are
 // bit-identical to the unsharded layout. A graph stored during a scan is
 // visible to the next search, never the running one; a graph deleted or
@@ -198,10 +199,11 @@
 // it, one table lookup — and most stored graphs never become a scored
 // pair.
 //
-// Columns and ranges. The scan set is a slice of entry pointers plus
-// three columns over the same positions: stable IDs, sizes (branch
-// counts) and, with the prefilter, signature words. A worker takes each
-// claimed range in two passes. The filter pass reads one column and
+// Columns and ranges. The scan reads every shard's view of the cut in
+// place: entry pointers plus three columns over the same slots — stable
+// IDs, sizes (branch counts) and, with the prefilter, signature words. A
+// worker splits each claimed range at view boundaries and takes every
+// piece in two passes. The filter pass reads one column and
 // nothing else: a prefiltered scan skip-scans the signatures to the next
 // position they cannot prune, an unfiltered GBDA/V1/V2/Hybrid scan
 // skip-scans the sizes to the next entry inside the scorer's size window
@@ -212,8 +214,7 @@
 // only theirs: a pruned or size-decided graph costs one column read, no
 // pointer chase and no shared write. What the filter discarded is
 // counted in the worker and published — to the search's counter and,
-// attributed by the projection's shard spans, to the per-shard ones —
-// once per range; before that, two shared atomic adds per pruned entry
+// by the view it came from, to the per-shard ones — once per range; before that, two shared atomic adds per pruned entry
 // were most of a prefiltered search and made two workers slower than
 // one. Top-K's zero-score tail and every result's order key take their
 // index from the ids column.

@@ -345,3 +345,28 @@ func TestMethodString(t *testing.T) {
 		t.Fatal("unknown method stringer broken")
 	}
 }
+
+// TestActiveSubsetIsASet: the active subset is a set of IDs. An ID listed
+// twice is scanned and returned once, an ID no graph carries is skipped,
+// and results come in ascending graph ID whatever the list order.
+func TestActiveSubsetIsASet(t *testing.T) {
+	ds := tinyDataset(t, 13)
+	ids := ds.DBGraphs
+	dup := ids[3]
+	d := gsim.FromCollection(ds.Col, []int{ids[5], dup, ids[1], dup, 1 << 30, ids[0]})
+	want := []int{ids[0], ids[1], dup, ids[5]}
+	if n := d.ActiveLen(); n != len(want) {
+		t.Fatalf("ActiveLen = %d, want %d distinct stored IDs", n, len(want))
+	}
+	res, err := d.Search(d.Query(dup), gsim.SearchOptions{Method: gsim.GreedySort, CollectAll: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]int, len(res.Matches))
+	for i, m := range res.Matches {
+		got[i] = m.Index
+	}
+	if res.Scanned != len(want) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("scanned %d, returned %v; want %d scanned, %v", res.Scanned, got, len(want), want)
+	}
+}

@@ -42,7 +42,7 @@ func BenchmarkLowerBoundPair(b *testing.B) {
 }
 
 // BenchmarkPrefilterScan is the CI-gated columnar hot loop: one prepared
-// query evaluated against 10k stored entries through Flat.Prunable —
+// query evaluated against 10k stored entries through View.Prunable —
 // signature word first, arena fallback only when undecided. Zero
 // allocations per scan is part of the gate.
 func BenchmarkPrefilterScan(b *testing.B) {
@@ -58,7 +58,7 @@ func BenchmarkPrefilterScan(b *testing.B) {
 	for _, e := range entries {
 		st.Append(Summarize(e.G))
 	}
-	f := FlattenViews([]View{st.View()})
+	v := st.View()
 	qg := randomGraph(rng, dict, 12)
 	qp := PrepareQuery(qg)
 	qids := col.BranchDict().ResolveMultiset(branch.MultisetOf(qg))
@@ -67,7 +67,7 @@ func BenchmarkPrefilterScan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pruned := 0
 		for pos, e := range entries {
-			if f.Prunable(&qp, qids, e, pos, 4) {
+			if v.Prunable(&qp, qids, e, pos, 4) {
 				pruned++
 			}
 		}

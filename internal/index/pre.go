@@ -30,6 +30,7 @@ package index
 
 import (
 	"encoding/binary"
+	"sort"
 
 	"gsim/internal/branch"
 	"gsim/internal/db"
@@ -511,90 +512,56 @@ func PrepareQuery(g *graph.Graph) QueryPre { return NewQueryPre(Summarize(g)) }
 // NewQueryPre signs an existing summary.
 func NewQueryPre(s Summary) QueryPre { return QueryPre{Sig: sigOf(s), Sum: s} }
 
-// Flat is the scan-order projection over one or more Views: one
-// contiguous signature column (the tight loop touches nothing else until
-// a signature fails to prune) plus per-position locators back into the
-// owning view for the exact fallback.
-type Flat struct {
-	sig   []uint64
-	loc   []uint64 // view index << 32 | slot
-	views []View
+// Prunable reports whether slot provably violates GED ≤ tau against a
+// prepared query — the signature word first, the exact arena-based
+// composite bound (Tier) only when the signature cannot decide. The
+// decision is bit-identical to PairPrunable. A scan over a range of slots
+// calls NextUndecided first, so only the slots it stops at reach here.
+func (v *View) Prunable(q *QueryPre, qBranches branch.IDs, e *db.Entry, slot, tau int) bool {
+	return sigPrunes(q.Sig, v.Sig[slot], tau) || v.Tier(q, qBranches, e, slot, tau) != TierNone
 }
 
-// FlatBuilder assembles a Flat position by position — the active-subset
-// projection walks arbitrary (view, slot) pairs.
-type FlatBuilder struct{ f Flat }
-
-// NewFlatBuilder starts a Flat over views with capacity for capHint
-// positions.
-func NewFlatBuilder(views []View, capHint int) *FlatBuilder {
-	return &FlatBuilder{f: Flat{
-		sig:   make([]uint64, 0, capHint),
-		loc:   make([]uint64, 0, capHint),
-		views: views,
-	}}
-}
-
-// Add appends the entry at (view, slot) as the next scan position.
-func (b *FlatBuilder) Add(view, slot int) {
-	b.f.sig = append(b.f.sig, b.f.views[view].Sig[slot])
-	b.f.loc = append(b.f.loc, uint64(view)<<32|uint64(uint32(slot)))
-}
-
-// Done returns the assembled Flat.
-func (b *FlatBuilder) Done() *Flat { return &b.f }
-
-// FlattenViews builds a Flat covering every slot of every view in order —
-// the full-scan projection, whose position ordering matches concatenating
-// the views' entry slices. It runs on every projection rebuild (the first
-// read after each write), so the signature column is concatenated with
-// copy and the locators filled in one pass per view.
-func FlattenViews(views []View) *Flat {
-	n := 0
-	for _, v := range views {
-		n += v.Len()
-	}
-	f := &Flat{sig: make([]uint64, 0, n), loc: make([]uint64, n), views: views}
-	for vi, v := range views {
-		loc := f.loc[len(f.sig) : len(f.sig)+v.Len()]
-		for slot := range loc {
-			loc[slot] = uint64(vi)<<32 | uint64(slot)
-		}
-		f.sig = append(f.sig, v.Sig...)
-	}
-	return f
-}
-
-// Len reports the number of scan positions.
-func (f *Flat) Len() int { return len(f.sig) }
-
-// Prunable reports whether the entry at scan position pos provably
-// violates GED ≤ tau — the signature word first, the exact arena-based
-// composite bound only when the signature cannot decide. The decision is
-// bit-identical to PairPrunable. A scan over a range of positions takes
-// the same decision in two steps that read less: NextUndecided over the
-// signature column, then PrunableExact for the positions it stops at.
-// benchmark/ladder.go is its only non-test caller.
-func (f *Flat) Prunable(q *QueryPre, qBranches branch.IDs, e *db.Entry, pos, tau int) bool {
-	return sigPrunes(q.Sig, f.sig[pos], tau) || f.PrunableExact(q, qBranches, e, pos, tau)
-}
-
-// NextUndecided returns the first position in [pos, hi) whose signature
+// NextUndecided returns the first slot in [slot, hi) whose signature
 // cannot prove GED > tau, or hi when every one of them can. It reads the
-// signature column and nothing else: no locator, no entry.
-func (f *Flat) NextUndecided(q *QueryPre, pos, hi, tau int) int {
-	for i, sig := range f.sig[pos:hi] {
+// signature column and nothing else: no meta, no arena, no entry.
+func (v *View) NextUndecided(q *QueryPre, slot, hi, tau int) int {
+	for i, sig := range v.Sig[slot:hi] {
 		if !sigPrunes(q.Sig, sig, tau) {
-			return pos + i
+			return slot + i
 		}
 	}
 	return hi
 }
 
-// PrunableExact evaluates the exact composite bound for the entry at scan
-// position pos — what Prunable falls back to when the signature cannot
-// decide.
-func (f *Flat) PrunableExact(q *QueryPre, qBranches branch.IDs, e *db.Entry, pos, tau int) bool {
-	l := f.loc[pos]
-	return f.views[l>>32].Tier(q, qBranches, e, int(uint32(l)), tau) != TierNone
+// Pick returns a view of the given slots, in that order: the signature
+// and meta columns are picked, the arena is shared.
+func (v View) Pick(slots []int) View {
+	p := View{Sig: make([]uint64, len(slots)), Meta: make([]Meta, len(slots)), Arena: v.Arena}
+	for i, slot := range slots {
+		p.Sig[i], p.Meta[i] = v.Sig[slot], v.Meta[slot]
+	}
+	return p
+}
+
+// Flat lays views end to end and locates a position in them. Only
+// benchmark/ladder.go and tests use it: the scan splits its ranges at
+// view boundaries and asks each view itself.
+type Flat struct {
+	views  []View
+	starts []int // starts[i] is the position of views[i]'s slot 0
+}
+
+// FlattenViews lays views end to end in O(len(views)); no slot is copied.
+func FlattenViews(views []View) *Flat {
+	f := &Flat{views: views, starts: make([]int, len(views)+1)}
+	for i, v := range views {
+		f.starts[i+1] = f.starts[i] + v.Len()
+	}
+	return f
+}
+
+// Prunable is View.Prunable at position pos of the laid-out views.
+func (f *Flat) Prunable(q *QueryPre, qBranches branch.IDs, e *db.Entry, pos, tau int) bool {
+	i := sort.SearchInts(f.starts, pos+1) - 1
+	return f.views[i].Prunable(q, qBranches, e, pos-f.starts[i], tau)
 }

@@ -274,7 +274,9 @@ func oracleTier(q Summary, qBranches branch.IDs, s Summary, e *db.Entry, tau int
 // TestFlatPrunableMatchesLegacy: over random stored graphs and random
 // queries (with ephemeral branch IDs), Flat.Prunable must agree with
 // PairPrunable at every position and threshold, and View.Tier with the
-// oracle's layered classification — the branch tier included.
+// oracle's layered classification — the branch tier included. The graphs
+// are split over three stores of unequal size, the middle one empty, so a
+// wrong lookup of a position's view cannot pass.
 func TestFlatPrunableMatchesLegacy(t *testing.T) {
 	dict := graph.NewLabels()
 	rng := rand.New(rand.NewSource(19))
@@ -283,14 +285,20 @@ func TestFlatPrunableMatchesLegacy(t *testing.T) {
 		col.Add(randomGraph(rng, dict, 2+rng.Intn(10)))
 	}
 	entries := col.Entries()
-	st := NewStore(len(entries))
 	sums := make([]Summary, len(entries))
 	for i, e := range entries {
 		sums[i] = Summarize(e.G)
-		st.Append(sums[i])
 	}
-	v := st.View()
-	f := FlattenViews([]View{v})
+	cuts := []int{0, 70, 70, len(entries)} // store i holds entries[cuts[i]:cuts[i+1]]
+	views := make([]View, len(cuts)-1)
+	for i := range views {
+		st := NewStore(cuts[i+1] - cuts[i])
+		for _, sum := range sums[cuts[i]:cuts[i+1]] {
+			st.Append(sum)
+		}
+		views[i] = st.View()
+	}
+	f := FlattenViews(views)
 	branchPruned := 0
 	for qt := 0; qt < 25; qt++ {
 		qg := randomGraph(rng, dict, 2+rng.Intn(12))
@@ -298,18 +306,22 @@ func TestFlatPrunableMatchesLegacy(t *testing.T) {
 		qp := NewQueryPre(qs)
 		qids := col.BranchDict().ResolveMultiset(branch.MultisetOf(qg))
 		for tau := 0; tau < 8; tau++ {
-			for pos, e := range entries {
-				want := PairPrunable(qs, qids, sums[pos], e, tau)
-				got := f.Prunable(&qp, qids, e, pos, tau)
-				if got != want {
-					t.Fatalf("query %d tau %d pos %d: flat %v, legacy %v", qt, tau, pos, got, want)
-				}
-				wantTier := oracleTier(qs, qids, sums[pos], e, tau)
-				if tier := v.Tier(&qp, qids, e, pos, tau); tier != wantTier {
-					t.Fatalf("query %d tau %d pos %d: tier %d, oracle %d", qt, tau, pos, tier, wantTier)
-				}
-				if wantTier == TierBranch {
-					branchPruned++
+			for vi, v := range views {
+				for slot := 0; slot < v.Len(); slot++ {
+					pos := cuts[vi] + slot
+					e := entries[pos]
+					want := PairPrunable(qs, qids, sums[pos], e, tau)
+					got := f.Prunable(&qp, qids, e, pos, tau)
+					if got != want {
+						t.Fatalf("query %d tau %d pos %d: flat %v, legacy %v", qt, tau, pos, got, want)
+					}
+					wantTier := oracleTier(qs, qids, sums[pos], e, tau)
+					if tier := v.Tier(&qp, qids, e, slot, tau); tier != wantTier {
+						t.Fatalf("query %d tau %d pos %d: tier %d, oracle %d", qt, tau, pos, tier, wantTier)
+					}
+					if wantTier == TierBranch {
+						branchPruned++
+					}
 				}
 			}
 		}

@@ -102,8 +102,8 @@ type Map struct {
 
 	// tele holds the store's telemetry: mutation-latency histograms per
 	// op kind plus per-shard scanned/pruned/mutation counters (the scan
-	// side is attributed by the search layer, which knows the scan's
-	// projection).
+	// side is attributed by the search layer, which scans each shard's
+	// View in its own span of positions).
 	tele *telemetry.StoreMetrics
 }
 
@@ -791,6 +791,25 @@ type View struct {
 	Epoch   uint64
 	IDs     []uint64
 	Sizes   []uint32
+}
+
+// Pick returns a view of the given slots, in that order — an active
+// subset's share of the shard. The columns, entry pointers included, are
+// picked; the entries themselves and the prefilter arena are shared.
+func (v View) Pick(slots []int) View {
+	p := View{
+		Entries: make([]*db.Entry, len(slots)),
+		Epoch:   v.Epoch,
+		IDs:     make([]uint64, len(slots)),
+		Sizes:   make([]uint32, len(slots)),
+	}
+	for i, slot := range slots {
+		p.Entries[i], p.IDs[i], p.Sizes[i] = v.Entries[slot], v.IDs[slot], v.Sizes[slot]
+	}
+	if v.Pre.Len() > 0 {
+		p.Pre = v.Pre.Pick(slots)
+	}
+	return p
 }
 
 // Views assembles a consistent cut across every shard: per-shard snapshot

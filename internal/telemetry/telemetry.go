@@ -15,10 +15,9 @@ const (
 	// scorer preparation — everything before the scan can start. It
 	// includes StageCut.
 	StagePrepare Stage = iota
-	// StageCut covers taking the consistent cut of the sharded store
-	// and flattening it into the scan projection (a sub-span of
-	// StagePrepare; memoised projections make it near-zero between
-	// mutations).
+	// StageCut covers taking the consistent cut of the sharded store —
+	// per-shard views plus their prefix sums, O(shards) — a sub-span of
+	// StagePrepare, memoised between mutations.
 	StageCut
 	// StagePrefilter is the per-entry columnar prune check (traced
 	// searches only).
@@ -90,9 +89,9 @@ func (o MutOp) String() string {
 // line so neighbouring shards' counters do not false-share under
 // concurrent scans.
 type ShardCounters struct {
-	// Scanned counts entries of this shard examined by completed full
-	// scans (attributed from the projection's per-shard spans; scans
-	// stopped early or over an active subset are not attributed).
+	// Scanned counts entries of this shard examined by completed scans,
+	// full or over an active subset (attributed from the length of the
+	// shard's view; scans stopped early are not attributed).
 	Scanned atomic.Uint64
 	// Pruned counts entries of this shard the prefilter discarded.
 	Pruned atomic.Uint64

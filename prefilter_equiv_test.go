@@ -4,7 +4,7 @@ package gsim
 // stores, deletes and updates, the prune decision at every scan position
 // must be bit-identical to the legacy Summary path (index.PairPrunable as
 // oracle) — not merely produce the same final matches. These tests drive
-// the real Database mutation API and compare the projection's Flat
+// the real Database mutation API and compare every view of the projection
 // against freshly computed legacy summaries; the concurrent variant runs
 // the same check under live mutation and is raced in CI.
 
@@ -67,12 +67,14 @@ func checkPruneSet(t *testing.T, d *Database, rng *rand.Rand, round int) {
 		qp := index.NewQueryPre(qs)
 		qids := d.store.BranchDict().ResolveMultiset(q.branches)
 		for tau := 0; tau <= 5; tau++ {
-			for pos, e := range p.entries {
-				want := index.PairPrunable(qs, qids, index.Summarize(e.G), e, tau)
-				got := p.pre.Prunable(&qp, qids, e, pos, tau)
-				if got != want {
-					t.Fatalf("round %d query %d tau %d pos %d (graph %s): columnar %v, legacy %v",
-						round, qi, tau, pos, e.G.Name, got, want)
+			for vi, v := range p.views {
+				for slot, e := range v.Entries {
+					want := index.PairPrunable(qs, qids, index.Summarize(e.G), e, tau)
+					got := v.Pre.Prunable(&qp, qids, e, slot, tau)
+					if got != want {
+						t.Fatalf("round %d query %d tau %d shard %d slot %d (graph %s): columnar %v, legacy %v",
+							round, qi, tau, vi, slot, e.G.Name, got, want)
+					}
 				}
 			}
 		}

@@ -117,12 +117,13 @@ type SearchOptions struct {
 	Prefilter bool
 	// Trace enables the fine-grained stage split for this search: the
 	// scan's prefilter and scoring phases are timed separately — three
-	// clock samples per claimed range, whose filter pass runs to the end
-	// before its scoring pass starts — and reported in Result.Stages
-	// alongside the coarse stages, which are recorded for every search
-	// from a handful of clock reads per request. Meant for diagnosing
-	// individual queries (the serving layer's ?debug=trace); a traced
-	// scan executes the same loop as an untraced one.
+	// clock samples per claimed range (per shard view the range spans),
+	// whose filter pass runs to the end before its scoring pass starts —
+	// and reported in Result.Stages alongside the coarse stages, which
+	// are recorded for every search from a handful of clock reads per
+	// request. Meant for diagnosing individual queries (the serving
+	// layer's ?debug=trace); a traced scan executes the same loop as an
+	// untraced one.
 	Trace bool
 }
 
@@ -251,43 +252,33 @@ func (r *Result) Indexes() []int {
 
 // preparedSearch is a validated search ready to run over any number of
 // queries: the scorer is prepared and a consistent cut of per-shard
-// snapshots taken (with prefilter summaries when requested), flattened
-// into one scan set. It is both the amortisation unit behind Search,
-// SearchStream, SearchTopK and SearchBatch and the isolation unit of the
-// database's concurrency model — the scan reads only this cut, so
-// mutations committed after prepare never reach an in-flight search.
+// snapshots taken (with prefilter columns when requested). It is both the
+// amortisation unit behind Search, SearchStream, SearchTopK and
+// SearchBatch and the isolation unit of the database's concurrency model —
+// the scan reads only this cut, so mutations committed after prepare never
+// reach an in-flight search.
 //
-// The flat scan set is the gather side of scatter-gather: entries and
-// their id and size columns come from per-shard snapshot slices
-// (concatenated for a full scan, picked in list order for an active
-// subset), the flattening is memoised per store epoch (see
-// Database.projection), and the output order key — the stable graph ID,
-// or the flat position itself for an active subset — reproduces the
-// pre-shard result order exactly.
+// The cut is the gather side of scatter-gather: each shard's immutable
+// view — entries with their id, size and signature columns — is scanned
+// in place, in its own span of positions (see Database.projection), and
+// matches are ordered by stable graph ID, which reproduces the pre-shard
+// result order exactly.
 type preparedSearch struct {
-	opt     SearchOptions
-	info    method.Info
-	scorer  method.Scorer
-	entries []*db.Entry    // the scan set: one flat slice over the cut
-	ids     []uint64       // ids[pos] == entries[pos].ID, without the dereference
-	sizes   []uint32       // sizes[pos] == len(entries[pos].Branches)
-	pre     *index.Flat    // aligned columnar prefilter; nil without Prefilter
-	byPos   bool           // active subset: output order is flat position, not graph ID
-	bdict   *db.BranchDict // branch dictionary queries resolve against (IDs are never reused, so resolving after prepare can only miss deleted entries, never mis-match)
-	epoch   uint64         // database epoch the cut corresponds to
+	opt    SearchOptions
+	info   method.Info
+	scorer method.Scorer
+	proj   *projection    // the cut the scan reads
+	bdict  *db.BranchDict // branch dictionary queries resolve against (IDs are never reused, so resolving after prepare can only miss deleted entries, never mis-match)
+	epoch  uint64         // database epoch the cut corresponds to
 
 	// Telemetry plumbing: the database's stage histograms, the store's
-	// per-shard counters (with the Map for ID→shard attribution), the
-	// projection's per-shard span starts (nil for an active subset),
-	// and the prepare/cut spans this preparation cost.
+	// per-shard counters and the prepare/cut spans this preparation cost.
 	tele          *telemetry.SearchMetrics
 	stele         *telemetry.StoreMetrics
-	smap          *shard.Map
-	starts        []int
 	prepNS, cutNS int64
 
 	orderedOnce sync.Once
-	orderedSet  []*db.Entry // scan set in output order; built on demand
+	orderedSet  []*db.Entry // the cut in ID order; built on demand
 }
 
 // traceAcc accumulates one scan's trace state: the scan wall span, the
@@ -306,48 +297,21 @@ type traceAcc struct {
 }
 
 // pruneTally is one scan worker's private count of prefilter discards,
-// in total and by owning shard. The owner of a position is read off the
-// projection's spans (a full scan concatenates the shards in order), or
-// hashed from the ids column for an active subset — never from the entry.
+// in total and by shard — the view the discarded slots sit in.
 type pruneTally struct {
-	ps      *preparedSearch
+	shards  []telemetry.ShardCounters
 	total   int
 	byShard []int
-	span    int // shard whose span held the last attributed position
 }
 
 func (ps *preparedSearch) newTally() pruneTally {
-	return pruneTally{ps: ps, byShard: make([]int, len(ps.stele.Shards))}
+	return pruneTally{shards: ps.stele.Shards, byShard: make([]int, len(ps.proj.views))}
 }
 
-// shardAt returns the shard owning scan position pos. A worker's claims
-// ascend and so does its walk through each, so the span cursor almost
-// always stays or steps forward.
-func (t *pruneTally) shardAt(pos int) int {
-	starts := t.ps.starts
-	if starts == nil {
-		return t.ps.smap.ShardIndex(t.ps.ids[pos])
-	}
-	if pos < starts[t.span] {
-		t.span = 0
-	}
-	for pos >= starts[t.span+1] {
-		t.span++
-	}
-	return t.span
-}
-
-// discard counts every position of [lo, hi) as pruned once.
-func (t *pruneTally) discard(lo, hi int) {
-	t.total += hi - lo
-	for lo < hi {
-		sh, end := t.shardAt(lo), lo+1 // an active subset goes position by position
-		if starts := t.ps.starts; starts != nil {
-			end = min(hi, starts[sh+1]) // a full scan span by span
-		}
-		t.byShard[sh] += end - lo
-		lo = end
-	}
+// discard counts n slots of view as pruned once.
+func (t *pruneTally) discard(view, n int) {
+	t.total += n
+	t.byShard[view] += n
 }
 
 // publish folds the tally into the scan's and the shards' counters and
@@ -360,7 +324,7 @@ func (t *pruneTally) publish(tr *traceAcc) {
 	t.total = 0
 	for i, n := range t.byShard {
 		if n != 0 {
-			t.ps.stele.Shards[i].Pruned.Add(uint64(n))
+			t.shards[i].Pruned.Add(uint64(n))
 			t.byShard[i] = 0
 		}
 	}
@@ -384,13 +348,12 @@ func (ps *preparedSearch) record(tr *traceAcc, scanned, matched int, mergeNS int
 			t.Stage[telemetry.StageScore].RecordNS(tr.scoreNS.Load())
 		}
 	}
-	// Attribute per-shard scanned counts from the projection's spans —
-	// O(shards) once per scan instead of one atomic per entry. Only
-	// exact for completed full scans; early-stopped scans and active
-	// subsets are skipped rather than guessed.
-	if ps.stele != nil && ps.starts != nil && scanned == len(ps.entries) {
-		for i := range ps.stele.Shards {
-			ps.stele.Shards[i].Scanned.Add(uint64(ps.starts[i+1] - ps.starts[i]))
+	// Attribute per-shard scanned counts from the views' spans — O(shards)
+	// once per scan instead of one atomic per entry. Only exact for
+	// completed scans; early-stopped ones are skipped rather than guessed.
+	if p := ps.proj; scanned == p.len() {
+		for i := range p.views {
+			ps.stele.Shards[i].Scanned.Add(uint64(p.starts[i+1] - p.starts[i]))
 		}
 	}
 	return StageStats{
@@ -403,14 +366,6 @@ func (ps *preparedSearch) record(tr *traceAcc, scanned, matched int, mergeNS int
 		Pruned:      int(pruned),
 		Traced:      tr.deep,
 	}
-}
-
-// key returns the output-order key of flat position pos.
-func (ps *preparedSearch) key(pos int) int {
-	if ps.byPos {
-		return pos
-	}
-	return int(ps.ids[pos])
 }
 
 // prepare validates opt against the database state, takes a consistent
@@ -437,26 +392,18 @@ func (d *Database) prepare(opt SearchOptions) (*preparedSearch, error) {
 	proj := d.projection(opt.Prefilter)
 	cutNS := int64(time.Since(cutStart))
 	ps := &preparedSearch{
-		opt:     opt,
-		info:    info,
-		scorer:  scorer,
-		entries: proj.entries,
-		ids:     proj.ids,
-		sizes:   proj.sizes,
-		byPos:   d.active != nil,
-		bdict:   d.store.BranchDict(),
-		epoch:   d.epoch + proj.epoch,
-		tele:    &d.tele,
-		stele:   d.store.Telemetry(),
-		smap:    d.store,
-		starts:  proj.starts,
-		cutNS:   cutNS,
-	}
-	if opt.Prefilter {
-		ps.pre = proj.pre
+		opt:    opt,
+		info:   info,
+		scorer: scorer,
+		proj:   proj,
+		bdict:  d.store.BranchDict(),
+		epoch:  d.epoch + proj.epoch,
+		tele:   &d.tele,
+		stele:  d.store.Telemetry(),
+		cutNS:  cutNS,
 	}
 	mdb := &method.DB{
-		ActiveN:  len(ps.entries),
+		ActiveN:  proj.len(),
 		Ordered:  ps.ordered,
 		Sizes:    d.store.DistinctSizes,
 		WS:       d.ws,
@@ -472,10 +419,11 @@ func (d *Database) prepare(opt SearchOptions) (*preparedSearch, error) {
 	return ps, nil
 }
 
-// projection returns the flat scan set over a consistent cut of the
-// store, memoised per store epoch: the flattening costs one pointer pass
-// over the cut (the pre-shard code paid the same O(n) on every prepare),
-// so searches between mutations reuse it and prepare in O(1). A cached
+// projection returns the scan's view of a consistent cut of the store,
+// memoised per store epoch. For a full scan it is the shards' own views
+// plus their prefix sums — O(shards) to build, nothing per position. For
+// an active subset each view is narrowed to the active IDs it holds, one
+// O(n) pass the harness pays once, since it never mutates. A cached
 // projection built with the prefilter also serves non-prefiltered
 // searches (they never read it); the reverse rebuilds. apMu serialises
 // rebuilds against each other.
@@ -488,92 +436,43 @@ func (d *Database) projection(withPre bool) *projection {
 		return p
 	}
 	views, epoch := d.store.Views(withPre)
-	p := &projection{epoch: epoch, withPre: withPre}
-	var pviews []index.View
-	if withPre {
-		pviews = make([]index.View, len(views))
+	if d.active != nil {
+		keep := make(map[uint64]struct{}, len(d.active))
+		for _, id := range d.active {
+			keep[uint64(id)] = struct{}{}
+		}
 		for i, v := range views {
-			pviews[i] = v.Pre
+			var slots []int
+			for slot, id := range v.IDs {
+				if _, ok := keep[id]; ok {
+					slots = append(slots, slot)
+				}
+			}
+			views[i] = v.Pick(slots)
 		}
 	}
-	if d.active == nil {
-		p.starts = make([]int, len(views)+1)
-		for i, v := range views {
-			p.starts[i+1] = p.starts[i] + len(v.Entries)
-		}
-		n := p.starts[len(views)]
-		p.entries = make([]*db.Entry, 0, n)
-		p.ids = make([]uint64, 0, n)
-		p.sizes = make([]uint32, 0, n)
-		for _, v := range views {
-			p.entries = append(p.entries, v.Entries...)
-			p.ids = append(p.ids, v.IDs...)
-			p.sizes = append(p.sizes, v.Sizes...)
-		}
-		if withPre {
-			// Flattening every view slot in shard order matches the
-			// entry concatenation above position for position.
-			p.pre = index.FlattenViews(pviews)
-		}
-	} else {
-		// Pick active IDs in list order, so the flat position is the
-		// output rank (active IDs no longer stored are skipped).
-		type loc struct{ part, slot int }
-		where := make(map[uint64]loc)
-		for pi, v := range views {
-			for si, id := range v.IDs {
-				where[id] = loc{pi, si}
-			}
-		}
-		p.entries = make([]*db.Entry, 0, len(d.active))
-		p.ids = make([]uint64, 0, len(d.active))
-		p.sizes = make([]uint32, 0, len(d.active))
-		var fb *index.FlatBuilder
-		if withPre {
-			fb = index.NewFlatBuilder(pviews, len(d.active))
-		}
-		for _, id := range d.active {
-			l, ok := where[uint64(id)]
-			if !ok {
-				continue
-			}
-			v := views[l.part]
-			p.entries = append(p.entries, v.Entries[l.slot])
-			p.ids = append(p.ids, v.IDs[l.slot])
-			p.sizes = append(p.sizes, v.Sizes[l.slot])
-			if withPre {
-				fb.Add(l.part, l.slot)
-			}
-		}
-		if withPre {
-			p.pre = fb.Done()
-		}
+	p := &projection{epoch: epoch, withPre: withPre, views: views, starts: make([]int, len(views)+1)}
+	for i, v := range views {
+		p.starts[i+1] = p.starts[i] + len(v.Entries)
 	}
 	d.proj = p
 	return p
 }
 
-// ordered returns the scan set in output order — ascending graph ID for a
-// full scan, active-list order for a subset — memoised because only
-// rank-sampling scorer preparation (GBDA-V1) needs it.
+// ordered returns the cut in ascending graph ID — the output order —
+// memoised because only rank-sampling scorer preparation (GBDA-V1) needs
+// it.
 func (ps *preparedSearch) ordered() []*db.Entry {
-	ps.orderedOnce.Do(func() {
-		if ps.byPos {
-			ps.orderedSet = ps.entries // flat position is the output rank
-			return
-		}
-		ps.orderedSet = append([]*db.Entry(nil), ps.entries...)
-		sort.Slice(ps.orderedSet, func(a, b int) bool { return ps.orderedSet[a].ID < ps.orderedSet[b].ID })
-	})
+	ps.orderedOnce.Do(func() { ps.orderedSet = shard.OrderViews(ps.proj.views) })
 	return ps.orderedSet
 }
 
-// stream scans the flat cut for one query, feeding every kept match to
-// emit (serialised, position-tagged, unordered) and accumulating trace
-// state into tr (required). admit, when non-nil, is a consumer's
-// lock-free veto over kept entries (top-K's "cannot enter the heap"): an
-// entry it refuses is scanned and scored but never reaches emit. It
-// returns the number of graphs examined.
+// stream scans the cut for one query, feeding every kept match to emit
+// (serialised, position-tagged, unordered) and accumulating trace state
+// into tr (required). admit, when non-nil, is a consumer's lock-free veto
+// over kept entries (top-K's "cannot enter the heap"): an entry it refuses
+// is scanned and scored but never reaches emit. It returns the number of
+// graphs examined.
 func (ps *preparedSearch) stream(ctx context.Context, q *Query, tr *traceAcc, admit func(index int, score float64) bool, emit func(pos int, m Match) bool) (int, error) {
 	// Resolve the query's key-form multiset into interned IDs once per
 	// scan. Branch IDs are never reused (deletes retire them), so a
@@ -587,13 +486,13 @@ func (ps *preparedSearch) stream(ctx context.Context, q *Query, tr *traceAcc, ad
 		admit: admit,
 		winHi: math.MaxInt,
 	}
-	if ps.pre != nil {
+	if ps.opt.Prefilter {
 		qs.qp = index.PrepareQuery(q.g)
 	} else if sw, ok := ps.scorer.(method.SizeWindower); ok {
 		qs.winLo, qs.winHi = sw.SizeWindow(&qs.mq)
 	}
 	opt := engine.Options{Workers: ps.opt.Workers, Observe: func(d time.Duration) { tr.scanNS = int64(d) }}
-	return engine.ScanRanges(ctx, len(ps.entries), opt, qs.newRunner, emit)
+	return engine.ScanRanges(ctx, ps.proj.len(), opt, qs.newRunner, emit)
 }
 
 // queryScan is what the workers of one single-query scan share, all of it
@@ -611,22 +510,29 @@ type queryScan struct {
 	winLo, winHi int
 }
 
-// rangeScan is one worker's side of a single-query scan. It takes each
-// claimed range in two passes: a filter pass that reads one column —
-// signatures for a prefiltered scan, sizes for an unfiltered one — and
-// collects the positions the column cannot decide, then a scoring pass
-// over those. Only a collected position ever has its *db.Entry loaded,
-// and nothing is shared between workers within a range but the engine's
-// stop flag; the pruned tally and, when traced, the two passes' clock
-// spans are published when the range is done.
+// rangeScan is one worker's side of a single-query scan. It splits each
+// claimed range at view boundaries and takes each segment in two passes:
+// a filter pass that reads one column of the view (signatures for a
+// prefiltered scan, sizes for an unfiltered one) and collects the slots
+// the column cannot decide, then a scoring pass over those. Only a
+// collected slot ever has its *db.Entry loaded, and nothing is shared
+// between workers within a range but the engine's stop flag; the pruned
+// tally is published when the range is done and, when traced, the two
+// passes' clock spans when each segment is.
 type rangeScan struct {
 	*queryScan
 	tally pruneTally // prefiltered scans only
-	// open holds the positions the filter pass left for scoring. int32
+
+	// The segment being scanned: view index vi, the view itself, and the
+	// scan position of its slot 0.
+	vi   int
+	v    *shard.View
+	base int
+	// open holds the slots of v the filter pass left for scoring. int32
 	// halves the scratch: a scan set is memory-resident, far below 2³¹
 	// entries. buf backs it while the filter keeps few (a prefilter
-	// prunes nearly everything); the other scans size it by their first
-	// claim.
+	// prunes nearly everything); the other scans grow it to the longest
+	// segment.
 	open []int32
 	buf  [16]int32
 }
@@ -634,26 +540,49 @@ type rangeScan struct {
 func (qs *queryScan) newRunner() engine.Runner[Match] {
 	w := &rangeScan{queryScan: qs}
 	w.open = w.buf[:0]
-	if qs.ps.pre != nil {
+	if qs.ps.opt.Prefilter {
 		w.tally = qs.ps.newTally()
 	}
 	return w.run
 }
 
+// run scans the claimed positions [lo, hi) view by view, each view at its
+// own local slots.
 func (w *rangeScan) run(s *engine.Scanner[Match], lo, hi int) (int, error) {
+	starts := w.ps.proj.starts
+	done := 0
+	var err error
+	for vi := sort.SearchInts(starts, lo+1) - 1; lo < hi; vi++ {
+		end := min(hi, starts[vi+1])
+		var n int
+		n, err = w.segment(s, vi, lo-starts[vi], end-starts[vi])
+		done += n
+		if lo = end; err != nil || s.Stopped() {
+			break
+		}
+	}
+	if w.ps.opt.Prefilter {
+		w.tally.publish(w.tr)
+	}
+	return done, err
+}
+
+// segment scans slots [lo, hi) of view vi: the filter pass, then the
+// scoring pass over what it left open.
+func (w *rangeScan) segment(s *engine.Scanner[Match], vi, lo, hi int) (int, error) {
 	ps, tr := w.ps, w.tr
+	w.vi, w.v, w.base = vi, &ps.proj.views[vi], ps.proj.starts[vi]
 	var t0, t1 time.Time
 	if tr.deep {
 		t0 = time.Now()
 	}
-	if ps.pre == nil && cap(w.open) < hi-lo {
-		w.open = make([]int32, 0, hi-lo) // the first claim is the longest
+	if !ps.opt.Prefilter && cap(w.open) < hi-lo {
+		w.open = make([]int32, 0, hi-lo)
 	}
 	w.open = w.open[:0]
-	var end int // positions [lo, end) went through the filter pass
-	if ps.pre != nil {
+	var end int // slots [lo, end) went through the filter pass
+	if ps.opt.Prefilter {
 		end = w.prefilter(s, lo, hi)
-		w.tally.publish(tr)
 	} else {
 		end = w.sizeFilter(s, lo, hi)
 	}
@@ -662,8 +591,8 @@ func (w *rangeScan) run(s *engine.Scanner[Match], lo, hi int) (int, error) {
 	}
 	scored, err := w.score(s)
 	if tr.deep {
-		if ps.pre == nil {
-			t1 = t0 // no prefilter: the whole range is scoring
+		if !ps.opt.Prefilter {
+			t1 = t0 // no prefilter: the whole segment is scoring
 		}
 		tr.prefilterNS.Add(int64(t1.Sub(t0)))
 		tr.scoreNS.Add(int64(time.Since(t1)))
@@ -672,71 +601,71 @@ func (w *rangeScan) run(s *engine.Scanner[Match], lo, hi int) (int, error) {
 	return end - lo - (len(w.open) - scored), err
 }
 
-// prefilter skip-scans the signature column: every position a signature
-// prunes is counted from its index alone, and the exact bound runs — on
-// the one entry loaded for it — where the signature cannot decide.
+// prefilter skip-scans the view's signature column: every slot a
+// signature prunes is counted from its index alone, and the exact bound
+// runs — on the one entry loaded for it — where the signature cannot
+// decide.
 func (w *rangeScan) prefilter(s *engine.Scanner[Match], lo, hi int) int {
-	ps, tau := w.ps, w.ps.opt.Tau
-	for pos := lo; ; pos++ {
-		next := ps.pre.NextUndecided(&w.qp, pos, hi, tau)
-		w.tally.discard(pos, next)
+	pre, tau := &w.v.Pre, w.ps.opt.Tau
+	for slot := lo; ; slot++ {
+		next := pre.NextUndecided(&w.qp, slot, hi, tau)
+		w.tally.discard(w.vi, next-slot)
 		if next == hi {
 			return hi
 		}
-		if pos = next; s.Stopped() {
-			return pos
+		if slot = next; s.Stopped() {
+			return slot
 		}
-		if ps.pre.PrunableExact(&w.qp, w.mq.Branches, ps.entries[pos], pos, tau) {
-			w.tally.discard(pos, pos+1)
+		if pre.Prunable(&w.qp, w.mq.Branches, w.v.Entries[slot], slot, tau) {
+			w.tally.discard(w.vi, 1)
 		} else {
-			w.open = append(w.open, int32(pos))
+			w.open = append(w.open, int32(slot))
 		}
 	}
 }
 
-// sizeFilter reads the sizes column: an entry outside the scorer's window
-// scores exactly 0, which only a CollectAll consumer keeps (withDefaults
-// makes γ positive) — top-K's tail, refused by admit from the ids column
-// once the heap holds K better matches.
+// sizeFilter reads the view's sizes column: an entry outside the scorer's
+// window scores exactly 0, which only a CollectAll consumer keeps
+// (withDefaults makes γ positive) — top-K's tail, refused by admit from
+// the ids column once the heap holds K better matches.
 func (w *rangeScan) sizeFilter(s *engine.Scanner[Match], lo, hi int) int {
-	ps := w.ps
-	for pos := lo; pos < hi; pos++ {
-		if size := int(ps.sizes[pos]); size >= w.winLo && size <= w.winHi {
-			w.open = append(w.open, int32(pos))
+	v := w.v
+	for slot := lo; slot < hi; slot++ {
+		if size := int(v.Sizes[slot]); size >= w.winLo && size <= w.winHi {
+			w.open = append(w.open, int32(slot))
 			continue
 		}
-		if !ps.opt.CollectAll {
+		if !w.ps.opt.CollectAll {
 			continue
 		}
-		id := int(ps.ids[pos])
+		id := int(v.IDs[slot])
 		if w.admit != nil && !w.admit(id, 0) {
 			continue
 		}
-		if !s.Emit(pos, Match{Index: id, Name: ps.entries[pos].G.Name}) {
-			return pos + 1
+		if !s.Emit(w.base+slot, Match{Index: id, Name: v.Entries[slot].G.Name}) {
+			return slot + 1
 		}
 	}
 	return hi
 }
 
-// score runs the scorer over the open positions and reports how many it
+// score runs the scorer over the open slots and reports how many it
 // finished. A Match is built only for a kept entry: a discarded one
 // touches its Entry header and branch slice, not e.G.
 func (w *rangeScan) score(s *engine.Scanner[Match]) (int, error) {
-	ps := w.ps
-	for i, pos := range w.open {
+	for i, slot := range w.open {
 		if s.Stopped() {
 			return i, nil
 		}
-		e := ps.entries[pos]
-		keep, score, err := ps.scorer.Score(&w.mq, e)
+		e := w.v.Entries[slot]
+		keep, score, err := w.ps.scorer.Score(&w.mq, e)
 		if err != nil {
 			return i, err
 		}
 		if !keep || (w.admit != nil && !w.admit(int(e.ID), score)) {
 			continue
 		}
-		if !s.Emit(int(pos), Match{Index: int(e.ID), Name: e.G.Name, Score: score}) {
+		if !s.Emit(w.base+int(slot), Match{Index: int(e.ID), Name: e.G.Name, Score: score}) {
 			return i + 1, nil
 		}
 	}
@@ -744,28 +673,20 @@ func (w *rangeScan) score(s *engine.Scanner[Match]) (int, error) {
 }
 
 // collect runs one query to completion and gathers matches in
-// deterministic output order (ascending graph ID / active rank).
+// deterministic output order: ascending graph ID.
 func (ps *preparedSearch) collect(ctx context.Context, q *Query) (*Result, error) {
 	start := time.Now()
-	type hit struct {
-		key int
-		m   Match
-	}
-	var hits []hit
+	matches := []Match{}
 	tr := &traceAcc{deep: ps.opt.Trace}
-	scanned, err := ps.stream(ctx, q, tr, nil, func(pos int, m Match) bool {
-		hits = append(hits, hit{ps.key(pos), m})
+	scanned, err := ps.stream(ctx, q, tr, nil, func(_ int, m Match) bool {
+		matches = append(matches, m)
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
 	mergeStart := time.Now()
-	sort.Slice(hits, func(a, b int) bool { return hits[a].key < hits[b].key })
-	matches := make([]Match, len(hits))
-	for i, h := range hits {
-		matches[i] = h.m
-	}
+	sort.Slice(matches, func(a, b int) bool { return matches[a].Index < matches[b].Index })
 	stages := ps.record(tr, scanned, len(matches), int64(time.Since(mergeStart)))
 	return &Result{
 		Method:  ps.opt.Method,
