@@ -267,6 +267,41 @@ func BenchmarkSearchAfterWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchScanCorpus is the unfiltered path on the benchmark
+// corpus, the search-scan workload in process: GBDA at τ̂ = 3, γ = 0.9 as
+// a threshold search and as a top-10, at one and at two scan workers.
+// Each reads the posting lists of the query's rarest branches and scores
+// the few hundred graphs they name; the rest score 0 unread. CI gates it.
+func BenchmarkSearchScanCorpus(b *testing.B) {
+	d, queries := corpusFixture(b)
+	for _, workers := range []int{1, 2} {
+		searchOpt := gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.9, Workers: workers}
+		topOpt := gsim.TopKOptions{Method: gsim.GBDA, K: 10, Tau: 3, Workers: workers}
+		for _, form := range []struct {
+			name string
+			run  func(q *gsim.Query) error
+		}{
+			{"search", func(q *gsim.Query) error { _, err := d.Search(q, searchOpt); return err }},
+			{"topk", func(q *gsim.Query) error { _, err := d.SearchTopK(q, topOpt); return err }},
+		} {
+			b.Run(fmt.Sprintf("%s/%d", form.name, workers), func(b *testing.B) {
+				for _, q := range queries { // warm the projection and the posterior table
+					if err := form.run(q); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := form.run(queries[i%len(queries)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkShardedIngest measures parallel Store throughput into the
 // sharded store (one small labeled graph per op, built and interned from
 // scratch) at one shard — every insert serialises behind a single

@@ -91,6 +91,7 @@ func (d *Database) StoreTelemetry() *telemetry.StoreMetrics { return d.store.Tel
 // one, laid end to end. A full scan copies nothing per position.
 type projection struct {
 	epoch   uint64
+	postGen uint64 // the store's postings generation the views carry
 	withPre bool
 	views   []shard.View
 	// starts[i] is the scan position of views[i]'s slot 0 and

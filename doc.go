@@ -182,11 +182,11 @@
 //
 // A batch (SearchBatch, SearchBatchFunc, SearchTopKBatch) validates and
 // prepares the scorer and takes the consistent cut once, then runs each
-// query through the same parallel scan a single search runs — size window,
-// signature skip-scan and bounded merge included. Results reach the caller
-// per query, so a SearchBatchFunc consumer holds at most one query's
-// result (for CollectAll, the whole scored database), and each Result
-// reports its own Scanned, Elapsed and Stages.
+// query through the same parallel scan a single search runs — branch
+// postings, size window, signatures and bounded merge included. Results
+// reach the caller per query, so a SearchBatchFunc consumer holds at most
+// one query's result (for CollectAll, the whole scored database), and
+// each Result reports its own Scanned, Elapsed and Stages.
 //
 // The offline stage (BuildPriors) fits the GBD prior — a Gaussian mixture
 // over sampled pair GBDs — and prepares the per-size Jeffreys priors the
@@ -196,28 +196,45 @@
 //
 // Steady-state pair scoring is lock-free and allocation-free: the cost of
 // a scored pair is one bounded integer merge plus, when the pair survives
-// it, one table lookup — and most stored graphs never become a scored
-// pair.
+// it, one table lookup — and most stored graphs are never read at all.
+//
+// Candidates, not a scan. Every search that knows the least number of
+// branches a graph must share with the query to matter generates its
+// candidates from per-shard branch postings (index.Postings) and decides
+// every other position unread. A prefiltered search prunes a graph
+// sharing fewer than |Vq| − 2τ̂ at the branch tier; an unfiltered
+// GBDA/V1/V2/Hybrid search gives Φ = 0 to one below the floor of the
+// scorer's size window (method.SizeWindower: [|Vq| − 3τ̂, |Vq| + 3τ̂], or
+// the weighted equivalent for V2), which is also the least |B∩B| of any
+// pair scoring above 0. A branch is a 1-star q-gram, so by the
+// prefix-filter rule of MSQ-Index a graph sharing t branches holds one of
+// any |Bq| − t + 1 query branch occurrences: the scan reads the lists of
+// the query's rarest branches covering that many — 3τ̂ + 1 unfiltered,
+// 2τ̂ + 1 prefiltered — keeps the postings whose stored size is inside
+// the size bound, and adds the shard's stale slots (see internal/shard:
+// those changed since the lists were built, and the tail appended since).
+// On the benchmark corpus that leaves ~400 candidates of 30,000 per
+// unfiltered search and ~80 per prefiltered one (StageStats.Visited);
+// Scanned still counts every position, as decided. Methods without a
+// size window, and queries too small for a bound, make every position a
+// candidate.
 //
 // Columns and ranges. The scan reads every shard's view of the cut in
-// place: entry pointers plus three columns over the same slots — stable
-// IDs, sizes (branch counts) and, with the prefilter, signature words. A
-// worker splits each claimed range at view boundaries and takes every
-// piece in two passes. The filter pass reads one column and
-// nothing else: a prefiltered scan skip-scans the signatures to the next
-// position they cannot prune, an unfiltered GBDA/V1/V2/Hybrid scan
-// skip-scans the sizes to the next entry inside the scorer's size window
-// (method.SizeWindower: outside [|Vq| − 3τ̂, |Vq| + 3τ̂], or the weighted
-// equivalent for V2, the bounded merge fails on the lengths alone and Φ
-// is exactly 0 — 76% of pairs at τ̂ = 3 on the benchmark corpus). The
-// scoring pass then loads the *db.Entry of the positions left over, and
-// only theirs: a pruned or size-decided graph costs one column read, no
-// pointer chase and no shared write. What the filter discarded is
-// counted in the worker and published — to the search's counter and,
-// by the view it came from, to the per-shard ones — once per range; before that, two shared atomic adds per pruned entry
-// were most of a prefiltered search and made two workers slower than
-// one. Top-K's zero-score tail and every result's order key take their
-// index from the ids column.
+// place: entry pointers plus columns over the same slots — stable IDs,
+// sizes (branch counts) and, with the prefilter, signature words. A
+// worker splits each claimed range at view boundaries and marks each
+// piece's candidates in a bitset. A filter pass reads one column per
+// candidate — signatures for a prefiltered scan, sizes for an unfiltered
+// one — and the scoring pass loads the *db.Entry of the candidates left,
+// and only theirs. What the filter and the postings discarded is counted
+// in the worker and published — to the search's counter and, by the view
+// it came from, to the per-shard ones — once per range; before that, two
+// shared atomic adds per pruned entry were most of a prefiltered search
+// and made two workers slower than one. A scan whose candidates are too
+// few to share runs on one worker. CollectAll consumers get the unread
+// zero-score positions from a second pass over the ids column, after
+// every candidate has been offered, so top-K skips them whole once it
+// holds K matches above 0.
 //
 // Interned branch IDs. The database layer interns every distinct branch
 // key into a shared dictionary (db.BranchDict) and stores each graph's

@@ -122,71 +122,81 @@ func ReadAll(r io.Reader, dict *Labels) ([]*Graph, error) {
 		cur = nil
 		return nil
 	}
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
+	parse := func() error {
+		for sc.Scan() {
+			line++
+			text := strings.TrimSpace(sc.Text())
+			if text == "" || strings.HasPrefix(text, "#") {
+				continue
+			}
+			fields := strings.Fields(text)
+			switch fields[0] {
+			case "g":
+				if err := finish(); err != nil {
+					return err
+				}
+				if len(fields) != 3 {
+					return fmt.Errorf("gsim:%d: want 'g <name> <n>', got %q", line, text)
+				}
+				n, err := strconv.Atoi(fields[2])
+				if err != nil || n < 0 {
+					return fmt.Errorf("gsim:%d: bad vertex count %q", line, fields[2])
+				}
+				name, err := unescapeToken(fields[1])
+				if err != nil {
+					return fmt.Errorf("gsim:%d: %v", line, err)
+				}
+				cur = New(n)
+				cur.Name = name
+			case "v":
+				if cur == nil {
+					return fmt.Errorf("gsim:%d: vertex before graph header", line)
+				}
+				if len(fields) != 3 {
+					return fmt.Errorf("gsim:%d: want 'v <i> <label>', got %q", line, text)
+				}
+				idx, err := strconv.Atoi(fields[1])
+				if err != nil || idx != cur.NumVertices() {
+					return fmt.Errorf("gsim:%d: vertices must appear in order, got index %q after %d", line, fields[1], cur.NumVertices())
+				}
+				label, err := unescapeToken(fields[2])
+				if err != nil {
+					return fmt.Errorf("gsim:%d: %v", line, err)
+				}
+				cur.AddVertex(dict.Intern(label))
+			case "e":
+				if cur == nil {
+					return fmt.Errorf("gsim:%d: edge before graph header", line)
+				}
+				if len(fields) != 4 {
+					return fmt.Errorf("gsim:%d: want 'e <u> <v> <label>', got %q", line, text)
+				}
+				u, err1 := strconv.Atoi(fields[1])
+				v, err2 := strconv.Atoi(fields[2])
+				if err1 != nil || err2 != nil {
+					return fmt.Errorf("gsim:%d: bad edge endpoints %q", line, text)
+				}
+				label, err := unescapeToken(fields[3])
+				if err != nil {
+					return fmt.Errorf("gsim:%d: %v", line, err)
+				}
+				if err := cur.AddEdge(u, v, dict.Intern(label)); err != nil {
+					return fmt.Errorf("gsim:%d: %v", line, err)
+				}
+			default:
+				return fmt.Errorf("gsim:%d: unknown record %q", line, fields[0])
+			}
 		}
-		fields := strings.Fields(text)
-		switch fields[0] {
-		case "g":
-			if err := finish(); err != nil {
-				return nil, err
-			}
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("gsim:%d: want 'g <name> <n>', got %q", line, text)
-			}
-			n, err := strconv.Atoi(fields[2])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("gsim:%d: bad vertex count %q", line, fields[2])
-			}
-			name, err := unescapeToken(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("gsim:%d: %v", line, err)
-			}
-			cur = New(n)
-			cur.Name = name
-		case "v":
-			if cur == nil {
-				return nil, fmt.Errorf("gsim:%d: vertex before graph header", line)
-			}
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("gsim:%d: want 'v <i> <label>', got %q", line, text)
-			}
-			idx, err := strconv.Atoi(fields[1])
-			if err != nil || idx != cur.NumVertices() {
-				return nil, fmt.Errorf("gsim:%d: vertices must appear in order, got index %q after %d", line, fields[1], cur.NumVertices())
-			}
-			label, err := unescapeToken(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("gsim:%d: %v", line, err)
-			}
-			cur.AddVertex(dict.Intern(label))
-		case "e":
-			if cur == nil {
-				return nil, fmt.Errorf("gsim:%d: edge before graph header", line)
-			}
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("gsim:%d: want 'e <u> <v> <label>', got %q", line, text)
-			}
-			u, err1 := strconv.Atoi(fields[1])
-			v, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("gsim:%d: bad edge endpoints %q", line, text)
-			}
-			label, err := unescapeToken(fields[3])
-			if err != nil {
-				return nil, fmt.Errorf("gsim:%d: %v", line, err)
-			}
-			if err := cur.AddEdge(u, v, dict.Intern(label)); err != nil {
-				return nil, fmt.Errorf("gsim:%d: %v", line, err)
-			}
-		default:
-			return nil, fmt.Errorf("gsim:%d: unknown record %q", line, fields[0])
-		}
+		return nil
 	}
-	if err := sc.Err(); err != nil {
+	// A reader that fails mid-line (a body over its size cap) leaves the
+	// scanner a truncated last line, so its error, not the parse error
+	// the truncation causes, is the one to report — unwrapped, for
+	// errors.As.
+	if err := parse(); err != nil || sc.Err() != nil {
+		if rerr := sc.Err(); rerr != nil {
+			return nil, rerr
+		}
 		return nil, err
 	}
 	if err := finish(); err != nil {

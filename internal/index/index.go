@@ -25,6 +25,11 @@
 // and PairPrunable evaluate the composite bound straight from two
 // Summaries and are the reference oracle the columnar path is tested
 // against.
+//
+// Beside the filter, the package holds each shard's branch postings
+// (postings.go): the inverted index a scan generates its candidates from,
+// so the filter and the scorers only ever see graphs that share enough
+// branches with the query to matter.
 package index
 
 import (

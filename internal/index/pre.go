@@ -515,22 +515,11 @@ func NewQueryPre(s Summary) QueryPre { return QueryPre{Sig: sigOf(s), Sum: s} }
 // Prunable reports whether slot provably violates GED ≤ tau against a
 // prepared query — the signature word first, the exact arena-based
 // composite bound (Tier) only when the signature cannot decide. The
-// decision is bit-identical to PairPrunable. A scan over a range of slots
-// calls NextUndecided first, so only the slots it stops at reach here.
+// decision is bit-identical to PairPrunable. A scan asks it only for the
+// slots its branch postings name (see Postings): every other slot shares
+// too few branches with the query to pass the branch tier.
 func (v *View) Prunable(q *QueryPre, qBranches branch.IDs, e *db.Entry, slot, tau int) bool {
 	return sigPrunes(q.Sig, v.Sig[slot], tau) || v.Tier(q, qBranches, e, slot, tau) != TierNone
-}
-
-// NextUndecided returns the first slot in [slot, hi) whose signature
-// cannot prove GED > tau, or hi when every one of them can. It reads the
-// signature column and nothing else: no meta, no arena, no entry.
-func (v *View) NextUndecided(q *QueryPre, slot, hi, tau int) int {
-	for i, sig := range v.Sig[slot:hi] {
-		if !sigPrunes(q.Sig, sig, tau) {
-			return slot + i
-		}
-	}
-	return hi
 }
 
 // Pick returns a view of the given slots, in that order: the signature

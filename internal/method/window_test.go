@@ -2,6 +2,7 @@ package method
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"gsim/internal/branch"
@@ -13,7 +14,12 @@ import (
 // exceeds the smaller side — so no entry of that size, not even a sub- or
 // super-multiset of the query, can score above 0 — and at both ends of
 // the window such an entry does reach the posterior table. A window one
-// wider fails the second half, one narrower the first.
+// wider fails the second half, one narrower the first. The window's lo is
+// also the least |B∩B| of any pair scoring above 0, the bound the scan's
+// branch postings generate candidates from: every size asks for at least
+// lo, an entry sharing lo − 1 scores 0 (probed at the window's ends and
+// the query's own size), and the entry of size lo inside the query shares
+// lo and reaches the table.
 func TestSizeWindowIsExact(t *testing.T) {
 	fx := newEquivFixture(t)
 	const maxQuery, maxEntry = 120, 300
@@ -62,6 +68,20 @@ func TestSizeWindowIsExact(t *testing.T) {
 						empty++
 					}
 					for s := 1; s <= maxEntry; s++ {
+						if n := need(max(m, s)); lo <= hi && n < lo {
+							t.Fatalf("%s: query %d, entry %d asks for %d shared, below the window's lo %d", name, m, s, n, lo)
+						}
+						if k := lo - 1; k >= 0 && k <= min(m, s) && (s == lo || s == m || s == hi) {
+							// all[:k] plus s−k odd IDs the query never holds.
+							b := append(branch.IDs(nil), all[:k]...)
+							for i := 0; i < s-k; i++ {
+								b = append(b, uint32(2*i+1))
+							}
+							slices.Sort(b)
+							if _, score, err := sc.Score(q, &db.Entry{Branches: b}); err != nil || score != 0 {
+								t.Fatalf("%s: query %d, entry %d sharing lo−1 = %d scored (%v, %v)", name, m, s, k, score, err)
+							}
+						}
 						inside := s >= lo && s <= hi
 						if !inside {
 							if n := need(max(m, s)); n <= min(m, s) {

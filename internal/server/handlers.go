@@ -215,6 +215,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				stages.PrefilterNS += st.PrefilterNS
 				stages.ScoreNS += st.ScoreNS
 				stages.Pruned += st.Pruned
+				stages.Visited += st.Visited
 			}
 		}
 		noteResult(r, &stages, scanned, matched)
@@ -348,7 +349,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	case "", "application/json":
 		var req ingestGraphs
 		if err := decode(r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			writeError(w, bodyStatus(err, http.StatusBadRequest), err)
 			return
 		}
 		if len(req.Graphs) == 0 {

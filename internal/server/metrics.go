@@ -286,7 +286,7 @@ func (s *Server) logSlow(ri *reqInfo, ep, remote string, status int, d time.Dura
 			line += fmt.Sprintf(" prefilter=%s score=%s",
 				time.Duration(st.PrefilterNS), time.Duration(st.ScoreNS))
 		}
-		line += fmt.Sprintf(" scanned=%d pruned=%d matched=%d", ri.scanned, st.Pruned, ri.matched)
+		line += fmt.Sprintf(" scanned=%d visited=%d pruned=%d matched=%d", ri.scanned, st.Visited, st.Pruned, ri.matched)
 	}
 	lg.Print(line)
 }
@@ -344,6 +344,7 @@ func (s *Server) latencyBlock(buf *telemetry.Snapshot) map[string]latencySummary
 type stageBlock struct {
 	Searches uint64                    `json:"searches"`
 	Scanned  uint64                    `json:"scanned"`
+	Visited  uint64                    `json:"visited"`
 	Pruned   uint64                    `json:"pruned"`
 	Matched  uint64                    `json:"matched"`
 	Latency  map[string]latencySummary `json:"latency"`
@@ -354,6 +355,7 @@ func (s *Server) stagesBlock(buf *telemetry.Snapshot) stageBlock {
 	b := stageBlock{
 		Searches: t.Searches.Load(),
 		Scanned:  t.Scanned.Load(),
+		Visited:  t.Visited.Load(),
 		Pruned:   t.Pruned.Load(),
 		Matched:  t.Matched.Load(),
 		Latency:  make(map[string]latencySummary, telemetry.NumStages),
@@ -478,6 +480,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	telemetry.WriteCounter(w, "gsim_searches_total", "", t.Searches.Load())
 	telemetry.WriteHeader(w, "gsim_search_scanned_total", "counter", "Entries examined by completed scans.")
 	telemetry.WriteCounter(w, "gsim_search_scanned_total", "", t.Scanned.Load())
+	telemetry.WriteHeader(w, "gsim_search_visited_total", "counter", "Entries whose columns or entry a scan read: the branch postings' candidates.")
+	telemetry.WriteCounter(w, "gsim_search_visited_total", "", t.Visited.Load())
 	telemetry.WriteHeader(w, "gsim_search_pruned_total", "counter", "Entries discarded by the admissible prefilter.")
 	telemetry.WriteCounter(w, "gsim_search_pruned_total", "", t.Pruned.Load())
 	telemetry.WriteHeader(w, "gsim_search_matched_total", "counter", "Matches emitted.")
@@ -504,6 +508,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	telemetry.WriteHeader(w, "gsim_shard_mutations_total", "counter", "Committed mutations per shard.")
 	for i := range st.Shards {
 		telemetry.WriteCounter(w, "gsim_shard_mutations_total", `shard="`+strconv.Itoa(i)+`"`, st.Shards[i].Mutations.Load())
+	}
+	telemetry.WriteHeader(w, "gsim_shard_postings_rebuilds_total", "counter", "Branch-postings rebuilds installed per shard.")
+	for i := range st.Shards {
+		telemetry.WriteCounter(w, "gsim_shard_postings_rebuilds_total", `shard="`+strconv.Itoa(i)+`"`, st.Shards[i].Rebuilds.Load())
 	}
 
 	// WAL durability protocol.

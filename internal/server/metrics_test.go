@@ -81,7 +81,9 @@ func TestMetricsExposition(t *testing.T) {
 		`gsim_search_stage_seconds_count{stage="prepare"} 1`,
 		"gsim_searches_total 1",
 		"gsim_search_scanned_total 54",
+		"gsim_search_visited_total ",
 		`gsim_shard_scanned_total{shard="0"}`,
+		`gsim_shard_postings_rebuilds_total{shard="0"}`,
 		"gsim_db_graphs 60",
 		"go_goroutines",
 		"# TYPE gsim_http_request_seconds histogram",

@@ -503,6 +503,38 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
+// TestOversizedBodiesAnswer413: a body over MaxBodyBytes answers 413 on
+// every body-taking route, ingest in either content type included — not
+// the 400 of a malformed body, which a client would not retry smaller.
+func TestOversizedBodiesAnswer413(t *testing.T) {
+	fx := newFixture(t, 0)
+	h := New(Config{DB: fx.db, MaxBodyBytes: 64}).Handler()
+	graph := `{"vertices":["C","N","O","C","N","O","C","N","O"],"edges":[{"u":0,"v":1,"label":"s"}]}`
+	query := `{"graph":` + graph + `,"tau":3}`
+	text := "g big 5\nv 0 C\nv 1 N\nv 2 O\nv 3 C\nv 4 N\ne 0 1 s\ne 1 2 s\ne 2 3 s\ne 3 4 s\ne 4 0 s\n"
+	for _, tc := range []struct {
+		path, contentType, body string
+	}{
+		{"/v1/search", "application/json", query},
+		{"/v1/topk", "application/json", query},
+		{"/v1/stream", "application/json", query},
+		{"/v1/batch", "application/json", `{"graphs":[` + graph + `]}`},
+		{"/v1/graphs", "application/json", `{"graphs":[` + graph + `]}`},
+		{"/v1/graphs", "text/plain", text},
+	} {
+		if len(tc.body) <= 64 {
+			t.Fatalf("%s %s: a %d-byte body is not over the cap", tc.path, tc.contentType, len(tc.body))
+		}
+		req := httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body))
+		req.Header.Set("Content-Type", tc.contentType)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s: status %d, want 413: %s", tc.path, tc.contentType, rec.Code, rec.Body.String())
+		}
+	}
+}
+
 // TestQueryLabelsStayEphemeral: query traffic with labels the database
 // has never seen must not grow the shared dictionary — the long-running
 // server would otherwise leak an entry per distinct label forever.

@@ -91,6 +91,7 @@ type wireStages struct {
 	PrefilterNS int64 `json:"prefilter_ns"`
 	ScoreNS     int64 `json:"score_ns"`
 	Pruned      int   `json:"pruned"`
+	Visited     int   `json:"visited"`
 }
 
 // toWireStages renders a traced breakdown, or nil for an untraced
@@ -108,6 +109,7 @@ func toWireStages(st gsim.StageStats) *wireStages {
 		PrefilterNS: st.PrefilterNS,
 		ScoreNS:     st.ScoreNS,
 		Pruned:      st.Pruned,
+		Visited:     st.Visited,
 	}
 }
 

@@ -46,6 +46,17 @@
 // appends one slot, a delete swap-removes one, an update re-summarises
 // one — the per-shard resync that keeps prefiltered scans O(1) to
 // prepare after the first.
+//
+// # Branch postings
+//
+// Each shard also keeps index.Postings, the inverted index from branch ID
+// to slots a scan generates its candidates from. An insert costs nothing
+// (the tail grows); a delete or update logs one changed slot. Once the
+// changed slots plus the tail pass 1/rebuildFrac of the shard, a
+// goroutine rebuilds the lists from a snapshot of the entries, off the
+// shard lock, and installs them under it with the changes made since the
+// snapshot carried over. A shard left stale by writes that then stop is
+// rebuilt once it has been quiet for settleAfter.
 package shard
 
 import (
@@ -66,6 +77,19 @@ import (
 // cutRetries bounds the optimistic consistent-cut loop in Views before it
 // falls back to locking every shard.
 const cutRetries = 4
+
+const (
+	// rebuildFrac and rebuildMin set when a shard's postings are rebuilt:
+	// once the slots every query must decide (changed plus tail) pass
+	// max(rebuildMin, len/rebuildFrac). A rebuild reads every branch of the
+	// shard, so it runs about once per len/rebuildFrac writes.
+	rebuildFrac = 8
+	rebuildMin  = 16
+	// settleAfter is how long a shard with stale postings must go without
+	// a write before it is rebuilt below the threshold: a store loaded
+	// one graph at a time, then only read, ends with no stale slots.
+	settleAfter = 250 * time.Millisecond
+)
 
 // Token identifies one journaled record for a later durability wait: the
 // record's sequence number plus an opaque handle naming the log it went
@@ -99,6 +123,11 @@ type Map struct {
 	gepoch  atomic.Uint64 // global epoch: one advance per mutation batch
 
 	sizes atomic.Pointer[sizesCache] // memoised DistinctSizes per epoch
+
+	// postGen advances whenever a shard installs rebuilt postings, and
+	// rebuilding counts the rebuilds in flight.
+	postGen    atomic.Uint64
+	rebuilding atomic.Int64
 
 	// tele holds the store's telemetry: mutation-latency histograms per
 	// op kind plus per-shard scanned/pruned/mutation counters (the scan
@@ -139,6 +168,16 @@ type bucket struct {
 	pre   *index.Store   // columnar prefilter, maintained incrementally once non-nil
 	epoch uint64         // mutations on this shard; guarded by mu
 	st    stats
+
+	// post is the shard's branch postings. While a rebuild is in flight,
+	// next logs the changes made since its snapshot. settle is the quiet
+	// timer, armed while the postings are stale and no rebuild runs;
+	// settleEpoch is the epoch it last saw.
+	post        index.Postings
+	next        *index.Postings
+	settle      *time.Timer
+	settleEpoch uint64
+	counters    *telemetry.ShardCounters
 }
 
 // stats is one shard's contribution to the collection statistics,
@@ -231,7 +270,7 @@ func NewWithDictionaries(name string, n int, dict *graph.Labels, bdict *db.Branc
 	n = Shards(n)
 	m := &Map{name: name, dict: dict, bdict: bdict, shards: make([]*bucket, n), tele: telemetry.NewStoreMetrics(n)}
 	for i := range m.shards {
-		m.shards[i] = &bucket{slots: make(map[uint64]int), st: newStats()}
+		m.shards[i] = &bucket{slots: make(map[uint64]int), st: newStats(), counters: &m.tele.Shards[i]}
 	}
 	return m
 }
@@ -253,6 +292,9 @@ func FromCollection(col *db.Collection, n int) *Map {
 	m.bdict = col.BranchDict()
 	for _, e := range col.Entries() {
 		m.shardOf(e.ID).insert(e)
+	}
+	for _, b := range m.shards {
+		b.post = index.BuildPostings(b.entries)
 	}
 	m.seq.Store(uint64(col.Len()))
 	return m
@@ -350,6 +392,10 @@ func (b *bucket) removeAt(slot int) *db.Entry {
 	}
 	delete(b.slots, victim.ID)
 	b.entries, b.ids, b.sizes = fresh, ids, sizes
+	b.post.Removed(slot, n)
+	if b.next != nil {
+		b.next.Removed(slot, n)
+	}
 	if b.pre != nil {
 		b.pre.RemoveAt(slot)
 		b.pre.MaybeCompact()
@@ -372,6 +418,10 @@ func (b *bucket) replaceAt(slot int, e *db.Entry) *db.Entry {
 	copy(sizes, b.sizes)
 	sizes[slot] = uint32(len(e.Branches))
 	b.entries, b.sizes = fresh, sizes
+	b.post.Replaced(slot)
+	if b.next != nil {
+		b.next.Replaced(slot)
+	}
 	if b.pre != nil {
 		b.pre.ReplaceAt(slot, index.Summarize(e.G))
 		b.pre.MaybeCompact()
@@ -388,7 +438,74 @@ func (b *bucket) replaceAt(slot int, e *db.Entry) *db.Entry {
 func (m *Map) bump(b *bucket) {
 	b.epoch++
 	m.gepoch.Add(1)
+	m.maintain(b)
 }
+
+// maintain looks at b's postings after a write; the caller holds b.mu.
+// Past the threshold it starts a rebuild; below it, it arms the quiet
+// timer, which rebuilds once b has gone settleAfter without a write.
+func (m *Map) maintain(b *bucket) {
+	n := len(b.entries)
+	stale := b.post.Stale(n)
+	switch {
+	case b.next != nil || stale == 0:
+	case stale > max(rebuildMin, n/rebuildFrac):
+		m.rebuild(b)
+	case b.settle == nil:
+		b.settleEpoch = b.epoch
+		b.settle = time.AfterFunc(settleAfter, func() { m.settled(b) })
+	}
+}
+
+// settled is the quiet timer: a shard written to since it was armed
+// waits another settleAfter, a quiet one with stale postings rebuilds.
+func (m *Map) settled(b *bucket) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.epoch != b.settleEpoch {
+		b.settleEpoch = b.epoch
+		b.settle.Reset(settleAfter)
+		return
+	}
+	b.settle = nil
+	if b.next == nil && b.post.Stale(len(b.entries)) > 0 {
+		m.rebuild(b)
+	}
+}
+
+// rebuild starts a postings rebuild of b from a snapshot of its entries;
+// the caller holds b.mu. The lists are built off the lock and installed
+// under it, with the changes logged since the snapshot carried over. The
+// goroutine ends once it has installed them; b.next marks the one that
+// may run per shard, and WaitRebuilds waits for them all.
+func (m *Map) rebuild(b *bucket) {
+	snap := b.entries
+	log := index.NewLog(len(snap))
+	b.next = &log
+	m.rebuilding.Add(1)
+	go func() {
+		defer m.rebuilding.Add(-1)
+		built := index.BuildPostings(snap)
+		b.mu.Lock()
+		b.post, b.next = built.Carry(*b.next), nil
+		m.postGen.Add(1)
+		b.counters.Rebuilds.Add(1)
+		m.maintain(b)
+		b.mu.Unlock()
+	}()
+}
+
+// WaitRebuilds blocks until no postings rebuild is in flight, for callers
+// that want every shard's postings installed before they look.
+func (m *Map) WaitRebuilds() {
+	for m.rebuilding.Load() > 0 {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// PostingsGen advances whenever a shard installs rebuilt postings. A cut
+// taken at an older value still answers exactly, from staler lists.
+func (m *Map) PostingsGen() uint64 { return m.postGen.Load() }
 
 // Add stores g under a fresh ID and returns it. Only the owning shard is
 // locked, so Adds of different graphs run concurrently. With a journal
@@ -632,6 +749,7 @@ func (m *Map) commitLocked(batch []Mutation) (firstID uint64, missing uint64, ok
 	}
 	for b := range touched {
 		b.epoch++
+		m.maintain(b)
 	}
 	if len(touched) > 0 {
 		// One global bump for the whole batch: a Commit is one atomic
@@ -784,10 +902,12 @@ func (b *bucket) ensurePre() {
 // (never written after publication) plus the shard epoch they correspond
 // to. IDs and Sizes are columns parallel to Entries (IDs[i] is
 // Entries[i].ID, Sizes[i] its branch count). Pre is populated only when
-// the cut was taken with the prefilter.
+// the cut was taken with the prefilter; Post, the shard's branch
+// postings, always.
 type View struct {
 	Entries []*db.Entry
 	Pre     index.View
+	Post    index.Postings
 	Epoch   uint64
 	IDs     []uint64
 	Sizes   []uint32
@@ -795,7 +915,8 @@ type View struct {
 
 // Pick returns a view of the given slots, in that order — an active
 // subset's share of the shard. The columns, entry pointers included, are
-// picked; the entries themselves and the prefilter arena are shared.
+// picked and the postings built afresh over them; the entries themselves
+// and the prefilter arena are shared.
 func (v View) Pick(slots []int) View {
 	p := View{
 		Entries: make([]*db.Entry, len(slots)),
@@ -809,6 +930,7 @@ func (v View) Pick(slots []int) View {
 	if v.Pre.Len() > 0 {
 		p.Pre = v.Pre.Pick(slots)
 	}
+	p.Post = index.BuildPostings(p.Entries)
 	return p
 }
 
@@ -859,7 +981,7 @@ func (m *Map) snapshot(withPre bool) []View {
 
 // view builds b's View; the caller holds b.mu (read suffices).
 func (b *bucket) view(withPre bool) View {
-	v := View{Entries: b.entries, Epoch: b.epoch, IDs: b.ids, Sizes: b.sizes}
+	v := View{Entries: b.entries, Post: b.post, Epoch: b.epoch, IDs: b.ids, Sizes: b.sizes}
 	if withPre && b.pre != nil {
 		v.Pre = b.pre.View()
 	}

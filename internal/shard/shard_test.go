@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"gsim/internal/branch"
 	"gsim/internal/db"
@@ -447,4 +448,55 @@ func TestConcurrentMutations(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestPostingsFollowWrites: a bulk commit starts a rebuild that leaves no
+// stale slot once installed; a few writes below the threshold leave
+// changed and tail slots, which the shard rebuilds once it has gone
+// settleAfter without a write.
+func TestPostingsFollowWrites(t *testing.T) {
+	m := New("t", 2)
+	batch := make([]Mutation, 400)
+	for i := range batch {
+		batch[i] = Mutation{G: chain(m.Dict(), fmt.Sprintf("g%d", i), 3+i%7, "L")}
+	}
+	if _, _, _, err := m.Commit(batch); err != nil {
+		t.Fatal(err)
+	}
+	stale := func() int {
+		views, _ := m.Views(false)
+		n := 0
+		for _, v := range views {
+			n += v.Post.Stale(len(v.Entries))
+		}
+		return n
+	}
+	m.WaitRebuilds()
+	if s := stale(); s != 0 {
+		t.Fatalf("%d stale slots after the bulk commit's rebuild", s)
+	}
+	for id := uint64(0); id < 3; id++ {
+		if _, err := m.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Update(10+id, chain(m.Dict(), "u", 4, "M")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill(m, 3)
+	if s := stale(); s == 0 {
+		t.Fatal("deletes, updates and inserts left no stale slot")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for stale() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d slots still stale %v after the last write", stale(), 5*time.Second)
+		}
+		time.Sleep(settleAfter / 10)
+	}
+	for i := range m.tele.Shards {
+		if r := m.tele.Shards[i].Rebuilds.Load(); r < 2 {
+			t.Fatalf("shard %d installed %d rebuilds, want the bulk one and the settling one", i, r)
+		}
+	}
 }

@@ -59,6 +59,10 @@ type SearchMetrics struct {
 	// Pruned counts entries the admissible prefilter discarded before
 	// scoring, across all shards ((entry, query) pairs for batches).
 	Pruned atomic.Uint64
+	// Visited counts the entries whose columns or entry a scan read: the
+	// candidates its branch postings named (every entry when a search has
+	// no shared-branch bound).
+	Visited atomic.Uint64
 	// Matched counts emitted matches.
 	Matched atomic.Uint64
 }
@@ -97,7 +101,9 @@ type ShardCounters struct {
 	Pruned atomic.Uint64
 	// Mutations counts committed Add/Delete/Update operations.
 	Mutations atomic.Uint64
-	_         [5]uint64
+	// Rebuilds counts branch-postings rebuilds installed on this shard.
+	Rebuilds atomic.Uint64
+	_        [4]uint64
 }
 
 // StoreMetrics is the sharded store's telemetry: mutation-latency

@@ -39,6 +39,7 @@ type modelRun struct {
 	live   []int         // the model's IDs, ascending
 
 	kept, pruned int // model matches, and those the prefilter drops
+	mixed        int // shard views searched with both posting lists and stale slots
 }
 
 // mutate applies one op to every database through do, which returns the
@@ -210,20 +211,38 @@ func (r *modelRun) searches(d *Database, m Method, seed int64, tau int) map[stri
 
 // scoringMethods are the scorers the check runs: GreedySort estimates GED
 // from an edit path, an upper bound, so the prefilter never drops what it
-// keeps; seriation's estimate is no bound, so it can.
-var scoringMethods = []Method{GreedySort, Seriation}
+// keeps; seriation's estimate is no bound, so it can. GBDA's posterior is
+// no bound either, and it is the one scan that reads only the candidates
+// the shards' branch postings name, prefiltered or not.
+var scoringMethods = []Method{GreedySort, Seriation, GBDA}
 
-// check compares the databases with each other and with the model.
-func (r *modelRun) check(label string) {
+// check compares the databases with each other and with the model. With
+// settle set it first waits for the shards' postings rebuilds in flight,
+// so the searches read installed lists; without it they may read a log of
+// changed slots and a tail beside them.
+func (r *modelRun) check(label string, settle bool) {
 	t := r.t
 	t.Helper()
 	for _, d := range r.dbs {
 		if d.Len() != len(r.model) {
 			t.Fatalf("%s: %d shards hold %d graphs, the model %d", label, d.NumShards(), d.Len(), len(r.model))
 		}
+		if settle {
+			d.store.WaitRebuilds()
+		}
+		views, _ := d.store.Views(false)
+		for _, v := range views {
+			if stale := v.Post.Stale(len(v.Entries)); stale > 0 && stale < len(v.Entries) {
+				r.mixed++ // lists and stale slots are both candidates
+			}
+		}
 	}
 	seed := r.model[r.pick()]
-	for _, m := range scoringMethods {
+	methods := scoringMethods
+	if !settle {
+		methods = []Method{GBDA} // the baselines' quadratic scorers, every other check
+	}
+	for _, m := range methods {
 		for tau := 1; tau <= 4; tau++ {
 			want := r.searches(r.dbs[0], m, seed, tau)
 			for _, d := range r.dbs[1:] {
@@ -246,9 +265,10 @@ func (r *modelRun) check(label string) {
 
 // oracle scores every model graph against the first query drawn from
 // seed with a scorer of method m prepared over the model's entries, in ID
-// order, and drops from its matches the graphs index.PairPrunable prunes.
-// Graphs and branch IDs are built afresh in the first database's
-// dictionaries, not read from its store.
+// order (and, for GBDA, over the priors every database fitted alike), and
+// drops from its matches the graphs index.PairPrunable prunes. Graphs and
+// branch IDs are built afresh in the first database's dictionaries, not
+// read from its store.
 func (r *modelRun) oracle(m Method, seed int64, tau int) (plain, pre []Match) {
 	t := r.t
 	d := r.dbs[0]
@@ -261,9 +281,16 @@ func (r *modelRun) oracle(m Method, seed int64, tau int) (plain, pre []Match) {
 		g := modelGraph(d, r.model[id]).g
 		entries[k] = &db.Entry{ID: uint64(id), G: g, Branches: bdict.ResolveMultiset(branch.MultisetOf(g))}
 	}
+	var sizes []int
+	for _, e := range entries {
+		if k := sort.SearchInts(sizes, len(e.Branches)); k == len(sizes) || sizes[k] != len(e.Branches) {
+			sizes = append(sizes[:k], append([]int{len(e.Branches)}, sizes[k:]...)...)
+		}
+	}
 	info, _ := method.Lookup(method.ID(m))
 	scorer := info.New()
-	mdb := &method.DB{ActiveN: len(entries), Ordered: func() []*db.Entry { return entries }}
+	mdb := &method.DB{ActiveN: len(entries), Ordered: func() []*db.Entry { return entries },
+		Sizes: func() []int { return sizes }, WS: d.ws, GBDPrior: d.gbdPrior, TauMax: d.tauMax}
 	if err := scorer.Prepare(mdb, SearchOptions{Method: m, Tau: tau}.withDefaults().methodOptions()); err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +314,10 @@ func (r *modelRun) oracle(m Method, seed int64, tau int) (plain, pre []Match) {
 }
 
 // TestModelOpSequences runs a few seeded op sequences through one, three
-// and seven shards in lockstep.
+// and seven shards in lockstep, from a seed state the GBDA priors are
+// fitted on once. The sequences are long enough for every database's
+// shards to pass their postings rebuild threshold, and every other check
+// searches while rebuilds may still be in flight.
 func TestModelOpSequences(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		r := &modelRun{t: t, rng: rand.New(rand.NewSource(seed)), model: make(map[int]int64)}
@@ -296,15 +326,53 @@ func TestModelOpSequences(t *testing.T) {
 			r.dbs = append(r.dbs, d)
 			r.epochs = append(r.epochs, d.Epoch())
 		}
-		for n := 0; n < 60; n++ {
+		seeds := make([]int64, 24)
+		for k := range seeds {
+			seeds[k] = r.rng.Int63()
+		}
+		ids := r.mutate("StoreAll", func(d *Database) []int {
+			bs := make([]*GraphBuilder, len(seeds))
+			for k, s := range seeds {
+				bs[k] = modelGraph(d, s)
+			}
+			first, err := d.StoreAll(bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []int{first}
+		})
+		for k, s := range seeds {
+			r.put(ids[0]+k, s)
+		}
+		for i, d := range r.dbs {
+			if err := d.BuildPriors(OfflineConfig{TauMax: 4, SamplePairs: 500, Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+			r.epochs[i] = d.Epoch()
+		}
+		for n := 0; n < 150; n++ {
 			r.step()
 			if n%6 == 5 {
-				r.check(fmt.Sprintf("seed %d step %d", seed, n))
+				r.check(fmt.Sprintf("seed %d step %d", seed, n), n%12 == 5)
 			}
 		}
 		if r.kept == 0 || r.pruned == 0 {
 			t.Fatalf("seed %d: %d model matches, %d of them pruned: the sequence does not exercise both scans", seed, r.kept, r.pruned)
 		}
-		t.Logf("seed %d: %d graphs live, %d model matches, %d pruned", seed, len(r.live), r.kept, r.pruned)
+		rebuilds := make([]uint64, len(r.dbs))
+		for i, d := range r.dbs {
+			d.store.WaitRebuilds()
+			for k := range d.StoreTelemetry().Shards {
+				rebuilds[i] += d.StoreTelemetry().Shards[k].Rebuilds.Load()
+			}
+			if rebuilds[i] == 0 {
+				t.Fatalf("seed %d: no shard of %d installed a postings rebuild", seed, d.NumShards())
+			}
+		}
+		if r.mixed == 0 {
+			t.Fatalf("seed %d: no search read posting lists beside stale slots", seed)
+		}
+		t.Logf("seed %d: %d graphs live, %d model matches, %d pruned; rebuilds %v, %d mixed views",
+			seed, len(r.live), r.kept, r.pruned, rebuilds, r.mixed)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -197,8 +199,9 @@ type Match struct {
 type Result struct {
 	Method  Method
 	Matches []Match
-	// Scanned counts database graphs examined (prefilter-pruned graphs
-	// included; an early-stopped stream may count fewer).
+	// Scanned counts database graphs decided: scored, pruned, or ruled
+	// out unread by the branch postings (Stages.Visited counts the ones
+	// read). An early-stopped stream may count fewer.
 	Scanned int
 	// Elapsed is the wall-clock query time (the paper's Figures 7–9).
 	Elapsed time.Duration
@@ -235,6 +238,12 @@ type StageStats struct {
 	// Pruned counts entries the admissible prefilter discarded before
 	// scoring.
 	Pruned int
+	// Visited counts the entries whose columns or entry the scan read:
+	// the candidates the shards' branch postings named, or every entry
+	// when the search has no shared-branch bound (a method without a
+	// size window, or a query too small for one). The rest of Scanned
+	// was decided without being read.
+	Visited int
 	// Traced reports whether the prefilter/score split above was
 	// recorded.
 	Traced bool
@@ -282,16 +291,17 @@ type preparedSearch struct {
 }
 
 // traceAcc accumulates one scan's trace state: the scan wall span, the
-// pruned count and, with deep tracing, the prefilter/score split. The
-// atomics are shared by every worker of the scan, so one add costs a
-// cache-line transfer whenever another worker added last — on a scan
-// that prunes 99.97% of its entries, more than the pruning itself.
-// Workers therefore count into a private pruneTally and fold it in here
-// once per claimed range.
+// pruned and visited counts and, with deep tracing, the prefilter/score
+// split. The atomics are shared by every worker of the scan, so one add
+// costs a cache-line transfer whenever another worker added last — on a
+// scan that prunes 99.97% of its entries, more than the pruning itself.
+// Workers therefore count privately and fold their counts in here once
+// per claimed range.
 type traceAcc struct {
 	deep        bool
 	scanNS      int64 // written once by the engine's Observe hook
 	pruned      atomic.Int64
+	visited     atomic.Int64
 	prefilterNS atomic.Int64 // deep only: summed across workers
 	scoreNS     atomic.Int64 // deep only
 }
@@ -335,11 +345,12 @@ func (t *pruneTally) publish(tr *traceAcc) {
 // span.
 func (ps *preparedSearch) record(tr *traceAcc, scanned, matched int, mergeNS int64) StageStats {
 	t := ps.tele
-	pruned := tr.pruned.Load()
+	pruned, visited := tr.pruned.Load(), tr.visited.Load()
 	if t != nil {
 		t.Searches.Add(1)
 		t.Scanned.Add(uint64(scanned))
 		t.Pruned.Add(uint64(pruned))
+		t.Visited.Add(uint64(visited))
 		t.Matched.Add(uint64(matched))
 		t.Stage[telemetry.StageScan].RecordNS(tr.scanNS)
 		t.Stage[telemetry.StageMerge].RecordNS(mergeNS)
@@ -364,6 +375,7 @@ func (ps *preparedSearch) record(tr *traceAcc, scanned, matched int, mergeNS int
 		PrefilterNS: tr.prefilterNS.Load(),
 		ScoreNS:     tr.scoreNS.Load(),
 		Pruned:      int(pruned),
+		Visited:     int(visited),
 		Traced:      tr.deep,
 	}
 }
@@ -420,19 +432,21 @@ func (d *Database) prepare(opt SearchOptions) (*preparedSearch, error) {
 }
 
 // projection returns the scan's view of a consistent cut of the store,
-// memoised per store epoch. For a full scan it is the shards' own views
-// plus their prefix sums — O(shards) to build, nothing per position. For
-// an active subset each view is narrowed to the active IDs it holds, one
-// O(n) pass the harness pays once, since it never mutates. A cached
-// projection built with the prefilter also serves non-prefiltered
-// searches (they never read it); the reverse rebuilds. apMu serialises
-// rebuilds against each other.
+// memoised per store epoch and postings generation. For a full scan it
+// is the shards' own views plus their prefix sums — O(shards) to build,
+// nothing per position. For an active subset each view is narrowed to
+// the active IDs it holds, postings included, one O(n) pass the harness
+// pays once, since it never mutates. A cached projection built with the
+// prefilter also serves non-prefiltered searches (they never read it);
+// the reverse rebuilds. apMu serialises rebuilds against each other.
 func (d *Database) projection(withPre bool) *projection {
 	d.apMu.Lock()
 	defer d.apMu.Unlock()
-	if p := d.proj; p != nil && p.epoch == d.store.Epoch() && (p.withPre || !withPre) {
+	gen := d.store.PostingsGen()
+	if p := d.proj; p != nil && p.epoch == d.store.Epoch() && p.postGen == gen && (p.withPre || !withPre) {
 		// Equal epoch means no shard mutated since the cached cut was
-		// taken, so its slices are the current state.
+		// taken, so its slices are the current state; an equal postings
+		// generation, that no shard has installed fresher lists.
 		return p
 	}
 	views, epoch := d.store.Views(withPre)
@@ -451,7 +465,7 @@ func (d *Database) projection(withPre bool) *projection {
 			views[i] = v.Pick(slots)
 		}
 	}
-	p := &projection{epoch: epoch, withPre: withPre, views: views, starts: make([]int, len(views)+1)}
+	p := &projection{epoch: epoch, postGen: gen, withPre: withPre, views: views, starts: make([]int, len(views)+1)}
 	for i, v := range views {
 		p.starts[i+1] = p.starts[i] + len(v.Entries)
 	}
@@ -472,7 +486,7 @@ func (ps *preparedSearch) ordered() []*db.Entry {
 // into tr (required). admit, when non-nil, is a consumer's lock-free veto
 // over kept entries (top-K's "cannot enter the heap"): an entry it refuses
 // is scanned and scored but never reaches emit. It returns the number of
-// graphs examined.
+// graphs decided.
 func (ps *preparedSearch) stream(ctx context.Context, q *Query, tr *traceAcc, admit func(index int, score float64) bool, emit func(pos int, m Match) bool) (int, error) {
 	// Resolve the query's key-form multiset into interned IDs once per
 	// scan. Branch IDs are never reused (deletes retire them), so a
@@ -486,60 +500,118 @@ func (ps *preparedSearch) stream(ctx context.Context, q *Query, tr *traceAcc, ad
 		admit: admit,
 		winHi: math.MaxInt,
 	}
+	// need is what a graph must have to be worth reading. A prefiltered
+	// scan prunes a graph sharing fewer than |Vq| − 2τ̂ branches with the
+	// query at the branch tier (|B∩B| < max(|V1|, |V2|) − 2τ̂), and one
+	// with |ΔV| > τ̂ at the size tier. The scorer gives Φ = 0 to a graph
+	// outside its size window, whose floor is also the least |B∩B| of any
+	// pair scoring above 0.
+	var need index.Need
+	m := len(qs.mq.Branches)
 	if ps.opt.Prefilter {
 		qs.qp = index.PrepareQuery(q.g)
+		need = index.Need{MinShared: m - 2*ps.opt.Tau, SizeLo: m - ps.opt.Tau, SizeHi: m + ps.opt.Tau}
 	} else if sw, ok := ps.scorer.(method.SizeWindower); ok {
 		qs.winLo, qs.winHi = sw.SizeWindow(&qs.mq)
+		need = index.Need{MinShared: qs.winLo, SizeLo: qs.winLo, SizeHi: qs.winHi}
 	}
-	opt := engine.Options{Workers: ps.opt.Workers, Observe: func(d time.Duration) { tr.scanNS = int64(d) }}
-	return engine.ScanRanges(ctx, ps.proj.len(), opt, qs.newRunner, emit)
+	qs.probes = probesPool.Get().(*index.Probes)
+	defer probesPool.Put(qs.probes)
+	views := ps.proj.views
+	qs.probes.Reset(len(views))
+	for i := range views {
+		qs.probes.Plan(i, &views[i].Post, len(views[i].Entries), qs.mq.Branches, need)
+	}
+	opt := engine.Options{Workers: ps.opt.Workers, Observe: func(d time.Duration) { tr.scanNS += int64(d) }}
+	if need.MinShared > 0 {
+		// A candidate costs tens of nanoseconds to decide; a few thousand
+		// of them are not worth a second worker's hand-off.
+		if opt.Workers <= 0 {
+			opt.Workers = runtime.GOMAXPROCS(0)
+		}
+		opt.Workers = min(opt.Workers, 1+qs.probes.Bound()/candidatesPerWorker)
+	}
+	if !ps.opt.CollectAll {
+		return engine.ScanRanges(ctx, ps.proj.len(), opt, qs.newRunner, emit)
+	}
+	// A CollectAll consumer also gets the slots that score 0 unread. They
+	// come in a second scan, once every candidate has been offered, so
+	// top-K's heap holds its best K by then and skips ranges whole.
+	stopped := false
+	consume := func(pos int, m Match) bool {
+		more := emit(pos, m)
+		stopped = stopped || !more
+		return more
+	}
+	scanned, err := engine.ScanRanges(ctx, ps.proj.len(), opt, qs.newRunner, consume)
+	if err != nil || stopped {
+		return scanned, err
+	}
+	qs.zeros = true
+	_, err = engine.ScanRanges(ctx, ps.proj.len(), opt, qs.newRunner, consume)
+	return scanned, err
 }
+
+// probesPool recycles the per-query candidate generators and the scratch
+// they are planned in.
+var probesPool = sync.Pool{New: func() any { return new(index.Probes) }}
+
+// candidatesPerWorker is how many candidates a scan with a shared-branch
+// bound gives each worker, at least: below it, starting and joining a
+// worker costs more than the candidates it would take.
+const candidatesPerWorker = 4096
 
 // queryScan is what the workers of one single-query scan share, all of it
 // read-only while they run.
 type queryScan struct {
-	ps    *preparedSearch
-	tr    *traceAcc
-	mq    method.Query
-	qp    index.QueryPre // prefiltered scans only
-	admit func(index int, score float64) bool
+	ps     *preparedSearch
+	tr     *traceAcc
+	mq     method.Query
+	qp     index.QueryPre // prefiltered scans only
+	probes *index.Probes  // one candidate generator per view
+	admit  func(index int, score float64) bool
 
 	// An unfiltered scan: entries sized outside [winLo, winHi] score
 	// exactly 0 (winLo > winHi: all do). Every size is inside unless the
 	// scorer is a method.SizeWindower.
 	winLo, winHi int
+	// zeros marks a CollectAll scan's second pass, which emits the slots
+	// the first decided as scoring 0 without reading them.
+	zeros bool
 }
 
 // rangeScan is one worker's side of a single-query scan. It splits each
-// claimed range at view boundaries and takes each segment in two passes:
-// a filter pass that reads one column of the view (signatures for a
-// prefiltered scan, sizes for an unfiltered one) and collects the slots
-// the column cannot decide, then a scoring pass over those. Only a
-// collected slot ever has its *db.Entry loaded, and nothing is shared
-// between workers within a range but the engine's stop flag; the pruned
-// tally is published when the range is done and, when traced, the two
+// claimed range at view boundaries and takes each segment in steps: the
+// view's probe marks the segment's candidates in a bitset; a filter pass
+// reads one column for each candidate (signatures for a prefiltered scan,
+// sizes for an unfiltered one) and clears the bits the column decides; a
+// scoring pass runs over the bits left. A slot that is no candidate
+// shares too few branches with the query to matter and is decided
+// unread: pruned, or scored 0 — which only a CollectAll consumer keeps,
+// and gets from the zero pass. Only a slot left to the scoring pass has
+// its *db.Entry loaded for scoring, and nothing is shared between workers
+// within a range but the engine's stop flag; the pruned and visited
+// counts are published when the range is done and, when traced, the
 // passes' clock spans when each segment is.
 type rangeScan struct {
 	*queryScan
-	tally pruneTally // prefiltered scans only
+	tally   pruneTally // prefiltered scans only
+	visited int        // candidates read since the last publication
 
-	// The segment being scanned: view index vi, the view itself, and the
-	// scan position of its slot 0.
-	vi   int
+	// The segment being scanned: the view, and the scan position of its
+	// slot 0.
 	v    *shard.View
 	base int
-	// open holds the slots of v the filter pass left for scoring. int32
-	// halves the scratch: a scan set is memory-resident, far below 2³¹
-	// entries. buf backs it while the filter keeps few (a prefilter
-	// prunes nearly everything); the other scans grow it to the longest
-	// segment.
-	open []int32
-	buf  [16]int32
+	// cand has bit i set while slot lo+i of the segment is a candidate
+	// not yet decided; buf backs it for segments up to the engine's
+	// largest claim.
+	cand []uint64
+	buf  [64]uint64
 }
 
 func (qs *queryScan) newRunner() engine.Runner[Match] {
 	w := &rangeScan{queryScan: qs}
-	w.open = w.buf[:0]
+	w.cand = w.buf[:0]
 	if qs.ps.opt.Prefilter {
 		w.tally = qs.ps.newTally()
 	}
@@ -564,32 +636,57 @@ func (w *rangeScan) run(s *engine.Scanner[Match], lo, hi int) (int, error) {
 	if w.ps.opt.Prefilter {
 		w.tally.publish(w.tr)
 	}
+	if w.visited != 0 {
+		w.tr.visited.Add(int64(w.visited))
+		w.visited = 0
+	}
 	return done, err
 }
 
-// segment scans slots [lo, hi) of view vi: the filter pass, then the
-// scoring pass over what it left open.
+// segment scans slots [lo, hi) of view vi — the candidates' filter pass,
+// then the scoring pass over what it left — and returns how many slots it
+// decided. In the zero pass it emits the zeros instead.
 func (w *rangeScan) segment(s *engine.Scanner[Match], vi, lo, hi int) (int, error) {
 	ps, tr := w.ps, w.tr
-	w.vi, w.v, w.base = vi, &ps.proj.views[vi], ps.proj.starts[vi]
+	w.v, w.base = &ps.proj.views[vi], ps.proj.starts[vi]
 	var t0, t1 time.Time
 	if tr.deep {
 		t0 = time.Now()
 	}
-	if !ps.opt.Prefilter && cap(w.open) < hi-lo {
-		w.open = make([]int32, 0, hi-lo)
+	words := (hi - lo + 63) >> 6
+	if cap(w.cand) < words {
+		w.cand = make([]uint64, words)
 	}
-	w.open = w.open[:0]
-	var end int // slots [lo, end) went through the filter pass
+	w.cand = w.cand[:words]
+	if w.zeros {
+		// Once top-K's heap refuses even (index 0, score 0) it holds K
+		// matches above 0, so no zero can enter it.
+		if w.admit == nil || w.admit(0, 0) {
+			w.probes.View(vi).Mark(w.cand, lo, hi)
+			w.sizeFilter(lo)
+			w.emitZeros(s, lo, hi)
+		}
+		if tr.deep {
+			tr.scoreNS.Add(int64(time.Since(t0)))
+		}
+		return 0, nil // the first pass counted them
+	}
+	n := w.probes.View(vi).Mark(w.cand, lo, hi)
+	w.visited += n
+	var decided int
 	if ps.opt.Prefilter {
-		end = w.prefilter(s, lo, hi)
+		// A slot the postings do not name fails the branch or the size
+		// tier: pruned unread.
+		decided = hi - lo - n + w.prefilter(s, lo)
+		w.tally.discard(vi, decided)
 	} else {
-		end = w.sizeFilter(s, lo, hi)
+		decided = hi - lo - n + w.sizeFilter(lo)
 	}
 	if tr.deep {
 		t1 = time.Now()
 	}
-	scored, err := w.score(s)
+	scored, err := w.score(s, lo)
+	decided += scored
 	if tr.deep {
 		if !ps.opt.Prefilter {
 			t1 = t0 // no prefilter: the whole segment is scoring
@@ -597,79 +694,95 @@ func (w *rangeScan) segment(s *engine.Scanner[Match], vi, lo, hi int) (int, erro
 		tr.prefilterNS.Add(int64(t1.Sub(t0)))
 		tr.scoreNS.Add(int64(time.Since(t1)))
 	}
-	// Finished: what the filter decided plus what the scorer got to.
-	return end - lo - (len(w.open) - scored), err
+	return decided, err
 }
 
-// prefilter skip-scans the view's signature column: every slot a
-// signature prunes is counted from its index alone, and the exact bound
-// runs — on the one entry loaded for it — where the signature cannot
-// decide.
-func (w *rangeScan) prefilter(s *engine.Scanner[Match], lo, hi int) int {
+// prefilter runs each candidate through the view's signature column and,
+// where the signature cannot decide, the exact bound on the one entry
+// loaded for it; it clears the candidates they prune and returns how
+// many it cleared.
+func (w *rangeScan) prefilter(s *engine.Scanner[Match], lo int) int {
 	pre, tau := &w.v.Pre, w.ps.opt.Tau
-	for slot := lo; ; slot++ {
-		next := pre.NextUndecided(&w.qp, slot, hi, tau)
-		w.tally.discard(w.vi, next-slot)
-		if next == hi {
-			return hi
-		}
-		if slot = next; s.Stopped() {
-			return slot
-		}
-		if pre.Prunable(&w.qp, w.mq.Branches, w.v.Entries[slot], slot, tau) {
-			w.tally.discard(w.vi, 1)
-		} else {
-			w.open = append(w.open, int32(slot))
+	pruned := 0
+	for i, word := range w.cand {
+		for ; word != 0 && !s.Stopped(); word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			slot := lo + i<<6 + b
+			if pre.Prunable(&w.qp, w.mq.Branches, w.v.Entries[slot], slot, tau) {
+				w.cand[i] &^= 1 << b
+				pruned++
+			}
 		}
 	}
+	return pruned
 }
 
-// sizeFilter reads the view's sizes column: an entry outside the scorer's
-// window scores exactly 0, which only a CollectAll consumer keeps
-// (withDefaults makes γ positive) — top-K's tail, refused by admit from
-// the ids column once the heap holds K better matches.
-func (w *rangeScan) sizeFilter(s *engine.Scanner[Match], lo, hi int) int {
-	v := w.v
-	for slot := lo; slot < hi; slot++ {
-		if size := int(v.Sizes[slot]); size >= w.winLo && size <= w.winHi {
-			w.open = append(w.open, int32(slot))
-			continue
-		}
-		if !w.ps.opt.CollectAll {
-			continue
-		}
-		id := int(v.IDs[slot])
-		if w.admit != nil && !w.admit(id, 0) {
-			continue
-		}
-		if !s.Emit(w.base+slot, Match{Index: id, Name: v.Entries[slot].G.Name}) {
-			return slot + 1
+// sizeFilter reads the view's sizes column for each candidate and clears
+// the ones outside the scorer's window: they score exactly 0, which only
+// a CollectAll consumer keeps (withDefaults makes γ positive), and the
+// zero pass emits them. It returns how many it cleared.
+func (w *rangeScan) sizeFilter(lo int) int {
+	sizes, out := w.v.Sizes, 0
+	for i, word := range w.cand {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			if size := int(sizes[lo+i<<6+b]); size < w.winLo || size > w.winHi {
+				w.cand[i] &^= 1 << b
+				out++
+			}
 		}
 	}
-	return hi
+	return out
 }
 
-// score runs the scorer over the open slots and reports how many it
+// score runs the scorer over the candidates left and reports how many it
 // finished. A Match is built only for a kept entry: a discarded one
 // touches its Entry header and branch slice, not e.G.
-func (w *rangeScan) score(s *engine.Scanner[Match]) (int, error) {
-	for i, slot := range w.open {
-		if s.Stopped() {
-			return i, nil
-		}
-		e := w.v.Entries[slot]
-		keep, score, err := w.ps.scorer.Score(&w.mq, e)
-		if err != nil {
-			return i, err
-		}
-		if !keep || (w.admit != nil && !w.admit(int(e.ID), score)) {
-			continue
-		}
-		if !s.Emit(w.base+int(slot), Match{Index: int(e.ID), Name: e.G.Name, Score: score}) {
-			return i + 1, nil
+func (w *rangeScan) score(s *engine.Scanner[Match], lo int) (int, error) {
+	done := 0
+	for i, word := range w.cand {
+		for ; word != 0; word &= word - 1 {
+			if s.Stopped() {
+				return done, nil
+			}
+			slot := lo + i<<6 + bits.TrailingZeros64(word)
+			e := w.v.Entries[slot]
+			keep, score, err := w.ps.scorer.Score(&w.mq, e)
+			if err != nil {
+				return done, err
+			}
+			done++
+			if !keep || (w.admit != nil && !w.admit(int(e.ID), score)) {
+				continue
+			}
+			if !s.Emit(w.base+slot, Match{Index: int(e.ID), Name: e.G.Name, Score: score}) {
+				return done, nil
+			}
 		}
 	}
-	return len(w.open), nil
+	return done, nil
+}
+
+// emitZeros hands a CollectAll consumer the slots of [lo, hi) without a
+// candidate bit — each scores exactly 0 — reading the ids column and, for
+// a match, the entry's name.
+func (w *rangeScan) emitZeros(s *engine.Scanner[Match], lo, hi int) {
+	v := w.v
+	for i, word := range w.cand {
+		for free := ^word; free != 0; free &= free - 1 {
+			slot := lo + i<<6 + bits.TrailingZeros64(free)
+			if slot >= hi {
+				return
+			}
+			id := int(v.IDs[slot])
+			if w.admit != nil && !w.admit(id, 0) {
+				continue
+			}
+			if !s.Emit(w.base+slot, Match{Index: id, Name: v.Entries[slot].G.Name}) {
+				return
+			}
+		}
+	}
 }
 
 // collect runs one query to completion and gathers matches in
