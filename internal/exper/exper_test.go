@@ -2,6 +2,9 @@ package exper
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -89,16 +92,26 @@ func TestTableFprintAligns(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/tables.golden from this run")
+
+// timed reports whether a table prints wall-clock times, which no two runs
+// share: a "time" column, or query times in every cell.
+func timed(tbl *Table) bool {
+	return slices.Contains(tbl.Header, "time") || strings.Contains(strings.ToLower(tbl.Title), "query time")
+}
+
+// TestTablesAndPriors runs one id per figure family at tiny scale. Every
+// table must be non-empty, and every table without wall-clock times must
+// print exactly what testdata/tables.golden holds.
 func TestTablesAndPriors(t *testing.T) {
-	var buf bytes.Buffer
+	var all, golden bytes.Buffer
 	r := newRunner(tinyOpt().withDefaults())
 	// Restrict the real sets to the two smallest to keep the test quick.
 	r.realSets = []string{"finger", "grec"}
-	// One id per timing and effectiveness figure family rides along: the
-	// tables they print must be non-empty.
 	for _, id := range []string{
 		"table3", "table4", "table5", "fig5", "fig6",
 		"fig7", "fig10", "fig18", "fig22", "fig26", "fig31", "fig39",
+		"xprefilter", "xhybrid",
 	} {
 		tables, err := r.run(id)
 		if err != nil {
@@ -106,16 +119,32 @@ func TestTablesAndPriors(t *testing.T) {
 		}
 		for _, tbl := range tables {
 			if len(tbl.Rows) == 0 {
-				t.Fatalf("%s: empty table", id)
+				t.Fatalf("%s: empty table %q", id, tbl.Title)
 			}
-			tbl.Fprint(&buf)
+			tbl.Fprint(&all)
+			if !timed(tbl) {
+				tbl.Fprint(&golden)
+			}
 		}
 	}
-	out := buf.String()
+	out := all.String()
 	for _, want := range []string{"finger", "grec", "syn1-0K", "phi", "tau\\v"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
+	}
+	const path = "testdata/tables.golden"
+	if *update {
+		if err := os.WriteFile(path, golden.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := golden.String(); got != string(want) {
+		t.Fatalf("tables differ from %s (go test -run TestTablesAndPriors -update rewrites it)\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 
