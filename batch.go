@@ -5,8 +5,8 @@ import "context"
 // SearchBatch runs one configured search over a whole query workload,
 // returning one Result per query in input order. Preparation is amortised
 // across the batch: the scorer is validated and prepared once (for GBDA-V1
-// that includes the α-graph size sample), the active subset is snapshotted
-// once, and with Prefilter the admissible index is built/synced once —
+// that includes the α-graph size sample), the store's cut is taken once,
+// and with Prefilter the admissible index is built/synced once —
 // where a Search loop would redo all of it per query. Each query then runs
 // the scan Search runs, so every Result reports its own Scanned, Elapsed
 // and Stages; the prepare and cut spans are the shared preparation's.

@@ -7,14 +7,15 @@ import (
 	"testing"
 
 	"gsim"
+	"gsim/internal/dataset"
 )
 
-// batchQueries materialises n queries from the dataset's workload, cycling
-// when the workload is shorter than n.
-func batchQueries(d *gsim.Database, qis []int, n int) []*gsim.Query {
+// batchQueries materialises n queries from the dataset's held-out
+// workload, cycling when the workload is shorter than n.
+func batchQueries(ds *dataset.Dataset, n int) []*gsim.Query {
 	out := make([]*gsim.Query, n)
 	for i := range out {
-		out[i] = d.Query(qis[i%len(qis)])
+		out[i] = gsim.CollectionQuery(ds.Col, ds.Queries[i%len(ds.Queries)])
 	}
 	return out
 }
@@ -28,7 +29,7 @@ func batchQueries(d *gsim.Database, qis []int, n int) []*gsim.Query {
 func TestSearchBatchStrategiesAgree(t *testing.T) {
 	ds := tinyDataset(t, 46)
 	d := openDataset(t, ds)
-	queries := batchQueries(d, ds.Queries, len(ds.Queries))
+	queries := batchQueries(ds, len(ds.Queries))
 	var opts []gsim.SearchOptions
 	for _, m := range gsim.Methods() {
 		opts = append(opts,
@@ -77,7 +78,7 @@ func TestSearchBatchStrategiesAgree(t *testing.T) {
 func TestSearchBatchEntryMajorCancellation(t *testing.T) {
 	ds := tinyDataset(t, 49)
 	d := openDataset(t, ds)
-	queries := batchQueries(d, ds.Queries, 4)
+	queries := batchQueries(ds, 4)
 	opt := gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.5}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -112,7 +113,7 @@ func TestSearchBatchEntryMajorCancellation(t *testing.T) {
 func TestSearchBatchFuncCallbackErrorAborts(t *testing.T) {
 	ds := tinyDataset(t, 50)
 	d := openDataset(t, ds)
-	queries := batchQueries(d, ds.Queries, 4)
+	queries := batchQueries(ds, 4)
 	boom := errors.New("consumer failed")
 	var calls int
 	err := d.SearchBatchFunc(context.Background(), queries, gsim.SearchOptions{
@@ -138,7 +139,7 @@ func TestSearchBatchFuncCallbackErrorAborts(t *testing.T) {
 func TestSearchTopKBatchMatchesSearchTopK(t *testing.T) {
 	ds := tinyDataset(t, 51)
 	d := openDataset(t, ds)
-	queries := batchQueries(d, ds.Queries, len(ds.Queries))
+	queries := batchQueries(ds, len(ds.Queries))
 	for _, m := range []gsim.Method{gsim.GBDA, gsim.GBDAV2, gsim.GreedySort, gsim.Seriation} {
 		opt := gsim.TopKOptions{Method: m, K: 5, Tau: 4}
 		batch, err := d.SearchTopKBatch(context.Background(), queries, opt)

@@ -118,7 +118,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 	for _, nq := range []int{1, 8, 64} {
 		queries := make([]*gsim.Query, nq)
 		for i := range queries {
-			queries[i] = fx.db.Query(fx.ds.Queries[i%len(fx.ds.Queries)])
+			queries[i] = gsim.CollectionQuery(fx.ds.Col, fx.ds.Queries[i%len(fx.ds.Queries)])
 		}
 		b.Run(fmt.Sprintf("queries=%d", nq), func(b *testing.B) {
 			opt := gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.5}
@@ -145,9 +145,9 @@ var (
 )
 
 // corpusFixture is the repository benchmark's served corpus, in process:
-// the first 30,000 database graphs of the aasd profile stored one by one
-// (a full scan, not an active subset), priors fitted as gsimd fits them
-// at boot, and eight of the held-out query graphs.
+// the first 30,000 database graphs of the aasd profile stored one by one,
+// priors fitted as gsimd fits them at boot, and eight of the held-out
+// query graphs.
 func corpusFixture(b *testing.B) (*gsim.Database, []*gsim.Query) {
 	b.Helper()
 	corpusOnce.Do(func() {

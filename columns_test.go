@@ -154,8 +154,8 @@ func searchForms(t *testing.T, label string, d *Database, rng *rand.Rand) {
 }
 
 // TestColumnsAndPrunedCountersAgree: over one and over four shards,
-// through rounds of stores, deletes and updates, and over an active
-// subset.
+// through rounds of stores, deletes and updates, and over a database
+// built from a list of collection IDs.
 func TestColumnsAndPrunedCountersAgree(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		d := New(WithName("cols"), WithShards(shards))
@@ -185,35 +185,36 @@ func TestColumnsAndPrunedCountersAgree(t *testing.T) {
 			searchForms(t, fmt.Sprintf("%d shards, round %d", shards, round), d, rng)
 		}
 
-		// The same store behind an active subset: every third graph, in
-		// descending ID order, with the first five listed twice — a set,
-		// so each is scanned once.
-		col := db.New("subset")
+		// The same graphs as a collection, of which every third is stored,
+		// listed in descending ID order with the first five listed twice:
+		// each is stored once.
+		col := db.New("listed")
 		col.Dict = d.store.Dict()
 		for _, e := range d.store.Ordered() {
 			col.Add(e.G)
 		}
-		var active []int
+		var ids []int
 		for id := col.Len() - 1; id >= 0; id -= 3 {
-			active = append(active, id)
+			ids = append(ids, id)
 		}
-		distinct := len(active)
-		active = append(active, active[:5]...)
-		sub := FromCollectionShards(col, active, shards)
-		p := checkProjectionColumns(t, sub)
+		distinct := len(ids)
+		ids = append(ids, ids[:5]...)
+		listed := FromCollectionShards(col, ids, shards)
+		p := checkProjectionColumns(t, listed)
 		if len(p.starts) != shards+1 || p.len() != distinct {
-			t.Fatalf("active subset of %d IDs projected %d positions (spans %v)", distinct, p.len(), p.starts)
+			t.Fatalf("%d listed IDs projected %d positions (spans %v)", distinct, p.len(), p.starts)
 		}
-		searchForms(t, fmt.Sprintf("%d shards, active subset", shards), sub, rng)
-		checkSubsetScan(t, sub, active[:distinct], active[0])
+		searchForms(t, fmt.Sprintf("%d shards, every third graph", shards), listed, rng)
+		checkListedScan(t, listed, ids[:distinct], ids[0])
 	}
 }
 
-// checkSubsetScan runs one complete scan of an active subset — the
-// distinct stored IDs ids — for the stored graph dup, which the subset
-// lists twice: every shard's scanned counter moves by the number of ids it
-// holds, and dup is matched once, in ascending ID order with the rest.
-func checkSubsetScan(t *testing.T, d *Database, ids []int, dup int) {
+// checkListedScan runs one complete scan of a database built from a list
+// of collection IDs — the distinct IDs ids — for the stored graph dup,
+// which the list names twice: every shard's scanned counter moves by the
+// number of ids it holds, and dup is matched once, in ascending ID order
+// with the rest.
+func checkListedScan(t *testing.T, d *Database, ids []int, dup int) {
 	t.Helper()
 	share := make([]uint64, d.NumShards())
 	for _, id := range ids {
@@ -233,7 +234,7 @@ func checkSubsetScan(t *testing.T, d *Database, ids []int, dup int) {
 	after := scanned()
 	for i := range share {
 		if delta := after[i] - before[i]; delta != share[i] {
-			t.Fatalf("shard %d counted %d scanned, it holds %d of the subset", i, delta, share[i])
+			t.Fatalf("shard %d counted %d scanned, it holds %d of the listed IDs", i, delta, share[i])
 		}
 	}
 	seen := 0

@@ -31,7 +31,7 @@ func chainText(prefix string, n int) string {
 // and LoadText path) while SearchStream scans run concurrently. Under the
 // epoch/RWMutex layer each scan runs against its prepare-time snapshot,
 // so this must be free of data races AND each scan must see a consistent
-// collection (Scanned equal to the snapshot's active size, matches only
+// collection (Scanned equal to the snapshot's size, matches only
 // from graphs that existed at prepare time).
 func TestConcurrentStoreDuringStream(t *testing.T) {
 	d := gsim.New(gsim.WithName("race"))

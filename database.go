@@ -45,7 +45,6 @@ var ErrNotFound = errors.New("gsim: no graph with that id")
 // result cache keys on (see internal/qcache).
 type Database struct {
 	store  *shard.Map // assigned once at construction, never replaced
-	active []int      // graph IDs scanned by Search, as a set; nil = all (immutable once set)
 	dur    *durable   // persistence state; nil for an in-memory database
 	health health     // degraded-mode state machine (health.go); zero value = healthy
 
@@ -87,8 +86,7 @@ func (d *Database) WALTelemetry() *telemetry.WALMetrics { return &d.walTele }
 func (d *Database) StoreTelemetry() *telemetry.StoreMetrics { return d.store.Telemetry() }
 
 // projection is one store epoch's consistent cut as the scan reads it:
-// the per-shard views, narrowed to the active subset's slots when there is
-// one, laid end to end. A full scan copies nothing per position.
+// the per-shard views laid end to end, with nothing copied per position.
 type projection struct {
 	epoch   uint64
 	postGen uint64 // the store's postings generation the views carry
@@ -119,39 +117,38 @@ func (d *Database) Epoch() uint64 {
 
 // FromCollection wraps an existing internal collection — the bridge used by
 // the experiment harness and dataset generators, which assemble collections
-// directly. active is the set of graph IDs Search scans (the "95% database"
-// of Section VII-A; a flat collection's IDs equal its indexes): each listed
-// ID that is stored is scanned once, whatever the list order, and matches
-// come in ascending ID as for a full scan. nil scans everything.
+// directly. It stores the collection graphs whose indexes ids lists (the
+// "95% database" of Section VII-A), each once and under its index, so
+// match IDs index the collection; unknown or repeated IDs are skipped, and
+// nil stores every graph. The held-out graphs are queried through
+// CollectionQuery.
 //
 // Deprecated: external users build databases with New (or Open) and
 // NewGraph; this bridge remains for the experiment harness.
-func FromCollection(col *db.Collection, active []int) *Database {
-	return FromCollectionShards(col, active, 0)
+func FromCollection(col *db.Collection, ids []int) *Database {
+	return FromCollectionShards(col, ids, 0)
 }
 
 // FromCollectionShards is FromCollection with an explicit shard count.
 //
 // Deprecated: see FromCollection.
-func FromCollectionShards(col *db.Collection, active []int, n int) *Database {
-	return &Database{store: shard.FromCollection(col, shard.Shards(n)), active: active}
+func FromCollectionShards(col *db.Collection, ids []int, n int) *Database {
+	return &Database{store: shard.FromCollection(col, ids, shard.Shards(n))}
 }
+
+// CollectionQuery prepares collection graph i as a query, whether or not a
+// database built from the collection stores it — the held-out queries of
+// Section VII-A. Search it against a FromCollection database of the same
+// collection, whose dictionaries it was built in.
+//
+// Deprecated: see FromCollection.
+func CollectionQuery(col *db.Collection, i int) *Query { return newQuery(col.Graph(i)) }
 
 // NumShards reports the storage shard count.
 func (d *Database) NumShards() int { return d.store.NumShards() }
 
-// Len reports the number of stored graphs (including any not in the active
-// scan subset).
+// Len reports the number of stored graphs, all of which Search scans.
 func (d *Database) Len() int { return d.store.Len() }
-
-// ActiveLen reports how many graphs Search scans: for an active subset,
-// the distinct listed IDs still stored.
-func (d *Database) ActiveLen() int {
-	if d.active == nil {
-		return d.store.Len()
-	}
-	return d.projection(false).len()
-}
 
 // Stats summarises the stored graphs.
 func (d *Database) Stats() Stats { return d.store.Stats() }
@@ -455,9 +452,7 @@ func (d *Database) StoreAll(builders []*GraphBuilder) (int, error) {
 
 // Query finalises the graph as a search query (precomputing its canonical
 // branch multiset) without storing it.
-func (b *GraphBuilder) Query() *Query {
-	return &Query{g: b.g, branches: branch.MultisetOf(b.g)}
-}
+func (b *GraphBuilder) Query() *Query { return newQuery(b.g) }
 
 // LoadQueryText parses exactly one .gsim stanza against the database's
 // label dictionary and prepares it as a query.
@@ -469,7 +464,7 @@ func (d *Database) LoadQueryText(r io.Reader) (*Query, error) {
 	if len(gs) != 1 {
 		return nil, fmt.Errorf("gsim: query input holds %d graphs, want exactly 1", len(gs))
 	}
-	return &Query{g: gs[0], branches: branch.MultisetOf(gs[0])}, nil
+	return newQuery(gs[0]), nil
 }
 
 // Query is a prepared query graph. It carries the canonical (key-form)
@@ -485,25 +480,27 @@ type Query struct {
 	branches branch.Multiset
 }
 
+// newQuery prepares g as a query: one O(|V|·d) pass for its canonical
+// multiset, which resolves against whatever snapshot the query later scans.
+func newQuery(g *graph.Graph) *Query { return &Query{g: g, branches: branch.MultisetOf(g)} }
+
 // NumVertices reports the query's vertex count.
 func (q *Query) NumVertices() int { return q.g.NumVertices() }
 
 // Name returns the query graph's name.
 func (q *Query) Name() string { return q.g.Name }
 
-// Query prepares the stored graph with ID i as a query — used when the
-// query workload is drawn from the same population as the database (the
-// paper's 5% split). It panics if no graph carries the ID; callers
-// driving it from external input should look the graph up themselves.
+// Query prepares the stored graph with ID i as a query. It panics if no
+// graph carries the ID; callers driving it from external input should look
+// the graph up themselves.
 func (d *Database) Query(i int) *Query {
 	e, ok := d.store.Get(uint64(i))
 	if !ok {
 		panic(fmt.Sprintf("gsim: Query(%d): no graph with that id", i))
 	}
 	// Entries store interned IDs, not keys; the query form recomputes the
-	// canonical multiset so the Query resolves against whatever snapshot
-	// it later scans (one O(|V|·d) pass per query preparation).
-	return &Query{g: e.G, branches: branch.MultisetOf(e.G)}
+	// canonical multiset.
+	return newQuery(e.G)
 }
 
 // OfflineConfig tunes BuildPriors, the offline stage of Algorithm 1.

@@ -55,7 +55,7 @@ func TestV2WeightOneMatchesPlainGBDA(t *testing.T) {
 	ds := tinyDataset(t, 30)
 	d := openDataset(t, ds)
 	for _, qi := range ds.Queries {
-		q := d.Query(qi)
+		q := gsim.CollectionQuery(ds.Col, qi)
 		plain, err := d.Search(q, gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.6})
 		if err != nil {
 			t.Fatal(err)

@@ -11,8 +11,9 @@ import (
 // gsim.ErrBadOptions so callers (the HTTP layer maps it to 400) can
 // separate request mistakes from database state.
 func TestErrBadOptionsSentinel(t *testing.T) {
-	d := openDataset(t, tinyDataset(t, 42))
-	q := d.Query(0)
+	ds := tinyDataset(t, 42)
+	d := openDataset(t, ds)
+	q := gsim.CollectionQuery(ds.Col, 0)
 
 	cases := []struct {
 		name string

@@ -33,7 +33,7 @@ func main() {
 		if err := d.BuildPriors(gsim.OfflineConfig{TauMax: 10, SamplePairs: 2000}); err != nil {
 			log.Fatal(err)
 		}
-		q := d.Query(ds.Queries[0])
+		q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 
 		cells := make([]string, 0, 3)
 		for _, opt := range []gsim.SearchOptions{

@@ -30,7 +30,7 @@ func main() {
 
 	const tau, gamma = 3, 0.6
 	qi := ds.Queries[0]
-	q := d.Query(qi)
+	q := gsim.CollectionQuery(ds.Col, qi)
 	fmt.Printf("query %d, τ̂ = %d, γ = %.1f — per-graph view of the first cluster:\n\n", qi, tau, gamma)
 	fmt.Printf("%-16s %8s %10s %11s %8s\n", "graph", "trueGED", "inDB?", "posterior", "match")
 
@@ -67,12 +67,12 @@ func main() {
 	var gbda, lsap metrics.Counts
 	for _, query := range ds.Queries {
 		truth := ds.TruthSet(query, tau)
-		r1, err := d.Search(d.Query(query), gsim.SearchOptions{Method: gsim.GBDA, Tau: tau, Gamma: gamma})
+		r1, err := d.Search(gsim.CollectionQuery(ds.Col, query), gsim.SearchOptions{Method: gsim.GBDA, Tau: tau, Gamma: gamma})
 		if err != nil {
 			log.Fatal(err)
 		}
 		gbda.Add(metrics.Evaluate(r1.Indexes(), truth))
-		r2, err := d.Search(d.Query(query), gsim.SearchOptions{Method: gsim.LSAP, Tau: tau})
+		r2, err := d.Search(gsim.CollectionQuery(ds.Col, query), gsim.SearchOptions{Method: gsim.LSAP, Tau: tau})
 		if err != nil {
 			log.Fatal(err)
 		}

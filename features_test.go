@@ -12,7 +12,7 @@ import (
 func TestSearchTopKOrdersByPosterior(t *testing.T) {
 	ds := tinyDataset(t, 20)
 	d := openDataset(t, ds)
-	q := d.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	res, err := d.SearchTopK(q, gsim.TopKOptions{Method: gsim.GBDA, K: 5, Tau: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestSearchTopKOrdersByPosterior(t *testing.T) {
 func TestSearchTopKBaselineAscending(t *testing.T) {
 	ds := tinyDataset(t, 21)
 	d := openDataset(t, ds)
-	q := d.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	res, err := d.SearchTopK(q, gsim.TopKOptions{Method: gsim.GreedySort, K: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestSearchTopKBaselineAscending(t *testing.T) {
 func TestSearchTopKRejectsExact(t *testing.T) {
 	ds := tinyDataset(t, 22)
 	d := openDataset(t, ds)
-	q := d.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	if _, err := d.SearchTopK(q, gsim.TopKOptions{Method: gsim.Exact}); err == nil {
 		t.Fatal("Exact accepted by SearchTopK")
 	}
@@ -65,7 +65,7 @@ func TestSearchTopKRejectsExact(t *testing.T) {
 func TestSearchTopKKLargerThanDB(t *testing.T) {
 	ds := tinyDataset(t, 23)
 	d := openDataset(t, ds)
-	q := d.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	res, err := d.SearchTopK(q, gsim.TopKOptions{Method: gsim.GBDA, K: 10_000, Tau: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -92,14 +92,13 @@ func TestPriorsSaveLoadRoundTrip(t *testing.T) {
 	if d2.TauMax() != d.TauMax() {
 		t.Fatalf("TauMax %d != %d", d2.TauMax(), d.TauMax())
 	}
-	q1 := d.Query(ds.Queries[0])
-	q2 := d2.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	opt := gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.6}
-	r1, err := d.Search(q1, opt)
+	r1, err := d.Search(q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := d2.Search(q2, opt)
+	r2, err := d2.Search(q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,7 @@ func TestPrefilterKeepsRecallImprovesPrecision(t *testing.T) {
 	ds := tinyDataset(t, 25)
 	d := openDataset(t, ds)
 	for _, qi := range ds.Queries {
-		q := d.Query(qi)
+		q := gsim.CollectionQuery(ds.Col, qi)
 		plain, err := d.Search(q, gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.5})
 		if err != nil {
 			t.Fatal(err)
@@ -167,7 +166,7 @@ func TestPrefilterKeepsRecallImprovesPrecision(t *testing.T) {
 func TestPrefilterWithBaselines(t *testing.T) {
 	ds := tinyDataset(t, 26)
 	d := openDataset(t, ds)
-	q := d.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	for _, m := range []gsim.Method{gsim.LSAP, gsim.GreedySort, gsim.Exact} {
 		plain, err := d.Search(q, gsim.SearchOptions{Method: m, Tau: 3})
 		if err != nil {
@@ -188,7 +187,7 @@ func TestPrefilterWithBaselines(t *testing.T) {
 func TestPrefilterIncompatibleWithCollectAll(t *testing.T) {
 	ds := tinyDataset(t, 27)
 	d := openDataset(t, ds)
-	q := d.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	_, err := d.Search(q, gsim.SearchOptions{Method: gsim.LSAP, Tau: 3, Prefilter: true, CollectAll: true})
 	if err == nil {
 		t.Fatal("CollectAll+Prefilter accepted")

@@ -98,7 +98,7 @@ func TestBuilderQuickstartFlow(t *testing.T) {
 func TestSearchWithoutPriorsFails(t *testing.T) {
 	ds := tinyDataset(t, 1)
 	d := gsim.FromCollection(ds.Col, ds.DBGraphs)
-	q := d.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	for _, m := range []gsim.Method{gsim.GBDA, gsim.GBDAV1, gsim.GBDAV2, gsim.Hybrid} {
 		if _, err := d.Search(q, gsim.SearchOptions{Method: m, Tau: 2}); !errors.Is(err, gsim.ErrNoPriors) {
 			t.Fatalf("%v: err = %v, want ErrNoPriors", m, err)
@@ -113,7 +113,7 @@ func TestSearchWithoutPriorsFails(t *testing.T) {
 func TestTauAboveCeilingRejected(t *testing.T) {
 	ds := tinyDataset(t, 2)
 	d := openDataset(t, ds)
-	q := d.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	if _, err := d.Search(q, gsim.SearchOptions{Method: gsim.GBDA, Tau: 9}); err == nil {
 		t.Fatal("tau above prior ceiling accepted")
 	}
@@ -127,7 +127,7 @@ func TestExactSearchMatchesGroundTruth(t *testing.T) {
 	d := openDataset(t, ds)
 	for _, tau := range []int{1, 3} {
 		for _, qi := range ds.Queries[:2] {
-			res, err := d.Search(d.Query(qi), gsim.SearchOptions{Method: gsim.Exact, Tau: tau})
+			res, err := d.Search(gsim.CollectionQuery(ds.Col, qi), gsim.SearchOptions{Method: gsim.Exact, Tau: tau})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +153,7 @@ func TestLSAPHasPerfectRecall(t *testing.T) {
 	d := openDataset(t, ds)
 	for _, qi := range ds.Queries {
 		for _, tau := range []int{1, 2, 4} {
-			res, err := d.Search(d.Query(qi), gsim.SearchOptions{Method: gsim.LSAP, Tau: tau})
+			res, err := d.Search(gsim.CollectionQuery(ds.Col, qi), gsim.SearchOptions{Method: gsim.LSAP, Tau: tau})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestGreedySortHighPrecision(t *testing.T) {
 	ds := tinyDataset(t, 5)
 	d := openDataset(t, ds)
 	for _, qi := range ds.Queries {
-		res, err := d.Search(d.Query(qi), gsim.SearchOptions{Method: gsim.GreedySort, Tau: 3})
+		res, err := d.Search(gsim.CollectionQuery(ds.Col, qi), gsim.SearchOptions{Method: gsim.GreedySort, Tau: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestGBDAFindsClusterMembers(t *testing.T) {
 	d := openDataset(t, ds)
 	var agg metrics.Counts
 	for _, qi := range ds.Queries {
-		res, err := d.Search(d.Query(qi), gsim.SearchOptions{Method: gsim.GBDA, Tau: 4, Gamma: 0.5})
+		res, err := d.Search(gsim.CollectionQuery(ds.Col, qi), gsim.SearchOptions{Method: gsim.GBDA, Tau: 4, Gamma: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestGBDAFindsClusterMembers(t *testing.T) {
 func TestGBDAVariantsRun(t *testing.T) {
 	ds := tinyDataset(t, 7)
 	d := openDataset(t, ds)
-	q := d.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	for _, opt := range []gsim.SearchOptions{
 		{Method: gsim.GBDAV1, Tau: 3, Gamma: 0.5, V1Sample: 10},
 		{Method: gsim.GBDAV2, Tau: 3, Gamma: 0.5, V2Weight: 0.5},
@@ -224,7 +224,7 @@ func TestHybridRefinesGBDA(t *testing.T) {
 	ds := tinyDataset(t, 8)
 	d := openDataset(t, ds)
 	for _, qi := range ds.Queries {
-		q := d.Query(qi)
+		q := gsim.CollectionQuery(ds.Col, qi)
 		filt, err := d.Search(q, gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.5})
 		if err != nil {
 			t.Fatal(err)
@@ -258,7 +258,7 @@ func TestHybridRefinesGBDA(t *testing.T) {
 func TestBaselineSizeGuard(t *testing.T) {
 	ds := tinyDataset(t, 9)
 	d := openDataset(t, ds)
-	q := d.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	for _, m := range []gsim.Method{gsim.LSAP, gsim.GreedySort, gsim.Seriation} {
 		_, err := d.Search(q, gsim.SearchOptions{Method: m, Tau: 2, BaselineMaxVertices: 5})
 		if !errors.Is(err, gsim.ErrTooLarge) {
@@ -270,7 +270,7 @@ func TestBaselineSizeGuard(t *testing.T) {
 func TestSearchDeterministicAcrossWorkerCounts(t *testing.T) {
 	ds := tinyDataset(t, 10)
 	d := openDataset(t, ds)
-	q := d.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	var prev []int
 	for _, workers := range []int{1, 2, 8} {
 		res, err := d.Search(q, gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.6, Workers: workers})
@@ -346,19 +346,20 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
-// TestActiveSubsetIsASet: the active subset is a set of IDs. An ID listed
-// twice is scanned and returned once, an ID no graph carries is skipped,
-// and results come in ascending graph ID whatever the list order.
-func TestActiveSubsetIsASet(t *testing.T) {
+// TestFromCollectionStoresEachIDOnce: FromCollection stores the listed
+// collection graphs under their collection indexes. An ID listed twice is
+// stored once, an ID no graph carries is skipped, and a search scans
+// exactly what is stored, in ascending ID whatever the list order.
+func TestFromCollectionStoresEachIDOnce(t *testing.T) {
 	ds := tinyDataset(t, 13)
 	ids := ds.DBGraphs
 	dup := ids[3]
 	d := gsim.FromCollection(ds.Col, []int{ids[5], dup, ids[1], dup, 1 << 30, ids[0]})
 	want := []int{ids[0], ids[1], dup, ids[5]}
-	if n := d.ActiveLen(); n != len(want) {
-		t.Fatalf("ActiveLen = %d, want %d distinct stored IDs", n, len(want))
+	if n := d.Len(); n != len(want) {
+		t.Fatalf("Len = %d, want %d distinct collection IDs", n, len(want))
 	}
-	res, err := d.Search(d.Query(dup), gsim.SearchOptions{Method: gsim.GreedySort, CollectAll: true})
+	res, err := d.Search(gsim.CollectionQuery(ds.Col, dup), gsim.SearchOptions{Method: gsim.GreedySort, CollectAll: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +367,7 @@ func TestActiveSubsetIsASet(t *testing.T) {
 	for i, m := range res.Matches {
 		got[i] = m.Index
 	}
-	if res.Scanned != len(want) || !reflect.DeepEqual(got, want) {
-		t.Fatalf("scanned %d, returned %v; want %d scanned, %v", res.Scanned, got, len(want), want)
+	if res.Scanned != d.Len() || !reflect.DeepEqual(got, want) {
+		t.Fatalf("scanned %d, returned %v; want %d scanned, %v", res.Scanned, got, d.Len(), want)
 	}
 }

@@ -11,6 +11,7 @@
 package exper
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -19,6 +20,7 @@ import (
 
 	"gsim"
 	"gsim/internal/dataset"
+	"gsim/internal/db"
 )
 
 // Options dimension an experiment run.
@@ -284,12 +286,32 @@ func (e *realEnv) timingView() (*gsim.Database, error) {
 	if len(slice) > 8 {
 		slice = slice[:8]
 	}
-	tdb := gsim.FromCollection(e.ds.Col, slice)
-	if err := tdb.BuildPriors(gsim.OfflineConfig{TauMax: 30, SamplePairs: 2000, Seed: 5}); err != nil {
+	tdb, err := storeWithPriors(e.ds.Col, slice, gsim.OfflineConfig{TauMax: 30, SamplePairs: 2000, Seed: 5})
+	if err != nil {
 		return nil, err
 	}
 	e.timingDB = tdb
 	return tdb, nil
+}
+
+// storeWithPriors returns a database of the collection graphs whose
+// indexes ids lists, carrying priors fitted with cfg over the whole collection, held-out
+// queries included: the population the paper samples its priors from, and
+// the one the figures were calibrated on.
+func storeWithPriors(col *db.Collection, ids []int, cfg gsim.OfflineConfig) (*gsim.Database, error) {
+	var priors bytes.Buffer
+	full := gsim.FromCollection(col, nil)
+	if err := full.BuildPriors(cfg); err != nil {
+		return nil, err
+	}
+	if err := full.SavePriors(&priors); err != nil {
+		return nil, err
+	}
+	d := gsim.FromCollection(col, ids)
+	if err := d.LoadPriors(&priors); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 func (r *runner) realEnv(name string) (*realEnv, error) {
@@ -307,13 +329,13 @@ func (r *runner) realEnv(name string) (*realEnv, error) {
 	}
 	built := time.Since(t0)
 	r.capDB(ds)
-	d := gsim.FromCollection(ds.Col, ds.DBGraphs)
 	t1 := time.Now()
-	if err := d.BuildPriors(gsim.OfflineConfig{
+	d, err := storeWithPriors(ds.Col, ds.DBGraphs, gsim.OfflineConfig{
 		TauMax:      10,
 		SamplePairs: r.opt.SamplePairs,
 		Seed:        7,
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	e := &realEnv{ds: ds, db: d, built: built, priorT: time.Since(t1), samples: r.opt.SamplePairs}
@@ -373,13 +395,13 @@ func (r *runner) synEnv(profile string) (*synEnv, error) {
 		}
 		built := time.Since(t0)
 		r.capDB(ds)
-		d := gsim.FromCollection(ds.Col, ds.DBGraphs)
 		t1 := time.Now()
-		if err := d.BuildPriors(gsim.OfflineConfig{
+		d, err := storeWithPriors(ds.Col, ds.DBGraphs, gsim.OfflineConfig{
 			TauMax:      30,
 			SamplePairs: r.opt.SamplePairs / 4,
 			Seed:        int64(11 + i),
-		}); err != nil {
+		})
+		if err != nil {
 			return nil, err
 		}
 		e.subsets[size] = &realEnv{ds: ds, db: d, built: built, priorT: time.Since(t1), samples: r.opt.SamplePairs / 4}

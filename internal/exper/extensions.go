@@ -84,12 +84,13 @@ func (r *runner) xHybrid() ([]*Table, error) {
 		var gb, hy metrics.Counts
 		for _, qi := range r.queries(e.ds) {
 			truth := e.ds.TruthSet(qi, tau)
-			rg, err := e.db.Search(e.db.Query(qi), gsim.SearchOptions{Method: gsim.GBDA, Tau: tau, Gamma: 0.8})
+			q := gsim.CollectionQuery(e.ds.Col, qi)
+			rg, err := e.db.Search(q, gsim.SearchOptions{Method: gsim.GBDA, Tau: tau, Gamma: 0.8})
 			if err != nil {
 				return nil, err
 			}
 			gb.Add(metrics.Evaluate(rg.Indexes(), truth))
-			rh, err := e.db.Search(e.db.Query(qi), gsim.SearchOptions{
+			rh, err := e.db.Search(q, gsim.SearchOptions{
 				Method: gsim.Hybrid, Tau: tau, Gamma: 0.8, HybridVerifyMax: 24,
 			})
 			if err != nil {

@@ -286,7 +286,7 @@ func (r *runner) timeQueries(e *realEnv, opt gsim.SearchOptions) (time.Duration,
 	qs := r.queries(e.ds)
 	var total time.Duration
 	for _, qi := range qs {
-		res, err := e.db.Search(e.db.Query(qi), opt)
+		res, err := e.db.Search(gsim.CollectionQuery(e.ds.Col, qi), opt)
 		if err != nil {
 			return 0, err
 		}
@@ -385,7 +385,7 @@ func (r *runner) baselineCounts(e *realEnv, opt gsim.SearchOptions, taus []int) 
 func (r *runner) prepared(e *realEnv, qis []int) []*gsim.Query {
 	qs := make([]*gsim.Query, len(qis))
 	for i, qi := range qis {
-		qs[i] = e.db.Query(qi)
+		qs[i] = gsim.CollectionQuery(e.ds.Col, qi)
 	}
 	return qs
 }

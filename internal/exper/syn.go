@@ -38,7 +38,7 @@ func (r *runner) figTimeSyn(id, profile string) ([]*Table, error) {
 		}
 		// Warm the per-size model and Jeffreys prior before timing: they
 		// are offline artifacts (Table V), not per-query cost.
-		if _, err := tview.Search(tview.Query(r.queries(e.ds)[0]),
+		if _, err := tview.Search(gsim.CollectionQuery(e.ds.Col, r.queries(e.ds)[0]),
 			gsim.SearchOptions{Method: gsim.GBDA, Tau: 30, Gamma: 0.8}); err != nil {
 			return nil, err
 		}
@@ -141,7 +141,7 @@ func (r *runner) synBaselineCounts(e *realEnv, size int, opt gsim.SearchOptions,
 			o.CollectAll = true
 			o.Workers = r.opt.Workers
 			var err error
-			res, err = e.db.Search(e.db.Query(qi), o)
+			res, err = e.db.Search(gsim.CollectionQuery(e.ds.Col, qi), o)
 			if err != nil {
 				return agg, err
 			}

@@ -522,16 +522,6 @@ func (v *View) Prunable(q *QueryPre, qBranches branch.IDs, e *db.Entry, slot, ta
 	return sigPrunes(q.Sig, v.Sig[slot], tau) || v.Tier(q, qBranches, e, slot, tau) != TierNone
 }
 
-// Pick returns a view of the given slots, in that order: the signature
-// and meta columns are picked, the arena is shared.
-func (v View) Pick(slots []int) View {
-	p := View{Sig: make([]uint64, len(slots)), Meta: make([]Meta, len(slots)), Arena: v.Arena}
-	for i, slot := range slots {
-		p.Sig[i], p.Meta[i] = v.Sig[slot], v.Meta[slot]
-	}
-	return p
-}
-
 // Flat lays views end to end and locates a position in them. Only
 // benchmark/ladder.go and tests use it: the scan splits its ranges at
 // view boundaries and asks each view itself.

@@ -68,7 +68,7 @@ type lazyTable struct {
 
 // newLazyTable captures the table inputs under the Prepare lock.
 func newLazyTable(d *DB, s *core.Searcher, opt Options) *lazyTable {
-	return &lazyTable{ws: d.WS, s: s, tau: opt.Tau, sizes: d.DistinctSizes()}
+	return &lazyTable{ws: d.WS, s: s, tau: opt.Tau, sizes: d.Sizes()}
 }
 
 // get returns the table, building it on first use.

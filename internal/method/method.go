@@ -61,15 +61,14 @@ var ErrTooLarge = errors.New("gsim: graph too large for this baseline (raise Bas
 // DB is the read-only view of a database a Scorer prepares against. It is
 // storage-layer agnostic: the gsim layer builds it from whatever snapshot
 // a search prepared (the sharded store's consistent cut), exposing the
-// active scan set through accessor functions instead of a concrete
+// scanned graphs through accessor functions instead of a concrete
 // collection — Ordered is lazy because only rank-sampling scorers
 // (GBDA-V1) pay for an ID-ordered view.
 type DB struct {
 	// ActiveN is the number of graphs the search scans.
 	ActiveN int
-	// Ordered returns the active entries in deterministic scan-set order
-	// (insertion/ID order for a full scan, caller order for an explicit
-	// subset). Implementations memoise; callers must not mutate.
+	// Ordered returns the scanned entries in ascending ID (insertion)
+	// order. Implementations memoise; callers must not mutate.
 	Ordered func() []*db.Entry
 	// Sizes lists the distinct vertex counts of stored graphs, ascending —
 	// the sizes a posterior table prebuilds rows for at Prepare time.
@@ -87,19 +86,13 @@ type DB struct {
 // HasPriors reports whether the offline stage has run.
 func (d *DB) HasPriors() bool { return d.WS != nil }
 
-// ActiveLen reports how many graphs the search scans.
-func (d *DB) ActiveLen() int { return d.ActiveN }
-
-// DistinctSizes lists the distinct vertex counts of stored graphs.
-func (d *DB) DistinctSizes() []int { return d.Sizes() }
-
 // AvgActiveSize returns the rounded average vertex count over a sample of
-// alpha active graphs — the |V'1| surrogate of the GBDA-V1 variant. The
-// sample is drawn by rank over the ordered active set, so it is
+// alpha scanned graphs — the |V'1| surrogate of the GBDA-V1 variant. The
+// sample is drawn by rank over the ID-ordered scan set, so it is
 // deterministic for a given seed and scan set regardless of how storage
 // is partitioned.
 func (d *DB) AvgActiveSize(alpha int, seed int64) int {
-	n := d.ActiveLen()
+	n := d.ActiveN
 	if n == 0 {
 		return 1
 	}

@@ -84,7 +84,7 @@ func TestMetricsExposition(t *testing.T) {
 		"gsim_search_visited_total ",
 		`gsim_shard_scanned_total{shard="0"}`,
 		`gsim_shard_postings_rebuilds_total{shard="0"}`,
-		"gsim_db_graphs 60",
+		"gsim_db_graphs 54",
 		"go_goroutines",
 		"# TYPE gsim_http_request_seconds histogram",
 	} {

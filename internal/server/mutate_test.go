@@ -57,8 +57,7 @@ func TestDeleteEndpoint(t *testing.T) {
 
 // TestDeleteInvalidatesSearch: a graph visible to search disappears after
 // DELETE, and the cached pre-delete result is not served. The server owns
-// a fresh full-scan database (no active subset) so ingested graphs are
-// searchable; LSAP needs no priors.
+// a fresh empty database; LSAP needs no priors.
 func TestDeleteInvalidatesSearch(t *testing.T) {
 	db := gsim.New(gsim.WithName("mut"))
 	srv := New(Config{DB: db, CacheEntries: 32})

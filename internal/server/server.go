@@ -319,7 +319,6 @@ type prefilterStats struct {
 type dbStats struct {
 	Name      string  `json:"name"`
 	Graphs    int     `json:"graphs"`
-	Active    int     `json:"active"`
 	MaxV      int     `json:"max_vertices"`
 	MaxE      int     `json:"max_edges"`
 	AvgDegree float64 `json:"avg_degree"`
@@ -396,7 +395,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Database: dbStats{
 			Name:      s.db.Name(),
 			Graphs:    st.Graphs,
-			Active:    s.db.ActiveLen(),
 			MaxV:      st.MaxV,
 			MaxE:      st.MaxE,
 			AvgDegree: st.AvgDegree,

@@ -153,7 +153,7 @@ func TestSearchMatchesLibrary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fx.db.Search(fx.db.Query(qi), gsim.SearchOptions{Method: mm, Tau: 3, Gamma: 0.8})
+		want, err := fx.db.Search(gsim.CollectionQuery(fx.ds.Col, qi), gsim.SearchOptions{Method: mm, Tau: 3, Gamma: 0.8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestSearchMatchesLibrary(t *testing.T) {
 func TestTopKMatchesLibrary(t *testing.T) {
 	fx := newFixture(t, 0)
 	qi := fx.ds.Queries[0]
-	want, err := fx.db.SearchTopK(fx.db.Query(qi), gsim.TopKOptions{Method: gsim.GBDA, K: 5})
+	want, err := fx.db.SearchTopK(gsim.CollectionQuery(fx.ds.Col, qi), gsim.TopKOptions{Method: gsim.GBDA, K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestBatchMatchesLibrary(t *testing.T) {
 	queries := make([]*gsim.Query, len(qis))
 	graphs := make([]wireGraph, len(qis))
 	for i, qi := range qis {
-		queries[i] = fx.db.Query(qi)
+		queries[i] = gsim.CollectionQuery(fx.ds.Col, qi)
 		graphs[i] = fx.wireQuery(qi)
 	}
 	want, err := fx.db.SearchBatch(context.Background(), queries, gsim.SearchOptions{Tau: 3, Gamma: 0.8})
@@ -238,7 +238,7 @@ func TestBatchMatchesLibrary(t *testing.T) {
 func TestStreamEndpoint(t *testing.T) {
 	fx := newFixture(t, 0)
 	qi := fx.ds.Queries[0]
-	want, err := fx.db.Search(fx.db.Query(qi), gsim.SearchOptions{Tau: 3, Gamma: 0.8})
+	want, err := fx.db.Search(gsim.CollectionQuery(fx.ds.Col, qi), gsim.SearchOptions{Tau: 3, Gamma: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -631,9 +631,7 @@ func TestHealthz(t *testing.T) {
 
 // TestGraphLabelRoundTrip: a graph ingested over HTTP is found by a
 // structurally identical query — the dictionary interning path works end
-// to end. Uses a fresh database with no active-subset restriction (the
-// fixture's restricts scans to its pre-split subset, which ingested
-// graphs are outside of by construction).
+// to end, on a fresh database whose dictionary starts empty.
 func TestGraphLabelRoundTrip(t *testing.T) {
 	db := gsim.New(gsim.WithName("rt"))
 	h := New(Config{DB: db}).Handler()

@@ -12,7 +12,7 @@
 // mutation API (Delete, Update), the hash input of shard placement, and
 // the deterministic result order of scans: positions inside a shard move
 // under swap-remove, IDs never do. A store built from a flat collection
-// (FromCollection) numbers the collection's entries 0..n-1, so the ID
+// (FromCollection) keeps the collection's indexes as IDs, so the ID
 // space of an unsharded seed and its sharded replacement coincide.
 //
 // # Concurrency model
@@ -281,17 +281,31 @@ func NewWithDictionaries(name string, n int, dict *graph.Labels, bdict *db.Branc
 // returned); it is not synchronised against in-flight mutations.
 func (m *Map) SetJournal(j Journal) { m.journal = j }
 
-// FromCollection distributes an assembled flat collection over n shards,
-// adopting its label dictionary, branch dictionary and entries. Entry IDs
-// are the collection's own (dense, insertion-ordered), so the sharded
-// store answers exactly like the flat one. The collection must not be
-// mutated afterwards; reading it (the experiment harness does) is fine.
-func FromCollection(col *db.Collection, n int) *Map {
+// FromCollection distributes the collection entries whose indexes ids
+// lists over n shards, in collection order, adopting the collection's
+// label dictionary, branch dictionary and entries; nil lists every entry,
+// and an unknown or repeated ID adds nothing. Entry IDs are the
+// collection's own (its indexes), so the sharded store answers exactly
+// like the flat one, and new graphs are numbered from the collection's
+// length. The collection must not be mutated afterwards; reading it (the
+// experiment harness does) is fine.
+func FromCollection(col *db.Collection, ids []int, n int) *Map {
 	m := New(col.Name, n)
 	m.dict = col.Dict
 	m.bdict = col.BranchDict()
+	var listed []bool
+	if ids != nil {
+		listed = make([]bool, col.Len())
+		for _, id := range ids {
+			if id >= 0 && id < len(listed) {
+				listed[id] = true
+			}
+		}
+	}
 	for _, e := range col.Entries() {
-		m.shardOf(e.ID).insert(e)
+		if listed == nil || listed[e.ID] {
+			m.shardOf(e.ID).insert(e)
+		}
 	}
 	for _, b := range m.shards {
 		b.post = index.BuildPostings(b.entries)
@@ -911,27 +925,6 @@ type View struct {
 	Epoch   uint64
 	IDs     []uint64
 	Sizes   []uint32
-}
-
-// Pick returns a view of the given slots, in that order — an active
-// subset's share of the shard. The columns, entry pointers included, are
-// picked and the postings built afresh over them; the entries themselves
-// and the prefilter arena are shared.
-func (v View) Pick(slots []int) View {
-	p := View{
-		Entries: make([]*db.Entry, len(slots)),
-		Epoch:   v.Epoch,
-		IDs:     make([]uint64, len(slots)),
-		Sizes:   make([]uint32, len(slots)),
-	}
-	for i, slot := range slots {
-		p.Entries[i], p.IDs[i], p.Sizes[i] = v.Entries[slot], v.IDs[slot], v.Sizes[slot]
-	}
-	if v.Pre.Len() > 0 {
-		p.Pre = v.Pre.Pick(slots)
-	}
-	p.Post = index.BuildPostings(p.Entries)
-	return p
 }
 
 // Views assembles a consistent cut across every shard: per-shard snapshot

@@ -306,13 +306,25 @@ func TestCommitAtomicAndValidated(t *testing.T) {
 
 // TestFromCollectionPreservesIdentity: a store built from a flat
 // collection numbers entries like the collection, shares its
-// dictionaries, and answers Get for every original index.
+// dictionaries, and answers Get for every original index; one built from
+// a list holds each listed index once and nothing else.
 func TestFromCollectionPreservesIdentity(t *testing.T) {
 	col := db.New("seed")
 	for i := 0; i < 25; i++ {
 		col.Add(chain(col.Dict, fmt.Sprintf("c%d", i), 3+i%4, "L"))
 	}
-	m := FromCollection(col, 4)
+	listed := FromCollection(col, []int{7, 3, 7, -1, 25}, 2)
+	if listed.Len() != 2 || listed.NextID() != 25 {
+		t.Fatalf("listed store: Len=%d NextID=%d, want 2 and 25", listed.Len(), listed.NextID())
+	}
+	for i := 0; i < 25; i++ {
+		e, ok := listed.Get(uint64(i))
+		if want := i == 3 || i == 7; ok != want || (ok && e != col.Entry(i)) {
+			t.Fatalf("listed store: Get(%d) = %v, %v", i, e, ok)
+		}
+	}
+
+	m := FromCollection(col, nil, 4)
 	if m.Len() != 25 || m.NextID() != 25 {
 		t.Fatalf("Len=%d NextID=%d", m.Len(), m.NextID())
 	}

@@ -93,9 +93,9 @@ func (o MutOp) String() string {
 // line so neighbouring shards' counters do not false-share under
 // concurrent scans.
 type ShardCounters struct {
-	// Scanned counts entries of this shard examined by completed scans,
-	// full or over an active subset (attributed from the length of the
-	// shard's view; scans stopped early are not attributed).
+	// Scanned counts entries of this shard examined by completed scans
+	// (attributed from the length of the shard's view; scans stopped early
+	// are not attributed).
 	Scanned atomic.Uint64
 	// Pruned counts entries of this shard the prefilter discarded.
 	Pruned atomic.Uint64

@@ -27,7 +27,7 @@ func TestGammaMonotonicity(t *testing.T) {
 	ds := tinyDataset(t, 40)
 	d := openDataset(t, ds)
 	for _, qi := range ds.Queries {
-		q := d.Query(qi)
+		q := gsim.CollectionQuery(ds.Col, qi)
 		var prev []int
 		for _, gamma := range []float64{0.9, 0.7, 0.5, 0.3, 0.1} {
 			res, err := d.Search(q, gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: gamma})
@@ -48,7 +48,7 @@ func TestGammaMonotonicity(t *testing.T) {
 func TestTauMonotonicityBaselines(t *testing.T) {
 	ds := tinyDataset(t, 41)
 	d := openDataset(t, ds)
-	q := d.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	for _, m := range []gsim.Method{gsim.LSAP, gsim.GreedySort, gsim.Seriation, gsim.Exact} {
 		var prev []int
 		for tau := 1; tau <= 5; tau++ {
@@ -71,7 +71,7 @@ func TestTauMonotonicityBaselines(t *testing.T) {
 func TestExactSandwichedByBounds(t *testing.T) {
 	ds := tinyDataset(t, 42)
 	d := openDataset(t, ds)
-	q := d.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	collect := func(m gsim.Method) map[int]float64 {
 		res, err := d.Search(q, gsim.SearchOptions{Method: m, Tau: 5, CollectAll: true})
 		if err != nil {

@@ -14,12 +14,12 @@ import (
 // TestSearchVisitsFewPositions counts, on the aasd profile at half its
 // size, the positions a GBDA search at τ̂ = 3 reads: the candidates the
 // shards' branch postings name inside the size bound. The counts are
-// exact — the database is an active subset, whose postings are built over
-// it once — so the bounds hold on any machine (1.5% and 0.35% at seed
-// 104; the cluster around a query is a larger share of a smaller corpus,
-// so the shares fall with scale). Every answer is checked against a
-// brute-force scan: the scorer over every active graph, and
-// index.PairPrunable for what the prefilter drops.
+// exact — the database stores the dataset's base graphs, whose postings
+// are built once, at construction — so the bounds hold on any machine
+// (1.5% and 0.35% at seed 104; the cluster around a query is a larger
+// share of a smaller corpus, so the shares fall with scale). Every answer
+// is checked against a brute-force scan: the scorer over every stored
+// graph, and index.PairPrunable for what the prefilter drops.
 func TestSearchVisitsFewPositions(t *testing.T) {
 	const tau, queries = 3, 40
 	cfg, err := dataset.Profile("aasd", 0.5)
@@ -52,7 +52,7 @@ func TestSearchVisitsFewPositions(t *testing.T) {
 
 	var visitedPlain, visitedPre int
 	for _, qi := range ds.Queries[:queries] {
-		q := d.Query(qi)
+		q := CollectionQuery(ds.Col, qi)
 		plain, err := d.Search(q, opt)
 		if err != nil {
 			t.Fatal(err)

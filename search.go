@@ -432,13 +432,11 @@ func (d *Database) prepare(opt SearchOptions) (*preparedSearch, error) {
 }
 
 // projection returns the scan's view of a consistent cut of the store,
-// memoised per store epoch and postings generation. For a full scan it
-// is the shards' own views plus their prefix sums — O(shards) to build,
-// nothing per position. For an active subset each view is narrowed to
-// the active IDs it holds, postings included, one O(n) pass the harness
-// pays once, since it never mutates. A cached projection built with the
-// prefilter also serves non-prefiltered searches (they never read it);
-// the reverse rebuilds. apMu serialises rebuilds against each other.
+// memoised per store epoch and postings generation: the shards' own views
+// plus their prefix sums — O(shards) to build, nothing per position. A
+// cached projection built with the prefilter also serves non-prefiltered
+// searches (they never read it); the reverse rebuilds. apMu serialises
+// rebuilds against each other.
 func (d *Database) projection(withPre bool) *projection {
 	d.apMu.Lock()
 	defer d.apMu.Unlock()
@@ -450,21 +448,6 @@ func (d *Database) projection(withPre bool) *projection {
 		return p
 	}
 	views, epoch := d.store.Views(withPre)
-	if d.active != nil {
-		keep := make(map[uint64]struct{}, len(d.active))
-		for _, id := range d.active {
-			keep[uint64(id)] = struct{}{}
-		}
-		for i, v := range views {
-			var slots []int
-			for slot, id := range v.IDs {
-				if _, ok := keep[id]; ok {
-					slots = append(slots, slot)
-				}
-			}
-			views[i] = v.Pick(slots)
-		}
-	}
 	p := &projection{epoch: epoch, postGen: gen, withPre: withPre, views: views, starts: make([]int, len(views)+1)}
 	for i, v := range views {
 		p.starts[i+1] = p.starts[i] + len(v.Entries)
@@ -811,7 +794,7 @@ func (ps *preparedSearch) collect(ctx context.Context, q *Query) (*Result, error
 	}, nil
 }
 
-// Search runs the selected method for query q over the active graphs.
+// Search runs the selected method for query q over the stored graphs.
 func (d *Database) Search(q *Query, opt SearchOptions) (*Result, error) {
 	return d.SearchContext(context.Background(), q, opt)
 }

@@ -77,11 +77,11 @@ func TestShardedEquivalence(t *testing.T) {
 				ExactBudget: 50000, HybridVerifyMax: 10}
 			label := fmt.Sprintf("%v/prefilter=%v", m, prefilter)
 			for _, qi := range queries {
-				ra, err := flat.Search(flat.Query(qi), opt)
+				ra, err := flat.Search(gsim.CollectionQuery(ds.Col, qi), opt)
 				if err != nil {
 					t.Fatalf("%s: flat: %v", label, err)
 				}
-				rb, err := sharded.Search(sharded.Query(qi), opt)
+				rb, err := sharded.Search(gsim.CollectionQuery(ds.Col, qi), opt)
 				if err != nil {
 					t.Fatalf("%s: sharded: %v", label, err)
 				}
@@ -104,20 +104,17 @@ func TestShardedEquivalenceBatchAndTopK(t *testing.T) {
 	if err := sharded.BuildPriors(prior); err != nil {
 		t.Fatal(err)
 	}
-	mkQueries := func(d *gsim.Database) []*gsim.Query {
-		qs := make([]*gsim.Query, 0, 4)
-		for _, qi := range ds.Queries[:4] {
-			qs = append(qs, d.Query(qi))
-		}
-		return qs
+	qs := make([]*gsim.Query, 0, 4)
+	for _, qi := range ds.Queries[:4] {
+		qs = append(qs, gsim.CollectionQuery(ds.Col, qi))
 	}
 	ctx := context.Background()
 	opt := gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.8}
-	ra, err := flat.SearchBatch(ctx, mkQueries(flat), opt)
+	ra, err := flat.SearchBatch(ctx, qs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := sharded.SearchBatch(ctx, mkQueries(sharded), opt)
+	rb, err := sharded.SearchBatch(ctx, qs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +123,11 @@ func TestShardedEquivalenceBatchAndTopK(t *testing.T) {
 	}
 	for _, m := range []gsim.Method{gsim.GBDA, gsim.LSAP, gsim.Seriation} {
 		opt := gsim.TopKOptions{Method: m, K: 7, Tau: 4}
-		ra, err := flat.SearchTopK(flat.Query(ds.Queries[0]), opt)
+		ra, err := flat.SearchTopK(gsim.CollectionQuery(ds.Col, ds.Queries[0]), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := sharded.SearchTopK(sharded.Query(ds.Queries[0]), opt)
+		rb, err := sharded.SearchTopK(gsim.CollectionQuery(ds.Col, ds.Queries[0]), opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ import (
 func TestSearchStreamMatchesSearch(t *testing.T) {
 	ds := tinyDataset(t, 40)
 	d := openDataset(t, ds)
-	q := d.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	opt := gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.5}
 	res, err := d.Search(q, opt)
 	if err != nil {
@@ -47,7 +47,7 @@ func TestSearchStreamMatchesSearch(t *testing.T) {
 func TestSearchStreamEarlyStop(t *testing.T) {
 	ds := tinyDataset(t, 41)
 	d := openDataset(t, ds)
-	q := d.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	var yields int
 	_, err := d.SearchStream(context.Background(), q,
 		gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.5},
@@ -65,7 +65,7 @@ func TestSearchStreamEarlyStop(t *testing.T) {
 func TestSearchStreamCancellation(t *testing.T) {
 	ds := tinyDataset(t, 42)
 	d := openDataset(t, ds)
-	q := d.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
@@ -160,7 +160,7 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 	d := openDataset(t, ds)
 	queries := make([]*gsim.Query, 0, len(ds.Queries))
 	for _, qi := range ds.Queries {
-		queries = append(queries, d.Query(qi))
+		queries = append(queries, gsim.CollectionQuery(ds.Col, qi))
 	}
 	var opts []gsim.SearchOptions
 	for _, m := range gsim.Methods() {
@@ -202,7 +202,7 @@ func TestSearchBatchCancellation(t *testing.T) {
 	d := openDataset(t, ds)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := d.SearchBatch(ctx, []*gsim.Query{d.Query(ds.Queries[0])},
+	_, err := d.SearchBatch(ctx, []*gsim.Query{gsim.CollectionQuery(ds.Col, ds.Queries[0])},
 		gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: 0.5})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -269,7 +269,7 @@ func TestSearchTopKDeterministicTieBreak(t *testing.T) {
 func TestSearchTopKZeroScoreTail(t *testing.T) {
 	ds := tinyDataset(t, 45)
 	d := openDataset(t, ds)
-	q := d.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	const k, tau = 25, 1
 	all, err := d.Search(q, gsim.SearchOptions{Method: gsim.GBDA, Tau: tau, CollectAll: true})
 	if err != nil {
@@ -305,7 +305,7 @@ func TestSearchTopKZeroScoreTail(t *testing.T) {
 func TestSearchTopKMemoryBound(t *testing.T) {
 	ds := tinyDataset(t, 45)
 	d := openDataset(t, ds)
-	q := d.Query(ds.Queries[0])
+	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	res, err := d.SearchTopK(q, gsim.TopKOptions{Method: gsim.GBDA, K: 3, Tau: 4})
 	if err != nil {
 		t.Fatal(err)
