@@ -16,6 +16,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
@@ -139,15 +140,17 @@ func BenchmarkSearchBatch(b *testing.B) {
 }
 
 var (
-	corpusOnce sync.Once
-	corpusDB   *gsim.Database
-	corpusQs   []*gsim.Query
+	corpusOnce   sync.Once
+	corpusDB     *gsim.Database
+	corpusQs     []*gsim.Query
+	corpusBodies [][]byte
 )
 
 // corpusFixture is the repository benchmark's served corpus, in process:
 // the first 30,000 database graphs of the aasd profile stored one by one,
 // priors fitted as gsimd fits them at boot, and eight of the held-out
-// query graphs.
+// query graphs, also kept as the /v1/search bodies the repository
+// benchmark posts on its search-prefilter workload (corpusBodies).
 func corpusFixture(b *testing.B) (*gsim.Database, []*gsim.Query) {
 	b.Helper()
 	corpusOnce.Do(func() {
@@ -184,6 +187,11 @@ func corpusFixture(b *testing.B) (*gsim.Database, []*gsim.Query) {
 		corpusDB = d
 		for _, idx := range ds.Queries[:8] {
 			corpusQs = append(corpusQs, build(d.NewQuery("q"), idx).Query())
+			body, err := json.Marshal(searchBody(ds, idx, 0.9, true))
+			if err != nil {
+				panic(err)
+			}
+			corpusBodies = append(corpusBodies, body)
 		}
 	})
 	return corpusDB, corpusQs
@@ -415,30 +423,7 @@ func BenchmarkRecovery(b *testing.B) {
 // overhead on top of the library search, hot tracks the cache fast path.
 func BenchmarkServerSearch(b *testing.B) {
 	fx := batchFixture(b)
-	qg := fx.ds.Col.Graph(fx.ds.Queries[0])
-	req := struct {
-		Graph struct {
-			Vertices []string `json:"vertices"`
-			Edges    []struct {
-				U     int    `json:"u"`
-				V     int    `json:"v"`
-				Label string `json:"label"`
-			} `json:"edges"`
-		} `json:"graph"`
-		Tau   int     `json:"tau"`
-		Gamma float64 `json:"gamma"`
-	}{Tau: 3, Gamma: 0.5}
-	for v := 0; v < qg.NumVertices(); v++ {
-		req.Graph.Vertices = append(req.Graph.Vertices, fx.ds.Col.Dict.Name(qg.VertexLabel(v)))
-	}
-	for _, e := range qg.Edges() {
-		req.Graph.Edges = append(req.Graph.Edges, struct {
-			U     int    `json:"u"`
-			V     int    `json:"v"`
-			Label string `json:"label"`
-		}{int(e.U), int(e.V), fx.ds.Col.Dict.Name(e.Label)})
-	}
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(searchBody(fx.ds, fx.ds.Queries[0], 0.5, false))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -450,20 +435,72 @@ func BenchmarkServerSearch(b *testing.B) {
 			h := server.New(server.Config{DB: fx.db, CacheEntries: mode.entries}).Handler()
 			// One untimed request warms the offline artifacts (and, hot,
 			// the cache entry itself).
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/search", bytes.NewReader(body)))
-			if rec.Code != 200 {
-				b.Fatalf("warmup status %d: %s", rec.Code, rec.Body.String())
-			}
+			serveSearch(b, h, body)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/search", bytes.NewReader(body)))
-				if rec.Code != 200 {
-					b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-				}
+				serveSearch(b, h, body)
 			}
 		})
+	}
+	// corpus posts the repository benchmark's prefiltered bodies for the
+	// corpusFixture queries, cache off, and fails when a request allocates
+	// more than its budget: room for the search and for building the query
+	// graph, none for reflective JSON decoding (~170 allocations a
+	// request) or a branch key per vertex (~290).
+	b.Run("corpus", func(b *testing.B) {
+		const maxAllocs = 250
+		d, _ := corpusFixture(b)
+		h := server.New(server.Config{DB: d}).Handler()
+		for _, body := range corpusBodies { // warm the projection and the posterior table
+			serveSearch(b, h, body)
+		}
+		i := 0
+		serve := func() { serveSearch(b, h, corpusBodies[i%len(corpusBodies)]); i++ }
+		if a := testing.AllocsPerRun(4*len(corpusBodies), serve); a > maxAllocs {
+			b.Fatalf("%.0f allocations per request, budget %d", a, maxAllocs)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serve()
+		}
+	})
+}
+
+// searchBody is the /v1/search body for collection graph idx of ds.
+func searchBody(ds *dataset.Dataset, idx int, gamma float64, prefilter bool) any {
+	type edge struct {
+		U     int    `json:"u"`
+		V     int    `json:"v"`
+		Label string `json:"label"`
+	}
+	type graph struct {
+		Name     string   `json:"name,omitempty"`
+		Vertices []string `json:"vertices"`
+		Edges    []edge   `json:"edges"`
+	}
+	g := ds.Col.Graph(idx)
+	wg := graph{Name: g.Name}
+	for v := 0; v < g.NumVertices(); v++ {
+		wg.Vertices = append(wg.Vertices, ds.Col.Dict.Name(g.VertexLabel(v)))
+	}
+	for _, e := range g.Edges() {
+		wg.Edges = append(wg.Edges, edge{int(e.U), int(e.V), ds.Col.Dict.Name(e.Label)})
+	}
+	return struct {
+		Graph     graph   `json:"graph"`
+		Tau       int     `json:"tau"`
+		Gamma     float64 `json:"gamma"`
+		Prefilter bool    `json:"prefilter,omitempty"`
+	}{wg, 3, gamma, prefilter}
+}
+
+// serveSearch posts body to /v1/search and fails unless it answers 200.
+func serveSearch(b *testing.B, h http.Handler, body []byte) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/search", bytes.NewReader(body)))
+	if rec.Code != 200 {
+		b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
 }
 

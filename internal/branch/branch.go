@@ -17,7 +17,8 @@ package branch
 import (
 	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
+	"strings"
 
 	"gsim/internal/graph"
 )
@@ -29,27 +30,57 @@ type Key string
 
 // Of computes the branch rooted at vertex v of g.
 func Of(g *graph.Graph, v int) Key {
-	hs := g.Neighbors(v)
-	labels := make([]graph.ID, len(hs))
-	for i, h := range hs {
-		labels[i] = h.Label
+	var labels [maxStackDegree]graph.ID
+	var b strings.Builder
+	b.Grow(branchLen(g, v))
+	appendBranch(&b, labels[:0], g, v)
+	return Key(b.String())
+}
+
+// maxStackDegree is the degree up to which appendBranch's callers sort a
+// vertex's edge labels in a stack array; a higher degree grows it once.
+const maxStackDegree = 64
+
+// appendBranch writes the Key of the branch rooted at v to b: the root
+// label, then the incident edge labels in ascending order, each a varint
+// of the label through uint32. Ephemeral query labels (see
+// gsim.Database.NewQuery) carry negative IDs, which must encode within
+// MaxVarintLen32 bytes; non-negative IDs keep the exact encoding stored
+// multisets already use. labels is scratch for the sort, returned grown.
+func appendBranch(b *strings.Builder, labels []graph.ID, g *graph.Graph, v int) []graph.ID {
+	labels = labels[:0]
+	for _, h := range g.Neighbors(v) {
+		labels = append(labels, h.Label)
 	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	buf := make([]byte, 0, 4*(len(labels)+1))
-	var tmp [binary.MaxVarintLen32]byte
-	put := func(id graph.ID) {
-		// Through uint32, not uint64: ephemeral query labels (see
-		// gsim.Database.NewQuery) carry negative IDs, which must encode
-		// within MaxVarintLen32 bytes. Non-negative IDs keep the exact
-		// encoding stored multisets already use.
-		n := binary.PutUvarint(tmp[:], uint64(uint32(id)))
-		buf = append(buf, tmp[:n]...)
-	}
-	put(g.VertexLabel(v))
+	slices.Sort(labels)
+	putLabel(b, g.VertexLabel(v))
 	for _, l := range labels {
-		put(l)
+		putLabel(b, l)
 	}
-	return Key(buf)
+	return labels
+}
+
+func putLabel(b *strings.Builder, id graph.ID) {
+	var tmp [binary.MaxVarintLen32]byte
+	b.Write(binary.AppendUvarint(tmp[:0], uint64(uint32(id))))
+}
+
+// branchLen is the length of the Key of the branch rooted at v, which
+// does not depend on the order of its labels.
+func branchLen(g *graph.Graph, v int) int {
+	n := labelLen(g.VertexLabel(v))
+	for _, h := range g.Neighbors(v) {
+		n += labelLen(h.Label)
+	}
+	return n
+}
+
+func labelLen(id graph.ID) int {
+	n := 1
+	for x := uint32(id); x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
 }
 
 // Decode splits a Key back into the root label and the sorted edge labels.
@@ -71,13 +102,33 @@ func (k Key) Decode() (root graph.ID, edges []graph.ID) {
 // (Definition 2). The db layer stores one per graph.
 type Multiset []Key
 
-// MultisetOf computes BG for g: one Key per vertex, sorted.
+// MultisetOf computes BG for g: one Key per vertex, sorted. Every key is
+// written into one string, and each Key is a substring of it, so a graph
+// costs a fixed handful of allocations whatever its size. A caller that
+// keeps one Key beyond the multiset's life keeps the whole string alive
+// (the branch dictionary clones the keys it stores).
 func MultisetOf(g *graph.Graph) Multiset {
-	ms := make(Multiset, g.NumVertices())
-	for v := 0; v < g.NumVertices(); v++ {
-		ms[v] = Of(g, v)
+	n := g.NumVertices()
+	size := 0
+	for v := 0; v < n; v++ {
+		size += branchLen(g, v)
 	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
+	var labels [maxStackDegree]graph.ID
+	scratch := labels[:0]
+	var b strings.Builder
+	b.Grow(size)
+	for v := 0; v < n; v++ {
+		scratch = appendBranch(&b, scratch, g, v)
+	}
+	arena := b.String()
+	ms := make(Multiset, n)
+	off := 0
+	for v := range ms {
+		end := off + branchLen(g, v)
+		ms[v] = Key(arena[off:end])
+		off = end
+	}
+	slices.Sort(ms)
 	return ms
 }
 

@@ -1,7 +1,10 @@
 package branch
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -238,4 +241,83 @@ func TestLowerBoundGED(t *testing.T) {
 			t.Errorf("LowerBoundGED(%d) = %d, want %d", tc.gbd, got, tc.want)
 		}
 	}
+}
+
+// referenceOf and referenceMultisetOf are the original per-vertex
+// encoders, one buffer and one Key copy per branch. MultisetOf must
+// produce exactly their keys, in their order.
+func referenceOf(g *graph.Graph, v int) Key {
+	hs := g.Neighbors(v)
+	labels := make([]graph.ID, len(hs))
+	for i, h := range hs {
+		labels[i] = h.Label
+	}
+	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
+	buf := make([]byte, 0, 4*(len(labels)+1))
+	var tmp [binary.MaxVarintLen32]byte
+	put := func(id graph.ID) {
+		n := binary.PutUvarint(tmp[:], uint64(uint32(id)))
+		buf = append(buf, tmp[:n]...)
+	}
+	put(g.VertexLabel(v))
+	for _, l := range labels {
+		put(l)
+	}
+	return Key(buf)
+}
+
+func referenceMultisetOf(g *graph.Graph) Multiset {
+	ms := make(Multiset, g.NumVertices())
+	for v := 0; v < g.NumVertices(); v++ {
+		ms[v] = referenceOf(g, v)
+	}
+	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
+	return ms
+}
+
+// TestMultisetOfMatchesReference checks the arena-built multiset against
+// the original encoder on random graphs with labels across every varint
+// width, negative (ephemeral query) labels, a hub of degree > 64 and the
+// empty graph.
+func TestMultisetOfMatchesReference(t *testing.T) {
+	labels := []graph.ID{0, 1, 127, 128, 300, 1 << 14, 1 << 21, 1<<31 - 1, -1, -2, -200, -1 << 31}
+	rng := rand.New(rand.NewSource(7))
+	label := func() graph.ID { return labels[rng.Intn(len(labels))] }
+	check := func(name string, g *graph.Graph) {
+		t.Helper()
+		got, want := MultisetOf(g), referenceMultisetOf(g)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: MultisetOf = %q, want %q", name, got, want)
+		}
+		for v := 0; v < g.NumVertices(); v++ {
+			if got, want := Of(g, v), referenceOf(g, v); got != want {
+				t.Fatalf("%s: Of(%d) = %q, want %q", name, v, got, want)
+			}
+		}
+	}
+	check("empty", graph.New(0))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		g := graph.New(n)
+		for v := 0; v < n; v++ {
+			g.AddVertex(label())
+		}
+		for i := 0; i < 3*n; i++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v && !g.HasEdge(u, v) {
+				g.MustAddEdge(u, v, label())
+			}
+		}
+		check("random", g)
+	}
+	hub := graph.New(100)
+	for v := 0; v < 100; v++ {
+		hub.AddVertex(label())
+	}
+	for v := 1; v < 100; v++ {
+		hub.MustAddEdge(0, v, label())
+	}
+	if hub.Degree(0) <= maxStackDegree {
+		t.Fatalf("hub degree %d does not exceed the stack scratch", hub.Degree(0))
+	}
+	check("hub", hub)
 }

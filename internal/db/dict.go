@@ -1,7 +1,8 @@
 package db
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"gsim/internal/branch"
@@ -131,7 +132,9 @@ func (d *BranchDict) InternMultiset(ms branch.Multiset) branch.IDs {
 			}
 			id = d.next
 			d.next++
-			d.ids[k] = id
+			// A multiset's keys share one string (branch.MultisetOf);
+			// storing k itself would keep the whole graph's keys alive.
+			d.ids[branch.Key(strings.Clone(string(k)))] = id
 			d.refs = append(d.refs, 0)
 		}
 		if d.refs[id] == 0 && ok {
@@ -142,7 +145,7 @@ func (d *BranchDict) InternMultiset(ms branch.Multiset) branch.IDs {
 		out[i] = id
 	}
 	d.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -231,6 +234,6 @@ func (d *BranchDict) ResolveMultiset(ms branch.Multiset) branch.IDs {
 		out[i] = id
 	}
 	d.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

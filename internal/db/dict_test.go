@@ -3,6 +3,7 @@ package db
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"gsim/internal/branch"
 	"gsim/internal/graph"
@@ -123,6 +124,30 @@ func TestInternMultisetSortedAndDense(t *testing.T) {
 			}
 			if int(id) >= c.BranchDict().Len() {
 				t.Fatalf("stored ID %d beyond dictionary length %d", id, c.BranchDict().Len())
+			}
+		}
+	}
+}
+
+// TestInternMultisetClonesKeys: a multiset's keys are substrings of one
+// per-graph string (branch.MultisetOf), so a dictionary that stored them
+// as map keys would pin every graph's whole key string. No key the
+// dictionary holds may point into the interned multiset's storage.
+func TestInternMultisetClonesKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	dict := graph.NewLabels()
+	d := NewBranchDict()
+	for trial := 0; trial < 20; trial++ {
+		ms := branch.MultisetOf(randomDictGraph(rng, dict, 5+rng.Intn(20), 4))
+		lo, hi := ^uintptr(0), uintptr(0)
+		for _, k := range ms {
+			p := uintptr(unsafe.Pointer(unsafe.StringData(string(k))))
+			lo, hi = min(lo, p), max(hi, p+uintptr(len(k)))
+		}
+		d.InternMultiset(ms)
+		for k := range d.ids {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(string(k)))); p >= lo && p < hi {
+				t.Fatalf("trial %d: dictionary key %q points into the caller's multiset", trial, k)
 			}
 		}
 	}

@@ -12,21 +12,6 @@ import (
 	"gsim"
 )
 
-// decode parses a JSON request body into v, translating syntax failures
-// into ErrBadOptions so they map to 400.
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return err // bodyStatus maps it to 413, not 400
-		}
-		return fmt.Errorf("%w: decoding request body: %v", gsim.ErrBadOptions, err)
-	}
-	return nil
-}
-
 // bodyStatus maps a request-body error: over the MaxBodyBytes cap is 413
 // (the client must learn the limit, not retry a "malformed" payload),
 // anything else is the caller's status (normally 400).
@@ -107,7 +92,7 @@ func noteResult(r *http.Request, stages *gsim.StageStats, scanned, matched int) 
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req searchRequest
-	if err := decode(r, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeError(w, bodyStatus(err, http.StatusBadRequest), err)
 		return
 	}
@@ -138,7 +123,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var req searchRequest
-	if err := decode(r, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeError(w, bodyStatus(err, http.StatusBadRequest), err)
 		return
 	}
@@ -169,7 +154,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if err := decode(r, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeError(w, bodyStatus(err, http.StatusBadRequest), err)
 		return
 	}
@@ -243,7 +228,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // closing the connection cancels the scan through the request context.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	var req searchRequest
-	if err := decode(r, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeError(w, bodyStatus(err, http.StatusBadRequest), err)
 		return
 	}
@@ -348,7 +333,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, ingestResponse{Stored: n, Graphs: s.db.Len(), Epoch: s.db.Epoch()})
 	case "", "application/json":
 		var req ingestGraphs
-		if err := decode(r, &req); err != nil {
+		if err := decodeBody(r, &req); err != nil {
 			writeError(w, bodyStatus(err, http.StatusBadRequest), err)
 			return
 		}

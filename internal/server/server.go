@@ -40,7 +40,9 @@
 // (gsim.ErrBadOptions) are 400, searches needing unfitted priors
 // (gsim.ErrNoPriors) are 409, an oversized pair refused by a baseline
 // (gsim.ErrTooLarge) is 422, everything else is 500. Error bodies are
-// {"error": "..."}.
+// {"error": "..."}. Request bodies are decoded strictly (decode.go): an
+// unknown field or any byte after the request object is malformed, and a
+// body over Config.MaxBodyBytes is 413.
 package server
 
 import (

@@ -448,6 +448,21 @@ func TestErrorMapping(t *testing.T) {
 		t.Fatalf("malformed body: status %d", rec.Code)
 	}
 
+	// Bytes after the request object: a second object, or garbage after
+	// the graph. Reading only the first value would answer 200 and drop
+	// the rest.
+	first, err := json.Marshal(searchRequest{Graph: wq, wireOptions: wireOptions{Tau: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{`{"tau":3}{"tau":99}`, string(first) + `{"tau":99}`, string(first) + "garbage"} {
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/search", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("trailing bytes %q: status %d: %s", body[len(body)-12:], rec.Code, rec.Body.String())
+		}
+	}
+
 	// Unknown method name.
 	rec = do(t, h, "POST", "/v1/search", searchRequest{Graph: wq, wireOptions: wireOptions{Method: "nope"}}, nil)
 	if rec.Code != http.StatusBadRequest {
