@@ -598,7 +598,7 @@ func BenchmarkKernel_GBD1000(b *testing.B) {
 
 // BenchmarkKernel_GBDBounded measures the intersection the posterior
 // scorers actually run: branch.IntersectAtLeastIDs with need = max size −
-// 3τ̂ (τ̂ = 3), one held-out query against every stored graph of an
+// core.Support(τ̂) (τ̂ = 3), one held-out query against every stored graph of an
 // AASD-shaped corpus in turn — mostly far pairs decided by the sizes or
 // within a few merge steps, and the query's own cluster as the few near
 // ones that merge to the end. ns/op is per pair; 0 allocs/op is gated.
@@ -612,11 +612,12 @@ func BenchmarkKernel_GBDBounded(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := ds.Col.Entry(ds.Queries[0]).Branches
+	sup := core.Support(3)
 	stored := make([]branch.IDs, len(ds.DBGraphs))
 	near := 0
 	for i, idx := range ds.DBGraphs {
 		stored[i] = ds.Col.Entry(idx).Branches
-		if _, ok := branch.IntersectAtLeastIDs(q, stored[i], max(len(q), len(stored[i]))-9); ok {
+		if _, ok := branch.IntersectAtLeastIDs(q, stored[i], max(len(q), len(stored[i]))-sup); ok {
 			near++
 		}
 	}
@@ -630,7 +631,7 @@ func BenchmarkKernel_GBDBounded(b *testing.B) {
 		if k++; k == len(stored) {
 			k = 0
 		}
-		n, _ := branch.IntersectAtLeastIDs(q, e, max(len(q), len(e))-9)
+		n, _ := branch.IntersectAtLeastIDs(q, e, max(len(q), len(e))-sup)
 		kernelSink += n
 	}
 }

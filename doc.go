@@ -204,17 +204,18 @@
 // every other position unread. A prefiltered search prunes a graph
 // sharing fewer than |Vq| − 2τ̂ at the branch tier; an unfiltered
 // GBDA/V1/V2/Hybrid search gives Φ = 0 to one below the floor of the
-// scorer's size window (method.SizeWindower: [|Vq| − 3τ̂, |Vq| + 3τ̂], or
+// scorer's size window (method.SizeWindower: [|Vq| − 2τ̂, |Vq| + 2τ̂], or
 // the weighted equivalent for V2), which is also the least |B∩B| of any
 // pair scoring above 0. A branch is a 1-star q-gram, so by the
 // prefix-filter rule of MSQ-Index a graph sharing t branches holds one of
 // any |Bq| − t + 1 query branch occurrences: the scan reads the lists of
-// the query's rarest branches covering that many — 3τ̂ + 1 unfiltered,
-// 2τ̂ + 1 prefiltered — keeps the postings whose stored size is inside
+// the query's rarest branches covering that many — 2τ̂ + 1, with or
+// without the prefilter — keeps the postings whose stored size is inside
 // the size bound, and adds the shard's stale slots (see internal/shard:
 // those changed since the lists were built, and the tail appended since).
-// On the benchmark corpus that leaves ~400 candidates of 30,000 per
-// unfiltered search and ~80 per prefiltered one (StageStats.Visited);
+// On the benchmark corpus that leaves ~120 candidates of 30,000 per
+// unfiltered search or top-K and ~80 per prefiltered one
+// (StageStats.Visited);
 // Scanned still counts every position, as decided. Methods without a
 // size window, and queries too small for a bound, make every position a
 // candidate.
@@ -233,8 +234,11 @@
 // and made two workers slower than one. A scan whose candidates are too
 // few to share runs on one worker. CollectAll consumers get the unread
 // zero-score positions from a second pass over the ids column, after
-// every candidate has been offered, so top-K skips them whole once it
-// holds K matches above 0.
+// every candidate has been offered. Top-K skips a range of them whole
+// once its heap refuses a zero at the range's least ID: that is 0 in
+// general, and the first slot's ID inside the prefix of a view whose IDs
+// ascend (shard.View.Asc: the shard extends it on each append above its
+// last ID and cuts it at the slot a delete swap-removes into).
 //
 // Interned branch IDs. The database layer interns every distinct branch
 // key into a shared dictionary (db.BranchDict) and stores each graph's
@@ -242,14 +246,15 @@
 // string header plus key bytes — so GBD is a linear merge of integers.
 // The posterior scorers never need that merge to finish on a far pair:
 // Algorithm 1 uses GBD only to look up Φ, which is exactly 0 beyond
-// ϕ = 3τ̂, so they call branch.IntersectAtLeastIDs with need =
-// max{|V1|,|V2|} − 3τ̂ — a merge that carries a miss budget per side and
+// ϕ = core.Support(τ̂) = 2τ̂ — one edit relabels one vertex or one edge,
+// changing at most two branches — so they call branch.IntersectAtLeastIDs
+// with need = max{|V1|,|V2|} − 2τ̂ — a merge that carries a miss budget per side and
 // stops when either is spent, at once when the sizes alone decide — and
 // score an aborted merge as Φ = 0, which is what the full count returned.
 // On the repository benchmark's corpus 99.9% of (query, graph) pairs stop
-// early (76% on the sizes alone at τ̂ = 3) at ~10 ns per pair instead of
-// ~200 ns. The prefilter's branch tier asks the same function for
-// max − 2τ̂ (⌈GBD/2⌉ > τ̂ otherwise); the plain merge behind
+// early (83% on the sizes alone at τ̂ = 3) at ~12 ns per pair instead of
+// ~200 ns. The prefilter's branch tier reaches the same need by its own
+// argument (⌈GBD/2⌉ > τ̂ otherwise); the plain merge behind
 // branch.IntersectSizeIDs remains for prior sampling, which consumes the
 // count itself. Dictionary entries are refcounted; deletes drive them
 // dead and compaction reclaims them.
@@ -261,7 +266,7 @@
 // every load path re-interns it from the graphs.
 //
 // Posterior tables. The posterior Φ = Pr[GED ≤ τ̂ | GBD = ϕ] depends only
-// on (v, ϕ) for a fixed configuration, and ϕ ≤ 3τ̂ for any reachable pair
+// on (v, ϕ) for a fixed configuration, and ϕ ≤ 2τ̂ for any reachable pair
 // (Section VI-B), so Prepare folds the whole Λ1·Λ3/Λ2 pipeline into a
 // dense [v][ϕ] table (core.PosteriorTable), cached on the model workspace
 // per (τ̂, variant) and shared by every later search with the same

@@ -209,10 +209,11 @@ func GBDIDs(a, b IDs) int { return GBDOf(len(a), len(b), IntersectSizeIDs(a, b))
 // IntersectAtLeastIDs is the bounded intersection of the query path: it
 // reports whether |a ∩ b| ≥ need, and the exact |a ∩ b| when it is.
 // Algorithm 1 consumes GBD only through Φ = Pr[GED ≤ τ̂ | GBD = ϕ], which
-// the Section VI-B short circuit makes exactly 0 for ϕ > 3τ̂; with
-// need = max{|V1|,|V2|} − 3τ̂ a false answer therefore decides the pair
-// without its count. The prefilter's branch tier asks the same question
-// with need = max − 2τ̂ (⌈GBD/2⌉ > τ̂ ⇔ |a ∩ b| < max − 2τ̂).
+// the Section VI-B short circuit makes exactly 0 for ϕ > 2τ̂ (one edit
+// relabels one vertex or one edge, changing at most two branches); with
+// need = max{|V1|,|V2|} − 2τ̂ a false answer therefore decides the pair
+// without its count. The prefilter's branch tier reaches the same need by
+// its own argument (⌈GBD/2⌉ > τ̂ ⇔ |a ∩ b| < max − 2τ̂).
 //
 // It is one linear merge carrying a miss budget per side: an element
 // passed over without a partner can never be matched later (both sides
@@ -221,7 +222,7 @@ func GBDIDs(a, b IDs) int { return GBDOf(len(a), len(b), IntersectSizeIDs(a, b))
 // merge stops. need > min(len(a), len(b)) fails before the first compare;
 // need ≤ 0 never fails and the call is a plain merge. On the benchmark
 // corpus 99.9% of (query, entry) pairs fail, most of them on the sizes
-// alone, and the failing merges stop after about 3τ̂ steps.
+// alone, and the failing merges stop after about 2τ̂ steps.
 func IntersectAtLeastIDs(a, b IDs, need int) (n int, ok bool) {
 	missA, missB := len(a)-need, len(b)-need
 	if missA < 0 || missB < 0 {

@@ -287,10 +287,12 @@ func (m *Model) lambda1(phi int, wantDeriv bool) (vals, derivs []float64) {
 	tm := m.TauMax
 	vals = make([]float64, tm+1)
 	derivs = make([]float64, tm+1)
-	if phi < 0 || phi > 3*tm || phi > m.V {
-		// One operation touches at most one relabelled vertex and two
-		// edge-covered vertices, so R ≤ 3τ and GBD = ϕ ≤ R: such a ϕ is
-		// unreachable within τ̂ operations and Λ1 vanishes everywhere.
+	if phi < 0 || phi > Support(tm) || phi > m.V {
+		// One operation relabels one vertex or one edge: x vertex and
+		// y = τ − x edge relabels touch R ≤ x + 2y ≤ 2τ branches, and
+		// GBD = ϕ ≤ R. Such a ϕ is unreachable within τ̂ operations and
+		// Λ1 vanishes everywhere (Ω3(r, ϕ) = 0 for every r < ϕ makes the
+		// full sum exactly 0 too; the guard only skips building it).
 		return vals, derivs
 	}
 	in := m.inner(phi)

@@ -152,15 +152,14 @@ func TestOmega4SumsToOneOverR(t *testing.T) {
 	}
 }
 
+// TestLambda1IsDistributionOverPhi sums Λ1(τ, ·) over ϕ ≤ Support(τ)
+// only: all of its mass must lie inside the support.
 func TestLambda1IsDistributionOverPhi(t *testing.T) {
 	for _, v := range []int{4, 6, 10} {
 		m := NewModel(v, testParams(5))
 		for tau := 0; tau <= 5; tau++ {
 			var sum float64
-			limit := 3 * tau
-			if v < limit {
-				limit = v
-			}
+			limit := min(Support(tau), v)
 			for phi := 0; phi <= limit; phi++ {
 				l := m.Lambda1(tau, phi)
 				if l < -1e-12 {
@@ -221,14 +220,43 @@ func TestLambda1FastMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestLambda1ImpossiblePhi is the support theorem: one edit relabels one
+// vertex or one edge and so changes at most two branches, and Λ1(τ, ϕ) is
+// exactly 0 for ϕ > Support(τ) = 2τ. Below 2τ̂ the values come from the
+// full sum (Lambda1All guards only ϕ > 2τ̂), above it from Lambda1Naive,
+// which has no guard at all.
 func TestLambda1ImpossiblePhi(t *testing.T) {
+	const tauMax = 5
+	for _, v := range []int{10, 12, 25, 60} {
+		m := NewModel(v, testParams(tauMax))
+		for phi := 0; phi <= 3*tauMax+1; phi++ {
+			var vals []float64
+			if phi <= Support(tauMax) {
+				vals = m.Lambda1All(phi)
+			}
+			for tau := 0; tau <= tauMax; tau++ {
+				if phi <= Support(tau) {
+					continue
+				}
+				if vals != nil && vals[tau] != 0 {
+					t.Fatalf("v=%d: Λ1(%d,%d) = %v from the full sum, want exactly 0", v, tau, phi, vals[tau])
+				}
+				if got := m.Lambda1Naive(tau, phi); got != 0 {
+					t.Fatalf("v=%d: naive Λ1(%d,%d) = %v, want exactly 0", v, tau, phi, got)
+				}
+			}
+		}
+	}
 	m := NewModel(50, testParams(3))
-	// ϕ > 3τ̂ is unreachable: all-zero rows without building tables.
-	vals := m.Lambda1All(10)
+	// ϕ > 2τ̂ is unreachable: all-zero rows without building tables.
+	vals := m.Lambda1All(Support(3) + 1)
 	for tau, v := range vals {
 		if v != 0 {
-			t.Fatalf("Λ1(%d,10) = %v with τ̂=3", tau, v)
+			t.Fatalf("Λ1(%d,%d) = %v with τ̂=3", tau, Support(3)+1, v)
 		}
+	}
+	if n := m.InnerCacheLen(); n != 0 {
+		t.Fatalf("ϕ past the support built %d inner tables", n)
 	}
 	// ϕ > v likewise.
 	small := NewModel(2, testParams(3))
@@ -322,7 +350,7 @@ func TestModelLargeVStability(t *testing.T) {
 	m := NewModel(100_000, Params{LV: 5, LE: 4, TauMax: 10})
 	for tau := 0; tau <= 10; tau += 5 {
 		var sum float64
-		for phi := 0; phi <= 3*tau; phi++ {
+		for phi := 0; phi <= Support(tau); phi++ {
 			l := m.Lambda1(tau, phi)
 			if math.IsNaN(l) || math.IsInf(l, 0) || l < 0 {
 				t.Fatalf("Λ1(%d,%d) = %v", tau, phi, l)

@@ -39,6 +39,15 @@ func (s *Searcher) Posterior(vmax, phi int) float64 {
 	return s.PosteriorTau(vmax, phi, s.WS.TauMax)
 }
 
+// Support returns the largest GBD ϕ a pair within tau edit operations can
+// show: Φ is exactly 0 above it. Each operation of the extended-graph model
+// relabels one vertex, changing its own branch, or one edge, changing the
+// branches of its two endpoints, so at most 2τ branches differ (Λ1(τ, ϕ)
+// = 0 for ϕ > 2τ, see Model.lambda1). The posterior table's row width, the
+// scorers' bounded merge and size window, and through them the branch
+// postings prefix all derive from this one bound.
+func Support(tau int) int { return 2 * tau }
+
 // PosteriorTau computes Φ = Σ_{τ=0}^{tau} Λ1(τ,ϕ)·Λ3(τ)/Λ2(ϕ) for a
 // query-time threshold tau ≤ the workspace τ̂. The Λ3 normalisation stays
 // that of the precomputed table, exactly as in Algorithm 1 where Λ3 is an
@@ -47,7 +56,7 @@ func (s *Searcher) PosteriorTau(vmax, phi, tau int) float64 {
 	if tau > s.WS.TauMax {
 		tau = s.WS.TauMax
 	}
-	if phi > 3*tau {
+	if phi > Support(tau) {
 		// Λ1(τ,ϕ) = 0 for every τ ≤ tau: the pair cannot be within the
 		// threshold, skip all model work (Section VI-B short circuit).
 		return 0

@@ -42,8 +42,10 @@ func TestPosteriorDecreasesWithPhi(t *testing.T) {
 
 func TestPosteriorShortCircuitLargePhi(t *testing.T) {
 	s := fixedPrior(t, 5)
-	if got := s.Posterior(100, 16); got != 0 {
-		t.Fatalf("Φ with ϕ > 3τ̂ = %v, want hard 0", got)
+	for _, phi := range []int{Support(5) + 1, 16} {
+		if got := s.Posterior(100, phi); got != 0 {
+			t.Fatalf("Φ with ϕ = %d > 2τ̂ = %v, want hard 0", phi, got)
+		}
 	}
 	// The short circuit must not build a model for that size.
 	if s.WS.Sizes() != 0 {

@@ -29,7 +29,7 @@ func simulateGBD(rng *rand.Rand, dict *graph.Labels, v, lv, le, tau, trials int)
 	for i := range elabels {
 		elabels[i] = dict.Intern(fmt.Sprintf("E%d", i))
 	}
-	counts := make([]float64, 3*tau+1)
+	counts := make([]float64, Support(tau)+1)
 	type slot struct{ u, w int } // w < 0: vertex slot
 	slots := make([]slot, 0, v+v*(v-1)/2)
 	for u := 0; u < v; u++ {
@@ -76,9 +76,10 @@ func simulateGBD(rng *rand.Rand, dict *graph.Labels, v, lv, le, tau, trials int)
 			}
 		}
 		phi := branch.GBD(before, branch.MultisetOf(g))
-		if phi < len(counts) {
-			counts[phi]++
+		if phi >= len(counts) {
+			panic(fmt.Sprintf("%d relabellings changed %d branches, past the support %d", tau, phi, Support(tau)))
 		}
+		counts[phi]++
 	}
 	for i := range counts {
 		counts[i] /= float64(trials)
@@ -130,7 +131,7 @@ func distMean(p []float64) float64 {
 
 func modelMean(m *Model, tau int) float64 {
 	var s float64
-	for phi := 0; phi <= 3*tau; phi++ {
+	for phi := 0; phi <= Support(tau); phi++ {
 		s += float64(phi) * m.Lambda1(tau, phi)
 	}
 	return s

@@ -11,8 +11,8 @@ import (
 // — no mutex, no allocation, no GMM evaluation. The table exists because
 // everything expensive in Algorithm 1 (Λ1, Λ2, Λ3) is an offline artifact:
 // Φ depends only on (v, ϕ, τ̂) and the variant configuration, and the
-// Section VI-B short circuit bounds ϕ ≤ 3τ̂, so the whole reachable domain
-// is |sizes| × (3τ̂+1) floats.
+// Section VI-B short circuit bounds ϕ ≤ Support(τ̂) = 2τ̂, so the whole
+// reachable domain is |sizes| × (2τ̂+1) floats.
 //
 // Rows are published through an atomic pointer: lookups are lock-free and
 // allocation-free in steady state. A lookup for an extended size with no
@@ -61,12 +61,12 @@ func NewPosteriorTable(s *Searcher, tau int, sizes []int) *PosteriorTable {
 	return t
 }
 
-// buildRow tabulates Φ(v, ϕ) for ϕ ∈ [0, 3τ̂] through the searcher's exact
+// buildRow tabulates Φ(v, ϕ) for ϕ ∈ [0, 2τ̂] through the searcher's exact
 // PosteriorTau path, then retires the model's ϕ-cache: every inner table
 // the row construction pinned is now folded into the row, so keeping the
 // O(τ̂·m) slices around would only duplicate the answer in a slower form.
 func (t *PosteriorTable) buildRow(v int) []float64 {
-	row := make([]float64, 3*t.tau+1)
+	row := make([]float64, Support(t.tau)+1)
 	for phi := range row {
 		row[phi] = t.s.PosteriorTau(v, phi, t.tau)
 	}
@@ -85,7 +85,7 @@ func (t *PosteriorTable) Tau() int { return t.tau }
 // vertex count is vmax. Steady state is two array indexings; an unseen
 // size takes the miss path once.
 func (t *PosteriorTable) Posterior(vmax, phi int) float64 {
-	if phi < 0 || phi > 3*t.tau {
+	if phi < 0 || phi > Support(t.tau) {
 		// Λ1(τ,ϕ) = 0 for every τ ≤ τ̂: the Section VI-B short circuit,
 		// applied before any table access.
 		return 0

@@ -32,7 +32,7 @@ func tableFixture(t testing.TB, tauMax int) (*Workspace, *GBDPrior) {
 
 // TestPosteriorTableMatchesDirect: every table cell must equal the direct
 // PosteriorTau evaluation bit for bit, across sizes (prebuilt and
-// miss-path), ϕ values (including the ϕ > 3τ short circuit) and
+// miss-path), ϕ values (including the ϕ > 2τ short circuit) and
 // thresholds, for the plain searcher and both variants.
 func TestPosteriorTableMatchesDirect(t *testing.T) {
 	ws, prior := tableFixture(t, 6)

@@ -14,7 +14,7 @@ import (
 )
 
 // The posterior scorers intersect through branch.IntersectAtLeastIDs and
-// stop once the pair is past the table's 3τ̂ support. These tests hold them
+// stop once the pair is past the table's 2τ̂ support. These tests hold them
 // to the unbounded definition: every (keep, score) — the scores of
 // discarded entries included — must equal a reference that counts the
 // whole intersection with branch.IntersectSizeIDs and looks it up in the
@@ -175,6 +175,7 @@ func TestBoundedScorersMatchUnbounded(t *testing.T) {
 						t.Fatal(err)
 					}
 					ref := reference{id: v.id, opt: opt, table: posteriorTable(s)}
+					sup := core.Support(tau)
 
 					// Every pair, with a census of what the corpus can see:
 					// pairs on the last supported ϕ and one past it, pairs
@@ -193,12 +194,12 @@ func TestBoundedScorersMatchUnbounded(t *testing.T) {
 									qi, e.ID, phi, keep, score, wantKeep, wantScore)
 							}
 							switch {
-							case phi == 3*tau:
+							case phi == sup:
 								atEdge++
-							case phi == 3*tau+1:
+							case phi == sup+1:
 								pastEdge++
 							}
-							if phi > 3*tau {
+							if phi > sup {
 								aborted++
 							}
 							if keep {
@@ -209,14 +210,14 @@ func TestBoundedScorersMatchUnbounded(t *testing.T) {
 						}
 					}
 					if aborted == 0 {
-						t.Fatal("no pair is past the 3τ̂ support: the bound was never exercised")
+						t.Fatal("no pair is past the 2τ̂ support: the bound was never exercised")
 					}
 					// A weighted observation can put every pair of this
-					// corpus on one side of 3τ̂; the GBD variants must
+					// corpus on one side of 2τ̂; the GBD variants must
 					// straddle it.
 					if v.id != GBDAV2 {
 						if atEdge == 0 || pastEdge == 0 {
-							t.Fatalf("corpus has %d pairs at ϕ = 3τ̂ and %d at 3τ̂+1; need both", atEdge, pastEdge)
+							t.Fatalf("corpus has %d pairs at ϕ = 2τ̂ and %d at 2τ̂+1; need both", atEdge, pastEdge)
 						}
 						if kept == 0 || (dropped == 0 && !collectAll) {
 							t.Fatalf("degenerate decision split: %d kept, %d dropped", kept, dropped)
@@ -245,10 +246,10 @@ func TestNeedIsTight(t *testing.T) {
 				if need > vmax+1 {
 					t.Fatalf("%s vmax=%d τ̂=%d: need %d > vmax+1", name, vmax, tau, need)
 				}
-				if got := phi(need); need <= vmax && got > 3*tau {
-					t.Fatalf("%s vmax=%d τ̂=%d: need %d observes ϕ=%d > 3τ̂", name, vmax, tau, need, got)
+				if got := phi(need); need <= vmax && got > core.Support(tau) {
+					t.Fatalf("%s vmax=%d τ̂=%d: need %d observes ϕ=%d > 2τ̂", name, vmax, tau, need, got)
 				}
-				if got := phi(need - 1); need > 0 && got <= 3*tau {
+				if got := phi(need - 1); need > 0 && got <= core.Support(tau) {
 					t.Fatalf("%s vmax=%d τ̂=%d: need %d is not minimal, %d observes ϕ=%d", name, vmax, tau, need, need-1, got)
 				}
 			}

@@ -68,7 +68,7 @@ func (h *hybridScorer) SizeWindow(q *Query) (lo, hi int) {
 func (h *hybridScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 	countEntryDecomp()
 	// The filter is the GBDA merge path (see gbdaScorer.score): an
-	// intersection too small to reach the table's 3τ̂ support is Φ = 0.
+	// intersection too small to reach the table's 2τ̂ support is Φ = 0.
 	t := h.table.get()
 	vmax := maxInt(len(q.Branches), len(e.Branches))
 	post := 0.0

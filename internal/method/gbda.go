@@ -30,7 +30,7 @@ func init() {
 // VGBD observation) variants. Scoring is allocation- and lock-free in
 // steady state: the posterior comes from a precomputed (v, ϕ) table and
 // the branch distance from an integer merge of interned multisets that
-// stops once the pair is past the table's 3τ̂ support (see score).
+// stops once the pair is past the table's 2τ̂ support (see score).
 type gbdaScorer struct {
 	variant ID
 	table   *lazyTable
@@ -102,12 +102,12 @@ func (g *gbdaScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 }
 
 // score is Algorithm 1 for one pair. Φ is exactly 0 whenever the
-// observed distance exceeds 3τ̂ (the Section VI-B short circuit the table
-// applies before any row access), so the merge is asked only for the
-// intersections that can reach a table row and an aborted merge is that
-// same Φ = 0 — a scored pair, not a prune. Sizes are the branch multiset
-// lengths (one branch per vertex), so a discarded entry never touches
-// e.G.
+// observed distance exceeds core.Support(τ̂) = 2τ̂ (the Section VI-B short
+// circuit the table applies before any row access), so the merge is asked
+// only for the intersections that can reach a table row and an aborted
+// merge is that same Φ = 0 — a scored pair, not a prune. Sizes are the
+// branch multiset lengths (one branch per vertex), so a discarded entry
+// never touches e.G.
 func (g *gbdaScorer) score(q *Query, e *db.Entry) (bool, float64) {
 	t := g.table.get()
 	post := 0.0
@@ -119,7 +119,7 @@ func (g *gbdaScorer) score(q *Query, e *db.Entry) (bool, float64) {
 }
 
 // need is the smallest |B∩B| that keeps a pair of extended size vmax
-// within the 3τ̂ support of Φ under this variant's observation.
+// within the 2τ̂ support of Φ under this variant's observation.
 func (g *gbdaScorer) need(vmax int) int {
 	if g.variant == GBDAV2 {
 		return needVGBD(vmax, g.opt.Tau, g.opt.V2Weight)
@@ -128,28 +128,28 @@ func (g *gbdaScorer) need(vmax int) int {
 }
 
 // needGBD returns the smallest |B∩B| that keeps a pair of extended size
-// vmax within the 3τ̂ support of Φ: GBD = vmax − |B∩B| (Definition 4).
-func needGBD(vmax, tau int) int { return vmax - 3*tau }
+// vmax within the 2τ̂ support of Φ: GBD = vmax − |B∩B| (Definition 4).
+func needGBD(vmax, tau int) int { return vmax - core.Support(tau) }
 
 // needVGBD is needGBD for the GBDA-V2 observation: the smallest |B∩B|
-// whose rounded VGBD (Eq. 26) is ≤ 3τ̂, or vmax+1 — more than any pair of
-// that size can share — when none is. It solves vmax − w·n < 3τ̂ + ½ for n
+// whose rounded VGBD (Eq. 26) is ≤ 2τ̂, or vmax+1 — more than any pair of
+// that size can share — when none is. It solves vmax − w·n < 2τ̂ + ½ for n
 // and settles the last unit with the table's own rounding, which is
 // monotone in n, so the bound is exact at any weight. The estimate is
 // clamped to [0, vmax+1] while still a float — w is client-supplied and
 // the quotient overflows int for a tiny one (NaN compares false and
 // lands on 0) — which also bounds both loops by vmax+1 steps.
 func needVGBD(vmax, tau int, w float64) int {
-	n := 0
-	if x := (float64(vmax) - 3*float64(tau) - 0.5) / w; x >= float64(vmax) {
+	sup, n := core.Support(tau), 0
+	if x := (float64(vmax) - float64(sup) - 0.5) / w; x >= float64(vmax) {
 		n = vmax + 1
 	} else if x > 0 {
 		n = int(x) + 1
 	}
-	for n > 0 && core.RoundVGBD(vmax, n-1, w) <= 3*tau {
+	for n > 0 && core.RoundVGBD(vmax, n-1, w) <= sup {
 		n--
 	}
-	for n <= vmax && core.RoundVGBD(vmax, n, w) > 3*tau {
+	for n <= vmax && core.RoundVGBD(vmax, n, w) > sup {
 		n++
 	}
 	return n
@@ -166,16 +166,19 @@ func (g *gbdaScorer) SizeWindow(q *Query) (lo, hi int) {
 }
 
 // windowGBD solves needGBD(max(m, s), tau) ≤ min(m, s) for the entry size
-// s: a smaller entry must hold the m − 3τ̂ branches the query needs
-// matched, a larger one may exceed the query by at most 3τ̂.
-func windowGBD(m, tau int) (lo, hi int) { return m - 3*tau, m + 3*tau }
+// s: a smaller entry must hold the m − 2τ̂ branches the query needs
+// matched, a larger one may exceed the query by at most 2τ̂.
+func windowGBD(m, tau int) (lo, hi int) {
+	sup := core.Support(tau)
+	return m - sup, m + sup
+}
 
 // windowVGBD is windowGBD under needVGBD. Below the query size the pair's
 // vmax is m, so the bound is needVGBD(m) itself (m+1, and the window
-// empty, when even a full match rounds past 3τ̂). Above it the entry can
+// empty, when even a full match rounds past 2τ̂). Above it the entry can
 // match at most the query's m branches, so hi is the largest s whose
-// RoundVGBD(s, m) is still ≤ 3τ̂ — solved as needVGBD solves its bound:
-// a float estimate of s − w·m < 3τ̂ + ½, clamped while still a float
+// RoundVGBD(s, m) is still ≤ 2τ̂ — solved as needVGBD solves its bound:
+// a float estimate of s − w·m < 2τ̂ + ½, clamped while still a float
 // because w is client-supplied, then settled with the table's own
 // rounding, which is monotone in s.
 func windowVGBD(m, tau int, w float64) (lo, hi int) {
@@ -185,12 +188,13 @@ func windowVGBD(m, tau int, w float64) (lo, hi int) {
 	}
 	const ceiling = math.MaxInt32 // no stored graph has more vertices
 	hi = ceiling
-	if x := 3*float64(tau) + 0.5 + w*float64(m); x < ceiling {
+	sup := core.Support(tau)
+	if x := float64(sup) + 0.5 + w*float64(m); x < ceiling {
 		hi = maxInt(int(x), m)
-		for hi > m && core.RoundVGBD(hi, m, w) > 3*tau {
+		for hi > m && core.RoundVGBD(hi, m, w) > sup {
 			hi--
 		}
-		for hi < ceiling && core.RoundVGBD(hi+1, m, w) <= 3*tau {
+		for hi < ceiling && core.RoundVGBD(hi+1, m, w) <= sup {
 			hi++
 		}
 	}

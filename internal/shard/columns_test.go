@@ -10,12 +10,16 @@ import (
 )
 
 // checkColumns holds one cut to the column contract: ids and sizes run
-// parallel to entries, slot for slot.
+// parallel to entries, slot for slot, and ids ascend over the first Asc
+// slots.
 func checkColumns(t *testing.T, views []View) {
 	t.Helper()
 	for s, v := range views {
 		if len(v.IDs) != len(v.Entries) || len(v.Sizes) != len(v.Entries) {
 			t.Fatalf("shard %d: %d ids, %d sizes for %d entries", s, len(v.IDs), len(v.Sizes), len(v.Entries))
+		}
+		if v.Asc < 0 || v.Asc > len(v.IDs) || !slices.IsSorted(v.IDs[:v.Asc]) || len(slices.Compact(slices.Clone(v.IDs[:v.Asc]))) != v.Asc {
+			t.Fatalf("shard %d: ids %v do not ascend over the first %d slots", s, v.IDs, v.Asc)
 		}
 		for i, e := range v.Entries {
 			if v.IDs[i] != e.ID || int(v.Sizes[i]) != len(e.Branches) {

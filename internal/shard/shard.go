@@ -164,6 +164,10 @@ type bucket struct {
 	// from a column and never loads their Entry.
 	ids   []uint64
 	sizes []uint32
+	// asc is a prefix length of ids known to ascend strictly: an append
+	// above the last ID extends it, a swap-remove cuts it at the freed
+	// slot.
+	asc   int
 	slots map[uint64]int // graph ID → position in entries
 	pre   *index.Store   // columnar prefilter, maintained incrementally once non-nil
 	epoch uint64         // mutations on this shard; guarded by mu
@@ -376,6 +380,9 @@ func (m *Map) intern(g *graph.Graph) branch.IDs {
 // insert appends e to the bucket; the caller holds b.mu.
 func (b *bucket) insert(e *db.Entry) {
 	b.entries = append(b.entries, e)
+	if n := len(b.ids); b.asc == n && (n == 0 || b.ids[n-1] < e.ID) {
+		b.asc++
+	}
 	b.ids = append(b.ids, e.ID)
 	b.sizes = append(b.sizes, uint32(len(e.Branches)))
 	b.slots[e.ID] = len(b.entries) - 1
@@ -406,6 +413,7 @@ func (b *bucket) removeAt(slot int) *db.Entry {
 	}
 	delete(b.slots, victim.ID)
 	b.entries, b.ids, b.sizes = fresh, ids, sizes
+	b.asc = min(b.asc, slot)
 	b.post.Removed(slot, n)
 	if b.next != nil {
 		b.next.Removed(slot, n)
@@ -915,9 +923,9 @@ func (b *bucket) ensurePre() {
 // View is one shard's contribution to a consistent cut: immutable slices
 // (never written after publication) plus the shard epoch they correspond
 // to. IDs and Sizes are columns parallel to Entries (IDs[i] is
-// Entries[i].ID, Sizes[i] its branch count). Pre is populated only when
-// the cut was taken with the prefilter; Post, the shard's branch
-// postings, always.
+// Entries[i].ID, Sizes[i] its branch count); IDs[:Asc] ascends strictly.
+// Pre is populated only when the cut was taken with the prefilter; Post,
+// the shard's branch postings, always.
 type View struct {
 	Entries []*db.Entry
 	Pre     index.View
@@ -925,6 +933,7 @@ type View struct {
 	Epoch   uint64
 	IDs     []uint64
 	Sizes   []uint32
+	Asc     int
 }
 
 // Views assembles a consistent cut across every shard: per-shard snapshot
@@ -974,7 +983,7 @@ func (m *Map) snapshot(withPre bool) []View {
 
 // view builds b's View; the caller holds b.mu (read suffices).
 func (b *bucket) view(withPre bool) View {
-	v := View{Entries: b.entries, Post: b.post, Epoch: b.epoch, IDs: b.ids, Sizes: b.sizes}
+	v := View{Entries: b.entries, Post: b.post, Epoch: b.epoch, IDs: b.ids, Sizes: b.sizes, Asc: b.asc}
 	if withPre && b.pre != nil {
 		v.Pre = b.pre.View()
 	}

@@ -609,6 +609,9 @@ func (w *rangeScan) run(s *engine.Scanner[Match], lo, hi int) (int, error) {
 	var err error
 	for vi := sort.SearchInts(starts, lo+1) - 1; lo < hi; vi++ {
 		end := min(hi, starts[vi+1])
+		if end == lo {
+			continue // an empty view: no slot to read, and none to index
+		}
 		var n int
 		n, err = w.segment(s, vi, lo-starts[vi], end-starts[vi])
 		done += n
@@ -642,12 +645,20 @@ func (w *rangeScan) segment(s *engine.Scanner[Match], vi, lo, hi int) (int, erro
 	}
 	w.cand = w.cand[:words]
 	if w.zeros {
-		// Once top-K's heap refuses even (index 0, score 0) it holds K
-		// matches above 0, so no zero can enter it.
-		if w.admit == nil || w.admit(0, 0) {
+		// A heap that refuses a zero at the segment's least ID refuses
+		// all of its zeros. Inside the view's ascending prefix that is
+		// slot lo's ID, and the first zero refused ends the segment.
+		// Elsewhere 0 stands in for it: a heap that refuses (0, 0)
+		// holds K matches above 0.
+		sorted := w.admit != nil && hi <= w.v.Asc
+		least := 0
+		if sorted {
+			least = int(w.v.IDs[lo])
+		}
+		if w.admit == nil || w.admit(least, 0) {
 			w.probes.View(vi).Mark(w.cand, lo, hi)
 			w.sizeFilter(lo)
-			w.emitZeros(s, lo, hi)
+			w.emitZeros(s, lo, hi, sorted)
 		}
 		if tr.deep {
 			tr.scoreNS.Add(int64(time.Since(t0)))
@@ -748,8 +759,10 @@ func (w *rangeScan) score(s *engine.Scanner[Match], lo int) (int, error) {
 
 // emitZeros hands a CollectAll consumer the slots of [lo, hi) without a
 // candidate bit — each scores exactly 0 — reading the ids column and, for
-// a match, the entry's name.
-func (w *rangeScan) emitZeros(s *engine.Scanner[Match], lo, hi int) {
+// a match, the entry's name. sorted reports that the IDs ascend over the
+// segment, so the first zero the consumer refuses is the last it is asked
+// about: the K-th match only improves, and every later slot's ID is larger.
+func (w *rangeScan) emitZeros(s *engine.Scanner[Match], lo, hi int, sorted bool) {
 	v := w.v
 	for i, word := range w.cand {
 		for free := ^word; free != 0; free &= free - 1 {
@@ -759,6 +772,9 @@ func (w *rangeScan) emitZeros(s *engine.Scanner[Match], lo, hi int) {
 			}
 			id := int(v.IDs[slot])
 			if w.admit != nil && !w.admit(id, 0) {
+				if sorted {
+					return
+				}
 				continue
 			}
 			if !s.Emit(w.base+slot, Match{Index: id, Name: v.Entries[slot].G.Name}) {

@@ -3,7 +3,9 @@ package gsim_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -263,40 +265,84 @@ func TestSearchTopKDeterministicTieBreak(t *testing.T) {
 // TestSearchTopKZeroScoreTail: when fewer than K graphs have a posterior
 // above 0, the rest of the ranking is the zero-score tail in index order.
 // The scan refuses entries that cannot enter the heap before it takes the
-// emit lock; that pre-check must leave the (score, index) order — ties
-// included — exactly what ranking every scored graph produces, at any
-// worker count.
+// emit lock, and stops a view's zero tail at the first zero the heap
+// refuses while the view's IDs ascend; both must leave the (score, index)
+// order — ties included — exactly what ranking every scored graph
+// produces, at any worker count. After the six lowest-ID zeros are
+// deleted the shards are out of ID order: each delete swap-removes a
+// shard's highest remaining ID into the freed low slot, so a view no
+// longer ascends past it (a zero pass that trusted the whole view to
+// ascend fails here). With more shards than graphs some views are empty,
+// and claimed ranges cross them.
 func TestSearchTopKZeroScoreTail(t *testing.T) {
 	ds := tinyDataset(t, 45)
-	d := openDataset(t, ds)
 	q := gsim.CollectionQuery(ds.Col, ds.Queries[0])
 	const k, tau = 25, 1
-	all, err := d.Search(q, gsim.SearchOptions{Method: gsim.GBDA, Tau: tau, CollectAll: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]gsim.Match(nil), all.Matches...)
-	sort.SliceStable(want, func(i, j int) bool { return want[i].Score > want[j].Score }) // Matches arrive in index order
-	positive := 0
-	for _, m := range want {
-		if m.Score > 0 {
-			positive++
+	open := func(t *testing.T, shards int) *gsim.Database {
+		d := gsim.FromCollectionShards(ds.Col, ds.DBGraphs, shards)
+		if err := d.BuildPriors(gsim.OfflineConfig{TauMax: 5, SamplePairs: 4000, Seed: 1}); err != nil {
+			t.Fatal(err)
 		}
+		return d
 	}
-	if positive == 0 || positive >= k || len(want) <= k {
-		t.Fatalf("fixture has %d of %d graphs above 0; the case needs some but fewer than K=%d", positive, len(want), k)
-	}
-	for _, workers := range []int{1, 2, 8, 32} {
-		res, err := d.SearchTopK(q, gsim.TopKOptions{Method: gsim.GBDA, K: k, Tau: tau, Workers: workers})
+	check := func(t *testing.T, d *gsim.Database, stored int) {
+		all, err := d.Search(q, gsim.SearchOptions{Method: gsim.GBDA, Tau: tau, CollectAll: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(res.Matches, want[:k]) {
-			t.Fatalf("workers=%d: ranking differs from the fully scored scan:\n got %v\nwant %v", workers, res.Matches, want[:k])
+		want := append([]gsim.Match(nil), all.Matches...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Score > want[j].Score }) // Matches arrive in index order
+		positive := 0
+		for _, m := range want {
+			if m.Score > 0 {
+				positive++
+			}
 		}
-		if res.Scanned != len(ds.DBGraphs) {
-			t.Fatalf("workers=%d: scanned %d, want %d", workers, res.Scanned, len(ds.DBGraphs))
+		if positive == 0 || positive >= k || len(want) <= k {
+			t.Fatalf("fixture has %d of %d graphs above 0; the case needs some but fewer than K=%d", positive, len(want), k)
 		}
+		for _, workers := range []int{1, 2, 8, 32} {
+			res, err := d.SearchTopK(q, gsim.TopKOptions{Method: gsim.GBDA, K: k, Tau: tau, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Matches, want[:k]) {
+				t.Fatalf("workers=%d: ranking differs from the fully scored scan:\n got %v\nwant %v", workers, res.Matches, want[:k])
+			}
+			if res.Scanned != stored {
+				t.Fatalf("workers=%d: scanned %d, want %d", workers, res.Scanned, stored)
+			}
+		}
+	}
+	t.Run("ascending", func(t *testing.T) { check(t, openDataset(t, ds), len(ds.DBGraphs)) })
+	t.Run("empty-shards", func(t *testing.T) {
+		d := open(t, 64)
+		if !slices.Contains(d.ShardSizes(), 0) {
+			t.Fatalf("shard sizes %v: the case needs an empty shard", d.ShardSizes())
+		}
+		check(t, d, len(ds.DBGraphs))
+	})
+	for _, shards := range []int{2, 3, 7, 64} {
+		t.Run(fmt.Sprintf("after-delete/shards=%d", shards), func(t *testing.T) {
+			d := open(t, shards)
+			all, err := d.Search(q, gsim.SearchOptions{Method: gsim.GBDA, Tau: tau, CollectAll: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			deleted := 0
+			for _, m := range all.Matches {
+				if m.Score > 0 {
+					continue
+				}
+				if err := d.Delete(m.Index); err != nil {
+					t.Fatal(err)
+				}
+				if deleted++; deleted == 6 {
+					break
+				}
+			}
+			check(t, d, len(ds.DBGraphs)-deleted)
+		})
 	}
 }
 
