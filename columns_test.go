@@ -27,7 +27,7 @@ import (
 func checkProjectionColumns(t *testing.T, d *Database) *projection {
 	t.Helper()
 	d.mu.RLock()
-	p := d.projection(true)
+	p := d.projection()
 	d.mu.RUnlock()
 	for vi, v := range p.views {
 		if len(v.IDs) != len(v.Entries) || len(v.Sizes) != len(v.Entries) || v.Pre.Len() != len(v.Entries) {
@@ -272,7 +272,7 @@ func TestWriteThenReadCopiesNoColumn(t *testing.T) {
 	}
 	q := buildRandomQuery(d, rng)
 	opt := SearchOptions{Method: GreedySort, Tau: 1, Prefilter: true}
-	if _, err := d.Search(q, opt); err != nil { // activates the prefilter columns
+	if _, err := d.Search(q, opt); err != nil {
 		t.Fatal(err)
 	}
 	least := uint64(math.MaxUint64)

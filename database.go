@@ -90,7 +90,6 @@ func (d *Database) StoreTelemetry() *telemetry.StoreMetrics { return d.store.Tel
 type projection struct {
 	epoch   uint64
 	postGen uint64 // the store's postings generation the views carry
-	withPre bool
 	views   []shard.View
 	// starts[i] is the scan position of views[i]'s slot 0 and
 	// starts[len(views)] the scan length: where a claimed range splits
@@ -629,13 +628,12 @@ func (d *Database) BranchDictLen() int { return d.store.BranchDict().Len() }
 // dictionary.
 func (d *Database) BranchDictStats() db.DictStats { return d.store.BranchDict().Stats() }
 
-// PrefilterStats is the columnar prefilter's aggregate memory footprint
-// across shards — see index.MemStats for the counters.
+// PrefilterStats is the prefilter's aggregate memory footprint across
+// shards — see index.MemStats for the counters.
 type PrefilterStats = index.MemStats
 
-// PrefilterStats aggregates the per-shard columnar prefilter footprint.
-// All counters are zero until a prefiltered search (or a with-prefilter
-// cut) first activates the stores.
+// PrefilterStats sums the prefilter's footprint over the shards: their
+// signature columns and the label spans their entries carry.
 func (d *Database) PrefilterStats() PrefilterStats { return d.store.PrefilterMem() }
 
 // PosteriorTableStats reports the posterior lookup tables cached on the

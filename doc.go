@@ -78,37 +78,37 @@
 //
 // Under everything sits a sharded mutable collection (internal/shard):
 //
-//	shard map  →  per-shard entries + columnar prefilter store  →  scatter-gather scan
+//	shard map  →  per-shard entries + id, size and signature columns  →  scatter-gather scan
 //
 // Every stored graph gets a stable ID at insert time (the value Store
 // returns, Match.Index reports, and Delete/Update accept) and is hashed
 // onto one of N shards — N is configurable (WithShards, gsimd
 // -shards), defaulting to GOMAXPROCS. Each shard owns its entry slice
-// with an id and a size column parallel to it, its succinct prefilter
-// store (internal/index), an epoch counter and a mutation lock, so ingest, delete and update on different shards commit
-// concurrently instead of serialising behind one collection-wide mutex;
-// bulk ingest (LoadText, StoreAll, CommitAll) briefly locks every shard
-// for its none-or-all contract.
+// with an id, a size and a signature column parallel to it, an epoch
+// counter and a mutation lock, so ingest, delete and update on different
+// shards commit concurrently instead of serialising behind one
+// collection-wide mutex; bulk ingest (LoadText, StoreAll, CommitAll)
+// briefly locks every shard for its none-or-all contract.
 //
-// The prefilter store keeps its admissible-filter summaries columnar
-// rather than as per-graph slices: one 8-byte quantized signature word
-// per entry (|V| and |E| bytes plus four vertex-label and two edge-label
-// byte counters saturating at 127), one 12-byte span locator, and a
-// shared label arena encoding each entry's sorted label multisets as
-// delta+run varints. The hot prune decision compares two signature words
-// with a few SWAR operations and touches no pointers; it settles the size
-// tier and nearly every label-tier prune on its own, and only pairs the
-// signature cannot prove prunable pay for the exact arena-walk label
-// distance and the branch lower bound — with the exact same prune set as
-// the per-pair oracle (index.PairPrunable), since the signature is
-// admissible by construction (saturated bucket regions are dropped, so it
-// can only under-estimate distance, never over-prune).
-// Stores append incrementally, deletes swap-remove and account dead arena
-// bytes, and a per-shard compaction rewrites the arena once dead space
-// crosses a threshold; /v1/stats reports each column's footprint.
+// The admissible prefilter (internal/index) keeps no per-graph slices
+// and no store of its own. Each shard's signature column holds one 8-byte
+// quantized signature word per entry (|V| and |E| bytes plus four
+// vertex-label and two edge-label byte counters saturating at 127), and
+// each entry carries its label span: |V|, |E| and its sorted label
+// multisets as delta+run varints. Both are computed when a graph is
+// stored, so every search can prefilter with nothing to build first. The
+// hot prune decision compares two signature words with a few SWAR
+// operations and touches no pointers; it settles the size tier and nearly
+// every label-tier prune on its own, and only pairs the signature cannot
+// prove prunable pay for the exact span-walk label distance and the
+// branch lower bound — with the exact same prune set as the per-pair
+// oracle (index.PairPrunable), since the signature is admissible by
+// construction (saturated bucket regions are dropped, so it can only
+// under-estimate distance, never over-prune). /v1/stats reports the
+// column's and the spans' footprint.
 //
 // Deletion and update are first-class: Delete swap-removes within the
-// owning shard (no tombstones) and resyncs that shard's summaries;
+// owning shard (no tombstones) and resyncs that shard's columns;
 // Update replaces content under a stable ID. Both release the victim's
 // interned branch refcounts, and the shared branch dictionary compacts
 // itself once enough keys die — dead IDs are retired, never reused, so

@@ -30,10 +30,21 @@ import (
 // swap-remove, IDs never do — which is what makes them the handle of the
 // public Delete/Update APIs and the deterministic result order of
 // scatter-gather scans.
+//
+// Labels is the graph's label span (see NewEntry): its sizes and sorted
+// label multisets, encoded for the prefilter's size and label tiers.
 type Entry struct {
 	ID       uint64
 	G        *graph.Graph
 	Branches branch.IDs
+	Labels   string
+}
+
+// NewEntry builds the Entry of graph g stored under id with its interned
+// branch multiset, encoding its label span. It is the only way entries
+// are made: an entry without a span would read as an empty graph.
+func NewEntry(id uint64, g *graph.Graph, branches branch.IDs) *Entry {
+	return &Entry{ID: id, G: g, Branches: branches, Labels: labelSpan(g)}
 }
 
 // Collection is an in-memory graph database. All graphs intern their labels
@@ -86,7 +97,7 @@ func (c *Collection) DistinctSizes() []int {
 // the collection statistics. The graph must have been built against the
 // collection's dictionary.
 func (c *Collection) Add(g *graph.Graph) *Entry {
-	e := &Entry{ID: uint64(len(c.entries)), G: g, Branches: c.bdict.InternMultiset(branch.MultisetOf(g))}
+	e := NewEntry(uint64(len(c.entries)), g, c.bdict.InternMultiset(branch.MultisetOf(g)))
 	c.entries = append(c.entries, e)
 	c.sizes[g.NumVertices()]++
 	if g.NumVertices() > c.maxV {

@@ -192,7 +192,7 @@ func ReadSegment(r io.Reader, nLabels int) (ids []uint64, gs []*graph.Graph, err
 func BuildEntries(bdict *BranchDict, ids []uint64, gs []*graph.Graph) []*Entry {
 	out := make([]*Entry, len(gs))
 	parallel(len(gs), func(i int) {
-		out[i] = &Entry{ID: ids[i], G: gs[i], Branches: bdict.InternMultiset(branch.MultisetOf(gs[i]))}
+		out[i] = NewEntry(ids[i], gs[i], bdict.InternMultiset(branch.MultisetOf(gs[i])))
 	})
 	return out
 }

@@ -26,7 +26,7 @@ func FuzzReadSegment(f *testing.F) {
 		}
 		entries := make([]*Entry, len(gs))
 		for i, g := range gs {
-			entries[i] = &Entry{ID: ids[i], G: g}
+			entries[i] = NewEntry(ids[i], g, nil)
 		}
 		var buf bytes.Buffer
 		if err := WriteSegment(&buf, entries); err != nil {

@@ -16,8 +16,8 @@ import (
 func ExtensionIDs() []string { return []string{"xprefilter", "xhybrid"} }
 
 // xPrefilter measures the layered admissible filter: pruning power per
-// layer — the tier the columnar store's View.Tier names for each graph of
-// the set, the query included — and the end-to-end speedup it buys each
+// layer — the tier the prefilter's View.Tier names for each graph of the
+// set, the query included — and the end-to-end speedup it buys each
 // method.
 func (r *runner) xPrefilter() ([]*Table, error) {
 	e, err := r.realEnv("grec")
@@ -25,11 +25,7 @@ func (r *runner) xPrefilter() ([]*Table, error) {
 		return nil, err
 	}
 	entries := e.ds.Col.Entries()
-	st := index.NewStore(len(entries))
-	for _, en := range entries {
-		st.Append(index.Summarize(en.G))
-	}
-	v := st.View()
+	v := index.ViewOf(entries)
 	power := &Table{
 		ID:     "xprefilter",
 		Title:  "Layered pre-filter pruning power on grec (extension)",

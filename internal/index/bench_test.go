@@ -43,7 +43,7 @@ func BenchmarkLowerBoundPair(b *testing.B) {
 
 // BenchmarkPrefilterScan is the CI-gated columnar hot loop: one prepared
 // query evaluated against 10k stored entries through View.Prunable —
-// signature word first, arena fallback only when undecided. Zero
+// signature word first, span fallback only when undecided. Zero
 // allocations per scan is part of the gate.
 func BenchmarkPrefilterScan(b *testing.B) {
 	dict := graph.NewLabels()
@@ -54,11 +54,7 @@ func BenchmarkPrefilterScan(b *testing.B) {
 		col.Add(randomGraph(rng, dict, 6+rng.Intn(20)))
 	}
 	entries := col.Entries()
-	st := NewStore(len(entries))
-	for _, e := range entries {
-		st.Append(Summarize(e.G))
-	}
-	v := st.View()
+	v := ViewOf(entries)
 	qg := randomGraph(rng, dict, 12)
 	qp := PrepareQuery(qg)
 	qids := col.BranchDict().ResolveMultiset(branch.MultisetOf(qg))

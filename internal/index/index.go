@@ -17,14 +17,13 @@
 //
 // The composite bound is the maximum of the three.
 //
-// The filter is the columnar Store (pre.go): the sharded store keeps one
-// per shard, maintained incrementally under the shard's mutation lock
-// (see internal/shard), and View.Tier is the one place that decides
-// which layer prunes a pair. Summary is the uncompressed per-graph form
-// the store is built from and queries are prepared in; PairLowerBound
-// and PairPrunable evaluate the composite bound straight from two
-// Summaries and are the reference oracle the columnar path is tested
-// against.
+// The filter reads each stored graph's signature word, a column of its
+// shard (internal/shard), and the label span its db.Entry carries
+// (pre.go); View.Tier is the one place that decides which layer prunes a
+// pair. Summary is the uncompressed per-graph form queries are prepared
+// in; PairLowerBound and PairPrunable evaluate the composite bound
+// straight from two Summaries and are the reference oracle the columnar
+// path is tested against.
 //
 // Beside the filter, the package holds each shard's branch postings
 // (postings.go): the inverted index a scan generates its candidates from,
@@ -73,7 +72,7 @@ func (s Summary) LowerBound(o Summary) int {
 	if d := abs(s.E - o.E); d > lb {
 		lb = d
 	}
-	if d := multisetDistance(s.VLabels, o.VLabels) + multisetDistance(s.ELabels, o.ELabels); d > lb {
+	if d := db.MultisetDistance(s.VLabels, o.VLabels) + db.MultisetDistance(s.ELabels, o.ELabels); d > lb {
 		lb = d
 	}
 	return lb
@@ -84,27 +83,6 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-func multisetDistance(a, b []graph.ID) int {
-	i, j, common := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			common++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	m := len(a)
-	if len(b) > m {
-		m = len(b)
-	}
-	return m - common
 }
 
 // PairLowerBound computes the composite lower bound — size, label and

@@ -96,13 +96,9 @@ func TestPruningIsLossless(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries := ds.Col.Entries()
-	st := NewStore(len(entries))
-	for _, e := range entries {
-		st.Append(Summarize(e.G))
-	}
-	v := st.View()
+	v := ViewOf(entries)
 	if v.Len() != ds.Col.Len() {
-		t.Fatalf("store covers %d of %d", v.Len(), ds.Col.Len())
+		t.Fatalf("view covers %d of %d", v.Len(), ds.Col.Len())
 	}
 	const tau = 3
 	for _, qi := range ds.Queries {

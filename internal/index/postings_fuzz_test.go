@@ -7,6 +7,7 @@ import (
 
 	"gsim/internal/branch"
 	"gsim/internal/db"
+	"gsim/internal/graph"
 )
 
 // FuzzCandidates drives a shard's postings through the input's op stream
@@ -92,7 +93,7 @@ func FuzzCandidates(f *testing.F) {
 		for k < len(ops) {
 			switch op := next() % 6; {
 			case op <= 1:
-				entries = append(entries, &db.Entry{Branches: multiset()})
+				entries = append(entries, db.NewEntry(0, &graph.Graph{}, multiset()))
 			case op == 2 && len(entries) > 0:
 				n, slot := len(entries), next()%len(entries)
 				entries[slot] = entries[n-1]
@@ -103,7 +104,7 @@ func FuzzCandidates(f *testing.F) {
 				}
 			case op == 3 && len(entries) > 0:
 				slot := next() % len(entries)
-				entries[slot] = &db.Entry{Branches: multiset()}
+				entries[slot] = db.NewEntry(0, &graph.Graph{}, multiset())
 				post.Replaced(slot)
 				if log != nil {
 					log.Replaced(slot)

@@ -1,35 +1,31 @@
-// Succinct columnar prefilter. A Summary spends two sorted []graph.ID
-// allocations per graph (a struct, two slice headers, and two backing
-// arrays to pointer-chase at scan time). The Store below keeps the same
-// information per shard in three flat columns:
+// Columnar prefilter. A Summary spends two sorted []graph.ID allocations
+// per graph (a struct, two slice headers, and two backing arrays to
+// pointer-chase at scan time). The prefilter instead reads two things each
+// stored graph already has:
 //
-//   - sig: one fixed-width uint64 signature per entry — packed size bytes
-//     plus six byte-wide label-bucket counters — so the common prune
-//     decision, by sizes or by labels, is a few word ops with zero
-//     pointer chasing (sigPrunes);
-//   - meta: {arena offset, |V|, |E|} per entry, 12 bytes;
-//   - arena: one shared byte slice holding every entry's sorted label
-//     multisets as delta+run varint spans.
+//   - its signature word: one uint64 per entry, kept by internal/shard as
+//     a column beside the entry slice — packed size bytes plus six
+//     byte-wide label-bucket counters — so the common prune decision, by
+//     sizes or by labels, is a few word ops with zero pointer chasing
+//     (sigPrunes);
+//   - its entry's label span (db.Entry.Labels): |V|, |E| and the sorted
+//     label multisets as delta+run varints, walked run by run.
 //
 // The signature can only ever PRUNE (its bounds are provable lower bounds
 // below the exact ones, and it knows nothing of the branch filter). Its
 // counters hold up to 127 occurrences per bucket, so on graphs of tens of
 // vertices (the AIDS- and AASD-shaped sets) they rarely saturate and the
 // signature takes nearly every label-tier prune by itself. When it cannot
-// decide, View.Tier recomputes the exact composite bound from the arena
-// spans and the entry's interned branch multiset — bit-identical to
-// PairPrunable, which the equivalence tests use as oracle.
+// decide, View.Tier recomputes the exact composite bound from the entry's
+// span and interned branch multiset — bit-identical to PairPrunable,
+// which the equivalence tests use as oracle.
 //
-// Concurrency contract (matching internal/shard's snapshot discipline):
-// writers mutate a Store only under the owning bucket's lock; readers use
-// a View snapshot taken under that lock. The arena is append-only (dead
-// bytes from deletes/updates are left in place until Compact republishes
-// a fresh slice) and sig/meta are copied on every remove/replace, so a
-// published View is immutable.
+// A View is one shard's signature column as a consistent cut published
+// it. The shard appends to the column in place and copies it on every
+// remove and replace, so a published View never changes.
 package index
 
 import (
-	"encoding/binary"
 	"sort"
 
 	"gsim/internal/branch"
@@ -76,21 +72,20 @@ func addCounter(sig uint64, shift uint) uint64 {
 	return sig
 }
 
-// sigOf packs a Summary into its signature word.
-func sigOf(s Summary) uint64 {
-	v, e := uint64(s.V), uint64(s.E)
-	if v > 255 {
-		v = 255
+// Sig is the signature word of g. It reads the graph in place, so signing
+// a stored graph allocates nothing.
+func Sig(g *graph.Graph) uint64 {
+	nv := g.NumVertices()
+	sig := uint64(min(nv, 255))<<sigVShift | uint64(min(g.NumEdges(), 255))<<sigEShift
+	for v := 0; v < nv; v++ {
+		sig = addCounter(sig, vbucketShift(g.VertexLabel(v)))
 	}
-	if e > 255 {
-		e = 255
-	}
-	sig := v<<sigVShift | e<<sigEShift
-	for _, id := range s.VLabels {
-		sig = addCounter(sig, vbucketShift(id))
-	}
-	for _, id := range s.ELabels {
-		sig = addCounter(sig, ebucketShift(id))
+	for u := 0; u < nv; u++ {
+		for _, h := range g.Neighbors(u) {
+			if int(h.To) > u {
+				sig = addCounter(sig, ebucketShift(h.Label))
+			}
+		}
 	}
 	return sig
 }
@@ -170,296 +165,37 @@ func sigPrunes(a, b uint64, tau int) bool {
 	return dist > tau
 }
 
-// Arena span codec. An entry's span is its sorted vertex-label multiset
-// followed by its sorted edge-label multiset; each section is a sequence
-// of run tokens over its (value, count) runs with the running previous
-// value reset to zero at the section start:
-//
-//	token   = uvarint(delta<<1 | runFlag)
-//	delta   = value − prev, in uint32 arithmetic (negative ephemeral IDs
-//	          round-trip through the wraparound)
-//	runFlag = 1 ⇒ followed by uvarint(count − 2)
-//
-// Sections are self-contained, so a span can be relocated verbatim by
-// compaction. Duplicate-heavy label multisets (the common case: few
-// distinct labels over many vertices) cost ~2 bytes per distinct run
-// instead of 4 bytes per occurrence.
-
-// appendSpan encodes one sorted label multiset onto the arena.
-func appendSpan(arena []byte, labels []graph.ID) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	prev := uint32(0)
-	for i := 0; i < len(labels); {
-		v := uint32(labels[i])
-		j := i + 1
-		for j < len(labels) && labels[j] == labels[i] {
-			j++
-		}
-		tok := uint64(v-prev) << 1
-		if j-i >= 2 {
-			tok |= 1
-		}
-		n := binary.PutUvarint(tmp[:], tok)
-		arena = append(arena, tmp[:n]...)
-		if j-i >= 2 {
-			n = binary.PutUvarint(tmp[:], uint64(j-i-2))
-			arena = append(arena, tmp[:n]...)
-		}
-		prev = v
-		i = j
-	}
-	return arena
-}
-
-// spanDistance merges the span at off (count label occurrences) against a
-// sorted query multiset, returning the multiset distance — identical to
-// multisetDistance over the decoded span — and the offset past the span.
-func spanDistance(q []graph.ID, arena []byte, off uint32, count int) (int, uint32) {
-	p := int(off)
-	prev := uint32(0)
-	common, qi := 0, 0
-	for remaining := count; remaining > 0; {
-		tok, n := binary.Uvarint(arena[p:])
-		p += n
-		run := 1
-		if tok&1 != 0 {
-			r, n2 := binary.Uvarint(arena[p:])
-			p += n2
-			run = int(r) + 2
-		}
-		prev += uint32(tok >> 1)
-		remaining -= run
-		val := graph.ID(prev)
-		for qi < len(q) && q[qi] < val {
-			qi++
-		}
-		if qi < len(q) && q[qi] == val {
-			j := qi
-			for j < len(q) && q[j] == val {
-				j++
-			}
-			qc := j - qi
-			if qc > run {
-				qc = run
-			}
-			common += qc
-			qi = j
-		}
-	}
-	m := len(q)
-	if count > m {
-		m = count
-	}
-	return m - common, uint32(p)
-}
-
-// spanEnd returns the offset past the span at off holding count label
-// occurrences.
-func spanEnd(arena []byte, off uint32, count int) uint32 {
-	p := int(off)
-	for remaining := count; remaining > 0; {
-		tok, n := binary.Uvarint(arena[p:])
-		p += n
-		run := 1
-		if tok&1 != 0 {
-			r, n2 := binary.Uvarint(arena[p:])
-			p += n2
-			run = int(r) + 2
-		}
-		remaining -= run
-	}
-	return uint32(p)
-}
-
-// decodeSpan reconstructs the sorted label multiset of a span — the
-// diagnostic/test inverse of appendSpan.
-func decodeSpan(arena []byte, off uint32, count int) ([]graph.ID, uint32) {
-	out := make([]graph.ID, 0, count)
-	p := int(off)
-	prev := uint32(0)
-	for remaining := count; remaining > 0; {
-		tok, n := binary.Uvarint(arena[p:])
-		p += n
-		run := 1
-		if tok&1 != 0 {
-			r, n2 := binary.Uvarint(arena[p:])
-			p += n2
-			run = int(r) + 2
-		}
-		prev += uint32(tok >> 1)
-		remaining -= run
-		for k := 0; k < run; k++ {
-			out = append(out, graph.ID(prev))
-		}
-	}
-	return out, uint32(p)
-}
-
-// Meta locates one entry's span and carries the exact (uncapped) sizes
-// the size filter needs.
-type Meta struct {
-	Off  uint32 // span start in the arena
-	V, E uint32
-}
-
-// Store is the mutable per-bucket columnar prefilter. All methods require
-// the owning bucket's write lock; View hands out immutable snapshots.
-type Store struct {
-	sig         []uint64
-	meta        []Meta
-	arena       []byte
-	dead        int // arena bytes belonging to removed/replaced entries
-	compactions uint64
-}
-
-// NewStore pre-sizes the columns for n entries.
-func NewStore(n int) *Store {
-	return &Store{
-		sig:  make([]uint64, 0, n),
-		meta: make([]Meta, 0, n),
-	}
-}
-
-// Len reports the number of live entries.
-func (s *Store) Len() int { return len(s.meta) }
-
-// Append adds one entry's summary at the next slot.
-func (s *Store) Append(sum Summary) {
-	off := uint32(len(s.arena))
-	s.arena = appendSpan(s.arena, sum.VLabels)
-	s.arena = appendSpan(s.arena, sum.ELabels)
-	s.sig = append(s.sig, sigOf(sum))
-	s.meta = append(s.meta, Meta{Off: off, V: uint32(sum.V), E: uint32(sum.E)})
-}
-
-// spanBytes measures the arena extent of entry slot.
-func (s *Store) spanBytes(slot int) int {
-	m := s.meta[slot]
-	end := spanEnd(s.arena, spanEnd(s.arena, m.Off, int(m.V)), int(m.E))
-	return int(end - m.Off)
-}
-
-// RemoveAt swap-removes the entry at slot, mirroring the shard's
-// entry-slice semantics: the last entry moves into slot. The victim's
-// span bytes become dead arena space; sig/meta are republished so
-// previously handed-out Views stay valid.
-func (s *Store) RemoveAt(slot int) {
-	n := len(s.meta)
-	s.dead += s.spanBytes(slot)
-	fs := make([]uint64, n-1)
-	copy(fs, s.sig[:n-1])
-	fm := make([]Meta, n-1)
-	copy(fm, s.meta[:n-1])
-	if slot != n-1 {
-		fs[slot] = s.sig[n-1]
-		fm[slot] = s.meta[n-1]
-	}
-	s.sig, s.meta = fs, fm
-}
-
-// ReplaceAt swaps a new summary into slot (same ID, new graph). The old
-// span goes dead; the new one appends to the arena.
-func (s *Store) ReplaceAt(slot int, sum Summary) {
-	s.dead += s.spanBytes(slot)
-	off := uint32(len(s.arena))
-	s.arena = appendSpan(s.arena, sum.VLabels)
-	s.arena = appendSpan(s.arena, sum.ELabels)
-	fs := make([]uint64, len(s.sig))
-	copy(fs, s.sig)
-	fm := make([]Meta, len(s.meta))
-	copy(fm, s.meta)
-	fs[slot] = sigOf(sum)
-	fm[slot] = Meta{Off: off, V: uint32(sum.V), E: uint32(sum.E)}
-	s.sig, s.meta = fs, fm
-}
-
-// arenaCompactMinDead keeps compaction from churning on small buckets:
-// below 4 KiB of dead space the copy isn't worth it regardless of ratio.
-const arenaCompactMinDead = 1 << 12
-
-// MaybeCompact rewrites the arena when dead space passes the threshold
-// (≥ 4 KiB dead and dead ≥ live). Returns whether a compaction ran.
-func (s *Store) MaybeCompact() bool {
-	if s.dead < arenaCompactMinDead || 2*s.dead < len(s.arena) {
-		return false
-	}
-	s.Compact()
-	return true
-}
-
-// Compact republishes a fresh arena holding only live spans (relocated
-// verbatim — spans are self-contained) and fresh metas pointing into it.
-func (s *Store) Compact() {
-	fresh := make([]byte, 0, len(s.arena)-s.dead)
-	fm := make([]Meta, len(s.meta))
-	for i, m := range s.meta {
-		end := spanEnd(s.arena, spanEnd(s.arena, m.Off, int(m.V)), int(m.E))
-		fm[i] = Meta{Off: uint32(len(fresh)), V: m.V, E: m.E}
-		fresh = append(fresh, s.arena[m.Off:end]...)
-	}
-	s.arena = fresh
-	s.meta = fm
-	s.dead = 0
-	s.compactions++
-}
-
-// Mem reports the store's memory footprint, column by column.
-func (s *Store) Mem() MemStats {
-	return MemStats{
-		Entries:     len(s.meta),
-		SigBytes:    int64(8 * len(s.sig)),
-		MetaBytes:   int64(12 * len(s.meta)),
-		ArenaBytes:  int64(len(s.arena)),
-		DeadBytes:   int64(s.dead),
-		Compactions: s.compactions,
-	}
-}
-
-// MemStats is the prefilter memory footprint surfaced through /v1/stats;
-// see the server package for the JSON field docs.
+// MemStats is the prefilter's memory footprint, surfaced through
+// /v1/stats; see the server package for the JSON field docs.
 type MemStats struct {
-	Entries     int
-	SigBytes    int64
-	MetaBytes   int64
-	ArenaBytes  int64
-	DeadBytes   int64
-	Compactions uint64
+	Entries  int
+	SigBytes int64 // the signature columns, 8 bytes per entry
+	// MetaBytes is always 0: no per-entry locator is kept. The field
+	// stays for benchmark/ladder.go, which sums all three byte counts.
+	MetaBytes int64
+	// ArenaBytes is the label-span bytes the entries hold, each entry's
+	// 16-byte string header included.
+	ArenaBytes int64
 }
 
-// Add accumulates o into m (per-bucket stats into a database total).
-func (m *MemStats) Add(o MemStats) {
-	m.Entries += o.Entries
-	m.SigBytes += o.SigBytes
-	m.MetaBytes += o.MetaBytes
-	m.ArenaBytes += o.ArenaBytes
-	m.DeadBytes += o.DeadBytes
-	m.Compactions += o.Compactions
-}
-
-// View is an immutable snapshot of a Store, safe for concurrent scans
-// while the store keeps mutating (arena append-only, sig/meta
-// copy-on-write, compaction republishes fresh slices).
+// View is one shard's signature column as a cut published it,
+// slot-parallel to the cut's entries.
 type View struct {
-	Sig   []uint64
-	Meta  []Meta
-	Arena []byte
+	Sig []uint64
 }
 
-// View snapshots the store; the caller must hold the bucket lock (any
-// mode) for the read of the three slice headers.
-func (s *Store) View() View { return View{Sig: s.sig, Meta: s.meta, Arena: s.arena} }
+// ViewOf signs entries into a View, for callers that hold entries outside
+// a shard.
+func ViewOf(entries []*db.Entry) View {
+	sig := make([]uint64, len(entries))
+	for i, e := range entries {
+		sig[i] = Sig(e.G)
+	}
+	return View{Sig: sig}
+}
 
 // Len reports the number of entries in the snapshot.
-func (v View) Len() int { return len(v.Meta) }
-
-// SummaryOf decodes entry slot back into Summary form — the
-// diagnostic/test inverse of Append.
-func (v View) SummaryOf(slot int) Summary {
-	m := v.Meta[slot]
-	vl, end := decodeSpan(v.Arena, m.Off, int(m.V))
-	el, _ := decodeSpan(v.Arena, end, int(m.E))
-	return Summary{V: int(m.V), E: int(m.E), VLabels: vl, ELabels: el}
-}
+func (v View) Len() int { return len(v.Sig) }
 
 // Tier names the filter layer that proves a pair violates GED ≤ τ̂.
 type Tier uint8
@@ -471,23 +207,26 @@ const (
 	TierBranch             // ⌈GBD/2⌉ > τ̂
 )
 
-// Tier classifies slot against a prepared query: the first layer — size,
-// then labels, then branches — whose lower bound exceeds tau, evaluated
-// exactly from the arena spans, or TierNone when the pair survives all
-// three. The prune decision is PairPrunable's, bit for bit.
+// Tier classifies entry e against a prepared query: the first layer —
+// size, then labels, then branches — whose lower bound exceeds tau,
+// evaluated exactly from the entry's label span and branch multiset, or
+// TierNone when the pair survives all three. The prune decision is
+// PairPrunable's, bit for bit. Tier reads nothing of the view: its
+// receiver and slot are Prunable's, which tries the signature at slot
+// first.
 func (v *View) Tier(q *QueryPre, qBranches branch.IDs, e *db.Entry, slot, tau int) Tier {
-	m := v.Meta[slot]
-	if d := q.Sum.V - int(m.V); d > tau || -d > tau {
+	nv, ne, off := db.SpanSizes(e.Labels)
+	if d := q.Sum.V - nv; d > tau || -d > tau {
 		return TierSize
 	}
-	if d := q.Sum.E - int(m.E); d > tau || -d > tau {
+	if d := q.Sum.E - ne; d > tau || -d > tau {
 		return TierSize
 	}
-	vd, end := spanDistance(q.Sum.VLabels, v.Arena, m.Off, int(m.V))
+	vd, off := db.SpanDistance(q.Sum.VLabels, e.Labels, off, nv)
 	if vd > tau {
 		return TierLabel
 	}
-	ed, _ := spanDistance(q.Sum.ELabels, v.Arena, end, int(m.E))
+	ed, _ := db.SpanDistance(q.Sum.ELabels, e.Labels, off, ne)
 	if vd+ed > tau {
 		return TierLabel
 	}
@@ -507,13 +246,10 @@ type QueryPre struct {
 }
 
 // PrepareQuery summarises and signs a query graph.
-func PrepareQuery(g *graph.Graph) QueryPre { return NewQueryPre(Summarize(g)) }
-
-// NewQueryPre signs an existing summary.
-func NewQueryPre(s Summary) QueryPre { return QueryPre{Sig: sigOf(s), Sum: s} }
+func PrepareQuery(g *graph.Graph) QueryPre { return QueryPre{Sig: Sig(g), Sum: Summarize(g)} }
 
 // Prunable reports whether slot provably violates GED ≤ tau against a
-// prepared query — the signature word first, the exact arena-based
+// prepared query — the signature word first, the exact span-based
 // composite bound (Tier) only when the signature cannot decide. The
 // decision is bit-identical to PairPrunable. A scan asks it only for the
 // slots its branch postings name (see Postings): every other slot shares

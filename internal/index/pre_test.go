@@ -12,12 +12,24 @@ import (
 )
 
 // randLabels draws a sorted label multiset of n occurrences over k
-// distinct values starting at base — negative bases exercise the
-// ephemeral-query wraparound of the delta codec.
+// distinct values starting at base — negative bases give ephemeral
+// (negative) IDs.
 func randLabels(rng *rand.Rand, n, k int, base int32) []graph.ID {
 	out := make([]graph.ID, n)
 	for i := range out {
 		out[i] = graph.ID(base + int32(rng.Intn(k)))
+	}
+	slices.Sort(out)
+	return out
+}
+
+// fuzzLabels maps each input byte to the label base + step·int8(byte) in
+// wrapping int32 arithmetic, then sorts: repeated bytes give runs, and
+// negative bytes and bases give ephemeral (negative) IDs.
+func fuzzLabels(base, step int32, raw []byte) []graph.ID {
+	out := make([]graph.ID, len(raw))
+	for i, c := range raw {
+		out[i] = graph.ID(base + step*int32(int8(c)))
 	}
 	slices.Sort(out)
 	return out
@@ -29,55 +41,29 @@ func randSummary(rng *rand.Rand, maxN, k int, base int32) Summary {
 	return Summary{V: len(vl), E: len(el), VLabels: vl, ELabels: el}
 }
 
-// TestSpanRoundTrip: decodeSpan inverts appendSpan across duplicate-heavy,
-// sparse, negative-ID and empty multisets, and spanEnd agrees with the
-// decoder on the span extent.
-func TestSpanRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	shapes := []struct {
-		n, k int
-		base int32
-	}{
-		{0, 1, 0}, {1, 1, 0}, {50, 2, 0}, {50, 1000, 0},
-		{200, 3, 500}, {30, 4, -7}, {8, 2, -(1 << 30)},
+// sigOf is Sig over a Summary. The admissibility tests and FuzzSigPrunes
+// sign Summaries, which may hold more edge labels than a simple graph on
+// their vertices can; TestSigOfMatchesSig holds this form to Sig.
+func sigOf(s Summary) uint64 {
+	sig := uint64(min(s.V, 255))<<sigVShift | uint64(min(s.E, 255))<<sigEShift
+	for _, id := range s.VLabels {
+		sig = addCounter(sig, vbucketShift(id))
 	}
-	for _, s := range shapes {
-		for trial := 0; trial < 20; trial++ {
-			labels := randLabels(rng, s.n, s.k, s.base)
-			arena := appendSpan([]byte{0xAA}, labels) // nonzero start offset
-			got, end := decodeSpan(arena, 1, len(labels))
-			if !slices.Equal(got, labels) {
-				t.Fatalf("shape %+v: round-trip mismatch\nwant %v\ngot  %v", s, labels, got)
-			}
-			if end != uint32(len(arena)) {
-				t.Fatalf("shape %+v: decode end %d, arena len %d", s, end, len(arena))
-			}
-			if se := spanEnd(arena, 1, len(labels)); se != end {
-				t.Fatalf("shape %+v: spanEnd %d, decode end %d", s, se, end)
-			}
-		}
+	for _, id := range s.ELabels {
+		sig = addCounter(sig, ebucketShift(id))
 	}
+	return sig
 }
 
-// TestSpanDistanceMatchesOracle: the streaming arena merge equals
-// multisetDistance over the decoded labels, including queries carrying
-// negative ephemeral labels that sort before everything stored.
-func TestSpanDistanceMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 400; trial++ {
-		stored := randLabels(rng, rng.Intn(60), 1+rng.Intn(8), 0)
-		qbase := int32(0)
-		if trial%3 == 0 {
-			qbase = -3 // mix ephemeral negatives into the query side
-		}
-		q := randLabels(rng, rng.Intn(60), 1+rng.Intn(8), qbase)
-		arena := appendSpan(nil, stored)
-		dist, end := spanDistance(q, arena, 0, len(stored))
-		if want := multisetDistance(q, stored); dist != want {
-			t.Fatalf("trial %d: spanDistance %d, oracle %d\nq=%v\nstored=%v", trial, dist, want, q, stored)
-		}
-		if end != uint32(len(arena)) {
-			t.Fatalf("trial %d: end %d, arena %d", trial, end, len(arena))
+// TestSigOfMatchesSig: signing a graph in place gives the word its
+// Summary signs to, through the 255 size clamp and counter saturation.
+func TestSigOfMatchesSig(t *testing.T) {
+	dict := graph.NewLabels()
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 300; trial++ {
+		g := randomGraph(rng, dict, 1+rng.Intn(300))
+		if got, want := Sig(g), sigOf(Summarize(g)); got != want {
+			t.Fatalf("trial %d (|V|=%d, |E|=%d): Sig %#x, Summary form %#x", trial, g.NumVertices(), g.NumEdges(), got, want)
 		}
 	}
 }
@@ -209,7 +195,7 @@ func TestSigSaturationFallback(t *testing.T) {
 // TestSigDecidesLabelTier pins where label-tier prunes are decided. On
 // AASD-shaped graphs (~72 vertices over a few dozen labels) the signature
 // word alone must prove nearly every prune whose exact label bound exceeds
-// τ̂, so View.Tier's arena walk runs only for the pairs the sketch cannot
+// τ̂, so View.Tier's span walk runs only for the pairs the sketch cannot
 // settle. A layout that stays admissible but saturates again passes every
 // equivalence suite and silently loses the speed-up; this count does not.
 func TestSigDecidesLabelTier(t *testing.T) {
@@ -223,11 +209,11 @@ func TestSigDecidesLabelTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries := ds.Col.Entries()
-	st := NewStore(len(ds.DBGraphs))
-	for _, idx := range ds.DBGraphs {
-		st.Append(Summarize(entries[idx].G))
+	stored := make([]*db.Entry, len(ds.DBGraphs))
+	for slot, idx := range ds.DBGraphs {
+		stored[slot] = entries[idx]
 	}
-	v := st.View()
+	v := ViewOf(stored)
 	const tau = 3
 	queries := ds.Queries[:100]
 	labelTier, undecided := 0, 0
@@ -249,10 +235,10 @@ func TestSigDecidesLabelTier(t *testing.T) {
 		t.Fatalf("only %d label-tier prunes: the sample does not exercise the tier", labelTier)
 	}
 	if 50*undecided > labelTier {
-		t.Fatalf("signature left %d of %d label-tier prunes (%.1f%%) to the arena walk, budget 2%%",
+		t.Fatalf("signature left %d of %d label-tier prunes (%.1f%%) to the span walk, budget 2%%",
 			undecided, labelTier, 100*float64(undecided)/float64(labelTier))
 	}
-	t.Logf("%d queries × %d graphs: %d label-tier prunes, %d left to the arena walk",
+	t.Logf("%d queries × %d graphs: %d label-tier prunes, %d left to the span walk",
 		len(queries), len(ds.DBGraphs), labelTier, undecided)
 }
 
@@ -275,7 +261,7 @@ func oracleTier(q Summary, qBranches branch.IDs, s Summary, e *db.Entry, tau int
 // queries (with ephemeral branch IDs), Flat.Prunable must agree with
 // PairPrunable at every position and threshold, and View.Tier with the
 // oracle's layered classification — the branch tier included. The graphs
-// are split over three stores of unequal size, the middle one empty, so a
+// are split over three views of unequal size, the middle one empty, so a
 // wrong lookup of a position's view cannot pass.
 func TestFlatPrunableMatchesLegacy(t *testing.T) {
 	dict := graph.NewLabels()
@@ -289,21 +275,17 @@ func TestFlatPrunableMatchesLegacy(t *testing.T) {
 	for i, e := range entries {
 		sums[i] = Summarize(e.G)
 	}
-	cuts := []int{0, 70, 70, len(entries)} // store i holds entries[cuts[i]:cuts[i+1]]
+	cuts := []int{0, 70, 70, len(entries)} // view i covers entries[cuts[i]:cuts[i+1]]
 	views := make([]View, len(cuts)-1)
 	for i := range views {
-		st := NewStore(cuts[i+1] - cuts[i])
-		for _, sum := range sums[cuts[i]:cuts[i+1]] {
-			st.Append(sum)
-		}
-		views[i] = st.View()
+		views[i] = ViewOf(entries[cuts[i]:cuts[i+1]])
 	}
 	f := FlattenViews(views)
 	branchPruned := 0
 	for qt := 0; qt < 25; qt++ {
 		qg := randomGraph(rng, dict, 2+rng.Intn(12))
 		qs := Summarize(qg)
-		qp := NewQueryPre(qs)
+		qp := PrepareQuery(qg)
 		qids := col.BranchDict().ResolveMultiset(branch.MultisetOf(qg))
 		for tau := 0; tau < 8; tau++ {
 			for vi, v := range views {
@@ -330,121 +312,4 @@ func TestFlatPrunableMatchesLegacy(t *testing.T) {
 		t.Fatal("no pair reached the branch tier: its arm went unchecked")
 	}
 	t.Logf("%d branch-tier prunes", branchPruned)
-}
-
-// TestStoreMutationModel: a Store driven through random append / swap-
-// remove / replace / compaction must decode, slot for slot, to the same
-// summaries as a plain []Summary model driven through the same ops, and
-// old Views must keep decoding to their snapshot even as the store mutates
-// past them.
-func TestStoreMutationModel(t *testing.T) {
-	dict := graph.NewLabels()
-	rng := rand.New(rand.NewSource(23))
-	st := NewStore(0)
-	var model []Summary
-
-	check := func(step int) {
-		v := st.View()
-		if v.Len() != len(model) {
-			t.Fatalf("step %d: store %d entries, model %d", step, v.Len(), len(model))
-		}
-		for i := range model {
-			got := v.SummaryOf(i)
-			if got.V != model[i].V || got.E != model[i].E ||
-				!slices.Equal(got.VLabels, model[i].VLabels) ||
-				!slices.Equal(got.ELabels, model[i].ELabels) {
-				t.Fatalf("step %d slot %d: decoded %+v, model %+v", step, i, got, model[i])
-			}
-		}
-	}
-
-	type snap struct {
-		v     View
-		model []Summary
-	}
-	var snaps []snap
-
-	for step := 0; step < 600; step++ {
-		op := rng.Intn(10)
-		switch {
-		case op < 5 || len(model) == 0: // append-biased: arena must grow
-			s := Summarize(randomGraph(rng, dict, 1+rng.Intn(9)))
-			st.Append(s)
-			model = append(model, s)
-		case op < 7:
-			slot := rng.Intn(len(model))
-			st.RemoveAt(slot)
-			n := len(model)
-			if slot != n-1 {
-				model[slot] = model[n-1]
-			}
-			model = model[:n-1]
-		case op < 9:
-			slot := rng.Intn(len(model))
-			s := Summarize(randomGraph(rng, dict, 1+rng.Intn(9)))
-			st.ReplaceAt(slot, s)
-			model[slot] = s
-		default:
-			st.Compact()
-		}
-		st.MaybeCompact()
-		if step%37 == 0 {
-			check(step)
-			snaps = append(snaps, snap{st.View(), slices.Clone(model)})
-		}
-	}
-	st.Compact()
-	check(-1)
-
-	// Every historical snapshot still decodes to its own state.
-	for si, sn := range snaps {
-		if sn.v.Len() != len(sn.model) {
-			t.Fatalf("snapshot %d: %d entries, model %d", si, sn.v.Len(), len(sn.model))
-		}
-		for i := range sn.model {
-			got := sn.v.SummaryOf(i)
-			if !slices.Equal(got.VLabels, sn.model[i].VLabels) ||
-				!slices.Equal(got.ELabels, sn.model[i].ELabels) {
-				t.Fatalf("snapshot %d slot %d: decoded %+v, want %+v", si, i, got, sn.model[i])
-			}
-		}
-	}
-
-	mem := st.Mem()
-	if mem.DeadBytes != 0 {
-		t.Fatalf("dead bytes %d after final Compact", mem.DeadBytes)
-	}
-	if mem.Entries != len(model) {
-		t.Fatalf("mem entries %d, model %d", mem.Entries, len(model))
-	}
-}
-
-// TestCompactionThreshold: MaybeCompact fires only past the dead-space
-// floor and ratio, and reclaims the arena when it does.
-func TestCompactionThreshold(t *testing.T) {
-	st := NewStore(0)
-	big := make([]graph.ID, 5000) // ~distinct labels: large spans
-	for i := range big {
-		big[i] = graph.ID(i * 7)
-	}
-	s := Summary{V: len(big), E: 0, VLabels: big}
-	st.Append(s)
-	st.Append(s)
-	if st.MaybeCompact() {
-		t.Fatal("compacted with zero dead space")
-	}
-	st.RemoveAt(1)
-	if st.dead == 0 {
-		t.Fatal("remove accounted no dead bytes")
-	}
-	if !st.MaybeCompact() {
-		t.Fatalf("did not compact with dead=%d arena=%d", st.dead, len(st.arena))
-	}
-	if st.dead != 0 || st.compactions != 1 {
-		t.Fatalf("post-compact dead=%d compactions=%d", st.dead, st.compactions)
-	}
-	got := st.View().SummaryOf(0)
-	if !slices.Equal(got.VLabels, big) {
-		t.Fatal("survivor corrupted by compaction")
-	}
 }

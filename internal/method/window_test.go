@@ -7,6 +7,7 @@ import (
 
 	"gsim/internal/branch"
 	"gsim/internal/db"
+	"gsim/internal/graph"
 )
 
 // TestSizeWindowIsExact holds SizeWindow to the scorers' own bound, entry
@@ -32,7 +33,7 @@ func TestSizeWindowIsExact(t *testing.T) {
 	}
 	entries := make([]*db.Entry, maxEntry+1)
 	for s := range entries {
-		entries[s] = &db.Entry{ID: uint64(s), Branches: all[:s]}
+		entries[s] = db.NewEntry(uint64(s), &graph.Graph{}, all[:s])
 	}
 
 	type variant struct {
@@ -78,7 +79,7 @@ func TestSizeWindowIsExact(t *testing.T) {
 								b = append(b, uint32(2*i+1))
 							}
 							slices.Sort(b)
-							if _, score, err := sc.Score(q, &db.Entry{Branches: b}); err != nil || score != 0 {
+							if _, score, err := sc.Score(q, db.NewEntry(0, &graph.Graph{}, b)); err != nil || score != 0 {
 								t.Fatalf("%s: query %d, entry %d sharing lo−1 = %d scored (%v, %v)", name, m, s, k, score, err)
 							}
 						}

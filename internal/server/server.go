@@ -299,23 +299,17 @@ type modelStats struct {
 	BranchDictUniverse    int    `json:"branch_dict_universe"`
 }
 
-// prefilterStats surfaces the columnar prefilter's memory footprint
-// (zeros until a prefiltered search activates the per-shard stores):
+// prefilterStats surfaces the prefilter's memory footprint:
 //
-//   - entries: graphs currently covered by the prefilter;
-//   - sig_bytes / meta_bytes / arena_bytes: the three columns — 8-byte
-//     signature words, 12-byte span locators, and the shared label-span
-//     arena (delta+run varint encoded);
-//   - dead_arena_bytes: arena space owned by deleted/updated entries,
-//     reclaimed when per-shard compaction next runs;
-//   - arena_compactions: completed per-shard arena compaction passes.
+//   - entries: stored graphs, every one covered by the prefilter;
+//   - sig_bytes: the per-shard signature columns, 8 bytes per entry;
+//   - arena_bytes: the label spans the entries carry (sizes plus
+//     delta+run varint label multisets), each entry's 16-byte string
+//     header included.
 type prefilterStats struct {
-	Entries          int    `json:"entries"`
-	SigBytes         int64  `json:"sig_bytes"`
-	MetaBytes        int64  `json:"meta_bytes"`
-	ArenaBytes       int64  `json:"arena_bytes"`
-	DeadArenaBytes   int64  `json:"dead_arena_bytes"`
-	ArenaCompactions uint64 `json:"arena_compactions"`
+	Entries    int   `json:"entries"`
+	SigBytes   int64 `json:"sig_bytes"`
+	ArenaBytes int64 `json:"arena_bytes"`
 }
 
 type dbStats struct {
@@ -417,12 +411,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			BranchDictUniverse:    dict.Universe,
 		},
 		Prefilter: prefilterStats{
-			Entries:          pre.Entries,
-			SigBytes:         pre.SigBytes,
-			MetaBytes:        pre.MetaBytes,
-			ArenaBytes:       pre.ArenaBytes,
-			DeadArenaBytes:   pre.DeadBytes,
-			ArenaCompactions: pre.Compactions,
+			Entries:    pre.Entries,
+			SigBytes:   pre.SigBytes,
+			ArenaBytes: pre.ArenaBytes,
 		},
 		Persistence: persistenceBlock(s.db.PersistStats()),
 		Epoch:       s.db.Epoch(),

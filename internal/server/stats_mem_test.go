@@ -9,13 +9,14 @@ import (
 	"gsim"
 )
 
-// TestPrefilterMemoryRatioAtScale checks the memory claim of the columnar
+// TestPrefilterMemoryRatioAtScale checks the memory claim of the
 // prefilter with the /v1/stats counters as the measurement: at corpus
 // scale (100k ~10-vertex graphs; reduced under the race detector, the
-// ratio is per-entry and scale-free) the signature + meta + arena columns
-// together must cost at most a quarter of what a slice-of-slices layout —
-// one index.Summary per graph: a 64-byte struct with two slice headers plus
-// 4 bytes per label occurrence — would spend on the same graphs.
+// ratio is per-entry and scale-free) the signature column plus the
+// entries' label spans, string headers included, must cost at most a
+// quarter of what a slice-of-slices layout — one index.Summary per graph:
+// a 64-byte struct with two slice headers plus 4 bytes per label
+// occurrence — would spend on the same graphs.
 func TestPrefilterMemoryRatioAtScale(t *testing.T) {
 	db := gsim.New(gsim.WithName("memscale"), gsim.WithShards(8))
 	rng := rand.New(rand.NewSource(17))
@@ -45,17 +46,6 @@ func TestPrefilterMemoryRatioAtScale(t *testing.T) {
 		stored += len(builders)
 	}
 
-	// One prefiltered search activates the per-shard stores; the fat query
-	// is pruned from everything by the size filter alone, so the scan is a
-	// signature sweep.
-	q := db.NewQuery("fat")
-	for v := 0; v < 80; v++ {
-		q.AddVertex(fmt.Sprintf("Q%d", v))
-	}
-	if _, err := db.Search(q.Query(), gsim.SearchOptions{Method: gsim.GreedySort, Tau: 2, Prefilter: true}); err != nil {
-		t.Fatal(err)
-	}
-
 	srv := New(Config{DB: db})
 	var st statsResponse
 	if rec := do(t, srv.Handler(), http.MethodGet, "/v1/stats", nil, &st); rec.Code != http.StatusOK {
@@ -65,7 +55,7 @@ func TestPrefilterMemoryRatioAtScale(t *testing.T) {
 	if pre.Entries != prefilterMemGraphs {
 		t.Fatalf("prefilter covers %d entries, stored %d", pre.Entries, prefilterMemGraphs)
 	}
-	columnar := pre.SigBytes + pre.MetaBytes + pre.ArenaBytes
+	columnar := pre.SigBytes + pre.ArenaBytes
 	if columnar <= 0 {
 		t.Fatalf("degenerate byte counts: %+v", pre)
 	}

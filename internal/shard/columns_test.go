@@ -7,16 +7,17 @@ import (
 	"testing"
 
 	"gsim/internal/db"
+	"gsim/internal/index"
 )
 
-// checkColumns holds one cut to the column contract: ids and sizes run
-// parallel to entries, slot for slot, and ids ascend over the first Asc
-// slots.
+// checkColumns holds one cut to the column contract: ids, sizes and
+// signatures run parallel to entries, slot for slot, every entry carries
+// the span of its own graph, and ids ascend over the first Asc slots.
 func checkColumns(t *testing.T, views []View) {
 	t.Helper()
 	for s, v := range views {
-		if len(v.IDs) != len(v.Entries) || len(v.Sizes) != len(v.Entries) {
-			t.Fatalf("shard %d: %d ids, %d sizes for %d entries", s, len(v.IDs), len(v.Sizes), len(v.Entries))
+		if len(v.IDs) != len(v.Entries) || len(v.Sizes) != len(v.Entries) || v.Pre.Len() != len(v.Entries) {
+			t.Fatalf("shard %d: %d ids, %d sizes, %d signatures for %d entries", s, len(v.IDs), len(v.Sizes), v.Pre.Len(), len(v.Entries))
 		}
 		if v.Asc < 0 || v.Asc > len(v.IDs) || !slices.IsSorted(v.IDs[:v.Asc]) || len(slices.Compact(slices.Clone(v.IDs[:v.Asc]))) != v.Asc {
 			t.Fatalf("shard %d: ids %v do not ascend over the first %d slots", s, v.IDs, v.Asc)
@@ -25,6 +26,12 @@ func checkColumns(t *testing.T, views []View) {
 			if v.IDs[i] != e.ID || int(v.Sizes[i]) != len(e.Branches) {
 				t.Fatalf("shard %d slot %d: columns say (id %d, size %d), entry is (id %d, size %d)",
 					s, i, v.IDs[i], v.Sizes[i], e.ID, len(e.Branches))
+			}
+			if want := index.Sig(e.G); v.Pre.Sig[i] != want {
+				t.Fatalf("shard %d slot %d (graph %s): signature %#x, graph signs to %#x", s, i, e.G.Name, v.Pre.Sig[i], want)
+			}
+			if want := db.NewEntry(e.ID, e.G, nil).Labels; e.Labels != want {
+				t.Fatalf("shard %d slot %d (graph %s): span %q, graph encodes to %q", s, i, e.G.Name, e.Labels, want)
 			}
 		}
 	}
@@ -43,8 +50,8 @@ func checkMaxima(t *testing.T, m *Map, when string) {
 }
 
 // TestColumnsFollowMutations: through a random mix of adds, deletes,
-// updates and batch commits, every cut's id and size columns match its
-// entries, the maxima stay exact, and a cut once published never changes
+// updates and batch commits, every cut's columns match its entries after
+// every op, the maxima stay exact, and a cut once published never changes
 // — columns included — whatever the store does afterwards.
 func TestColumnsFollowMutations(t *testing.T) {
 	type published struct {
@@ -52,6 +59,7 @@ func TestColumnsFollowMutations(t *testing.T) {
 		entries [][]*db.Entry
 		ids     [][]uint64
 		sizes   [][]uint32
+		sigs    [][]uint64
 	}
 	for _, shards := range []int{1, 4} {
 		rng := rand.New(rand.NewSource(int64(7 + shards)))
@@ -85,22 +93,24 @@ func TestColumnsFollowMutations(t *testing.T) {
 				live = append(live, first)
 			}
 			checkMaxima(t, m, fmt.Sprintf("%d shards, step %d", shards, step))
+			views, _ := m.Views(true)
+			checkColumns(t, views)
 			if step%7 != 0 {
 				continue
 			}
-			views, _ := m.Views(step%2 == 0)
-			checkColumns(t, views)
 			p := published{views: views}
 			for _, v := range views {
 				p.entries = append(p.entries, slices.Clone(v.Entries))
 				p.ids = append(p.ids, slices.Clone(v.IDs))
 				p.sizes = append(p.sizes, slices.Clone(v.Sizes))
+				p.sigs = append(p.sigs, slices.Clone(v.Pre.Sig))
 			}
 			cuts = append(cuts, p)
 		}
 		for c, p := range cuts {
 			for s, v := range p.views {
-				if !slices.Equal(v.Entries, p.entries[s]) || !slices.Equal(v.IDs, p.ids[s]) || !slices.Equal(v.Sizes, p.sizes[s]) {
+				if !slices.Equal(v.Entries, p.entries[s]) || !slices.Equal(v.IDs, p.ids[s]) ||
+					!slices.Equal(v.Sizes, p.sizes[s]) || !slices.Equal(v.Pre.Sig, p.sigs[s]) {
 					t.Fatalf("%d shards: cut %d, shard %d changed after it was published", shards, c, s)
 				}
 			}

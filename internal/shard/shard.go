@@ -1,7 +1,7 @@
 // Package shard is the partitioned, mutable storage layer behind
 // gsim.Database: a Map hashes stable graph IDs onto N shards, each owning
-// its entry slice, its columnar prefilter store, an epoch counter and
-// a mutation lock — so ingest, delete and update on different shards
+// its entry slice and the columns beside it, an epoch counter and a
+// mutation lock — so ingest, delete and update on different shards
 // proceed concurrently, and a search scatter-gathers over per-shard
 // snapshots instead of serialising behind one collection-wide mutex.
 //
@@ -39,13 +39,12 @@
 //
 // # Prefilter
 //
-// The layered admissible filter (internal/index) is one columnar
-// index.Store per shard, slot-parallel to the entry slice. The first
-// prefiltered search activates it (Views(true) summarises each shard's
-// backlog once); from then on it is maintained incrementally: an insert
-// appends one slot, a delete swap-removes one, an update re-summarises
-// one — the per-shard resync that keeps prefiltered scans O(1) to
-// prepare after the first.
+// The layered admissible filter (internal/index) reads two things per
+// stored graph: its signature word, a shard column beside ids and sizes
+// (sigs), and the label span its entry carries (db.Entry.Labels). Both are
+// computed when the entry is stored — the signature straight from the
+// graph, without allocating — so every cut carries the filter and no
+// search has to build it.
 //
 // # Branch postings
 //
@@ -157,19 +156,20 @@ type sizesCache struct {
 type bucket struct {
 	mu      sync.RWMutex
 	entries []*db.Entry
-	// ids and sizes are columns parallel to entries — ids[i] is
+	// ids, sizes and sigs are columns parallel to entries — ids[i] is
 	// entries[i].ID, sizes[i] is len(entries[i].Branches), the graph's
-	// vertex count — published under the same discipline (appended in
-	// place, copied on delete/update). A scan decides most positions
-	// from a column and never loads their Entry.
+	// vertex count, and sigs[i] is index.Sig(entries[i].G) — published
+	// under the same discipline (appended in place, copied on
+	// delete/update). A scan decides most positions from a column and
+	// never loads their Entry.
 	ids   []uint64
 	sizes []uint32
+	sigs  []uint64
 	// asc is a prefix length of ids known to ascend strictly: an append
 	// above the last ID extends it, a swap-remove cuts it at the freed
 	// slot.
 	asc   int
 	slots map[uint64]int // graph ID → position in entries
-	pre   *index.Store   // columnar prefilter, maintained incrementally once non-nil
 	epoch uint64         // mutations on this shard; guarded by mu
 	st    stats
 
@@ -385,19 +385,15 @@ func (b *bucket) insert(e *db.Entry) {
 	}
 	b.ids = append(b.ids, e.ID)
 	b.sizes = append(b.sizes, uint32(len(e.Branches)))
+	b.sigs = append(b.sigs, index.Sig(e.G))
 	b.slots[e.ID] = len(b.entries) - 1
-	if b.pre != nil {
-		b.pre.Append(index.Summarize(e.G))
-	}
 	b.st.add(e.G)
 }
 
 // removeAt swap-removes the entry at slot and returns it, publishing
 // fresh slices so snapshots handed to in-flight scans are never mutated,
 // and subtracts it from the shard's stats; the caller holds b.mu and is
-// responsible for refcounts and epochs. The prefilter store mirrors the
-// swap-remove (its mutations are copy-on-write for the same snapshot
-// reason) and compacts its arena once enough dead span bytes accumulate.
+// responsible for refcounts and epochs.
 func (b *bucket) removeAt(slot int) *db.Entry {
 	n := len(b.entries)
 	victim := b.entries[slot]
@@ -407,20 +403,18 @@ func (b *bucket) removeAt(slot int) *db.Entry {
 	copy(ids, b.ids[:n-1])
 	sizes := make([]uint32, n-1)
 	copy(sizes, b.sizes[:n-1])
+	sigs := make([]uint64, n-1)
+	copy(sigs, b.sigs[:n-1])
 	if slot != n-1 {
-		fresh[slot], ids[slot], sizes[slot] = b.entries[n-1], b.ids[n-1], b.sizes[n-1]
+		fresh[slot], ids[slot], sizes[slot], sigs[slot] = b.entries[n-1], b.ids[n-1], b.sizes[n-1], b.sigs[n-1]
 		b.slots[ids[slot]] = slot
 	}
 	delete(b.slots, victim.ID)
-	b.entries, b.ids, b.sizes = fresh, ids, sizes
+	b.entries, b.ids, b.sizes, b.sigs = fresh, ids, sizes, sigs
 	b.asc = min(b.asc, slot)
 	b.post.Removed(slot, n)
 	if b.next != nil {
 		b.next.Removed(slot, n)
-	}
-	if b.pre != nil {
-		b.pre.RemoveAt(slot)
-		b.pre.MaybeCompact()
 	}
 	b.st.remove(victim.G)
 	b.fixMaxima(victim.G)
@@ -439,14 +433,13 @@ func (b *bucket) replaceAt(slot int, e *db.Entry) *db.Entry {
 	sizes := make([]uint32, len(b.sizes))
 	copy(sizes, b.sizes)
 	sizes[slot] = uint32(len(e.Branches))
-	b.entries, b.sizes = fresh, sizes
+	sigs := make([]uint64, len(b.sigs))
+	copy(sigs, b.sigs)
+	sigs[slot] = index.Sig(e.G)
+	b.entries, b.sizes, b.sigs = fresh, sizes, sigs
 	b.post.Replaced(slot)
 	if b.next != nil {
 		b.next.Replaced(slot)
-	}
-	if b.pre != nil {
-		b.pre.ReplaceAt(slot, index.Summarize(e.G))
-		b.pre.MaybeCompact()
 	}
 	b.st.remove(old.G)
 	b.st.add(e.G)
@@ -539,7 +532,7 @@ func (m *Map) Add(g *graph.Graph) (uint64, error) {
 	start := time.Now()
 	ids := m.intern(g)
 	id := m.seq.Add(1) - 1
-	e := &db.Entry{ID: id, G: g, Branches: ids}
+	e := db.NewEntry(id, g, ids)
 	b := m.shardOf(id)
 	b.mu.Lock()
 	tok, err := m.jappend(id, wal.OpStore, id, g)
@@ -575,7 +568,7 @@ func (m *Map) jwait(tok Token) error {
 }
 
 // Delete removes the graph with the given ID: tombstone-free swap-remove
-// inside its shard, summary resync, stats subtraction and a branch-
+// inside its shard, column resync, stats subtraction and a branch-
 // dictionary release (which may trigger compaction). It reports whether
 // the ID existed. The next consistent cut — and therefore the next
 // search — no longer sees the graph.
@@ -619,7 +612,7 @@ func (m *Map) Update(id uint64, g *graph.Graph) (bool, error) {
 		b.mu.Unlock()
 		return false, err
 	}
-	old := b.replaceAt(slot, &db.Entry{ID: id, G: g, Branches: m.intern(g)})
+	old := b.replaceAt(slot, db.NewEntry(id, g, m.intern(g)))
 	m.bump(b)
 	b.mu.Unlock()
 	m.bdict.Release(old.Branches)
@@ -760,12 +753,12 @@ func (m *Map) commitLocked(batch []Mutation) (firstID uint64, missing uint64, ok
 			id := next
 			next++
 			b := m.shardOf(id)
-			b.insert(&db.Entry{ID: id, G: mu.G, Branches: m.intern(mu.G)})
+			b.insert(db.NewEntry(id, mu.G, m.intern(mu.G)))
 			touched[b] = struct{}{}
 			continue
 		}
 		b := m.shardOf(*mu.ID)
-		old := b.replaceAt(b.slots[*mu.ID], &db.Entry{ID: *mu.ID, G: mu.G, Branches: m.intern(mu.G)})
+		old := b.replaceAt(b.slots[*mu.ID], db.NewEntry(*mu.ID, mu.G, m.intern(mu.G)))
 		released = append(released, old.Branches)
 		touched[b] = struct{}{}
 	}
@@ -837,7 +830,7 @@ func (m *Map) Replay(op wal.Op, id uint64, g *graph.Graph) {
 		b.mu.Unlock()
 		return
 	}
-	e := &db.Entry{ID: id, G: g, Branches: m.intern(g)}
+	e := db.NewEntry(id, g, m.intern(g))
 	b.mu.Lock()
 	var old branch.IDs
 	if slot, ok := b.slots[id]; ok {
@@ -899,33 +892,11 @@ func (m *Map) Get(id uint64) (*db.Entry, bool) {
 	return b.entries[slot], true
 }
 
-// ensurePre activates incremental prefilter maintenance on b, summarising
-// its backlog into a fresh columnar store. This runs once per shard per
-// process, at the first prefiltered search.
-func (b *bucket) ensurePre() {
-	b.mu.RLock()
-	on := b.pre != nil
-	b.mu.RUnlock()
-	if on {
-		return
-	}
-	b.mu.Lock()
-	if b.pre == nil {
-		st := index.NewStore(len(b.entries))
-		for _, e := range b.entries {
-			st.Append(index.Summarize(e.G))
-		}
-		b.pre = st
-	}
-	b.mu.Unlock()
-}
-
 // View is one shard's contribution to a consistent cut: immutable slices
 // (never written after publication) plus the shard epoch they correspond
-// to. IDs and Sizes are columns parallel to Entries (IDs[i] is
-// Entries[i].ID, Sizes[i] its branch count); IDs[:Asc] ascends strictly.
-// Pre is populated only when the cut was taken with the prefilter; Post,
-// the shard's branch postings, always.
+// to. IDs, Sizes and Pre's signature column run parallel to Entries
+// (IDs[i] is Entries[i].ID, Sizes[i] its branch count); IDs[:Asc]
+// ascends strictly. Post is the shard's branch postings.
 type View struct {
 	Entries []*db.Entry
 	Pre     index.View
@@ -940,17 +911,13 @@ type View struct {
 // slices plus the global epoch the cut corresponds to. The cut is
 // optimistic — snapshot all shards, then verify the global epoch did not
 // move — and falls back to locking every shard when mutations keep
-// winning the race. withPre activates and includes the per-shard columnar
-// prefilter.
+// winning the race. Every cut carries the prefilter's signature columns,
+// so withPre is not read: it stays because benchmark/ladder.go passes it,
+// and callers pass true.
 func (m *Map) Views(withPre bool) ([]View, uint64) {
-	if withPre {
-		for _, b := range m.shards {
-			b.ensurePre()
-		}
-	}
 	for attempt := 0; attempt < cutRetries; attempt++ {
 		before := m.gepoch.Load()
-		views := m.snapshot(withPre)
+		views := m.snapshot()
 		if m.gepoch.Load() == before {
 			return views, before
 		}
@@ -961,7 +928,7 @@ func (m *Map) Views(withPre bool) ([]View, uint64) {
 	}
 	views := make([]View, len(m.shards))
 	for i, b := range m.shards {
-		views[i] = b.view(withPre)
+		views[i] = b.view()
 	}
 	epoch := m.gepoch.Load()
 	for _, b := range m.shards {
@@ -971,34 +938,31 @@ func (m *Map) Views(withPre bool) ([]View, uint64) {
 }
 
 // snapshot copies every shard's slice headers under its read lock.
-func (m *Map) snapshot(withPre bool) []View {
+func (m *Map) snapshot() []View {
 	views := make([]View, len(m.shards))
 	for i, b := range m.shards {
 		b.mu.RLock()
-		views[i] = b.view(withPre)
+		views[i] = b.view()
 		b.mu.RUnlock()
 	}
 	return views
 }
 
 // view builds b's View; the caller holds b.mu (read suffices).
-func (b *bucket) view(withPre bool) View {
-	v := View{Entries: b.entries, Post: b.post, Epoch: b.epoch, IDs: b.ids, Sizes: b.sizes, Asc: b.asc}
-	if withPre && b.pre != nil {
-		v.Pre = b.pre.View()
-	}
-	return v
+func (b *bucket) view() View {
+	return View{Entries: b.entries, Pre: index.View{Sig: b.sigs}, Post: b.post, Epoch: b.epoch, IDs: b.ids, Sizes: b.sizes, Asc: b.asc}
 }
 
-// PrefilterMem aggregates the per-shard columnar prefilter footprint.
-// Shards whose prefilter has not been activated contribute nothing.
+// PrefilterMem sums the prefilter's footprint over the shards: their
+// signature columns and the label spans their entries hold.
 func (m *Map) PrefilterMem() index.MemStats {
 	var st index.MemStats
 	for _, b := range m.shards {
 		b.mu.RLock()
-		if b.pre != nil {
-			mem := b.pre.Mem()
-			st.Add(mem)
+		st.Entries += len(b.entries)
+		st.SigBytes += int64(8 * len(b.sigs))
+		for _, e := range b.entries {
+			st.ArenaBytes += int64(len(e.Labels)) + 16 // the string header
 		}
 		b.mu.RUnlock()
 	}
@@ -1009,7 +973,7 @@ func (m *Map) PrefilterMem() index.MemStats {
 // order, the logical-collection view that persistence, prior sampling and
 // rank-ordered consumers (GBDA-V1 size sampling) read. O(n log n).
 func (m *Map) Ordered() []*db.Entry {
-	views, _ := m.Views(false)
+	views, _ := m.Views(true)
 	return OrderViews(views)
 }
 

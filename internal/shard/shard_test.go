@@ -10,7 +10,6 @@ import (
 	"gsim/internal/branch"
 	"gsim/internal/db"
 	"gsim/internal/graph"
-	"gsim/internal/index"
 )
 
 // chain builds a small labeled path graph against dict.
@@ -189,8 +188,8 @@ func TestStatsTrackMutations(t *testing.T) {
 }
 
 // TestViewsConsistentCut: a cut's entries and epoch agree, snapshots are
-// immune to later mutations, and the with-prefilter cut carries columnar
-// summaries aligned slot for slot.
+// immune to later mutations, and the cut's columns — the prefilter's
+// signatures included — are aligned slot for slot.
 func TestViewsConsistentCut(t *testing.T) {
 	m := New("t", 3)
 	ids := fill(m, 40)
@@ -198,17 +197,9 @@ func TestViewsConsistentCut(t *testing.T) {
 	if epoch != m.Epoch() {
 		t.Fatalf("cut epoch %d, live %d", epoch, m.Epoch())
 	}
+	checkColumns(t, views)
 	n := 0
-	for s, v := range views {
-		if v.Pre.Len() != len(v.Entries) {
-			t.Fatalf("shard %d: %d prefilter slots for %d entries", s, v.Pre.Len(), len(v.Entries))
-		}
-		for i, e := range v.Entries {
-			want := index.Summarize(e.G)
-			if got := v.Pre.SummaryOf(i); got.V != want.V || got.E != want.E {
-				t.Fatalf("shard %d slot %d: summary mismatch", s, i)
-			}
-		}
+	for _, v := range views {
 		n += len(v.Entries)
 	}
 	if n != 40 {
@@ -227,7 +218,7 @@ func TestViewsConsistentCut(t *testing.T) {
 		t.Fatalf("old cut shrank to %d entries", n2)
 	}
 	// A new cut reflects the mutations and a larger epoch.
-	_, epoch2 := m.Views(false)
+	_, epoch2 := m.Views(true)
 	if epoch2 <= epoch {
 		t.Fatalf("epoch did not advance: %d → %d", epoch, epoch2)
 	}
@@ -236,32 +227,45 @@ func TestViewsConsistentCut(t *testing.T) {
 	}
 }
 
-// TestIncrementalSums: after the first with-prefilter cut, inserts,
-// deletes and updates keep the per-shard columnar store aligned with the
-// entries, slot for slot and label for label.
+// TestIncrementalSums: inserts, deletes and updates keep every shard's
+// prefilter columns aligned with its entries, slot for slot, and
+// PrefilterMem covers every stored graph.
 func TestIncrementalSums(t *testing.T) {
 	m := New("t", 2)
 	ids := fill(m, 20)
-	m.Views(true) // activates prefilter maintenance
 	m.Delete(ids[4])
 	m.Update(ids[5], chain(m.Dict(), "upd", 11, "Q"))
 	fill(m, 5)
 	views, _ := m.Views(true)
-	for s, v := range views {
-		if v.Pre.Len() != len(v.Entries) {
-			t.Fatalf("shard %d: prefilter misaligned", s)
-		}
-		for i, e := range v.Entries {
-			want := index.Summarize(e.G)
-			got := v.Pre.SummaryOf(i)
-			if got.V != want.V || got.E != want.E || len(got.VLabels) != len(want.VLabels) {
-				t.Fatalf("shard %d slot %d (graph %s): stale summary", s, i, e.G.Name)
-			}
-		}
-	}
+	checkColumns(t, views)
 	if mem := m.PrefilterMem(); mem.Entries != m.Len() {
 		t.Fatalf("PrefilterMem entries %d, store %d", mem.Entries, m.Len())
 	}
+}
+
+// TestAddAllocatesNoMoreAfterAPrefilteredCut: an Add into a store that
+// has served a prefiltered cut allocates no more than one into a store
+// that never has — no search leaves the write path a store to keep.
+func TestAddAllocatesNoMoreAfterAPrefilteredCut(t *testing.T) {
+	adds := func(cut bool) float64 {
+		col := db.New("t")
+		for i := 0; i < 1000; i++ {
+			col.Add(chain(col.Dict, fmt.Sprintf("g%d", i), 3+i%5, "L"))
+		}
+		// 1000 entries keep the 101 Adds below the postings rebuild
+		// threshold, so no rebuild allocates during the measurement.
+		m := FromCollection(col, nil, 1)
+		if cut {
+			m.Views(true)
+		}
+		g := chain(m.Dict(), "new", 12, "L")
+		return testing.AllocsPerRun(100, func() { m.Add(g) })
+	}
+	fresh, served := adds(false), adds(true)
+	if served > fresh {
+		t.Fatalf("Add allocates %v times after a prefiltered cut, %v times before any", served, fresh)
+	}
+	t.Logf("%v allocations per Add either way", fresh)
 }
 
 // TestCommitAtomicAndValidated: a batch with an unknown update ID changes
@@ -476,7 +480,7 @@ func TestPostingsFollowWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	stale := func() int {
-		views, _ := m.Views(false)
+		views, _ := m.Views(true)
 		n := 0
 		for _, v := range views {
 			n += v.Post.Stale(len(v.Entries))

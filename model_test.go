@@ -230,7 +230,7 @@ func (r *modelRun) check(label string, settle bool) {
 		if settle {
 			d.store.WaitRebuilds()
 		}
-		views, _ := d.store.Views(false)
+		views, _ := d.store.Views(true)
 		for _, v := range views {
 			if stale := v.Post.Stale(len(v.Entries)); stale > 0 && stale < len(v.Entries) {
 				r.mixed++ // lists and stale slots are both candidates
@@ -279,7 +279,7 @@ func (r *modelRun) oracle(m Method, seed int64, tau int) (plain, pre []Match) {
 	entries := make([]*db.Entry, len(r.live))
 	for k, id := range r.live {
 		g := modelGraph(d, r.model[id]).g
-		entries[k] = &db.Entry{ID: uint64(id), G: g, Branches: bdict.ResolveMultiset(branch.MultisetOf(g))}
+		entries[k] = db.NewEntry(uint64(id), g, bdict.ResolveMultiset(branch.MultisetOf(g)))
 	}
 	var sizes []int
 	for _, e := range entries {

@@ -59,12 +59,12 @@ func buildRandomQuery(d *Database, rng *rand.Rand) *Query {
 func checkPruneSet(t *testing.T, d *Database, rng *rand.Rand, round int) {
 	t.Helper()
 	d.mu.RLock()
-	p := d.projection(true)
+	p := d.projection()
 	d.mu.RUnlock()
 	for qi := 0; qi < 4; qi++ {
 		q := buildRandomQuery(d, rng)
 		qs := index.Summarize(q.g)
-		qp := index.NewQueryPre(qs)
+		qp := index.PrepareQuery(q.g)
 		qids := d.store.BranchDict().ResolveMultiset(q.branches)
 		for tau := 0; tau <= 5; tau++ {
 			for vi, v := range p.views {

@@ -401,7 +401,7 @@ func (d *Database) prepare(opt SearchOptions) (*preparedSearch, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	cutStart := time.Now()
-	proj := d.projection(opt.Prefilter)
+	proj := d.projection()
 	cutNS := int64(time.Since(cutStart))
 	ps := &preparedSearch{
 		opt:    opt,
@@ -433,22 +433,20 @@ func (d *Database) prepare(opt SearchOptions) (*preparedSearch, error) {
 
 // projection returns the scan's view of a consistent cut of the store,
 // memoised per store epoch and postings generation: the shards' own views
-// plus their prefix sums — O(shards) to build, nothing per position. A
-// cached projection built with the prefilter also serves non-prefiltered
-// searches (they never read it); the reverse rebuilds. apMu serialises
-// rebuilds against each other.
-func (d *Database) projection(withPre bool) *projection {
+// plus their prefix sums — O(shards) to build, nothing per position.
+// apMu serialises rebuilds against each other.
+func (d *Database) projection() *projection {
 	d.apMu.Lock()
 	defer d.apMu.Unlock()
 	gen := d.store.PostingsGen()
-	if p := d.proj; p != nil && p.epoch == d.store.Epoch() && p.postGen == gen && (p.withPre || !withPre) {
+	if p := d.proj; p != nil && p.epoch == d.store.Epoch() && p.postGen == gen {
 		// Equal epoch means no shard mutated since the cached cut was
 		// taken, so its slices are the current state; an equal postings
 		// generation, that no shard has installed fresher lists.
 		return p
 	}
-	views, epoch := d.store.Views(withPre)
-	p := &projection{epoch: epoch, postGen: gen, withPre: withPre, views: views, starts: make([]int, len(views)+1)}
+	views, epoch := d.store.Views(true)
+	p := &projection{epoch: epoch, postGen: gen, views: views, starts: make([]int, len(views)+1)}
 	for i, v := range views {
 		p.starts[i+1] = p.starts[i] + len(v.Entries)
 	}
