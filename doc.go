@@ -154,6 +154,15 @@
 // Records carry label names, not dictionary IDs, so replay is
 // independent of dictionary state.
 //
+// A log record and a segment entry carry each graph in one body format,
+// written by graph.AppendBody and read by graph.Cursor: vertex labels,
+// then (u, v, label) edges, each label coded by its container — a
+// record-local string table for the log, the manifest dictionary for a
+// segment. The one decoder bounds every count by the bytes left, checks
+// each label code and endpoint, refuses self-loops, duplicate edges and
+// trailing bytes, and validates the graph it builds; CRC, magic and IDs
+// stay with the container.
+//
 // A checkpoint — explicit (Checkpoint, POST /v1/admin/checkpoint),
 // automatic (WithAutoCheckpoint's WAL-size threshold), or the final one
 // in Close — cuts each shard's entries while rotating its log to the
@@ -169,9 +178,10 @@
 // replays each shard's log past its segment, tolerating a torn tail
 // (records are CRC-framed; an interrupted append is dropped, every
 // complete record before it survives) and failing loudly on structural
-// damage like a missing segment. If anything replayed or the shard
-// count changed (WithShards re-shards on open), the recovered state is
-// checkpointed immediately, so a clean Open always starts compact.
+// damage like a missing segment or a graph ID that segments list twice.
+// If anything replayed or the shard count changed (WithShards re-shards
+// on open), the recovered state is checkpointed immediately, so a clean
+// Open always starts compact.
 // BenchmarkRecovery gates recovery time in CI.
 //
 // A fresh directory can be seeded from a .gsim text file via WithImport

@@ -302,7 +302,9 @@ func recover_(dir string, o dbOptions, du *durable, man *manifest) (*Database, e
 				errs[i] = fmt.Errorf("gsim: segment %s: %w", seg, err)
 				return
 			}
-			store.Install(db.BuildEntries(store.BranchDict(), ids, gs))
+			if err := store.Install(db.BuildEntries(store.BranchDict(), ids, gs)); err != nil {
+				errs[i] = fmt.Errorf("gsim: segment %s: %w", seg, err)
+			}
 		}(i, seg)
 	}
 	wg.Wait()

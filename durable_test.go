@@ -1,13 +1,16 @@
 package gsim
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"gsim/internal/db"
 	"gsim/internal/faultfs"
+	"gsim/internal/graph"
 )
 
 // storeChain stores a small chain graph and returns its ID.
@@ -383,6 +386,79 @@ func TestOpenRejectsUnsafeSegmentNames(t *testing.T) {
 				t.Fatalf("Open accepted segments %q", man.Segments)
 			} else if !strings.Contains(err.Error(), "corrupt manifest") {
 				t.Fatalf("Open err = %v, want a corrupt manifest", err)
+			}
+		})
+	}
+}
+
+// TestOpenRejectsRepeatedIDs: a segment that lists one graph ID twice, or
+// two segments that share one, fail Open naming the segment. Installing
+// both would leave an entry no ID reaches in every later scan.
+func TestOpenRejectsRepeatedIDs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// edit rewrites the IDs of segs[1] given those of segs[0].
+		edit   func(ids0, ids1 []uint64)
+		across bool
+	}{
+		{"within", func(_, ids1 []uint64) { ids1[1] = ids1[0] }, false},
+		{"across", func(ids0, ids1 []uint64) { ids1[0] = ids0[0] }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := Open(dir, WithShards(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 16; i++ {
+				storeChain(t, d, fmt.Sprintf("g%d", i), 3)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			man, err := readManifest(faultfs.Or(nil), dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			read := func(seg string) ([]uint64, []*graph.Graph) {
+				data, err := os.ReadFile(filepath.Join(dir, seg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids, gs, err := db.ReadSegment(bytes.NewReader(data), len(man.Labels))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ids) < 2 {
+					t.Fatalf("segment %s holds %d graphs, want ≥ 2", seg, len(ids))
+				}
+				return ids, gs
+			}
+			ids0, _ := read(man.Segments[0])
+			ids1, gs1 := read(man.Segments[1])
+			tc.edit(ids0, ids1)
+			entries := make([]*db.Entry, len(gs1))
+			for i, g := range gs1 {
+				entries[i] = db.NewEntry(ids1[i], g, nil)
+			}
+			var buf bytes.Buffer
+			if err := db.WriteSegment(&buf, entries); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, man.Segments[1]), buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Open(dir)
+			if err == nil {
+				n := r.Len()
+				r.Close()
+				t.Fatalf("Open accepted a repeated ID (Len %d)", n)
+			}
+			// Across segments either load may come second.
+			named := strings.Contains(err.Error(), man.Segments[1]) ||
+				(tc.across && strings.Contains(err.Error(), man.Segments[0]))
+			if !named || !strings.Contains(err.Error(), "duplicate") {
+				t.Fatalf("Open err = %v, want a duplicate ID naming the segment", err)
 			}
 		})
 	}

@@ -57,24 +57,16 @@ type Collection struct {
 	Dict    *graph.Labels
 	entries []*Entry
 	bdict   *BranchDict
-
-	vLabels map[graph.ID]struct{} // distinct non-ε vertex labels seen
-	eLabels map[graph.ID]struct{} // distinct non-ε edge labels seen
-	sizes   map[int]int           // vertex-count histogram of stored graphs
-	maxV    int
-	maxE    int
-	sumDeg  float64
+	st      Tally
 }
 
 // New returns an empty collection with fresh label and branch dictionaries.
 func New(name string) *Collection {
 	return &Collection{
-		Name:    name,
-		Dict:    graph.NewLabels(),
-		bdict:   NewBranchDict(),
-		vLabels: make(map[graph.ID]struct{}),
-		eLabels: make(map[graph.ID]struct{}),
-		sizes:   make(map[int]int),
+		Name:  name,
+		Dict:  graph.NewLabels(),
+		bdict: NewBranchDict(),
+		st:    NewTally(),
 	}
 }
 
@@ -82,41 +74,13 @@ func New(name string) *Collection {
 // resolves against it (ResolveMultiset) without interning.
 func (c *Collection) BranchDict() *BranchDict { return c.bdict }
 
-// DistinctSizes returns the distinct vertex counts of stored graphs,
-// ascending — the sizes a posterior table prebuilds rows for.
-func (c *Collection) DistinctSizes() []int {
-	out := make([]int, 0, len(c.sizes))
-	for v := range c.sizes {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Add stores g, computing and interning its branch multiset and updating
 // the collection statistics. The graph must have been built against the
 // collection's dictionary.
 func (c *Collection) Add(g *graph.Graph) *Entry {
 	e := NewEntry(uint64(len(c.entries)), g, c.bdict.InternMultiset(branch.MultisetOf(g)))
 	c.entries = append(c.entries, e)
-	c.sizes[g.NumVertices()]++
-	if g.NumVertices() > c.maxV {
-		c.maxV = g.NumVertices()
-	}
-	if g.NumEdges() > c.maxE {
-		c.maxE = g.NumEdges()
-	}
-	c.sumDeg += g.AvgDegree()
-	for v := 0; v < g.NumVertices(); v++ {
-		if l := g.VertexLabel(v); l != graph.Epsilon {
-			c.vLabels[l] = struct{}{}
-		}
-	}
-	for _, ed := range g.Edges() {
-		if ed.Label != graph.Epsilon {
-			c.eLabels[ed.Label] = struct{}{}
-		}
-	}
+	c.st.Add(g)
 	return e
 }
 
@@ -147,25 +111,113 @@ type Stats struct {
 	LE        int     // distinct edge labels
 }
 
-// Stats returns the running statistics in O(1).
-func (c *Collection) Stats() Stats {
-	s := Stats{
-		Graphs: len(c.entries),
-		MaxV:   c.maxV,
-		MaxE:   c.maxE,
-		LV:     len(c.vLabels),
-		LE:     len(c.eLabels),
-	}
-	if len(c.entries) > 0 {
-		s.AvgDegree = c.sumDeg / float64(len(c.entries))
-	}
-	return s
-}
+// Stats returns the running statistics.
+func (c *Collection) Stats() Stats { return c.st.Stats() }
 
 // String renders a Table III row.
 func (s Stats) String() string {
 	return fmt.Sprintf("|D|=%d Vm=%d Em=%d d=%.1f |LV|=%d |LE|=%d",
 		s.Graphs, s.MaxV, s.MaxE, s.AvgDegree, s.LV, s.LE)
+}
+
+// Tally is the running statistics of a changing set of graphs — the
+// figures Stats reports — refcounted so Remove subtracts exactly what Add
+// added. The maxima are the largest keys of the size histograms, so a
+// removal needs no rescan. Not safe for concurrent use.
+type Tally struct {
+	n       int
+	sumDeg  float64
+	sizes   map[int]int      // vertex-count histogram
+	edges   map[int]int      // edge-count histogram
+	vLabels map[graph.ID]int // non-ε vertex label occurrences
+	eLabels map[graph.ID]int // non-ε edge label occurrences
+}
+
+// NewTally returns an empty tally.
+func NewTally() Tally {
+	return Tally{
+		sizes:   make(map[int]int),
+		edges:   make(map[int]int),
+		vLabels: make(map[graph.ID]int),
+		eLabels: make(map[graph.ID]int),
+	}
+}
+
+// Len reports the number of graphs counted.
+func (t *Tally) Len() int { return t.n }
+
+// Add counts g.
+func (t *Tally) Add(g *graph.Graph) { t.count(g, 1) }
+
+// Remove uncounts g, which must have been counted.
+func (t *Tally) Remove(g *graph.Graph) { t.count(g, -1) }
+
+func (t *Tally) count(g *graph.Graph, d int) {
+	t.n += d
+	t.sumDeg += float64(d) * g.AvgDegree()
+	bump(t.sizes, g.NumVertices(), d)
+	bump(t.edges, g.NumEdges(), d)
+	for v := 0; v < g.NumVertices(); v++ {
+		if l := g.VertexLabel(v); l != graph.Epsilon {
+			bump(t.vLabels, l, d)
+		}
+		for _, h := range g.Neighbors(v) {
+			if int(h.To) > v && h.Label != graph.Epsilon {
+				bump(t.eLabels, h.Label, d)
+			}
+		}
+	}
+}
+
+// Merge adds o's counts to t.
+func (t *Tally) Merge(o *Tally) {
+	t.n += o.n
+	t.sumDeg += o.sumDeg
+	for k, c := range o.sizes {
+		bump(t.sizes, k, c)
+	}
+	for k, c := range o.edges {
+		bump(t.edges, k, c)
+	}
+	for k, c := range o.vLabels {
+		bump(t.vLabels, k, c)
+	}
+	for k, c := range o.eLabels {
+		bump(t.eLabels, k, c)
+	}
+}
+
+// Sizes returns the distinct vertex counts, ascending — the sizes a
+// posterior table prebuilds rows for.
+func (t *Tally) Sizes() []int {
+	out := make([]int, 0, len(t.sizes))
+	for v := range t.sizes {
+		out = append(out, v)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// Stats summarises the counted graphs.
+func (t *Tally) Stats() Stats {
+	s := Stats{Graphs: t.n, LV: len(t.vLabels), LE: len(t.eLabels)}
+	for v := range t.sizes {
+		s.MaxV = max(s.MaxV, v)
+	}
+	for e := range t.edges {
+		s.MaxE = max(s.MaxE, e)
+	}
+	if t.n > 0 {
+		s.AvgDegree = t.sumDeg / float64(t.n)
+	}
+	return s
+}
+
+// bump adds d to m[k], deleting the key when its count reaches zero.
+func bump[K comparable](m map[K]int, k K, d int) {
+	if m[k] += d; m[k] == 0 {
+		delete(m, k)
+	}
 }
 
 // SamplePairGBDs implements Steps 1.1–1.2 of the offline stage

@@ -2,6 +2,7 @@ package db
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -153,25 +154,25 @@ func TestInternMultisetClonesKeys(t *testing.T) {
 	}
 }
 
-// TestDistinctSizes: the size histogram tracks Add.
+// TestDistinctSizes: a tally's size histogram tracks Add and Remove.
 func TestDistinctSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	c := New("sizes")
-	want := map[int]bool{}
+	dict := graph.NewLabels()
+	tally := NewTally()
+	var gs []*graph.Graph
 	for _, n := range []int{4, 7, 4, 9, 7, 7} {
-		c.Add(randomDictGraph(rng, c.Dict, n, 2))
-		want[n] = true
+		gs = append(gs, randomDictGraph(rng, dict, n, 2))
+		tally.Add(gs[len(gs)-1])
 	}
-	got := c.DistinctSizes()
-	if len(got) != len(want) {
-		t.Fatalf("DistinctSizes = %v", got)
+	if got := tally.Sizes(); !slices.Equal(got, []int{4, 7, 9}) {
+		t.Fatalf("Sizes = %v, want [4 7 9]", got)
 	}
-	for i, v := range got {
-		if !want[v] {
-			t.Fatalf("unexpected size %d", v)
-		}
-		if i > 0 && got[i-1] >= v {
-			t.Fatalf("sizes not ascending: %v", got)
-		}
+	tally.Remove(gs[3]) // the only 9
+	tally.Remove(gs[0]) // one of two 4s
+	if got := tally.Sizes(); !slices.Equal(got, []int{4, 7}) {
+		t.Fatalf("Sizes after removals = %v, want [4 7]", got)
+	}
+	if st := tally.Stats(); st.Graphs != 4 || st.MaxV != 7 {
+		t.Fatalf("Stats after removals = %+v, want 4 graphs, MaxV 7", st)
 	}
 }

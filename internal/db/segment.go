@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"gsim/internal/branch"
 	"gsim/internal/graph"
@@ -29,8 +28,7 @@ import (
 //	magic "gsimS1"
 //	uvarint count
 //	count × { uvarint id, uvarint len(name), name bytes,
-//	          uvarint nv, nv × uvarint vertex label,
-//	          uvarint ne, ne × (uvarint u, uvarint v, uvarint label) }
+//	          graph.AppendBody, labels coded as dictionary IDs }
 //	4-byte little-endian CRC-32C of everything above
 
 var segMagic = [6]byte{'g', 's', 'i', 'm', 'S', '1'}
@@ -46,22 +44,9 @@ func WriteSegment(w io.Writer, entries []*Entry) error {
 	buf = append(buf, segMagic[:]...)
 	buf = binary.AppendUvarint(buf, uint64(len(entries)))
 	for _, e := range entries {
-		g := e.G
 		buf = binary.AppendUvarint(buf, e.ID)
-		buf = binary.AppendUvarint(buf, uint64(len(g.Name)))
-		buf = append(buf, g.Name...)
-		nv := g.NumVertices()
-		buf = binary.AppendUvarint(buf, uint64(nv))
-		for v := 0; v < nv; v++ {
-			buf = binary.AppendUvarint(buf, uint64(g.VertexLabel(v)))
-		}
-		edges := g.Edges()
-		buf = binary.AppendUvarint(buf, uint64(len(edges)))
-		for _, ed := range edges {
-			buf = binary.AppendUvarint(buf, uint64(ed.U))
-			buf = binary.AppendUvarint(buf, uint64(ed.V))
-			buf = binary.AppendUvarint(buf, uint64(ed.Label))
-		}
+		buf = graph.AppendString(buf, e.G.Name)
+		buf = graph.AppendBody(buf, e.G, func(l graph.ID) uint64 { return uint64(l) })
 	}
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(buf, segCastagnoli))
@@ -70,52 +55,6 @@ func WriteSegment(w io.Writer, entries []*Entry) error {
 	}
 	_, err := w.Write(crc[:])
 	return err
-}
-
-// segCursor walks a segment payload with a sticky error.
-type segCursor struct {
-	buf []byte
-	err error
-}
-
-func (c *segCursor) uvarint() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(c.buf)
-	if n <= 0 {
-		c.err = fmt.Errorf("db: segment: truncated varint")
-		return 0
-	}
-	c.buf = c.buf[n:]
-	return v
-}
-
-// count reads a element count bounded by the bytes remaining (every
-// element costs at least one byte), so corrupt counts cannot drive
-// giant allocations.
-func (c *segCursor) count(what string) int {
-	v := c.uvarint()
-	if c.err == nil && v > uint64(len(c.buf)) {
-		c.err = fmt.Errorf("db: segment: %s count %d exceeds remaining bytes", what, v)
-	}
-	if c.err != nil {
-		return 0
-	}
-	return int(v)
-}
-
-func (c *segCursor) str(n int) string {
-	if c.err != nil {
-		return ""
-	}
-	if n > len(c.buf) {
-		c.err = fmt.Errorf("db: segment: truncated string")
-		return ""
-	}
-	s := string(c.buf[:n])
-	c.buf = c.buf[n:]
-	return s
 }
 
 // ReadSegment decodes one segment, validating the CRC trailer, every
@@ -134,53 +73,19 @@ func ReadSegment(r io.Reader, nLabels int) (ids []uint64, gs []*graph.Graph, err
 	if crc32.Checksum(payload, segCastagnoli) != binary.LittleEndian.Uint32(trailer) {
 		return nil, nil, fmt.Errorf("db: segment: CRC mismatch")
 	}
-	c := &segCursor{buf: payload[len(segMagic):]}
-	n := c.count("graph")
-	ids = make([]uint64, 0, n)
-	gs = make([]*graph.Graph, 0, n)
-	limit := graph.ID(nLabels)
-	for gi := 0; gi < n && c.err == nil; gi++ {
-		id := c.uvarint()
-		name := c.str(c.count("name byte"))
-		nv := c.count("vertex")
-		g := graph.New(nv)
-		g.Name = name
-		for v := 0; v < nv; v++ {
-			l := c.uvarint()
-			if c.err == nil && l >= uint64(limit) {
-				return nil, nil, fmt.Errorf("db: segment graph %d: vertex label %d out of dictionary", gi, l)
-			}
-			g.AddVertex(graph.ID(l))
-		}
-		ne := c.count("edge")
-		for i := 0; i < ne; i++ {
-			u, v, l := c.uvarint(), c.uvarint(), c.uvarint()
-			if c.err != nil {
-				break
-			}
-			if l >= uint64(limit) {
-				return nil, nil, fmt.Errorf("db: segment graph %d: edge label %d out of dictionary", gi, l)
-			}
-			if u > math.MaxInt32 || v > math.MaxInt32 {
-				return nil, nil, fmt.Errorf("db: segment graph %d: endpoint out of range", gi)
-			}
-			if err := g.AddEdge(int(u), int(v), graph.ID(l)); err != nil {
-				return nil, nil, fmt.Errorf("db: segment graph %d: %w", gi, err)
-			}
-		}
-		if c.err == nil {
-			if err := g.Validate(); err != nil {
-				return nil, nil, fmt.Errorf("db: segment graph %d: %w", gi, err)
-			}
-			ids = append(ids, id)
-			gs = append(gs, g)
+	c := graph.NewCursor(payload[len(segMagic):])
+	n := c.Count("graph")
+	ids = make([]uint64, n)
+	gs = make([]*graph.Graph, n)
+	dictID := func(l uint64) (graph.ID, bool) { return graph.ID(l), l < uint64(nLabels) }
+	for i := range gs {
+		ids[i] = c.Uvarint()
+		if gs[i] = c.Body(c.Str(), dictID); gs[i] == nil {
+			return nil, nil, fmt.Errorf("db: segment graph %d: %w", i, c.Err())
 		}
 	}
-	if c.err != nil {
-		return nil, nil, c.err
-	}
-	if len(c.buf) != 0 {
-		return nil, nil, fmt.Errorf("db: segment: %d trailing bytes", len(c.buf))
+	if err := c.Done(); err != nil {
+		return nil, nil, fmt.Errorf("db: segment: %w", err)
 	}
 	return ids, gs, nil
 }

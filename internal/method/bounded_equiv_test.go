@@ -72,10 +72,14 @@ func newEquivFixture(t *testing.T) *equivFixture {
 		t.Fatal(err)
 	}
 	st := stored.Stats()
+	sizes := db.NewTally()
+	for _, e := range fx.entries {
+		sizes.Add(e.G)
+	}
 	fx.mdb = &DB{
 		ActiveN:  len(fx.entries),
 		Ordered:  func() []*db.Entry { return fx.entries },
-		Sizes:    stored.DistinctSizes,
+		Sizes:    sizes.Sizes,
 		WS:       core.NewWorkspace(core.Params{LV: st.LV, LE: st.LE, TauMax: 5}),
 		GBDPrior: prior,
 		TauMax:   5,

@@ -2,11 +2,13 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"gsim/internal/db"
+	"gsim/internal/graph"
 	"gsim/internal/index"
 )
 
@@ -37,22 +39,44 @@ func checkColumns(t *testing.T, views []View) {
 	}
 }
 
-// checkMaxima compares the store's high-water marks with a rescan.
-func checkMaxima(t *testing.T, m *Map, when string) {
+// checkStats compares the store's statistics with a recount of the
+// stored graphs (ε labels do not count toward the alphabets).
+func checkStats(t *testing.T, m *Map, when string) {
 	t.Helper()
-	maxV, maxE := 0, 0
+	var want db.Stats
+	vl, el := map[graph.ID]bool{graph.Epsilon: true}, map[graph.ID]bool{graph.Epsilon: true}
+	sumDeg := 0.0
 	for _, e := range m.Ordered() {
-		maxV, maxE = max(maxV, e.G.NumVertices()), max(maxE, e.G.NumEdges())
+		g := e.G
+		want.Graphs++
+		want.MaxV, want.MaxE = max(want.MaxV, g.NumVertices()), max(want.MaxE, g.NumEdges())
+		sumDeg += g.AvgDegree()
+		for v := 0; v < g.NumVertices(); v++ {
+			vl[g.VertexLabel(v)] = true
+		}
+		for _, ed := range g.Edges() {
+			el[ed.Label] = true
+		}
 	}
-	if st := m.Stats(); st.MaxV != maxV || st.MaxE != maxE {
-		t.Fatalf("%s: maxima (%d, %d), stored graphs say (%d, %d)", when, st.MaxV, st.MaxE, maxV, maxE)
+	want.LV, want.LE = len(vl)-1, len(el)-1
+	if want.Graphs > 0 {
+		want.AvgDegree = sumDeg / float64(want.Graphs)
+	}
+	got := m.Stats()
+	if math.Abs(got.AvgDegree-want.AvgDegree) > 1e-9*max(1, want.AvgDegree) {
+		t.Fatalf("%s: average degree %v, stored graphs say %v", when, got.AvgDegree, want.AvgDegree)
+	}
+	got.AvgDegree = want.AvgDegree
+	if got != want {
+		t.Fatalf("%s: stats %+v, stored graphs say %+v", when, got, want)
 	}
 }
 
 // TestColumnsFollowMutations: through a random mix of adds, deletes,
-// updates and batch commits, every cut's columns match its entries after
-// every op, the maxima stay exact, and a cut once published never changes
-// — columns included — whatever the store does afterwards.
+// updates and batch commits, every cut's columns match its entries and
+// the statistics match a recount after every op, and a cut once
+// published never changes — columns included — whatever the store does
+// afterwards.
 func TestColumnsFollowMutations(t *testing.T) {
 	type published struct {
 		views   []View
@@ -92,7 +116,7 @@ func TestColumnsFollowMutations(t *testing.T) {
 				}
 				live = append(live, first)
 			}
-			checkMaxima(t, m, fmt.Sprintf("%d shards, step %d", shards, step))
+			checkStats(t, m, fmt.Sprintf("%d shards, step %d", shards, step))
 			views, _ := m.Views(true)
 			checkColumns(t, views)
 			if step%7 != 0 {

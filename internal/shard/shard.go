@@ -59,7 +59,9 @@
 package shard
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -171,7 +173,7 @@ type bucket struct {
 	asc   int
 	slots map[uint64]int // graph ID → position in entries
 	epoch uint64         // mutations on this shard; guarded by mu
-	st    stats
+	st    db.Tally       // this shard's contribution to the store statistics
 
 	// post is the shard's branch postings. While a rebuild is in flight,
 	// next logs the changes made since its snapshot. settle is the quiet
@@ -182,71 +184,6 @@ type bucket struct {
 	settle      *time.Timer
 	settleEpoch uint64
 	counters    *telemetry.ShardCounters
-}
-
-// stats is one shard's contribution to the collection statistics,
-// refcounted so deletes subtract exactly what inserts added.
-type stats struct {
-	n          int
-	sizes      map[int]int
-	vLabels    map[graph.ID]int
-	eLabels    map[graph.ID]int
-	maxV, maxE int
-	sumDeg     float64
-}
-
-func newStats() stats {
-	return stats{
-		sizes:   make(map[int]int),
-		vLabels: make(map[graph.ID]int),
-		eLabels: make(map[graph.ID]int),
-	}
-}
-
-func (s *stats) add(g *graph.Graph) {
-	s.n++
-	s.sizes[g.NumVertices()]++
-	if g.NumVertices() > s.maxV {
-		s.maxV = g.NumVertices()
-	}
-	if g.NumEdges() > s.maxE {
-		s.maxE = g.NumEdges()
-	}
-	s.sumDeg += g.AvgDegree()
-	for v := 0; v < g.NumVertices(); v++ {
-		if l := g.VertexLabel(v); l != graph.Epsilon {
-			s.vLabels[l]++
-		}
-	}
-	for _, ed := range g.Edges() {
-		if ed.Label != graph.Epsilon {
-			s.eLabels[ed.Label]++
-		}
-	}
-}
-
-// remove undoes add's counting for g, except the maxV / maxE marks, which
-// only bucket.fixMaxima can recompute from the bucket's columns.
-func (s *stats) remove(g *graph.Graph) {
-	s.n--
-	if s.sizes[g.NumVertices()]--; s.sizes[g.NumVertices()] == 0 {
-		delete(s.sizes, g.NumVertices())
-	}
-	s.sumDeg -= g.AvgDegree()
-	for v := 0; v < g.NumVertices(); v++ {
-		if l := g.VertexLabel(v); l != graph.Epsilon {
-			if s.vLabels[l]--; s.vLabels[l] == 0 {
-				delete(s.vLabels, l)
-			}
-		}
-	}
-	for _, ed := range g.Edges() {
-		if ed.Label != graph.Epsilon {
-			if s.eLabels[ed.Label]--; s.eLabels[ed.Label] == 0 {
-				delete(s.eLabels, ed.Label)
-			}
-		}
-	}
 }
 
 // Shards normalises a shard-count choice: n ≤ 0 selects GOMAXPROCS.
@@ -274,7 +211,7 @@ func NewWithDictionaries(name string, n int, dict *graph.Labels, bdict *db.Branc
 	n = Shards(n)
 	m := &Map{name: name, dict: dict, bdict: bdict, shards: make([]*bucket, n), tele: telemetry.NewStoreMetrics(n)}
 	for i := range m.shards {
-		m.shards[i] = &bucket{slots: make(map[uint64]int), st: newStats(), counters: &m.tele.Shards[i]}
+		m.shards[i] = &bucket{slots: make(map[uint64]int), st: db.NewTally(), counters: &m.tele.Shards[i]}
 	}
 	return m
 }
@@ -366,7 +303,7 @@ func (m *Map) Len() int {
 	n := 0
 	for _, b := range m.shards {
 		b.mu.RLock()
-		n += b.st.n
+		n += b.st.Len()
 		b.mu.RUnlock()
 	}
 	return n
@@ -387,7 +324,7 @@ func (b *bucket) insert(e *db.Entry) {
 	b.sizes = append(b.sizes, uint32(len(e.Branches)))
 	b.sigs = append(b.sigs, index.Sig(e.G))
 	b.slots[e.ID] = len(b.entries) - 1
-	b.st.add(e.G)
+	b.st.Add(e.G)
 }
 
 // removeAt swap-removes the entry at slot and returns it, publishing
@@ -416,8 +353,7 @@ func (b *bucket) removeAt(slot int) *db.Entry {
 	if b.next != nil {
 		b.next.Removed(slot, n)
 	}
-	b.st.remove(victim.G)
-	b.fixMaxima(victim.G)
+	b.st.Remove(victim.G)
 	return victim
 }
 
@@ -441,9 +377,8 @@ func (b *bucket) replaceAt(slot int, e *db.Entry) *db.Entry {
 	if b.next != nil {
 		b.next.Replaced(slot)
 	}
-	b.st.remove(old.G)
-	b.st.add(e.G)
-	b.fixMaxima(old.G)
+	b.st.Remove(old.G)
+	b.st.Add(e.G)
 	return old
 }
 
@@ -621,32 +556,6 @@ func (m *Map) Update(id uint64, g *graph.Graph) (bool, error) {
 	return true, err
 }
 
-// fixMaxima keeps the shard's high-water marks exact after gone left the
-// bucket (removed, or replaced — its replacement already counted by
-// stats.add); removeAt and replaceAt call it under b.mu. A mark is
-// recomputed only when gone held it: the rescan runs inside the shard's
-// write lock, and a graph below both marks — nearly every one — cannot
-// have moved either. The vertex mark reads the sizes column; the edge
-// mark has no column and walks the graphs.
-func (b *bucket) fixMaxima(gone *graph.Graph) {
-	if gone.NumVertices() == b.st.maxV {
-		b.st.maxV = 0
-		for _, v := range b.sizes {
-			if int(v) > b.st.maxV {
-				b.st.maxV = int(v)
-			}
-		}
-	}
-	if gone.NumEdges() == b.st.maxE {
-		b.st.maxE = 0
-		for _, e := range b.entries {
-			if e.G.NumEdges() > b.st.maxE {
-				b.st.maxE = e.G.NumEdges()
-			}
-		}
-	}
-}
-
 // Mutation is one entry of a Commit batch: a fresh insert when ID is nil,
 // an in-place update of *ID otherwise.
 type Mutation struct {
@@ -784,11 +693,12 @@ func (m *Map) commitLocked(batch []Mutation) (firstID uint64, missing uint64, ok
 // came from a snapshot segment, so they are durable already. Entries are
 // placed by their existing IDs; the ID sequence is raised past the
 // largest installed ID. Safe to call concurrently (parallel segment
-// loads Install as they decode), but IDs must be distinct across all
-// calls — segment files are disjoint by construction.
-func (m *Map) Install(entries []*db.Entry) {
+// loads Install as they decode). An ID already present, from this call
+// or an earlier one, is an error: the store is then corrupt and must be
+// discarded, since entries before the repeat stay installed.
+func (m *Map) Install(entries []*db.Entry) error {
 	if len(entries) == 0 {
-		return
+		return nil
 	}
 	groups := make(map[*bucket][]*db.Entry, len(m.shards))
 	maxID := uint64(0)
@@ -800,14 +710,23 @@ func (m *Map) Install(entries []*db.Entry) {
 		}
 	}
 	for b, es := range groups {
+		var err error
 		b.mu.Lock()
 		for _, e := range es {
+			if _, dup := b.slots[e.ID]; dup {
+				err = fmt.Errorf("shard: duplicate graph ID %d", e.ID)
+				break
+			}
 			b.insert(e)
 		}
 		m.bump(b)
 		b.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
 	m.EnsureSeq(maxID + 1)
+	return nil
 }
 
 // Replay applies one recovered WAL record without journaling it again:
@@ -998,65 +917,42 @@ func (m *Map) SamplePairGBDs(n int, seed int64) []float64 {
 	return db.SamplePairGBDsEntries(m.Ordered(), n, seed)
 }
 
-// Stats merges the per-shard statistics into the collection summary (the
-// shape of the paper's Table III). Label and size counts are refcounted
-// per shard, so deletes subtract exactly; the merged distinct-label
-// counts are unions, not sums.
-func (m *Map) Stats() db.Stats {
-	var s db.Stats
-	vl := make(map[graph.ID]struct{})
-	el := make(map[graph.ID]struct{})
-	var sumDeg float64
+// tally merges the per-shard statistics. Label and size counts are
+// refcounted per shard, so deletes subtract exactly; the merged
+// distinct-label counts are unions, not sums.
+func (m *Map) tally() *db.Tally {
+	t := db.NewTally()
 	for _, b := range m.shards {
 		b.mu.RLock()
-		s.Graphs += b.st.n
-		if b.st.maxV > s.MaxV {
-			s.MaxV = b.st.maxV
-		}
-		if b.st.maxE > s.MaxE {
-			s.MaxE = b.st.maxE
-		}
-		sumDeg += b.st.sumDeg
-		for l := range b.st.vLabels {
-			vl[l] = struct{}{}
-		}
-		for l := range b.st.eLabels {
-			el[l] = struct{}{}
-		}
+		t.Merge(&b.st)
 		b.mu.RUnlock()
 	}
-	s.LV, s.LE = len(vl), len(el)
-	if s.Graphs > 0 {
-		s.AvgDegree = sumDeg / float64(s.Graphs)
-	}
-	return s
+	return &t
 }
 
-// DistinctSizes merges the per-shard vertex-count histograms into the
-// ascending distinct sizes of stored graphs — the sizes a posterior
-// table prebuilds rows for. The merge is memoised per epoch (search
-// preparation calls this on every GBDA-family prepare); callers must not
-// mutate the returned slice. The epoch is read before the merge, so a
-// racing mutation at worst stores a conservative entry that the next
-// call rebuilds.
+// Stats summarises the stored graphs in the shape of the paper's
+// Table III.
+func (m *Map) Stats() db.Stats { return m.tally().Stats() }
+
+// DistinctSizes returns the ascending distinct vertex counts of stored
+// graphs — the sizes a posterior table prebuilds rows for. The merge is
+// memoised per epoch (search preparation calls this on every GBDA-family
+// prepare); callers must not mutate the returned slice. The epoch is
+// read before the merge, so a racing mutation at worst stores a
+// conservative entry that the next call rebuilds.
 func (m *Map) DistinctSizes() []int {
 	epoch := m.gepoch.Load()
 	if c := m.sizes.Load(); c != nil && c.epoch == epoch {
 		return c.sizes
 	}
-	set := make(map[int]struct{})
+	var out []int
 	for _, b := range m.shards {
 		b.mu.RLock()
-		for v := range b.st.sizes {
-			set[v] = struct{}{}
-		}
+		out = append(out, b.st.Sizes()...)
 		b.mu.RUnlock()
 	}
-	out := make([]int, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Ints(out)
+	slices.Sort(out)
+	out = slices.Compact(out)
 	m.sizes.Store(&sizesCache{epoch: epoch, sizes: out})
 	return out
 }

@@ -3,7 +3,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"gsim/internal/graph"
 )
@@ -47,8 +46,7 @@ type Record struct {
 //	-- OpDelete ends here --
 //	name   len + bytes
 //	labels count, then count × (len + bytes)   local label table
-//	nv     count, then nv × label-table index  vertex labels
-//	ne     count, then ne × (u, v, label-table index)
+//	body   graph.AppendBody, labels coded as label-table indexes
 //
 // Labels travel as strings (deduplicated per record in a local table), so
 // a log never references a dictionary that may not survive the crash: on
@@ -65,179 +63,61 @@ func AppendRecord(buf []byte, op Op, id uint64, g *graph.Graph, dict *graph.Labe
 	if op == OpDelete {
 		return buf
 	}
-	buf = appendString(buf, g.Name)
+	buf = graph.AppendString(buf, g.Name)
 
-	// Build the local label table: record-local dense indexes for every
-	// distinct label the graph uses, in first-use order over vertices then
-	// edges.
-	nv := g.NumVertices()
-	edges := g.Edges()
+	// The local label table: a dense index for every distinct label the
+	// graph uses, in first-use order over vertices then edges.
 	table := make(map[graph.ID]uint64, 8)
 	var names []string
-	local := func(id graph.ID) uint64 {
-		if i, ok := table[id]; ok {
-			return i
+	note := func(l graph.ID) {
+		if _, ok := table[l]; !ok {
+			table[l] = uint64(len(names))
+			names = append(names, dict.Name(l))
 		}
-		i := uint64(len(names))
-		table[id] = i
-		names = append(names, dict.Name(id))
-		return i
 	}
-	vidx := make([]uint64, nv)
-	for v := 0; v < nv; v++ {
-		vidx[v] = local(g.VertexLabel(v))
+	for v := 0; v < g.NumVertices(); v++ {
+		note(g.VertexLabel(v))
 	}
-	eidx := make([]uint64, len(edges))
-	for i, e := range edges {
-		eidx[i] = local(e.Label)
+	for u := 0; u < g.NumVertices(); u++ {
+		for _, h := range g.Neighbors(u) {
+			if int(h.To) > u {
+				note(h.Label)
+			}
+		}
 	}
-
 	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for _, s := range names {
-		buf = appendString(buf, s)
+		buf = graph.AppendString(buf, s)
 	}
-	buf = binary.AppendUvarint(buf, uint64(nv))
-	for _, i := range vidx {
-		buf = binary.AppendUvarint(buf, i)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(edges)))
-	for i, e := range edges {
-		buf = binary.AppendUvarint(buf, uint64(e.U))
-		buf = binary.AppendUvarint(buf, uint64(e.V))
-		buf = binary.AppendUvarint(buf, eidx[i])
-	}
-	return buf
+	return graph.AppendBody(buf, g, func(l graph.ID) uint64 { return table[l] })
 }
 
 // DecodeRecord parses one record payload, interning its labels into dict.
 // The payload has already passed the CRC, so a parse error means a codec
 // bug or version skew, not bit rot — callers should fail recovery loudly.
 func DecodeRecord(payload []byte, dict *graph.Labels) (Record, error) {
-	d := decoder{buf: payload}
-	op := Op(d.byte())
-	id := d.uvarint()
+	c := graph.NewCursor(payload)
+	op := Op(c.Byte())
+	rec := Record{Op: op, ID: c.Uvarint()}
 	switch op {
 	case OpDelete:
-		if d.err == nil && len(d.buf) != 0 {
-			d.err = fmt.Errorf("%d trailing bytes", len(d.buf))
-		}
-		if d.err != nil {
-			return Record{}, fmt.Errorf("wal: bad %v record: %w", op, d.err)
-		}
-		return Record{Op: op, ID: id}, nil
 	case OpStore, OpUpdate:
+		name := c.Str()
+		ids := make([]graph.ID, c.Count("label"))
+		for i := range ids {
+			ids[i] = dict.Intern(c.Str())
+		}
+		rec.G = c.Body(name, func(i uint64) (graph.ID, bool) {
+			if i >= uint64(len(ids)) {
+				return 0, false
+			}
+			return ids[i], true
+		})
 	default:
 		return Record{}, fmt.Errorf("wal: unknown record kind %d", op)
 	}
-
-	name := d.string()
-	nlabels := d.count("labels")
-	ids := make([]graph.ID, nlabels)
-	for i := range ids {
-		ids[i] = dict.Intern(d.string())
+	if err := c.Done(); err != nil {
+		return Record{}, fmt.Errorf("wal: bad %v record: %w", op, err)
 	}
-	label := func(what string) graph.ID {
-		i := d.uvarint()
-		if d.err == nil && i >= uint64(len(ids)) {
-			d.err = fmt.Errorf("%s label index %d out of range [0,%d)", what, i, len(ids))
-		}
-		if d.err != nil {
-			return 0
-		}
-		return ids[i]
-	}
-
-	nv := d.count("vertices")
-	g := graph.New(int(nv))
-	g.Name = name
-	for v := uint64(0); v < nv && d.err == nil; v++ {
-		g.AddVertex(label("vertex"))
-	}
-	ne := d.count("edges")
-	for i := uint64(0); i < ne && d.err == nil; i++ {
-		u, v := d.uvarint(), d.uvarint()
-		lab := label("edge")
-		if d.err != nil {
-			break
-		}
-		if u > math.MaxInt32 || v > math.MaxInt32 {
-			d.err = fmt.Errorf("edge endpoint (%d,%d) out of range", u, v)
-			break
-		}
-		if err := g.AddEdge(int(u), int(v), lab); err != nil {
-			d.err = err
-			break
-		}
-	}
-	if d.err == nil && len(d.buf) != 0 {
-		d.err = fmt.Errorf("%d trailing bytes", len(d.buf))
-	}
-	if d.err != nil {
-		return Record{}, fmt.Errorf("wal: bad %v record: %w", op, d.err)
-	}
-	return Record{Op: op, ID: id, G: g}, nil
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// decoder is a cursor with a sticky error; every accessor is a no-op once
-// an error is set, so parse code reads linearly.
-type decoder struct {
-	buf []byte
-	err error
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) == 0 {
-		d.err = fmt.Errorf("truncated payload")
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = fmt.Errorf("bad uvarint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-// count reads a uvarint that sizes an upcoming run of elements, bounding
-// it by the bytes remaining so a corrupt count cannot drive a huge
-// allocation.
-func (d *decoder) count(what string) uint64 {
-	v := d.uvarint()
-	if d.err == nil && v > uint64(len(d.buf))+1 {
-		d.err = fmt.Errorf("%s count %d exceeds remaining payload", what, v)
-		return 0
-	}
-	return v
-}
-
-func (d *decoder) string() string {
-	n := d.count("string")
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.buf)) {
-		d.err = fmt.Errorf("string of %d bytes exceeds remaining payload", n)
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
+	return rec, nil
 }
