@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sync"
 
 	"gsim/internal/branch"
@@ -224,17 +226,22 @@ func (d *Database) Delete(id int) error {
 // storing). Builders may run concurrently with each other and with
 // searches (the dictionary is internally synchronised); each builder is
 // itself single-goroutine.
+//
+// A builder gathers vertex labels and edges, checking each edge as it
+// arrives, and builds the graph once, in one pass, when it is finished.
 type GraphBuilder struct {
-	d   *Database
-	g   *graph.Graph
-	eph map[string]graph.ID // non-nil: query-only builder, see NewQuery
+	d       *Database
+	name    string
+	vlabels []graph.ID
+	edges   []graph.Edge
+	pairs   map[uint64]int      // vertex pair → index in edges; built on first use
+	eph     map[string]graph.ID // non-nil: query-only builder, see NewQuery
+	g       *graph.Graph        // the built graph; nil after an edit
 }
 
 // NewGraph starts building a graph with the given name.
 func (d *Database) NewGraph(name string) *GraphBuilder {
-	g := graph.New(8)
-	g.Name = name
-	return &GraphBuilder{d: d, g: g}
+	return &GraphBuilder{d: d, name: name}
 }
 
 // NewQuery starts building a query-only graph: labels already known to
@@ -244,7 +251,7 @@ func (d *Database) NewGraph(name string) *GraphBuilder {
 // labels does not grow the dictionary without bound. An ephemeral ID can
 // never equal a stored label's ID (those are non-negative), which is
 // exactly the right semantics: a label the database has never seen
-// matches nothing. The builder only supports AddVertex/AddEdge and
+// matches nothing. The builder only supports AddVertex/AddEdge/Set and
 // Query; Store, AddDirectedEdge and AddWeightedEdge fail (they need
 // durable labels).
 func (d *Database) NewQuery(name string) *GraphBuilder {
@@ -274,12 +281,112 @@ func (b *GraphBuilder) intern(label string) graph.ID {
 
 // AddVertex appends a vertex with a string label and returns its index.
 func (b *GraphBuilder) AddVertex(label string) int {
-	return b.g.AddVertex(b.intern(label))
+	b.vlabels = append(b.vlabels, b.intern(label))
+	b.g = nil
+	return len(b.vlabels) - 1
 }
 
-// AddEdge inserts an undirected labeled edge between vertices u and v.
+// AddEdge inserts an undirected labeled edge between vertices u and v. It
+// reports an error for self-loops, out-of-range endpoints or duplicate
+// edges, keeping the graph simple.
 func (b *GraphBuilder) AddEdge(u, v int, label string) error {
-	return b.g.AddEdge(u, v, b.intern(label))
+	return b.addEdge(u, v, b.intern(label))
+}
+
+func (b *GraphBuilder) addEdge(u, v int, label graph.ID) error {
+	_, dup := b.find(u, v)
+	if err := graph.CheckEdge(b.name, len(b.vlabels), u, v, dup); err != nil {
+		return err
+	}
+	b.pairs[pairOf(u, v)] = len(b.edges)
+	b.edges = append(b.edges, graph.Edge{U: int32(u), V: int32(v), Label: label})
+	b.g = nil
+	return nil
+}
+
+// find returns the index in b.edges of the edge {u,v}, if present.
+func (b *GraphBuilder) find(u, v int) (int, bool) {
+	if u < 0 || v < 0 || u >= len(b.vlabels) || v >= len(b.vlabels) {
+		return 0, false
+	}
+	if b.pairs == nil {
+		b.pairs = make(map[uint64]int, len(b.edges))
+		for i, e := range b.edges {
+			b.pairs[pairOf(int(e.U), int(e.V))] = i
+		}
+	}
+	i, ok := b.pairs[pairOf(u, v)]
+	return i, ok
+}
+
+// pairOf keys the vertex pair {u,v}, both in [0, 2³¹).
+func pairOf(u, v int) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(u)<<32 | uint64(v)
+}
+
+// Edge is one undirected labeled edge of a graph given whole to Set,
+// joining vertices U and V. Its JSON form is gsimd's wire form.
+type Edge struct {
+	U     int    `json:"u"`
+	V     int    `json:"v"`
+	Label string `json:"label,omitempty"`
+}
+
+// Set replaces whatever the builder holds with a whole graph: vertex i
+// labeled vertices[i], joined by edges. It accepts exactly the graphs
+// AddVertex for every label and then AddEdge for every edge would build,
+// but resolves every label under one dictionary lock and builds the graph
+// in one pass: it is the form for graphs that arrive whole, like gsimd's
+// request bodies. On error the builder is left empty.
+func (b *GraphBuilder) Set(vertices []string, edges []Edge) error {
+	b.vlabels, b.edges, b.pairs, b.g = nil, nil, nil, nil
+	n := len(vertices)
+	el := make([]graph.Edge, len(edges))
+	for i, e := range edges {
+		if err := graph.CheckEdge(b.name, n, e.U, e.V, false); err != nil {
+			return err
+		}
+		el[i] = graph.Edge{U: int32(e.U), V: int32(e.V)}
+	}
+	vl := make([]graph.ID, n)
+	const unknown = graph.ID(math.MinInt32)
+	missed := false
+	b.d.store.Dict().View(func(v graph.LabelView) {
+		resolve := func(s string) graph.ID {
+			id, ok := v.Lookup(s)
+			if !ok {
+				missed, id = true, unknown
+			}
+			return id
+		}
+		for i, s := range vertices {
+			vl[i] = resolve(s)
+		}
+		for i, e := range edges {
+			el[i].Label = resolve(e.Label)
+		}
+	})
+	// Labels the dictionary lacks are interned (or made ephemeral, for a
+	// query) in the order AddVertex and AddEdge would meet them.
+	for i := 0; missed && i < n; i++ {
+		if vl[i] == unknown {
+			vl[i] = b.intern(vertices[i])
+		}
+	}
+	for i := 0; missed && i < len(el); i++ {
+		if el[i].Label == unknown {
+			el[i].Label = b.intern(edges[i].Label)
+		}
+	}
+	g, err := graph.FromEdges(b.name, vl, el)
+	if err != nil {
+		return err
+	}
+	b.vlabels, b.edges, b.g = vl, el, g
+	return nil
 }
 
 // AddDirectedEdge inserts the arc u→v, folding the direction into the edge
@@ -290,7 +397,24 @@ func (b *GraphBuilder) AddDirectedEdge(u, v int, base string) error {
 	if b.eph != nil {
 		return errors.New("gsim: AddDirectedEdge needs a storable builder (NewGraph, not NewQuery)")
 	}
-	return graph.AddDirectedEdge(b.g, b.d.store.Dict(), u, v, base)
+	if u == v {
+		return fmt.Errorf("graph %q: directed self-loop on %d", b.name, u)
+	}
+	i, present := b.find(u, v)
+	var existing graph.ID
+	if present {
+		existing = b.edges[i].Label
+	}
+	l, err := graph.DirectedLabel(b.d.store.Dict(), u, v, base, existing, present)
+	switch {
+	case err != nil:
+		return fmt.Errorf("graph %q: %w", b.name, err)
+	case present:
+		b.edges[i].Label = l
+		b.g = nil
+		return nil
+	}
+	return b.addEdge(u, v, l)
 }
 
 // WeightBuckets re-exports the weight-folding quantiser: edge weights are
@@ -303,19 +427,30 @@ func (b *GraphBuilder) AddWeightedEdge(u, v int, weight float64, wb WeightBucket
 	if b.eph != nil {
 		return errors.New("gsim: AddWeightedEdge needs a storable builder (NewGraph, not NewQuery)")
 	}
-	return graph.AddWeightedEdge(b.g, b.d.store.Dict(), wb, u, v, weight)
+	return b.addEdge(u, v, wb.Fold(b.d.store.Dict(), weight))
 }
 
-// storable validates that the builder can mutate the database: built by
-// NewGraph (not NewQuery) and structurally valid.
-func (b *GraphBuilder) storable() error {
+// graph returns the builder's graph, building it once after the last
+// edit. The graph shares the builder's vertex labels, which neither edits
+// in place.
+func (b *GraphBuilder) graph() (*graph.Graph, error) {
+	if b.g == nil {
+		g, err := graph.FromEdges(b.name, slices.Clip(b.vlabels), b.edges)
+		if err != nil {
+			return nil, err
+		}
+		b.g = g
+	}
+	return b.g, nil
+}
+
+// storable returns the graph of a builder that can mutate the database:
+// one built by NewGraph, not NewQuery.
+func (b *GraphBuilder) storable() (*graph.Graph, error) {
 	if b.eph != nil {
-		return errors.New("gsim: a NewQuery builder cannot mutate the database (its unknown labels are ephemeral); build with NewGraph")
+		return nil, errors.New("gsim: a NewQuery builder cannot mutate the database (its unknown labels are ephemeral); build with NewGraph")
 	}
-	if err := b.g.Validate(); err != nil {
-		return err
-	}
-	return nil
+	return b.graph()
 }
 
 // Store validates the graph, inserts it into the database, and returns
@@ -329,10 +464,11 @@ func (b *GraphBuilder) Store() (int, error) {
 	if err := b.d.writable(); err != nil {
 		return 0, err
 	}
-	if err := b.storable(); err != nil {
+	g, err := b.storable()
+	if err != nil {
 		return 0, err
 	}
-	id, err := b.d.store.Add(b.g)
+	id, err := b.d.store.Add(g)
 	if err != nil {
 		return 0, err
 	}
@@ -348,13 +484,14 @@ func (b *GraphBuilder) Update(id int) error {
 	if err := b.d.writable(); err != nil {
 		return err
 	}
-	if err := b.storable(); err != nil {
+	g, err := b.storable()
+	if err != nil {
 		return err
 	}
 	if id < 0 {
 		return fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
-	ok, err := b.d.store.Update(uint64(id), b.g)
+	ok, err := b.d.store.Update(uint64(id), g)
 	if err != nil {
 		return err
 	}
@@ -382,21 +519,20 @@ func (d *Database) CommitAll(muts []BuilderMutation) ([]int, error) {
 	if err := d.writable(); err != nil {
 		return nil, err
 	}
+	batch := make([]shard.Mutation, len(muts))
 	for i, mu := range muts {
 		b := mu.Builder
 		if b == nil || b.d != d {
 			return nil, fmt.Errorf("gsim: CommitAll: builder %d missing or belongs to another database", i)
 		}
-		if err := b.storable(); err != nil {
-			return nil, fmt.Errorf("gsim: CommitAll: graph %d (%q): %w", i, b.g.Name, err)
+		g, err := b.storable()
+		if err != nil {
+			return nil, fmt.Errorf("gsim: CommitAll: graph %d (%q): %w", i, b.name, err)
 		}
 		if mu.UpdateID != nil && *mu.UpdateID < 0 {
 			return nil, fmt.Errorf("%w: %d", ErrNotFound, *mu.UpdateID)
 		}
-	}
-	batch := make([]shard.Mutation, len(muts))
-	for i, mu := range muts {
-		batch[i] = shard.Mutation{G: mu.Builder.g}
+		batch[i] = shard.Mutation{G: g}
 		if mu.UpdateID != nil {
 			id := uint64(*mu.UpdateID)
 			batch[i].ID = &id
@@ -451,7 +587,13 @@ func (d *Database) StoreAll(builders []*GraphBuilder) (int, error) {
 
 // Query finalises the graph as a search query (precomputing its canonical
 // branch multiset) without storing it.
-func (b *GraphBuilder) Query() *Query { return newQuery(b.g) }
+func (b *GraphBuilder) Query() *Query {
+	g, err := b.graph()
+	if err != nil {
+		panic(err) // every edge passed AddEdge's checks
+	}
+	return newQuery(g)
+}
 
 // LoadQueryText parses exactly one .gsim stanza against the database's
 // label dictionary and prepares it as a query.

@@ -90,6 +90,27 @@
 // collection-wide mutex; bulk ingest (LoadText, StoreAll, CommitAll)
 // briefly locks every shard for its none-or-all contract.
 //
+// Every graph, stored or queried, is compressed sparse rows
+// (internal/graph): its vertex labels, |V|+1 run offsets and one
+// half-edge array in which each vertex's run is sorted by (To, Label) —
+// the struct and three slices, whatever the graph's size. One bulk
+// constructor, graph.FromEdges, counts degrees, takes prefix sums, fills
+// and sorts the runs and rejects self-loops, out-of-range endpoints and
+// duplicate edges; every path that holds a whole graph builds through
+// it: the binary body decoder (log replay, segment reads), the .gsim
+// text reader (import, text ingest), the dataset generators, and
+// GraphBuilder, which gathers labels and edges (GraphBuilder.Set takes a
+// whole graph and resolves its labels under one dictionary lock, the
+// form gsimd's request bodies use) and builds once. The text reader
+// sizes nothing from a header's vertex count and rejects a stanza that
+// lists a different number of vertices, with the line of its header.
+// In-place edits (AddEdge, RemoveEdge, the relabels) stay on the graph
+// for edit scripts and generated variants, at O(|V|+|E|) each. On the
+// repository benchmark's corpus (30,000 stored AASD-shaped graphs, 2-core
+// x86-64 Xeon) the compact form took gsimd's peak RSS from ~260 MB to
+// ~160 MB on the read-only workloads and from ~570 MB to ~330 MB on
+// mixed-durable.
+//
 // The admissible prefilter (internal/index) keeps no per-graph slices
 // and no store of its own. Each shard's signature column holds one 8-byte
 // quantized signature word per entry (|V| and |E| bytes plus four
@@ -159,9 +180,9 @@
 // then (u, v, label) edges, each label coded by its container — a
 // record-local string table for the log, the manifest dictionary for a
 // segment. The one decoder bounds every count by the bytes left, checks
-// each label code and endpoint, refuses self-loops, duplicate edges and
-// trailing bytes, and validates the graph it builds; CRC, magic and IDs
-// stay with the container.
+// each label code and endpoint, refuses trailing bytes, and builds the
+// graph through graph.FromEdges, which refuses self-loops and duplicate
+// edges; CRC, magic and IDs stay with the container.
 //
 // A checkpoint — explicit (Checkpoint, POST /v1/admin/checkpoint),
 // automatic (WithAutoCheckpoint's WAL-size threshold), or the final one

@@ -2,10 +2,12 @@ package dataset
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 
 	"gsim/internal/db"
 	"gsim/internal/graph"
@@ -155,7 +157,7 @@ func (ds *Dataset) makeTemplate(rng *rand.Rand, ci int, elabels []graph.ID, buil
 		if n > cfg.MaxV {
 			n = cfg.MaxV
 		}
-		tpl := genTemplate(rng, templateSpec{
+		d := genTemplate(rng, templateSpec{
 			n:          n,
 			extraPerV:  cfg.ExtraPerV,
 			scaleFree:  cfg.ScaleFree,
@@ -163,8 +165,9 @@ func (ds *Dataset) makeTemplate(rng *rand.Rand, ci int, elabels []graph.ID, buil
 			vlabelW:    weights,
 			elabelPool: elabels,
 		})
-		dropEdgesForSparsity(rng, tpl, cfg.ConnectProb)
-		boostCenterDegree(rng, tpl, cfg.ModSlots, elabels)
+		dropEdgesForSparsity(rng, d, cfg.ConnectProb)
+		boostCenterDegree(rng, d, cfg.ModSlots, elabels)
+		tpl := d.graph()
 
 		// Inter-cluster guard via the O(|LV|) histogram bound.
 		hist := labelHistogram(tpl)
@@ -181,7 +184,7 @@ func (ds *Dataset) makeTemplate(rng *rand.Rand, ci int, elabels []graph.ID, buil
 		minSlots := 2
 		center := findModificationCenter(tpl, minSlots, cfg.SigDepth)
 		if center < 0 {
-			if !forceDistinctSignatures(rng, tpl, maxDegreeVertex(tpl), cfg.SigDepth, pool) {
+			if !forceDistinctSignatures(rng, tpl, maxDegreeVertex(n, tpl.Degree), cfg.SigDepth, pool) {
 				continue
 			}
 			center = findModificationCenter(tpl, minSlots, cfg.SigDepth)
@@ -211,25 +214,27 @@ func (ds *Dataset) makeTemplate(rng *rand.Rand, ci int, elabels []graph.ID, buil
 // edges by attaching it to random non-adjacent vertices. Appendix I demands
 // a modification center "of degree at least d" to realise edit distances up
 // to d; uniform random graphs (Syn-2) rarely grow such hubs on their own.
-func boostCenterDegree(rng *rand.Rand, g *graph.Graph, target int, elabels []graph.ID) {
-	n := g.NumVertices()
+func boostCenterDegree(rng *rand.Rand, d *draft, target int, elabels []graph.ID) {
+	n := len(d.vlabels)
 	if target > n-1 {
 		target = n - 1
 	}
-	c := maxDegreeVertex(g)
-	for tries := 0; g.Degree(c) < target && tries < 20*n; tries++ {
+	c := maxDegreeVertex(n, func(v int) int { return d.deg[v] })
+	for tries := 0; d.deg[c] < target && tries < 20*n; tries++ {
 		u := rng.Intn(n)
-		if u == c || g.HasEdge(c, u) {
+		if u == c || d.has(c, u) {
 			continue
 		}
-		g.MustAddEdge(c, u, elabels[rng.Intn(len(elabels))])
+		d.add(c, u, elabels[rng.Intn(len(elabels))])
 	}
 }
 
-func maxDegreeVertex(g *graph.Graph) int {
+// maxDegreeVertex returns the lowest-indexed of the n vertices of highest
+// degree.
+func maxDegreeVertex(n int, degree func(v int) int) int {
 	best := 0
-	for v := 1; v < g.NumVertices(); v++ {
-		if g.Degree(v) > g.Degree(best) {
+	for v := 1; v < n; v++ {
+		if degree(v) > degree(best) {
 			best = v
 		}
 	}
@@ -239,16 +244,28 @@ func maxDegreeVertex(g *graph.Graph) int {
 // dropEdgesForSparsity removes spanning links with probability 1−p, which
 // lets profiles reproduce average degrees below 2 (Fingerprint's d = 1.7)
 // at the cost of connectivity — matching the disconnected polyline graphs
-// of the real data set.
-func dropEdgesForSparsity(rng *rand.Rand, g *graph.Graph, p float64) {
+// of the real data set. It visits the edges in (U, V) order, the order
+// the built graph lists them.
+func dropEdgesForSparsity(rng *rand.Rand, d *draft, p float64) {
 	if p >= 1 {
 		return
 	}
-	for _, e := range g.Edges() {
-		if rng.Float64() < 1-p && g.NumEdges() > g.NumVertices()/2 {
-			_ = g.RemoveEdge(int(e.U), int(e.V))
+	slices.SortFunc(d.edges, func(a, b graph.Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
+	ne := len(d.edges)
+	kept := d.edges[:0]
+	for _, e := range d.edges {
+		if rng.Float64() < 1-p && ne > len(d.vlabels)/2 {
+			ne--
+			d.deg[e.U]--
+			d.deg[e.V]--
+			delete(d.pairs, pairKey(int(e.U), int(e.V)))
+			continue
 		}
+		kept = append(kept, e)
 	}
+	d.edges = kept
 }
 
 // emitVariants clones the template `count` times, randomly editing the

@@ -38,16 +38,63 @@ type templateSpec struct {
 	elabelPool []graph.ID
 }
 
+// draft is a template under construction: its vertex labels and edge
+// list, with the degrees and vertex-pair set the generators query. It
+// becomes a graph once, through graph.FromEdges, so building a template of
+// 100,000 vertices stays linear in its edges.
+type draft struct {
+	vlabels []graph.ID
+	edges   []graph.Edge // canonical: U < V
+	deg     []int
+	pairs   map[uint64]struct{}
+}
+
+func pairKey(u, v int) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(u)<<32 | uint64(v)
+}
+
+func (d *draft) has(u, v int) bool {
+	_, ok := d.pairs[pairKey(u, v)]
+	return ok
+}
+
+// add inserts the edge {u,v}, which must be new and no self-loop.
+func (d *draft) add(u, v int, l graph.ID) {
+	if u > v {
+		u, v = v, u
+	}
+	d.edges = append(d.edges, graph.Edge{U: int32(u), V: int32(v), Label: l})
+	d.pairs[pairKey(u, v)] = struct{}{}
+	d.deg[u]++
+	d.deg[v]++
+}
+
+// graph builds the draft.
+func (d *draft) graph() *graph.Graph {
+	g, err := graph.FromEdges("", d.vlabels, d.edges)
+	if err != nil {
+		panic(err) // add keeps the draft simple
+	}
+	return g
+}
+
 // genTemplate builds a connected random graph per Appendix I: every vertex
 // i ≥ 1 first connects to some j < i (degree-proportional for scale-free
 // graphs, uniform otherwise), then extra edges are added the same way.
-func genTemplate(rng *rand.Rand, spec templateSpec) *graph.Graph {
-	g := graph.New(spec.n)
-	for i := 0; i < spec.n; i++ {
-		g.AddVertex(pickWeighted(rng, spec.vlabelPool, spec.vlabelW))
+func genTemplate(rng *rand.Rand, spec templateSpec) *draft {
+	d := &draft{
+		vlabels: make([]graph.ID, spec.n),
+		deg:     make([]int, spec.n),
+		pairs:   make(map[uint64]struct{}),
+	}
+	for i := range d.vlabels {
+		d.vlabels[i] = pickWeighted(rng, spec.vlabelPool, spec.vlabelW)
 	}
 	if spec.n == 1 {
-		return g
+		return d
 	}
 	// degree+1 weights so isolated vertices stay reachable targets.
 	pick := func(limit int) int {
@@ -56,11 +103,11 @@ func genTemplate(rng *rand.Rand, spec templateSpec) *graph.Graph {
 		}
 		total := 0
 		for j := 0; j < limit; j++ {
-			total += g.Degree(j) + 1
+			total += d.deg[j] + 1
 		}
 		r := rng.Intn(total)
 		for j := 0; j < limit; j++ {
-			r -= g.Degree(j) + 1
+			r -= d.deg[j] + 1
 			if r < 0 {
 				return j
 			}
@@ -69,19 +116,19 @@ func genTemplate(rng *rand.Rand, spec templateSpec) *graph.Graph {
 	}
 	for i := 1; i < spec.n; i++ {
 		j := pick(i)
-		g.MustAddEdge(i, j, spec.elabelPool[rng.Intn(len(spec.elabelPool))])
+		d.add(i, j, spec.elabelPool[rng.Intn(len(spec.elabelPool))])
 	}
 	extra := int(spec.extraPerV * float64(spec.n))
 	for tries, added := 0, 0; added < extra && tries < 20*extra+100; tries++ {
 		u := rng.Intn(spec.n)
 		v := pick(spec.n)
-		if u == v || g.HasEdge(u, v) {
+		if u == v || d.has(u, v) {
 			continue
 		}
-		g.MustAddEdge(u, v, spec.elabelPool[rng.Intn(len(spec.elabelPool))])
+		d.add(u, v, spec.elabelPool[rng.Intn(len(spec.elabelPool))])
 		added++
 	}
-	return g
+	return d
 }
 
 func pickWeighted(rng *rand.Rand, pool []graph.ID, cumWeights []float64) graph.ID {

@@ -160,11 +160,9 @@ func Script(g1, g2 *graph.Graph, phi []int) []Op {
 // through φ.
 func Apply(g1, g2 *graph.Graph, phi []int, script []Op) (*graph.Graph, error) {
 	n2 := g2.NumVertices()
-	out := graph.New(n2)
-	out.Name = g1.Name + "=>" + g2.Name
 
 	// Seed: g2-slot graph with the labels/edges carried over from g1.
-	slotLabel := make([]graph.ID, n2)
+	slotLabel := make([]graph.ID, n2) // ε for not-yet-inserted slots
 	present := make([]bool, n2)
 	for u, v := range phi {
 		if v >= 0 {
@@ -174,17 +172,17 @@ func Apply(g1, g2 *graph.Graph, phi []int, script []Op) (*graph.Graph, error) {
 	}
 	// Insertions get placeholders until their AV op runs; track state.
 	inserted := make([]bool, n2)
-	for v := 0; v < n2; v++ {
-		out.AddVertex(slotLabel[v]) // ε for not-yet-inserted slots
-	}
 	// Carry over g1 edges between matched vertices.
+	var carried []graph.Edge
 	for _, e := range g1.Edges() {
 		pu, pv := phi[e.U], phi[e.V]
 		if pu >= 0 && pv >= 0 {
-			if err := out.AddEdge(pu, pv, e.Label); err != nil {
-				return nil, err
-			}
+			carried = append(carried, graph.Edge{U: int32(pu), V: int32(pv), Label: e.Label})
 		}
+	}
+	out, err := graph.FromEdges(g1.Name+"=>"+g2.Name, slotLabel, carried)
+	if err != nil {
+		return nil, err
 	}
 
 	toSlot := func(u int) (int, error) {

@@ -25,9 +25,9 @@ func AppendBody(buf []byte, g *Graph, code func(ID) uint64) []byte {
 	for _, l := range g.vlabels {
 		buf = binary.AppendUvarint(buf, code(l))
 	}
-	buf = binary.AppendUvarint(buf, uint64(g.edges))
-	for u, list := range g.adj {
-		for _, h := range list {
+	buf = binary.AppendUvarint(buf, uint64(g.NumEdges()))
+	for u := range g.vlabels {
+		for _, h := range g.Neighbors(u) {
 			if int(h.To) > u {
 				buf = binary.AppendUvarint(buf, uint64(u))
 				buf = binary.AppendUvarint(buf, uint64(h.To))
@@ -127,8 +127,8 @@ func (c *Cursor) Str() string {
 
 // Body reads one graph body (see AppendBody) into a graph called name,
 // resolving each label code through decode, which reports false for a
-// code out of range. It checks every endpoint, the graph's simplicity
-// (AddEdge) and its invariants (Validate), and returns nil after any
+// code out of range. It checks every endpoint and builds the graph through
+// FromEdges, which checks its simplicity, and returns nil after any
 // failure, which Err then reports.
 func (c *Cursor) Body(name string, decode func(uint64) (ID, bool)) *Graph {
 	label := func(what string) ID {
@@ -139,29 +139,24 @@ func (c *Cursor) Body(name string, decode func(uint64) (ID, bool)) *Graph {
 		}
 		return l
 	}
-	nv := c.Count("vertex")
-	g := New(nv)
-	g.Name = name
-	for v := 0; v < nv && c.err == nil; v++ {
-		g.AddVertex(label("vertex"))
+	vlabels := make([]ID, c.Count("vertex"))
+	for v := range vlabels {
+		vlabels[v] = label("vertex")
 	}
-	ne := c.Count("edge")
-	for i := 0; i < ne && c.err == nil; i++ {
+	edges := make([]Edge, c.Count("edge"))
+	for i := range edges {
 		u, v := c.Uvarint(), c.Uvarint()
-		l := label("edge")
-		if c.err != nil {
-			break
-		}
-		if u > math.MaxInt32 || v > math.MaxInt32 {
+		edges[i] = Edge{U: int32(u), V: int32(v), Label: label("edge")}
+		if c.err == nil && (u > math.MaxInt32 || v > math.MaxInt32) {
 			c.fail("edge endpoint (%d,%d) out of range", u, v)
-		} else if err := g.AddEdge(int(u), int(v), l); err != nil {
-			c.err = err
 		}
-	}
-	if c.err == nil {
-		c.err = g.Validate()
 	}
 	if c.err != nil {
+		return nil
+	}
+	g, err := FromEdges(name, vlabels, edges)
+	if err != nil {
+		c.err = err
 		return nil
 	}
 	return g

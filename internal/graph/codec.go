@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -102,87 +104,113 @@ func WriteAll(w io.Writer, gs []*Graph, dict *Labels) error {
 	return nil
 }
 
-// ReadAll parses every graph stanza from r, interning labels into dict.
+// ReadAll parses every graph stanza from r, interning labels into dict,
+// and builds each graph through FromEdges. A header's vertex count must
+// match the vertices its stanza lists; nothing is sized from it, so a
+// header cannot drive an allocation the input does not back.
 func ReadAll(r io.Reader, dict *Labels) ([]*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var (
-		out  []*Graph
-		cur  *Graph
-		line int
+		out          []*Graph
+		open         bool // a stanza is being read
+		name         string
+		want, header int // the open stanza's vertex count and header line
+		line         int
+		fields       [4][]byte
+		// The open stanza's vertices and edges, reused across stanzas.
+		vlabels = make([]ID, 0, 256)
+		edges   = make([]Edge, 0, 512)
 	)
 	finish := func() error {
-		if cur == nil {
+		if !open {
 			return nil
 		}
-		if err := cur.Validate(); err != nil {
-			return err
+		open = false
+		if len(vlabels) != want {
+			return fmt.Errorf("gsim:%d: header declares %d vertices, stanza lists %d", header, want, len(vlabels))
 		}
-		out = append(out, cur)
-		cur = nil
+		g, err := FromEdges(name, slices.Clone(vlabels), edges)
+		if err != nil {
+			return fmt.Errorf("gsim:%d: %v", header, err)
+		}
+		out = append(out, g)
+		vlabels, edges = vlabels[:0], edges[:0]
 		return nil
+	}
+	label := func(tok []byte) (ID, error) {
+		if bytes.IndexByte(tok, '\\') < 0 {
+			return dict.internBytes(tok), nil
+		}
+		s, err := unescapeToken(string(tok))
+		if err != nil {
+			return 0, err
+		}
+		return dict.Intern(s), nil
 	}
 	parse := func() error {
 		for sc.Scan() {
 			line++
-			text := strings.TrimSpace(sc.Text())
-			if text == "" || strings.HasPrefix(text, "#") {
+			n := splitFields(sc.Bytes(), &fields)
+			if n == 0 || fields[0][0] == '#' {
 				continue
 			}
-			fields := strings.Fields(text)
-			switch fields[0] {
+			switch string(fields[0]) {
 			case "g":
 				if err := finish(); err != nil {
 					return err
 				}
-				if len(fields) != 3 {
-					return fmt.Errorf("gsim:%d: want 'g <name> <n>', got %q", line, text)
+				if n != 3 {
+					return fmt.Errorf("gsim:%d: want 'g <name> <n>', got %q", line, strings.TrimSpace(sc.Text()))
 				}
-				n, err := strconv.Atoi(fields[2])
-				if err != nil || n < 0 {
+				count, err := strconv.Atoi(string(fields[2]))
+				if err != nil || count < 0 {
 					return fmt.Errorf("gsim:%d: bad vertex count %q", line, fields[2])
 				}
-				name, err := unescapeToken(fields[1])
-				if err != nil {
+				if name, err = unescapeToken(string(fields[1])); err != nil {
 					return fmt.Errorf("gsim:%d: %v", line, err)
 				}
-				cur = New(n)
-				cur.Name = name
+				open, want, header = true, count, line
 			case "v":
-				if cur == nil {
+				if !open {
 					return fmt.Errorf("gsim:%d: vertex before graph header", line)
 				}
-				if len(fields) != 3 {
-					return fmt.Errorf("gsim:%d: want 'v <i> <label>', got %q", line, text)
+				if n != 3 {
+					return fmt.Errorf("gsim:%d: want 'v <i> <label>', got %q", line, strings.TrimSpace(sc.Text()))
 				}
-				idx, err := strconv.Atoi(fields[1])
-				if err != nil || idx != cur.NumVertices() {
-					return fmt.Errorf("gsim:%d: vertices must appear in order, got index %q after %d", line, fields[1], cur.NumVertices())
+				idx, err := strconv.Atoi(string(fields[1]))
+				if err != nil || idx != len(vlabels) {
+					return fmt.Errorf("gsim:%d: vertices must appear in order, got index %q after %d", line, fields[1], len(vlabels))
 				}
-				label, err := unescapeToken(fields[2])
+				if idx == want {
+					return fmt.Errorf("gsim:%d: vertex %d exceeds the header's count %d", line, idx, want)
+				}
+				l, err := label(fields[2])
 				if err != nil {
 					return fmt.Errorf("gsim:%d: %v", line, err)
 				}
-				cur.AddVertex(dict.Intern(label))
+				vlabels = append(vlabels, l)
 			case "e":
-				if cur == nil {
+				if !open {
 					return fmt.Errorf("gsim:%d: edge before graph header", line)
 				}
-				if len(fields) != 4 {
-					return fmt.Errorf("gsim:%d: want 'e <u> <v> <label>', got %q", line, text)
+				if n != 4 {
+					return fmt.Errorf("gsim:%d: want 'e <u> <v> <label>', got %q", line, strings.TrimSpace(sc.Text()))
 				}
-				u, err1 := strconv.Atoi(fields[1])
-				v, err2 := strconv.Atoi(fields[2])
+				u, err1 := strconv.Atoi(string(fields[1]))
+				v, err2 := strconv.Atoi(string(fields[2]))
 				if err1 != nil || err2 != nil {
-					return fmt.Errorf("gsim:%d: bad edge endpoints %q", line, text)
+					return fmt.Errorf("gsim:%d: bad edge endpoints %q", line, strings.TrimSpace(sc.Text()))
 				}
-				label, err := unescapeToken(fields[3])
+				l, err := label(fields[3])
 				if err != nil {
 					return fmt.Errorf("gsim:%d: %v", line, err)
 				}
-				if err := cur.AddEdge(u, v, dict.Intern(label)); err != nil {
+				// Duplicates are FromEdges' to find, when the stanza ends.
+				if err := CheckEdge(name, len(vlabels), u, v, false); err != nil {
 					return fmt.Errorf("gsim:%d: %v", line, err)
 				}
+				edges = append(edges, Edge{U: int32(u), V: int32(v), Label: l})
 			default:
 				return fmt.Errorf("gsim:%d: unknown record %q", line, fields[0])
 			}
@@ -203,4 +231,34 @@ func ReadAll(r io.Reader, dict *Labels) ([]*Graph, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// splitFields splits line around Unicode white space as strings.Fields
+// does, storing the first len(f) fields in f without copying, and reports
+// how many fields the line holds.
+func splitFields(line []byte, f *[4][]byte) int {
+	n := 0
+	start := -1
+	for i := 0; i <= len(line); {
+		space, w := true, 1
+		if i < len(line) {
+			r := rune(line[i])
+			if r >= utf8.RuneSelf {
+				r, w = utf8.DecodeRune(line[i:])
+			}
+			space = unicode.IsSpace(r)
+		}
+		switch {
+		case !space && start < 0:
+			start = i
+		case space && start >= 0:
+			if n < len(f) {
+				f[n] = line[start:i]
+			}
+			n++
+			start = -1
+		}
+		i += w
+	}
+	return n
 }

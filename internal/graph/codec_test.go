@@ -105,3 +105,71 @@ func FuzzTextRoundTrip(f *testing.F) {
 		roundTrip(t, name, va, vb, el)
 	})
 }
+
+// TestReadAllChecksVertexCount: a header's vertex count must match the
+// vertices its stanza lists. (That it sizes nothing is the server's
+// TestTextIngestHugeHeader.)
+func TestReadAllChecksVertexCount(t *testing.T) {
+	for _, src := range []string{
+		"g x 5\nv 0 a\n",               // fewer vertices than declared
+		"g x 5\nv 0 a\ng y 1\nv 0 a\n", // ... before the next stanza
+		"g x 1\nv 0 a\nv 1 a\n",        // more
+	} {
+		if gs, err := ReadAll(strings.NewReader(src), NewLabels()); err == nil {
+			t.Errorf("ReadAll accepted %q as %d graphs", src, len(gs))
+		} else if !strings.HasPrefix(err.Error(), "gsim:") {
+			t.Errorf("ReadAll(%q): error %q carries no line number", src, err)
+		}
+	}
+}
+
+// pathGraph is the path over n vertices labeled from a three-letter
+// alphabet, every edge labeled "e".
+func pathGraph(dict *Labels, n int) *Graph {
+	g := New(n)
+	g.Name = "path"
+	for v := 0; v < n; v++ {
+		g.AddVertex(dict.Intern(string(rune('a' + v%3))))
+	}
+	for v := 1; v < n; v++ {
+		g.MustAddEdge(v-1, v, dict.Intern("e"))
+	}
+	return g
+}
+
+// TestDecodeAllocsFlatInSize: decoding a graph, from its binary body or
+// its text stanza, costs a fixed number of allocations, however many
+// vertices it has — a heap object per vertex would show between 6 and 60.
+func TestDecodeAllocsFlatInSize(t *testing.T) {
+	dict := NewLabels()
+	allocs := func(n int) (body, text float64) {
+		g := pathGraph(dict, n)
+		buf := AppendBody(nil, g, func(l ID) uint64 { return uint64(l) })
+		decode := func(code uint64) (ID, bool) { return ID(code), code < uint64(dict.Len()) }
+		body = testing.AllocsPerRun(20, func() {
+			c := NewCursor(buf)
+			if c.Body("path", decode) == nil {
+				t.Fatal(c.Err())
+			}
+		})
+		var w bytes.Buffer
+		if err := Write(&w, g, dict); err != nil {
+			t.Fatal(err)
+		}
+		text = testing.AllocsPerRun(20, func() {
+			if _, err := ReadAll(bytes.NewReader(w.Bytes()), dict); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return body, text
+	}
+	body6, text6 := allocs(6)
+	body60, text60 := allocs(60)
+	if body60 != body6 {
+		t.Errorf("Cursor.Body: %v allocations for 6 vertices, %v for 60", body6, body60)
+	}
+	if text60 != text6 {
+		t.Errorf("ReadAll: %v allocations for 6 vertices, %v for 60", text6, text60)
+	}
+	t.Logf("Body %v, ReadAll %v allocations per graph", body6, text6)
+}

@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Extend materialises the extended graph G{k} of Definition 5: k isolated
 // virtual (ε-labeled) vertices are appended, then a virtual edge is inserted
 // between every pair of non-adjacent vertices, so the result is a complete
@@ -10,18 +12,18 @@ package graph
 // can verify both theorems directly. Beware the quadratic blow-up: only call
 // it on small graphs.
 func Extend(g *Graph, k int) *Graph {
-	e := g.Clone()
-	e.Name = g.Name + "+ext"
-	for i := 0; i < k; i++ {
-		e.AddVertex(Epsilon)
-	}
-	n := e.NumVertices()
+	n := g.NumVertices() + k
+	vlabels := append(slices.Clone(g.vlabels), make([]ID, k)...) // ε = 0
+	edges := make([]Edge, 0, n*(n-1)/2)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			if !e.HasEdge(u, v) {
-				e.MustAddEdge(u, v, Epsilon)
-			}
+			l, _ := g.EdgeLabel(u, v) // ε where absent
+			edges = append(edges, Edge{U: int32(u), V: int32(v), Label: l})
 		}
+	}
+	e, err := FromEdges(g.Name+"+ext", vlabels, edges)
+	if err != nil {
+		panic(err) // g is simple, so the complete graph over it is too
 	}
 	return e
 }

@@ -34,18 +34,34 @@ func AddDirectedEdge(g *Graph, dict *Labels, u, v int, base string) error {
 	if u == v {
 		return fmt.Errorf("graph %q: directed self-loop on %d", g.Name, u)
 	}
-	fromSmaller := u < v
-	if existing, ok := g.EdgeLabel(u, v); ok {
-		opposite := base + "|>"
-		if fromSmaller {
-			opposite = base + "|<"
-		}
-		if dict.Name(existing) == opposite {
-			return g.RelabelEdge(u, v, FoldDirectedLabel(dict, base, true, true))
-		}
-		return fmt.Errorf("graph %q: arc (%d,%d) conflicts with existing label %q", g.Name, u, v, dict.Name(existing))
+	existing, present := g.EdgeLabel(u, v)
+	l, err := DirectedLabel(dict, u, v, base, existing, present)
+	switch {
+	case err != nil:
+		return fmt.Errorf("graph %q: %w", g.Name, err)
+	case present:
+		return g.RelabelEdge(u, v, l)
 	}
-	return g.AddEdge(u, v, FoldDirectedLabel(dict, base, fromSmaller, !fromSmaller))
+	return g.AddEdge(u, v, l)
+}
+
+// DirectedLabel returns the label the arc u→v with base label base gives
+// the edge {u,v}, labeled existing when present: a new arc folds its
+// direction, the opposite arc of the same base merges into the
+// bidirectional form, and any other label already there conflicts.
+func DirectedLabel(dict *Labels, u, v int, base string, existing ID, present bool) (ID, error) {
+	fromSmaller := u < v
+	if !present {
+		return FoldDirectedLabel(dict, base, fromSmaller, !fromSmaller), nil
+	}
+	opposite := base + "|>"
+	if fromSmaller {
+		opposite = base + "|<"
+	}
+	if dict.Name(existing) != opposite {
+		return 0, fmt.Errorf("arc (%d,%d) conflicts with existing label %q", u, v, dict.Name(existing))
+	}
+	return FoldDirectedLabel(dict, base, true, true), nil
 }
 
 // WeightBuckets quantises edge weights into labeled buckets. The paper's

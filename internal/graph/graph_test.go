@@ -405,3 +405,50 @@ func TestQuickValidateAfterRandomEdits(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzFromEdges holds the bulk constructor to incremental AddEdge on a
+// fresh graph: it accepts exactly the edge lists the reference accepts,
+// builds an Equal graph that passes Validate, and appending to any
+// Neighbors window leaves the graph unchanged. The input is a vertex
+// count and (u, v, label) byte triples; endpoints are signed so negative
+// and out-of-range ones occur. Seeds live in testdata/fuzz.
+func FuzzFromEdges(f *testing.F) {
+	f.Fuzz(func(t *testing.T, n uint8, data []byte) {
+		nv := int(n % 32)
+		vlabels := make([]ID, nv)
+		ref := New(nv)
+		for v := range vlabels {
+			vlabels[v] = ID(v % 3)
+			ref.AddVertex(vlabels[v])
+		}
+		var edges []Edge
+		var refErr error
+		for i := 0; i+2 < len(data); i += 3 {
+			u, v, l := int(int8(data[i])), int(int8(data[i+1])), ID(data[i+2]%4)
+			edges = append(edges, Edge{U: int32(u), V: int32(v), Label: l})
+			if refErr == nil {
+				refErr = ref.AddEdge(u, v, l)
+			}
+		}
+		g, err := FromEdges("", vlabels, edges)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("FromEdges error %v, AddEdge error %v", err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		if !g.Equal(ref) {
+			t.Fatalf("FromEdges built %v, AddEdge %v", g.Edges(), ref.Edges())
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		want := g.Clone()
+		for v := 0; v < nv; v++ {
+			_ = append(g.Neighbors(v), Halfedge{To: 31, Label: 3})
+		}
+		if !g.Equal(want) {
+			t.Fatal("appending to a Neighbors window changed the graph")
+		}
+	})
+}

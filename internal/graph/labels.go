@@ -63,6 +63,36 @@ func (l *Labels) Intern(s string) ID {
 	return id
 }
 
+// internBytes is Intern for a byte slice, which it copies only when the
+// label is new.
+func (l *Labels) internBytes(b []byte) ID {
+	l.mu.RLock()
+	id, ok := l.ids[string(b)]
+	l.mu.RUnlock()
+	if ok {
+		return id
+	}
+	return l.Intern(string(b))
+}
+
+// LabelView reads a dictionary held read-locked by Labels.View.
+type LabelView struct{ l *Labels }
+
+// Lookup is Labels.Lookup without taking the lock.
+func (v LabelView) Lookup(s string) (ID, bool) {
+	id, ok := v.l.ids[s]
+	return id, ok
+}
+
+// View calls fn with the dictionary read-locked, so every lookup fn makes
+// through v shares one lock round trip: a whole graph's labels resolve
+// under one lock. fn must not call l's own methods.
+func (l *Labels) View(fn func(v LabelView)) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	fn(LabelView{l})
+}
+
 // Lookup returns the ID for s without interning. The second result reports
 // whether s is known.
 func (l *Labels) Lookup(s string) (ID, bool) {
@@ -116,11 +146,10 @@ func Alphabets(gs ...*Graph) (lv, le int) {
 				vs[lab] = struct{}{}
 			}
 		}
-		for u := 0; u < g.NumVertices(); u++ {
-			for _, h := range g.adj[u] {
-				if int(h.To) > u && h.Label != Epsilon {
-					es[h.Label] = struct{}{}
-				}
+		// Each edge appears twice among the half-edges; the set does not care.
+		for _, h := range g.half {
+			if h.Label != Epsilon {
+				es[h.Label] = struct{}{}
 			}
 		}
 	}

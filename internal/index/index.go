@@ -57,8 +57,12 @@ func Summarize(g *graph.Graph) Summary {
 	// ingest path, and the closure-based form allocates per call.
 	slices.Sort(s.VLabels)
 	s.ELabels = make([]graph.ID, 0, s.E)
-	for _, e := range g.Edges() {
-		s.ELabels = append(s.ELabels, e.Label)
+	for u := 0; u < s.V; u++ {
+		for _, h := range g.Neighbors(u) {
+			if int(h.To) > u {
+				s.ELabels = append(s.ELabels, h.Label)
+			}
+		}
 	}
 	slices.Sort(s.ELabels)
 	return s

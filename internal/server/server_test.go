@@ -550,6 +550,26 @@ func TestOversizedBodiesAnswer413(t *testing.T) {
 	}
 }
 
+// TestTextIngestHugeHeader: a .gsim header whose vertex count no input
+// backs is a 400, and stores nothing; the count once sized an allocation,
+// so this 21-byte body asked for gigabytes and the runtime killed the
+// process.
+func TestTextIngestHugeHeader(t *testing.T) {
+	fx := newFixture(t, 0)
+	h := fx.srv.Handler()
+	before := fx.db.Len()
+	req := httptest.NewRequest("POST", "/v1/graphs", strings.NewReader("g x 4000000000\nv 0 a\n"))
+	req.Header.Set("Content-Type", "text/plain")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body.String())
+	}
+	if fx.db.Len() != before {
+		t.Fatalf("%d graphs stored, want %d", fx.db.Len(), before)
+	}
+}
+
 // TestQueryLabelsStayEphemeral: query traffic with labels the database
 // has never seen must not grow the shared dictionary — the long-running
 // server would otherwise leak an entry per distinct label forever.

@@ -24,12 +24,9 @@ type wireGraph struct {
 	Edges    []wireEdge `json:"edges,omitempty"`
 }
 
-// wireEdge is one undirected labeled edge.
-type wireEdge struct {
-	U     int    `json:"u"`
-	V     int    `json:"v"`
-	Label string `json:"label,omitempty"`
-}
+// wireEdge is one undirected labeled edge; the library's whole-graph
+// edge, so a decoded body builds without a copy.
+type wireEdge = gsim.Edge
 
 // wireOptions carries the per-request search knobs. Zero values defer to
 // the server's defaults (method) or the library's (everything else).
@@ -183,22 +180,19 @@ func (s *Server) resolveMethod(name string) (gsim.Method, error) {
 	return m, nil
 }
 
-// fill populates one graph builder from wire form.
+// fill sets one graph builder to the wire-form graph in one step.
 func fill(b *gsim.GraphBuilder, wg wireGraph) (*gsim.GraphBuilder, error) {
 	if len(wg.Vertices) == 0 {
 		return nil, fmt.Errorf("graph %q has no vertices", wg.Name)
-	}
-	for _, label := range wg.Vertices {
-		b.AddVertex(label)
 	}
 	for _, e := range wg.Edges {
 		if e.U < 0 || e.U >= len(wg.Vertices) || e.V < 0 || e.V >= len(wg.Vertices) {
 			return nil, fmt.Errorf("graph %q: edge (%d,%d) references a vertex outside [0,%d)",
 				wg.Name, e.U, e.V, len(wg.Vertices))
 		}
-		if err := b.AddEdge(e.U, e.V, e.Label); err != nil {
-			return nil, fmt.Errorf("graph %q: %w", wg.Name, err)
-		}
+	}
+	if err := b.Set(wg.Vertices, wg.Edges); err != nil {
+		return nil, fmt.Errorf("graph %q: %w", wg.Name, err)
 	}
 	return b, nil
 }

@@ -278,7 +278,10 @@ func (r *modelRun) oracle(m Method, seed int64, tau int) (plain, pre []Match) {
 	qsum := index.Summarize(q.g)
 	entries := make([]*db.Entry, len(r.live))
 	for k, id := range r.live {
-		g := modelGraph(d, r.model[id]).g
+		g, err := modelGraph(d, r.model[id]).graph()
+		if err != nil {
+			t.Fatal(err)
+		}
 		entries[k] = db.NewEntry(uint64(id), g, bdict.ResolveMultiset(branch.MultisetOf(g)))
 	}
 	var sizes []int
