@@ -191,7 +191,7 @@ func TestColumnsAndPrunedCountersAgree(t *testing.T) {
 		col := db.New("listed")
 		col.Dict = d.store.Dict()
 		for _, e := range d.store.Ordered() {
-			col.Add(e.G)
+			col.Add(e.G.Unpack())
 		}
 		var ids []int
 		for id := col.Len() - 1; id >= 0; id -= 3 {

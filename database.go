@@ -163,38 +163,41 @@ func (d *Database) ShardSizes() []int { return d.store.ShardSizes() }
 
 // LoadText bulk-loads graphs in .gsim text form (see internal/graph codec:
 // "g <name> <n>" header, "v <i> <label>" and "e <u> <v> <label>" records).
-// The batch is parsed before any lock is taken and inserted atomically
-// (every shard briefly locked): a concurrent search sees either none or
-// all of the loaded graphs, and the epoch advances once.
+// Each graph is prepared for storage as it is parsed, before any lock is
+// taken, so only one graph at a time is ever held unpacked. The batch is
+// then inserted atomically (every shard briefly locked): a concurrent
+// search sees either none or all of the loaded graphs, and the epoch
+// advances once. A load that fails changes nothing.
 func (d *Database) LoadText(r io.Reader) (int, error) {
 	if err := d.writable(); err != nil {
 		return 0, err
 	}
-	gs, err := graph.ReadAll(r, d.store.Dict())
-	if err != nil {
+	var batch []shard.Mutation
+	if err := graph.ReadEach(r, d.store.Dict(), func(g *graph.Graph) error {
+		batch = append(batch, shard.Mutation{P: d.store.Prepare(g)})
+		return nil
+	}); err != nil {
+		d.store.Discard(batch)
 		return 0, err
-	}
-	batch := make([]shard.Mutation, len(gs))
-	for i, g := range gs {
-		batch[i] = shard.Mutation{G: g}
 	}
 	if len(batch) > 0 {
 		if _, _, _, err := d.store.Commit(batch); err != nil {
 			return 0, err
 		}
 	}
-	return len(gs), nil
+	return len(batch), nil
 }
 
 // SaveText writes every stored graph in .gsim text form, in insertion
-// (ID) order — one logical collection, whatever the shard layout.
+// (ID) order — one logical collection, whatever the shard layout —
+// unpacking one graph at a time.
 func (d *Database) SaveText(w io.Writer) error {
-	entries := d.store.Ordered()
-	gs := make([]*graph.Graph, len(entries))
-	for i, e := range entries {
-		gs[i] = e.G
+	for _, e := range d.store.Ordered() {
+		if err := graph.Write(w, e.G.Unpack(), d.store.Dict()); err != nil {
+			return err
+		}
 	}
-	return graph.WriteAll(w, gs, d.store.Dict())
+	return nil
 }
 
 // Delete removes the graph with the given ID (the value Store returned
@@ -519,7 +522,7 @@ func (d *Database) CommitAll(muts []BuilderMutation) ([]int, error) {
 	if err := d.writable(); err != nil {
 		return nil, err
 	}
-	batch := make([]shard.Mutation, len(muts))
+	gs := make([]*graph.Graph, len(muts))
 	for i, mu := range muts {
 		b := mu.Builder
 		if b == nil || b.d != d {
@@ -532,15 +535,19 @@ func (d *Database) CommitAll(muts []BuilderMutation) ([]int, error) {
 		if mu.UpdateID != nil && *mu.UpdateID < 0 {
 			return nil, fmt.Errorf("%w: %d", ErrNotFound, *mu.UpdateID)
 		}
-		batch[i] = shard.Mutation{G: g}
+		gs[i] = g
+	}
+	ids := make([]int, len(muts))
+	if len(muts) == 0 {
+		return ids, nil
+	}
+	batch := make([]shard.Mutation, len(muts))
+	for i, mu := range muts {
+		batch[i] = shard.Mutation{P: d.store.Prepare(gs[i])}
 		if mu.UpdateID != nil {
 			id := uint64(*mu.UpdateID)
 			batch[i].ID = &id
 		}
-	}
-	ids := make([]int, len(muts))
-	if len(batch) == 0 {
-		return ids, nil
 	}
 	first, missing, ok, err := d.store.Commit(batch)
 	if err != nil {
@@ -639,9 +646,10 @@ func (d *Database) Query(i int) *Query {
 	if !ok {
 		panic(fmt.Sprintf("gsim: Query(%d): no graph with that id", i))
 	}
-	// Entries store interned IDs, not keys; the query form recomputes the
-	// canonical multiset.
-	return newQuery(e.G)
+	// Entries store the graph packed and its branches as interned IDs, not
+	// keys; the query form unpacks it and recomputes the canonical
+	// multiset.
+	return newQuery(e.G.Unpack())
 }
 
 // OfflineConfig tunes BuildPriors, the offline stage of Algorithm 1.

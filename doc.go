@@ -90,26 +90,39 @@
 // collection-wide mutex; bulk ingest (LoadText, StoreAll, CommitAll)
 // briefly locks every shard for its none-or-all contract.
 //
-// Every graph, stored or queried, is compressed sparse rows
+// A graph being built, queried or scored whole is compressed sparse rows
 // (internal/graph): its vertex labels, |V|+1 run offsets and one
 // half-edge array in which each vertex's run is sorted by (To, Label) —
 // the struct and three slices, whatever the graph's size. One bulk
-// constructor, graph.FromEdges, counts degrees, takes prefix sums, fills
-// and sorts the runs and rejects self-loops, out-of-range endpoints and
-// duplicate edges; every path that holds a whole graph builds through
-// it: the binary body decoder (log replay, segment reads), the .gsim
-// text reader (import, text ingest), the dataset generators, and
-// GraphBuilder, which gathers labels and edges (GraphBuilder.Set takes a
-// whole graph and resolves its labels under one dictionary lock, the
-// form gsimd's request bodies use) and builds once. The text reader
-// sizes nothing from a header's vertex count and rejects a stanza that
-// lists a different number of vertices, with the line of its header.
-// In-place edits (AddEdge, RemoveEdge, the relabels) stay on the graph
-// for edit scripts and generated variants, at O(|V|+|E|) each. On the
-// repository benchmark's corpus (30,000 stored AASD-shaped graphs, 2-core
-// x86-64 Xeon) the compact form took gsimd's peak RSS from ~260 MB to
-// ~160 MB on the read-only workloads and from ~570 MB to ~330 MB on
-// mixed-durable.
+// procedure counts degrees, takes prefix sums, fills and sorts the runs
+// and rejects self-loops, out-of-range endpoints and duplicate edges:
+// graph.FromEdges runs it over an edge list (the .gsim text reader, the
+// dataset generators, GraphBuilder, which gathers labels and edges and
+// builds once — GraphBuilder.Set takes a whole graph and resolves its
+// labels under one dictionary lock, the form gsimd's request bodies
+// use), and the binary body decoder runs it straight over the body's
+// edges (log replay, segment reads, unpacking). The text reader sizes
+// nothing from a header's vertex count and rejects a stanza that lists a
+// different number of vertices, with the line of its header. In-place
+// edits (AddEdge, RemoveEdge, the relabels) stay on the graph for edit
+// scripts and generated variants, at O(|V|+|E|) each.
+//
+// A stored graph is kept packed (graph.Packed in db.Entry.G): its name
+// and its binary body, byte for byte what a segment stores. Everything
+// a search or a shard column needs is precomputed beside it — the branch
+// multiset, the label span, the signature word — so a stored graph is
+// unpacked only where a caller needs it whole: the LSAP, Greedy-Sort,
+// seriation and exact scorers (and the hybrid's verification),
+// Database.Query, SaveText and the flat collection's Graph and Save. A
+// write prepares its entries — packing, span, signature, interned
+// branches — before it takes a lock, and a write that then fails
+// releases what it interned. Bulk loads (LoadText, segment recovery)
+// prepare each graph as they parse it, so only one graph at a time is
+// ever held in compressed sparse rows. On the repository benchmark's
+// corpus (30,000 stored AASD-shaped graphs, 2-core x86-64 Xeon) gsimd's
+// peak RSS went from ~260 MB to ~160 MB with compressed sparse rows and
+// to ~80 MB with packed entries on the read-only workloads, and from
+// ~230 MB to ~120 MB on mixed-durable.
 //
 // The admissible prefilter (internal/index) keeps no per-graph slices
 // and no store of its own. Each shard's signature column holds one 8-byte
@@ -179,7 +192,9 @@
 // written by graph.AppendBody and read by graph.Cursor: vertex labels,
 // then (u, v, label) edges, each label coded by its container — a
 // record-local string table for the log, the manifest dictionary for a
-// segment. The one decoder bounds every count by the bytes left, checks
+// segment. A packed graph is that body with raw dictionary IDs, so a
+// checkpoint copies each stored body into its segment as it is, and a
+// log record re-codes it in one walk. The one decoder bounds every count by the bytes left, checks
 // each label code and endpoint, refuses trailing bytes, and builds the
 // graph through graph.FromEdges, which refuses self-loops and duplicate
 // edges; CRC, magic and IDs stay with the container.
@@ -195,7 +210,7 @@
 //
 // Recovery (Open on an existing directory) loads the segments in
 // parallel — a flat varint codec with a CRC-32C trailer, decoded
-// without reflection; branch multisets recomputed concurrently — then
+// without reflection, each graph's entry built as it is decoded — then
 // replays each shard's log past its segment, tolerating a torn tail
 // (records are CRC-framed; an interrupted append is dropped, every
 // complete record before it survives) and failing loudly on structural

@@ -117,13 +117,13 @@ func newWalSet(dir string, n int, opts wal.Options, dict *graph.Labels) *walSet 
 
 // Append journals one mutation record to shard i's log. Called inside
 // shard i's critical section (see shard.Journal).
-func (s *walSet) Append(i int, op wal.Op, id uint64, g *graph.Graph) (shard.Token, error) {
+func (s *walSet) Append(i int, op wal.Op, id uint64, g graph.Packed) (shard.Token, error) {
 	w := s.writers[i].Load()
 	if w == nil {
 		return shard.Token{}, fmt.Errorf("gsim: shard %d has no journal writer", i)
 	}
 	bp := s.bufs.Get().(*[]byte)
-	buf := wal.AppendRecord((*bp)[:0], op, id, g, s.dict)
+	buf := wal.AppendPacked((*bp)[:0], op, id, g, s.dict)
 	seq, err := w.Append(buf)
 	*bp = buf
 	s.bufs.Put(bp)
@@ -284,7 +284,8 @@ func recover_(dir string, o dbOptions, du *durable, man *manifest) (*Database, e
 	}
 	store := shard.NewWithDictionaries(name, n, dict, db.NewBranchDict())
 
-	// Parallel segment load: decode, intern branch multisets, install.
+	// Parallel segment load: decode each graph and build its entry as it
+	// comes (packed, its branch multiset interned), then install.
 	errs := make([]error, len(man.Segments))
 	var wg sync.WaitGroup
 	for i, seg := range man.Segments {
@@ -297,12 +298,15 @@ func recover_(dir string, o dbOptions, du *durable, man *manifest) (*Database, e
 				return
 			}
 			defer f.Close()
-			ids, gs, err := db.ReadSegment(f, len(man.Labels))
-			if err != nil {
+			var entries []*db.Entry
+			if err := db.ReadSegmentEach(f, len(man.Labels), func(id uint64, g *graph.Graph) error {
+				entries = append(entries, db.BuildEntry(store.BranchDict(), id, g))
+				return nil
+			}); err != nil {
 				errs[i] = fmt.Errorf("gsim: segment %s: %w", seg, err)
 				return
 			}
-			if err := store.Install(db.BuildEntries(store.BranchDict(), ids, gs)); err != nil {
+			if err := store.Install(entries); err != nil {
 				errs[i] = fmt.Errorf("gsim: segment %s: %w", seg, err)
 			}
 		}(i, seg)

@@ -31,20 +31,30 @@ import (
 // public Delete/Update APIs and the deterministic result order of
 // scatter-gather scans.
 //
-// Labels is the graph's label span (see NewEntry): its sizes and sorted
-// label multisets, encoded for the prefilter's size and label tiers.
+// G is the graph packed (graph.Packed): its name and binary body. Only the
+// scorers that need the whole graph, and the readers that hand a stored
+// graph out, unpack it. Labels is the graph's label span (see NewEntry):
+// its sizes and sorted label multisets, encoded for the prefilter's size
+// and label tiers and read by every column and statistic the store keeps.
 type Entry struct {
 	ID       uint64
-	G        *graph.Graph
+	G        graph.Packed
 	Branches branch.IDs
 	Labels   string
 }
 
 // NewEntry builds the Entry of graph g stored under id with its interned
-// branch multiset, encoding its label span. It is the only way entries
-// are made: an entry without a span would read as an empty graph.
+// branch multiset, packing g and encoding its label span. It is the only
+// way entries are made: an entry without a span would read as an empty
+// graph.
 func NewEntry(id uint64, g *graph.Graph, branches branch.IDs) *Entry {
-	return &Entry{ID: id, G: g, Branches: branches, Labels: labelSpan(g)}
+	return &Entry{ID: id, G: graph.Pack(g), Branches: branches, Labels: labelSpan(g)}
+}
+
+// BuildEntry is NewEntry with g's branch multiset computed and interned
+// into bdict: the one way a graph is made ready to store.
+func BuildEntry(bdict *BranchDict, id uint64, g *graph.Graph) *Entry {
+	return NewEntry(id, g, bdict.InternMultiset(branch.MultisetOf(g)))
 }
 
 // Collection is an in-memory graph database. All graphs intern their labels
@@ -78,9 +88,9 @@ func (c *Collection) BranchDict() *BranchDict { return c.bdict }
 // the collection statistics. The graph must have been built against the
 // collection's dictionary.
 func (c *Collection) Add(g *graph.Graph) *Entry {
-	e := NewEntry(uint64(len(c.entries)), g, c.bdict.InternMultiset(branch.MultisetOf(g)))
+	e := BuildEntry(c.bdict, uint64(len(c.entries)), g)
 	c.entries = append(c.entries, e)
-	c.st.Add(g)
+	c.st.Add(e.Labels)
 	return e
 }
 
@@ -90,8 +100,9 @@ func (c *Collection) Len() int { return len(c.entries) }
 // Entry returns the i-th stored entry.
 func (c *Collection) Entry(i int) *Entry { return c.entries[i] }
 
-// Graph returns the i-th stored graph.
-func (c *Collection) Graph(i int) *graph.Graph { return c.entries[i].G }
+// Graph returns the i-th stored graph, unpacked into a fresh copy the
+// caller owns.
+func (c *Collection) Graph(i int) *graph.Graph { return c.entries[i].G.Unpack() }
 
 // Entries returns the stored entries as a point-in-time view: the caller
 // sees exactly the graphs present at call time, and entries Added later
@@ -122,8 +133,9 @@ func (s Stats) String() string {
 
 // Tally is the running statistics of a changing set of graphs — the
 // figures Stats reports — refcounted so Remove subtracts exactly what Add
-// added. The maxima are the largest keys of the size histograms, so a
-// removal needs no rescan. Not safe for concurrent use.
+// added. It counts each graph from its label span, so it never reads the
+// graph itself. The maxima are the largest keys of the size histograms,
+// so a removal needs no rescan. Not safe for concurrent use.
 type Tally struct {
 	n       int
 	sumDeg  float64
@@ -146,27 +158,31 @@ func NewTally() Tally {
 // Len reports the number of graphs counted.
 func (t *Tally) Len() int { return t.n }
 
-// Add counts g.
-func (t *Tally) Add(g *graph.Graph) { t.count(g, 1) }
+// Add counts the graph whose label span is span.
+func (t *Tally) Add(span string) { t.count(span, 1) }
 
-// Remove uncounts g, which must have been counted.
-func (t *Tally) Remove(g *graph.Graph) { t.count(g, -1) }
+// Remove uncounts the graph whose label span is span, which must have
+// been counted.
+func (t *Tally) Remove(span string) { t.count(span, -1) }
 
-func (t *Tally) count(g *graph.Graph, d int) {
+func (t *Tally) count(span string, d int) {
+	nv, ne, off := SpanSizes(span)
 	t.n += d
-	t.sumDeg += float64(d) * g.AvgDegree()
-	bump(t.sizes, g.NumVertices(), d)
-	bump(t.edges, g.NumEdges(), d)
-	for v := 0; v < g.NumVertices(); v++ {
-		if l := g.VertexLabel(v); l != graph.Epsilon {
-			bump(t.vLabels, l, d)
-		}
-		for _, h := range g.Neighbors(v) {
-			if int(h.To) > v && h.Label != graph.Epsilon {
-				bump(t.eLabels, h.Label, d)
-			}
-		}
+	if nv > 0 {
+		t.sumDeg += float64(d) * (float64(2*ne) / float64(nv)) // graph.AvgDegree
 	}
+	bump(t.sizes, nv, d)
+	bump(t.edges, ne, d)
+	off = SpanRuns(span, off, nv, func(l graph.ID, n int) {
+		if l != graph.Epsilon {
+			bump(t.vLabels, l, d*n)
+		}
+	})
+	SpanRuns(span, off, ne, func(l graph.ID, n int) {
+		if l != graph.Epsilon {
+			bump(t.eLabels, l, d*n)
+		}
+	})
 }
 
 // Merge adds o's counts to t.
@@ -289,25 +305,26 @@ func parallel(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Save writes the collection in .gsim text form.
+// Save writes the collection in .gsim text form, unpacking one graph at
+// a time.
 func (c *Collection) Save(w io.Writer) error {
-	gs := make([]*graph.Graph, len(c.entries))
-	for i, e := range c.entries {
-		gs[i] = e.G
+	for _, e := range c.entries {
+		if err := graph.Write(w, e.G.Unpack(), c.Dict); err != nil {
+			return err
+		}
 	}
-	return graph.WriteAll(w, gs, c.Dict)
+	return nil
 }
 
 // Load reads graphs in .gsim text form into a fresh collection, recomputing
 // branch indexes.
 func Load(name string, r io.Reader) (*Collection, error) {
 	c := New(name)
-	gs, err := graph.ReadAll(r, c.Dict)
-	if err != nil {
-		return nil, err
-	}
-	for _, g := range gs {
+	if err := graph.ReadEach(r, c.Dict, func(g *graph.Graph) error {
 		c.Add(g)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return c, nil
 }

@@ -71,7 +71,7 @@ func TestBranchIndexMatchesRecompute(t *testing.T) {
 		e := c.Entry(i)
 		// Every stored key was interned at Add, so resolving the fresh
 		// multiset must reproduce the stored IDs exactly — no ephemerals.
-		fresh := c.BranchDict().ResolveMultiset(branch.MultisetOf(e.G))
+		fresh := c.BranchDict().ResolveMultiset(branch.MultisetOf(e.G.Unpack()))
 		if len(fresh) != len(e.Branches) {
 			t.Fatalf("graph %d: index length %d vs %d", i, len(e.Branches), len(fresh))
 		}

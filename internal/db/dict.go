@@ -121,8 +121,17 @@ func (d *BranchDict) Lookup(k branch.Key) (uint32, bool) {
 // and ephemeral query IDs can never meet; 2³¹ distinct branch shapes is
 // far beyond any real collection.
 func (d *BranchDict) InternMultiset(ms branch.Multiset) branch.IDs {
+	ids, _ := d.InternMultisetMark(ms)
+	return ids
+}
+
+// InternMultisetMark is InternMultiset that also returns the mark
+// Unintern takes to undo it: the universe just before the intern, read
+// under the same lock.
+func (d *BranchDict) InternMultisetMark(ms branch.Multiset) (branch.IDs, uint32) {
 	out := make(branch.IDs, len(ms))
 	d.mu.Lock()
+	mark := d.next
 	for i, k := range ms {
 		id, ok := d.ids[k]
 		if !ok {
@@ -146,7 +155,7 @@ func (d *BranchDict) InternMultiset(ms branch.Multiset) branch.IDs {
 	}
 	d.mu.Unlock()
 	slices.Sort(out)
-	return out
+	return out, mark
 }
 
 // Release decrements refcounts for a deleted (or replaced) entry's
@@ -167,6 +176,46 @@ func (d *BranchDict) Release(ids branch.IDs) {
 		}
 	}
 	d.maybeCompact()
+}
+
+// Unintern undoes InternMultiset for multisets that were never stored
+// (a write that failed after preparing its entries). It releases sets as
+// Release does, except that a key created at or above mark — the least
+// InternMultisetMark returned for those interns — whose count returns
+// to zero leaves the map at once instead of waiting, dead, for
+// compaction. With no concurrent writer, Stats' Live and Dead are then
+// what they were before the interns.
+func (d *BranchDict) Unintern(mark uint32, sets []branch.IDs) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var fresh map[uint32]bool
+	for _, ids := range sets {
+		for _, id := range ids {
+			if id >= EphemeralBranchBase || int(id) >= len(d.refs) || d.refs[id] == 0 {
+				continue
+			}
+			d.refs[id]--
+			switch {
+			case d.refs[id] > 0:
+			case id >= mark:
+				if fresh == nil {
+					fresh = make(map[uint32]bool)
+				}
+				fresh[id] = true
+			default:
+				d.dead++
+			}
+		}
+	}
+	if len(fresh) == 0 {
+		return
+	}
+	for k, id := range d.ids {
+		if fresh[id] {
+			delete(d.ids, k)
+		}
+	}
+	d.retired += len(fresh)
 }
 
 // maybeCompact runs a compaction pass when dead keys both exceed the

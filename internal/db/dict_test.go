@@ -38,7 +38,7 @@ func TestInternedGBDMatchesKeys(t *testing.T) {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				a, b := c.Entry(i), c.Entry(j)
-				ka, kb := branch.MultisetOf(a.G), branch.MultisetOf(b.G)
+				ka, kb := branch.MultisetOf(a.G.Unpack()), branch.MultisetOf(b.G.Unpack())
 				if got, want := branch.IntersectSizeIDs(a.Branches, b.Branches), branch.IntersectSize(ka, kb); got != want {
 					t.Fatalf("trial %d pair (%d,%d): interned |∩| = %d, keys %d", trial, i, j, got, want)
 				}
@@ -88,7 +88,7 @@ func TestResolveMultisetEphemeralQueries(t *testing.T) {
 		}
 		for i := 0; i < c.Len(); i++ {
 			e := c.Entry(i)
-			ke := branch.MultisetOf(e.G)
+			ke := branch.MultisetOf(e.G.Unpack())
 			if got, want := branch.GBDIDs(iq, e.Branches), branch.GBD(kq, ke); got != want {
 				t.Fatalf("trial %d vs entry %d: interned GBD = %d, keys %d", trial, i, got, want)
 			}
@@ -159,16 +159,16 @@ func TestDistinctSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	dict := graph.NewLabels()
 	tally := NewTally()
-	var gs []*graph.Graph
+	var spans []string
 	for _, n := range []int{4, 7, 4, 9, 7, 7} {
-		gs = append(gs, randomDictGraph(rng, dict, n, 2))
-		tally.Add(gs[len(gs)-1])
+		spans = append(spans, labelSpan(randomDictGraph(rng, dict, n, 2)))
+		tally.Add(spans[len(spans)-1])
 	}
 	if got := tally.Sizes(); !slices.Equal(got, []int{4, 7, 9}) {
 		t.Fatalf("Sizes = %v, want [4 7 9]", got)
 	}
-	tally.Remove(gs[3]) // the only 9
-	tally.Remove(gs[0]) // one of two 4s
+	tally.Remove(spans[3]) // the only 9
+	tally.Remove(spans[0]) // one of two 4s
 	if got := tally.Sizes(); !slices.Equal(got, []int{4, 7}) {
 		t.Fatalf("Sizes after removals = %v, want [4 7]", got)
 	}

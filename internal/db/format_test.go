@@ -59,8 +59,8 @@ func TestSegmentFormatPinned(t *testing.T) {
 		t.Fatalf("read ids %v, %d graphs", ids, len(gs))
 	}
 	for i, g := range gs {
-		if !g.Equal(entries[i].G) || g.Name != entries[i].G.Name {
-			t.Fatalf("graph %d read as %v, want %v", i, g, entries[i].G)
+		if want := entries[i].G.Unpack(); !g.Equal(want) || g.Name != want.Name {
+			t.Fatalf("graph %d read as %v, want %v", i, g, want)
 		}
 	}
 }

@@ -107,6 +107,27 @@ func SpanSizes(span string) (nv, ne, off int) {
 	return int(v), int(e), p
 }
 
+// SpanRuns calls fn(label, n) for every (value, count) run of the span
+// section at off, which holds count label occurrences, in ascending label
+// order, and returns the offset past the section.
+func SpanRuns(span string, off, count int, fn func(l graph.ID, n int)) int {
+	prev := uint32(0)
+	for count > 0 {
+		tok, p := uvarint(span, off)
+		off = p
+		run := 1
+		if tok&1 != 0 {
+			r, p := uvarint(span, off)
+			off = p
+			run = int(r) + 2
+		}
+		prev += uint32(tok >> 1)
+		fn(graph.ID(prev), run)
+		count -= run
+	}
+	return off
+}
+
 // SpanDistance merges the span section at off, which holds count label
 // occurrences, against the sorted multiset q. It returns their multiset
 // distance, MultisetDistance over the decoded section, and the offset

@@ -32,7 +32,7 @@ func (r *runner) xPrefilter() ([]*Table, error) {
 		Header: []string{"tau", "total", "size-pruned", "label-pruned", "branch-pruned", "survivors"},
 	}
 	q := e.ds.Col.Entry(r.queries(e.ds)[0])
-	qp := index.PrepareQuery(q.G)
+	qp := index.PrepareQuery(q.G.Unpack())
 	for _, tau := range []int{1, 3, 5, 10} {
 		var n [index.TierBranch + 1]int
 		for slot, en := range entries {

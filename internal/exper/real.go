@@ -150,7 +150,7 @@ func (r *runner) table5() ([]*Table, error) {
 func distinctSizes(e *realEnv) []int {
 	seen := map[int]bool{}
 	for i := 0; i < e.ds.Col.Len(); i++ {
-		seen[e.ds.Col.Graph(i).NumVertices()] = true
+		seen[e.ds.Col.Entry(i).G.NumVertices()] = true
 	}
 	out := make([]int, 0, len(seen))
 	for v := range seen {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -60,15 +61,17 @@ func (c *Cursor) Err() error { return c.err }
 
 // Done reports the first failed read, or an error if bytes remain unread.
 func (c *Cursor) Done() error {
-	if c.err == nil && len(c.buf) != 0 {
-		c.err = fmt.Errorf("%d trailing bytes", len(c.buf))
+	if len(c.buf) != 0 {
+		c.fail(fmt.Errorf("%d trailing bytes", len(c.buf)))
 	}
 	return c.err
 }
 
-func (c *Cursor) fail(format string, args ...any) {
+// fail records err unless a failure is recorded already, and empties the
+// cursor, so every later read fails too.
+func (c *Cursor) fail(err error) {
 	if c.err == nil {
-		c.err = fmt.Errorf(format, args...)
+		c.err, c.buf = err, nil
 	}
 }
 
@@ -78,7 +81,7 @@ func (c *Cursor) Byte() byte {
 		return 0
 	}
 	if len(c.buf) == 0 {
-		c.fail("truncated payload")
+		c.fail(errors.New("truncated payload"))
 		return 0
 	}
 	b := c.buf[0]
@@ -86,14 +89,23 @@ func (c *Cursor) Byte() byte {
 	return b
 }
 
-// Uvarint reads one uvarint.
+// Uvarint reads one uvarint. Most of a body's are one byte, read without
+// the general decoder.
 func (c *Cursor) Uvarint() uint64 {
+	if b := c.buf; len(b) > 0 && b[0] < 0x80 {
+		c.buf = b[1:]
+		return uint64(b[0])
+	}
+	return c.uvarint()
+}
+
+func (c *Cursor) uvarint() uint64 {
 	if c.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(c.buf)
 	if n <= 0 {
-		c.fail("truncated varint")
+		c.fail(errors.New("truncated varint"))
 		return 0
 	}
 	c.buf = c.buf[n:]
@@ -106,7 +118,7 @@ func (c *Cursor) Uvarint() uint64 {
 func (c *Cursor) Count(what string) int {
 	v := c.Uvarint()
 	if c.err == nil && v > uint64(len(c.buf)) {
-		c.fail("%s count %d exceeds remaining %d bytes", what, v, len(c.buf))
+		c.fail(fmt.Errorf("%s count %d exceeds remaining %d bytes", what, v, len(c.buf)))
 	}
 	if c.err != nil {
 		return 0
@@ -127,15 +139,16 @@ func (c *Cursor) Str() string {
 
 // Body reads one graph body (see AppendBody) into a graph called name,
 // resolving each label code through decode, which reports false for a
-// code out of range. It checks every endpoint and builds the graph through
-// FromEdges, which checks its simplicity, and returns nil after any
-// failure, which Err then reports.
+// code out of range. It reads the edges twice, straight into the runs:
+// once to check every endpoint and label and count degrees, then again to
+// place them (see startRuns); sealing the runs finds duplicates. It
+// returns nil after any failure, which Err then reports.
 func (c *Cursor) Body(name string, decode func(uint64) (ID, bool)) *Graph {
 	label := func(what string) ID {
 		code := c.Uvarint()
 		l, ok := decode(code)
 		if c.err == nil && !ok {
-			c.fail("%s label %d out of range", what, code)
+			c.fail(fmt.Errorf("%s label %d out of range", what, code))
 		}
 		return l
 	}
@@ -143,20 +156,40 @@ func (c *Cursor) Body(name string, decode func(uint64) (ID, bool)) *Graph {
 	for v := range vlabels {
 		vlabels[v] = label("vertex")
 	}
-	edges := make([]Edge, c.Count("edge"))
-	for i := range edges {
-		u, v := c.Uvarint(), c.Uvarint()
-		edges[i] = Edge{U: int32(u), V: int32(v), Label: label("edge")}
-		if c.err == nil && (u > math.MaxInt32 || v > math.MaxInt32) {
-			c.fail("edge endpoint (%d,%d) out of range", u, v)
-		}
-	}
+	ne := c.Count("edge")
 	if c.err != nil {
 		return nil
 	}
-	g, err := FromEdges(name, vlabels, edges)
+	g, err := startRuns(name, vlabels, ne)
 	if err != nil {
-		c.err = err
+		c.fail(err)
+		return nil
+	}
+	edges := *c // where the filling pass starts
+	for i := 0; i < ne; i++ {
+		u, v := c.Uvarint(), c.Uvarint()
+		label("edge")
+		if c.err != nil {
+			return nil
+		}
+		if u > math.MaxInt32 || v > math.MaxInt32 {
+			c.fail(fmt.Errorf("edge endpoint (%d,%d) out of range", u, v))
+			return nil
+		}
+		if err := CheckEdge(name, len(vlabels), int(u), int(v), false); err != nil {
+			c.fail(err)
+			return nil
+		}
+		g.count(int32(u), int32(v))
+	}
+	g.sumRuns()
+	for i := 0; i < ne; i++ {
+		u, v := edges.Uvarint(), edges.Uvarint()
+		l, _ := decode(edges.Uvarint())
+		g.place(int32(u), int32(v), l)
+	}
+	if err := g.seal(); err != nil {
+		c.fail(err)
 		return nil
 	}
 	return g

@@ -94,25 +94,29 @@ func unescapeToken(tok string) (string, error) {
 	return b.String(), nil
 }
 
-// WriteAll encodes each graph in sequence.
-func WriteAll(w io.Writer, gs []*Graph, dict *Labels) error {
-	for _, g := range gs {
-		if err := Write(w, g, dict); err != nil {
-			return err
-		}
+// ReadAll parses every graph stanza from r, interning labels into dict,
+// and returns the graphs ReadEach hands over.
+func ReadAll(r io.Reader, dict *Labels) ([]*Graph, error) {
+	var out []*Graph
+	if err := ReadEach(r, dict, func(g *Graph) error {
+		out = append(out, g)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	return nil
+	return out, nil
 }
 
-// ReadAll parses every graph stanza from r, interning labels into dict,
-// and builds each graph through FromEdges. A header's vertex count must
-// match the vertices its stanza lists; nothing is sized from it, so a
-// header cannot drive an allocation the input does not back.
-func ReadAll(r io.Reader, dict *Labels) ([]*Graph, error) {
+// ReadEach parses the graph stanzas of r one at a time, interning labels
+// into dict, builds each graph through FromEdges and hands it to fn, which
+// may keep it; the first error fn returns stops the read and is returned.
+// A header's vertex count must match the vertices its stanza lists;
+// nothing is sized from it, so a header cannot drive an allocation the
+// input does not back.
+func ReadEach(r io.Reader, dict *Labels, fn func(*Graph) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var (
-		out          []*Graph
 		open         bool // a stanza is being read
 		name         string
 		want, header int // the open stanza's vertex count and header line
@@ -134,9 +138,8 @@ func ReadAll(r io.Reader, dict *Labels) ([]*Graph, error) {
 		if err != nil {
 			return fmt.Errorf("gsim:%d: %v", header, err)
 		}
-		out = append(out, g)
 		vlabels, edges = vlabels[:0], edges[:0]
-		return nil
+		return fn(g)
 	}
 	label := func(tok []byte) (ID, error) {
 		if bytes.IndexByte(tok, '\\') < 0 {
@@ -223,14 +226,11 @@ func ReadAll(r io.Reader, dict *Labels) ([]*Graph, error) {
 	// errors.As.
 	if err := parse(); err != nil || sc.Err() != nil {
 		if rerr := sc.Err(); rerr != nil {
-			return nil, rerr
+			return rerr
 		}
-		return nil, err
+		return err
 	}
-	if err := finish(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return finish()
 }
 
 // splitFields splits line around Unicode white space as strings.Fields

@@ -69,50 +69,87 @@ func CheckEdge(name string, n, u, v int, dup bool) error {
 // prefix sums, fills every run and sorts it, and returns AddEdge's errors:
 // a self-loop, an endpoint out of range or a duplicate edge.
 func FromEdges(name string, vlabels []ID, edges []Edge) (*Graph, error) {
-	n := len(vlabels)
-	if n > math.MaxInt32 || len(edges) > math.MaxInt32/2 {
-		return nil, fmt.Errorf("graph %q: %d vertices and %d edges exceed the int32 layout", name, n, len(edges))
+	g, err := startRuns(name, vlabels, len(edges))
+	if err != nil {
+		return nil, err
 	}
-	g := &Graph{Name: name, vlabels: vlabels}
 	for _, e := range edges {
-		if err := CheckEdge(name, n, int(e.U), int(e.V), false); err != nil {
+		if err := CheckEdge(name, len(vlabels), int(e.U), int(e.V), false); err != nil {
 			return nil, err
 		}
+		g.count(e.U, e.V)
 	}
+	g.sumRuns()
+	for _, e := range edges {
+		g.place(e.U, e.V, e.Label)
+	}
+	if err := g.seal(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// startRuns returns the graph called name with the given vertex labels
+// and room for ne edges: the first step of the bulk constructors' one
+// procedure, count every edge, sumRuns, place every edge, seal. The
+// offsets start one slot long: count makes off[v+2] v's degree, sumRuns
+// makes off[v+1] the start of v's run, and place advances it to the run's
+// end, which is where v+1's run starts, so seal only drops the spare slot.
+// Edges placed in ascending (u, v) order, as a body and Edges list them,
+// leave every run sorted.
+func startRuns(name string, vlabels []ID, ne int) (*Graph, error) {
+	n := len(vlabels)
+	if n > math.MaxInt32 || ne > math.MaxInt32/2 {
+		return nil, fmt.Errorf("graph %q: %d vertices and %d edges exceed the int32 layout", name, n, ne)
+	}
+	g := &Graph{Name: name, vlabels: vlabels}
+	if n > 0 {
+		g.off = make([]int32, n+2)
+		g.half = make([]Halfedge, 2*ne)
+	}
+	return g, nil
+}
+
+// count notes the checked edge {u,v} in both endpoints' degrees.
+func (g *Graph) count(u, v int32) {
+	g.off[u+2]++
+	g.off[v+2]++
+}
+
+// sumRuns turns the degree counts into run starts.
+func (g *Graph) sumRuns() {
+	for v := 2; v < len(g.off); v++ {
+		g.off[v] += g.off[v-1]
+	}
+}
+
+// place puts a counted edge's two half-edges at the fronts of their runs'
+// unfilled parts.
+func (g *Graph) place(u, v int32, label ID) {
+	g.half[g.off[u+1]] = Halfedge{To: v, Label: label}
+	g.off[u+1]++
+	g.half[g.off[v+1]] = Halfedge{To: u, Label: label}
+	g.off[v+1]++
+}
+
+// seal drops the spare offset, sorts every run and reports a duplicate
+// edge.
+func (g *Graph) seal() error {
+	n := len(g.vlabels)
 	if n == 0 {
-		return g, nil
+		return nil
 	}
-	// off[v+1] counts v's degree, then the prefix sums make it the end of
-	// v's run; filling decrements it to the run's start, which belongs
-	// one slot down.
-	off := make([]int32, n+1)
-	for _, e := range edges {
-		off[e.U+1]++
-		off[e.V+1]++
-	}
-	for v := 1; v <= n; v++ {
-		off[v] += off[v-1]
-	}
-	half := make([]Halfedge, 2*len(edges))
-	for _, e := range edges {
-		off[e.U+1]--
-		half[off[e.U+1]] = Halfedge{To: e.V, Label: e.Label}
-		off[e.V+1]--
-		half[off[e.V+1]] = Halfedge{To: e.U, Label: e.Label}
-	}
-	copy(off, off[1:])
-	off[n] = int32(len(half))
-	g.off, g.half = off, half
+	g.off = g.off[:n+1]
 	for u := 0; u < n; u++ {
 		run := g.Neighbors(u)
 		slices.SortFunc(run, cmpHalf)
 		for i := 1; i < len(run); i++ {
 			if run[i].To == run[i-1].To {
-				return nil, CheckEdge(name, n, u, int(run[i].To), true)
+				return CheckEdge(g.Name, n, u, int(run[i].To), true)
 			}
 		}
 	}
-	return g, nil
+	return nil
 }
 
 // cmpHalf orders a run by (To, Label).

@@ -228,8 +228,10 @@ func TestCodecRoundTrip(t *testing.T) {
 	g2.MustAddEdge(0, 1, dict.Intern("x"))
 
 	var buf bytes.Buffer
-	if err := WriteAll(&buf, []*Graph{g1, g2}, dict); err != nil {
-		t.Fatal(err)
+	for _, g := range []*Graph{g1, g2} {
+		if err := Write(&buf, g, dict); err != nil {
+			t.Fatal(err)
+		}
 	}
 	dict2 := NewLabels()
 	back, err := ReadAll(&buf, dict2)

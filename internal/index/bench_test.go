@@ -30,7 +30,7 @@ func BenchmarkLowerBoundPair(b *testing.B) {
 	entries := ds.Col.Entries()
 	sums := make([]Summary, len(entries))
 	for i, e := range entries {
-		sums[i] = Summarize(e.G)
+		sums[i] = Summarize(e.G.Unpack())
 	}
 	qb := entries[0].Branches
 	b.ReportAllocs()

@@ -103,7 +103,7 @@ func TestPruningIsLossless(t *testing.T) {
 	const tau = 3
 	for _, qi := range ds.Queries {
 		q := ds.Col.Entry(qi)
-		qp := PrepareQuery(q.G)
+		qp := PrepareQuery(q.G.Unpack())
 		var n [TierBranch + 1]int
 		for i, e := range entries {
 			tier := v.Tier(&qp, q.Branches, e, i, tau)

@@ -64,28 +64,43 @@ func ebucketShift(id graph.ID) uint {
 	return uint(8 * ((uint32(id) * 0x9E3779B1) >> 31)) // 2 buckets
 }
 
-// addCounter bumps the byte counter at shift, saturating at sigCap.
-func addCounter(sig uint64, shift uint) uint64 {
-	if (sig>>shift)&0xFF < sigCap {
-		sig += 1 << shift
+// sizeSig is the signature word of sizes nv and ne with every counter
+// zero.
+func sizeSig(nv, ne int) uint64 {
+	return uint64(min(nv, 255))<<sigVShift | uint64(min(ne, 255))<<sigEShift
+}
+
+// addCounter adds n occurrences to the byte counter at shift, saturating
+// at sigCap.
+func addCounter(sig uint64, shift uint, n int) uint64 {
+	if c := int(sig>>shift) & 0xFF; c < sigCap {
+		sig += uint64(min(n, sigCap-c)) << shift
 	}
 	return sig
 }
 
-// Sig is the signature word of g. It reads the graph in place, so signing
-// a stored graph allocates nothing.
-func Sig(g *graph.Graph) uint64 {
-	nv := g.NumVertices()
-	sig := uint64(min(nv, 255))<<sigVShift | uint64(min(g.NumEdges(), 255))<<sigEShift
-	for v := 0; v < nv; v++ {
-		sig = addCounter(sig, vbucketShift(g.VertexLabel(v)))
+// SpanSig is the signature word of the graph whose label span is span:
+// the word a stored entry's column holds. It walks the span's label runs,
+// so it neither unpacks the graph nor allocates.
+func SpanSig(span string) uint64 {
+	nv, ne, off := db.SpanSizes(span)
+	sig := sizeSig(nv, ne)
+	off = db.SpanRuns(span, off, nv, func(l graph.ID, n int) { sig = addCounter(sig, vbucketShift(l), n) })
+	db.SpanRuns(span, off, ne, func(l graph.ID, n int) { sig = addCounter(sig, ebucketShift(l), n) })
+	return sig
+}
+
+// sigOf is the signature word of a summarised graph, a prepared query's:
+// SpanSig over the Summary's multisets. The admissibility tests and
+// FuzzSigPrunes sign Summaries that may hold more edge labels than a
+// simple graph on their vertices can.
+func sigOf(s Summary) uint64 {
+	sig := sizeSig(s.V, s.E)
+	for _, id := range s.VLabels {
+		sig = addCounter(sig, vbucketShift(id), 1)
 	}
-	for u := 0; u < nv; u++ {
-		for _, h := range g.Neighbors(u) {
-			if int(h.To) > u {
-				sig = addCounter(sig, ebucketShift(h.Label))
-			}
-		}
+	for _, id := range s.ELabels {
+		sig = addCounter(sig, ebucketShift(id), 1)
 	}
 	return sig
 }
@@ -189,7 +204,7 @@ type View struct {
 func ViewOf(entries []*db.Entry) View {
 	sig := make([]uint64, len(entries))
 	for i, e := range entries {
-		sig[i] = Sig(e.G)
+		sig[i] = SpanSig(e.Labels)
 	}
 	return View{Sig: sig}
 }
@@ -246,7 +261,10 @@ type QueryPre struct {
 }
 
 // PrepareQuery summarises and signs a query graph.
-func PrepareQuery(g *graph.Graph) QueryPre { return QueryPre{Sig: Sig(g), Sum: Summarize(g)} }
+func PrepareQuery(g *graph.Graph) QueryPre {
+	sum := Summarize(g)
+	return QueryPre{Sig: sigOf(sum), Sum: sum}
+}
 
 // Prunable reports whether slot provably violates GED ≤ tau against a
 // prepared query — the signature word first, the exact span-based

@@ -41,16 +41,20 @@ func randSummary(rng *rand.Rand, maxN, k int, base int32) Summary {
 	return Summary{V: len(vl), E: len(el), VLabels: vl, ELabels: el}
 }
 
-// sigOf is Sig over a Summary. The admissibility tests and FuzzSigPrunes
-// sign Summaries, which may hold more edge labels than a simple graph on
-// their vertices can; TestSigOfMatchesSig holds this form to Sig.
-func sigOf(s Summary) uint64 {
-	sig := uint64(min(s.V, 255))<<sigVShift | uint64(min(s.E, 255))<<sigEShift
-	for _, id := range s.VLabels {
-		sig = addCounter(sig, vbucketShift(id))
+// Sig is the signature word of g, read off the graph itself: the
+// reference SpanSig and sigOf are held to.
+func Sig(g *graph.Graph) uint64 {
+	nv := g.NumVertices()
+	sig := sizeSig(nv, g.NumEdges())
+	for v := 0; v < nv; v++ {
+		sig = addCounter(sig, vbucketShift(g.VertexLabel(v)), 1)
 	}
-	for _, id := range s.ELabels {
-		sig = addCounter(sig, ebucketShift(id))
+	for u := 0; u < nv; u++ {
+		for _, h := range g.Neighbors(u) {
+			if int(h.To) > u {
+				sig = addCounter(sig, ebucketShift(h.Label), 1)
+			}
+		}
 	}
 	return sig
 }
@@ -218,7 +222,7 @@ func TestSigDecidesLabelTier(t *testing.T) {
 	queries := ds.Queries[:100]
 	labelTier, undecided := 0, 0
 	for _, qi := range queries {
-		qg := entries[qi].G
+		qg := entries[qi].G.Unpack()
 		qp := PrepareQuery(qg)
 		qids := ds.Col.BranchDict().ResolveMultiset(branch.MultisetOf(qg))
 		for slot, idx := range ds.DBGraphs {
@@ -273,7 +277,7 @@ func TestFlatPrunableMatchesLegacy(t *testing.T) {
 	entries := col.Entries()
 	sums := make([]Summary, len(entries))
 	for i, e := range entries {
-		sums[i] = Summarize(e.G)
+		sums[i] = Summarize(e.G.Unpack())
 	}
 	cuts := []int{0, 70, 70, len(entries)} // view i covers entries[cuts[i]:cuts[i+1]]
 	views := make([]View, len(cuts)-1)

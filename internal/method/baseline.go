@@ -29,7 +29,7 @@ func init() {
 // baselineScorer wraps the quadratic-memory competitors — branch-LSAP lower
 // bound [11] and Greedy-Sort-GED [12] — behind the shared size guard that
 // reproduces the paper's 128 GB memory wall. Both methods build a fresh
-// cost matrix per pair.
+// cost matrix per pair, from the stored graph unpacked.
 type baselineScorer struct {
 	estimate func(a, b *graph.Graph) float64
 	// bound marks an exact lower bound, whose threshold comparison needs
@@ -49,7 +49,7 @@ func (b *baselineScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 	if maxInt(q.G.NumVertices(), e.G.NumVertices()) > b.opt.BaselineMaxVertices {
 		return false, 0, ErrTooLarge
 	}
-	est := b.estimate(q.G, e.G)
+	est := b.estimate(q.G, e.G.Unpack())
 	keep := decideEstimate(est, b.opt, b.bound)
 	return keep, est, nil
 }
@@ -80,7 +80,7 @@ func (s *seriationScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 	if maxInt(q.G.NumVertices(), e.G.NumVertices()) > s.opt.BaselineMaxVertices {
 		return false, 0, ErrTooLarge
 	}
-	est := float64(seriation.EstimateGEDInt(q.G, e.G))
+	est := float64(seriation.EstimateGEDInt(q.G, e.G.Unpack()))
 	keep := decideEstimate(est, s.opt, false)
 	return keep, est, nil
 }

@@ -74,7 +74,7 @@ func newEquivFixture(t *testing.T) *equivFixture {
 	st := stored.Stats()
 	sizes := db.NewTally()
 	for _, e := range fx.entries {
-		sizes.Add(e.G)
+		sizes.Add(e.Labels)
 	}
 	fx.mdb = &DB{
 		ActiveN:  len(fx.entries),
@@ -133,7 +133,7 @@ func (r reference) score(q *Query, e *db.Entry) (bool, float64) {
 	if vmax > r.opt.HybridVerifyMax {
 		return true, post
 	}
-	res, err := ged.Compute(q.G, e.G, ged.Options{MaxExpansions: r.opt.ExactBudget, Limit: r.opt.Tau})
+	res, err := ged.Compute(q.G, e.G.Unpack(), ged.Options{MaxExpansions: r.opt.ExactBudget, Limit: r.opt.Tau})
 	if err == ged.ErrOverLimit {
 		return false, float64(res.LowerBound)
 	}

@@ -31,7 +31,7 @@ func (x *exactScorer) Prepare(d *DB, opt Options) error {
 
 func (x *exactScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 	countEntryDecomp()
-	r, err := ged.Compute(q.G, e.G, ged.Options{MaxExpansions: x.opt.ExactBudget, Limit: x.opt.Tau})
+	r, err := ged.Compute(q.G, e.G.Unpack(), ged.Options{MaxExpansions: x.opt.ExactBudget, Limit: x.opt.Tau})
 	if err == ged.ErrOverLimit {
 		return false, float64(r.LowerBound), nil // proved GED > τ̂
 	}
@@ -81,7 +81,7 @@ func (h *hybridScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 	if vmax > h.opt.HybridVerifyMax {
 		return true, post, nil // too large to verify: trust the filter
 	}
-	r, err := ged.Compute(q.G, e.G, ged.Options{MaxExpansions: h.opt.ExactBudget, Limit: h.opt.Tau})
+	r, err := ged.Compute(q.G, e.G.Unpack(), ged.Options{MaxExpansions: h.opt.ExactBudget, Limit: h.opt.Tau})
 	if err == ged.ErrOverLimit {
 		return false, float64(r.LowerBound), nil // false positive removed
 	}

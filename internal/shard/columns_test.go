@@ -29,10 +29,11 @@ func checkColumns(t *testing.T, views []View) {
 				t.Fatalf("shard %d slot %d: columns say (id %d, size %d), entry is (id %d, size %d)",
 					s, i, v.IDs[i], v.Sizes[i], e.ID, len(e.Branches))
 			}
-			if want := index.Sig(e.G); v.Pre.Sig[i] != want {
+			g := e.G.Unpack()
+			if want := index.PrepareQuery(g).Sig; v.Pre.Sig[i] != want {
 				t.Fatalf("shard %d slot %d (graph %s): signature %#x, graph signs to %#x", s, i, e.G.Name, v.Pre.Sig[i], want)
 			}
-			if want := db.NewEntry(e.ID, e.G, nil).Labels; e.Labels != want {
+			if want := db.NewEntry(e.ID, g, nil).Labels; e.Labels != want {
 				t.Fatalf("shard %d slot %d (graph %s): span %q, graph encodes to %q", s, i, e.G.Name, e.Labels, want)
 			}
 		}
@@ -47,7 +48,7 @@ func checkStats(t *testing.T, m *Map, when string) {
 	vl, el := map[graph.ID]bool{graph.Epsilon: true}, map[graph.ID]bool{graph.Epsilon: true}
 	sumDeg := 0.0
 	for _, e := range m.Ordered() {
-		g := e.G
+		g := e.G.Unpack()
 		want.Graphs++
 		want.MaxV, want.MaxE = max(want.MaxV, g.NumVertices()), max(want.MaxE, g.NumEdges())
 		sumDeg += g.AvgDegree()
@@ -110,7 +111,7 @@ func TestColumnsFollowMutations(t *testing.T) {
 				}
 			default:
 				target := live[rng.Intn(len(live))]
-				first, _, ok, _ := m.Commit([]Mutation{{G: g}, {ID: &target, G: chain(m.Dict(), name+"u", 2+rng.Intn(14), "M")}})
+				first, _, ok, _ := m.Commit([]Mutation{{P: m.Prepare(g)}, {ID: &target, P: m.Prepare(chain(m.Dict(), name+"u", 2+rng.Intn(14), "M"))}})
 				if !ok {
 					t.Fatal("commit failed")
 				}

@@ -42,9 +42,10 @@
 // The layered admissible filter (internal/index) reads two things per
 // stored graph: its signature word, a shard column beside ids and sizes
 // (sigs), and the label span its entry carries (db.Entry.Labels). Both are
-// computed when the entry is stored — the signature straight from the
-// graph, without allocating — so every cut carries the filter and no
-// search has to build it.
+// computed when the entry is prepared, before any lock is taken, so every
+// cut carries the filter and no search has to build it. The columns and
+// the shard statistics read only an entry's span and branch count: a
+// stored graph stays packed (db.Entry.G) from insert to delete.
 //
 // # Branch postings
 //
@@ -106,9 +107,9 @@ type Token struct {
 // applied — and must only buffer; Wait is called after the locks drop and
 // blocks until the appended record is durable under the journal's fsync
 // policy, so concurrent mutators group-commit instead of serialising
-// their fsyncs behind the shard lock. g is nil for deletes.
+// their fsyncs behind the shard lock. g is the zero Packed for deletes.
 type Journal interface {
-	Append(shard int, op wal.Op, id uint64, g *graph.Graph) (Token, error)
+	Append(shard int, op wal.Op, id uint64, g graph.Packed) (Token, error)
 	Wait(t Token) error
 }
 
@@ -160,7 +161,7 @@ type bucket struct {
 	entries []*db.Entry
 	// ids, sizes and sigs are columns parallel to entries — ids[i] is
 	// entries[i].ID, sizes[i] is len(entries[i].Branches), the graph's
-	// vertex count, and sigs[i] is index.Sig(entries[i].G) — published
+	// vertex count, and sigs[i] is index.SpanSig(entries[i].Labels) — published
 	// under the same discipline (appended in place, copied on
 	// delete/update). A scan decides most positions from a column and
 	// never loads their Entry.
@@ -245,7 +246,7 @@ func FromCollection(col *db.Collection, ids []int, n int) *Map {
 	}
 	for _, e := range col.Entries() {
 		if listed == nil || listed[e.ID] {
-			m.shardOf(e.ID).insert(e)
+			m.shardOf(e.ID).insert(e, index.SpanSig(e.Labels))
 		}
 	}
 	for _, b := range m.shards {
@@ -309,22 +310,52 @@ func (m *Map) Len() int {
 	return n
 }
 
-// intern computes and interns a graph's branch multiset.
-func (m *Map) intern(g *graph.Graph) branch.IDs {
-	return m.bdict.InternMultiset(branch.MultisetOf(g))
+// Prepared is a graph made ready to store before any lock is taken: its
+// entry (packed graph, label span, interned branches; an insert's ID is
+// set when it commits) and its signature word. A Prepared that is not
+// stored must be discarded (Discard), which releases its branches.
+type Prepared struct {
+	e    *db.Entry
+	sig  uint64
+	mark uint32 // the branch dictionary's universe before the intern
 }
 
-// insert appends e to the bucket; the caller holds b.mu.
-func (b *bucket) insert(e *db.Entry) {
+// Prepare makes g ready to store. The graph is not referenced afterwards.
+func (m *Map) Prepare(g *graph.Graph) Prepared {
+	ids, mark := m.bdict.InternMultisetMark(branch.MultisetOf(g))
+	e := db.NewEntry(0, g, ids)
+	return Prepared{e: e, sig: index.SpanSig(e.Labels), mark: mark}
+}
+
+// Discard releases the branches of a batch's prepared graphs, which were
+// not stored. Branch keys the prepares created leave the dictionary with
+// them, so a failed write leaves the dictionary's live and dead counts as
+// it found them.
+func (m *Map) Discard(batch []Mutation) {
+	if len(batch) == 0 {
+		return
+	}
+	mark := batch[0].P.mark
+	sets := make([]branch.IDs, len(batch))
+	for i, mu := range batch {
+		mark = min(mark, mu.P.mark)
+		sets[i] = mu.P.e.Branches
+	}
+	m.bdict.Unintern(mark, sets)
+}
+
+// insert appends e, whose signature word is sig, to the bucket; the
+// caller holds b.mu.
+func (b *bucket) insert(e *db.Entry, sig uint64) {
 	b.entries = append(b.entries, e)
 	if n := len(b.ids); b.asc == n && (n == 0 || b.ids[n-1] < e.ID) {
 		b.asc++
 	}
 	b.ids = append(b.ids, e.ID)
 	b.sizes = append(b.sizes, uint32(len(e.Branches)))
-	b.sigs = append(b.sigs, index.Sig(e.G))
+	b.sigs = append(b.sigs, sig)
 	b.slots[e.ID] = len(b.entries) - 1
-	b.st.Add(e.G)
+	b.st.Add(e.Labels)
 }
 
 // removeAt swap-removes the entry at slot and returns it, publishing
@@ -353,15 +384,16 @@ func (b *bucket) removeAt(slot int) *db.Entry {
 	if b.next != nil {
 		b.next.Removed(slot, n)
 	}
-	b.st.Remove(victim.G)
+	b.st.Remove(victim.Labels)
 	return victim
 }
 
-// replaceAt swaps a new entry into slot (same ID, new graph) and returns
-// the one it displaced, publishing fresh slices — the ids column stays,
-// the ID does — and moving the shard's stats from the old graph to the
-// new; the caller holds b.mu and is responsible for refcounts and epochs.
-func (b *bucket) replaceAt(slot int, e *db.Entry) *db.Entry {
+// replaceAt swaps a new entry, whose signature word is sig, into slot
+// (same ID, new graph) and returns the one it displaced, publishing fresh
+// slices — the ids column stays, the ID does — and moving the shard's
+// stats from the old graph to the new; the caller holds b.mu and is
+// responsible for refcounts and epochs.
+func (b *bucket) replaceAt(slot int, e *db.Entry, sig uint64) *db.Entry {
 	old := b.entries[slot]
 	fresh := make([]*db.Entry, len(b.entries))
 	copy(fresh, b.entries)
@@ -371,14 +403,14 @@ func (b *bucket) replaceAt(slot int, e *db.Entry) *db.Entry {
 	sizes[slot] = uint32(len(e.Branches))
 	sigs := make([]uint64, len(b.sigs))
 	copy(sigs, b.sigs)
-	sigs[slot] = index.Sig(e.G)
+	sigs[slot] = sig
 	b.entries, b.sizes, b.sigs = fresh, sizes, sigs
 	b.post.Replaced(slot)
 	if b.next != nil {
 		b.next.Replaced(slot)
 	}
-	b.st.Remove(old.G)
-	b.st.Add(e.G)
+	b.st.Remove(old.Labels)
+	b.st.Add(e.Labels)
 	return old
 }
 
@@ -465,18 +497,18 @@ func (m *Map) PostingsGen() uint64 { return m.postGen.Load() }
 // failed, which poisons the journal for every later mutation anyway).
 func (m *Map) Add(g *graph.Graph) (uint64, error) {
 	start := time.Now()
-	ids := m.intern(g)
+	p := m.Prepare(g)
 	id := m.seq.Add(1) - 1
-	e := db.NewEntry(id, g, ids)
+	p.e.ID = id
 	b := m.shardOf(id)
 	b.mu.Lock()
-	tok, err := m.jappend(id, wal.OpStore, id, g)
+	tok, err := m.jappend(id, wal.OpStore, id, p.e.G)
 	if err != nil {
 		b.mu.Unlock()
-		m.bdict.Release(ids)
+		m.Discard([]Mutation{{P: p}})
 		return 0, err
 	}
-	b.insert(e)
+	b.insert(p.e, p.sig)
 	m.bump(b)
 	b.mu.Unlock()
 	err = m.jwait(tok)
@@ -486,7 +518,7 @@ func (m *Map) Add(g *graph.Graph) (uint64, error) {
 
 // jappend journals one record for the shard owning id; the caller holds
 // that shard's write lock. A nil journal appends nothing.
-func (m *Map) jappend(id uint64, op wal.Op, recID uint64, g *graph.Graph) (Token, error) {
+func (m *Map) jappend(id uint64, op wal.Op, recID uint64, g graph.Packed) (Token, error) {
 	if m.journal == nil {
 		return Token{}, nil
 	}
@@ -516,7 +548,7 @@ func (m *Map) Delete(id uint64) (bool, error) {
 		b.mu.Unlock()
 		return false, nil
 	}
-	tok, err := m.jappend(id, wal.OpDelete, id, nil)
+	tok, err := m.jappend(id, wal.OpDelete, id, graph.Packed{})
 	if err != nil {
 		b.mu.Unlock()
 		return false, err
@@ -532,22 +564,26 @@ func (m *Map) Delete(id uint64) (bool, error) {
 
 // Update replaces the graph stored under id with g, keeping the ID (and
 // therefore the shard). It reports whether the ID existed; when it does
-// not, nothing is interned or released.
+// not, the prepared graph is discarded and the store is unchanged.
 func (m *Map) Update(id uint64, g *graph.Graph) (bool, error) {
 	start := time.Now()
+	p := m.Prepare(g)
+	p.e.ID = id
 	b := m.shardOf(id)
 	b.mu.Lock()
 	slot, ok := b.slots[id]
 	if !ok {
 		b.mu.Unlock()
+		m.Discard([]Mutation{{P: p}})
 		return false, nil
 	}
-	tok, err := m.jappend(id, wal.OpUpdate, id, g)
+	tok, err := m.jappend(id, wal.OpUpdate, id, p.e.G)
 	if err != nil {
 		b.mu.Unlock()
+		m.Discard([]Mutation{{P: p}})
 		return false, err
 	}
-	old := b.replaceAt(slot, db.NewEntry(id, g, m.intern(g)))
+	old := b.replaceAt(slot, p.e, p.sig)
 	m.bump(b)
 	b.mu.Unlock()
 	m.bdict.Release(old.Branches)
@@ -556,11 +592,12 @@ func (m *Map) Update(id uint64, g *graph.Graph) (bool, error) {
 	return true, err
 }
 
-// Mutation is one entry of a Commit batch: a fresh insert when ID is nil,
-// an in-place update of *ID otherwise.
+// Mutation is one entry of a Commit batch: a fresh insert of P when ID is
+// nil, an in-place update of *ID otherwise. P is prepared (Prepare) before
+// Commit takes any lock.
 type Mutation struct {
 	ID *uint64
-	G  *graph.Graph
+	P  Prepared
 }
 
 // Commit applies a batch of inserts and updates atomically: every shard
@@ -569,16 +606,19 @@ type Mutation struct {
 // an unknown update ID nothing is changed and the missing ID is
 // returned; otherwise Commit returns the ID of the first insert (the
 // rest follow contiguously) and true. A batch with no inserts returns
-// the store's next ID. With a journal attached, every record of the
-// batch is journaled before any is applied, and Commit returns only
-// once all of them are durable; batch durability is per record, not
-// atomic — a crash mid-flush may persist a prefix of an unacknowledged
-// batch, which recovery replays (the none-or-all contract binds live
-// observers, acknowledgement still implies the whole batch survived).
+// the store's next ID. When Commit changes nothing (an unknown update ID,
+// a journal append error), it discards the batch's prepared graphs. With
+// a journal attached, every record of the batch is journaled before any
+// is applied, and Commit returns only once all of them are durable; batch
+// durability is per record, not atomic — a crash mid-flush may persist a
+// prefix of an unacknowledged batch, which recovery replays (the
+// none-or-all contract binds live observers, acknowledgement still
+// implies the whole batch survived).
 func (m *Map) Commit(batch []Mutation) (firstID uint64, missing uint64, ok bool, err error) {
 	start := time.Now()
 	firstID, missing, ok, toks, err := m.commitLocked(batch)
 	if err != nil || !ok {
+		m.Discard(batch)
 		return firstID, missing, ok, err
 	}
 	for h, seq := range toks {
@@ -600,9 +640,10 @@ func (m *Map) Commit(batch []Mutation) (firstID uint64, missing uint64, ok bool,
 	return firstID, 0, true, nil
 }
 
-// commitLocked is Commit's critical section: validate, journal, apply,
-// all under every shard lock. It returns one max-sequence token per
-// journal log touched, for the caller to wait on after the locks drop.
+// commitLocked is Commit's critical section: validate, assign IDs,
+// journal, install, all under every shard lock. It returns one
+// max-sequence token per journal log touched, for the caller to wait on
+// after the locks drop.
 func (m *Map) commitLocked(batch []Mutation) (firstID uint64, missing uint64, ok bool, toks map[any]uint64, err error) {
 	for _, b := range m.shards {
 		b.mu.Lock()
@@ -632,20 +673,26 @@ func (m *Map) commitLocked(batch []Mutation) (firstID uint64, missing uint64, ok
 	} else {
 		firstID = m.seq.Add(inserts) - inserts
 	}
+	next := firstID
+	for _, mu := range batch {
+		if mu.ID != nil {
+			mu.P.e.ID = *mu.ID
+		} else {
+			mu.P.e.ID = next
+			next++
+		}
+	}
 	// Journal the whole batch before applying any of it: an append
 	// failure then leaves the in-memory store untouched.
 	if m.journal != nil {
 		toks = make(map[any]uint64)
-		next := firstID
 		for _, mu := range batch {
-			id := next
 			op := wal.OpStore
 			if mu.ID != nil {
-				id, op = *mu.ID, wal.OpUpdate
-			} else {
-				next++
+				op = wal.OpUpdate
 			}
-			tok, jerr := m.jappend(id, op, id, mu.G)
+			id := mu.P.e.ID
+			tok, jerr := m.jappend(id, op, id, mu.P.e.G)
 			if jerr != nil {
 				return 0, 0, false, nil, jerr
 			}
@@ -654,22 +701,17 @@ func (m *Map) commitLocked(batch []Mutation) (firstID uint64, missing uint64, ok
 			}
 		}
 	}
-	next := firstID
 	touched := make(map[*bucket]struct{})
 	var released []branch.IDs
 	for _, mu := range batch {
+		b := m.shardOf(mu.P.e.ID)
+		touched[b] = struct{}{}
 		if mu.ID == nil {
-			id := next
-			next++
-			b := m.shardOf(id)
-			b.insert(db.NewEntry(id, mu.G, m.intern(mu.G)))
-			touched[b] = struct{}{}
+			b.insert(mu.P.e, mu.P.sig)
 			continue
 		}
-		b := m.shardOf(*mu.ID)
-		old := b.replaceAt(b.slots[*mu.ID], db.NewEntry(*mu.ID, mu.G, m.intern(mu.G)))
+		old := b.replaceAt(b.slots[*mu.ID], mu.P.e, mu.P.sig)
 		released = append(released, old.Branches)
-		touched[b] = struct{}{}
 	}
 	for b := range touched {
 		b.epoch++
@@ -717,7 +759,7 @@ func (m *Map) Install(entries []*db.Entry) error {
 				err = fmt.Errorf("shard: duplicate graph ID %d", e.ID)
 				break
 			}
-			b.insert(e)
+			b.insert(e, index.SpanSig(e.Labels))
 		}
 		m.bump(b)
 		b.mu.Unlock()
@@ -749,13 +791,14 @@ func (m *Map) Replay(op wal.Op, id uint64, g *graph.Graph) {
 		b.mu.Unlock()
 		return
 	}
-	e := db.NewEntry(id, g, m.intern(g))
+	p := m.Prepare(g)
+	p.e.ID = id
 	b.mu.Lock()
 	var old branch.IDs
 	if slot, ok := b.slots[id]; ok {
-		old = b.replaceAt(slot, e).Branches
+		old = b.replaceAt(slot, p.e, p.sig).Branches
 	} else {
-		b.insert(e)
+		b.insert(p.e, p.sig)
 	}
 	m.bump(b)
 	b.mu.Unlock()

@@ -277,8 +277,8 @@ func TestCommitAtomicAndValidated(t *testing.T) {
 	epoch := m.Epoch()
 	bogus := uint64(777)
 	_, missing, ok, _ := m.Commit([]Mutation{
-		{G: chain(m.Dict(), "new0", 4, "N")},
-		{ID: &bogus, G: chain(m.Dict(), "nope", 4, "N")},
+		{P: m.Prepare(chain(m.Dict(), "new0", 4, "N"))},
+		{ID: &bogus, P: m.Prepare(chain(m.Dict(), "nope", 4, "N"))},
 	})
 	if ok || missing != bogus {
 		t.Fatalf("invalid commit: ok=%v missing=%d", ok, missing)
@@ -287,9 +287,9 @@ func TestCommitAtomicAndValidated(t *testing.T) {
 		t.Fatal("failed commit left changes behind")
 	}
 	first, _, ok, _ := m.Commit([]Mutation{
-		{G: chain(m.Dict(), "new0", 4, "N")},
-		{ID: &ids[1], G: chain(m.Dict(), "upd1", 5, "U")},
-		{G: chain(m.Dict(), "new1", 4, "N")},
+		{P: m.Prepare(chain(m.Dict(), "new0", 4, "N"))},
+		{ID: &ids[1], P: m.Prepare(chain(m.Dict(), "upd1", 5, "U"))},
+		{P: m.Prepare(chain(m.Dict(), "new1", 4, "N"))},
 	})
 	if !ok || first != 6 {
 		t.Fatalf("commit: ok=%v first=%d", ok, first)
@@ -384,7 +384,7 @@ func TestDeleteReleasesBranchRefs(t *testing.T) {
 	}
 	// The kept graph's interned multiset still matches itself.
 	e, _ := m.Get(keep)
-	qids := m.BranchDict().ResolveMultiset(branch.MultisetOf(e.G))
+	qids := m.BranchDict().ResolveMultiset(branch.MultisetOf(e.G.Unpack()))
 	if branch.GBDIDs(qids, e.Branches) != 0 {
 		t.Fatal("live interned set disturbed by compaction")
 	}
@@ -474,7 +474,7 @@ func TestPostingsFollowWrites(t *testing.T) {
 	m := New("t", 2)
 	batch := make([]Mutation, 400)
 	for i := range batch {
-		batch[i] = Mutation{G: chain(m.Dict(), fmt.Sprintf("g%d", i), 3+i%7, "L")}
+		batch[i] = Mutation{P: m.Prepare(chain(m.Dict(), fmt.Sprintf("g%d", i), 3+i%7, "L"))}
 	}
 	if _, _, _, err := m.Commit(batch); err != nil {
 		t.Fatal(err)

@@ -55,41 +55,52 @@ type Record struct {
 // table costs a few bytes, not a copy of the dictionary.
 
 // AppendRecord encodes one mutation onto buf and returns the extended
-// slice. dict resolves the graph's interned label IDs back to strings;
-// it is unused for OpDelete (g nil).
+// slice: AppendPacked of g packed. dict resolves the graph's interned
+// label IDs back to strings; it is unused for OpDelete (g nil).
 func AppendRecord(buf []byte, op Op, id uint64, g *graph.Graph, dict *graph.Labels) []byte {
+	var p graph.Packed
+	if g != nil {
+		p = graph.Pack(g)
+	}
+	return AppendPacked(buf, op, id, p, dict)
+}
+
+// bodyScratch is how many re-coded body bytes AppendPacked holds on the
+// stack before they join the record.
+const bodyScratch = 512
+
+// AppendPacked encodes one mutation of the packed graph p onto buf and
+// returns the extended slice. dict resolves the graph's interned label
+// IDs back to strings; it is unused for OpDelete (p the zero Packed).
+func AppendPacked(buf []byte, op Op, id uint64, p graph.Packed, dict *graph.Labels) []byte {
 	buf = append(buf, byte(op))
 	buf = binary.AppendUvarint(buf, id)
 	if op == OpDelete {
 		return buf
 	}
-	buf = graph.AppendString(buf, g.Name)
+	buf = graph.AppendString(buf, p.Name)
 
 	// The local label table: a dense index for every distinct label the
-	// graph uses, in first-use order over vertices then edges.
+	// graph uses, in first-use order over vertices then edges — the order
+	// the body lists them, so one walk over the body both builds the
+	// table and re-codes the labels. The table goes first in the record.
 	table := make(map[graph.ID]uint64, 8)
-	var names []string
-	note := func(l graph.ID) {
-		if _, ok := table[l]; !ok {
-			table[l] = uint64(len(names))
-			names = append(names, dict.Name(l))
+	var labels []graph.ID
+	var scratch [bodyScratch]byte
+	body := p.AppendBody(scratch[:0], func(l graph.ID) uint64 {
+		code, ok := table[l]
+		if !ok {
+			code = uint64(len(labels))
+			table[l] = code
+			labels = append(labels, l)
 		}
+		return code
+	})
+	buf = binary.AppendUvarint(buf, uint64(len(labels)))
+	for _, l := range labels {
+		buf = graph.AppendString(buf, dict.Name(l))
 	}
-	for v := 0; v < g.NumVertices(); v++ {
-		note(g.VertexLabel(v))
-	}
-	for u := 0; u < g.NumVertices(); u++ {
-		for _, h := range g.Neighbors(u) {
-			if int(h.To) > u {
-				note(h.Label)
-			}
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(names)))
-	for _, s := range names {
-		buf = graph.AppendString(buf, s)
-	}
-	return graph.AppendBody(buf, g, func(l graph.ID) uint64 { return table[l] })
+	return append(buf, body...)
 }
 
 // DecodeRecord parses one record payload, interning its labels into dict.

@@ -309,7 +309,7 @@ func (r *modelRun) oracle(m Method, seed int64, tau int) (plain, pre []Match) {
 		}
 		m := Match{Index: int(e.ID), Name: e.G.Name, Score: score}
 		plain = append(plain, m)
-		if !index.PairPrunable(qsum, qids, index.Summarize(e.G), e, tau) {
+		if !index.PairPrunable(qsum, qids, index.Summarize(e.G.Unpack()), e, tau) {
 			pre = append(pre, m)
 		}
 	}

@@ -41,7 +41,7 @@ func TestSearchVisitsFewPositions(t *testing.T) {
 	sums := make([]index.Summary, n)
 	for k, id := range ds.DBGraphs {
 		entries[k] = ds.Col.Entry(id)
-		sums[k] = index.Summarize(entries[k].G)
+		sums[k] = index.Summarize(entries[k].G.Unpack())
 	}
 	info, _ := method.Lookup(method.GBDA)
 	scorer := info.New()

@@ -69,7 +69,7 @@ func checkPruneSet(t *testing.T, d *Database, rng *rand.Rand, round int) {
 		for tau := 0; tau <= 5; tau++ {
 			for vi, v := range p.views {
 				for slot, e := range v.Entries {
-					want := index.PairPrunable(qs, qids, index.Summarize(e.G), e, tau)
+					want := index.PairPrunable(qs, qids, index.Summarize(e.G.Unpack()), e, tau)
 					got := v.Pre.Prunable(&qp, qids, e, slot, tau)
 					if got != want {
 						t.Fatalf("round %d query %d tau %d shard %d slot %d (graph %s): columnar %v, legacy %v",
