@@ -16,6 +16,7 @@ import (
 	"gsim/internal/method"
 	"gsim/internal/shard"
 	"gsim/internal/telemetry"
+	"gsim/internal/wal"
 )
 
 // Stats re-exports the collection statistics (the shape of Table III).
@@ -165,25 +166,23 @@ func (d *Database) ShardSizes() []int { return d.store.ShardSizes() }
 // "g <name> <n>" header, "v <i> <label>" and "e <u> <v> <label>" records).
 // Each graph is prepared for storage as it is parsed, before any lock is
 // taken, so only one graph at a time is ever held unpacked. The batch is
-// then inserted atomically (every shard briefly locked): a concurrent
-// search sees either none or all of the loaded graphs, and the epoch
-// advances once. A load that fails changes nothing.
+// then inserted as one commit, which locks the shards it lands on: a
+// concurrent search sees either none or all of the loaded graphs, and the
+// epoch advances once. A load that fails changes nothing.
 func (d *Database) LoadText(r io.Reader) (int, error) {
 	if err := d.writable(); err != nil {
 		return 0, err
 	}
 	var batch []shard.Mutation
 	if err := graph.ReadEach(r, d.store.Dict(), func(g *graph.Graph) error {
-		batch = append(batch, shard.Mutation{P: d.store.Prepare(g)})
+		batch = append(batch, shard.Mutation{Op: wal.OpStore, P: d.store.Prepare(g)})
 		return nil
 	}); err != nil {
 		d.store.Discard(batch)
 		return 0, err
 	}
-	if len(batch) > 0 {
-		if _, _, _, err := d.store.Commit(batch); err != nil {
-			return 0, err
-		}
+	if _, _, _, err := d.store.Commit(telemetry.OpCommit, batch); err != nil {
+		return 0, err
 	}
 	return len(batch), nil
 }
@@ -213,14 +212,11 @@ func (d *Database) Delete(id int) error {
 	if id < 0 {
 		return fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
-	ok, err := d.store.Delete(uint64(id))
-	if err != nil {
-		return err
+	_, _, ok, err := d.store.Commit(telemetry.OpDelete, []shard.Mutation{{Op: wal.OpDelete, ID: uint64(id)}})
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNotFound, id)
-	}
-	return nil
+	return err
 }
 
 // GraphBuilder constructs one labeled graph against the database's shared
@@ -456,6 +452,48 @@ func (b *GraphBuilder) storable() (*graph.Graph, error) {
 	return b.graph()
 }
 
+// commit is every builder write — Store, Update, StoreAll, CommitAll: it
+// validates each builder's graph and update target, prepares the graphs
+// for storage before any lock is taken, and commits them as one batch,
+// whose latency op labels. It returns the first fresh ID; the batch's
+// other inserts follow contiguously. On any error nothing changes.
+func (d *Database) commit(op telemetry.MutOp, muts []BuilderMutation) (uint64, error) {
+	if err := d.writable(); err != nil {
+		return 0, err
+	}
+	var one [1]shard.Mutation
+	batch := slices.Grow(one[:0], len(muts))
+	for i, mu := range muts {
+		var g *graph.Graph
+		var err error
+		b := mu.Builder
+		switch {
+		case b == nil || b.d != d:
+			err = fmt.Errorf("gsim: builder %d missing or belongs to another database", i)
+		case mu.UpdateID != nil && *mu.UpdateID < 0:
+			err = fmt.Errorf("%w: %d", ErrNotFound, *mu.UpdateID)
+		default:
+			if g, err = b.storable(); err != nil {
+				err = fmt.Errorf("gsim: graph %d (%q): %w", i, b.name, err)
+			}
+		}
+		if err != nil {
+			d.store.Discard(batch)
+			return 0, err
+		}
+		m := shard.Mutation{Op: wal.OpStore, P: d.store.Prepare(g)}
+		if mu.UpdateID != nil {
+			m.Op, m.ID = wal.OpUpdate, uint64(*mu.UpdateID)
+		}
+		batch = append(batch, m)
+	}
+	first, missing, ok, err := d.store.Commit(op, batch)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: %d", ErrNotFound, missing)
+	}
+	return first, err
+}
+
 // Store validates the graph, inserts it into the database, and returns
 // its graph ID — the stable handle Match.Index reports and Delete/Update
 // accept (for a database that never deletes, IDs are dense insertion
@@ -464,14 +502,7 @@ func (b *GraphBuilder) storable() (*graph.Graph, error) {
 // the next search does. Only the receiving storage shard is locked, so
 // concurrent Stores proceed in parallel.
 func (b *GraphBuilder) Store() (int, error) {
-	if err := b.d.writable(); err != nil {
-		return 0, err
-	}
-	g, err := b.storable()
-	if err != nil {
-		return 0, err
-	}
-	id, err := b.d.store.Add(g)
+	id, err := b.d.commit(telemetry.OpAdd, []BuilderMutation{{Builder: b}})
 	if err != nil {
 		return 0, err
 	}
@@ -484,24 +515,8 @@ func (b *GraphBuilder) Store() (int, error) {
 // scans keep their snapshot; the next search sees the new graph under the
 // old ID. Returns ErrNotFound for unknown IDs.
 func (b *GraphBuilder) Update(id int) error {
-	if err := b.d.writable(); err != nil {
-		return err
-	}
-	g, err := b.storable()
-	if err != nil {
-		return err
-	}
-	if id < 0 {
-		return fmt.Errorf("%w: %d", ErrNotFound, id)
-	}
-	ok, err := b.d.store.Update(uint64(id), g)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNotFound, id)
-	}
-	return nil
+	_, err := b.d.commit(telemetry.OpUpdate, []BuilderMutation{{Builder: b, UpdateID: &id}})
+	return err
 }
 
 // BuilderMutation is one element of a CommitAll batch: an insert of the
@@ -513,49 +528,18 @@ type BuilderMutation struct {
 }
 
 // CommitAll validates and applies a mixed batch of inserts and updates
-// atomically: every shard locked once, one epoch bump, and a concurrent
-// search sees either none or all of the batch. On any validation error —
-// including an UpdateID no stored graph carries (ErrNotFound) — nothing
-// changes. It returns the resulting graph ID of every mutation in batch
-// order: fresh IDs for inserts, the (unchanged) target IDs for updates.
+// atomically: the shards the batch lands on are locked once, the epoch
+// moves once, and a concurrent search sees either none or all of the
+// batch. On any validation error — including an UpdateID no stored graph
+// carries (ErrNotFound) — nothing changes. It returns the resulting graph
+// ID of every mutation in batch order: fresh IDs for inserts, the
+// (unchanged) target IDs for updates.
 func (d *Database) CommitAll(muts []BuilderMutation) ([]int, error) {
-	if err := d.writable(); err != nil {
-		return nil, err
-	}
-	gs := make([]*graph.Graph, len(muts))
-	for i, mu := range muts {
-		b := mu.Builder
-		if b == nil || b.d != d {
-			return nil, fmt.Errorf("gsim: CommitAll: builder %d missing or belongs to another database", i)
-		}
-		g, err := b.storable()
-		if err != nil {
-			return nil, fmt.Errorf("gsim: CommitAll: graph %d (%q): %w", i, b.name, err)
-		}
-		if mu.UpdateID != nil && *mu.UpdateID < 0 {
-			return nil, fmt.Errorf("%w: %d", ErrNotFound, *mu.UpdateID)
-		}
-		gs[i] = g
-	}
-	ids := make([]int, len(muts))
-	if len(muts) == 0 {
-		return ids, nil
-	}
-	batch := make([]shard.Mutation, len(muts))
-	for i, mu := range muts {
-		batch[i] = shard.Mutation{P: d.store.Prepare(gs[i])}
-		if mu.UpdateID != nil {
-			id := uint64(*mu.UpdateID)
-			batch[i].ID = &id
-		}
-	}
-	first, missing, ok, err := d.store.Commit(batch)
+	first, err := d.commit(telemetry.OpCommit, muts)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNotFound, missing)
-	}
+	ids := make([]int, len(muts))
 	next := int(first)
 	for i, mu := range muts {
 		if mu.UpdateID != nil {
@@ -569,27 +553,21 @@ func (d *Database) CommitAll(muts []BuilderMutation) ([]int, error) {
 }
 
 // StoreAll validates and inserts the graphs of several builders as one
-// atomic batch: every shard locked once, one epoch bump, and a concurrent
-// search sees either none or all of them (the same contract LoadText
-// gives bulk text loads). Every builder must come from this database's
-// NewGraph; on any validation error nothing is stored. It returns the
-// graph ID of the first inserted graph (the rest follow contiguously).
+// atomic batch, with CommitAll's contract (the one LoadText gives bulk
+// text loads): a concurrent search sees either none or all of them. Every
+// builder must come from this database's NewGraph; on any validation
+// error nothing is stored. It returns the graph ID of the first inserted
+// graph (the rest follow contiguously).
 func (d *Database) StoreAll(builders []*GraphBuilder) (int, error) {
-	if len(builders) == 0 {
-		return int(d.store.NextID()), nil
-	}
 	muts := make([]BuilderMutation, len(builders))
 	for i, b := range builders {
-		if b == nil || b.d != d {
-			return 0, fmt.Errorf("gsim: StoreAll: builder %d belongs to another database", i)
-		}
 		muts[i] = BuilderMutation{Builder: b}
 	}
-	ids, err := d.CommitAll(muts)
+	first, err := d.commit(telemetry.OpCommit, muts)
 	if err != nil {
 		return 0, err
 	}
-	return ids[0], nil
+	return int(first), nil
 }
 
 // Query finalises the graph as a search query (precomputing its canonical

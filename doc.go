@@ -85,10 +85,12 @@
 // onto one of N shards — N is configurable (WithShards, gsimd
 // -shards), defaulting to GOMAXPROCS. Each shard owns its entry slice
 // with an id, a size and a signature column parallel to it, an epoch
-// counter and a mutation lock, so ingest, delete and update on different
-// shards commit concurrently instead of serialising behind one
-// collection-wide mutex; bulk ingest (LoadText, StoreAll, CommitAll)
-// briefly locks every shard for its none-or-all contract.
+// counter and a mutation lock. Every write — Store, Update, Delete and
+// the bulk LoadText, StoreAll and CommitAll — is one store commit that
+// locks only the shards it touches, so writes to different shards run
+// concurrently instead of serialising behind one collection-wide mutex;
+// a batch moves the epoch once while it holds its locks, which is what
+// keeps it none-or-all to every search.
 //
 // A graph being built, queried or scored whole is compressed sparse rows
 // (internal/graph): its vertex labels, |V|+1 run offsets and one

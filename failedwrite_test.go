@@ -30,20 +30,22 @@ func starText(name, center string, leaves ...string) string {
 type storeState struct {
 	graphs     int
 	epoch      uint64
+	nextID     uint64
 	live, dead int
 }
 
 func stateOf(d *Database) storeState {
 	st := d.BranchDictStats()
-	return storeState{graphs: d.Len(), epoch: d.Epoch(), live: st.Live, dead: st.Dead}
+	return storeState{graphs: d.Len(), epoch: d.Epoch(), nextID: d.store.NextID(), live: st.Live, dead: st.Dead}
 }
 
 // TestFailedWriteChangesNothing: a write prepares its entries, interning
 // their branches, before it takes a lock. When it then fails — a bulk
-// load whose last stanza is malformed, a batch or an update naming an ID
-// no graph carries — it changes nothing: not the graph count, not the
-// epoch, not the branch dictionary's live or dead keys, whether the
-// branches it interned were live, dead or new.
+// load whose last stanza is malformed, a batch, an update or a delete
+// naming an ID no graph carries — it changes nothing: not the graph
+// count, not the epoch, not the next graph ID, not the branch
+// dictionary's live or dead keys, whether the branches it interned were
+// live, dead or new.
 func TestFailedWriteChangesNothing(t *testing.T) {
 	d := New(WithShards(3))
 	if _, err := d.LoadText(strings.NewReader(starText("a", "C", "N", "O") +
@@ -97,6 +99,12 @@ func TestFailedWriteChangesNothing(t *testing.T) {
 	}
 	if after := stateOf(d); after != before {
 		t.Fatalf("failed Update: %+v, before it %+v", after, before)
+	}
+	if err := d.Delete(2); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("delete of a deleted ID: %v", err)
+	}
+	if after := stateOf(d); after != before {
+		t.Fatalf("failed Delete: %+v, before it %+v", after, before)
 	}
 
 	target := 1

@@ -10,6 +10,8 @@ import (
 	"gsim/internal/db"
 	"gsim/internal/graph"
 	"gsim/internal/index"
+	"gsim/internal/telemetry"
+	"gsim/internal/wal"
 )
 
 // checkColumns holds one cut to the column contract: ids, sizes and
@@ -106,12 +108,12 @@ func TestColumnsFollowMutations(t *testing.T) {
 				}
 				live = slices.Delete(live, k, k+1)
 			case op < 9:
-				if ok, _ := m.Update(live[rng.Intn(len(live))], g); !ok {
+				if ok, _ := update(m, live[rng.Intn(len(live))], g); !ok {
 					t.Fatal("update failed")
 				}
 			default:
 				target := live[rng.Intn(len(live))]
-				first, _, ok, _ := m.Commit([]Mutation{{P: m.Prepare(g)}, {ID: &target, P: m.Prepare(chain(m.Dict(), name+"u", 2+rng.Intn(14), "M"))}})
+				first, _, ok, _ := m.Commit(telemetry.OpCommit, []Mutation{{Op: wal.OpStore, P: m.Prepare(g)}, {Op: wal.OpUpdate, ID: target, P: m.Prepare(chain(m.Dict(), name+"u", 2+rng.Intn(14), "M"))}})
 				if !ok {
 					t.Fatal("commit failed")
 				}
@@ -167,7 +169,7 @@ func TestMaximaAfterDeletingTheLargestTwice(t *testing.T) {
 	}
 	// The holder shrinking in place must lower the marks too.
 	big, _ := m.Add(chain(m.Dict(), "big", 20, "L"))
-	m.Update(big, chain(m.Dict(), "shrunk", 3, "L"))
+	update(m, big, chain(m.Dict(), "shrunk", 3, "L"))
 	if st := m.Stats(); st.MaxV != 6 || st.MaxE != 5 {
 		t.Fatalf("after shrinking the largest: maxima (%d, %d), want (6, 5)", st.MaxV, st.MaxE)
 	}

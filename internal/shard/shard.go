@@ -8,8 +8,8 @@
 // # Identity
 //
 // Every stored graph gets a stable uint64 ID at insert time, assigned in
-// insertion order from one atomic sequence. The ID is the handle of the
-// mutation API (Delete, Update), the hash input of shard placement, and
+// insertion order from one atomic sequence. The ID is the handle of an
+// update or delete, the hash input of shard placement, and
 // the deterministic result order of scans: positions inside a shard move
 // under swap-remove, IDs never do. A store built from a flat collection
 // (FromCollection) keeps the collection's indexes as IDs, so the ID
@@ -17,20 +17,22 @@
 //
 // # Concurrency model
 //
-// Mutations take exactly one shard's write lock (bulk Commit takes all of
-// them, in index order, for the none-or-all contract of batch ingest).
+// Every write is a Commit batch, which takes the write locks of the shards
+// it touches, and only those, in ascending index order: a one-graph write
+// locks one shard, so writes to different shards run concurrently.
 // Readers never block writers for long: a snapshot copies slice headers
 // under the shard read lock, and mutations publish fresh slices on
 // delete/update (append-only inserts extend in place, which existing
 // snapshot headers cannot observe). A Views call assembles a consistent
 // cut across all shards by optimistic double-read of the global epoch,
-// falling back to locking every shard if mutations keep racing the cut.
+// which a batch bumps once while it still holds its locks, so a cut
+// that saw part of a batch retries; after cutRetries it falls back to
+// read-locking every shard.
 //
 // # Epochs
 //
-// Each shard counts its own mutations; the Map derives the global epoch
-// from them — it advances (inside the mutating shard's critical section)
-// whenever any shard epoch does, with one advance per atomic mutation
+// Each shard counts its own mutations; the global epoch advances (inside
+// the batch's critical section) whenever any shard epoch does, once per
 // batch however many shards the batch touched. The counter is strictly
 // monotonic, equal observations imply an identical store state, and a
 // consistent cut labels the snapshot with the exact epoch its data
@@ -61,6 +63,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -140,13 +143,6 @@ type Map struct {
 
 // Telemetry returns the store's metric group (never nil).
 func (m *Map) Telemetry() *telemetry.StoreMetrics { return m.tele }
-
-// observeMut records one applied mutation: end-to-end latency (journal
-// wait included) into the op histogram, one tick on the owning shard.
-func (m *Map) observeMut(op telemetry.MutOp, id uint64, start time.Time) {
-	m.tele.Mut[op].Observe(time.Since(start))
-	m.tele.Shards[m.ShardIndex(id)].Mutations.Add(1)
-}
 
 // sizesCache is one epoch's merged distinct-size list.
 type sizesCache struct {
@@ -328,20 +324,21 @@ func (m *Map) Prepare(g *graph.Graph) Prepared {
 }
 
 // Discard releases the branches of a batch's prepared graphs, which were
-// not stored. Branch keys the prepares created leave the dictionary with
-// them, so a failed write leaves the dictionary's live and dead counts as
-// it found them.
+// not stored; a delete has none and is skipped. Branch keys the prepares
+// created leave the dictionary with them, so a failed write leaves the
+// dictionary's live and dead counts as it found them.
 func (m *Map) Discard(batch []Mutation) {
-	if len(batch) == 0 {
-		return
+	mark := uint32(math.MaxUint32)
+	var sets []branch.IDs
+	for _, mu := range batch {
+		if mu.P.e != nil {
+			mark = min(mark, mu.P.mark)
+			sets = append(sets, mu.P.e.Branches)
+		}
 	}
-	mark := batch[0].P.mark
-	sets := make([]branch.IDs, len(batch))
-	for i, mu := range batch {
-		mark = min(mark, mu.P.mark)
-		sets[i] = mu.P.e.Branches
+	if len(sets) > 0 {
+		m.bdict.Unintern(mark, sets)
 	}
-	m.bdict.Unintern(mark, sets)
 }
 
 // insert appends e, whose signature word is sig, to the bucket; the
@@ -489,246 +486,178 @@ func (m *Map) WaitRebuilds() {
 // taken at an older value still answers exactly, from staler lists.
 func (m *Map) PostingsGen() uint64 { return m.postGen.Load() }
 
-// Add stores g under a fresh ID and returns it. Only the owning shard is
-// locked, so Adds of different graphs run concurrently. With a journal
-// attached, a nil error means the mutation is durable under the
-// journal's fsync policy; on a journal error the mutation is either not
-// applied (append failed) or applied but of unknown durability (wait
-// failed, which poisons the journal for every later mutation anyway).
-func (m *Map) Add(g *graph.Graph) (uint64, error) {
-	start := time.Now()
-	p := m.Prepare(g)
-	id := m.seq.Add(1) - 1
-	p.e.ID = id
-	b := m.shardOf(id)
-	b.mu.Lock()
-	tok, err := m.jappend(id, wal.OpStore, id, p.e.G)
-	if err != nil {
-		b.mu.Unlock()
-		m.Discard([]Mutation{{P: p}})
-		return 0, err
-	}
-	b.insert(p.e, p.sig)
-	m.bump(b)
-	b.mu.Unlock()
-	err = m.jwait(tok)
-	m.observeMut(telemetry.OpAdd, id, start)
-	return id, err
-}
-
-// jappend journals one record for the shard owning id; the caller holds
-// that shard's write lock. A nil journal appends nothing.
-func (m *Map) jappend(id uint64, op wal.Op, recID uint64, g graph.Packed) (Token, error) {
-	if m.journal == nil {
-		return Token{}, nil
-	}
-	return m.journal.Append(m.ShardIndex(id), op, recID, g)
-}
-
-// jwait blocks until a journaled record is durable; called outside the
-// shard locks so concurrent mutators share fsyncs.
-func (m *Map) jwait(tok Token) error {
-	if m.journal == nil || tok.H == nil {
-		return nil
-	}
-	return m.journal.Wait(tok)
-}
-
-// Delete removes the graph with the given ID: tombstone-free swap-remove
-// inside its shard, column resync, stats subtraction and a branch-
-// dictionary release (which may trigger compaction). It reports whether
-// the ID existed. The next consistent cut — and therefore the next
-// search — no longer sees the graph.
-func (m *Map) Delete(id uint64) (bool, error) {
-	start := time.Now()
-	b := m.shardOf(id)
-	b.mu.Lock()
-	slot, ok := b.slots[id]
-	if !ok {
-		b.mu.Unlock()
-		return false, nil
-	}
-	tok, err := m.jappend(id, wal.OpDelete, id, graph.Packed{})
-	if err != nil {
-		b.mu.Unlock()
-		return false, err
-	}
-	e := b.removeAt(slot)
-	m.bump(b)
-	b.mu.Unlock()
-	m.bdict.Release(e.Branches)
-	err = m.jwait(tok)
-	m.observeMut(telemetry.OpDelete, id, start)
-	return true, err
-}
-
-// Update replaces the graph stored under id with g, keeping the ID (and
-// therefore the shard). It reports whether the ID existed; when it does
-// not, the prepared graph is discarded and the store is unchanged.
-func (m *Map) Update(id uint64, g *graph.Graph) (bool, error) {
-	start := time.Now()
-	p := m.Prepare(g)
-	p.e.ID = id
-	b := m.shardOf(id)
-	b.mu.Lock()
-	slot, ok := b.slots[id]
-	if !ok {
-		b.mu.Unlock()
-		m.Discard([]Mutation{{P: p}})
-		return false, nil
-	}
-	tok, err := m.jappend(id, wal.OpUpdate, id, p.e.G)
-	if err != nil {
-		b.mu.Unlock()
-		m.Discard([]Mutation{{P: p}})
-		return false, err
-	}
-	old := b.replaceAt(slot, p.e, p.sig)
-	m.bump(b)
-	b.mu.Unlock()
-	m.bdict.Release(old.Branches)
-	err = m.jwait(tok)
-	m.observeMut(telemetry.OpUpdate, id, start)
-	return true, err
-}
-
-// Mutation is one entry of a Commit batch: a fresh insert of P when ID is
-// nil, an in-place update of *ID otherwise. P is prepared (Prepare) before
-// Commit takes any lock.
+// Mutation is one entry of a Commit batch. Op says what it does: OpStore
+// inserts P under a fresh ID (Commit assigns ID), OpUpdate replaces the
+// graph stored under ID with P, OpDelete removes ID and carries no P. P is
+// prepared (Prepare) before Commit takes any lock.
 type Mutation struct {
-	ID *uint64
+	Op wal.Op
+	ID uint64
 	P  Prepared
 }
 
-// Commit applies a batch of inserts and updates atomically: every shard
-// is locked (in index order) for the duration, so a concurrent search
-// sees none or all of the batch — the contract bulk ingest exposes. On
-// an unknown update ID nothing is changed and the missing ID is
-// returned; otherwise Commit returns the ID of the first insert (the
-// rest follow contiguously) and true. A batch with no inserts returns
-// the store's next ID. When Commit changes nothing (an unknown update ID,
-// a journal append error), it discards the batch's prepared graphs. With
-// a journal attached, every record of the batch is journaled before any
-// is applied, and Commit returns only once all of them are durable; batch
-// durability is per record, not atomic — a crash mid-flush may persist a
-// prefix of an unacknowledged batch, which recovery replays (the
-// none-or-all contract binds live observers, acknowledgement still
-// implies the whole batch survived).
-func (m *Map) Commit(batch []Mutation) (firstID uint64, missing uint64, ok bool, err error) {
+// Commit applies a batch of mutations atomically and is the store's one
+// live write (Install and Replay only rebuild a recovered store). It
+// reserves the inserts' IDs (contiguous from the returned first ID; the
+// store's next ID when there are none), then locks only the shards the
+// batch touches, in ascending index order, and bumps the global epoch
+// once inside those locks, so no consistent cut (Views) sees part of a
+// batch. On an update or delete of an unknown ID nothing changes: the
+// missing ID is returned with ok false, the reserved IDs are handed back
+// unless a later batch reserved past them, and the prepared graphs are
+// discarded, as they are on a journal append error.
+//
+// With a journal attached, every record of the batch is journaled before
+// any is applied, and Commit returns once all of them are durable; a wait
+// error leaves the batch applied, of unknown durability. Durability is
+// per record, not atomic — a crash mid-flush may persist a prefix of an
+// unacknowledged batch, which recovery replays (the none-or-all contract
+// binds live observers, acknowledgement still implies the whole batch
+// survived). op labels the batch's latency in the store's telemetry; each
+// applied mutation ticks its shard's counter even when the wait fails.
+func (m *Map) Commit(op telemetry.MutOp, batch []Mutation) (firstID, missing uint64, ok bool, err error) {
+	if len(batch) == 0 {
+		return m.seq.Load(), 0, true, nil
+	}
 	start := time.Now()
-	firstID, missing, ok, toks, err := m.commitLocked(batch)
-	if err != nil || !ok {
-		m.Discard(batch)
-		return firstID, missing, ok, err
-	}
-	for h, seq := range toks {
-		if werr := m.journal.Wait(Token{Seq: seq, H: h}); werr != nil {
-			return firstID, 0, true, werr
-		}
-	}
-	m.tele.Mut[telemetry.OpCommit].Observe(time.Since(start))
-	next := firstID
-	for _, mu := range batch {
-		id := next
-		if mu.ID != nil {
-			id = *mu.ID
-		} else {
-			next++
-		}
-		m.tele.Shards[m.ShardIndex(id)].Mutations.Add(1)
-	}
-	return firstID, 0, true, nil
-}
-
-// commitLocked is Commit's critical section: validate, assign IDs,
-// journal, install, all under every shard lock. It returns one
-// max-sequence token per journal log touched, for the caller to wait on
-// after the locks drop.
-func (m *Map) commitLocked(batch []Mutation) (firstID uint64, missing uint64, ok bool, toks map[any]uint64, err error) {
-	for _, b := range m.shards {
-		b.mu.Lock()
-	}
-	defer func() {
-		for _, b := range m.shards {
-			b.mu.Unlock()
-		}
-	}()
-	// Validate first: none-or-all.
 	inserts := uint64(0)
 	for _, mu := range batch {
-		if mu.ID == nil {
+		if mu.Op == wal.OpStore {
 			inserts++
+		}
+	}
+	// Reserve the whole insert run in one step, before any lock: a
+	// concurrent batch reserves from the same sequence, so a reservation
+	// per insert would let foreign IDs interleave into the run.
+	end := m.seq.Add(inserts)
+	firstID = end - inserts
+	var shardBuf [8]int
+	touched := shardBuf[:0]
+	next := firstID
+	for i := range batch {
+		mu := &batch[i]
+		if mu.Op == wal.OpStore {
+			mu.ID = next
+			next++
+		}
+		if mu.P.e != nil {
+			mu.P.e.ID = mu.ID
+		}
+		touched = append(touched, m.ShardIndex(mu.ID))
+	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
+	var tokBuf [8]Token
+	toks := slices.Grow(tokBuf[:0], len(touched))[:len(touched)]
+
+	for _, i := range touched {
+		m.shards[i].mu.Lock()
+	}
+	unlock := func() {
+		for _, i := range touched {
+			m.shards[i].mu.Unlock()
+		}
+	}
+	for _, mu := range batch {
+		if mu.Op == wal.OpStore {
 			continue
 		}
-		if _, exists := m.shardOf(*mu.ID).slots[*mu.ID]; !exists {
-			return 0, *mu.ID, false, nil, nil
-		}
-	}
-	// Reserve the whole insert run in one atomic step: a concurrent Add
-	// claims its ID from the same sequence before blocking on the shard
-	// lock, so a Load-then-Add-per-insert loop would let foreign IDs
-	// interleave into the "contiguous" run this function promises.
-	if inserts == 0 {
-		firstID = m.seq.Load()
-	} else {
-		firstID = m.seq.Add(inserts) - inserts
-	}
-	next := firstID
-	for _, mu := range batch {
-		if mu.ID != nil {
-			mu.P.e.ID = *mu.ID
-		} else {
-			mu.P.e.ID = next
-			next++
+		if _, exists := m.shardOf(mu.ID).slots[mu.ID]; !exists {
+			unlock()
+			m.seq.CompareAndSwap(end, firstID)
+			m.Discard(batch)
+			return 0, mu.ID, false, nil
 		}
 	}
 	// Journal the whole batch before applying any of it: an append
-	// failure then leaves the in-memory store untouched.
+	// failure then leaves the in-memory store untouched. A shard's last
+	// record is the one its durability wait names.
 	if m.journal != nil {
-		toks = make(map[any]uint64)
 		for _, mu := range batch {
-			op := wal.OpStore
-			if mu.ID != nil {
-				op = wal.OpUpdate
+			si := m.ShardIndex(mu.ID)
+			var g graph.Packed
+			if mu.P.e != nil {
+				g = mu.P.e.G
 			}
-			id := mu.P.e.ID
-			tok, jerr := m.jappend(id, op, id, mu.P.e.G)
+			tok, jerr := m.journal.Append(si, mu.Op, mu.ID, g)
 			if jerr != nil {
-				return 0, 0, false, nil, jerr
+				unlock()
+				m.Discard(batch)
+				return 0, 0, false, jerr
 			}
-			if tok.Seq > toks[tok.H] {
-				toks[tok.H] = tok.Seq
-			}
+			k, _ := slices.BinarySearch(touched, si)
+			toks[k] = tok
 		}
 	}
-	touched := make(map[*bucket]struct{})
-	var released []branch.IDs
+	var relBuf [4]branch.IDs
+	released := relBuf[:0]
 	for _, mu := range batch {
-		b := m.shardOf(mu.P.e.ID)
-		touched[b] = struct{}{}
-		if mu.ID == nil {
-			b.insert(mu.P.e, mu.P.sig)
-			continue
+		if old, _ := m.shardOf(mu.ID).apply(mu.Op, mu.ID, mu.P); old != nil {
+			released = append(released, old)
 		}
-		old := b.replaceAt(b.slots[*mu.ID], mu.P.e, mu.P.sig)
-		released = append(released, old.Branches)
 	}
-	for b := range touched {
+	for _, i := range touched {
+		b := m.shards[i]
 		b.epoch++
 		m.maintain(b)
 	}
-	if len(touched) > 0 {
-		// One global bump for the whole batch: a Commit is one atomic
-		// mutation to observers (the "one epoch bump" contract bulk
-		// ingest documents), however many shards it touched.
-		m.gepoch.Add(1)
-	}
-	// Release after the epoch bumps: compaction may run inside Release,
-	// and the new state must already be published.
+	// One global bump for the whole batch, inside the locks: a cut that
+	// read some touched shard before the batch and another after it sees
+	// the epoch move and retries.
+	m.gepoch.Add(1)
+	unlock()
+	// Release after the new state is published: compaction may run
+	// inside Release.
 	for _, ids := range released {
 		m.bdict.Release(ids)
 	}
-	return firstID, 0, true, toks, nil
+	for _, mu := range batch {
+		m.tele.Shards[m.ShardIndex(mu.ID)].Mutations.Add(1)
+	}
+	for _, tok := range toks {
+		if tok.H == nil {
+			continue
+		}
+		if err = m.journal.Wait(tok); err != nil {
+			break
+		}
+	}
+	m.tele.Mut[op].Observe(time.Since(start))
+	return firstID, 0, true, err
+}
+
+// apply makes one mutation on b, whose write lock the caller holds: a
+// store or update upserts p's entry under id, a delete removes id if
+// present. It returns the branches of the entry it displaced, for the
+// caller to release once the locks drop, and whether b changed; the
+// caller bumps the epochs.
+func (b *bucket) apply(op wal.Op, id uint64, p Prepared) (old branch.IDs, changed bool) {
+	slot, ok := b.slots[id]
+	switch {
+	case op == wal.OpDelete && !ok:
+		return nil, false
+	case op == wal.OpDelete:
+		return b.removeAt(slot).Branches, true
+	case ok:
+		return b.replaceAt(slot, p.e, p.sig).Branches, true
+	}
+	b.insert(p.e, p.sig)
+	return nil, true
+}
+
+// Add stores g under a fresh ID: a one-insert Commit. The database never
+// calls it; it stays for the benchmark harness, which is versioned apart
+// from this package.
+func (m *Map) Add(g *graph.Graph) (uint64, error) {
+	id, _, _, err := m.Commit(telemetry.OpAdd, []Mutation{{Op: wal.OpStore, P: m.Prepare(g)}})
+	return id, err
+}
+
+// Delete removes id and reports whether it was stored: a one-delete
+// Commit, kept for the benchmark harness like Add.
+func (m *Map) Delete(id uint64) (bool, error) {
+	_, _, ok, err := m.Commit(telemetry.OpDelete, []Mutation{{Op: wal.OpDelete, ID: id}})
+	return ok, err
 }
 
 // Install bulk-inserts recovered entries without journaling them — they
@@ -771,41 +700,29 @@ func (m *Map) Install(entries []*db.Entry) error {
 	return nil
 }
 
-// Replay applies one recovered WAL record without journaling it again:
-// stores and updates upsert by ID (an update's target may live in a
-// snapshot segment or earlier in the same log), deletes remove if
-// present. Safe to call concurrently for records of different shards;
-// records of one shard must be replayed in log order, which per-shard
-// logs give for free.
+// Replay applies one recovered WAL record without journaling it again,
+// through the same apply as Commit: stores and updates upsert by ID (an
+// update's target may live in a snapshot segment or earlier in the same
+// log), deletes remove if present. Safe to call concurrently for records
+// of different shards; records of one shard must be replayed in log
+// order, which per-shard logs give for free.
 func (m *Map) Replay(op wal.Op, id uint64, g *graph.Graph) {
+	var p Prepared
+	if op != wal.OpDelete {
+		p = m.Prepare(g)
+		p.e.ID = id
+		m.EnsureSeq(id + 1)
+	}
 	b := m.shardOf(id)
-	if op == wal.OpDelete {
-		b.mu.Lock()
-		if slot, ok := b.slots[id]; ok {
-			e := b.removeAt(slot)
-			m.bump(b)
-			b.mu.Unlock()
-			m.bdict.Release(e.Branches)
-			return
-		}
-		b.mu.Unlock()
-		return
-	}
-	p := m.Prepare(g)
-	p.e.ID = id
 	b.mu.Lock()
-	var old branch.IDs
-	if slot, ok := b.slots[id]; ok {
-		old = b.replaceAt(slot, p.e, p.sig).Branches
-	} else {
-		b.insert(p.e, p.sig)
+	old, changed := b.apply(op, id, p)
+	if changed {
+		m.bump(b)
 	}
-	m.bump(b)
 	b.mu.Unlock()
 	if old != nil {
 		m.bdict.Release(old)
 	}
-	m.EnsureSeq(id + 1)
 }
 
 // EnsureSeq raises the ID sequence to at least n (never lowers it), so
@@ -823,11 +740,12 @@ func (m *Map) EnsureSeq(n uint64) {
 // write lock, snapshots the entry slice, and calls rotate(i) inside the
 // critical section — the journal swaps shard i's log there, so every
 // record in the old log is reflected in the snapshot and every mutation
-// after it lands in the new log. Locks are taken one at a time: a batch
-// Commit (which holds all shard locks) is therefore entirely before or
-// entirely after the cut on any given shard, and the per-shard
-// snapshot+log pair stays exact even when a batch straddles the cut
-// across shards. Returns the per-shard snapshots and the global epoch.
+// after it lands in the new log. Locks are taken one at a time: a Commit
+// holds the lock of every shard it touches from journal to apply, so on
+// each shard it is entirely before or entirely after the cut, and the
+// per-shard snapshot+log pair stays exact even when a batch straddles
+// the cut across shards. Returns the per-shard snapshots and the global
+// epoch.
 func (m *Map) CutRotate(rotate func(shard int) error) ([][]*db.Entry, uint64, error) {
 	cuts := make([][]*db.Entry, len(m.shards))
 	for i, b := range m.shards {

@@ -10,6 +10,8 @@ import (
 	"gsim/internal/branch"
 	"gsim/internal/db"
 	"gsim/internal/graph"
+	"gsim/internal/telemetry"
+	"gsim/internal/wal"
 )
 
 // chain builds a small labeled path graph against dict.
@@ -23,6 +25,13 @@ func chain(dict *graph.Labels, name string, n int, label string) *graph.Graph {
 		g.MustAddEdge(i, i+1, dict.Intern("e"))
 	}
 	return g
+}
+
+// update is a one-update Commit: it replaces the graph under id with g
+// and reports whether id was stored.
+func update(m *Map, id uint64, g *graph.Graph) (bool, error) {
+	_, _, ok, err := m.Commit(telemetry.OpUpdate, []Mutation{{Op: wal.OpUpdate, ID: id, P: m.Prepare(g)}})
+	return ok, err
 }
 
 func fill(m *Map, n int) []uint64 {
@@ -133,10 +142,10 @@ func TestUpdateReplacesInPlace(t *testing.T) {
 	ids := fill(m, 10)
 	before := m.Epoch()
 	g := chain(m.Dict(), "updated", 9, "Z")
-	if ok, _ := m.Update(12345, g); ok {
+	if ok, _ := update(m, 12345, g); ok {
 		t.Fatal("updated a nonexistent ID")
 	}
-	if ok, _ := m.Update(ids[3], g); !ok {
+	if ok, _ := update(m, ids[3], g); !ok {
 		t.Fatal("update failed")
 	}
 	if m.Epoch() != before+1 {
@@ -234,7 +243,7 @@ func TestIncrementalSums(t *testing.T) {
 	m := New("t", 2)
 	ids := fill(m, 20)
 	m.Delete(ids[4])
-	m.Update(ids[5], chain(m.Dict(), "upd", 11, "Q"))
+	update(m, ids[5], chain(m.Dict(), "upd", 11, "Q"))
 	fill(m, 5)
 	views, _ := m.Views(true)
 	checkColumns(t, views)
@@ -276,9 +285,9 @@ func TestCommitAtomicAndValidated(t *testing.T) {
 	ids := fill(m, 6)
 	epoch := m.Epoch()
 	bogus := uint64(777)
-	_, missing, ok, _ := m.Commit([]Mutation{
-		{P: m.Prepare(chain(m.Dict(), "new0", 4, "N"))},
-		{ID: &bogus, P: m.Prepare(chain(m.Dict(), "nope", 4, "N"))},
+	_, missing, ok, _ := m.Commit(telemetry.OpCommit, []Mutation{
+		{Op: wal.OpStore, P: m.Prepare(chain(m.Dict(), "new0", 4, "N"))},
+		{Op: wal.OpUpdate, ID: bogus, P: m.Prepare(chain(m.Dict(), "nope", 4, "N"))},
 	})
 	if ok || missing != bogus {
 		t.Fatalf("invalid commit: ok=%v missing=%d", ok, missing)
@@ -286,10 +295,10 @@ func TestCommitAtomicAndValidated(t *testing.T) {
 	if m.Len() != 6 || m.Epoch() != epoch {
 		t.Fatal("failed commit left changes behind")
 	}
-	first, _, ok, _ := m.Commit([]Mutation{
-		{P: m.Prepare(chain(m.Dict(), "new0", 4, "N"))},
-		{ID: &ids[1], P: m.Prepare(chain(m.Dict(), "upd1", 5, "U"))},
-		{P: m.Prepare(chain(m.Dict(), "new1", 4, "N"))},
+	first, _, ok, _ := m.Commit(telemetry.OpCommit, []Mutation{
+		{Op: wal.OpStore, P: m.Prepare(chain(m.Dict(), "new0", 4, "N"))},
+		{Op: wal.OpUpdate, ID: ids[1], P: m.Prepare(chain(m.Dict(), "upd1", 5, "U"))},
+		{Op: wal.OpStore, P: m.Prepare(chain(m.Dict(), "new1", 4, "N"))},
 	})
 	if !ok || first != 6 {
 		t.Fatalf("commit: ok=%v first=%d", ok, first)
@@ -390,6 +399,49 @@ func TestDeleteReleasesBranchRefs(t *testing.T) {
 	}
 }
 
+// TestCommitCutIsAtomic: a batch locks only the shards it touches, yet no
+// consistent cut sees part of it — every cut taken while batches of six
+// inserts land on a 3-shard map holds a whole number of batches.
+func TestCommitCutIsAtomic(t *testing.T) {
+	const batches, size = 300, 6
+	m := New("t", 3)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < batches; i++ {
+			batch := make([]Mutation, size)
+			for k := range batch {
+				batch[k] = Mutation{Op: wal.OpStore, P: m.Prepare(chain(m.Dict(), fmt.Sprintf("b%d_%d", i, k), 3, "L"))}
+			}
+			if _, _, _, err := m.Commit(telemetry.OpCommit, batch); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	cuts := 0
+	for running := true; running; cuts++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		views, _ := m.Views(true)
+		n := 0
+		for _, v := range views {
+			n += len(v.Entries)
+		}
+		if n%size != 0 {
+			<-done
+			t.Fatalf("cut %d holds %d entries, not whole batches of %d", cuts, n, size)
+		}
+	}
+	if m.Len() != batches*size {
+		t.Fatalf("Len = %d after %d batches of %d", m.Len(), batches, size)
+	}
+	t.Logf("%d cuts", cuts)
+}
+
 // TestConcurrentMutations hammers all mutation paths from many goroutines
 // while cuts are taken concurrently — the -race exercise for the
 // per-shard locking discipline. Invariants: cuts never tear (their entry
@@ -416,7 +468,7 @@ func TestConcurrentMutations(t *testing.T) {
 						deleted.Store(id, true)
 					}
 				default:
-					m.Update(seed[rng.Intn(len(seed))], chain(m.Dict(), "u", 3+rng.Intn(6), "U"))
+					update(m, seed[rng.Intn(len(seed))], chain(m.Dict(), "u", 3+rng.Intn(6), "U"))
 				}
 			}
 		}(w)
@@ -474,9 +526,9 @@ func TestPostingsFollowWrites(t *testing.T) {
 	m := New("t", 2)
 	batch := make([]Mutation, 400)
 	for i := range batch {
-		batch[i] = Mutation{P: m.Prepare(chain(m.Dict(), fmt.Sprintf("g%d", i), 3+i%7, "L"))}
+		batch[i] = Mutation{Op: wal.OpStore, P: m.Prepare(chain(m.Dict(), fmt.Sprintf("g%d", i), 3+i%7, "L"))}
 	}
-	if _, _, _, err := m.Commit(batch); err != nil {
+	if _, _, _, err := m.Commit(telemetry.OpCommit, batch); err != nil {
 		t.Fatal(err)
 	}
 	stale := func() int {
@@ -495,7 +547,7 @@ func TestPostingsFollowWrites(t *testing.T) {
 		if _, err := m.Delete(id); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Update(10+id, chain(m.Dict(), "u", 4, "M")); err != nil {
+		if _, err := update(m, 10+id, chain(m.Dict(), "u", 4, "M")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -99,7 +99,8 @@ type ShardCounters struct {
 	Scanned atomic.Uint64
 	// Pruned counts entries of this shard the prefilter discarded.
 	Pruned atomic.Uint64
-	// Mutations counts committed Add/Delete/Update operations.
+	// Mutations counts the mutations applied to this shard: one per
+	// store, update or delete of a committed batch.
 	Mutations atomic.Uint64
 	// Rebuilds counts branch-postings rebuilds installed on this shard.
 	Rebuilds atomic.Uint64

@@ -1,6 +1,7 @@
 package gsim_test
 
 import (
+	"fmt"
 	"testing"
 
 	"gsim"
@@ -20,25 +21,34 @@ func subsetOf(a, b []int) bool {
 	return true
 }
 
-// TestGammaMonotonicity: raising the probability threshold can only shrink
-// the GBDA result set — the γ knob of Algorithm 1 is a pure
-// precision/recall dial.
+// TestGammaMonotonicity: raising the probability threshold γ can only
+// shrink the answer of every γ-thresholded method — GBDA, GBDA-V1,
+// GBDA-V2 and Hybrid — at every τ̂, with and without the prefilter: the γ
+// knob of Algorithm 1 is a pure precision/recall dial.
 func TestGammaMonotonicity(t *testing.T) {
 	ds := tinyDataset(t, 40)
 	d := openDataset(t, ds)
-	for _, qi := range ds.Queries {
-		q := gsim.CollectionQuery(ds.Col, qi)
-		var prev []int
-		for _, gamma := range []float64{0.9, 0.7, 0.5, 0.3, 0.1} {
-			res, err := d.Search(q, gsim.SearchOptions{Method: gsim.GBDA, Tau: 3, Gamma: gamma})
-			if err != nil {
-				t.Fatal(err)
+	for _, m := range []gsim.Method{gsim.GBDA, gsim.GBDAV1, gsim.GBDAV2, gsim.Hybrid} {
+		for _, tau := range []int{1, 3, 5} {
+			for _, pre := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%v/tau=%d/prefilter=%v", m, tau, pre), func(t *testing.T) {
+					for _, qi := range ds.Queries {
+						q := gsim.CollectionQuery(ds.Col, qi)
+						var prev []int
+						for _, gamma := range []float64{0.99, 0.9, 0.7, 0.5, 0.3, 0.1} {
+							res, err := d.Search(q, gsim.SearchOptions{Method: m, Tau: tau, Gamma: gamma, Prefilter: pre})
+							if err != nil {
+								t.Fatal(err)
+							}
+							cur := res.Indexes()
+							if prev != nil && !subsetOf(prev, cur) {
+								t.Fatalf("query %d: γ monotonicity violated at γ=%v: %v ⊄ %v", qi, gamma, prev, cur)
+							}
+							prev = cur
+						}
+					}
+				})
 			}
-			cur := res.Indexes()
-			if prev != nil && !subsetOf(prev, cur) {
-				t.Fatalf("γ monotonicity violated at γ=%v: %v ⊄ %v", gamma, prev, cur)
-			}
-			prev = cur
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"gsim"
 	"gsim/internal/dataset"
+	"gsim/internal/telemetry"
 )
 
 // equivDataset generates the deterministic cluster corpus the equivalence
@@ -132,6 +133,61 @@ func TestShardedEquivalenceBatchAndTopK(t *testing.T) {
 			t.Fatal(err)
 		}
 		resultsIdentical(t, fmt.Sprintf("topk/%v", m), ra, rb)
+	}
+}
+
+// TestMutationTelemetry: every public write is one store commit, yet each
+// keeps its own latency label, and each applied mutation ticks its
+// shard's counter once — Store, Update, a CommitAll of two inserts and an
+// update, a two-graph LoadText and a Delete on a 3-shard database.
+func TestMutationTelemetry(t *testing.T) {
+	d := gsim.New(gsim.WithShards(3))
+	build := func(name string, labels ...string) *gsim.GraphBuilder {
+		b := d.NewGraph(name)
+		for i, l := range labels {
+			b.AddVertex(l)
+			if i > 0 {
+				if err := b.AddEdge(i-1, i, "e"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return b
+	}
+	id, err := build("a", "C", "N").Store()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := build("a2", "C", "O").Update(id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.CommitAll([]gsim.BuilderMutation{
+		{Builder: build("b", "C")},
+		{Builder: build("c", "N", "N")},
+		{Builder: build("a3", "O", "S"), UpdateID: &id},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.LoadText(strings.NewReader("g x 1\nv 0 C\ng y 2\nv 0 N\nv 1 O\ne 0 1 e\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+
+	st := d.StoreTelemetry()
+	want := [telemetry.NumMutOps]uint64{telemetry.OpAdd: 1, telemetry.OpDelete: 1, telemetry.OpUpdate: 1, telemetry.OpCommit: 2}
+	for op, n := range want {
+		if got := st.Mut[op].Count(); got != n {
+			t.Errorf("%v: %d observations, want %d", telemetry.MutOp(op), got, n)
+		}
+	}
+	var ticks uint64
+	for i := range st.Shards {
+		ticks += st.Shards[i].Mutations.Load()
+	}
+	if ticks != 8 {
+		t.Errorf("shards counted %d mutations, want 8", ticks)
 	}
 }
 
