@@ -445,33 +445,26 @@ func BenchmarkRecovery(b *testing.B) {
 }
 
 // BenchmarkServerSearch measures one /v1/search request through the HTTP
-// serving layer, cold (caching disabled: every request pays a full scan)
-// vs hot (the repeated query is served from the epoch-versioned result
-// cache). The pair is the second CI gate signal: cold tracks the serving
-// overhead on top of the library search, hot tracks the cache fast path.
+// serving layer. scan posts one unfiltered query, a full scan per
+// request: the serving overhead on top of the library search, the second
+// CI gate signal.
 func BenchmarkServerSearch(b *testing.B) {
 	fx := batchFixture(b)
 	body, err := json.Marshal(searchBody(fx.ds, fx.ds.Queries[0], 0.5, false))
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name    string
-		entries int
-	}{{"cold", 0}, {"hot", 256}} {
-		b.Run("cache="+mode.name, func(b *testing.B) {
-			h := server.New(server.Config{DB: fx.db, CacheEntries: mode.entries}).Handler()
-			// One untimed request warms the offline artifacts (and, hot,
-			// the cache entry itself).
+	b.Run("scan", func(b *testing.B) {
+		h := server.New(server.Config{DB: fx.db}).Handler()
+		// One untimed request warms the offline artifacts.
+		serveSearch(b, h, body)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			serveSearch(b, h, body)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				serveSearch(b, h, body)
-			}
-		})
-	}
+		}
+	})
 	// corpus posts the repository benchmark's prefiltered bodies for the
-	// corpusFixture queries, cache off, and fails when a request allocates
+	// corpusFixture queries and fails when a request allocates
 	// more than its budget: room for the search and for building the query
 	// graph in one pass, none for reflective JSON decoding (~170
 	// allocations a request), a branch key per vertex (~290) or a heap

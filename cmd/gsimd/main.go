@@ -1,7 +1,7 @@
 // Command gsimd serves graph similarity search over HTTP: the
 // internal/server JSON API (search, topk, batch, NDJSON streaming,
-// ingest, stats, health) over one resident gsim database with an
-// epoch-versioned result cache.
+// ingest, stats, health) over one resident gsim database. Every search
+// runs the library's scan.
 //
 // Usage:
 //
@@ -33,7 +33,7 @@
 //
 // Observability: GET /metrics serves the Prometheus text exposition
 // (per-endpoint request histograms, per-stage search timing, per-shard
-// scan/prune/mutation counters, WAL fsync timing, cache and runtime
+// scan/prune/mutation counters, WAL fsync timing, database and runtime
 // gauges; disable with -metrics=false), /v1/stats carries the same
 // telemetry as JSON summaries, -slowlog logs any request at or over the
 // given duration with its per-stage breakdown and request ID, and
@@ -94,7 +94,6 @@ type config struct {
 	buildPriors  bool
 	tauMax       int
 	pairs        int
-	cacheSize    int
 	method       string
 	workers      int
 	shards       int
@@ -198,7 +197,6 @@ func finishLoad(cfg config, d *gsim.Database) (*server.Server, error) {
 	}
 	srv := server.New(server.Config{
 		DB:             d,
-		CacheEntries:   cfg.cacheSize,
 		DefaultMethod:  m,
 		Workers:        cfg.workers,
 		SlowQuery:      cfg.slowLog,
@@ -241,7 +239,7 @@ func main() {
 	flag.BoolVar(&cfg.buildPriors, "build-priors", false, "fit the offline GBDA priors at startup")
 	flag.IntVar(&cfg.tauMax, "tau-max", 10, "largest τ̂ the offline priors support (-build-priors)")
 	flag.IntVar(&cfg.pairs, "pairs", 20000, "sampled pairs for the GBD prior (-build-priors)")
-	flag.IntVar(&cfg.cacheSize, "cache", 1024, "result cache entries (0 disables caching)")
+	flag.Int("cache", 0, "ignored; accepted so existing command lines still parse")
 	flag.StringVar(&cfg.method, "method", methods, "default search method for requests that omit one")
 	flag.IntVar(&cfg.workers, "workers", 0, "default scan workers per request (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.shards, "shards", 0, "storage shards for the resident database (0 = GOMAXPROCS)")
@@ -268,8 +266,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("gsimd: %v", err)
 	}
-	log.Printf("gsimd: serving %q (%d graphs, priors=%v, cache=%d, durable=%v) on %s",
-		d.Name(), d.Len(), d.HasPriors(), cfg.cacheSize, cfg.dataDir != "", *addr)
+	log.Printf("gsimd: serving %q (%d graphs, priors=%v, durable=%v) on %s",
+		d.Name(), d.Len(), d.HasPriors(), cfg.dataDir != "", *addr)
 
 	if *pprofAddr != "" {
 		go func() {

@@ -27,6 +27,17 @@ type Stats = db.Stats
 // The serving layer maps it to HTTP 404.
 var ErrNotFound = errors.New("gsim: no graph with that id")
 
+// ErrGraphTooLarge reports a graph whose write-ahead-log record would
+// exceed the log's per-record limit (64 MiB). Every database refuses such
+// a graph, durable or in memory, so whatever one database holds another
+// can journal; the write that carried it is refused whole and changes
+// nothing. The serving layer maps it to HTTP 413.
+var ErrGraphTooLarge = errors.New("gsim: graph too large for one log record")
+
+// maxRecordBytes is the largest log record a stored graph may take: the
+// log's own limit, a variable so a test can lower it.
+var maxRecordBytes = wal.MaxRecordBytes
+
 // Database owns a sharded graph store plus the offline artifacts of the
 // GBDA search (Section VI): the GBD prior fitted on sampled pairs and the
 // per-size model/Jeffreys-prior cache. Build graphs with NewGraph, then
@@ -44,8 +55,7 @@ var ErrNotFound = errors.New("gsim: no graph with that id")
 // next search at the latest (a racing scan may observe the deletion
 // early — see the storage-layer notes in doc.go — but can never gain a
 // spurious match from it). Epoch observes this: any result computed
-// at epoch E is stale once Epoch() > E, which is what the serving layer's
-// result cache keys on (see internal/qcache).
+// at epoch E is stale once Epoch() > E.
 type Database struct {
 	store  *shard.Map // assigned once at construction, never replaced
 	dur    *durable   // persistence state; nil for an in-memory database
@@ -106,11 +116,10 @@ func (p *projection) len() int { return p.starts[len(p.views)] }
 
 // Epoch returns the database version: a counter advanced by every
 // mutation that can change search results (graph inserts, deletes,
-// updates, prior fits). Two equal-epoch observations
-// bracket an interval with no mutations, so a result computed in between
-// is still current — the invalidation contract of the serving layer's
-// query cache. The value combines the db-level epoch (prior fits) with
-// the sharded store's own mutation counter.
+// updates, prior fits). Two equal-epoch observations bracket an interval
+// with no mutations, so a result computed in between is still current.
+// The value combines the db-level epoch (prior fits) with the sharded
+// store's own mutation counter.
 func (d *Database) Epoch() uint64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -176,7 +185,7 @@ func (d *Database) LoadText(r io.Reader) (int, error) {
 	var batch []shard.Mutation
 	if err := graph.ReadEach(r, d.store.Dict(), func(g *graph.Graph) error {
 		batch = append(batch, shard.Mutation{Op: wal.OpStore, P: d.store.Prepare(g)})
-		return nil
+		return d.fits(len(batch)-1, batch[len(batch)-1].P)
 	}); err != nil {
 		d.store.Discard(batch)
 		return 0, err
@@ -477,21 +486,38 @@ func (d *Database) commit(op telemetry.MutOp, muts []BuilderMutation) (uint64, e
 				err = fmt.Errorf("gsim: graph %d (%q): %w", i, b.name, err)
 			}
 		}
+		if err == nil {
+			m := shard.Mutation{Op: wal.OpStore, P: d.store.Prepare(g)}
+			if mu.UpdateID != nil {
+				m.Op, m.ID = wal.OpUpdate, uint64(*mu.UpdateID)
+			}
+			batch = append(batch, m)
+			err = d.fits(i, m.P)
+		}
 		if err != nil {
 			d.store.Discard(batch)
 			return 0, err
 		}
-		m := shard.Mutation{Op: wal.OpStore, P: d.store.Prepare(g)}
-		if mu.UpdateID != nil {
-			m.Op, m.ID = wal.OpUpdate, uint64(*mu.UpdateID)
-		}
-		batch = append(batch, m)
 	}
 	first, missing, ok, err := d.store.Commit(op, batch)
 	if err == nil && !ok {
 		err = fmt.Errorf("%w: %d", ErrNotFound, missing)
 	}
 	return first, err
+}
+
+// fits refuses the i-th graph of a write when its log record, under the
+// widest ID, would take more than maxRecordBytes; the check runs before
+// anything is journaled, so a refused batch leaves no record behind.
+func (d *Database) fits(i int, p shard.Prepared) error {
+	var scratch [512]byte
+	g := p.Graph()
+	n := len(wal.AppendPacked(scratch[:0], wal.OpStore, math.MaxUint64, g, d.store.Dict()))
+	if n > maxRecordBytes {
+		return fmt.Errorf("gsim: graph %d (%q): %w: its record takes %d bytes, the limit is %d",
+			i, g.Name, ErrGraphTooLarge, n, maxRecordBytes)
+	}
+	return nil
 }
 
 // Store validates the graph, inserts it into the database, and returns

@@ -47,9 +47,9 @@
 // Service layer (internal/server, cmd/gsimd). Above the consumers sits
 // the HTTP serving subsystem: a JSON API (/v1/search, /v1/topk,
 // /v1/batch, NDJSON /v1/stream, /v1/graphs ingest/update, DELETE
-// /v1/graphs/{id}, /v1/stats, /healthz) over one resident Database,
-// fronted by an epoch-versioned LRU result cache (internal/qcache) — a
-// repeated query is served from memory until a mutation invalidates it.
+// /v1/graphs/{id}, /v1/stats, /healthz) over one resident Database.
+// Every search request runs the scan; its response reports the epoch of
+// the snapshot it read.
 //
 // Telemetry layer (internal/telemetry). Orthogonal to the query path, a
 // lock-free metric core observes every layer above: log-bucketed latency
@@ -164,8 +164,8 @@
 // only the just-deleted graph held) — a racing scan can see a deletion
 // early, never a spurious match. The
 // global epoch derives from the shard epochs (one advance per mutation
-// batch), so a result computed at epoch E is cacheable exactly while
-// Epoch() == E — unchanged qcache semantics. SaveText writes one
+// batch), so a result computed at epoch E is current exactly while
+// Epoch() == E. SaveText writes one
 // logical collection in ID order, so .gsim files are interchangeable
 // across shard counts, re-sharded on load.
 //

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"gsim/internal/db"
 	"gsim/internal/graph"
@@ -39,14 +40,53 @@ func stateOf(d *Database) storeState {
 	return storeState{graphs: d.Len(), epoch: d.Epoch(), nextID: d.store.NextID(), live: st.Live, dead: st.Dead}
 }
 
+// chainText is the .gsim stanza of an n-vertex path whose vertex labels
+// cycle through L0, L1, L2, every edge labeled "e".
+func chainText(name string, n int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "g %s %d\n", name, n)
+	for v := 0; v < n; v++ {
+		fmt.Fprintf(&b, "v %d L%d\n", v, v%3)
+	}
+	for v := 0; v+1 < n; v++ {
+		fmt.Fprintf(&b, "e %d %d e\n", v, v+1)
+	}
+	return b.String()
+}
+
+// chainBuilder builds chainText's path in d without storing it.
+func chainBuilder(t *testing.T, d *Database, name string, n int) *GraphBuilder {
+	t.Helper()
+	b := d.NewGraph(name)
+	for v := 0; v < n; v++ {
+		b.AddVertex(fmt.Sprintf("L%d", v%3))
+	}
+	for v := 0; v+1 < n; v++ {
+		if err := b.AddEdge(v, v+1, "e"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// lowerRecordLimit makes every graph whose log record takes more than n
+// bytes too large to store, until the test ends.
+func lowerRecordLimit(t *testing.T, n int) {
+	old := maxRecordBytes
+	maxRecordBytes = n
+	t.Cleanup(func() { maxRecordBytes = old })
+}
+
 // TestFailedWriteChangesNothing: a write prepares its entries, interning
 // their branches, before it takes a lock. When it then fails — a bulk
 // load whose last stanza is malformed, a batch, an update or a delete
-// naming an ID no graph carries — it changes nothing: not the graph
+// naming an ID no graph carries, a batch or a bulk load holding a graph
+// too large for one log record — it changes nothing: not the graph
 // count, not the epoch, not the next graph ID, not the branch
 // dictionary's live or dead keys, whether the branches it interned were
 // live, dead or new.
 func TestFailedWriteChangesNothing(t *testing.T) {
+	lowerRecordLimit(t, 2000)
 	d := New(WithShards(3))
 	if _, err := d.LoadText(strings.NewReader(starText("a", "C", "N", "O") +
 		starText("b", "C", "C", "C") + starText("gone", "Zn", "Cl", "Br"))); err != nil {
@@ -106,6 +146,21 @@ func TestFailedWriteChangesNothing(t *testing.T) {
 	if after := stateOf(d); after != before {
 		t.Fatalf("failed Delete: %+v, before it %+v", after, before)
 	}
+	if _, err := d.CommitAll([]BuilderMutation{
+		{Builder: build("new", "Hg", "Se", "Zn")},
+		{Builder: chainBuilder(t, d, "long", 400)},
+	}); !errors.Is(err, ErrGraphTooLarge) {
+		t.Fatalf("CommitAll with an oversized graph: %v", err)
+	}
+	if after := stateOf(d); after != before {
+		t.Fatalf("oversized CommitAll: %+v, before it %+v", after, before)
+	}
+	if n, err := d.LoadText(strings.NewReader(starText("revive", "Zn", "Cl", "Br") + chainText("long", 400))); !errors.Is(err, ErrGraphTooLarge) || n != 0 {
+		t.Fatalf("oversized load stored %d graphs, error %v", n, err)
+	}
+	if after := stateOf(d); after != before {
+		t.Fatalf("oversized load: %+v, before it %+v", after, before)
+	}
 
 	target := 1
 	ids, err := d.CommitAll([]BuilderMutation{
@@ -117,6 +172,50 @@ func TestFailedWriteChangesNothing(t *testing.T) {
 	}
 	if d.Len() != before.graphs+1 {
 		t.Fatalf("%d graphs after the valid batch, want %d", d.Len(), before.graphs+1)
+	}
+}
+
+// TestRefusedBatchLeavesNoTrace: a batch holding a graph too large for one
+// log record is refused before anything is journaled, so the refusal is
+// the caller's input error and not a durability fault: the database stays
+// healthy, and after a crash no graph of the batch comes back — not even
+// the small one ahead of the refused graph, whose record a journal that
+// had buffered it would flush within the interval.
+func TestRefusedBatchLeavesNoTrace(t *testing.T) {
+	lowerRecordLimit(t, 2000)
+	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			// No recovery probe runs within the test: a probe's checkpoint
+			// would rotate away a log that a fault had left holding records.
+			d, err := Open(dir, WithShards(1), WithAutoCheckpoint(0), WithFsyncPolicy(policy),
+				WithRecoveryBackoff(time.Hour, time.Hour))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { d.Close() })
+			_, err = d.CommitAll([]BuilderMutation{
+				{Builder: chainBuilder(t, d, "chain", 3)},
+				{Builder: chainBuilder(t, d, "path", 400)},
+			})
+			if !errors.Is(err, ErrGraphTooLarge) {
+				t.Fatalf("CommitAll with a 400-vertex path: %v", err)
+			}
+			if h := d.Health(); h.State != HealthHealthy {
+				t.Fatalf("health after a refused batch: %v (%s)", h.State, h.Cause)
+			}
+			// Crash: abandon d without Close, after long enough for the
+			// interval flusher to write whatever the log buffered.
+			time.Sleep(300 * time.Millisecond)
+			r, err := Open(dir, WithAutoCheckpoint(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if r.Len() != 0 {
+				t.Fatalf("%d graphs of the refused batch came back after the crash", r.Len())
+			}
+		})
 	}
 }
 

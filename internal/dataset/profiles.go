@@ -84,10 +84,6 @@ func Profile(name string, scale float64) (Config, error) {
 	return cfg, nil
 }
 
-// SynSizes are the paper's synthetic subset sizes (Section VII-A). The
-// harness defaults to the first few and exposes a flag for the full sweep.
-var SynSizes = []int{1000, 2000, 5000, 10000, 20000, 50000, 100000}
-
 // SynSubset configures one Syn-1/Syn-2 subset of the given graph size.
 func SynSubset(profile string, size, graphs int, seed int64) (Config, error) {
 	cfg, err := Profile(profile, 1)

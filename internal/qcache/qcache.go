@@ -2,6 +2,9 @@
 // bounded LRU keyed by canonical query fingerprint, versioned by the
 // database epoch (gsim.Database.Epoch).
 //
+// Nothing serves from it: only benchmark/ladder.go imports it, to time
+// Get, until the benchmark's ladder drops that rung.
+//
 // The epoch is the whole invalidation protocol. Every Get and Put carries
 // the epoch its caller observed; the cache retains entries for exactly one
 // epoch at a time. When an operation arrives with a newer epoch the cache

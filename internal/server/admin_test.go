@@ -84,7 +84,7 @@ func TestCheckpointEndpoint(t *testing.T) {
 // TestCheckpointNotDurable: an in-memory database answers 409 with the
 // ErrNotDurable message, and its stats carry an all-zero block.
 func TestCheckpointNotDurable(t *testing.T) {
-	fx := newFixture(t, 0)
+	fx := newFixture(t)
 	ts := httptest.NewServer(fx.srv.Handler())
 	defer ts.Close()
 

@@ -21,7 +21,7 @@ import (
 // cap+queue is shed with 429 and a Retry-After header, and the survivors
 // complete once the blockage clears.
 func TestLimiterShedsOverload(t *testing.T) {
-	fx := newFixture(t, 0)
+	fx := newFixture(t)
 	s := New(Config{DB: fx.db, MaxInFlight: 2, MaxQueue: 1, QueueWait: 30 * time.Millisecond})
 
 	var inflight, peak atomic.Int64
@@ -117,7 +117,7 @@ func TestLimiterAdmitsWhenSlotFrees(t *testing.T) {
 // TestRequestTimeoutMapsTo504: the per-request deadline reaches the
 // handler's context, and a blown deadline answers 504.
 func TestRequestTimeoutMapsTo504(t *testing.T) {
-	fx := newFixture(t, 0)
+	fx := newFixture(t)
 	s := New(Config{DB: fx.db, RequestTimeout: 20 * time.Millisecond})
 
 	h := s.admit(func(w http.ResponseWriter, r *http.Request) {
@@ -138,7 +138,7 @@ func TestRequestTimeoutMapsTo504(t *testing.T) {
 // TestPanicRecoveryReturns500: a panicking handler becomes a request-id
 // tagged 500 and a panic counter bump, not a killed connection.
 func TestPanicRecoveryReturns500(t *testing.T) {
-	fx := newFixture(t, 0)
+	fx := newFixture(t)
 	s := New(Config{DB: fx.db, Logger: log.New(io.Discard, "", 0)}) // the panic log is expected noise
 	h := s.instrument(epSearch, func(http.ResponseWriter, *http.Request) {
 		panic("boom")
@@ -166,7 +166,7 @@ func TestPanicRecoveryReturns500(t *testing.T) {
 // TestReadyzDraining: /readyz flips to 503 while draining and back;
 // /healthz stays 200 throughout (liveness is not readiness).
 func TestReadyzDraining(t *testing.T) {
-	fx := newFixture(t, 0)
+	fx := newFixture(t)
 	h := fx.srv.Handler()
 
 	var ready readyResponse

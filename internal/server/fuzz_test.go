@@ -22,7 +22,7 @@ func FuzzWire(f *testing.F) {
 	// endpoint, plus the fields that once bought (or could buy) unbounded
 	// work or a crash — a denormal "v2_weight", "k", "v1_sample" and "tau"
 	// at 2^62, a self-loop edge, an ingest "id" on a query endpoint.
-	fx := newFixture(f, 8)
+	fx := newFixture(f)
 	h := fx.srv.Handler()
 	fresh := fx.db.Len() // fixture graphs hold IDs below this
 	f.Fuzz(func(t *testing.T, sel byte, body []byte) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,169 +24,55 @@ func bodyStatus(err error, fallback int) int {
 	return fallback
 }
 
-// cacheHeader reports the cache outcome of a request: "hit", "miss", or
-// "off" when the server runs without a cache.
-const cacheHeader = "X-Gsim-Cache"
-
 // traced reports whether the request asked for the per-stage trace echo
-// (?debug=trace). Traced requests run the fine per-entry stage split,
-// bypass the result cache (their body carries a stages block a cached
-// copy must not serve to untraced callers — and tracing a cached hit
-// would time nothing) and report the breakdown in the response.
+// (?debug=trace). Traced requests run the fine per-entry stage split and
+// report the breakdown in the response.
 func traced(r *http.Request) bool {
 	return r.URL.Query().Get("debug") == "trace"
 }
 
-// cached wraps the render step of a cacheable endpoint. On a hit the
-// stored body is served verbatim; on a miss render runs and its body is
-// stored under the epoch the search actually snapshotted (render returns
-// it), so a result computed while a mutation raced the request is stored
-// under the post-mutation epoch — the response's epoch label, the cache
-// version and the scanned snapshot always agree. With caching disabled
-// the key is never even computed (keyFn is lazy). bypass skips the cache
-// in both directions (the ?debug=trace path). The outcome lands in the
-// response header and the request's reqInfo, which feeds the
-// hit-vs-miss latency split (see instrument).
-func (s *Server) cached(w http.ResponseWriter, r *http.Request, bypass bool, keyFn func() string, render func() ([]byte, uint64, int, error)) {
-	ri := info(r)
-	note := func(outcome string) {
-		w.Header().Set(cacheHeader, outcome)
-		if ri != nil && outcome != "bypass" {
-			ri.cache = outcome
-		}
-	}
-	var key string
-	if s.cache.Enabled() && !bypass {
-		key = keyFn()
-		if body, ok := s.cache.Get(s.db.Epoch(), key); ok {
-			note("hit")
-			writeJSONBytes(w, http.StatusOK, body)
-			return
-		}
-	}
-	body, epoch, status, err := render()
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	switch {
-	case bypass:
-		note("bypass")
-	case s.cache.Enabled():
-		s.cache.Put(epoch, key, body)
-		note("miss")
-	default:
-		note("off")
-	}
-	writeJSONBytes(w, http.StatusOK, body)
-}
-
 // noteResult stashes a search outcome on the request's reqInfo for the
 // slow-query log.
-func noteResult(r *http.Request, stages *gsim.StageStats, scanned, matched int) {
+func noteResult(r *http.Request, stages gsim.StageStats, scanned, matched int) {
 	if ri := info(r); ri != nil {
+		ri.searched = true
 		ri.stages = stages
 		ri.scanned = scanned
 		ri.matched = matched
 	}
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req searchRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, bodyStatus(err, http.StatusBadRequest), err)
-		return
-	}
-	opt, echo, err := s.searchOptions(req.wireOptions)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	opt.Trace = traced(r)
-	keyFn := func() string { return fingerprint("search", echo, []wireGraph{req.Graph}) }
-	s.cached(w, r, opt.Trace, keyFn, func() ([]byte, uint64, int, error) {
-		q, err := s.buildQuery(req.Graph)
-		if err != nil {
-			return nil, 0, http.StatusBadRequest, err
-		}
-		res, err := s.db.SearchContext(r.Context(), q, opt)
-		if err != nil {
-			return nil, 0, searchStatus(err), err
-		}
-		noteResult(r, &res.Stages, res.Scanned, len(res.Matches))
-		body, err := json.Marshal(toResponse(res, echo))
-		if err != nil {
-			return nil, 0, http.StatusInternalServerError, err
-		}
-		return body, res.Epoch, http.StatusOK, nil
-	})
+// query is a decoded /v1/search, /v1/topk or /v1/batch request: the
+// graphs to search for, the effective options its responses echo, and
+// the library call that answers the built queries, one result each.
+type query struct {
+	graphs []wireGraph
+	echo   wireOptions
+	batch  bool // answer with a batchResponse
+	run    func(ctx context.Context, qs []*gsim.Query) ([]*gsim.Result, error)
 }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	var req searchRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, bodyStatus(err, http.StatusBadRequest), err)
-		return
-	}
-	opt, echo, err := s.topKOptions(req.wireOptions)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	opt.Trace = traced(r)
-	keyFn := func() string { return fingerprint("topk", echo, []wireGraph{req.Graph}) }
-	s.cached(w, r, opt.Trace, keyFn, func() ([]byte, uint64, int, error) {
-		q, err := s.buildQuery(req.Graph)
+// answer is the one path of the three query endpoints: read decodes the
+// request, then answer builds its graphs, runs the search and writes
+// what the library returned.
+func (s *Server) answer(read func(r *http.Request) (query, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q, err := read(r)
 		if err != nil {
-			return nil, 0, http.StatusBadRequest, err
+			writeError(w, bodyStatus(err, http.StatusBadRequest), err)
+			return
 		}
-		res, err := s.db.SearchTopKContext(r.Context(), q, opt)
-		if err != nil {
-			return nil, 0, searchStatus(err), err
-		}
-		noteResult(r, &res.Stages, res.Scanned, len(res.Matches))
-		body, err := json.Marshal(toResponse(res, echo))
-		if err != nil {
-			return nil, 0, http.StatusInternalServerError, err
-		}
-		return body, res.Epoch, http.StatusOK, nil
-	})
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, bodyStatus(err, http.StatusBadRequest), err)
-		return
-	}
-	if len(req.Graphs) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: batch holds no graphs", gsim.ErrBadOptions))
-		return
-	}
-	if len(req.Graphs) > s.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: batch holds %d graphs, limit %d", gsim.ErrBadOptions, len(req.Graphs), s.cfg.MaxBatch))
-		return
-	}
-	opt, echo, err := s.searchOptions(req.wireOptions)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	opt.Trace = traced(r)
-	keyFn := func() string { return fingerprint("batch", echo, req.Graphs) }
-	s.cached(w, r, opt.Trace, keyFn, func() ([]byte, uint64, int, error) {
-		queries := make([]*gsim.Query, len(req.Graphs))
-		for i, wg := range req.Graphs {
-			q, err := s.buildQuery(wg)
-			if err != nil {
-				return nil, 0, http.StatusBadRequest, err
+		queries := make([]*gsim.Query, len(q.graphs))
+		for i, wg := range q.graphs {
+			if queries[i], err = s.buildQuery(wg); err != nil {
+				writeError(w, http.StatusBadRequest, err)
+				return
 			}
-			queries[i] = q
 		}
-		results, err := s.db.SearchBatch(r.Context(), queries, opt)
+		results, err := q.run(r.Context(), queries)
 		if err != nil {
-			return nil, 0, searchStatus(err), err
+			writeError(w, searchStatus(err), err)
+			return
 		}
 		// The request's breakdown is the shared preparation once plus
 		// every query's own scan.
@@ -203,17 +90,73 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				stages.Visited += st.Visited
 			}
 		}
-		noteResult(r, &stages, scanned, matched)
+		noteResult(r, stages, scanned, matched)
+		if !q.batch {
+			writeJSON(w, http.StatusOK, toResponse(results[0], q.echo))
+			return
+		}
 		resp := batchResponse{Epoch: results[0].Epoch, Results: make([]searchResponse, len(results))}
 		for i, res := range results {
-			resp.Results[i] = toResponse(res, echo)
+			resp.Results[i] = toResponse(res, q.echo)
 		}
-		body, err := json.Marshal(resp)
-		if err != nil {
-			return nil, 0, http.StatusInternalServerError, err
-		}
-		return body, resp.Epoch, http.StatusOK, nil
-	})
+		writeJSON(w, http.StatusOK, resp)
+	}
+}
+
+// readSearch decodes a /v1/search request, answered by SearchContext.
+func (s *Server) readSearch(r *http.Request) (query, error) {
+	var req searchRequest
+	if err := decodeBody(r, &req); err != nil {
+		return query{}, err
+	}
+	opt, echo, err := s.searchOptions(req.wireOptions)
+	if err != nil {
+		return query{}, err
+	}
+	opt.Trace = traced(r)
+	return query{graphs: []wireGraph{req.Graph}, echo: echo, run: func(ctx context.Context, qs []*gsim.Query) ([]*gsim.Result, error) {
+		res, err := s.db.SearchContext(ctx, qs[0], opt)
+		return []*gsim.Result{res}, err
+	}}, nil
+}
+
+// readTopK decodes a /v1/topk request, answered by SearchTopKContext.
+func (s *Server) readTopK(r *http.Request) (query, error) {
+	var req searchRequest
+	if err := decodeBody(r, &req); err != nil {
+		return query{}, err
+	}
+	opt, echo, err := s.topKOptions(req.wireOptions)
+	if err != nil {
+		return query{}, err
+	}
+	opt.Trace = traced(r)
+	return query{graphs: []wireGraph{req.Graph}, echo: echo, run: func(ctx context.Context, qs []*gsim.Query) ([]*gsim.Result, error) {
+		res, err := s.db.SearchTopKContext(ctx, qs[0], opt)
+		return []*gsim.Result{res}, err
+	}}, nil
+}
+
+// readBatch decodes a /v1/batch request, answered by one SearchBatch.
+func (s *Server) readBatch(r *http.Request) (query, error) {
+	var req batchRequest
+	if err := decodeBody(r, &req); err != nil {
+		return query{}, err
+	}
+	if len(req.Graphs) == 0 {
+		return query{}, fmt.Errorf("%w: batch holds no graphs", gsim.ErrBadOptions)
+	}
+	if len(req.Graphs) > s.cfg.MaxBatch {
+		return query{}, fmt.Errorf("%w: batch holds %d graphs, limit %d", gsim.ErrBadOptions, len(req.Graphs), s.cfg.MaxBatch)
+	}
+	opt, echo, err := s.searchOptions(req.wireOptions)
+	if err != nil {
+		return query{}, err
+	}
+	opt.Trace = traced(r)
+	return query{graphs: req.Graphs, echo: echo, batch: true, run: func(ctx context.Context, qs []*gsim.Query) ([]*gsim.Result, error) {
+		return s.db.SearchBatch(ctx, qs, opt)
+	}}, nil
 }
 
 // handleStream answers a threshold query as NDJSON: one match per line as
@@ -271,7 +214,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
 	}
-	noteResult(r, &st.Stages, st.Scanned, matches)
+	noteResult(r, st.Stages, st.Scanned, matches)
 	trailer := streamTrailer{
 		Done:      err == nil,
 		Scanned:   st.Scanned,
@@ -288,9 +231,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDelete removes one stored graph by ID (DELETE /v1/graphs/{id}).
-// The deletion bumps the database epoch — every cached result is
-// invalidated and the next search no longer sees the graph; its branch
-// refcounts are released for dictionary compaction. Unknown or already
+// The deletion bumps the database epoch and the next search no longer
+// sees the graph; its branch refcounts are released for dictionary
+// compaction. Unknown or already
 // deleted IDs answer 404.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))

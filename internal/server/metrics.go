@@ -43,20 +43,13 @@ var endpointNames = [numEndpoints]string{
 }
 
 // httpMetrics is the serving layer's own metric group: request latency
-// and status-class counters per endpoint, the in-flight gauge, and the
-// cache-outcome latency split for the cacheable search endpoints. It
+// and status-class counters per endpoint and the in-flight gauge. It
 // composes the same lock-free histograms the database layers record
 // into, so one /metrics scrape renders the whole stack uniformly.
 type httpMetrics struct {
-	latency   [numEndpoints]telemetry.Histogram
-	responses [numEndpoints][5]atomic.Uint64 // status classes 1xx..5xx
-	inFlight  atomic.Int64
-	// cacheHit / cacheMiss split the cacheable endpoints' request
-	// latency by result-cache outcome — the served-from-memory path
-	// against the full search path. A server running with the cache
-	// disabled records under miss (the request did the work of one).
-	cacheHit    telemetry.Histogram
-	cacheMiss   telemetry.Histogram
+	latency     [numEndpoints]telemetry.Histogram
+	responses   [numEndpoints][5]atomic.Uint64 // status classes 1xx..5xx
+	inFlight    atomic.Int64
 	slowQueries atomic.Uint64
 	// slowlogDropped counts slow-query lines the emission rate limit
 	// suppressed (slowQueries still counts every slow request).
@@ -141,14 +134,14 @@ func sanitizeRequestID(s string) string {
 
 // reqInfo rides the request context from the instrumentation wrapper
 // into the handlers: handlers fill in what the wrapper cannot see (the
-// search's stage breakdown, the cache outcome), and the wrapper reads
-// it back for the latency split and the slow-query log.
+// search's stage breakdown), and the wrapper reads it back for the
+// slow-query log.
 type reqInfo struct {
-	id      string
-	cache   string // "", "hit", "miss", "off"
-	stages  *gsim.StageStats
-	scanned int
-	matched int
+	id       string
+	searched bool // the handler ran a search; stages and counts are set
+	stages   gsim.StageStats
+	scanned  int
+	matched  int
 }
 
 type reqInfoKey struct{}
@@ -190,7 +183,7 @@ func (w *statusWriter) Flush() {
 // instrument wraps a handler with the serving layer's observability:
 // the request counter and body cap (formerly counted), the request ID,
 // the in-flight gauge, the endpoint latency histogram and status-class
-// counter, the cache-outcome latency split, and the slow-query log.
+// counter, and the slow-query log.
 func (s *Server) instrument(ep int, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
@@ -217,12 +210,6 @@ func (s *Server) instrument(ep int, h http.HandlerFunc) http.HandlerFunc {
 		s.metrics.latency[ep].Observe(elapsed)
 		if class := status/100 - 1; class >= 0 && class < 5 {
 			s.metrics.responses[ep][class].Add(1)
-		}
-		switch ri.cache {
-		case "hit":
-			s.metrics.cacheHit.Observe(elapsed)
-		case "miss", "off":
-			s.metrics.cacheMiss.Observe(elapsed)
 		}
 		if t := s.cfg.SlowQuery; t > 0 && elapsed >= t {
 			s.metrics.slowQueries.Add(1)
@@ -275,10 +262,7 @@ func (s *Server) logSlow(ri *reqInfo, ep, remote string, status int, d time.Dura
 		lg = log.Default()
 	}
 	line := fmt.Sprintf("slow query id=%s remote=%s endpoint=%s status=%d dur=%s", ri.id, remote, ep, status, d)
-	if ri.cache != "" {
-		line += " cache=" + ri.cache
-	}
-	if st := ri.stages; st != nil {
+	if st := &ri.stages; ri.searched {
 		line += fmt.Sprintf(" prepare=%s cut=%s scan=%s merge=%s",
 			time.Duration(st.PrepareNS), time.Duration(st.CutNS),
 			time.Duration(st.ScanNS), time.Duration(st.MergeNS))
@@ -318,8 +302,7 @@ func summarize(h *telemetry.Histogram, buf *telemetry.Snapshot) latencySummary {
 }
 
 // latencyBlock builds the /v1/stats "latency" map: one summary per
-// endpoint that has served at least one request, plus the cacheable
-// endpoints' hit/miss split under "cache_hit"/"cache_miss".
+// endpoint that has served at least one request.
 func (s *Server) latencyBlock(buf *telemetry.Snapshot) map[string]latencySummary {
 	out := make(map[string]latencySummary)
 	for ep := 0; ep < numEndpoints; ep++ {
@@ -327,12 +310,6 @@ func (s *Server) latencyBlock(buf *telemetry.Snapshot) map[string]latencySummary
 			continue
 		}
 		out[endpointNames[ep]] = summarize(&s.metrics.latency[ep], buf)
-	}
-	if s.metrics.cacheHit.Count() > 0 {
-		out["cache_hit"] = summarize(&s.metrics.cacheHit, buf)
-	}
-	if s.metrics.cacheMiss.Count() > 0 {
-		out["cache_miss"] = summarize(&s.metrics.cacheMiss, buf)
 	}
 	return out
 }
@@ -396,7 +373,7 @@ func runtimeStats() runtimeBlock {
 // layer's per-endpoint histograms and counters, the database's
 // per-stage search histograms and counters, the store's per-shard
 // counters and mutation histograms, the WAL's durability protocol, the
-// result cache, and the Go runtime. Everything is read from the same
+// database gauges, and the Go runtime. Everything is read from the same
 // lock-free metric groups the hot paths record into — a scrape never
 // blocks a search.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -431,15 +408,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			labels := `endpoint="` + endpointNames[ep] + `",class="` + strconv.Itoa(class+1) + `xx"`
 			telemetry.WriteCounter(w, "gsim_http_responses_total", labels, n)
 		}
-	}
-	telemetry.WriteHeader(w, "gsim_http_cache_request_seconds", "histogram", "Cacheable-endpoint request latency by result-cache outcome.")
-	if s.metrics.cacheHit.Count() > 0 {
-		s.metrics.cacheHit.Load(buf)
-		buf.WriteProm(w, "gsim_http_cache_request_seconds", `outcome="hit"`)
-	}
-	if s.metrics.cacheMiss.Count() > 0 {
-		s.metrics.cacheMiss.Load(buf)
-		buf.WriteProm(w, "gsim_http_cache_request_seconds", `outcome="miss"`)
 	}
 	telemetry.WriteHeader(w, "gsim_http_slow_queries_total", "counter", "Requests at or over the slow-query threshold.")
 	telemetry.WriteCounter(w, "gsim_http_slow_queries_total", "", s.metrics.slowQueries.Load())
@@ -526,18 +494,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	wt.Wait.Load(buf)
 	buf.WriteProm(w, "gsim_wal_commit_wait_seconds", "")
 
-	// Result cache and database gauges.
-	cs := s.cache.Stats()
-	telemetry.WriteHeader(w, "gsim_cache_hits_total", "counter", "Result-cache hits.")
-	telemetry.WriteCounter(w, "gsim_cache_hits_total", "", cs.Hits)
-	telemetry.WriteHeader(w, "gsim_cache_misses_total", "counter", "Result-cache misses.")
-	telemetry.WriteCounter(w, "gsim_cache_misses_total", "", cs.Misses)
-	telemetry.WriteHeader(w, "gsim_cache_evictions_total", "counter", "Result-cache LRU evictions.")
-	telemetry.WriteCounter(w, "gsim_cache_evictions_total", "", cs.Evictions)
-	telemetry.WriteHeader(w, "gsim_cache_invalidations_total", "counter", "Result-cache epoch invalidations.")
-	telemetry.WriteCounter(w, "gsim_cache_invalidations_total", "", cs.Invalidations)
-	telemetry.WriteHeader(w, "gsim_cache_entries", "gauge", "Result-cache resident entries.")
-	telemetry.WriteGauge(w, "gsim_cache_entries", "", float64(cs.Len))
+	// Database gauges.
 	telemetry.WriteHeader(w, "gsim_db_graphs", "gauge", "Graphs stored (deleted excluded).")
 	telemetry.WriteGauge(w, "gsim_db_graphs", "", float64(s.db.Len()))
 	telemetry.WriteHeader(w, "gsim_db_epoch", "counter", "Database mutation epoch.")

@@ -16,8 +16,8 @@
 //	DELETE /v1/graphs/{id}  remove one stored graph by ID
 //	POST   /v1/admin/checkpoint  force a snapshot + WAL truncation (409
 //	                        when the database is in-memory)
-//	GET    /v1/stats        database, prior, cache, persistence and
-//	                        server counters, plus latency/stage/runtime
+//	GET    /v1/stats        database, prior, persistence and server
+//	                        counters, plus latency/stage/runtime
 //	                        telemetry summaries
 //	GET    /metrics         Prometheus text exposition of the same
 //	                        telemetry (Config.DisableMetrics removes it)
@@ -29,17 +29,15 @@
 // delete and update on different shards commit concurrently while
 // searches scan consistent snapshots.
 //
-// Search, topk and batch responses are cached in an epoch-versioned LRU
-// (internal/qcache) keyed by the canonical request fingerprint: a
-// repeated query is served from memory until any database mutation bumps
-// the epoch and invalidates the cache wholesale. The X-Gsim-Cache
-// response header reports hit or miss per request; /v1/stats exposes the
-// counters. Streaming responses are never cached.
+// Every search, topk and batch request runs the library's scan, and its
+// response reports the epoch of the snapshot that scan read: a client
+// holding results from two epochs knows the database changed in between.
 //
 // Error contract: malformed requests and invalid option combinations
 // (gsim.ErrBadOptions) are 400, searches needing unfitted priors
 // (gsim.ErrNoPriors) are 409, an oversized pair refused by a baseline
-// (gsim.ErrTooLarge) is 422, everything else is 500. Error bodies are
+// (gsim.ErrTooLarge) is 422, a graph too large to journal
+// (gsim.ErrGraphTooLarge) is 413, everything else is 500. Error bodies are
 // {"error": "..."}. Request bodies are decoded strictly (decode.go): an
 // unknown field or any byte after the request object is malformed, and a
 // body over Config.MaxBodyBytes is 413.
@@ -55,7 +53,6 @@ import (
 	"time"
 
 	"gsim"
-	"gsim/internal/qcache"
 	"gsim/internal/telemetry"
 )
 
@@ -63,8 +60,6 @@ import (
 type Config struct {
 	// DB is the served database (required).
 	DB *gsim.Database
-	// CacheEntries bounds the result cache; ≤ 0 disables caching.
-	CacheEntries int
 	// DefaultMethod is used when a request omits "method" (zero value:
 	// GBDA).
 	DefaultMethod gsim.Method
@@ -116,7 +111,6 @@ type Config struct {
 // own snapshot-at-prepare concurrency model).
 type Server struct {
 	db    *gsim.Database
-	cache *qcache.Cache
 	cfg   Config
 	start time.Time
 
@@ -146,7 +140,6 @@ func New(cfg Config) *Server {
 	}
 	return &Server{
 		db:        cfg.DB,
-		cache:     qcache.New(cfg.CacheEntries),
 		cfg:       cfg,
 		start:     time.Now(),
 		limiter:   newLimiter(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
@@ -164,9 +157,9 @@ func (s *Server) Handler() http.Handler {
 	// deadline); the control plane — checkpoint, stats, metrics, health —
 	// does not: overload and degradation are exactly when an operator
 	// needs those to answer.
-	mux.HandleFunc("/v1/search", s.instrument(epSearch, s.admit(post(s.handleSearch))))
-	mux.HandleFunc("/v1/topk", s.instrument(epTopK, s.admit(post(s.handleTopK))))
-	mux.HandleFunc("/v1/batch", s.instrument(epBatch, s.admit(post(s.handleBatch))))
+	mux.HandleFunc("/v1/search", s.instrument(epSearch, s.admit(post(s.answer(s.readSearch)))))
+	mux.HandleFunc("/v1/topk", s.instrument(epTopK, s.admit(post(s.answer(s.readTopK)))))
+	mux.HandleFunc("/v1/batch", s.instrument(epBatch, s.admit(post(s.answer(s.readBatch)))))
 	mux.HandleFunc("/v1/stream", s.instrument(epStream, s.admit(post(s.handleStream))))
 	mux.HandleFunc("/v1/graphs", s.instrument(epGraphs, s.admit(post(s.handleIngest))))
 	mux.HandleFunc("DELETE /v1/graphs/{id}", s.instrument(epDelete, s.admit(s.handleDelete)))
@@ -250,14 +243,12 @@ type statsResponse struct {
 	Prefilter     prefilterStats `json:"prefilter"`
 	Persistence   persistStats   `json:"persistence"`
 	Epoch         uint64         `json:"epoch"`
-	Cache         cacheStats     `json:"cache"`
 	Server        serverCounts   `json:"server"`
 	// Health is the durability health machine: state, current-episode
 	// cause, and the transition counters (see gsim.HealthInfo).
 	Health healthBlock `json:"health"`
 	// Latency summarises per-endpoint request latency (endpoints that
-	// have served at least one request), plus the cacheable endpoints'
-	// hit/miss split under "cache_hit"/"cache_miss".
+	// have served at least one request).
 	Latency map[string]latencySummary `json:"latency"`
 	// Stages carries the database's cumulative search telemetry: the
 	// whole-search counters and a latency summary per pipeline stage.
@@ -330,16 +321,6 @@ type priorStats struct {
 	TauMax int  `json:"tau_max,omitempty"`
 }
 
-type cacheStats struct {
-	Len           int    `json:"len"`
-	Cap           int    `json:"cap"`
-	Epoch         uint64 `json:"epoch"`
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Evictions     uint64 `json:"evictions"`
-	Invalidations uint64 `json:"invalidations"`
-}
-
 type serverCounts struct {
 	Requests    uint64 `json:"requests"`
 	InFlight    int64  `json:"in_flight"`
@@ -371,7 +352,6 @@ type healthBlock struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st := s.db.Stats()
-	cs := s.cache.Stats()
 	tables, tableBytes := s.db.PosteriorTableStats()
 	dict := s.db.BranchDictStats()
 	pre := s.db.PrefilterStats()
@@ -417,15 +397,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		},
 		Persistence: persistenceBlock(s.db.PersistStats()),
 		Epoch:       s.db.Epoch(),
-		Cache: cacheStats{
-			Len:           cs.Len,
-			Cap:           cs.Cap,
-			Epoch:         cs.Epoch,
-			Hits:          cs.Hits,
-			Misses:        cs.Misses,
-			Evictions:     cs.Evictions,
-			Invalidations: cs.Invalidations,
-		},
 		Server: serverCounts{
 			Requests:       s.requests.Load(),
 			InFlight:       s.metrics.inFlight.Load(),
@@ -490,13 +461,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeJSONBytes sends a pre-rendered JSON body (the cache-hit path).
-func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
 // errorResponse is every error body.
 type errorResponse struct {
 	Error string `json:"error"`
@@ -528,8 +492,8 @@ func searchStatus(err error) int {
 // writeMutationError renders a mutation failure: a degraded (read-only)
 // database answers 503 with a Retry-After — the background probe is
 // already working on recovery, so a retry is genuinely worth the
-// client's while — unknown IDs answer 404, everything else the caller's
-// fallback.
+// client's while — unknown IDs answer 404, a graph too large to journal
+// 413, everything else the caller's fallback.
 func writeMutationError(w http.ResponseWriter, err error, fallback int) {
 	switch {
 	case errors.Is(err, gsim.ErrDegraded):
@@ -537,6 +501,8 @@ func writeMutationError(w http.ResponseWriter, err error, fallback int) {
 		writeError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, gsim.ErrNotFound):
 		writeError(w, http.StatusNotFound, err)
+	case errors.Is(err, gsim.ErrGraphTooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, err)
 	default:
 		writeError(w, fallback, err)
 	}

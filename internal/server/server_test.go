@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,7 +28,7 @@ type fixture struct {
 	srv *Server
 }
 
-func newFixture(t testing.TB, cacheEntries int) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	ds, err := dataset.Generate(dataset.Config{
 		Name: "srv", NumGraphs: 60, QueryFraction: 0.1,
@@ -42,7 +43,7 @@ func newFixture(t testing.TB, cacheEntries int) *fixture {
 	if err := db.BuildPriors(gsim.OfflineConfig{TauMax: 5, SamplePairs: 4000, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{ds: ds, db: db, srv: New(Config{DB: db, CacheEntries: cacheEntries})}
+	return &fixture{ds: ds, db: db, srv: New(Config{DB: db})}
 }
 
 // wireQuery renders stored graph i in wire form, so the HTTP path and the
@@ -145,7 +146,7 @@ func matchesEqual(a []wireMatch, b []gsim.Match) bool {
 // TestSearchMatchesLibrary: /v1/search returns exactly what the library
 // API returns, per method.
 func TestSearchMatchesLibrary(t *testing.T) {
-	fx := newFixture(t, 0)
+	fx := newFixture(t)
 	h := fx.srv.Handler()
 	qi := fx.ds.Queries[0]
 	for _, m := range []string{"gbda", "lsap", "greedysort"} {
@@ -176,7 +177,7 @@ func TestSearchMatchesLibrary(t *testing.T) {
 
 // TestTopKMatchesLibrary: /v1/topk ranks identically to SearchTopK.
 func TestTopKMatchesLibrary(t *testing.T) {
-	fx := newFixture(t, 0)
+	fx := newFixture(t)
 	qi := fx.ds.Queries[0]
 	want, err := fx.db.SearchTopK(gsim.CollectionQuery(fx.ds.Col, qi), gsim.TopKOptions{Method: gsim.GBDA, K: 5})
 	if err != nil {
@@ -203,7 +204,7 @@ func TestTopKMatchesLibrary(t *testing.T) {
 
 // TestBatchMatchesLibrary: /v1/batch equals SearchBatch result-for-result.
 func TestBatchMatchesLibrary(t *testing.T) {
-	fx := newFixture(t, 0)
+	fx := newFixture(t)
 	qis := fx.ds.Queries[:3]
 	queries := make([]*gsim.Query, len(qis))
 	graphs := make([]wireGraph, len(qis))
@@ -236,7 +237,7 @@ func TestBatchMatchesLibrary(t *testing.T) {
 // TestStreamEndpoint: /v1/stream emits each match as an NDJSON line plus
 // a done trailer, and the match set equals the collecting endpoint's.
 func TestStreamEndpoint(t *testing.T) {
-	fx := newFixture(t, 0)
+	fx := newFixture(t)
 	qi := fx.ds.Queries[0]
 	want, err := fx.db.Search(gsim.CollectionQuery(fx.ds.Col, qi), gsim.SearchOptions{Tau: 3, Gamma: 0.8})
 	if err != nil {
@@ -276,7 +277,7 @@ func TestStreamEndpoint(t *testing.T) {
 // scans, and the database ends holding exactly what was not deleted.
 func TestConcurrentMixedTraffic(t *testing.T) {
 	db := gsim.New(gsim.WithName("mixed"))
-	ts := httptest.NewServer(New(Config{DB: db, CacheEntries: 32, DefaultMethod: gsim.LSAP}).Handler())
+	ts := httptest.NewServer(New(Config{DB: db, DefaultMethod: gsim.LSAP}).Handler())
 	defer ts.Close()
 	graph := wireGraph{Vertices: []string{"mut-A", "mut-B"}, Edges: []wireEdge{{U: 0, V: 1, Label: "mut-e"}}}
 	// call sends one JSON request and returns the body of its 200 reply.
@@ -340,51 +341,39 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	}
 }
 
-// TestCacheHitAndEpochInvalidation is the acceptance path: a repeated
-// query is served from the cache (counter visible in /v1/stats), any
-// mutation bumps the epoch and invalidates it.
-func TestCacheHitAndEpochInvalidation(t *testing.T) {
-	fx := newFixture(t, 32)
+// TestRepeatSearchAndEpochAdvance: a search repeated with no write in
+// between answers the same matches at the same epoch; an ingest moves the
+// epoch by one, the next search reports it, and the new graph is found.
+func TestRepeatSearchAndEpochAdvance(t *testing.T) {
+	fx := newFixture(t)
 	h := fx.srv.Handler()
 	req := searchRequest{
 		Graph:       fx.wireQuery(fx.ds.Queries[0]),
 		wireOptions: wireOptions{Tau: 3, Gamma: 0.8},
 	}
 	var first, second searchResponse
-	rec := do(t, h, "POST", "/v1/search", req, &first)
-	if got := rec.Header().Get(cacheHeader); got != "miss" {
-		t.Fatalf("first request %s = %q, want miss", cacheHeader, got)
-	}
-	rec = do(t, h, "POST", "/v1/search", req, &second)
-	if got := rec.Header().Get(cacheHeader); got != "hit" {
-		t.Fatalf("second request %s = %q, want hit", cacheHeader, got)
-	}
-	// The cached body must reproduce the fresh one match-for-match.
-	if len(second.Matches) != len(first.Matches) {
-		t.Fatalf("cached response differs: %+v vs %+v", second, first)
-	}
-	for i := range first.Matches {
-		if second.Matches[i] != first.Matches[i] {
-			t.Fatalf("cached match %d differs: %+v vs %+v", i, second.Matches[i], first.Matches[i])
-		}
+	do(t, h, "POST", "/v1/search", req, &first)
+	do(t, h, "POST", "/v1/search", req, &second)
+	if second.Epoch != first.Epoch || !slices.Equal(second.Matches, first.Matches) {
+		t.Fatalf("repeated search differs: %+v vs %+v", second, first)
 	}
 	var st statsResponse
 	do(t, h, "GET", "/v1/stats", nil, &st)
-	if st.Cache.Hits != 1 {
-		t.Fatalf("cache hits = %d, want 1 (stats: %+v)", st.Cache.Hits, st.Cache)
-	}
 	// The GBDA search built a posterior table, and the stored graphs
 	// interned branch shapes — both surface in the model section.
 	if st.Model.PosteriorTables == 0 || st.Model.PosteriorTableBytes <= 0 || st.Model.BranchDictSize == 0 {
 		t.Fatalf("model stats not populated after a GBDA search: %+v", st.Model)
 	}
 	epochBefore := st.Epoch
+	if epochBefore != first.Epoch {
+		t.Fatalf("stats epoch %d, search epoch %d with no write between", epochBefore, first.Epoch)
+	}
 
 	// Mutate: ingest one graph as .gsim text.
 	text := "g fresh 3\nv 0 L0\nv 1 L1\nv 2 L2\ne 0 1 e0\ne 1 2 e0\n"
 	ingest := httptest.NewRequest("POST", "/v1/graphs", strings.NewReader(text))
 	ingest.Header.Set("Content-Type", "text/plain")
-	rec = httptest.NewRecorder()
+	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, ingest)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("ingest status %d: %s", rec.Code, rec.Body.String())
@@ -397,24 +386,30 @@ func TestCacheHitAndEpochInvalidation(t *testing.T) {
 		t.Fatalf("ingest response %+v, want stored=1 epoch=%d", ing, epochBefore+1)
 	}
 
-	// The same query must now miss (stale epoch) and report the new epoch.
+	// The same query now reports the new epoch.
 	var third searchResponse
-	rec = do(t, h, "POST", "/v1/search", req, &third)
-	if got := rec.Header().Get(cacheHeader); got != "miss" {
-		t.Fatalf("post-ingest request %s = %q, want miss", cacheHeader, got)
-	}
+	do(t, h, "POST", "/v1/search", req, &third)
 	if third.Epoch != epochBefore+1 {
 		t.Fatalf("post-ingest epoch %d, want %d", third.Epoch, epochBefore+1)
 	}
-	do(t, h, "GET", "/v1/stats", nil, &st)
-	if st.Cache.Invalidations == 0 {
-		t.Fatalf("no invalidations recorded after mutation: %+v", st.Cache)
+	// And the ingested graph is its own match.
+	fresh := searchRequest{
+		Graph: wireGraph{
+			Vertices: []string{"L0", "L1", "L2"},
+			Edges:    []wireEdge{{U: 0, V: 1, Label: "e0"}, {U: 1, V: 2, Label: "e0"}},
+		},
+		wireOptions: wireOptions{Method: "lsap", Tau: 0},
+	}
+	var found searchResponse
+	do(t, h, "POST", "/v1/search", fresh, &found)
+	if !slices.ContainsFunc(found.Matches, func(m wireMatch) bool { return m.Name == "fresh" }) {
+		t.Fatalf("ingested graph not found: %+v", found.Matches)
 	}
 }
 
 // TestIngestJSON stores graphs from wire form and makes them searchable.
 func TestIngestJSON(t *testing.T) {
-	fx := newFixture(t, 0)
+	fx := newFixture(t)
 	h := fx.srv.Handler()
 	before := fx.db.Len()
 	var ing ingestResponse
@@ -436,7 +431,7 @@ func TestIngestJSON(t *testing.T) {
 // TestErrorMapping: 400 for malformed requests and bad options, 409 for
 // searches the database has no priors for, 405 for wrong verbs.
 func TestErrorMapping(t *testing.T) {
-	fx := newFixture(t, 0)
+	fx := newFixture(t)
 	h := fx.srv.Handler()
 	wq := fx.wireQuery(fx.ds.Queries[0])
 
@@ -516,13 +511,20 @@ func TestErrorMapping(t *testing.T) {
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/search: status %d", rec.Code)
 	}
+
+	// A graph too large to journal is the client's to shrink.
+	rec = httptest.NewRecorder()
+	writeMutationError(rec, fmt.Errorf("gsim: graph 0: %w", gsim.ErrGraphTooLarge), http.StatusBadRequest)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("ErrGraphTooLarge: status %d, want 413", rec.Code)
+	}
 }
 
 // TestOversizedBodiesAnswer413: a body over MaxBodyBytes answers 413 on
 // every body-taking route, ingest in either content type included — not
 // the 400 of a malformed body, which a client would not retry smaller.
 func TestOversizedBodiesAnswer413(t *testing.T) {
-	fx := newFixture(t, 0)
+	fx := newFixture(t)
 	h := New(Config{DB: fx.db, MaxBodyBytes: 64}).Handler()
 	graph := `{"vertices":["C","N","O","C","N","O","C","N","O"],"edges":[{"u":0,"v":1,"label":"s"}]}`
 	query := `{"graph":` + graph + `,"tau":3}`
@@ -555,7 +557,7 @@ func TestOversizedBodiesAnswer413(t *testing.T) {
 // so this 21-byte body asked for gigabytes and the runtime killed the
 // process.
 func TestTextIngestHugeHeader(t *testing.T) {
-	fx := newFixture(t, 0)
+	fx := newFixture(t)
 	h := fx.srv.Handler()
 	before := fx.db.Len()
 	req := httptest.NewRequest("POST", "/v1/graphs", strings.NewReader("g x 4000000000\nv 0 a\n"))
@@ -574,7 +576,7 @@ func TestTextIngestHugeHeader(t *testing.T) {
 // has never seen must not grow the shared dictionary — the long-running
 // server would otherwise leak an entry per distinct label forever.
 func TestQueryLabelsStayEphemeral(t *testing.T) {
-	fx := newFixture(t, 0)
+	fx := newFixture(t)
 	h := fx.srv.Handler()
 	before := fx.ds.Col.Dict.Len()
 	for i := 0; i < 20; i++ {
@@ -592,44 +594,10 @@ func TestQueryLabelsStayEphemeral(t *testing.T) {
 	}
 }
 
-// TestFingerprintNoSeparatorCollision: label content must not be able to
-// fake a field boundary — ["a\x01b"] and ["a","b"] style splits have to
-// produce distinct cache keys (length-prefixed hashing).
-func TestFingerprintNoSeparatorCollision(t *testing.T) {
-	opt := wireOptions{Tau: 3}
-	pairs := [][2]wireGraph{
-		{
-			{Vertices: []string{"a\x01b"}},
-			{Vertices: []string{"a", "b"}},
-		},
-		{
-			{Vertices: []string{"ab", ""}},
-			{Vertices: []string{"a", "b"}},
-		},
-		{
-			{Vertices: []string{"x"}, Edges: []wireEdge{{U: 0, V: 0, Label: "l\x02m"}}},
-			{Vertices: []string{"x"}, Edges: []wireEdge{{U: 0, V: 0, Label: "l"}, {U: 0, V: 0, Label: "m"}}},
-		},
-	}
-	for i, p := range pairs {
-		a := fingerprint("search", opt, []wireGraph{p[0]})
-		b := fingerprint("search", opt, []wireGraph{p[1]})
-		if a == b {
-			t.Errorf("pair %d: distinct graphs share fingerprint %s", i, a)
-		}
-	}
-	// Sanity: the canonical edge order makes (u,v) and (v,u) equal.
-	e1 := wireGraph{Vertices: []string{"x", "y"}, Edges: []wireEdge{{U: 0, V: 1, Label: "l"}}}
-	e2 := wireGraph{Vertices: []string{"x", "y"}, Edges: []wireEdge{{U: 1, V: 0, Label: "l"}}}
-	if fingerprint("search", opt, []wireGraph{e1}) != fingerprint("search", opt, []wireGraph{e2}) {
-		t.Error("edge orientation changed the fingerprint")
-	}
-}
-
 // TestEndpointRejectsForeignOptions: options an endpoint does not consume
 // are 400, not silently dropped.
 func TestEndpointRejectsForeignOptions(t *testing.T) {
-	fx := newFixture(t, 0)
+	fx := newFixture(t)
 	h := fx.srv.Handler()
 	wq := fx.wireQuery(fx.ds.Queries[0])
 	cases := []struct {
@@ -655,7 +623,7 @@ func TestEndpointRejectsForeignOptions(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	fx := newFixture(t, 0)
+	fx := newFixture(t)
 	req := httptest.NewRequest("GET", "/healthz", nil)
 	rec := httptest.NewRecorder()
 	fx.srv.Handler().ServeHTTP(rec, req)

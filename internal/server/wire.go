@@ -1,13 +1,8 @@
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"runtime"
-	"sort"
-	"strconv"
-	"strings"
 
 	"gsim"
 )
@@ -73,7 +68,7 @@ type searchResponse struct {
 	ElapsedNS int64       `json:"elapsed_ns"`
 	Matches   []wireMatch `json:"matches"`
 	// Stages echoes the per-stage breakdown for ?debug=trace requests
-	// (absent otherwise, so cached bodies stay trace-free).
+	// (absent otherwise).
 	Stages *wireStages `json:"stages,omitempty"`
 }
 
@@ -285,70 +280,6 @@ func (s *Server) topKOptions(o wireOptions) (gsim.TopKOptions, wireOptions, erro
 		V1Sample: o.V1Sample,
 		V2Weight: o.V2Weight,
 	}, echo, nil
-}
-
-// fingerprint canonicalises a request into the cache key: the endpoint
-// kind, every result-affecting option (Workers is excluded — results are
-// deterministic across worker counts) and the query graphs with edges in
-// canonical (u<v, sorted) order. Every string is length-prefixed before
-// hashing, so no label content can fake a field boundary and collide two
-// distinct requests onto one key. Structurally identical requests that
-// permute vertex order fingerprint differently and cache separately —
-// canonical labelling would cost more than the spare cache entry.
-func fingerprint(kind string, o wireOptions, graphs []wireGraph) string {
-	buf := make([]byte, 0, 256)
-	str := func(s string) {
-		buf = strconv.AppendInt(buf, int64(len(s)), 10)
-		buf = append(buf, ':')
-		buf = append(buf, s...)
-	}
-	num := func(n int) {
-		buf = strconv.AppendInt(buf, int64(n), 10)
-		buf = append(buf, '|')
-	}
-	str(kind)
-	str(strings.ToLower(o.Method))
-	num(o.Tau)
-	buf = strconv.AppendFloat(buf, o.Gamma, 'g', -1, 64)
-	buf = append(buf, '|')
-	num(o.K)
-	buf = strconv.AppendBool(buf, o.Prefilter)
-	buf = append(buf, '|')
-	num(o.V1Sample)
-	buf = strconv.AppendFloat(buf, o.V2Weight, 'g', -1, 64)
-	buf = append(buf, '|')
-	for _, g := range graphs {
-		buf = append(buf, 'v')
-		num(len(g.Vertices))
-		for _, v := range g.Vertices {
-			str(v)
-		}
-		edges := make([]wireEdge, len(g.Edges))
-		copy(edges, g.Edges)
-		for i, e := range edges {
-			if e.U > e.V {
-				edges[i].U, edges[i].V = e.V, e.U
-			}
-		}
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].U != edges[j].U {
-				return edges[i].U < edges[j].U
-			}
-			if edges[i].V != edges[j].V {
-				return edges[i].V < edges[j].V
-			}
-			return edges[i].Label < edges[j].Label
-		})
-		buf = append(buf, 'e')
-		num(len(edges))
-		for _, e := range edges {
-			num(e.U)
-			num(e.V)
-			str(e.Label)
-		}
-	}
-	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:])
 }
 
 // toResponse renders one library Result. echo carries the effective

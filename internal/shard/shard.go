@@ -36,8 +36,7 @@
 // batch however many shards the batch touched. The counter is strictly
 // monotonic, equal observations imply an identical store state, and a
 // consistent cut labels the snapshot with the exact epoch its data
-// corresponds to — the invalidation contract the serving layer's result
-// cache (internal/qcache) keys on.
+// corresponds to, which every search result reports.
 //
 // # Prefilter
 //
@@ -322,6 +321,9 @@ func (m *Map) Prepare(g *graph.Graph) Prepared {
 	e := db.NewEntry(0, g, ids)
 	return Prepared{e: e, sig: index.SpanSig(e.Labels), mark: mark}
 }
+
+// Graph returns the packed graph p stores.
+func (p Prepared) Graph() graph.Packed { return p.e.G }
 
 // Discard releases the branches of a batch's prepared graphs, which were
 // not stored; a delete has none and is skipped. Branch keys the prepares

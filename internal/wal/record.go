@@ -85,7 +85,8 @@ func AppendPacked(buf []byte, op Op, id uint64, p graph.Packed, dict *graph.Labe
 	// the body lists them, so one walk over the body both builds the
 	// table and re-codes the labels. The table goes first in the record.
 	table := make(map[graph.ID]uint64, 8)
-	var labels []graph.ID
+	var labelScratch [8]graph.ID
+	labels := labelScratch[:0]
 	var scratch [bodyScratch]byte
 	body := p.AppendBody(scratch[:0], func(l graph.ID) uint64 {
 		code, ok := table[l]

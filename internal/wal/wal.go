@@ -11,7 +11,7 @@
 //	[4B little-endian payload length][4B CRC-32C of payload][payload]
 //
 // The CRC covers the payload only; the length field is validated by a
-// sanity ceiling (maxRecordBytes) so a corrupt length cannot make the
+// sanity ceiling (MaxRecordBytes) so a corrupt length cannot make the
 // reader chase gigabytes of garbage. Record payloads (record.go) are
 // self-contained — label strings travel inline — so a log replays into
 // any dictionary, whatever shard count or label numbering the writing
@@ -121,10 +121,11 @@ type Options struct {
 // ErrClosed reports an append or commit against a closed writer.
 var ErrClosed = errors.New("wal: writer is closed")
 
-// maxRecordBytes bounds one record's payload — a length field beyond it
-// is treated as corruption, not an allocation request. 64 MiB comfortably
-// holds the largest graphs the text codec accepts.
-const maxRecordBytes = 64 << 20
+// MaxRecordBytes bounds one record's payload — a length field beyond it
+// is treated as corruption, not an allocation request, and Append refuses
+// a longer payload. 64 MiB comfortably holds the largest graphs the text
+// codec accepts.
+const MaxRecordBytes = 64 << 20
 
 const frameHeader = 8 // length + CRC
 
@@ -222,8 +223,8 @@ func (w *Writer) flusher(stopc <-chan struct{}) {
 // sequence number, the token Commit takes. The payload is copied; callers
 // may reuse it immediately.
 func (w *Writer) Append(payload []byte) (uint64, error) {
-	if len(payload) > maxRecordBytes {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d limit", len(payload), maxRecordBytes)
+	if len(payload) > MaxRecordBytes {
+		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d limit", len(payload), MaxRecordBytes)
 	}
 	if w.opts.Metrics != nil {
 		start := time.Now()
@@ -410,7 +411,7 @@ func scan(f faultfs.File, fn func(payload []byte) error) (records uint64, valid 
 			return records, off, nil // clean EOF or torn header: stop here
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
-		if n > maxRecordBytes {
+		if n > MaxRecordBytes {
 			return records, off, nil // corrupt length: treat as tail
 		}
 		if uint32(cap(buf)) < n {
