@@ -550,11 +550,11 @@ func BenchmarkAblation_Lambda1Naive(b *testing.B) {
 // Precomputed branch index vs recomputing multisets per comparison.
 func BenchmarkAblation_BranchKeyPrecomputed(b *testing.B) {
 	ds := synDataset(b)
-	e1 := ds.Col.Entry(0)
-	e2 := ds.Col.Entry(1)
+	q := ds.Col.Entry(0).Branches.AppendTo(nil)
+	e := ds.Col.Entry(1).Branches
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = branch.GBDIDs(e1.Branches, e2.Branches)
+		_ = branch.GBDIDs(q, e)
 	}
 }
 
@@ -604,12 +604,13 @@ func BenchmarkAblation_LSAPSolvers(b *testing.B) {
 // ---- kernel micro-benches --------------------------------------------------
 
 // BenchmarkKernel_GBD1000 measures the per-pair branch-distance kernel:
-// one linear merge of two 1000-vertex interned ID multisets (uint32
-// compares, 4 bytes per vertex). Gated in CI alongside the posterior
-// kernel — the two halves of the pair cost.
+// one linear merge of a 1000-vertex query's interned IDs against a
+// 1000-vertex stored multiset, decoded from its uvarint gaps as the merge
+// walks. Gated in CI alongside the posterior kernel — the two halves of
+// the pair cost.
 func BenchmarkKernel_GBD1000(b *testing.B) {
 	ds := synDataset(b)
-	a := ds.Col.Entry(0).Branches
+	a := ds.Col.Entry(0).Branches.AppendTo(nil)
 	c := ds.Col.Entry(2).Branches
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -619,8 +620,9 @@ func BenchmarkKernel_GBD1000(b *testing.B) {
 }
 
 // BenchmarkKernel_GBDBounded measures the intersection the posterior
-// scorers actually run: branch.IntersectAtLeastIDs with need = max size −
-// core.Support(τ̂) (τ̂ = 3), one held-out query against every stored graph of an
+// scorers actually run: branch.IntersectAtLeastIDs, a query's IDs against
+// a stored graph's coded multiset, with need = max size − core.Support(τ̂)
+// (τ̂ = 3), one held-out query against every stored graph of an
 // AASD-shaped corpus in turn — mostly far pairs decided by the sizes or
 // within a few merge steps, and the query's own cluster as the few near
 // ones that merge to the end. ns/op is per pair; 0 allocs/op is gated.
@@ -633,13 +635,13 @@ func BenchmarkKernel_GBDBounded(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := ds.Col.Entry(ds.Queries[0]).Branches
+	q := ds.Col.Entry(ds.Queries[0]).Branches.AppendTo(nil)
 	sup := core.Support(3)
-	stored := make([]branch.IDs, len(ds.DBGraphs))
+	stored := make([]branch.Coded, len(ds.DBGraphs))
 	near := 0
 	for i, idx := range ds.DBGraphs {
 		stored[i] = ds.Col.Entry(idx).Branches
-		if _, ok := branch.IntersectAtLeastIDs(q, stored[i], max(len(q), len(stored[i]))-sup); ok {
+		if _, ok := branch.IntersectAtLeastIDs(q, stored[i], max(len(q), stored[i].Len())-sup); ok {
 			near++
 		}
 	}
@@ -653,7 +655,7 @@ func BenchmarkKernel_GBDBounded(b *testing.B) {
 		if k++; k == len(stored) {
 			k = 0
 		}
-		n, _ := branch.IntersectAtLeastIDs(q, e, max(len(q), len(e))-sup)
+		n, _ := branch.IntersectAtLeastIDs(q, e, max(len(q), e.Len())-sup)
 		kernelSink += n
 	}
 }

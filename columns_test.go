@@ -34,9 +34,9 @@ func checkProjectionColumns(t *testing.T, d *Database) *projection {
 			t.Fatalf("view %d: %d ids, %d sizes, %d signatures for %d entries", vi, len(v.IDs), len(v.Sizes), v.Pre.Len(), len(v.Entries))
 		}
 		for slot, e := range v.Entries {
-			if v.IDs[slot] != e.ID || int(v.Sizes[slot]) != len(e.Branches) {
+			if v.IDs[slot] != e.ID || int(v.Sizes[slot]) != e.Branches.Len() {
 				t.Fatalf("view %d slot %d: columns say (id %d, size %d), entry is (id %d, size %d)",
-					vi, slot, v.IDs[slot], v.Sizes[slot], e.ID, len(e.Branches))
+					vi, slot, v.IDs[slot], v.Sizes[slot], e.ID, e.Branches.Len())
 			}
 		}
 		if span := p.starts[vi+1] - p.starts[vi]; span != len(v.Entries) {

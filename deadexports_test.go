@@ -37,23 +37,11 @@ var deadExportsAllowed = map[string]string{
 	"gsim/internal/method.SetDecompCounter": "test hook: counts Score calls in the column tests",
 	"gsim/internal/graph.New":               "test hook: builds graphs edge by edge in tests",
 	"gsim/internal/graph.ExtendPair":        "test hook: pads a pair to equal size in the GED and branch tests",
-	"gsim/internal/graph.Alphabets":         "test hook: label alphabets of generated graphs",
-	"gsim/internal/db.Load":                 "test hook: reads a .gsim collection in the db tests",
-	"gsim/internal/ged.Apply":               "test hook: replays an edit script to check it",
 
 	// Reference implementations the tests hold the served code to.
-	"gsim/internal/branch.GBDGraphs":      "reference implementation: GBD from graphs, for the ID kernels",
-	"gsim/internal/branch.Of":             "reference implementation: one branch key, for MultisetOf",
-	"gsim/internal/core.Decide":           "reference implementation: Algorithm 1's γ test",
-	"gsim/internal/ged.ComputeDFS":        "reference implementation: depth-first exact GED against A*",
-	"gsim/internal/ged.Exact":             "reference implementation: exact GED ground truth in tests",
-	"gsim/internal/ged.Script":            "reference implementation: the edit script behind an exact GED",
-	"gsim/internal/graph.AddDirectedEdge": "reference implementation: the directed fold GraphBuilder applies",
-	"gsim/internal/graph.AddWeightedEdge": "reference implementation: the weight bucketing GraphBuilder applies",
-	"gsim/internal/index.PairPrunable":    "reference implementation: the per-pair prefilter the columns must match",
-	"gsim/internal/lsap.EstimateGED":      "reference implementation: the LSAP estimate in its own tests",
-	"gsim/internal/lsap.LowerBoundGED":    "reference implementation: the LSAP bound in its own tests",
-	"gsim/internal/prob.Harmonic":         "reference implementation: checks the digamma function",
+	"gsim/internal/branch.GBDGraphs":   "reference implementation: GBD from graphs, for the ID kernels",
+	"gsim/internal/ged.Exact":          "reference implementation: exact GED ground truth in tests",
+	"gsim/internal/index.PairPrunable": "reference implementation: the per-pair prefilter the columns must match",
 }
 
 // TestNoDeadExports parses the module and fails when an exported

@@ -290,8 +290,9 @@
 //
 // Interned branch IDs. The database layer interns every distinct branch
 // key into a shared dictionary (db.BranchDict) and stores each graph's
-// branch multiset as sorted uint32 IDs — 4 bytes per vertex instead of a
-// string header plus key bytes — so GBD is a linear merge of integers.
+// branch multiset as its sorted IDs delta-coded (branch.Coded: a uvarint
+// count, then uvarint gaps, about a byte per vertex), so GBD is a linear
+// merge of integers that decodes the stored side as it walks.
 // The posterior scorers never need that merge to finish on a far pair:
 // Algorithm 1 uses GBD only to look up Φ, which is exactly 0 beyond
 // ϕ = core.Support(τ̂) = 2τ̂ — one edit relabels one vertex or one edge,
@@ -302,9 +303,9 @@
 // On the repository benchmark's corpus 99.9% of (query, graph) pairs stop
 // early (83% on the sizes alone at τ̂ = 3) at ~12 ns per pair instead of
 // ~200 ns. The prefilter's branch tier reaches the same need by its own
-// argument (⌈GBD/2⌉ > τ̂ otherwise); the plain merge behind
-// branch.IntersectSizeIDs remains for prior sampling, which consumes the
-// count itself. Dictionary entries are refcounted; deletes drive them
+// argument (⌈GBD/2⌉ > τ̂ otherwise); branch.IntersectSizeIDs, the same
+// kernel with no bound, serves prior sampling, which consumes the count
+// itself. Dictionary entries are refcounted; deletes drive them
 // dead and compaction reclaims them.
 // Queries resolve their key-form multisets against the dictionary at
 // search-prepare time; branches the database has never seen map to

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"gsim/internal/branch"
 	"gsim/internal/db"
 	"gsim/internal/faultfs"
 	"gsim/internal/graph"
@@ -439,7 +440,7 @@ func TestOpenRejectsRepeatedIDs(t *testing.T) {
 			tc.edit(ids0, ids1)
 			entries := make([]*db.Entry, len(gs1))
 			for i, g := range gs1 {
-				entries[i] = db.NewEntry(ids1[i], g, nil)
+				entries[i] = db.NewEntry(ids1[i], g, branch.Coded{})
 			}
 			var buf bytes.Buffer
 			if err := db.WriteSegment(&buf, entries); err != nil {

@@ -5,11 +5,21 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"gsim/internal/graph"
 )
+
+// Of computes the branch rooted at vertex v of g.
+func Of(g *graph.Graph, v int) Key {
+	var labels [maxStackDegree]graph.ID
+	var b strings.Builder
+	b.Grow(branchLen(g, v))
+	appendBranch(&b, labels[:0], g, v)
+	return Key(b.String())
+}
 
 // paperG1 and paperG2 build the graphs of Figure 1 / Examples 1-2.
 func paperG1(dict *graph.Labels) *graph.Graph {

@@ -54,11 +54,11 @@ func TestGallopMatchesMerge(t *testing.T) {
 			a := randomIDs(rng, s.na, s.u)
 			b := randomIDs(rng, s.nb, s.u)
 			want := linearIntersect(a, b)
-			if got := IntersectSizeIDs(a, b); got != want {
+			if got := IntersectSizeIDs(a, Encode(b)); got != want {
 				t.Fatalf("shape %+v trial %d: IntersectSizeIDs = %d, oracle %d\na=%v\nb=%v",
 					s, trial, got, want, a, b)
 			}
-			if got := IntersectSizeIDs(b, a); got != want {
+			if got := IntersectSizeIDs(b, Encode(a)); got != want {
 				t.Fatalf("shape %+v trial %d: IntersectSizeIDs swapped = %d, oracle %d",
 					s, trial, got, want)
 			}
@@ -85,10 +85,10 @@ func TestGallopDirect(t *testing.T) {
 		{IDs{1, 2, 3}, IDs{3, 3, 3, 3}, 1},          // tail match only
 	}
 	for i, tc := range cases {
-		if got := IntersectSizeIDs(tc.small, tc.big); got != tc.want {
+		if got := IntersectSizeIDs(tc.small, Encode(tc.big)); got != tc.want {
 			t.Errorf("case %d: IntersectSizeIDs(%v, %v) = %d, want %d", i, tc.small, tc.big, got, tc.want)
 		}
-		if got := IntersectSizeIDs(tc.big, tc.small); got != tc.want {
+		if got := IntersectSizeIDs(tc.big, Encode(tc.small)); got != tc.want {
 			t.Errorf("case %d: IntersectSizeIDs(%v, %v) = %d, want %d", i, tc.big, tc.small, got, tc.want)
 		}
 		if got := linearIntersect(tc.small, tc.big); got != tc.want {
@@ -97,8 +97,8 @@ func TestGallopDirect(t *testing.T) {
 	}
 }
 
-// TestGallopKeyPath: the Key-form intersection shares the generic
-// implementation, so a skewed Key pair must agree with a count-map oracle.
+// TestGallopKeyPath: the Key-form intersection is the same linear merge
+// over strings, so a skewed Key pair must agree with a count-map oracle.
 func TestGallopKeyPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	letters := []Key{"a", "b", "c", "d", "e", "f"}

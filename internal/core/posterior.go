@@ -103,10 +103,6 @@ func RoundVGBD(vmax, intersect int, w float64) int {
 	return phi
 }
 
-// Decide reports whether a pair with the given posterior passes the
-// probability threshold γ (Algorithm 1, Step 4).
-func Decide(posterior, gamma float64) bool { return posterior >= gamma }
-
 // String describes the searcher configuration for experiment logs.
 func (s *Searcher) String() string {
 	switch {

@@ -132,3 +132,7 @@ func TestPosteriorExample7Shape(t *testing.T) {
 		t.Fatal("Example 7: G2 must enter the result set at γ = 0.8")
 	}
 }
+
+// Decide reports whether a pair with the given posterior passes the
+// probability threshold γ (Algorithm 1, Step 4).
+func Decide(posterior, gamma float64) bool { return posterior >= gamma }

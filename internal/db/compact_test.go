@@ -33,8 +33,8 @@ func TestDictRefcountLifecycle(t *testing.T) {
 	if st := d.Stats(); st.Live != 2 || st.Dead != 0 {
 		t.Fatalf("after revival: %+v, want 2 live 0 dead", st)
 	}
-	if ids3[0] != ids2[0] || ids3[2] != ids2[2] {
-		t.Fatalf("revival changed IDs: %v vs %v", ids3, ids2)
+	if a3, a2 := ids3.AppendTo(nil), ids2.AppendTo(nil); a3[0] != a2[0] || a3[2] != a2[2] {
+		t.Fatalf("revival changed IDs: %v vs %v", a3, a2)
 	}
 }
 
@@ -58,13 +58,13 @@ func TestDictCompactionRetiresDeadIDs(t *testing.T) {
 	}
 	// Live multiset undisturbed: lookups still resolve to the same IDs.
 	again := d.InternMultiset(branch.Multiset{"keep1", "keep2"})
-	if again[0] != live[0] || again[1] != live[1] {
-		t.Fatalf("live IDs disturbed by compaction: %v vs %v", again, live)
+	if a, l := again.AppendTo(nil), live.AppendTo(nil); a[0] != l[0] || a[1] != l[1] {
+		t.Fatalf("live IDs disturbed by compaction: %v vs %v", a, l)
 	}
 	d.Release(again) // rebalance the extra refcount
 	// A retired key re-interned gets a fresh ID, never a recycled one.
-	reborn := d.InternMultiset(branch.Multiset{"gone2"})
-	for _, old := range dead {
+	reborn := d.InternMultiset(branch.Multiset{"gone2"}).AppendTo(nil)
+	for _, old := range dead.AppendTo(nil) {
 		if reborn[0] == old {
 			t.Fatalf("retired ID %d was reused", old)
 		}
@@ -85,7 +85,7 @@ func TestDictCompactionRetiresDeadIDs(t *testing.T) {
 func TestDictAutoCompaction(t *testing.T) {
 	d := NewBranchDict()
 	n := compactMinDead + 8
-	sets := make([]branch.IDs, n)
+	sets := make([]branch.Coded, n)
 	for i := 0; i < n; i++ {
 		sets[i] = d.InternMultiset(branch.Multiset{branch.Key(fmt.Sprintf("k%05d", i))})
 	}
@@ -109,7 +109,7 @@ func TestDictReleaseEphemeralIgnored(t *testing.T) {
 	d := NewBranchDict()
 	stored := d.InternMultiset(branch.Multiset{"s"})
 	eph := d.ResolveMultiset(branch.Multiset{"s", "unknown"})
-	d.Release(eph) // releases "s" once, ignores the ephemeral ID
+	d.Release(branch.Encode(eph)) // releases "s" once, ignores the ephemeral ID
 	if st := d.Stats(); st.Live != 0 || st.Dead != 1 {
 		t.Fatalf("after releasing resolved multiset: %+v", st)
 	}
@@ -128,7 +128,7 @@ func TestDictEquivalenceUnderChurn(t *testing.T) {
 	d := NewBranchDict()
 	type held struct {
 		g   *graph.Graph
-		ids branch.IDs
+		ids branch.Coded
 	}
 	var alive []held
 	for step := 0; step < 400; step++ {
@@ -149,7 +149,7 @@ func TestDictEquivalenceUnderChurn(t *testing.T) {
 		for j := i + 1; j < len(alive); j++ {
 			a, b := alive[i], alive[j]
 			want := branch.GBD(branch.MultisetOf(a.g), branch.MultisetOf(b.g))
-			if got := branch.GBDIDs(a.ids, b.ids); got != want {
+			if got := branch.GBDIDs(a.ids.AppendTo(nil), b.ids); got != want {
 				t.Fatalf("pair (%d,%d): interned GBD %d, keys %d", i, j, got, want)
 			}
 		}

@@ -18,10 +18,11 @@ import (
 	"gsim/internal/graph"
 )
 
-// Entry is one stored graph together with its precomputed branch index in
-// interned form: sorted uint32 branch IDs resolved through the
-// collection's BranchDict — 4 bytes per vertex, merged by integer
-// comparison on the scan hot path.
+// Entry is one stored graph together with its precomputed branch index:
+// its sorted branch IDs, interned through the collection's BranchDict and
+// delta-coded (branch.Coded) — about a byte per vertex, decoded by the
+// bounded merge as it walks on the scan hot path. Branches.Len() is the
+// graph's vertex count.
 //
 // ID is the graph's stable identity: assigned once at insert time, in
 // insertion order, and never reassigned while the store lives. In a flat
@@ -39,15 +40,15 @@ import (
 type Entry struct {
 	ID       uint64
 	G        graph.Packed
-	Branches branch.IDs
+	Branches branch.Coded
 	Labels   string
 }
 
-// NewEntry builds the Entry of graph g stored under id with its interned
+// NewEntry builds the Entry of graph g stored under id with its coded
 // branch multiset, packing g and encoding its label span. It is the only
 // way entries are made: an entry without a span would read as an empty
 // graph.
-func NewEntry(id uint64, g *graph.Graph, branches branch.IDs) *Entry {
+func NewEntry(id uint64, g *graph.Graph, branches branch.Coded) *Entry {
 	return &Entry{ID: id, G: graph.Pack(g), Branches: branches, Labels: labelSpan(g)}
 }
 
@@ -268,7 +269,9 @@ func SamplePairGBDsEntries(entries []*Entry, n int, seed int64) []float64 {
 	out := make([]float64, n)
 	parallel(n, func(i int) {
 		p := pairs[i]
-		out[i] = float64(branch.GBDIDs(entries[p.a].Branches, entries[p.b].Branches))
+		var buf [stackIDs]uint32
+		a := entries[p.a].Branches.AppendTo(buf[:0])
+		out[i] = float64(branch.GBDIDs(a, entries[p.b].Branches))
 	})
 	return out
 }
@@ -314,17 +317,4 @@ func (c *Collection) Save(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Load reads graphs in .gsim text form into a fresh collection, recomputing
-// branch indexes.
-func Load(name string, r io.Reader) (*Collection, error) {
-	c := New(name)
-	if err := graph.ReadEach(r, c.Dict, func(g *graph.Graph) error {
-		c.Add(g)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return c, nil
 }

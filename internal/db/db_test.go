@@ -2,6 +2,7 @@ package db
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -72,11 +73,12 @@ func TestBranchIndexMatchesRecompute(t *testing.T) {
 		// Every stored key was interned at Add, so resolving the fresh
 		// multiset must reproduce the stored IDs exactly — no ephemerals.
 		fresh := c.BranchDict().ResolveMultiset(branch.MultisetOf(e.G.Unpack()))
-		if len(fresh) != len(e.Branches) {
-			t.Fatalf("graph %d: index length %d vs %d", i, len(e.Branches), len(fresh))
+		stored := e.Branches.AppendTo(nil)
+		if len(fresh) != len(stored) {
+			t.Fatalf("graph %d: index length %d vs %d", i, len(stored), len(fresh))
 		}
 		for j := range fresh {
-			if fresh[j] != e.Branches[j] {
+			if fresh[j] != stored[j] {
 				t.Fatalf("graph %d: stale branch index", i)
 			}
 			if fresh[j] >= EphemeralBranchBase {
@@ -170,4 +172,17 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if a != b {
 		t.Fatalf("stats changed: %+v vs %+v", a, b)
 	}
+}
+
+// Load reads graphs in .gsim text form into a fresh collection, recomputing
+// branch indexes.
+func Load(name string, r io.Reader) (*Collection, error) {
+	c := New(name)
+	if err := graph.ReadEach(r, c.Dict, func(g *graph.Graph) error {
+		c.Add(g)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return c, nil
 }

@@ -24,7 +24,8 @@ const compactMinDead = 1024
 
 // BranchDict interns canonical branch Keys to dense uint32 IDs shared by
 // every entry of one collection, so branch isomorphism (Definition 3) is
-// integer equality and per-entry multisets shrink to 4 bytes per vertex.
+// integer equality and a stored multiset codes its sorted IDs as gaps of
+// about a byte per vertex (branch.Coded).
 // It is safe for concurrent use; query-time resolution takes only a read
 // lock.
 //
@@ -114,22 +115,26 @@ func (d *BranchDict) Lookup(k branch.Key) (uint32, bool) {
 	return id, ok
 }
 
-// InternMultiset resolves a Key multiset into sorted interned IDs,
-// assigning fresh IDs to unseen keys and incrementing each key's refcount
-// by its occurrence count — the store path, called once per Add. The
-// interned universe is capped at EphemeralBranchBase entries so stored IDs
-// and ephemeral query IDs can never meet; 2³¹ distinct branch shapes is
-// far beyond any real collection.
-func (d *BranchDict) InternMultiset(ms branch.Multiset) branch.IDs {
-	ids, _ := d.InternMultisetMark(ms)
-	return ids
+// InternMultiset resolves a Key multiset into sorted interned IDs, coded
+// (branch.Coded), assigning fresh IDs to unseen keys and incrementing each
+// key's refcount by its occurrence count — the store path, called once per
+// stored graph. The IDs pass through scratch (idRoom), so the coded string
+// is the call's one allocation. The interned universe is capped at
+// EphemeralBranchBase entries so stored IDs and ephemeral query IDs can
+// never meet; 2³¹ distinct branch shapes is far beyond any real
+// collection.
+func (d *BranchDict) InternMultiset(ms branch.Multiset) branch.Coded {
+	c, _ := d.InternMultisetMark(ms)
+	return c
 }
 
 // InternMultisetMark is InternMultiset that also returns the mark
 // Unintern takes to undo it: the universe just before the intern, read
 // under the same lock.
-func (d *BranchDict) InternMultisetMark(ms branch.Multiset) (branch.IDs, uint32) {
-	out := make(branch.IDs, len(ms))
+func (d *BranchDict) InternMultisetMark(ms branch.Multiset) (branch.Coded, uint32) {
+	var stack [stackIDs]uint32
+	out, buf := idRoom(&stack, len(ms))
+	out = out[:len(ms)]
 	d.mu.Lock()
 	mark := d.next
 	for i, k := range ms {
@@ -155,15 +160,43 @@ func (d *BranchDict) InternMultisetMark(ms branch.Multiset) (branch.IDs, uint32)
 	}
 	d.mu.Unlock()
 	slices.Sort(out)
-	return out, mark
+	c := branch.Encode(out)
+	if buf != nil {
+		scratch.Put(buf)
+	}
+	return c, mark
+}
+
+// stackIDs is how many IDs a multiset may hold to be interned or
+// released through its caller's stack; a larger one borrows scratch.
+const stackIDs = 128
+
+// scratch recycles the ID buffers of multisets too large for the stack.
+var scratch = sync.Pool{New: func() any { return new(branch.IDs) }}
+
+// idRoom returns empty IDs with room for n: stack's when n fits it, else
+// pooled scratch, handed back as buf for the caller to put back.
+func idRoom(stack *[stackIDs]uint32, n int) (ids branch.IDs, buf *branch.IDs) {
+	if n <= stackIDs {
+		return stack[:0], nil
+	}
+	buf = scratch.Get().(*branch.IDs)
+	*buf = slices.Grow((*buf)[:0], n)
+	return *buf, buf
 }
 
 // Release decrements refcounts for a deleted (or replaced) entry's
-// interned multiset — the inverse of InternMultiset. Keys whose count
+// coded multiset — the inverse of InternMultiset. Keys whose count
 // reaches zero become dead; once dead keys pass the compaction threshold
 // a pass runs inline, dropping them from the map. Ephemeral overlay IDs
 // (≥ EphemeralBranchBase) are ignored: they were never interned.
-func (d *BranchDict) Release(ids branch.IDs) {
+func (d *BranchDict) Release(c branch.Coded) {
+	var stack [stackIDs]uint32
+	ids, buf := idRoom(&stack, c.Len())
+	ids = c.AppendTo(ids)
+	if buf != nil {
+		defer scratch.Put(buf)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, id := range ids {
@@ -185,12 +218,15 @@ func (d *BranchDict) Release(ids branch.IDs) {
 // to zero leaves the map at once instead of waiting, dead, for
 // compaction. With no concurrent writer, Stats' Live and Dead are then
 // what they were before the interns.
-func (d *BranchDict) Unintern(mark uint32, sets []branch.IDs) {
+func (d *BranchDict) Unintern(mark uint32, sets []branch.Coded) {
+	buf := scratch.Get().(*branch.IDs)
+	defer scratch.Put(buf)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var fresh map[uint32]bool
-	for _, ids := range sets {
-		for _, id := range ids {
+	for _, c := range sets {
+		*buf = c.AppendTo((*buf)[:0])
+		for _, id := range *buf {
 			if id >= EphemeralBranchBase || int(id) >= len(d.refs) || d.refs[id] == 0 {
 				continue
 			}

@@ -39,10 +39,10 @@ func TestInternedGBDMatchesKeys(t *testing.T) {
 			for j := i + 1; j < n; j++ {
 				a, b := c.Entry(i), c.Entry(j)
 				ka, kb := branch.MultisetOf(a.G.Unpack()), branch.MultisetOf(b.G.Unpack())
-				if got, want := branch.IntersectSizeIDs(a.Branches, b.Branches), branch.IntersectSize(ka, kb); got != want {
+				if got, want := branch.IntersectSizeIDs(a.Branches.AppendTo(nil), b.Branches), branch.IntersectSize(ka, kb); got != want {
 					t.Fatalf("trial %d pair (%d,%d): interned |∩| = %d, keys %d", trial, i, j, got, want)
 				}
-				if got, want := branch.GBDIDs(a.Branches, b.Branches), branch.GBD(ka, kb); got != want {
+				if got, want := branch.GBDIDs(a.Branches.AppendTo(nil), b.Branches), branch.GBD(ka, kb); got != want {
 					t.Fatalf("trial %d pair (%d,%d): interned GBD = %d, keys %d", trial, i, j, got, want)
 				}
 			}
@@ -98,7 +98,7 @@ func TestResolveMultisetEphemeralQueries(t *testing.T) {
 		}
 		// Self-intersection sanity: ephemeral IDs are consistent within one
 		// resolution, so a multiset fully intersects itself.
-		if got := branch.IntersectSizeIDs(iq, iq); got != len(iq) {
+		if got := branch.IntersectSizeIDs(iq, branch.Encode(iq)); got != len(iq) {
 			t.Fatalf("trial %d: self-intersection %d of %d", trial, got, len(iq))
 		}
 	}
@@ -114,12 +114,13 @@ func TestInternMultisetSortedAndDense(t *testing.T) {
 	c := New("sorted")
 	for i := 0; i < 10; i++ {
 		e := c.Add(randomDictGraph(rng, c.Dict, 3+rng.Intn(10), 2))
-		for j := 1; j < len(e.Branches); j++ {
-			if e.Branches[j-1] > e.Branches[j] {
+		ids := e.Branches.AppendTo(nil)
+		for j := 1; j < len(ids); j++ {
+			if ids[j-1] > ids[j] {
 				t.Fatal("stored ID multiset unsorted")
 			}
 		}
-		for _, id := range e.Branches {
+		for _, id := range ids {
 			if id >= EphemeralBranchBase {
 				t.Fatalf("stored ID %d in the ephemeral range", id)
 			}

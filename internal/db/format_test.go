@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"gsim/internal/branch"
 	"gsim/internal/graph"
 )
 
@@ -32,7 +33,7 @@ func pinSegment() (dict *graph.Labels, entries []*Entry) {
 	b.AddVertex(dict.Intern("l0"))
 	b.AddVertex(dict.Intern("l128"))
 	b.MustAddEdge(0, 1, dict.Intern("l1"))
-	return dict, []*Entry{NewEntry(70000, a, nil), NewEntry(5, b, nil)}
+	return dict, []*Entry{NewEntry(70000, a, branch.Coded{}), NewEntry(5, b, branch.Coded{})}
 }
 
 // TestSegmentFormatPinned holds WriteSegment to the bytes checked in under

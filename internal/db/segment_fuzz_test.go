@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"reflect"
 	"testing"
+
+	"gsim/internal/branch"
 )
 
 // FuzzReadSegment feeds the segment decoder arbitrary bodies: payload is
@@ -26,7 +28,7 @@ func FuzzReadSegment(f *testing.F) {
 		}
 		entries := make([]*Entry, len(gs))
 		for i, g := range gs {
-			entries[i] = NewEntry(ids[i], g, nil)
+			entries[i] = NewEntry(ids[i], g, branch.Coded{})
 		}
 		var buf bytes.Buffer
 		if err := WriteSegment(&buf, entries); err != nil {

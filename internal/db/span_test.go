@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"gsim/internal/branch"
 	"gsim/internal/graph"
 )
 
@@ -104,7 +105,7 @@ func TestNewEntrySpan(t *testing.T) {
 		}
 		slices.Sort(vl)
 		slices.Sort(el)
-		e := NewEntry(uint64(trial), g, nil)
+		e := NewEntry(uint64(trial), g, branch.Coded{})
 		if want := string(appendSpan(nil, vl, el)); e.Labels != want {
 			t.Fatalf("trial %d: span %q, want %q", trial, e.Labels, want)
 		}

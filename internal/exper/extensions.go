@@ -32,11 +32,11 @@ func (r *runner) xPrefilter() ([]*Table, error) {
 		Header: []string{"tau", "total", "size-pruned", "label-pruned", "branch-pruned", "survivors"},
 	}
 	q := e.ds.Col.Entry(r.queries(e.ds)[0])
-	qp := index.PrepareQuery(q.G.Unpack())
+	qp, qb := index.PrepareQuery(q.G.Unpack()), q.Branches.AppendTo(nil)
 	for _, tau := range []int{1, 3, 5, 10} {
 		var n [index.TierBranch + 1]int
 		for slot, en := range entries {
-			n[v.Tier(&qp, q.Branches, en, slot, tau)]++
+			n[v.Tier(&qp, qb, en, slot, tau)]++
 		}
 		power.Rows = append(power.Rows, []string{
 			fmt.Sprint(tau), fmt.Sprint(len(entries)), fmt.Sprint(n[index.TierSize]),

@@ -26,25 +26,6 @@ func FoldDirectedLabel(dict *Labels, base string, fromSmaller, toSmaller bool) I
 	}
 }
 
-// AddDirectedEdge inserts the arc u→v into g with direction folded into the
-// label, merging with an existing opposite arc of the same base label into
-// the "=" (bidirectional) form. It is the directed-graph entry point
-// promised by Section II.
-func AddDirectedEdge(g *Graph, dict *Labels, u, v int, base string) error {
-	if u == v {
-		return fmt.Errorf("graph %q: directed self-loop on %d", g.Name, u)
-	}
-	existing, present := g.EdgeLabel(u, v)
-	l, err := DirectedLabel(dict, u, v, base, existing, present)
-	switch {
-	case err != nil:
-		return fmt.Errorf("graph %q: %w", g.Name, err)
-	case present:
-		return g.RelabelEdge(u, v, l)
-	}
-	return g.AddEdge(u, v, l)
-}
-
 // DirectedLabel returns the label the arc u→v with base label base gives
 // the edge {u,v}, labeled existing when present: a new arc folds its
 // direction, the opposite arc of the same base merges into the
@@ -94,9 +75,4 @@ func (wb WeightBuckets) Fold(dict *Labels, weight float64) ID {
 		b = n - 1
 	}
 	return dict.Intern(fmt.Sprintf("w%d", b))
-}
-
-// AddWeightedEdge inserts {u,v} with the weight folded to a bucket label.
-func AddWeightedEdge(g *Graph, dict *Labels, wb WeightBuckets, u, v int, weight float64) error {
-	return g.AddEdge(u, v, wb.Fold(dict, weight))
 }

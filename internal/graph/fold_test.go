@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -124,4 +125,28 @@ func TestAddWeightedEdge(t *testing.T) {
 	if !ok || dict.Name(l) != "w2" {
 		t.Fatalf("weighted edge label %q", dict.Name(l))
 	}
+}
+
+// AddDirectedEdge inserts the arc u→v into g with direction folded into the
+// label, merging with an existing opposite arc of the same base label into
+// the "=" (bidirectional) form. It is the directed-graph entry point
+// promised by Section II.
+func AddDirectedEdge(g *Graph, dict *Labels, u, v int, base string) error {
+	if u == v {
+		return fmt.Errorf("graph %q: directed self-loop on %d", g.Name, u)
+	}
+	existing, present := g.EdgeLabel(u, v)
+	l, err := DirectedLabel(dict, u, v, base, existing, present)
+	switch {
+	case err != nil:
+		return fmt.Errorf("graph %q: %w", g.Name, err)
+	case present:
+		return g.RelabelEdge(u, v, l)
+	}
+	return g.AddEdge(u, v, l)
+}
+
+// AddWeightedEdge inserts {u,v} with the weight folded to a bucket label.
+func AddWeightedEdge(g *Graph, dict *Labels, wb WeightBuckets, u, v int, weight float64) error {
+	return g.AddEdge(u, v, wb.Fold(dict, weight))
 }

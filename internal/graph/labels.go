@@ -133,25 +133,3 @@ func (l *Labels) Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Alphabets reports |LV| and |LE|: the number of distinct non-virtual vertex
-// and edge labels actually used by the given graphs. The paper's model
-// (Lemma 3, Eq. 33) needs both to size the branch-type universe D.
-func Alphabets(gs ...*Graph) (lv, le int) {
-	vs := make(map[ID]struct{})
-	es := make(map[ID]struct{})
-	for _, g := range gs {
-		for _, lab := range g.vlabels {
-			if lab != Epsilon {
-				vs[lab] = struct{}{}
-			}
-		}
-		// Each edge appears twice among the half-edges; the set does not care.
-		for _, h := range g.half {
-			if h.Label != Epsilon {
-				es[h.Label] = struct{}{}
-			}
-		}
-	}
-	return len(vs), len(es)
-}

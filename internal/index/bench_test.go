@@ -32,7 +32,7 @@ func BenchmarkLowerBoundPair(b *testing.B) {
 	for i, e := range entries {
 		sums[i] = Summarize(e.G.Unpack())
 	}
-	qb := entries[0].Branches
+	qb := entries[0].Branches.AppendTo(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -71,4 +71,25 @@ func BenchmarkPrefilterScan(b *testing.B) {
 			b.Fatal("nothing pruned: benchmark would measure the wrong path")
 		}
 	}
+}
+
+// BenchmarkBuildPostings times one shard's postings rebuild over 15,000
+// AIDS-shaped graphs, the size of a shard of the benchmark corpus on two
+// shards.
+func BenchmarkBuildPostings(b *testing.B) {
+	cfg, err := dataset.Profile("aids", 0.4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := dataset.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	entries := ds.Col.Entries()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BuildPostings(entries)
+	}
+	b.ReportMetric(float64(len(entries)), "graphs")
 }

@@ -103,10 +103,10 @@ func TestPruningIsLossless(t *testing.T) {
 	const tau = 3
 	for _, qi := range ds.Queries {
 		q := ds.Col.Entry(qi)
-		qp := PrepareQuery(q.G.Unpack())
+		qp, qb := PrepareQuery(q.G.Unpack()), q.Branches.AppendTo(nil)
 		var n [TierBranch + 1]int
 		for i, e := range entries {
-			tier := v.Tier(&qp, q.Branches, e, i, tau)
+			tier := v.Tier(&qp, qb, e, i, tau)
 			n[tier]++
 			if d, known := ds.KnownGED(qi, i); i != qi && known && d <= tau && tier != TierNone {
 				t.Fatalf("true answer (%d,%d) GED=%d pruned by tier %d at tau=%d", qi, i, d, tier, tau)

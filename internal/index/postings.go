@@ -5,16 +5,25 @@
 // knows the least intersection t any graph worth deciding must reach —
 // the scorer's size-window floor, or the prefilter's branch tier — reads
 // the posting lists of the query's rarest branches covering that many
-// occurrences and decides every other slot without loading it. Each
-// posting carries its graph's size, so the size bound the scan also knows
-// is applied before a slot becomes a candidate.
+// occurrences and decides every other slot without loading it. The size
+// bound the scan also knows is applied, from the shard's size column,
+// before a slot becomes a candidate.
 //
 // Postings is one shard's inverted index from branch ID to the ascending
 // slots whose entry holds that branch, built at a shard length L0, plus
 // what changed since: the slots below L0 whose entry was swapped in or
-// replaced, and the tail of slots appended since. A stale posting is a
-// false positive at worst, and every candidate is decided exactly, so the
-// index is admissible under any mutation history.
+// replaced, and the tail of slots appended since. A slot below the tail
+// that is not changed still holds the entry its postings were built from,
+// so the shard's current size column is that entry's size. A stale
+// posting is a false positive at worst, and every candidate is decided
+// exactly, so the index is admissible under any mutation history.
+//
+// Each list is coded as MSQ-Index codes its q-gram lists: the uvarint
+// gaps between its ascending slots (the first slot is its gap from 0),
+// about a byte and a half per posting. The posting counts, which Plan
+// reads for every query branch, sit in a column of their own. Plan decodes
+// each list it picks once per query, keeping the slots whose size is in
+// the window, so Mark, which runs once per scanned segment, never decodes.
 //
 // Concurrency contract (internal/shard's snapshot discipline): the lists
 // are immutable once built and the change list is copy-on-write, so a
@@ -24,6 +33,7 @@ package index
 
 import (
 	"cmp"
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"slices"
@@ -35,53 +45,70 @@ import (
 // Postings is a shard's branch postings. The zero value has no lists and
 // makes every slot a candidate.
 type Postings struct {
-	// off, slots and sizes are the lists in CSR form: the slots holding
-	// branch ID b are slots[off[b]:off[b+1]], ascending, each slot once,
-	// and sizes[k] is the size of slots[k]'s graph, capped at MaxUint16.
-	off, slots []uint32
-	sizes      []uint16
+	// off, cnt and data are the lists: branch ID b's list is
+	// data[off[b]:off[b+1]] and holds cnt[b] postings, none when no entry
+	// held b.
+	off, cnt []uint32
+	data     []byte
 	// changed holds, sorted, the slots below tail whose entry is not the
 	// one the lists were built from; every slot at or past tail is new.
 	changed []uint32
 	tail    int
 }
 
-// BuildPostings indexes entries by slot: a counting sort over branch IDs,
-// two passes over the branch multisets.
+// BuildPostings indexes entries by slot in three passes over their branch
+// multisets: the first finds the largest branch ID, the second counts
+// each branch's postings and the bytes of their gaps, which lays the
+// lists out, and the third writes them.
 func BuildPostings(entries []*db.Entry) Postings {
-	top := -1
+	var stack [128]uint32
+	ids, top := branch.IDs(stack[:0]), -1
 	for _, e := range entries {
-		if n := len(e.Branches); n > 0 {
-			top = max(top, int(e.Branches[n-1])) // multisets are sorted
+		if ids = e.Branches.AppendTo(ids[:0]); len(ids) > 0 {
+			top = max(top, int(ids[len(ids)-1])) // multisets are sorted
 		}
 	}
-	// A multiset lists a branch once per occurrence, a list a slot once.
-	// off[b+2] counts the entries holding b; the prefix sum then leaves
-	// off[b+1] at the start of b's list, which the fill advances to its
-	// end, so off[b] ends up at the start.
-	off := make([]uint32, top+3)
-	for _, e := range entries {
-		for i, id := range e.Branches {
-			if i == 0 || id != e.Branches[i-1] {
-				off[id+2]++
-			}
-		}
-	}
-	for i := 2; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	slots := make([]uint32, off[len(off)-1])
-	sizes := make([]uint16, len(slots))
+	// Per branch ID: its posting count, its list's offset, the slot of
+	// its last posting, and the bytes of its gaps and then its write
+	// offset. A multiset lists a branch once per occurrence, a list a slot
+	// once; the first posting's gap is its slot.
+	n := top + 1
+	cols, work := make([]uint32, 2*n+1), make([]uint32, 2*n)
+	off, cnt := cols[:n+1], cols[n+1:]
+	last, at := work[:n], work[n:]
 	for slot, e := range entries {
-		size := uint16(min(len(e.Branches), math.MaxUint16))
-		for i, id := range e.Branches {
-			if i == 0 || id != e.Branches[i-1] {
-				slots[off[id+1]], sizes[off[id+1]] = uint32(slot), size
-				off[id+1]++
+		ids = e.Branches.AppendTo(ids[:0])
+		for i, id := range ids {
+			if i == 0 || id != ids[i-1] {
+				at[id] += uint32(uvarintLen(uint32(slot) - last[id]))
+				last[id] = uint32(slot)
+				cnt[id]++
 			}
 		}
 	}
-	return Postings{off: off[:top+2], slots: slots, sizes: sizes, tail: len(entries)}
+	for b := range cnt {
+		off[b+1] = off[b] + at[b]
+		at[b], last[b] = off[b], 0
+	}
+	data := make([]byte, off[n])
+	for slot, e := range entries {
+		ids = e.Branches.AppendTo(ids[:0])
+		for i, id := range ids {
+			if i == 0 || id != ids[i-1] {
+				at[id] += uint32(binary.PutUvarint(data[at[id]:], uint64(uint32(slot)-last[id])))
+				last[id] = uint32(slot)
+			}
+		}
+	}
+	return Postings{off: off, cnt: cnt, data: data, tail: len(entries)}
+}
+
+func uvarintLen(x uint32) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
 }
 
 // NewLog starts the change log of a rebuild whose snapshot holds n slots:
@@ -129,14 +156,37 @@ func (p *Postings) change(slot int) {
 // every query: the changed ones and the tail.
 func (p *Postings) Stale(n int) int { return len(p.changed) + max(0, n-p.tail) }
 
-// list returns the bounds in slots of branch id's list; an ID the lists
-// never saw — interned after the build, or a query's ephemeral one — has
-// an empty one.
-func (p *Postings) list(id uint32) (lo, hi uint32) {
-	if int(id)+1 >= len(p.off) {
-		return 0, 0
+// df is the posting count of branch id's list; an ID the lists never
+// saw — interned after the build, or a query's ephemeral one — has none.
+func (p *Postings) df(id uint32) int {
+	if int(id) >= len(p.cnt) {
+		return 0
 	}
-	return p.off[id], p.off[id+1]
+	return int(p.cnt[id])
+}
+
+// appendList appends to dst the slots of branch id's list below the tail
+// whose size, read from sizes, is in [lo, hi], ascending. A slot below
+// the tail that is not changed holds the entry the lists were built from,
+// so sizes holds its size; a changed one is a candidate whatever its
+// size.
+func (p *Postings) appendList(dst []uint32, id uint32, sizes []uint32, lo, hi uint32) []uint32 {
+	list := p.data[p.off[id]:p.off[id+1]]
+	slot := uint32(0)
+	for at := 0; at < len(list); {
+		gap := uint32(list[at])
+		if at++; gap >= 0x80 {
+			x, n := binary.Uvarint(list[at-1:])
+			gap, at = uint32(x), at-1+n
+		}
+		if slot += gap; int(slot) >= p.tail {
+			break
+		}
+		if sz := sizes[slot]; sz >= lo && sz <= hi {
+			dst = append(dst, slot)
+		}
+	}
+	return dst
 }
 
 // Need is what a graph must have to be worth a scan's reading: at least
@@ -148,12 +198,13 @@ type Need struct {
 }
 
 // Probe is one query's candidate generator over one Postings snapshot:
-// the lists it picked and the size window, or every slot.
+// the slots of the lists it picked that are in the size window, or every
+// slot.
 type Probe struct {
-	p              *Postings
-	lists          [][2]uint32 // bounds in p.slots
-	sizeLo, sizeHi uint16      // the Need's window, capped as the sizes are
-	all            bool
+	p     *Postings
+	slots []uint32    // the picked lists' slots in the window, list by list
+	lists [][2]uint32 // each picked list's bounds in slots
+	all   bool
 }
 
 // Probes holds a query's probes, one per shard view, and the scratch
@@ -186,24 +237,23 @@ func (ps *Probes) View(i int) *Probe { return &ps.views[i] }
 // their lists' lengths plus the slots stale in every view.
 func (ps *Probes) Bound() int { return ps.bound }
 
-// Plan readies the probe of view i, a view of n slots with postings p,
-// for query q and what a graph needs to be worth reading. It picks the
-// query's distinct branches in ascending list length until they cover
-// |q| − MinShared + 1 occurrences, so a slot on none of the picked lists
-// shares at most MinShared − 1. An ephemeral branch's list is empty, so
-// it is picked first and costs nothing. MinShared ≤ 0 makes every slot a
-// candidate.
-func (ps *Probes) Plan(i int, p *Postings, n int, q branch.IDs, need Need) {
+// Plan readies the probe of view i, a view with postings p and size
+// column sizes (one per slot), for query q and what a graph needs to be
+// worth reading. It picks the query's distinct branches in ascending list
+// length until they cover |q| − MinShared + 1 occurrences, so a slot on
+// none of the picked lists shares at most MinShared − 1, and decodes the
+// picked lists. An ephemeral branch's list is empty, so it is picked
+// first and costs nothing. MinShared ≤ 0 makes every slot a candidate.
+func (ps *Probes) Plan(i int, p *Postings, sizes []uint32, q branch.IDs, need Need) {
 	pr := &ps.views[i]
-	pr.p, pr.lists, pr.all = p, pr.lists[:0], need.MinShared <= 0
+	pr.p, pr.slots, pr.lists, pr.all = p, pr.slots[:0], pr.lists[:0], need.MinShared <= 0
+	n := len(sizes)
 	if pr.all {
 		ps.bound += n
 		return
 	}
-	// A size capped at MaxUint16 is in the capped window whenever the
-	// true size can be in the true one.
-	pr.sizeLo = uint16(min(max(need.SizeLo, 0), math.MaxUint16))
-	pr.sizeHi = uint16(min(max(need.SizeHi, 0), math.MaxUint16))
+	lo := uint32(min(max(need.SizeLo, 0), math.MaxUint32))
+	hi := uint32(min(max(need.SizeHi, 0), math.MaxUint32))
 	ps.bound += p.Stale(n)
 	runs := ps.runs[:0]
 	for k := 0; k < len(q); {
@@ -211,14 +261,16 @@ func (ps *Probes) Plan(i int, p *Postings, n int, q branch.IDs, need Need) {
 		for j < len(q) && q[j] == q[k] {
 			j++
 		}
-		lo, hi := p.list(q[k])
-		runs = append(runs, run{id: q[k], mult: j - k, df: int(hi - lo)})
+		runs = append(runs, run{id: q[k], mult: j - k, df: p.df(q[k])})
 		k = j
 	}
 	slices.SortStableFunc(runs, func(a, b run) int { return cmp.Compare(a.df, b.df) })
 	for k, cover := 0, 0; k < len(runs) && cover < len(q)-need.MinShared+1; k++ {
-		lo, hi := p.list(runs[k].id)
-		pr.lists = append(pr.lists, [2]uint32{lo, hi})
+		if runs[k].df > 0 {
+			from := len(pr.slots)
+			pr.slots = p.appendList(pr.slots, runs[k].id, sizes, lo, hi)
+			pr.lists = append(pr.lists, [2]uint32{uint32(from), uint32(len(pr.slots))})
+		}
 		cover += runs[k].mult
 		ps.bound += runs[k].df
 	}
@@ -226,9 +278,9 @@ func (ps *Probes) Plan(i int, p *Postings, n int, q branch.IDs, need Need) {
 }
 
 // Mark sets bit s − lo of words for every candidate slot s in [lo, hi):
-// the picked lists' slots below the tail whose size is in the window, the
-// changed slots, and the tail. It clears words first (which must hold
-// (hi−lo+63)/64 of them) and returns how many bits it set.
+// the picked lists' slots in the window, the changed slots, and the tail.
+// It clears words first (which must hold (hi−lo+63)/64 of them) and
+// returns how many bits it set.
 func (pr *Probe) Mark(words []uint64, lo, hi int) int {
 	clear(words)
 	if pr.all {
@@ -238,13 +290,11 @@ func (pr *Probe) Mark(words []uint64, lo, hi int) int {
 	p := pr.p
 	if end := min(hi, p.tail); lo < end {
 		for _, l := range pr.lists {
-			slots, sizes := p.slots[l[0]:l[1]], p.sizes[l[0]:l[1]]
+			slots := pr.slots[l[0]:l[1]]
 			k, _ := slices.BinarySearch(slots, uint32(lo))
 			for ; k < len(slots) && int(slots[k]) < end; k++ {
-				if sz := sizes[k]; sz >= pr.sizeLo && sz <= pr.sizeHi {
-					i := int(slots[k]) - lo
-					words[i>>6] |= 1 << (i & 63)
-				}
+				i := int(slots[k]) - lo
+				words[i>>6] |= 1 << (i & 63)
 			}
 		}
 		k, _ := slices.BinarySearch(p.changed, uint32(lo))

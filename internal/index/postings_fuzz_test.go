@@ -43,7 +43,7 @@ func FuzzCandidates(f *testing.F) {
 		check := func() {
 			var ps Probes
 			ps.Reset(1)
-			ps.Plan(0, &post, len(entries), q, need)
+			ps.Plan(0, &post, sizesOf(entries), q, need)
 			n := len(entries)
 			for _, seg := range []int{1, 7, 64, 130} {
 				buf := make([]uint64, (seg+63)/64)
@@ -63,11 +63,11 @@ func FuzzCandidates(f *testing.F) {
 					}
 					for s := from; s < to; s++ {
 						e := entries[s]
-						size, common := len(e.Branches), branch.IntersectSizeIDs(q, e.Branches)
+						size, common := e.Branches.Len(), branch.IntersectSizeIDs(q, e.Branches)
 						worth := need.MinShared <= 0 || common >= need.MinShared && size >= need.SizeLo && size <= need.SizeHi
 						if marked := words[(s-from)>>6]>>((s-from)&63)&1 == 1; worth && !marked {
 							t.Fatalf("segment length %d: slot %d (%v, size %d) shares %d with %v but is no candidate for %+v",
-								seg, s, e.Branches, size, common, q, need)
+								seg, s, e.Branches.AppendTo(nil), size, common, q, need)
 						}
 					}
 				}
@@ -82,13 +82,13 @@ func FuzzCandidates(f *testing.F) {
 			k++
 			return int(ops[k-1])
 		}
-		multiset := func() branch.IDs {
+		multiset := func() branch.Coded {
 			m := make(branch.IDs, next()%8)
 			for i := range m {
 				m[i] = uint32(next() % 12)
 			}
 			slices.Sort(m)
-			return m
+			return branch.Encode(m)
 		}
 		for k < len(ops) {
 			switch op := next() % 6; {

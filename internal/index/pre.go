@@ -247,7 +247,7 @@ func (v *View) Tier(q *QueryPre, qBranches branch.IDs, e *db.Entry, slot, tau in
 	}
 	// ⌈GBD/2⌉ > τ̂ ⇔ |B∩B| < max{|V1|,|V2|} − 2τ̂: the scorers' bounded
 	// merge answers it without finishing a merge that is already lost.
-	if _, ok := branch.IntersectAtLeastIDs(qBranches, e.Branches, max(len(qBranches), len(e.Branches))-2*tau); !ok {
+	if _, ok := branch.IntersectAtLeastIDs(qBranches, e.Branches, max(len(qBranches), e.Branches.Len())-2*tau); !ok {
 		return TierBranch
 	}
 	return TierNone

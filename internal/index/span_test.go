@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"gsim/internal/branch"
 	"gsim/internal/dataset"
 	"gsim/internal/db"
 	"gsim/internal/graph"
@@ -106,7 +107,7 @@ func TestSpanColumnsMatchGraph(t *testing.T) {
 	tally := db.NewTally()
 	spans := make([]string, len(gs))
 	for i, g := range gs {
-		spans[i] = db.NewEntry(uint64(i), g, nil).Labels
+		spans[i] = db.NewEntry(uint64(i), g, branch.Coded{}).Labels
 		if got, want := SpanSig(spans[i]), Sig(g); got != want {
 			t.Fatalf("graph %d (%s): span signs to %#x, graph to %#x", i, g.Name, got, want)
 		}

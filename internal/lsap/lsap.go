@@ -242,11 +242,6 @@ func LowerBound(g1, g2 *graph.Graph) float64 {
 	return total
 }
 
-// LowerBoundGED rounds LowerBound up to the integer GED domain.
-func LowerBoundGED(g1, g2 *graph.Graph) int {
-	return int(math.Ceil(LowerBound(g1, g2) - 1e-9))
-}
-
 // assignmentToMapping converts a solved (n1+n2)-assignment into the φ form
 // used by ged.AssignmentCost: φ[u] = matched g2 vertex or -1.
 func assignmentToMapping(assign []int, n1, n2 int) []int {
@@ -259,14 +254,6 @@ func assignmentToMapping(assign []int, n1, n2 int) []int {
 		}
 	}
 	return phi
-}
-
-// EstimateGED derives a GED estimate from the exact LSAP assignment over the
-// FullCost matrix by pricing the induced edit path. The result upper-bounds
-// the true GED.
-func EstimateGED(g1, g2 *graph.Graph) int {
-	assign, _ := Solve(CostMatrix(g1, g2, FullCost))
-	return ged.AssignmentCost(g1, g2, assignmentToMapping(assign, g1.NumVertices(), g2.NumVertices()))
 }
 
 // GreedyEstimateGED is Greedy-Sort-GED [12]: the greedy-sort assignment over

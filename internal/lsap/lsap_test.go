@@ -280,3 +280,16 @@ func TestPaperExampleBounds(t *testing.T) {
 		t.Fatalf("upper estimate %d below exact GED 3", ub)
 	}
 }
+
+// LowerBoundGED rounds LowerBound up to the integer GED domain.
+func LowerBoundGED(g1, g2 *graph.Graph) int {
+	return int(math.Ceil(LowerBound(g1, g2) - 1e-9))
+}
+
+// EstimateGED derives a GED estimate from the exact LSAP assignment over the
+// FullCost matrix by pricing the induced edit path. The result upper-bounds
+// the true GED.
+func EstimateGED(g1, g2 *graph.Graph) int {
+	assign, _ := Solve(CostMatrix(g1, g2, FullCost))
+	return ged.AssignmentCost(g1, g2, assignmentToMapping(assign, g1.NumVertices(), g2.NumVertices()))
+}

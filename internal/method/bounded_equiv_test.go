@@ -118,7 +118,7 @@ func (r reference) phi(q *Query, e *db.Entry) (vmax, phi int) {
 	if r.id == GBDAV2 {
 		return vmax, core.RoundVGBD(vmax, inter, r.opt.V2Weight)
 	}
-	return vmax, branch.GBDOf(len(q.Branches), len(e.Branches), inter)
+	return vmax, branch.GBDOf(len(q.Branches), e.Branches.Len(), inter)
 }
 
 func (r reference) score(q *Query, e *db.Entry) (bool, float64) {

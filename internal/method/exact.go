@@ -70,10 +70,11 @@ func (h *hybridScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 	// The filter is the GBDA merge path (see gbdaScorer.score): an
 	// intersection too small to reach the table's 2τ̂ support is Φ = 0.
 	t := h.table.get()
-	vmax := maxInt(len(q.Branches), len(e.Branches))
+	lq, le := len(q.Branches), e.Branches.Len()
+	vmax := maxInt(lq, le)
 	post := 0.0
 	if inter, ok := branch.IntersectAtLeastIDs(q.Branches, e.Branches, needGBD(vmax, t.Tau())); ok {
-		post = t.Posterior(vmax, branch.GBDOf(len(q.Branches), len(e.Branches), inter))
+		post = t.Posterior(vmax, branch.GBDOf(lq, le, inter))
 	}
 	if post < h.opt.Gamma {
 		return false, post, nil

@@ -111,9 +111,9 @@ func (g *gbdaScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 func (g *gbdaScorer) score(q *Query, e *db.Entry) (bool, float64) {
 	t := g.table.get()
 	post := 0.0
-	need := g.need(maxInt(len(q.Branches), len(e.Branches)))
-	if inter, ok := branch.IntersectAtLeastIDs(q.Branches, e.Branches, need); ok {
-		post = g.posterior(t, q, e, inter)
+	lq, le := len(q.Branches), e.Branches.Len()
+	if inter, ok := branch.IntersectAtLeastIDs(q.Branches, e.Branches, g.need(maxInt(lq, le))); ok {
+		post = g.posterior(t, lq, le, inter)
 	}
 	return g.keep(post), post
 }
@@ -202,9 +202,9 @@ func windowVGBD(m, tau int, w float64) (lo, hi int) {
 }
 
 // posterior applies the model to an exact intersection size — the only
-// quantity both GBD (Definition 4) and VGBD (Eq. 26) consume.
-func (g *gbdaScorer) posterior(t *core.PosteriorTable, q *Query, e *db.Entry, inter int) float64 {
-	lq, le := len(q.Branches), len(e.Branches)
+// quantity both GBD (Definition 4) and VGBD (Eq. 26) consume — of a query
+// of lq branches and an entry of le.
+func (g *gbdaScorer) posterior(t *core.PosteriorTable, lq, le, inter int) float64 {
 	if g.variant == GBDAV2 {
 		return t.PosteriorVGBD(maxInt(lq, le), inter, g.opt.V2Weight)
 	}

@@ -33,7 +33,7 @@ func TestSizeWindowIsExact(t *testing.T) {
 	}
 	entries := make([]*db.Entry, maxEntry+1)
 	for s := range entries {
-		entries[s] = db.NewEntry(uint64(s), &graph.Graph{}, all[:s])
+		entries[s] = db.NewEntry(uint64(s), &graph.Graph{}, branch.Encode(all[:s]))
 	}
 
 	type variant struct {
@@ -79,7 +79,7 @@ func TestSizeWindowIsExact(t *testing.T) {
 								b = append(b, uint32(2*i+1))
 							}
 							slices.Sort(b)
-							if _, score, err := sc.Score(q, db.NewEntry(0, &graph.Graph{}, b)); err != nil || score != 0 {
+							if _, score, err := sc.Score(q, db.NewEntry(0, &graph.Graph{}, branch.Encode(b))); err != nil || score != 0 {
 								t.Fatalf("%s: query %d, entry %d sharing lo−1 = %d scored (%v, %v)", name, m, s, k, score, err)
 							}
 						}

@@ -91,19 +91,6 @@ func Digamma(x float64) float64 {
 	return result
 }
 
-// EulerGamma is the Euler–Mascheroni constant γ.
-const EulerGamma = 0.57721566490153286060651209008240243
-
-// Harmonic returns the n-th harmonic number H(n) = Σ_{k=1..n} 1/k extended
-// to real arguments via H(n) = ψ(n+1) + γ, as used by the closed-form
-// derivatives of Appendix C. H(0) = 0.
-func Harmonic(n float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return Digamma(n+1) + EulerGamma
-}
-
 // DLogChooseDK returns ∂/∂k ln C(n, k) = ψ(n−k+1) − ψ(k+1), the derivative
 // the Jeffreys-prior score function Z is assembled from (cf. Eq. 36–41; see
 // DESIGN.md for the typo-corrected derivation).

@@ -266,3 +266,16 @@ func TestNormalPDFCDF(t *testing.T) {
 		t.Fatal("shifted normal misbehaves")
 	}
 }
+
+// Harmonic returns the n-th harmonic number H(n) = Σ_{k=1..n} 1/k extended
+// to real arguments via H(n) = ψ(n+1) + γ, as used by the closed-form
+// derivatives of Appendix C. H(0) = 0.
+func Harmonic(n float64) float64 {
+	if n <= 0 {
+		return 0
+	}
+	return Digamma(n+1) + EulerGamma
+}
+
+// EulerGamma is the Euler–Mascheroni constant γ.
+const EulerGamma = 0.57721566490153286060651209008240243

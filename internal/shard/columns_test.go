@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"gsim/internal/branch"
 	"gsim/internal/db"
 	"gsim/internal/graph"
 	"gsim/internal/index"
@@ -27,15 +28,15 @@ func checkColumns(t *testing.T, views []View) {
 			t.Fatalf("shard %d: ids %v do not ascend over the first %d slots", s, v.IDs, v.Asc)
 		}
 		for i, e := range v.Entries {
-			if v.IDs[i] != e.ID || int(v.Sizes[i]) != len(e.Branches) {
+			if v.IDs[i] != e.ID || int(v.Sizes[i]) != e.Branches.Len() {
 				t.Fatalf("shard %d slot %d: columns say (id %d, size %d), entry is (id %d, size %d)",
-					s, i, v.IDs[i], v.Sizes[i], e.ID, len(e.Branches))
+					s, i, v.IDs[i], v.Sizes[i], e.ID, e.Branches.Len())
 			}
 			g := e.G.Unpack()
 			if want := index.PrepareQuery(g).Sig; v.Pre.Sig[i] != want {
 				t.Fatalf("shard %d slot %d (graph %s): signature %#x, graph signs to %#x", s, i, e.G.Name, v.Pre.Sig[i], want)
 			}
-			if want := db.NewEntry(e.ID, g, nil).Labels; e.Labels != want {
+			if want := db.NewEntry(e.ID, g, branch.Coded{}).Labels; e.Labels != want {
 				t.Fatalf("shard %d slot %d (graph %s): span %q, graph encodes to %q", s, i, e.G.Name, e.Labels, want)
 			}
 		}

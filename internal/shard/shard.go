@@ -155,7 +155,7 @@ type bucket struct {
 	mu      sync.RWMutex
 	entries []*db.Entry
 	// ids, sizes and sigs are columns parallel to entries — ids[i] is
-	// entries[i].ID, sizes[i] is len(entries[i].Branches), the graph's
+	// entries[i].ID, sizes[i] is entries[i].Branches.Len(), the graph's
 	// vertex count, and sigs[i] is index.SpanSig(entries[i].Labels) — published
 	// under the same discipline (appended in place, copied on
 	// delete/update). A scan decides most positions from a column and
@@ -317,8 +317,8 @@ type Prepared struct {
 
 // Prepare makes g ready to store. The graph is not referenced afterwards.
 func (m *Map) Prepare(g *graph.Graph) Prepared {
-	ids, mark := m.bdict.InternMultisetMark(branch.MultisetOf(g))
-	e := db.NewEntry(0, g, ids)
+	c, mark := m.bdict.InternMultisetMark(branch.MultisetOf(g))
+	e := db.NewEntry(0, g, c)
 	return Prepared{e: e, sig: index.SpanSig(e.Labels), mark: mark}
 }
 
@@ -331,7 +331,7 @@ func (p Prepared) Graph() graph.Packed { return p.e.G }
 // dictionary's live and dead counts as it found them.
 func (m *Map) Discard(batch []Mutation) {
 	mark := uint32(math.MaxUint32)
-	var sets []branch.IDs
+	var sets []branch.Coded
 	for _, mu := range batch {
 		if mu.P.e != nil {
 			mark = min(mark, mu.P.mark)
@@ -351,7 +351,7 @@ func (b *bucket) insert(e *db.Entry, sig uint64) {
 		b.asc++
 	}
 	b.ids = append(b.ids, e.ID)
-	b.sizes = append(b.sizes, uint32(len(e.Branches)))
+	b.sizes = append(b.sizes, uint32(e.Branches.Len()))
 	b.sigs = append(b.sigs, sig)
 	b.slots[e.ID] = len(b.entries) - 1
 	b.st.Add(e.Labels)
@@ -399,7 +399,7 @@ func (b *bucket) replaceAt(slot int, e *db.Entry, sig uint64) *db.Entry {
 	fresh[slot] = e
 	sizes := make([]uint32, len(b.sizes))
 	copy(sizes, b.sizes)
-	sizes[slot] = uint32(len(e.Branches))
+	sizes[slot] = uint32(e.Branches.Len())
 	sigs := make([]uint64, len(b.sigs))
 	copy(sigs, b.sigs)
 	sigs[slot] = sig
@@ -591,11 +591,11 @@ func (m *Map) Commit(op telemetry.MutOp, batch []Mutation) (firstID, missing uin
 			toks[k] = tok
 		}
 	}
-	var relBuf [4]branch.IDs
+	var relBuf [4]branch.Coded
 	released := relBuf[:0]
 	for _, mu := range batch {
 		if old, _ := m.shardOf(mu.ID).apply(mu.Op, mu.ID, mu.P); old != nil {
-			released = append(released, old)
+			released = append(released, old.Branches)
 		}
 	}
 	for _, i := range touched {
@@ -610,8 +610,8 @@ func (m *Map) Commit(op telemetry.MutOp, batch []Mutation) (firstID, missing uin
 	unlock()
 	// Release after the new state is published: compaction may run
 	// inside Release.
-	for _, ids := range released {
-		m.bdict.Release(ids)
+	for _, c := range released {
+		m.bdict.Release(c)
 	}
 	for _, mu := range batch {
 		m.tele.Shards[m.ShardIndex(mu.ID)].Mutations.Add(1)
@@ -630,18 +630,18 @@ func (m *Map) Commit(op telemetry.MutOp, batch []Mutation) (firstID, missing uin
 
 // apply makes one mutation on b, whose write lock the caller holds: a
 // store or update upserts p's entry under id, a delete removes id if
-// present. It returns the branches of the entry it displaced, for the
-// caller to release once the locks drop, and whether b changed; the
+// present. It returns the entry it displaced, whose branches the caller
+// releases once the locks drop, and whether b changed; the
 // caller bumps the epochs.
-func (b *bucket) apply(op wal.Op, id uint64, p Prepared) (old branch.IDs, changed bool) {
+func (b *bucket) apply(op wal.Op, id uint64, p Prepared) (old *db.Entry, changed bool) {
 	slot, ok := b.slots[id]
 	switch {
 	case op == wal.OpDelete && !ok:
 		return nil, false
 	case op == wal.OpDelete:
-		return b.removeAt(slot).Branches, true
+		return b.removeAt(slot), true
 	case ok:
-		return b.replaceAt(slot, p.e, p.sig).Branches, true
+		return b.replaceAt(slot, p.e, p.sig), true
 	}
 	b.insert(p.e, p.sig)
 	return nil, true
@@ -723,7 +723,7 @@ func (m *Map) Replay(op wal.Op, id uint64, g *graph.Graph) {
 	}
 	b.mu.Unlock()
 	if old != nil {
-		m.bdict.Release(old)
+		m.bdict.Release(old.Branches)
 	}
 }
 
@@ -778,7 +778,8 @@ func (m *Map) Get(id uint64) (*db.Entry, bool) {
 // (never written after publication) plus the shard epoch they correspond
 // to. IDs, Sizes and Pre's signature column run parallel to Entries
 // (IDs[i] is Entries[i].ID, Sizes[i] its branch count); IDs[:Asc]
-// ascends strictly. Post is the shard's branch postings.
+// ascends strictly. Post is the shard's branch postings, which read
+// Sizes for their size window (index.Probes.Plan).
 type View struct {
 	Entries []*db.Entry
 	Pre     index.View

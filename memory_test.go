@@ -4,20 +4,24 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"gsim/internal/dataset"
+	"gsim/internal/db"
 	"gsim/internal/graph"
 )
 
 // TestResidentBytesPerGraph: a stored graph costs its entry — name,
-// packed body, label span, interned branches — and its share of the shard
+// packed body, label span, coded branches — and its share of the shard
 // columns, postings and dictionaries, not a graph in compressed sparse
 // rows. The AASD database graphs at scale 0.1 (3,610), loaded as text
-// into two shards, must hold at most 1,400 heap bytes each once the
-// postings have settled: ~1,135 with packed entries, 2,562 when every
-// entry kept its CSR graph.
+// into two shards, must hold at most 820 heap bytes each once the
+// postings have settled: ~747 with coded branch multisets and postings,
+// ~1,130 while each entry held its branch IDs as uint32s and each posting
+// a uint32 slot and a uint16 size, 2,562 when every entry kept its CSR
+// graph.
 func TestResidentBytesPerGraph(t *testing.T) {
-	const budget = 1400
+	const budget = 820
 	cfg, err := dataset.Profile("aasd", 0.1)
 	if err != nil {
 		t.Fatal(err)
@@ -57,5 +61,14 @@ func TestResidentBytesPerGraph(t *testing.T) {
 	t.Logf("%d graphs: %.0f heap bytes per stored graph", n, per)
 	if per > budget {
 		t.Fatalf("%.0f heap bytes per stored graph, budget %d", per, budget)
+	}
+}
+
+// TestEntrySize: db.Entry fits the 80-byte size class — ID, packed graph,
+// coded branches and label span. One more word puts every stored graph's
+// entry in the 96-byte class.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(db.Entry{}); n > 80 {
+		t.Fatalf("db.Entry is %d bytes, want at most 80", n)
 	}
 }

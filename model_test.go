@@ -282,12 +282,12 @@ func (r *modelRun) oracle(m Method, seed int64, tau int) (plain, pre []Match) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries[k] = db.NewEntry(uint64(id), g, bdict.ResolveMultiset(branch.MultisetOf(g)))
+		entries[k] = db.NewEntry(uint64(id), g, branch.Encode(bdict.ResolveMultiset(branch.MultisetOf(g))))
 	}
 	var sizes []int
 	for _, e := range entries {
-		if k := sort.SearchInts(sizes, len(e.Branches)); k == len(sizes) || sizes[k] != len(e.Branches) {
-			sizes = append(sizes[:k], append([]int{len(e.Branches)}, sizes[k:]...)...)
+		if k := sort.SearchInts(sizes, e.Branches.Len()); k == len(sizes) || sizes[k] != e.Branches.Len() {
+			sizes = append(sizes[:k], append([]int{e.Branches.Len()}, sizes[k:]...)...)
 		}
 	}
 	info, _ := method.Lookup(method.ID(m))

@@ -501,7 +501,7 @@ func (ps *preparedSearch) stream(ctx context.Context, q *Query, tr *traceAcc, ad
 	views := ps.proj.views
 	qs.probes.Reset(len(views))
 	for i := range views {
-		qs.probes.Plan(i, &views[i].Post, len(views[i].Entries), qs.mq.Branches, need)
+		qs.probes.Plan(i, &views[i].Post, views[i].Sizes, qs.mq.Branches, need)
 	}
 	opt := engine.Options{Workers: ps.opt.Workers, Observe: func(d time.Duration) { tr.scanNS += int64(d) }}
 	if need.MinShared > 0 {
