@@ -27,6 +27,7 @@ import (
 	"gsim/internal/branch"
 	"gsim/internal/core"
 	"gsim/internal/dataset"
+	"gsim/internal/graph"
 	"gsim/internal/lsap"
 	"gsim/internal/prob"
 	"gsim/internal/seriation"
@@ -367,6 +368,48 @@ func BenchmarkShardedIngest(b *testing.B) {
 			}
 		})
 	}
+}
+
+var (
+	loadTextOnce sync.Once
+	loadTextData []byte
+)
+
+// BenchmarkLoadText bulk-loads the repository benchmark's base corpus —
+// the first 30,000 database graphs of the aasd profile as .gsim text, the
+// file gsimd reads at boot — into a fresh database per iteration, and
+// reports the cost per graph.
+func BenchmarkLoadText(b *testing.B) {
+	loadTextOnce.Do(func() {
+		cfg, err := dataset.Profile("aasd", 1.0)
+		if err != nil {
+			panic(err)
+		}
+		cfg.Seed = 1
+		ds, err := dataset.Generate(cfg)
+		if err != nil {
+			panic(err)
+		}
+		var buf bytes.Buffer
+		for _, idx := range ds.DBGraphs[:30000] {
+			if err := graph.Write(&buf, ds.Col.Graph(idx), ds.Col.Dict); err != nil {
+				panic(err)
+			}
+		}
+		loadTextData = buf.Bytes()
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	graphs := 0
+	for i := 0; i < b.N; i++ {
+		d := gsim.New(gsim.WithName("load"))
+		n, err := d.LoadText(bytes.NewReader(loadTextData))
+		if err != nil {
+			b.Fatal(err)
+		}
+		graphs += n
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(graphs), "us/graph")
 }
 
 // BenchmarkGraphBuilder builds a graph edge by edge through GraphBuilder

@@ -108,8 +108,14 @@ type config struct {
 	maxQueue     int
 }
 
-// load assembles the served database and server from cfg.
+// bootClock times the stages of a boot for its log line.
+type bootClock struct{ load, priors, warm time.Duration }
+
+// load assembles the served database and server from cfg and logs how
+// long each stage of the boot took.
 func load(cfg config) (*server.Server, *gsim.Database, error) {
+	var clk bootClock
+	start := time.Now()
 	if cfg.priorsPath != "" && cfg.buildPriors {
 		return nil, nil, fmt.Errorf("-priors and -build-priors are mutually exclusive; restore a snapshot or fit fresh, not both")
 	}
@@ -154,17 +160,23 @@ func load(cfg config) (*server.Server, *gsim.Database, error) {
 			}
 		}
 	}
-	srv, err := finishLoad(cfg, d)
+	clk.load = time.Since(start)
+	srv, err := finishLoad(cfg, d, &clk)
 	if err != nil {
 		d.Close()
 		return nil, nil, err
 	}
+	ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
+	log.Printf("gsimd: ready in %v (load %v, priors %v, warm %v)",
+		ms(time.Since(start)), ms(clk.load), ms(clk.priors), ms(clk.warm))
 	return srv, d, nil
 }
 
 // finishLoad runs the post-construction steps (priors, warmup, server
-// assembly) so load can release a durable database on any failure.
-func finishLoad(cfg config, d *gsim.Database) (*server.Server, error) {
+// assembly) so load can release a durable database on any failure; clk
+// takes the priors and warm-up times.
+func finishLoad(cfg config, d *gsim.Database, clk *bootClock) (*server.Server, error) {
+	start := time.Now()
 	if cfg.priorsPath != "" {
 		f, err := os.Open(cfg.priorsPath)
 		if err != nil {
@@ -180,6 +192,8 @@ func finishLoad(cfg config, d *gsim.Database) (*server.Server, error) {
 			return nil, fmt.Errorf("building priors: %w", err)
 		}
 	}
+	clk.priors = time.Since(start)
+	start = time.Now()
 	m := gsim.Method(0)
 	if cfg.method != "" {
 		var err error
@@ -195,6 +209,7 @@ func finishLoad(cfg config, d *gsim.Database) (*server.Server, error) {
 			return nil, fmt.Errorf("-warm %d: %w", cfg.warmTau, err)
 		}
 	}
+	clk.warm = time.Since(start)
 	srv := server.New(server.Config{
 		DB:             d,
 		DefaultMethod:  m,

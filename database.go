@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -174,17 +175,19 @@ func (d *Database) ShardSizes() []int { return d.store.ShardSizes() }
 // LoadText bulk-loads graphs in .gsim text form (see internal/graph codec:
 // "g <name> <n>" header, "v <i> <label>" and "e <u> <v> <label>" records).
 // Each graph is prepared for storage as it is parsed, before any lock is
-// taken, so only one graph at a time is ever held unpacked. The batch is
-// then inserted as one commit, which locks the shards it lands on: a
-// concurrent search sees either none or all of the loaded graphs, and the
-// epoch advances once. A load that fails changes nothing.
+// taken, in a pipeline (stageText) that holds at most about loadWindow
+// graphs unpacked. The batch is then inserted as one commit, which locks
+// the shards it lands on: a concurrent search sees either none or all of
+// the loaded graphs, and the epoch advances once. A load that fails
+// changes nothing but the label dictionary, which keeps the labels the
+// parse met.
 func (d *Database) LoadText(r io.Reader) (int, error) {
 	if err := d.writable(); err != nil {
 		return 0, err
 	}
 	var batch []shard.Mutation
-	if err := graph.ReadEach(r, d.store.Dict(), func(g *graph.Graph) error {
-		batch = append(batch, shard.Mutation{Op: wal.OpStore, P: d.store.Prepare(g)})
+	if err := stageText(r, d.store.Dict(), func(s shard.Staged) error {
+		batch = append(batch, shard.Mutation{Op: wal.OpStore, P: d.store.Intern(s)})
 		return d.fits(len(batch)-1, batch[len(batch)-1].P)
 	}); err != nil {
 		d.store.Discard(batch)
@@ -195,6 +198,81 @@ func (d *Database) LoadText(r io.Reader) (int, error) {
 	}
 	return len(batch), nil
 }
+
+// loadWindow bounds the graphs a stageText holds between parse and fn:
+// parsed and waiting for a worker, being staged, or staged and waiting
+// for their turn. It is what keeps a bulk load's unpacked graphs few
+// whatever the input's size, and enough to keep every worker busy while
+// one graph stages slowly.
+const loadWindow = 32
+
+// stageText parses the .gsim stanzas of r on one goroutine, interning
+// labels in input order, stages each graph (shard.Stage) on GOMAXPROCS
+// workers, and hands the staged graphs to fn on the calling goroutine in
+// input order — so a load numbers labels and branches exactly as one
+// parsing and preparing graph by graph would. It returns the first error
+// in input order, fn's or the parse's, and only once every goroutine it
+// started has exited; after fn fails the parse stops early.
+func stageText(r io.Reader, dict *graph.Labels, fn func(shard.Staged) error) (err error) {
+	type job struct {
+		g   *graph.Graph
+		out chan shard.Staged
+	}
+	// Both buffers hold the window: order the results fn has yet to
+	// take, jobs the graphs no worker has taken yet.
+	order := make(chan chan shard.Staged, loadWindow)
+	jobs := make(chan job, loadWindow)
+	stop := make(chan struct{})
+	var parseErr error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(order)
+		defer close(jobs)
+		parseErr = graph.ReadEach(r, dict, func(g *graph.Graph) error {
+			out := make(chan shard.Staged, 1) // the worker's one send never blocks
+			select {
+			case order <- out:
+			case <-stop:
+				return errLoadStopped
+			}
+			jobs <- job{g: g, out: out}
+			return nil
+		})
+	}()
+	workers := min(runtime.GOMAXPROCS(0), loadWindow)
+	wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				j.out <- shard.Stage(j.g)
+			}
+		}()
+	}
+	defer func() {
+		// However fn ended — done, failed or panicking — stop the parse,
+		// let the workers finish what it handed them, and wait for all.
+		close(stop)
+		for range order {
+		}
+		wg.Wait()
+		if err == nil {
+			err = parseErr
+		}
+	}()
+	for out := range order {
+		if err = fn(<-out); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// errLoadStopped ends a stageText parse whose consumer has stopped; it
+// never reaches a caller.
+var errLoadStopped = errors.New("gsim: load stopped")
 
 // SaveText writes every stored graph in .gsim text form, in insertion
 // (ID) order — one logical collection, whatever the shard layout —
@@ -510,9 +588,8 @@ func (d *Database) commit(op telemetry.MutOp, muts []BuilderMutation) (uint64, e
 // widest ID, would take more than maxRecordBytes; the check runs before
 // anything is journaled, so a refused batch leaves no record behind.
 func (d *Database) fits(i int, p shard.Prepared) error {
-	var scratch [512]byte
 	g := p.Graph()
-	n := len(wal.AppendPacked(scratch[:0], wal.OpStore, math.MaxUint64, g, d.store.Dict()))
+	n := wal.PackedLen(wal.OpStore, math.MaxUint64, g, d.store.Dict())
 	if n > maxRecordBytes {
 		return fmt.Errorf("gsim: graph %d (%q): %w: its record takes %d bytes, the limit is %d",
 			i, g.Name, ErrGraphTooLarge, n, maxRecordBytes)

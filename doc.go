@@ -118,9 +118,14 @@
 // Database.Query, SaveText and the flat collection's Graph and Save. A
 // write prepares its entries — packing, span, signature, interned
 // branches — before it takes a lock, and a write that then fails
-// releases what it interned. Bulk loads (LoadText, segment recovery)
-// prepare each graph as they parse it, so only one graph at a time is
-// ever held in compressed sparse rows. On the repository benchmark's
+// releases what it interned. Segment recovery prepares each graph as it
+// decodes it, so only one graph at a time per segment is held in
+// compressed sparse rows. LoadText parses on one goroutine, interning
+// labels in input order, packs each graph and computes its branch
+// multiset on GOMAXPROCS workers, and interns the branches in input
+// order, so it numbers labels, branches and graphs exactly as a serial
+// load would; it holds at most a window of about 32 graphs (loadWindow)
+// in compressed sparse rows, however large the load. On the repository benchmark's
 // corpus (30,000 stored AASD-shaped graphs, 2-core x86-64 Xeon) gsimd's
 // peak RSS went from ~260 MB to ~160 MB with compressed sparse rows and
 // to ~80 MB with packed entries on the read-only workloads, and from

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -26,46 +27,83 @@ import (
 // without backslashes reads exactly as its bytes say. The format is meant
 // to be diff-friendly and easy to produce from other tools.
 
-// Write encodes g to w in .gsim text form, resolving labels through dict.
+// Write encodes g to w in .gsim text form, resolving labels through dict:
+// the stanza is assembled in one buffer, under one dictionary read lock,
+// and handed to w in one Write.
 func Write(w io.Writer, g *Graph, dict *Labels) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "g %s %d\n", escapeToken(g.Name), g.NumVertices())
-	for v := 0; v < g.NumVertices(); v++ {
-		fmt.Fprintf(bw, "v %d %s\n", v, escapeToken(dict.Name(g.VertexLabel(v))))
+	bp := stanzas.Get().(*[]byte)
+	buf := (*bp)[:0]
+	dict.View(func(v LabelView) {
+		buf = append(buf, "g "...)
+		buf = appendToken(buf, g.Name)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(g.NumVertices()), 10)
+		buf = append(buf, '\n')
+		for u, l := range g.vlabels {
+			buf = append(buf, "v "...)
+			buf = strconv.AppendInt(buf, int64(u), 10)
+			buf = append(buf, ' ')
+			buf = appendToken(buf, v.Name(l))
+			buf = append(buf, '\n')
+		}
+		for u := range g.vlabels {
+			for _, h := range g.Neighbors(u) {
+				if int(h.To) > u { // Edges() order
+					buf = append(buf, "e "...)
+					buf = strconv.AppendInt(buf, int64(u), 10)
+					buf = append(buf, ' ')
+					buf = strconv.AppendInt(buf, int64(h.To), 10)
+					buf = append(buf, ' ')
+					buf = appendToken(buf, v.Name(h.Label))
+					buf = append(buf, '\n')
+				}
+			}
+		}
+	})
+	_, err := w.Write(buf)
+	if cap(buf) <= maxPooledStanza {
+		*bp = buf
+		stanzas.Put(bp)
 	}
-	for _, e := range g.Edges() {
-		fmt.Fprintf(bw, "e %d %d %s\n", e.U, e.V, escapeToken(dict.Name(e.Label)))
-	}
-	return bw.Flush()
+	return err
 }
+
+// stanzas recycles Write's stanza buffers; one larger than
+// maxPooledStanza is left to the collector rather than kept.
+var stanzas = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledStanza = 64 << 10
 
 // needsEscape reports whether r cannot appear raw inside a token.
 func needsEscape(r rune) bool { return r == '\\' || unicode.IsSpace(r) }
 
-// escapeToken renders s as one whitespace-free, non-empty token.
-func escapeToken(s string) string {
+// appendToken appends s rendered as one whitespace-free, non-empty token.
+func appendToken(buf []byte, s string) []byte {
 	if s == "" {
-		return `\0`
+		return append(buf, `\0`...)
 	}
 	if strings.IndexFunc(s, needsEscape) < 0 {
-		return s
+		return append(buf, s...)
 	}
-	var b strings.Builder
 	for i := 0; i < len(s); {
 		// Decode by hand to keep the byte width: invalid UTF-8 decodes to
 		// U+FFFD one byte at a time and must be copied through unchanged.
 		r, n := utf8.DecodeRuneInString(s[i:])
 		if needsEscape(r) {
-			fmt.Fprintf(&b, `\u%04x`, r)
+			buf = append(buf, `\u`...)
+			for shift := 12; shift >= 4 && r>>shift == 0; shift -= 4 {
+				buf = append(buf, '0') // at least four hex digits
+			}
+			buf = strconv.AppendInt(buf, int64(r), 16)
 		} else {
-			b.WriteString(s[i : i+n])
+			buf = append(buf, s[i:i+n]...)
 		}
 		i += n
 	}
-	return b.String()
+	return buf
 }
 
-// unescapeToken inverts escapeToken.
+// unescapeToken inverts appendToken.
 func unescapeToken(tok string) (string, error) {
 	if strings.IndexByte(tok, '\\') < 0 {
 		return tok, nil
@@ -141,15 +179,28 @@ func ReadEach(r io.Reader, dict *Labels, fn func(*Graph) error) error {
 		vlabels, edges = vlabels[:0], edges[:0]
 		return fn(g)
 	}
+	// known caches the IDs of the label tokens this read has resolved,
+	// so the dictionary's lock is taken once per distinct label, not once
+	// per line: an interned ID never changes.
+	known := make(map[string]ID)
 	label := func(tok []byte) (ID, error) {
+		if id, ok := known[string(tok)]; ok {
+			return id, nil
+		}
+		var id ID
 		if bytes.IndexByte(tok, '\\') < 0 {
-			return dict.internBytes(tok), nil
+			id = dict.internBytes(tok)
+		} else {
+			s, err := unescapeToken(string(tok))
+			if err != nil {
+				return 0, err
+			}
+			id = dict.Intern(s)
 		}
-		s, err := unescapeToken(string(tok))
-		if err != nil {
-			return 0, err
+		if len(known) < maxKnownLabels {
+			known[string(tok)] = id
 		}
-		return dict.Intern(s), nil
+		return id, nil
 	}
 	parse := func() error {
 		for sc.Scan() {
@@ -233,6 +284,13 @@ func ReadEach(r io.Reader, dict *Labels, fn func(*Graph) error) error {
 	return finish()
 }
 
+// maxKnownLabels caps ReadEach's cache of resolved label tokens; an input
+// with a larger alphabet resolves the rest through the dictionary.
+const maxKnownLabels = 4096
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace reports.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
 // splitFields splits line around Unicode white space as strings.Fields
 // does, storing the first len(f) fields in f without copying, and reports
 // how many fields the line holds.
@@ -242,11 +300,13 @@ func splitFields(line []byte, f *[4][]byte) int {
 	for i := 0; i <= len(line); {
 		space, w := true, 1
 		if i < len(line) {
-			r := rune(line[i])
-			if r >= utf8.RuneSelf {
+			if c := line[i]; c < utf8.RuneSelf {
+				space = asciiSpace[c]
+			} else {
+				var r rune
 				r, w = utf8.DecodeRune(line[i:])
+				space = unicode.IsSpace(r)
 			}
-			space = unicode.IsSpace(r)
 		}
 		switch {
 		case !space && start < 0:

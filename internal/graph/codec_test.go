@@ -1,9 +1,15 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // roundTrip writes a two-vertex graph carrying the given tokens, reads it
@@ -172,4 +178,103 @@ func TestDecodeAllocsFlatInSize(t *testing.T) {
 		t.Errorf("ReadAll: %v allocations for 6 vertices, %v for 60", text6, text60)
 	}
 	t.Logf("Body %v, ReadAll %v allocations per graph", body6, text6)
+}
+
+// writeRef is Write as it was before it assembled each stanza in one
+// buffer: a bufio.Writer and one fmt.Fprintf per line. Write must match
+// it byte for byte.
+func writeRef(w io.Writer, g *Graph, dict *Labels) error {
+	token := func(s string) string {
+		if s == "" {
+			return `\0`
+		}
+		var b strings.Builder
+		for i := 0; i < len(s); {
+			r, n := utf8.DecodeRuneInString(s[i:])
+			if needsEscape(r) {
+				fmt.Fprintf(&b, `\u%04x`, r)
+			} else {
+				b.WriteString(s[i : i+n])
+			}
+			i += n
+		}
+		return b.String()
+	}
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "g %s %d\n", token(g.Name), g.NumVertices())
+	for v := 0; v < g.NumVertices(); v++ {
+		fmt.Fprintf(bw, "v %d %s\n", v, token(dict.Name(g.VertexLabel(v))))
+	}
+	for _, e := range g.Edges() {
+		fmt.Fprintf(bw, "e %d %d %s\n", e.U, e.V, token(dict.Name(e.Label)))
+	}
+	return bw.Flush()
+}
+
+// TestWriteMatchesFmtWriter holds Write to writeRef on random graphs
+// whose names and labels mix plain, empty and escaped tokens.
+func TestWriteMatchesFmtWriter(t *testing.T) {
+	tokens := []string{"C", "", "a b", "tab\there", `back\slash`, "nb sp", "ideo　sp",
+		"ogham ", "\u0085nel", "bad\xffutf8", "π", "ε"}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		dict := NewLabels()
+		n := rng.Intn(40)
+		g := New(n)
+		g.Name = tokens[rng.Intn(len(tokens))]
+		for v := 0; v < n; v++ {
+			g.AddVertex(dict.Intern(tokens[rng.Intn(len(tokens))]))
+		}
+		for i := 0; i < 2*n; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u != v && !g.HasEdge(u, v) {
+				g.MustAddEdge(u, v, dict.Intern(tokens[rng.Intn(len(tokens))]))
+			}
+		}
+		var got, want bytes.Buffer
+		if err := Write(&got, g, dict); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeRef(&want, g, dict); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("trial %d: Write wrote\n%q\nthe fmt writer\n%q", trial, got.Bytes(), want.Bytes())
+		}
+	}
+}
+
+// TestWriteReportsWriterError: a failing writer's error comes back.
+func TestWriteReportsWriterError(t *testing.T) {
+	dict := NewLabels()
+	g := pathGraph(dict, 5)
+	if err := Write(failWriter{}, g, dict); !errors.Is(err, errFailWrite) {
+		t.Fatalf("Write to a failing writer: %v, want %v", err, errFailWrite)
+	}
+}
+
+var errFailWrite = errors.New("write refused")
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errFailWrite }
+
+// FuzzSplitFields holds splitFields to bytes.Fields.
+func FuzzSplitFields(f *testing.F) {
+	for _, s := range []string{"", "v 0 C", " \t e 1  2 x\r", "a b\u0085c　d", "\xff \xfe", "1 2 3 4 5 6"} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var fields [4][]byte
+		n := splitFields(line, &fields)
+		want := bytes.Fields(line)
+		if n != len(want) {
+			t.Fatalf("%q: %d fields, want %d", line, n, len(want))
+		}
+		for i := 0; i < min(n, len(fields)); i++ {
+			if !bytes.Equal(fields[i], want[i]) {
+				t.Fatalf("%q: field %d = %q, want %q", line, i, fields[i], want[i])
+			}
+		}
+	})
 }

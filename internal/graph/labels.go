@@ -84,6 +84,14 @@ func (v LabelView) Lookup(s string) (ID, bool) {
 	return id, ok
 }
 
+// Name is Labels.Name without taking the lock.
+func (v LabelView) Name(id ID) string {
+	if id < 0 || int(id) >= len(v.l.strs) {
+		panic(fmt.Sprintf("graph: label ID %d out of range [0,%d)", id, len(v.l.strs)))
+	}
+	return v.l.strs[id]
+}
+
 // View calls fn with the dictionary read-locked, so every lookup fn makes
 // through v shares one lock round trip: a whole graph's labels resolve
 // under one lock. fn must not call l's own methods.
@@ -107,10 +115,7 @@ func (l *Labels) Lookup(s string) (ID, bool) {
 func (l *Labels) Name(id ID) string {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if id < 0 || int(id) >= len(l.strs) {
-		panic(fmt.Sprintf("graph: label ID %d out of range [0,%d)", id, len(l.strs)))
-	}
-	return l.strs[id]
+	return LabelView{l}.Name(id)
 }
 
 // Len reports the number of interned labels, including ε.

@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Packed is a graph in its binary body form (AppendBody), every label
@@ -75,3 +76,25 @@ func (p Packed) AppendBody(buf []byte, code func(ID) uint64) []byte {
 	}
 	return buf
 }
+
+// BodyLen returns len(p.AppendBody(nil, code)) without writing the body,
+// where codeLen(l) is the uvarint length of code(l); it sees the labels
+// in the order AppendBody's code does.
+func (p Packed) BodyLen(codeLen func(ID) int) int {
+	c := NewCursor(p.body)
+	nv := c.Uvarint()
+	n := uvarintLen(nv)
+	for i := uint64(0); i < nv; i++ {
+		n += codeLen(ID(c.Uvarint()))
+	}
+	ne := c.Uvarint()
+	n += uvarintLen(ne)
+	for i := uint64(0); i < ne; i++ {
+		n += uvarintLen(c.Uvarint()) + uvarintLen(c.Uvarint())
+		n += codeLen(ID(c.Uvarint()))
+	}
+	return n
+}
+
+// uvarintLen is the length of x's uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }

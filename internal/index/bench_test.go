@@ -73,9 +73,8 @@ func BenchmarkPrefilterScan(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildPostings times one shard's postings rebuild over 15,000
-// AIDS-shaped graphs, the size of a shard of the benchmark corpus on two
-// shards.
+// BenchmarkBuildPostings times one shard's postings rebuild over the
+// aids profile at scale 0.4 (758 graphs, the count it reports).
 func BenchmarkBuildPostings(b *testing.B) {
 	cfg, err := dataset.Profile("aids", 0.4)
 	if err != nil {
@@ -85,11 +84,11 @@ func BenchmarkBuildPostings(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	entries := ds.Col.Entries()
+	entries, universe := ds.Col.Entries(), ds.Col.BranchDict().Universe()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildPostings(entries)
+		NewPostings(entries, universe)
 	}
 	b.ReportMetric(float64(len(entries)), "graphs")
 }

@@ -56,23 +56,19 @@ type Postings struct {
 	tail    int
 }
 
-// BuildPostings indexes entries by slot in three passes over their branch
-// multisets: the first finds the largest branch ID, the second counts
+// NewPostings indexes entries by slot, every branch ID of theirs below
+// universe (the branch dictionary's, read after the entries were
+// interned), in two passes over their branch multisets: the first counts
 // each branch's postings and the bytes of their gaps, which lays the
-// lists out, and the third writes them.
-func BuildPostings(entries []*db.Entry) Postings {
+// lists out, and the second writes them.
+func NewPostings(entries []*db.Entry, universe int) Postings {
 	var stack [128]uint32
-	ids, top := branch.IDs(stack[:0]), -1
-	for _, e := range entries {
-		if ids = e.Branches.AppendTo(ids[:0]); len(ids) > 0 {
-			top = max(top, int(ids[len(ids)-1])) // multisets are sorted
-		}
-	}
+	ids := branch.IDs(stack[:0])
 	// Per branch ID: its posting count, its list's offset, the slot of
 	// its last posting, and the bytes of its gaps and then its write
 	// offset. A multiset lists a branch once per occurrence, a list a slot
 	// once; the first posting's gap is its slot.
-	n := top + 1
+	n := universe
 	cols, work := make([]uint32, 2*n+1), make([]uint32, 2*n)
 	off, cnt := cols[:n+1], cols[n+1:]
 	last, at := work[:n], work[n:]

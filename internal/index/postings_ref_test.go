@@ -22,6 +22,19 @@ type refLists struct {
 	sizes      []uint16
 }
 
+// BuildPostings is NewPostings for tests that hold entries but no branch
+// dictionary: the universe is one past the largest branch ID the entries
+// carry.
+func BuildPostings(entries []*db.Entry) Postings {
+	universe := 0
+	for _, e := range entries {
+		if ids := e.Branches.AppendTo(nil); len(ids) > 0 {
+			universe = max(universe, int(ids[len(ids)-1])+1) // multisets are sorted
+		}
+	}
+	return NewPostings(entries, universe)
+}
+
 func buildRef(entries []*db.Entry) refLists {
 	var r refLists
 	lists := map[uint32][]uint32{}

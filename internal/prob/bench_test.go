@@ -63,3 +63,20 @@ func BenchmarkGMMDiscreteProb(b *testing.B) {
 		_ = m.DiscreteProb(float64(i % 30))
 	}
 }
+
+// BenchmarkFitGMM fits the default three-component prior to 20,000
+// integer samples shaped like sampled-pair GBDs, the fit BuildPriors runs.
+func BenchmarkFitGMM(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	data := make([]float64, 20000)
+	for i := range data {
+		data[i] = float64(rng.Intn(8) + rng.Intn(30)*rng.Intn(2))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FitGMM(data, GMMConfig{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

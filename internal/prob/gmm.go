@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -46,23 +47,38 @@ func (c GMMConfig) withDefaults() GMMConfig {
 // FitGMM learns a GMM from data by expectation-maximisation. Initialisation
 // is deterministic (quantile-spread means, global variance), so fits are
 // reproducible. K is reduced automatically if the data has fewer distinct
-// values than components.
+// values than components. Every sample must be finite.
+//
+// The E step evaluates each distinct sample value once — GBD samples are
+// integers, a few dozen values over tens of thousands of points — while
+// the log-likelihood and the M-step sums still run over the points in
+// data order, so the fit is bit for bit the one a per-point E step gives.
 func FitGMM(data []float64, cfg GMMConfig) (*GMM, error) {
 	cfg = cfg.withDefaults()
 	if len(data) == 0 {
 		return nil, errors.New("prob: FitGMM on empty data")
 	}
-	distinct := distinctCount(data)
-	k := cfg.K
-	if k > distinct {
-		k = distinct
+	for j, x := range data {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("prob: FitGMM on non-finite sample %v at %d", x, j)
+		}
 	}
-	if k > len(data) {
-		k = len(data)
-	}
-
 	sorted := append([]float64(nil), data...)
 	sort.Float64s(sorted)
+	// values holds the distinct samples ascending (−0 and +0 are one
+	// value, whose responsibilities agree bit for bit), at[j] the index
+	// of data[j] among them.
+	values := slices.Compact(slices.Clone(sorted))
+	at := make([]int32, len(data))
+	for j, x := range data {
+		u, _ := slices.BinarySearch(values, x)
+		at[j] = int32(u)
+	}
+	k := cfg.K
+	if k > len(values) {
+		k = len(values)
+	}
+
 	mean, variance := meanVar(data)
 	if variance < cfg.VarFloor {
 		variance = cfg.VarFloor
@@ -84,31 +100,38 @@ func FitGMM(data []float64, cfg GMMConfig) (*GMM, error) {
 		return m, nil
 	}
 
+	// resp[i][u] is component i's responsibility for values[u], and
+	// norms[u] the log-normaliser of values[u].
 	resp := make([][]float64, k)
 	for i := range resp {
-		resp[i] = make([]float64, len(data))
+		resp[i] = make([]float64, len(values))
 	}
+	norms := make([]float64, len(values))
+	logs := make([]float64, k)
 	prevLL := math.Inf(-1)
 	for iter := 0; iter < cfg.MaxIter; iter++ {
-		// E step: responsibilities in log space.
-		var ll float64
-		for j, x := range data {
-			logs := make([]float64, k)
+		// E step: responsibilities in log space, once per distinct value.
+		for u, x := range values {
 			for i := range m.Comps {
 				logs[i] = math.Log(m.Weights[i]) + m.Comps[i].LogPDF(x)
 			}
 			norm := LogSumExp(logs...)
-			ll += norm
+			norms[u] = norm
 			for i := range m.Comps {
-				resp[i][j] = math.Exp(logs[i] - norm)
+				resp[i][u] = math.Exp(logs[i] - norm)
 			}
+		}
+		var ll float64
+		for _, u := range at {
+			ll += norms[u]
 		}
 		// M step.
 		for i := 0; i < k; i++ {
+			r := resp[i]
 			var nk, mu float64
 			for j, x := range data {
-				nk += resp[i][j]
-				mu += resp[i][j] * x
+				nk += r[at[j]]
+				mu += r[at[j]] * x
 			}
 			if nk < 1e-12 {
 				// Dead component: re-seed it at the data median.
@@ -120,7 +143,7 @@ func FitGMM(data []float64, cfg GMMConfig) (*GMM, error) {
 			var v float64
 			for j, x := range data {
 				d := x - mu
-				v += resp[i][j] * d * d
+				v += r[at[j]] * d * d
 			}
 			v /= nk
 			if v < cfg.VarFloor {
@@ -137,14 +160,6 @@ func FitGMM(data []float64, cfg GMMConfig) (*GMM, error) {
 		prevLL = meanLL
 	}
 	return m, nil
-}
-
-func distinctCount(data []float64) int {
-	seen := make(map[float64]struct{}, len(data))
-	for _, x := range data {
-		seen[x] = struct{}{}
-	}
-	return len(seen)
 }
 
 func meanVar(data []float64) (mean, variance float64) {

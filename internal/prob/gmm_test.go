@@ -1,8 +1,10 @@
 package prob
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -168,6 +170,168 @@ func TestGMMFitIsDeterministic(t *testing.T) {
 	for i := range a.Comps {
 		if a.Comps[i] != b.Comps[i] || a.Weights[i] != b.Weights[i] {
 			t.Fatal("two fits on identical data disagree")
+		}
+	}
+}
+
+// fitGMMRef is FitGMM as it was before the E step went per distinct
+// value: every point's responsibilities and log-normaliser evaluated on
+// their own. FitGMM must match it bit for bit.
+func fitGMMRef(data []float64, cfg GMMConfig) *GMM {
+	cfg = cfg.withDefaults()
+	seen := make(map[float64]struct{}, len(data))
+	for _, x := range data {
+		seen[x] = struct{}{}
+	}
+	k := min(cfg.K, len(seen), len(data))
+	sorted := append([]float64(nil), data...)
+	sort.Float64s(sorted)
+	mean, variance := meanVar(data)
+	if variance < cfg.VarFloor {
+		variance = cfg.VarFloor
+	}
+	m := &GMM{Weights: make([]float64, k), Comps: make([]Normal, k)}
+	for i := 0; i < k; i++ {
+		q := sorted[(2*i+1)*len(sorted)/(2*k)]
+		m.Weights[i] = 1 / float64(k)
+		m.Comps[i] = Normal{Mu: q, Sigma: math.Sqrt(variance)}
+	}
+	if k == 1 {
+		m.Weights[0] = 1
+		m.Comps[0] = Normal{Mu: mean, Sigma: math.Sqrt(variance)}
+		return m
+	}
+	resp := make([][]float64, k)
+	for i := range resp {
+		resp[i] = make([]float64, len(data))
+	}
+	prevLL := math.Inf(-1)
+	for iter := 0; iter < cfg.MaxIter; iter++ {
+		var ll float64
+		for j, x := range data {
+			logs := make([]float64, k)
+			for i := range m.Comps {
+				logs[i] = math.Log(m.Weights[i]) + m.Comps[i].LogPDF(x)
+			}
+			norm := LogSumExp(logs...)
+			ll += norm
+			for i := range m.Comps {
+				resp[i][j] = math.Exp(logs[i] - norm)
+			}
+		}
+		for i := 0; i < k; i++ {
+			var nk, mu float64
+			for j, x := range data {
+				nk += resp[i][j]
+				mu += resp[i][j] * x
+			}
+			if nk < 1e-12 {
+				m.Weights[i] = 1e-6
+				m.Comps[i] = Normal{Mu: sorted[len(sorted)/2], Sigma: math.Sqrt(variance)}
+				continue
+			}
+			mu /= nk
+			var v float64
+			for j, x := range data {
+				d := x - mu
+				v += resp[i][j] * d * d
+			}
+			v /= nk
+			if v < cfg.VarFloor {
+				v = cfg.VarFloor
+			}
+			m.Weights[i] = nk / float64(len(data))
+			m.Comps[i] = Normal{Mu: mu, Sigma: math.Sqrt(v)}
+		}
+		normalize(m.Weights)
+		meanLL := ll / float64(len(data))
+		if meanLL-prevLL < cfg.Tol && iter > 0 {
+			break
+		}
+		prevLL = meanLL
+	}
+	return m
+}
+
+// sameBits reports where two fits differ in any bit, or "" when they
+// are identical.
+func sameBits(got, want *GMM) string {
+	if len(got.Comps) != len(want.Comps) || len(got.Weights) != len(want.Weights) {
+		return fmt.Sprintf("%d components, want %d", len(got.Comps), len(want.Comps))
+	}
+	for i := range want.Comps {
+		for _, p := range [][3]float64{
+			{0, got.Weights[i], want.Weights[i]},
+			{1, got.Comps[i].Mu, want.Comps[i].Mu},
+			{2, got.Comps[i].Sigma, want.Comps[i].Sigma},
+		} {
+			if math.Float64bits(p[1]) != math.Float64bits(p[2]) {
+				return fmt.Sprintf("component %d %s = %v, want %v", i, [3]string{"weight", "mu", "sigma"}[int(p[0])], p[1], p[2])
+			}
+		}
+	}
+	return ""
+}
+
+func TestFitGMMMatchesPerPointEM(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 2, 3, 7, 40, 333, 1000, 5000} {
+		// GBD-shaped integers: a few dozen distinct values, skewed.
+		integers := make([]float64, n)
+		for j := range integers {
+			integers[j] = float64(rng.Intn(8) + rng.Intn(30)*rng.Intn(2))
+		}
+		continuous := sampleMixture(rng, n, []float64{0.3, 0.5, 0.2},
+			[]Normal{{Mu: 0, Sigma: 1}, {Mu: 6, Sigma: 2}, {Mu: 15, Sigma: 0.5}})
+		for _, k := range []int{1, 2, 3, 5} {
+			for kind, data := range map[string][]float64{"integer": integers, "continuous": continuous} {
+				got, err := FitGMM(data, GMMConfig{K: k})
+				if err != nil {
+					t.Fatalf("%s n=%d K=%d: %v", kind, n, k, err)
+				}
+				if diff := sameBits(got, fitGMMRef(data, GMMConfig{K: k})); diff != "" {
+					t.Fatalf("%s n=%d K=%d: %s", kind, n, k, diff)
+				}
+			}
+		}
+	}
+}
+
+// FuzzFitGMM holds FitGMM to the per-point reference EM on small integer
+// samples, signed zero included.
+func FuzzFitGMM(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 20, 21, 22}, uint8(3))
+	f.Add([]byte{5, 5, 5, 5}, uint8(2))
+	f.Add([]byte{0, 128, 0, 128, 7}, uint8(5))
+	f.Add([]byte{1}, uint8(1))
+	f.Fuzz(func(t *testing.T, raw []byte, k uint8) {
+		if len(raw) == 0 {
+			return
+		}
+		data := make([]float64, len(raw))
+		for j, b := range raw {
+			// The top bit is the sign: 128 codes −0.
+			data[j] = float64(b & 63)
+			if b&128 != 0 {
+				data[j] = -data[j]
+			}
+		}
+		cfg := GMMConfig{K: int(k%6) + 1}
+		got, err := FitGMM(data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := sameBits(got, fitGMMRef(data, cfg)); diff != "" {
+			t.Fatalf("K=%d on %v: %s", cfg.K, data, diff)
+		}
+	})
+}
+
+func TestFitGMMRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		data := []float64{1, 2, 3, bad, 4}
+		if m, err := FitGMM(data, GMMConfig{K: 3}); err == nil {
+			t.Errorf("FitGMM with sample %v: got %v, want an error", bad, m)
 		}
 	}
 }

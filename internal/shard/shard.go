@@ -244,8 +244,9 @@ func FromCollection(col *db.Collection, ids []int, n int) *Map {
 			m.shardOf(e.ID).insert(e, index.SpanSig(e.Labels))
 		}
 	}
+	universe := m.bdict.Universe()
 	for _, b := range m.shards {
-		b.post = index.BuildPostings(b.entries)
+		b.post = index.NewPostings(b.entries, universe)
 	}
 	m.seq.Store(uint64(col.Len()))
 	return m
@@ -316,10 +317,32 @@ type Prepared struct {
 }
 
 // Prepare makes g ready to store. The graph is not referenced afterwards.
-func (m *Map) Prepare(g *graph.Graph) Prepared {
-	c, mark := m.bdict.InternMultisetMark(branch.MultisetOf(g))
-	e := db.NewEntry(0, g, c)
-	return Prepared{e: e, sig: index.SpanSig(e.Labels), mark: mark}
+func (m *Map) Prepare(g *graph.Graph) Prepared { return m.Intern(Stage(g)) }
+
+// Staged is the share of Prepare that reads no shared state: a graph's
+// entry (packed graph and label span) with its branches not yet
+// interned, its canonical branch multiset and its signature word. Any
+// number of goroutines may stage graphs at once; Intern finishes each,
+// in the order that numbers the branches.
+type Staged struct {
+	e   *db.Entry
+	ms  branch.Multiset
+	sig uint64
+}
+
+// Stage does g's share of Prepare. The graph is not referenced
+// afterwards.
+func Stage(g *graph.Graph) Staged {
+	e := db.NewEntry(0, g, branch.Coded{})
+	return Staged{e: e, ms: branch.MultisetOf(g), sig: index.SpanSig(e.Labels)}
+}
+
+// Intern finishes a staged graph: it interns the graph's branches into
+// the store's dictionary. A Staged is interned at most once.
+func (m *Map) Intern(s Staged) Prepared {
+	c, mark := m.bdict.InternMultisetMark(s.ms)
+	s.e.Branches = c
+	return Prepared{e: s.e, sig: s.sig, mark: mark}
 }
 
 // Graph returns the packed graph p stores.
@@ -466,7 +489,8 @@ func (m *Map) rebuild(b *bucket) {
 	m.rebuilding.Add(1)
 	go func() {
 		defer m.rebuilding.Add(-1)
-		built := index.BuildPostings(snap)
+		// The universe, read after the snapshot, bounds its branch IDs.
+		built := index.NewPostings(snap, m.bdict.Universe())
 		b.mu.Lock()
 		b.post, b.next = built.Carry(*b.next), nil
 		m.postGen.Add(1)

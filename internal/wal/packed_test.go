@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"gsim/internal/graph"
@@ -75,5 +79,58 @@ func TestPackedRecordRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: decoded op=%v id=%d", trial, rec.Op, rec.ID)
 		}
 		graphsEqual(t, g, rec.G, dict, fresh)
+	}
+}
+
+// TestPackedLenMatchesRecord holds PackedLen to the length of the record
+// AppendPacked writes: on the pinned fixtures, and on random graphs whose
+// label tables outgrow the in-place search and whose IDs, codes and
+// endpoints reach multi-byte uvarints.
+func TestPackedLenMatchesRecord(t *testing.T) {
+	dict := graph.NewLabels()
+	dict.Intern("unused")
+	for _, tc := range []struct {
+		file string
+		op   Op
+		id   uint64
+		g    graph.Packed
+	}{
+		{"store.rec", OpStore, 300, graph.Pack(pinGraph(dict))},
+		{"delete.rec", OpDelete, 70000, graph.Packed{}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := PackedLen(tc.op, tc.id, tc.g, dict); got != len(want) {
+			t.Fatalf("%s: PackedLen = %d, the record takes %d bytes", tc.file, got, len(want))
+		}
+	}
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(200)
+		alphabet := 1 + rng.Intn(300)
+		g := graph.New(n)
+		g.Name = strings.Repeat("n", rng.Intn(200))
+		for v := 0; v < n; v++ {
+			g.AddVertex(dict.Intern(fmt.Sprintf("l%d", rng.Intn(alphabet))))
+		}
+		for i := 0; n > 1 && i < 2*n; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u != v && !g.HasEdge(u, v) {
+				g.MustAddEdge(u, v, dict.Intern(fmt.Sprintf("l%d", rng.Intn(alphabet))))
+			}
+		}
+		op := []Op{OpStore, OpUpdate, OpDelete}[trial%3]
+		id := []uint64{0, 127, 128, uint64(rng.Int63()), math.MaxUint64}[trial%5]
+		p := graph.Pack(g)
+		if op == OpDelete {
+			p = graph.Packed{}
+		}
+		want := len(AppendPacked(nil, op, id, p, dict))
+		if got := PackedLen(op, id, p, dict); got != want {
+			t.Fatalf("trial %d (%v, id %d, %d vertices): PackedLen = %d, AppendPacked wrote %d bytes",
+				trial, op, id, n, got, want)
+		}
 	}
 }

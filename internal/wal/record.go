@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"gsim/internal/graph"
 )
@@ -84,24 +85,85 @@ func AppendPacked(buf []byte, op Op, id uint64, p graph.Packed, dict *graph.Labe
 	// graph uses, in first-use order over vertices then edges — the order
 	// the body lists them, so one walk over the body both builds the
 	// table and re-codes the labels. The table goes first in the record.
-	table := make(map[graph.ID]uint64, 8)
-	var labelScratch [8]graph.ID
-	labels := labelScratch[:0]
+	var t labelTable
 	var scratch [bodyScratch]byte
-	body := p.AppendBody(scratch[:0], func(l graph.ID) uint64 {
-		code, ok := table[l]
-		if !ok {
-			code = uint64(len(labels))
-			table[l] = code
-			labels = append(labels, l)
-		}
-		return code
-	})
-	buf = binary.AppendUvarint(buf, uint64(len(labels)))
-	for _, l := range labels {
-		buf = graph.AppendString(buf, dict.Name(l))
+	body := p.AppendBody(scratch[:0], t.code)
+	buf = binary.AppendUvarint(buf, uint64(t.n))
+	for c := 0; c < t.n; c++ {
+		buf = graph.AppendString(buf, dict.Name(t.label(c)))
 	}
 	return append(buf, body...)
+}
+
+// PackedLen returns len(AppendPacked(nil, op, id, p, dict)) without
+// encoding the record: what a write checks against MaxRecordBytes.
+func PackedLen(op Op, id uint64, p graph.Packed, dict *graph.Labels) int {
+	n := 1 + uvarintLen(id)
+	if op == OpDelete {
+		return n
+	}
+	n += uvarintLen(uint64(len(p.Name))) + len(p.Name)
+	var t labelTable
+	n += p.BodyLen(func(l graph.ID) int { return uvarintLen(t.code(l)) })
+	n += uvarintLen(uint64(t.n))
+	for c := 0; c < t.n; c++ {
+		name := dict.Name(t.label(c))
+		n += uvarintLen(uint64(len(name))) + len(name)
+	}
+	return n
+}
+
+// uvarintLen is the length of x's uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// labelTable assigns a record's local label codes: a dense index per
+// distinct label, in first-use order. A graph uses a handful of labels
+// and every label of its body asks for its code, so the first
+// linearLabels are searched in place and only a larger table is indexed
+// by a map. Its zero value is empty.
+type labelTable struct {
+	n     int                    // labels so far
+	small [linearLabels]graph.ID // the labels of codes below linearLabels
+	more  []graph.ID             // the labels of the codes after them
+	codes map[graph.ID]uint64    // every label's code, once n passes linearLabels
+}
+
+const linearLabels = 16
+
+// code returns l's code, assigning the next one on first use.
+func (t *labelTable) code(l graph.ID) uint64 {
+	if t.codes == nil {
+		for c, x := range t.small[:t.n] {
+			if x == l {
+				return uint64(c)
+			}
+		}
+		if t.n < linearLabels {
+			t.small[t.n] = l
+			t.n++
+			return uint64(t.n - 1)
+		}
+		t.codes = make(map[graph.ID]uint64, 2*linearLabels)
+		for c, x := range t.small {
+			t.codes[x] = uint64(c)
+		}
+	}
+	c, ok := t.codes[l]
+	if !ok {
+		c = uint64(t.n)
+		t.codes[l] = c
+		t.more = append(t.more, l)
+		t.n++
+	}
+	return c
+}
+
+// label returns the label of code c.
+func (t *labelTable) label(c int) graph.ID {
+	if c < linearLabels {
+		return t.small[c]
+	}
+	return t.more[c-linearLabels]
 }
 
 // DecodeRecord parses one record payload, interning its labels into dict.
