@@ -119,8 +119,8 @@
 // write prepares its entries — packing, span, signature, interned
 // branches — before it takes a lock, and a write that then fails
 // releases what it interned. Segment recovery prepares each graph as it
-// decodes it, so only one graph at a time per segment is held in
-// compressed sparse rows. LoadText parses on one goroutine, interning
+// decodes it (Map.Prepare, as a write does), so only one graph at a time
+// per segment is held in compressed sparse rows. LoadText parses on one goroutine, interning
 // labels in input order, packs each graph and computes its branch
 // multiset on GOMAXPROCS workers, and interns the branches in input
 // order, so it numbers labels, branches and graphs exactly as a serial
@@ -217,13 +217,17 @@
 //
 // Recovery (Open on an existing directory) loads the segments in
 // parallel — a flat varint codec with a CRC-32C trailer, decoded
-// without reflection, each graph's entry built as it is decoded — then
+// without reflection, each graph prepared as it is decoded — then
 // replays each shard's log past its segment, tolerating a torn tail
 // (records are CRC-framed; an interrupted append is dropped, every
 // complete record before it survives) and failing loudly on structural
 // damage like a missing segment or a graph ID that segments list twice.
-// If anything replayed or the shard count changed (WithShards re-shards
-// on open), the recovered state is checkpointed immediately, so a clean
+// Restored graphs enter the shards through the same locked apply as a
+// live write (shard.Map.Replay: a segment per batch, a log record per
+// call), and recovery ends with one postings build per shard, in
+// parallel, so Open returns a store whose postings are complete. If
+// anything replayed or the shard count changed (WithShards re-shards on
+// open), the recovered state is checkpointed immediately, so a clean
 // Open always starts compact.
 // BenchmarkRecovery gates recovery time in CI.
 //

@@ -261,7 +261,8 @@ func importText(d *Database, path string) error {
 }
 
 // recover_ rebuilds a Database from a manifest-described directory:
-// parallel segment load, generation-ordered WAL replay, then either a
+// parallel segment load, generation-ordered WAL replay, one postings
+// build per shard (so Open returns complete postings), then either a
 // compacting checkpoint (something was replayed, or the shard count
 // changed) or a fresh-generation manifest over the existing segments.
 func recover_(dir string, o dbOptions, du *durable, man *manifest) (*Database, error) {
@@ -284,8 +285,9 @@ func recover_(dir string, o dbOptions, du *durable, man *manifest) (*Database, e
 	}
 	store := shard.NewWithDictionaries(name, n, dict, db.NewBranchDict())
 
-	// Parallel segment load: decode each graph and build its entry as it
-	// comes (packed, its branch multiset interned), then install.
+	// Parallel segment load: decode and prepare each graph as it comes
+	// (packed, its branch multiset interned), then replay the segment as
+	// one batch.
 	errs := make([]error, len(man.Segments))
 	var wg sync.WaitGroup
 	for i, seg := range man.Segments {
@@ -298,16 +300,19 @@ func recover_(dir string, o dbOptions, du *durable, man *manifest) (*Database, e
 				return
 			}
 			defer f.Close()
-			var entries []*db.Entry
-			if err := db.ReadSegmentEach(f, len(man.Labels), func(id uint64, g *graph.Graph) error {
-				entries = append(entries, db.BuildEntry(store.BranchDict(), id, g))
+			var batch []shard.Mutation
+			if err := db.ReadSegmentEach(f, len(man.Labels), func(k, n int, id uint64, g *graph.Graph) error {
+				if k == 0 {
+					batch = make([]shard.Mutation, 0, n)
+				}
+				batch = append(batch, shard.Mutation{Op: wal.OpStore, ID: id, P: store.Prepare(g)})
 				return nil
 			}); err != nil {
 				errs[i] = fmt.Errorf("gsim: segment %s: %w", seg, err)
 				return
 			}
-			if err := store.Install(entries); err != nil {
-				errs[i] = fmt.Errorf("gsim: segment %s: %w", seg, err)
+			if id, dup := store.Replay(batch); dup {
+				errs[i] = fmt.Errorf("gsim: segment %s: duplicate graph ID %d", seg, id)
 			}
 		}(i, seg)
 	}
@@ -341,12 +346,19 @@ func recover_(dir string, o dbOptions, du *durable, man *manifest) (*Database, e
 			fwg.Add(1)
 			go func(i int, path string) {
 				defer fwg.Done()
+				// One record per Replay, so the store's epoch counts the
+				// replayed records that changed it.
+				var one [1]shard.Mutation
 				nrec, err := wal.ReplayFS(du.fs, path, func(payload []byte) error {
 					rec, err := wal.DecodeRecord(payload, dict)
 					if err != nil {
 						return err
 					}
-					store.Replay(rec.Op, rec.ID, rec.G)
+					one[0] = shard.Mutation{Op: rec.Op, ID: rec.ID}
+					if rec.Op != wal.OpDelete {
+						one[0].P = store.Prepare(rec.G)
+					}
+					store.Replay(one[:])
 					return nil
 				})
 				if err != nil {
@@ -362,6 +374,7 @@ func recover_(dir string, o dbOptions, du *durable, man *manifest) (*Database, e
 			}
 		}
 	}
+	store.BuildPostings()
 
 	d := &Database{store: store, dur: du, epoch: man.Epoch}
 	if !o.noWAL {

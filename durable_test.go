@@ -3,10 +3,14 @@ package gsim
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"gsim/internal/branch"
 	"gsim/internal/db"
@@ -462,5 +466,109 @@ func TestOpenRejectsRepeatedIDs(t *testing.T) {
 				t.Fatalf("Open err = %v, want a duplicate ID naming the segment", err)
 			}
 		})
+	}
+}
+
+// staleSlots counts the slots d's shard postings do not cover yet.
+func staleSlots(d *Database) int {
+	views, _ := d.store.Views(true)
+	n := 0
+	for _, v := range views {
+		n += v.Post.Stale(len(v.Entries))
+	}
+	return n
+}
+
+// TestOpenBuildsPostings: Open returns a store whose branch postings are
+// complete. A WAL of stores, updates and deletes replays into a store with
+// no stale slot, every prefiltered search answers as the crashed database
+// did once its postings had settled, and the epoch does not go back. On
+// one shard recovery interns branches in the order the live store did, so
+// the postings are the same lists and every search reads the same
+// positions; across shards the logs replay in parallel, which renumbers
+// the branches that order a plan's equally rare lists.
+func TestOpenBuildsPostings(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { openBuildsPostings(t, shards) })
+	}
+}
+
+func openBuildsPostings(t *testing.T, shards int) {
+	dir := t.TempDir()
+	d, err := Open(dir, WithShards(shards), WithAutoCheckpoint(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	var ids []int
+	for batch := 0; batch < 6; batch++ {
+		builders := make([]*GraphBuilder, 50)
+		for i := range builders {
+			builders[i] = buildRandomGraph(d, rng, fmt.Sprintf("g%d-%d", batch, i))
+		}
+		first, err := d.StoreAll(builders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range builders {
+			ids = append(ids, first+i)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		if err := buildRandomGraph(d, rng, fmt.Sprintf("u%d", i)).Update(ids[5*i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Delete(ids[5*i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for d.store.WaitRebuilds(); staleSlots(d) != 0; d.store.WaitRebuilds() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d slots still stale 5s after the last write", staleSlots(d))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// search returns each query's matched IDs and the positions it read.
+	search := func(d *Database) (matched [][]int, visited []int) {
+		qrng := rand.New(rand.NewSource(11))
+		for i := 0; i < 30; i++ {
+			res, err := d.Search(buildRandomGraph(d, qrng, "q").Query(), SearchOptions{Method: LSAP, Tau: 2, Prefilter: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m []int
+			for _, x := range res.Matches {
+				m = append(m, x.Index)
+			}
+			slices.Sort(m)
+			matched, visited = append(matched, m), append(visited, res.Stages.Visited)
+		}
+		return matched, visited
+	}
+	wantMatched, wantVisited := search(d)
+	epoch, n := d.Epoch(), d.Len()
+
+	// Crash: abandon d with everything in its logs.
+	r, err := Open(dir, WithAutoCheckpoint(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if s := staleSlots(r); s != 0 {
+		t.Fatalf("Open returned %d stale slots", s)
+	}
+	if r.Len() != n {
+		t.Fatalf("recovered %d graphs, want %d", r.Len(), n)
+	}
+	matched, visited := search(r)
+	if !reflect.DeepEqual(matched, wantMatched) {
+		t.Fatalf("recovered searches matched %v, the crashed database %v", matched, wantMatched)
+	}
+	if shards == 1 && !slices.Equal(visited, wantVisited) {
+		t.Fatalf("recovered searches visited %v positions, the crashed database %v", visited, wantVisited)
+	}
+	if r.Epoch() < epoch {
+		t.Fatalf("recovered epoch %d, below the crashed database's %d", r.Epoch(), epoch)
 	}
 }

@@ -224,35 +224,3 @@ func (w *Workspace) Sizes() int {
 	defer w.mu.Unlock()
 	return len(w.models)
 }
-
-// Precompute builds the models and Jeffreys priors for every given size in
-// parallel — the bulk offline stage of Section V-C, which the paper runs
-// for all |V'1| values occurring in the database. workers ≤ 0 selects one
-// goroutine per size up to 8.
-func (w *Workspace) Precompute(sizes []int, workers int) {
-	if workers <= 0 {
-		workers = 8
-	}
-	if workers > len(sizes) {
-		workers = len(sizes)
-	}
-	if workers < 1 {
-		return
-	}
-	ch := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for v := range ch {
-				w.Model(v).GEDPrior()
-			}
-		}()
-	}
-	for _, v := range sizes {
-		ch <- v
-	}
-	close(ch)
-	wg.Wait()
-}

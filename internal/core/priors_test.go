@@ -131,14 +131,11 @@ func TestWorkspaceConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestPrecomputeBuildsAllSizes(t *testing.T) {
+// TestWorkspaceCachesGEDPrior: a size's model and its Jeffreys prior are
+// built once; fetching the prior again returns the same table.
+func TestWorkspaceCachesGEDPrior(t *testing.T) {
 	ws := NewWorkspace(testParams(4))
 	sizes := []int{5, 9, 13, 21, 34}
-	ws.Precompute(sizes, 3)
-	if ws.Sizes() != len(sizes) {
-		t.Fatalf("built %d models, want %d", ws.Sizes(), len(sizes))
-	}
-	// Priors are cached: fetching again must return identical tables.
 	for _, v := range sizes {
 		a := ws.Model(v).GEDPrior()
 		b := ws.Model(v).GEDPrior()
@@ -146,11 +143,8 @@ func TestPrecomputeBuildsAllSizes(t *testing.T) {
 			t.Fatalf("prior for v=%d rebuilt", v)
 		}
 	}
-	// Zero-size input is a no-op.
-	ws2 := NewWorkspace(testParams(4))
-	ws2.Precompute(nil, 0)
-	if ws2.Sizes() != 0 {
-		t.Fatal("Precompute(nil) built models")
+	if ws.Sizes() != len(sizes) {
+		t.Fatalf("built %d models, want %d", ws.Sizes(), len(sizes))
 	}
 }
 

@@ -53,7 +53,8 @@ func NewEntry(id uint64, g *graph.Graph, branches branch.Coded) *Entry {
 }
 
 // BuildEntry is NewEntry with g's branch multiset computed and interned
-// into bdict: the one way a graph is made ready to store.
+// into bdict: how the flat collection makes a graph ready to store (the
+// sharded store prepares through shard.Map.Prepare).
 func BuildEntry(bdict *BranchDict, id uint64, g *graph.Graph) *Entry {
 	return NewEntry(id, g, bdict.InternMultiset(branch.MultisetOf(g)))
 }

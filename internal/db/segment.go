@@ -20,8 +20,8 @@ import (
 // makes the per-graph cost a handful of loads instead of a gob type
 // dance. A CRC-32C trailer over the whole payload makes corruption a
 // loud Open failure rather than a quietly wrong database. Branch
-// multisets stay derived data, recomputed as each graph is decoded
-// (BuildEntry), so the format has no branch section to version.
+// multisets stay derived data, recomputed as each graph is decoded, so
+// the format has no branch section to version.
 //
 // Layout:
 //
@@ -79,7 +79,10 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 // ReadSegment decodes one segment into its IDs and graphs: ReadSegmentEach,
 // collected.
 func ReadSegment(r io.Reader, nLabels int) (ids []uint64, gs []*graph.Graph, err error) {
-	if err := ReadSegmentEach(r, nLabels, func(id uint64, g *graph.Graph) error {
+	if err := ReadSegmentEach(r, nLabels, func(i, n int, id uint64, g *graph.Graph) error {
+		if i == 0 {
+			ids, gs = make([]uint64, 0, n), make([]*graph.Graph, 0, n)
+		}
 		ids = append(ids, id)
 		gs = append(gs, g)
 		return nil
@@ -93,8 +96,10 @@ func ReadSegment(r io.Reader, nLabels int) (ids []uint64, gs []*graph.Graph, err
 // label ID against the manifest dictionary size nLabels, and every
 // graph's structure — a segment that fails here is corrupt and recovery
 // should fail loudly. It hands each graph to fn as it is decoded, with its
-// ID; the first error fn returns stops the walk and is returned.
-func ReadSegmentEach(r io.Reader, nLabels int, fn func(id uint64, g *graph.Graph) error) error {
+// ID, its position i and the segment's graph count n (bounded by the
+// segment's size, so a caller may size a slice by it); the first error fn
+// returns stops the walk and is returned.
+func ReadSegmentEach(r io.Reader, nLabels int, fn func(i, n int, id uint64, g *graph.Graph) error) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("db: reading segment: %w", err)
@@ -115,7 +120,7 @@ func ReadSegmentEach(r io.Reader, nLabels int, fn func(id uint64, g *graph.Graph
 		if g == nil {
 			return fmt.Errorf("db: segment graph %d: %w", i, c.Err())
 		}
-		if err := fn(id, g); err != nil {
+		if err := fn(i, n, id, g); err != nil {
 			return err
 		}
 	}

@@ -371,30 +371,6 @@ func (g *Graph) AvgDegree() float64 {
 	return float64(len(g.half)) / float64(len(g.vlabels))
 }
 
-// Connected reports whether g is connected (or empty).
-func (g *Graph) Connected() bool {
-	n := g.NumVertices()
-	if n == 0 {
-		return true
-	}
-	seen := make([]bool, n)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, h := range g.Neighbors(u) {
-			if !seen[h.To] {
-				seen[h.To] = true
-				count++
-				stack = append(stack, int(h.To))
-			}
-		}
-	}
-	return count == n
-}
-
 // String returns a short human-readable summary.
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph %q (|V|=%d |E|=%d)", g.Name, g.NumVertices(), g.NumEdges())

@@ -11,7 +11,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -123,18 +122,4 @@ func (l *Labels) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return len(l.strs)
-}
-
-// Names returns all interned label strings except ε, sorted.
-func (l *Labels) Names() []string {
-	l.mu.RLock()
-	out := make([]string, 0, len(l.strs)-1)
-	for i, s := range l.strs {
-		if ID(i) != Epsilon {
-			out = append(out, s)
-		}
-	}
-	l.mu.RUnlock()
-	sort.Strings(out)
-	return out
 }

@@ -76,10 +76,6 @@ func New(capacity int) *Cache {
 	}
 }
 
-// Enabled reports whether the cache can hold anything at all; callers
-// can skip key construction entirely when it cannot.
-func (c *Cache) Enabled() bool { return c.cap > 0 }
-
 // sync adopts epoch, flushing every resident entry when it moved forward.
 // It reports whether the caller's epoch is current (false = the caller
 // observed an older database version than the cache has seen).

@@ -51,17 +51,18 @@
 // # Branch postings
 //
 // Each shard also keeps index.Postings, the inverted index from branch ID
-// to slots a scan generates its candidates from. An insert costs nothing
-// (the tail grows); a delete or update logs one changed slot. Once the
-// changed slots plus the tail pass 1/rebuildFrac of the shard, a
-// goroutine rebuilds the lists from a snapshot of the entries, off the
-// shard lock, and installs them under it with the changes made since the
-// snapshot carried over. A shard left stale by writes that then stop is
-// rebuilt once it has been quiet for settleAfter.
+// to slots a scan generates its candidates from. A restore (FromCollection,
+// recovery) replays its graphs without touching the postings and ends with
+// BuildPostings, one synchronous build per shard. After that, an insert
+// costs nothing (the tail grows); a delete or update logs one changed
+// slot. Once the changed slots plus the tail pass 1/rebuildFrac of the
+// shard, a goroutine rebuilds the lists from a snapshot of the entries, off
+// the shard lock, and installs them under it with the changes made since
+// the snapshot carried over. A shard left stale by writes that then stop
+// is rebuilt once it has been quiet for settleAfter.
 package shard
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -224,12 +225,10 @@ func (m *Map) SetJournal(j Journal) { m.journal = j }
 // and an unknown or repeated ID adds nothing. Entry IDs are the
 // collection's own (its indexes), so the sharded store answers exactly
 // like the flat one, and new graphs are numbered from the collection's
-// length. The collection must not be mutated afterwards; reading it (the
-// experiment harness does) is fine.
+// length. The entries are replayed as one batch. The collection must not
+// be mutated afterwards; reading it (the experiment harness does) is fine.
 func FromCollection(col *db.Collection, ids []int, n int) *Map {
-	m := New(col.Name, n)
-	m.dict = col.Dict
-	m.bdict = col.BranchDict()
+	m := NewWithDictionaries(col.Name, n, col.Dict, col.BranchDict())
 	var listed []bool
 	if ids != nil {
 		listed = make([]bool, col.Len())
@@ -239,16 +238,15 @@ func FromCollection(col *db.Collection, ids []int, n int) *Map {
 			}
 		}
 	}
+	batch := make([]Mutation, 0, col.Len())
 	for _, e := range col.Entries() {
 		if listed == nil || listed[e.ID] {
-			m.shardOf(e.ID).insert(e, index.SpanSig(e.Labels))
+			batch = append(batch, Mutation{Op: wal.OpStore, ID: e.ID, P: Prepared{e: e, sig: index.SpanSig(e.Labels)}})
 		}
 	}
-	universe := m.bdict.Universe()
-	for _, b := range m.shards {
-		b.post = index.NewPostings(b.entries, universe)
-	}
-	m.seq.Store(uint64(col.Len()))
+	m.Replay(batch)
+	m.BuildPostings()
+	m.EnsureSeq(uint64(col.Len()))
 	return m
 }
 
@@ -436,15 +434,6 @@ func (b *bucket) replaceAt(slot int, e *db.Entry, sig uint64) *db.Entry {
 	return old
 }
 
-// bump records one mutation on b; the caller holds b.mu. The global
-// epoch moves inside the critical section so a consistent cut can never
-// observe the data change without its epoch.
-func (m *Map) bump(b *bucket) {
-	b.epoch++
-	m.gepoch.Add(1)
-	m.maintain(b)
-}
-
 // maintain looks at b's postings after a write; the caller holds b.mu.
 // Past the threshold it starts a rebuild; below it, it arms the quiet
 // timer, which rebuilds once b has gone settleAfter without a write.
@@ -508,6 +497,25 @@ func (m *Map) WaitRebuilds() {
 	}
 }
 
+// BuildPostings builds every shard's branch postings from its entries,
+// one shard per goroutine, and returns once all are installed: the last
+// step of a restore, whose Replay batches leave the postings alone. Each
+// build holds its shard's write lock.
+func (m *Map) BuildPostings() {
+	var wg sync.WaitGroup
+	for _, b := range m.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b.mu.Lock()
+			b.post = index.NewPostings(b.entries, m.bdict.Universe())
+			b.mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	m.postGen.Add(1)
+}
+
 // PostingsGen advances whenever a shard installs rebuilt postings. A cut
 // taken at an older value still answers exactly, from staler lists.
 func (m *Map) PostingsGen() uint64 { return m.postGen.Load() }
@@ -523,7 +531,7 @@ type Mutation struct {
 }
 
 // Commit applies a batch of mutations atomically and is the store's one
-// live write (Install and Replay only rebuild a recovered store). It
+// live write (Replay restores graphs through the same locked apply). It
 // reserves the inserts' IDs (contiguous from the returned first ID; the
 // store's next ID when there are none), then locks only the shards the
 // batch touches, in ascending index order, and bumps the global epoch
@@ -557,39 +565,21 @@ func (m *Map) Commit(op telemetry.MutOp, batch []Mutation) (firstID, missing uin
 	// per insert would let foreign IDs interleave into the run.
 	end := m.seq.Add(inserts)
 	firstID = end - inserts
-	var shardBuf [8]int
-	touched := shardBuf[:0]
 	next := firstID
 	for i := range batch {
-		mu := &batch[i]
-		if mu.Op == wal.OpStore {
-			mu.ID = next
+		if batch[i].Op == wal.OpStore {
+			batch[i].ID = next
 			next++
 		}
-		if mu.P.e != nil {
-			mu.P.e.ID = mu.ID
-		}
-		touched = append(touched, m.ShardIndex(mu.ID))
 	}
-	slices.Sort(touched)
-	touched = slices.Compact(touched)
-	var tokBuf [8]Token
-	toks := slices.Grow(tokBuf[:0], len(touched))[:len(touched)]
-
-	for _, i := range touched {
-		m.shards[i].mu.Lock()
-	}
-	unlock := func() {
-		for _, i := range touched {
-			m.shards[i].mu.Unlock()
-		}
-	}
+	var shardBuf [8]int
+	touched := m.lock(batch, shardBuf[:0])
 	for _, mu := range batch {
 		if mu.Op == wal.OpStore {
 			continue
 		}
 		if _, exists := m.shardOf(mu.ID).slots[mu.ID]; !exists {
-			unlock()
+			m.unlock(touched, nil)
 			m.seq.CompareAndSwap(end, firstID)
 			m.Discard(batch)
 			return 0, mu.ID, false, nil
@@ -598,6 +588,8 @@ func (m *Map) Commit(op telemetry.MutOp, batch []Mutation) (firstID, missing uin
 	// Journal the whole batch before applying any of it: an append
 	// failure then leaves the in-memory store untouched. A shard's last
 	// record is the one its durability wait names.
+	var tokBuf [8]Token
+	toks := slices.Grow(tokBuf[:0], len(touched))[:len(touched)]
 	if m.journal != nil {
 		for _, mu := range batch {
 			si := m.ShardIndex(mu.ID)
@@ -607,7 +599,7 @@ func (m *Map) Commit(op telemetry.MutOp, batch []Mutation) (firstID, missing uin
 			}
 			tok, jerr := m.journal.Append(si, mu.Op, mu.ID, g)
 			if jerr != nil {
-				unlock()
+				m.unlock(touched, nil)
 				m.Discard(batch)
 				return 0, 0, false, jerr
 			}
@@ -616,27 +608,11 @@ func (m *Map) Commit(op telemetry.MutOp, batch []Mutation) (firstID, missing uin
 		}
 	}
 	var relBuf [4]branch.Coded
-	released := relBuf[:0]
-	for _, mu := range batch {
-		if old, _ := m.shardOf(mu.ID).apply(mu.Op, mu.ID, mu.P); old != nil {
-			released = append(released, old.Branches)
-		}
-	}
+	released, _, _ := m.applyLocked(batch, touched, relBuf[:0])
 	for _, i := range touched {
-		b := m.shards[i]
-		b.epoch++
-		m.maintain(b)
+		m.maintain(m.shards[i])
 	}
-	// One global bump for the whole batch, inside the locks: a cut that
-	// read some touched shard before the batch and another after it sees
-	// the epoch move and retries.
-	m.gepoch.Add(1)
-	unlock()
-	// Release after the new state is published: compaction may run
-	// inside Release.
-	for _, c := range released {
-		m.bdict.Release(c)
-	}
+	m.unlock(touched, released)
 	for _, mu := range batch {
 		m.tele.Shards[m.ShardIndex(mu.ID)].Mutations.Add(1)
 	}
@@ -650,6 +626,94 @@ func (m *Map) Commit(op telemetry.MutOp, batch []Mutation) (firstID, missing uin
 	}
 	m.tele.Mut[op].Observe(time.Since(start))
 	return firstID, 0, true, err
+}
+
+// Replay applies a restored batch — a segment's graphs, one WAL record, a
+// collection's entries — through Commit's locked apply, under the IDs its
+// mutations carry: a store or update upserts, a delete removes the ID if
+// present. It reserves no ID, journals nothing, leaves the postings to
+// BuildPostings and records no telemetry. It raises the ID sequence past
+// every stored or updated ID and reports the first store that displaced a
+// graph already stored (dup false when none did); a restore that refuses
+// repeated IDs must then discard the store. Safe to call concurrently;
+// batches that share an ID must be replayed in log order, which per-shard
+// logs give for free.
+func (m *Map) Replay(batch []Mutation) (dupID uint64, dup bool) {
+	if len(batch) == 0 {
+		return 0, false
+	}
+	top := uint64(0)
+	for _, mu := range batch {
+		if mu.Op != wal.OpDelete {
+			top = max(top, mu.ID+1)
+		}
+	}
+	m.EnsureSeq(top)
+	var shardBuf [8]int
+	var relBuf [4]branch.Coded
+	touched := m.lock(batch, shardBuf[:0])
+	released, dupID, dup := m.applyLocked(batch, touched, relBuf[:0])
+	m.unlock(touched, released)
+	return dupID, dup
+}
+
+// lock write-locks the shards batch touches, in ascending index order, and
+// returns their indexes, appended to buf.
+func (m *Map) lock(batch []Mutation, buf []int) []int {
+	for _, mu := range batch {
+		si := m.ShardIndex(mu.ID)
+		if k, found := slices.BinarySearch(buf, si); !found {
+			buf = slices.Insert(buf, k, si)
+		}
+	}
+	for _, i := range buf {
+		m.shards[i].mu.Lock()
+	}
+	return buf
+}
+
+// applyLocked runs every mutation of batch through bucket.apply; the
+// caller holds the write locks of the shards touched lists. If any
+// mutation changed the store, it bumps each touched shard's epoch and the
+// global epoch once, inside the locks: a cut that read some touched shard
+// before the batch and another after it sees the epoch move and retries.
+// It appends the branches of the entries the batch displaced to released
+// and reports the first store that displaced a stored graph.
+func (m *Map) applyLocked(batch []Mutation, touched []int, released []branch.Coded) (_ []branch.Coded, dupID uint64, dup bool) {
+	changed := false
+	for _, mu := range batch {
+		if mu.P.e != nil {
+			mu.P.e.ID = mu.ID
+		}
+		old, ch := m.shardOf(mu.ID).apply(mu.Op, mu.ID, mu.P)
+		changed = changed || ch
+		if old == nil {
+			continue
+		}
+		released = append(released, old.Branches)
+		if mu.Op == wal.OpStore && !dup {
+			dupID, dup = mu.ID, true
+		}
+	}
+	if changed {
+		for _, i := range touched {
+			m.shards[i].epoch++
+		}
+		m.gepoch.Add(1)
+	}
+	return released, dupID, dup
+}
+
+// unlock drops the locks lock took, then releases the displaced branches:
+// after the new state is published, since compaction may run inside
+// Release.
+func (m *Map) unlock(touched []int, released []branch.Coded) {
+	for _, i := range touched {
+		m.shards[i].mu.Unlock()
+	}
+	for _, c := range released {
+		m.bdict.Release(c)
+	}
 }
 
 // apply makes one mutation on b, whose write lock the caller holds: a
@@ -684,71 +748,6 @@ func (m *Map) Add(g *graph.Graph) (uint64, error) {
 func (m *Map) Delete(id uint64) (bool, error) {
 	_, _, ok, err := m.Commit(telemetry.OpDelete, []Mutation{{Op: wal.OpDelete, ID: id}})
 	return ok, err
-}
-
-// Install bulk-inserts recovered entries without journaling them — they
-// came from a snapshot segment, so they are durable already. Entries are
-// placed by their existing IDs; the ID sequence is raised past the
-// largest installed ID. Safe to call concurrently (parallel segment
-// loads Install as they decode). An ID already present, from this call
-// or an earlier one, is an error: the store is then corrupt and must be
-// discarded, since entries before the repeat stay installed.
-func (m *Map) Install(entries []*db.Entry) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	groups := make(map[*bucket][]*db.Entry, len(m.shards))
-	maxID := uint64(0)
-	for _, e := range entries {
-		b := m.shardOf(e.ID)
-		groups[b] = append(groups[b], e)
-		if e.ID > maxID {
-			maxID = e.ID
-		}
-	}
-	for b, es := range groups {
-		var err error
-		b.mu.Lock()
-		for _, e := range es {
-			if _, dup := b.slots[e.ID]; dup {
-				err = fmt.Errorf("shard: duplicate graph ID %d", e.ID)
-				break
-			}
-			b.insert(e, index.SpanSig(e.Labels))
-		}
-		m.bump(b)
-		b.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	m.EnsureSeq(maxID + 1)
-	return nil
-}
-
-// Replay applies one recovered WAL record without journaling it again,
-// through the same apply as Commit: stores and updates upsert by ID (an
-// update's target may live in a snapshot segment or earlier in the same
-// log), deletes remove if present. Safe to call concurrently for records
-// of different shards; records of one shard must be replayed in log
-// order, which per-shard logs give for free.
-func (m *Map) Replay(op wal.Op, id uint64, g *graph.Graph) {
-	var p Prepared
-	if op != wal.OpDelete {
-		p = m.Prepare(g)
-		p.e.ID = id
-		m.EnsureSeq(id + 1)
-	}
-	b := m.shardOf(id)
-	b.mu.Lock()
-	old, changed := b.apply(op, id, p)
-	if changed {
-		m.bump(b)
-	}
-	b.mu.Unlock()
-	if old != nil {
-		m.bdict.Release(old.Branches)
-	}
 }
 
 // EnsureSeq raises the ID sequence to at least n (never lowers it), so

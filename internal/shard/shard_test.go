@@ -568,3 +568,115 @@ func TestPostingsFollowWrites(t *testing.T) {
 		}
 	}
 }
+
+// refuseJournal fails the test on any journaling: a restore replays
+// records that are durable already.
+type refuseJournal struct{ t *testing.T }
+
+func (j refuseJournal) Append(shard int, op wal.Op, id uint64, g graph.Packed) (Token, error) {
+	j.t.Errorf("journaled %v of graph %d during a replay", op, id)
+	return Token{}, nil
+}
+
+func (j refuseJournal) Wait(Token) error { return nil }
+
+// TestReplay: a restored batch lands under the IDs it carries — stores
+// and updates upsert, a delete removes its ID only if present — raises
+// the ID sequence past every stored or updated ID, reports the first
+// store that displaced a stored graph, and bumps the global epoch once
+// per call that changed the store. It journals nothing, counts nothing
+// and leaves the postings alone until BuildPostings.
+func TestReplay(t *testing.T) {
+	m := New("t", 3)
+	m.SetJournal(refuseJournal{t})
+	prep := func(name string, n int, label string) Prepared { return m.Prepare(chain(m.Dict(), name, n, label)) }
+	named := func(id uint64) string {
+		if e, ok := m.Get(id); ok {
+			return e.G.Name
+		}
+		return ""
+	}
+	stale := func() int {
+		views, _ := m.Views(true)
+		checkColumns(t, views)
+		n := 0
+		for _, v := range views {
+			n += v.Post.Stale(len(v.Entries))
+		}
+		return n
+	}
+
+	ids := []uint64{40, 3, 17, 8, 25, 11}
+	batch := make([]Mutation, len(ids))
+	shards := map[int]bool{}
+	for i, id := range ids {
+		batch[i] = Mutation{Op: wal.OpStore, ID: id, P: prep(fmt.Sprintf("s%d", id), 3+i%4, "L")}
+		shards[m.ShardIndex(id)] = true
+	}
+	if len(shards) < 2 {
+		t.Fatalf("the batch touches %d shard, want several", len(shards))
+	}
+	if id, dup := m.Replay(batch); dup {
+		t.Fatalf("fresh IDs: Replay reported %d as repeated", id)
+	}
+	if m.Epoch() != 1 || m.NextID() != 41 || m.Len() != len(ids) {
+		t.Fatalf("after the stores: epoch %d, next ID %d, %d graphs; want 1, 41, %d", m.Epoch(), m.NextID(), m.Len(), len(ids))
+	}
+	for _, id := range ids {
+		if got := named(id); got != fmt.Sprintf("s%d", id) {
+			t.Fatalf("ID %d holds %q", id, got)
+		}
+	}
+
+	dead := m.BranchDict().Stats().Dead
+	dupID, dup := m.Replay([]Mutation{
+		{Op: wal.OpUpdate, ID: 50, P: prep("u50", 4, "U")},
+		{Op: wal.OpUpdate, ID: 3, P: prep("u3", 5, "U")},
+		{Op: wal.OpStore, ID: 17, P: prep("s17b", 6, "X")},
+		{Op: wal.OpStore, ID: 8, P: prep("s8b", 6, "X")},
+		{Op: wal.OpDelete, ID: 25},
+		{Op: wal.OpDelete, ID: 99},
+	})
+	if !dup || dupID != 17 {
+		t.Fatalf("Replay reported (%d, %v), want the first repeated store, 17", dupID, dup)
+	}
+	if m.Epoch() != 2 || m.NextID() != 51 || m.Len() != len(ids) {
+		t.Fatalf("after the upserts: epoch %d, next ID %d, %d graphs; want 2, 51, %d", m.Epoch(), m.NextID(), m.Len(), len(ids))
+	}
+	for id, want := range map[uint64]string{50: "u50", 3: "u3", 17: "s17b", 8: "s8b", 25: "", 99: "", 40: "s40", 11: "s11"} {
+		if got := named(id); got != want {
+			t.Fatalf("ID %d holds %q, want %q", id, got, want)
+		}
+	}
+	if m.BranchDict().Stats().Dead <= dead {
+		t.Fatal("the displaced and deleted graphs' branches were not released")
+	}
+
+	// A batch that changes nothing moves neither the epoch nor the
+	// sequence.
+	m.Replay([]Mutation{{Op: wal.OpDelete, ID: 99}})
+	m.Replay(nil)
+	if m.Epoch() != 2 || m.NextID() != 51 {
+		t.Fatalf("no-op replays: epoch %d, next ID %d; want 2, 51", m.Epoch(), m.NextID())
+	}
+
+	m.WaitRebuilds()
+	for i := range m.tele.Shards {
+		if n, r := m.tele.Shards[i].Mutations.Load(), m.tele.Shards[i].Rebuilds.Load(); n != 0 || r != 0 {
+			t.Fatalf("shard %d counted %d mutations and %d rebuilds during replay", i, n, r)
+		}
+	}
+	if stale() == 0 {
+		t.Fatal("Replay built postings")
+	}
+	m.BuildPostings()
+	if s := stale(); s != 0 {
+		t.Fatalf("%d stale slots after BuildPostings", s)
+	}
+	checkStats(t, m, "after replay")
+
+	m.SetJournal(nil)
+	if id, err := m.Add(chain(m.Dict(), "next", 3, "L")); err != nil || id != 51 {
+		t.Fatalf("Add after replay: ID %d, %v; want 51", id, err)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"time"
 	"unsafe"
 
 	"gsim/internal/dataset"
@@ -38,13 +39,17 @@ func TestResidentBytesPerGraph(t *testing.T) {
 	}
 	n := len(ds.DBGraphs)
 	ds = nil
-	heap := func() uint64 {
+	heap := func() int64 {
 		runtime.GC()
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+		return int64(ms.HeapAlloc)
 	}
+	// Earlier tests' stores stay reachable while a shard's quiet timer
+	// (armed, then re-armed once, settleAfter each) holds them; freed
+	// during the measurement, they would read as a negative growth.
+	time.Sleep(600 * time.Millisecond)
 	before := heap()
 	d := New(WithShards(2))
 	if _, err := d.LoadText(bytes.NewReader(text.Bytes())); err != nil {
@@ -56,6 +61,9 @@ func TestResidentBytesPerGraph(t *testing.T) {
 	runtime.KeepAlive(&text)
 	if d.Len() != n {
 		t.Fatalf("loaded %d graphs, want %d", d.Len(), n)
+	}
+	if after < before {
+		t.Fatalf("heap shrank while loading %d graphs: %d bytes before, %d after", n, before, after)
 	}
 	per := float64(after-before) / float64(n)
 	t.Logf("%d graphs: %.0f heap bytes per stored graph", n, per)
