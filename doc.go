@@ -156,7 +156,7 @@
 // an in-flight scan can never mis-match a recycled ID.
 //
 // A search takes a consistent cut of per-shard snapshots at prepare time
-// (optimistic epoch double-read, shard-locked fallback) and scans it
+// (every shard read-locked while their headers are copied) and scans it
 // lock-free: the shards' views are laid end to end by prefix sums — no
 // column is copied — the scan engine scatters range claims across them,
 // each claim read view by view in place, and the gather side orders
@@ -168,9 +168,8 @@
 // keys against the live dictionary, and a compaction can retire keys
 // only the just-deleted graph held) — a racing scan can see a deletion
 // early, never a spurious match. The
-// global epoch derives from the shard epochs (one advance per mutation
-// batch), so a result computed at epoch E is current exactly while
-// Epoch() == E. SaveText writes one
+// global epoch advances once per mutation batch, so a result computed at
+// epoch E is current exactly while Epoch() == E. SaveText writes one
 // logical collection in ID order, so .gsim files are interchangeable
 // across shard counts, re-sharded on load.
 //

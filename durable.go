@@ -736,10 +736,14 @@ func (d *Database) startCheckpointer() {
 	}()
 }
 
-// Close checkpoints the database one last time, closes every WAL writer
-// and stops the background checkpointer. Mutations after Close fail;
-// Close is idempotent and a no-op for in-memory databases.
+// Close stops the store's postings upkeep (its quiet timers and the
+// builds in flight) and, for a durable database, checkpoints it one last
+// time, closes every WAL writer and stops the background checkpointer.
+// Mutations of a durable database fail after Close; an in-memory one
+// stays usable, but its later writes leave its postings stale. Close is
+// idempotent.
 func (d *Database) Close() error {
+	d.store.Close()
 	du := d.dur
 	if du == nil {
 		return nil

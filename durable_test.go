@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -523,7 +524,7 @@ func openBuildsPostings(t *testing.T, shards int) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for d.store.WaitRebuilds(); staleSlots(d) != 0; d.store.WaitRebuilds() {
+	for staleSlots(d) != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d slots still stale 5s after the last write", staleSlots(d))
 		}
@@ -570,5 +571,59 @@ func openBuildsPostings(t *testing.T, shards int) {
 	}
 	if r.Epoch() < epoch {
 		t.Fatalf("recovered epoch %d, below the crashed database's %d", r.Epoch(), epoch)
+	}
+}
+
+// TestCloseLeavesNothingRunning: Close stops every shard's quiet timer and
+// waits for the postings builds in flight, in memory and on disk alike. A
+// few stores below the rebuild threshold arm the timers; after Close,
+// called twice, no shard installs a build for twice the timer's 250 ms,
+// and the goroutine count returns to what it was before the database was
+// made.
+func TestCloseLeavesNothingRunning(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			procs := runtime.NumGoroutine()
+			var d *Database
+			if !durable {
+				d = New(WithShards(2))
+			} else if open, err := Open(t.TempDir(), WithShards(2)); err != nil {
+				t.Fatal(err)
+			} else {
+				d = open
+			}
+			rng := rand.New(rand.NewSource(3))
+			for i := 0; i < 6; i++ {
+				if _, err := buildRandomGraph(d, rng, fmt.Sprintf("g%d", i)).Store(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if staleSlots(d) == 0 {
+				t.Fatal("the stores left no stale slot, so no timer is armed")
+			}
+			for i := 0; i < 2; i++ {
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rebuilds := func() (n uint64) {
+				for k := range d.StoreTelemetry().Shards {
+					n += d.StoreTelemetry().Shards[k].Rebuilds.Load()
+				}
+				return n
+			}
+			before := rebuilds()
+			time.Sleep(500 * time.Millisecond)
+			if after := rebuilds(); after != before {
+				t.Fatalf("the shards installed %d postings builds after Close", after-before)
+			}
+			// The runtime counts a goroutine until it has finished exiting.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > procs; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines before the database, %d after Close", procs, runtime.NumGoroutine())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

@@ -107,15 +107,18 @@ func uvarintLen(x uint32) int {
 	return n
 }
 
-// NewLog starts the change log of a rebuild whose snapshot holds n slots:
-// the changes made after the snapshot, which the rebuilt lists cannot see
-// and Carry hands over when they are installed.
-func NewLog(n int) Postings { return Postings{tail: n} }
-
-// Carry returns p with log's change list and tail: the lists built from a
-// snapshot, made current by the changes logged since it was taken.
-func (p Postings) Carry(log Postings) Postings {
-	p.changed, p.tail = log.changed, log.tail
+// Rebase returns p, the lists built from the shard's entries snap, made
+// current for the shard's entries now, cur: below both lengths a slot
+// whose entry is not snap's is changed, and every slot from the shorter
+// length on is tail. Comparing entry pointers is exact: an entry is never
+// stored twice, and snap keeps the entries it holds alive.
+func (p Postings) Rebase(snap, cur []*db.Entry) Postings {
+	p.tail, p.changed = min(len(snap), len(cur)), nil
+	for slot, e := range cur[:p.tail] {
+		if e != snap[slot] {
+			p.changed = append(p.changed, uint32(slot))
+		}
+	}
 	return p
 }
 

@@ -12,16 +12,18 @@ import (
 
 // FuzzCandidates drives a shard's postings through the input's op stream
 // — appends, swap-removes, replacements, and rebuilds that snapshot the
-// shard, keep logging while further ops land, and install with the log
-// carried over — over small branch multisets, and after every op plans
-// the input's query and marks its candidates segment by segment, at
-// several segment lengths. The candidates must contain every slot that
-// shares at least minShared branches with the query at a size inside
-// [lo, lo+span] (brute force), and every slot when minShared ≤ 0. Query
-// bytes from 240 up are ephemeral IDs, which no list holds. The seeds
+// shard, let further ops land, and install the lists built from the
+// snapshot rebased on the shard as it then is — over small branch
+// multisets, and after every op plans the input's query and marks its
+// candidates segment by segment, at several segment lengths. The
+// candidates must contain every slot that shares at least minShared
+// branches with the query at a size inside [lo, lo+span] (brute force),
+// and every slot when minShared ≤ 0. Query bytes from 240 up are
+// ephemeral IDs, which no list holds. The seeds
 // under testdata/fuzz/FuzzCandidates are an empty shard, appends only,
-// churn across an in-flight rebuild, a query past every list, and a
-// swap-remove after a rebuild.
+// churn across an in-flight rebuild, a query past every list, a
+// swap-remove after a rebuild, and a shard that shrinks below its
+// snapshot's length and grows past it before the install.
 func FuzzCandidates(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops, query []byte, shared, lo, span uint8) {
 		q := make(branch.IDs, len(query))
@@ -37,8 +39,7 @@ func FuzzCandidates(f *testing.F) {
 		var (
 			entries []*db.Entry
 			post    Postings
-			snap    []*db.Entry
-			log     *Postings
+			snap    []*db.Entry // the in-flight rebuild's snapshot, nil when none
 		)
 		check := func() {
 			var ps Probes
@@ -99,22 +100,14 @@ func FuzzCandidates(f *testing.F) {
 				entries[slot] = entries[n-1]
 				entries = entries[:n-1]
 				post.Removed(slot, n)
-				if log != nil {
-					log.Removed(slot, n)
-				}
 			case op == 3 && len(entries) > 0:
 				slot := next() % len(entries)
 				entries[slot] = db.NewEntry(0, &graph.Graph{}, multiset())
 				post.Replaced(slot)
-				if log != nil {
-					log.Replaced(slot)
-				}
-			case op == 4 && log == nil:
-				snap = slices.Clone(entries)
-				l := NewLog(len(snap))
-				log = &l
-			case op == 5 && log != nil:
-				post, log = BuildPostings(snap).Carry(*log), nil
+			case op == 4 && snap == nil:
+				snap = append(make([]*db.Entry, 0, len(entries)), entries...)
+			case op == 5 && snap != nil:
+				post, snap = BuildPostings(snap).Rebase(snap, entries), nil
 			}
 			check()
 		}

@@ -1,9 +1,9 @@
 // Package shard is the partitioned, mutable storage layer behind
 // gsim.Database: a Map hashes stable graph IDs onto N shards, each owning
-// its entry slice and the columns beside it, an epoch counter and a
-// mutation lock — so ingest, delete and update on different shards
-// proceed concurrently, and a search scatter-gathers over per-shard
-// snapshots instead of serialising behind one collection-wide mutex.
+// its entry slice, the columns beside it and a mutation lock — so ingest,
+// delete and update on different shards proceed concurrently, and a search
+// scatter-gathers over per-shard snapshots instead of serialising behind
+// one collection-wide mutex.
 //
 // # Identity
 //
@@ -23,20 +23,18 @@
 // Readers never block writers for long: a snapshot copies slice headers
 // under the shard read lock, and mutations publish fresh slices on
 // delete/update (append-only inserts extend in place, which existing
-// snapshot headers cannot observe). A Views call assembles a consistent
-// cut across all shards by optimistic double-read of the global epoch,
-// which a batch bumps once while it still holds its locks, so a cut
-// that saw part of a batch retries; after cutRetries it falls back to
-// read-locking every shard.
+// snapshot headers cannot observe). A Views call read-locks every shard,
+// in the same ascending order, for as long as it takes to copy their
+// headers, so a cut sees each batch whole or not at all.
 //
 // # Epochs
 //
-// Each shard counts its own mutations; the global epoch advances (inside
-// the batch's critical section) whenever any shard epoch does, once per
-// batch however many shards the batch touched. The counter is strictly
-// monotonic, equal observations imply an identical store state, and a
-// consistent cut labels the snapshot with the exact epoch its data
-// corresponds to, which every search result reports.
+// The global epoch advances once per batch that changed the store,
+// inside the batch's critical section, however many shards the batch
+// touched. The counter is strictly monotonic, equal observations imply an
+// identical store state, and a consistent cut labels the snapshot with
+// the exact epoch its data corresponds to, which every search result
+// reports.
 //
 // # Prefilter
 //
@@ -51,15 +49,18 @@
 // # Branch postings
 //
 // Each shard also keeps index.Postings, the inverted index from branch ID
-// to slots a scan generates its candidates from. A restore (FromCollection,
-// recovery) replays its graphs without touching the postings and ends with
-// BuildPostings, one synchronous build per shard. After that, an insert
-// costs nothing (the tail grows); a delete or update logs one changed
-// slot. Once the changed slots plus the tail pass 1/rebuildFrac of the
-// shard, a goroutine rebuilds the lists from a snapshot of the entries, off
-// the shard lock, and installs them under it with the changes made since
-// the snapshot carried over. A shard left stale by writes that then stop
-// is rebuilt once it has been quiet for settleAfter.
+// to slots a scan generates its candidates from. An insert costs nothing
+// (the tail grows); a delete or update marks one changed slot. One build
+// makes them current again: it snapshots a shard's entries, builds the
+// lists off the lock and installs them under it, rebased on the writes
+// made meanwhile, and whoever needs it runs it and waits for it. A
+// restore (FromCollection, recovery) replays its graphs without touching
+// the postings and ends with BuildPostings, a build of every shard. A
+// Commit that leaves a shard's changed slots plus tail past 1/rebuildFrac
+// of it builds that shard once its locks drop. Every other write that
+// leaves a shard stale re-arms the shard's quiet timer, which builds it
+// once the shard has gone settleAfter without one. Close stops the timers
+// and waits for the builds in flight.
 package shard
 
 import (
@@ -79,15 +80,11 @@ import (
 	"gsim/internal/wal"
 )
 
-// cutRetries bounds the optimistic consistent-cut loop in Views before it
-// falls back to locking every shard.
-const cutRetries = 4
-
 const (
-	// rebuildFrac and rebuildMin set when a shard's postings are rebuilt:
-	// once the slots every query must decide (changed plus tail) pass
-	// max(rebuildMin, len/rebuildFrac). A rebuild reads every branch of the
-	// shard, so it runs about once per len/rebuildFrac writes.
+	// rebuildFrac and rebuildMin set when a Commit rebuilds a shard's
+	// postings: once the slots every query must decide (changed plus tail)
+	// pass max(rebuildMin, len/rebuildFrac). A rebuild reads every branch
+	// of the shard, so it runs about once per len/rebuildFrac writes.
 	rebuildFrac = 8
 	rebuildMin  = 16
 	// settleAfter is how long a shard with stale postings must go without
@@ -129,10 +126,11 @@ type Map struct {
 
 	sizes atomic.Pointer[sizesCache] // memoised DistinctSizes per epoch
 
-	// postGen advances whenever a shard installs rebuilt postings, and
-	// rebuilding counts the rebuilds in flight.
-	postGen    atomic.Uint64
-	rebuilding atomic.Int64
+	// postGen advances whenever a shard installs built postings. builds
+	// counts the builds in flight, and closed refuses new ones (Close).
+	postGen atomic.Uint64
+	builds  sync.WaitGroup
+	closed  atomic.Bool
 
 	// tele holds the store's telemetry: mutation-latency histograms per
 	// op kind plus per-shard scanned/pruned/mutation counters (the scan
@@ -169,18 +167,15 @@ type bucket struct {
 	// slot.
 	asc   int
 	slots map[uint64]int // graph ID → position in entries
-	epoch uint64         // mutations on this shard; guarded by mu
 	st    db.Tally       // this shard's contribution to the store statistics
 
-	// post is the shard's branch postings. While a rebuild is in flight,
-	// next logs the changes made since its snapshot. settle is the quiet
-	// timer, armed while the postings are stale and no rebuild runs;
-	// settleEpoch is the epoch it last saw.
-	post        index.Postings
-	next        *index.Postings
-	settle      *time.Timer
-	settleEpoch uint64
-	counters    *telemetry.ShardCounters
+	// post is the shard's branch postings, and building is set while a
+	// build of them is in flight. settle is the quiet timer, re-armed by
+	// every write that leaves the postings stale.
+	post     index.Postings
+	building bool
+	settle   *time.Timer
+	counters *telemetry.ShardCounters
 }
 
 // Shards normalises a shard-count choice: n ≤ 0 selects GOMAXPROCS.
@@ -401,9 +396,6 @@ func (b *bucket) removeAt(slot int) *db.Entry {
 	b.entries, b.ids, b.sizes, b.sigs = fresh, ids, sizes, sigs
 	b.asc = min(b.asc, slot)
 	b.post.Removed(slot, n)
-	if b.next != nil {
-		b.next.Removed(slot, n)
-	}
 	b.st.Remove(victim.Labels)
 	return victim
 }
@@ -426,94 +418,96 @@ func (b *bucket) replaceAt(slot int, e *db.Entry, sig uint64) *db.Entry {
 	sigs[slot] = sig
 	b.entries, b.sizes, b.sigs = fresh, sizes, sigs
 	b.post.Replaced(slot)
-	if b.next != nil {
-		b.next.Replaced(slot)
-	}
 	b.st.Remove(old.Labels)
 	b.st.Add(e.Labels)
 	return old
 }
 
-// maintain looks at b's postings after a write; the caller holds b.mu.
-// Past the threshold it starts a rebuild; below it, it arms the quiet
-// timer, which rebuilds once b has gone settleAfter without a write.
-func (m *Map) maintain(b *bucket) {
+// maintain looks at b's postings after a write; the caller holds b.mu. It
+// reports whether they are past the threshold with no build in flight, so
+// the caller builds b once its locks drop; otherwise a write that left
+// them stale re-arms the quiet timer.
+func (m *Map) maintain(b *bucket) bool {
 	n := len(b.entries)
 	stale := b.post.Stale(n)
+	if stale > max(rebuildMin, n/rebuildFrac) && !b.building {
+		return true
+	}
+	if stale > 0 {
+		m.arm(b)
+	}
+	return false
+}
+
+// arm (re)starts b's quiet timer, which builds b settleAfter from now; the
+// caller holds b.mu. A closed store arms nothing.
+func (m *Map) arm(b *bucket) {
 	switch {
-	case b.next != nil || stale == 0:
-	case stale > max(rebuildMin, n/rebuildFrac):
-		m.rebuild(b)
+	case m.closed.Load():
 	case b.settle == nil:
-		b.settleEpoch = b.epoch
-		b.settle = time.AfterFunc(settleAfter, func() { m.settled(b) })
-	}
-}
-
-// settled is the quiet timer: a shard written to since it was armed
-// waits another settleAfter, a quiet one with stale postings rebuilds.
-func (m *Map) settled(b *bucket) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.epoch != b.settleEpoch {
-		b.settleEpoch = b.epoch
+		b.settle = time.AfterFunc(settleAfter, func() { m.build(b) })
+	default:
 		b.settle.Reset(settleAfter)
-		return
-	}
-	b.settle = nil
-	if b.next == nil && b.post.Stale(len(b.entries)) > 0 {
-		m.rebuild(b)
 	}
 }
 
-// rebuild starts a postings rebuild of b from a snapshot of its entries;
-// the caller holds b.mu. The lists are built off the lock and installed
-// under it, with the changes logged since the snapshot carried over. The
-// goroutine ends once it has installed them; b.next marks the one that
-// may run per shard, and WaitRebuilds waits for them all.
-func (m *Map) rebuild(b *bucket) {
-	snap := b.entries
-	log := index.NewLog(len(snap))
-	b.next = &log
-	m.rebuilding.Add(1)
-	go func() {
-		defer m.rebuilding.Add(-1)
-		// The universe, read after the snapshot, bounds its branch IDs.
-		built := index.NewPostings(snap, m.bdict.Universe())
-		b.mu.Lock()
-		b.post, b.next = built.Carry(*b.next), nil
-		m.postGen.Add(1)
-		b.counters.Rebuilds.Add(1)
-		m.maintain(b)
-		b.mu.Unlock()
-	}()
-}
-
-// WaitRebuilds blocks until no postings rebuild is in flight, for callers
-// that want every shard's postings installed before they look.
-func (m *Map) WaitRebuilds() {
-	for m.rebuilding.Load() > 0 {
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// BuildPostings builds every shard's branch postings from its entries,
-// one shard per goroutine, and returns once all are installed: the last
-// step of a restore, whose Replay batches leave the postings alone. Each
-// build holds its shard's write lock.
-func (m *Map) BuildPostings() {
+// build builds the branch postings of shards, one goroutine each, and
+// returns once all are installed. Each snapshots its shard's entries under
+// the lock, builds the lists off it, and installs them under it rebased on
+// the writes made meanwhile (index.Postings.Rebase), so no read waits on a
+// build. A shard with no stale slot, or whose build is in flight already,
+// is skipped, and a closed store builds nothing.
+func (m *Map) build(shards ...*bucket) {
 	var wg sync.WaitGroup
-	for _, b := range m.shards {
+	for _, b := range shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			b.mu.Lock()
-			b.post = index.NewPostings(b.entries, m.bdict.Universe())
+			if b.building || m.closed.Load() || b.post.Stale(len(b.entries)) == 0 {
+				b.mu.Unlock()
+				return
+			}
+			// Counted under the lock Close takes after closing the store, so
+			// Close waits for every build it did not refuse.
+			m.builds.Add(1)
+			defer m.builds.Done()
+			snap := b.entries
+			b.building = true
+			b.mu.Unlock()
+			// The universe, read after the snapshot, bounds its branch IDs.
+			built := index.NewPostings(snap, m.bdict.Universe())
+			b.mu.Lock()
+			b.post, b.building = built.Rebase(snap, b.entries), false
+			m.postGen.Add(1)
+			b.counters.Rebuilds.Add(1)
+			if b.post.Stale(len(b.entries)) > 0 {
+				m.arm(b)
+			}
 			b.mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	m.postGen.Add(1)
+}
+
+// BuildPostings builds every shard's branch postings and returns once
+// they are installed: the last step of a restore, whose Replay batches
+// leave the postings alone.
+func (m *Map) BuildPostings() { m.build(m.shards...) }
+
+// Close stops the shards' quiet timers and waits for the postings builds
+// in flight; no build starts after it. The store stays readable and
+// writable, but the postings of later writes stay stale. Idempotent.
+func (m *Map) Close() {
+	m.closed.Store(true)
+	for _, b := range m.shards {
+		b.mu.Lock()
+		if b.settle != nil {
+			b.settle.Stop()
+		}
+		b.mu.Unlock()
+	}
+	m.builds.Wait()
 }
 
 // PostingsGen advances whenever a shard installs rebuilt postings. A cut
@@ -539,7 +533,9 @@ type Mutation struct {
 // batch. On an update or delete of an unknown ID nothing changes: the
 // missing ID is returned with ok false, the reserved IDs are handed back
 // unless a later batch reserved past them, and the prepared graphs are
-// discarded, as they are on a journal append error.
+// discarded, as they are on a journal append error. A touched shard
+// whose postings the batch left past the rebuild threshold, with no build
+// of them in flight, is built once the locks drop, before Commit returns.
 //
 // With a journal attached, every record of the batch is journaled before
 // any is applied, and Commit returns once all of them are durable; a wait
@@ -608,11 +604,18 @@ func (m *Map) Commit(op telemetry.MutOp, batch []Mutation) (firstID, missing uin
 		}
 	}
 	var relBuf [4]branch.Coded
-	released, _, _ := m.applyLocked(batch, touched, relBuf[:0])
+	released, _, _ := m.applyLocked(batch, relBuf[:0])
+	var staleBuf [8]*bucket
+	stale := staleBuf[:0]
 	for _, i := range touched {
-		m.maintain(m.shards[i])
+		if b := m.shards[i]; m.maintain(b) {
+			stale = append(stale, b)
+		}
 	}
 	m.unlock(touched, released)
+	if len(stale) > 0 {
+		m.build(stale...)
+	}
 	for _, mu := range batch {
 		m.tele.Shards[m.ShardIndex(mu.ID)].Mutations.Add(1)
 	}
@@ -652,7 +655,7 @@ func (m *Map) Replay(batch []Mutation) (dupID uint64, dup bool) {
 	var shardBuf [8]int
 	var relBuf [4]branch.Coded
 	touched := m.lock(batch, shardBuf[:0])
-	released, dupID, dup := m.applyLocked(batch, touched, relBuf[:0])
+	released, dupID, dup := m.applyLocked(batch, relBuf[:0])
 	m.unlock(touched, released)
 	return dupID, dup
 }
@@ -673,13 +676,12 @@ func (m *Map) lock(batch []Mutation, buf []int) []int {
 }
 
 // applyLocked runs every mutation of batch through bucket.apply; the
-// caller holds the write locks of the shards touched lists. If any
-// mutation changed the store, it bumps each touched shard's epoch and the
-// global epoch once, inside the locks: a cut that read some touched shard
-// before the batch and another after it sees the epoch move and retries.
-// It appends the branches of the entries the batch displaced to released
+// caller holds the write locks of the shards the batch touches. If any
+// mutation changed the store, it bumps the global epoch once, inside the
+// locks, so the cut that sees the batch (Views) reads its epoch. It
+// appends the branches of the entries the batch displaced to released
 // and reports the first store that displaced a stored graph.
-func (m *Map) applyLocked(batch []Mutation, touched []int, released []branch.Coded) (_ []branch.Coded, dupID uint64, dup bool) {
+func (m *Map) applyLocked(batch []Mutation, released []branch.Coded) (_ []branch.Coded, dupID uint64, dup bool) {
 	changed := false
 	for _, mu := range batch {
 		if mu.P.e != nil {
@@ -696,9 +698,6 @@ func (m *Map) applyLocked(batch []Mutation, touched []int, released []branch.Cod
 		}
 	}
 	if changed {
-		for _, i := range touched {
-			m.shards[i].epoch++
-		}
 		m.gepoch.Add(1)
 	}
 	return released, dupID, dup
@@ -720,7 +719,7 @@ func (m *Map) unlock(touched []int, released []branch.Coded) {
 // store or update upserts p's entry under id, a delete removes id if
 // present. It returns the entry it displaced, whose branches the caller
 // releases once the locks drop, and whether b changed; the
-// caller bumps the epochs.
+// caller bumps the epoch.
 func (b *bucket) apply(op wal.Op, id uint64, p Prepared) (old *db.Entry, changed bool) {
 	slot, ok := b.slots[id]
 	switch {
@@ -797,38 +796,27 @@ func (m *Map) Get(id uint64) (*db.Entry, bool) {
 	return b.entries[slot], true
 }
 
-// View is one shard's contribution to a consistent cut: immutable slices
-// (never written after publication) plus the shard epoch they correspond
-// to. IDs, Sizes and Pre's signature column run parallel to Entries
-// (IDs[i] is Entries[i].ID, Sizes[i] its branch count); IDs[:Asc]
-// ascends strictly. Post is the shard's branch postings, which read
-// Sizes for their size window (index.Probes.Plan).
+// View is one shard's contribution to a consistent cut: immutable slices,
+// never written after publication. IDs, Sizes and Pre's signature column
+// run parallel to Entries (IDs[i] is Entries[i].ID, Sizes[i] its branch
+// count); IDs[:Asc] ascends strictly. Post is the shard's branch postings,
+// which read Sizes for their size window (index.Probes.Plan).
 type View struct {
 	Entries []*db.Entry
 	Pre     index.View
 	Post    index.Postings
-	Epoch   uint64
 	IDs     []uint64
 	Sizes   []uint32
 	Asc     int
 }
 
 // Views assembles a consistent cut across every shard: per-shard snapshot
-// slices plus the global epoch the cut corresponds to. The cut is
-// optimistic — snapshot all shards, then verify the global epoch did not
-// move — and falls back to locking every shard when mutations keep
-// winning the race. Every cut carries the prefilter's signature columns,
-// so withPre is not read: it stays because benchmark/ladder.go passes it,
-// and callers pass true.
+// slices plus the global epoch the cut corresponds to. It read-locks every
+// shard, in ascending index order as Commit locks them, while it copies
+// their headers. Every cut carries the prefilter's signature columns, so
+// withPre is not read: it stays because benchmark/ladder.go passes it, and
+// callers pass true.
 func (m *Map) Views(withPre bool) ([]View, uint64) {
-	for attempt := 0; attempt < cutRetries; attempt++ {
-		before := m.gepoch.Load()
-		views := m.snapshot()
-		if m.gepoch.Load() == before {
-			return views, before
-		}
-	}
-	// Contended: take every shard lock for a guaranteed cut.
 	for _, b := range m.shards {
 		b.mu.RLock()
 	}
@@ -843,20 +831,9 @@ func (m *Map) Views(withPre bool) ([]View, uint64) {
 	return views, epoch
 }
 
-// snapshot copies every shard's slice headers under its read lock.
-func (m *Map) snapshot() []View {
-	views := make([]View, len(m.shards))
-	for i, b := range m.shards {
-		b.mu.RLock()
-		views[i] = b.view()
-		b.mu.RUnlock()
-	}
-	return views
-}
-
 // view builds b's View; the caller holds b.mu (read suffices).
 func (b *bucket) view() View {
-	return View{Entries: b.entries, Pre: index.View{Sig: b.sigs}, Post: b.post, Epoch: b.epoch, IDs: b.ids, Sizes: b.sizes, Asc: b.asc}
+	return View{Entries: b.entries, Pre: index.View{Sig: b.sigs}, Post: b.post, IDs: b.ids, Sizes: b.sizes, Asc: b.asc}
 }
 
 // PrefilterMem sums the prefilter's footprint over the shards: their

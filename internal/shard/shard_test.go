@@ -518,12 +518,13 @@ func TestConcurrentMutations(t *testing.T) {
 	})
 }
 
-// TestPostingsFollowWrites: a bulk commit starts a rebuild that leaves no
-// stale slot once installed; a few writes below the threshold leave
-// changed and tail slots, which the shard rebuilds once it has gone
-// settleAfter without a write.
+// TestPostingsFollowWrites: a bulk commit builds its shards' postings
+// before it returns, leaving no stale slot; a few writes below the
+// threshold leave changed and tail slots, which the shard rebuilds once it
+// has gone settleAfter without a write.
 func TestPostingsFollowWrites(t *testing.T) {
 	m := New("t", 2)
+	defer m.Close()
 	batch := make([]Mutation, 400)
 	for i := range batch {
 		batch[i] = Mutation{Op: wal.OpStore, P: m.Prepare(chain(m.Dict(), fmt.Sprintf("g%d", i), 3+i%7, "L"))}
@@ -539,9 +540,8 @@ func TestPostingsFollowWrites(t *testing.T) {
 		}
 		return n
 	}
-	m.WaitRebuilds()
 	if s := stale(); s != 0 {
-		t.Fatalf("%d stale slots after the bulk commit's rebuild", s)
+		t.Fatalf("%d stale slots after the bulk commit returned", s)
 	}
 	for id := uint64(0); id < 3; id++ {
 		if _, err := m.Delete(id); err != nil {
@@ -565,6 +565,38 @@ func TestPostingsFollowWrites(t *testing.T) {
 	for i := range m.tele.Shards {
 		if r := m.tele.Shards[i].Rebuilds.Load(); r < 2 {
 			t.Fatalf("shard %d installed %d rebuilds, want the bulk one and the settling one", i, r)
+		}
+	}
+}
+
+// TestCommitBuildsPastThreshold: the Commit whose write leaves a shard's
+// stale slots past max(rebuildMin, n/rebuildFrac) has built that shard's
+// postings when it returns — no sleep, no poll — and a commit below the
+// threshold adds one stale slot, unless the quiet timer built meanwhile.
+func TestCommitBuildsPastThreshold(t *testing.T) {
+	m := New("t", 1)
+	defer m.Close()
+	stale := func() int {
+		views, _ := m.Views(true)
+		return views[0].Post.Stale(len(views[0].Entries))
+	}
+	builds := func() uint64 { return m.tele.Shards[0].Rebuilds.Load() }
+	crossed := 0
+	for i := 0; crossed < 3; i++ {
+		s, n, r := stale(), m.Len(), builds()
+		if _, err := m.Add(chain(m.Dict(), fmt.Sprintf("g%d", i), 3+i%5, "L")); err != nil {
+			t.Fatal(err)
+		}
+		if s+1 <= max(rebuildMin, (n+1)/rebuildFrac) {
+			if got := stale(); got != s+1 && builds() == r {
+				t.Fatalf("insert %d: %d stale slots, want %d", i, got, s+1)
+			}
+			continue
+		}
+		crossed++
+		if got := stale(); got != 0 || builds() == r {
+			t.Fatalf("insert %d crossed the threshold at %d graphs: %d stale slots and %d builds after it, want 0 and more than %d",
+				i, n+1, got, builds(), r)
 		}
 	}
 }
@@ -660,7 +692,6 @@ func TestReplay(t *testing.T) {
 		t.Fatalf("no-op replays: epoch %d, next ID %d; want 2, 51", m.Epoch(), m.NextID())
 	}
 
-	m.WaitRebuilds()
 	for i := range m.tele.Shards {
 		if n, r := m.tele.Shards[i].Mutations.Load(), m.tele.Shards[i].Rebuilds.Load(); n != 0 || r != 0 {
 			t.Fatalf("shard %d counted %d mutations and %d rebuilds during replay", i, n, r)

@@ -46,16 +46,17 @@ func TestResidentBytesPerGraph(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	// Earlier tests' stores stay reachable while a shard's quiet timer
-	// (armed, then re-armed once, settleAfter each) holds them; freed
-	// during the measurement, they would read as a negative growth.
+	// Earlier tests' stores that were never closed stay reachable while a
+	// shard's quiet timer holds them, settleAfter (250 ms) after their last
+	// write and for the build it starts; freed during the measurement, they
+	// would read as a negative growth. LoadText commits one batch, which
+	// builds both shards' postings before it returns.
 	time.Sleep(600 * time.Millisecond)
 	before := heap()
 	d := New(WithShards(2))
 	if _, err := d.LoadText(bytes.NewReader(text.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	d.store.WaitRebuilds()
 	after := heap()
 	runtime.KeepAlive(d)
 	runtime.KeepAlive(&text)

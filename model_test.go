@@ -216,19 +216,15 @@ func (r *modelRun) searches(d *Database, m Method, seed int64, tau int) map[stri
 // the shards' branch postings name, prefiltered or not.
 var scoringMethods = []Method{GreedySort, Seriation, GBDA}
 
-// check compares the databases with each other and with the model. With
-// settle set it first waits for the shards' postings rebuilds in flight,
-// so the searches read installed lists; without it they may read a log of
-// changed slots and a tail beside them.
-func (r *modelRun) check(label string, settle bool) {
+// check compares the databases with each other and with the model: every
+// scoring method with all set, GBDA alone without it. The searches read
+// whatever postings the writes left, lists and stale slots beside them.
+func (r *modelRun) check(label string, all bool) {
 	t := r.t
 	t.Helper()
 	for _, d := range r.dbs {
 		if d.Len() != len(r.model) {
 			t.Fatalf("%s: %d shards hold %d graphs, the model %d", label, d.NumShards(), d.Len(), len(r.model))
-		}
-		if settle {
-			d.store.WaitRebuilds()
 		}
 		views, _ := d.store.Views(true)
 		for _, v := range views {
@@ -239,7 +235,7 @@ func (r *modelRun) check(label string, settle bool) {
 	}
 	seed := r.model[r.pick()]
 	methods := scoringMethods
-	if !settle {
+	if !all {
 		methods = []Method{GBDA} // the baselines' quadratic scorers, every other check
 	}
 	for _, m := range methods {
@@ -364,7 +360,6 @@ func TestModelOpSequences(t *testing.T) {
 		}
 		rebuilds := make([]uint64, len(r.dbs))
 		for i, d := range r.dbs {
-			d.store.WaitRebuilds()
 			for k := range d.StoreTelemetry().Shards {
 				rebuilds[i] += d.StoreTelemetry().Shards[k].Rebuilds.Load()
 			}
