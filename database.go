@@ -47,7 +47,7 @@ var maxRecordBytes = wal.MaxRecordBytes
 // Storage is partitioned (internal/shard): every stored graph gets a
 // stable ID at insert time — the value reported as Match.Index and
 // accepted by Delete/Update — and is hashed onto one of N shards, each
-// with its own mutation lock, epoch counter and prefilter summaries.
+// with its own mutation lock and prefilter summaries.
 // Mutations on different shards proceed concurrently; a search takes a
 // consistent cut of per-shard snapshots at prepare time and scans it
 // lock-free, so an in-flight scan runs to completion against the state it
@@ -162,7 +162,9 @@ func (d *Database) NumShards() int { return d.store.NumShards() }
 // Len reports the number of stored graphs, all of which Search scans.
 func (d *Database) Len() int { return d.store.Len() }
 
-// Stats summarises the stored graphs.
+// Stats summarises the stored graphs, computed when called from a
+// consistent cut in ID order: O(n log n), and the figures depend only on
+// what is stored, never on the shard count or the order of the writes.
 func (d *Database) Stats() Stats { return d.store.Stats() }
 
 // Name returns the database name.

@@ -84,12 +84,12 @@
 // returns, Match.Index reports, and Delete/Update accept) and is hashed
 // onto one of N shards — N is configurable (WithShards, gsimd
 // -shards), defaulting to GOMAXPROCS. Each shard owns its entry slice
-// with an id, a size and a signature column parallel to it, an epoch
-// counter and a mutation lock. Every write — Store, Update, Delete and
-// the bulk LoadText, StoreAll and CommitAll — is one store commit that
-// locks only the shards it touches, so writes to different shards run
-// concurrently instead of serialising behind one collection-wide mutex;
-// a batch moves the epoch once while it holds its locks, which is what
+// with an id, a size and a signature column parallel to it, and a
+// mutation lock. Every write — Store, Update, Delete and the bulk
+// LoadText, StoreAll and CommitAll — is one store commit that locks only
+// the shards it touches, so writes to different shards run concurrently
+// instead of serialising behind one collection-wide mutex; a batch moves
+// the store's one epoch once while it holds its locks, which is what
 // keeps it none-or-all to every search.
 //
 // A graph being built, queried or scored whole is compressed sparse rows

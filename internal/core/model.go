@@ -253,14 +253,6 @@ func (m *Model) ReleaseInner() {
 	m.mu.Unlock()
 }
 
-// InnerCacheLen reports the number of cached ϕ entries (diagnostics and
-// the cache-retirement tests).
-func (m *Model) InnerCacheLen() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.innerCache)
-}
-
 // Lambda1 returns Λ1(τ, ϕ) = Pr[GBD = ϕ | GED = τ] (Eq. 8 / 27).
 func (m *Model) Lambda1(tau, phi int) float64 {
 	vals := m.Lambda1All(phi)

@@ -255,7 +255,7 @@ func TestLambda1ImpossiblePhi(t *testing.T) {
 			t.Fatalf("Λ1(%d,%d) = %v with τ̂=3", tau, Support(3)+1, v)
 		}
 	}
-	if n := m.InnerCacheLen(); n != 0 {
+	if n := innerCached(m); n != 0 {
 		t.Fatalf("ϕ past the support built %d inner tables", n)
 	}
 	// ϕ > v likewise.

@@ -48,8 +48,8 @@ func TestPosteriorShortCircuitLargePhi(t *testing.T) {
 		}
 	}
 	// The short circuit must not build a model for that size.
-	if s.WS.Sizes() != 0 {
-		t.Fatalf("short circuit built %d models", s.WS.Sizes())
+	if modelsBuilt(s.WS) != 0 {
+		t.Fatalf("short circuit built %d models", modelsBuilt(s.WS))
 	}
 }
 
@@ -75,8 +75,8 @@ func TestPosteriorV1UsesFixedV(t *testing.T) {
 	s := fixedPrior(t, 4)
 	s.FixedV = 25
 	_ = s.Posterior(999_999, 3) // huge pair size must be ignored
-	if s.WS.Sizes() != 1 {
-		t.Fatalf("built %d models, want 1 (fixed v)", s.WS.Sizes())
+	if modelsBuilt(s.WS) != 1 {
+		t.Fatalf("built %d models, want 1 (fixed v)", modelsBuilt(s.WS))
 	}
 	if s.String() != "GBDA-V1(v=25)" {
 		t.Fatalf("String() = %q", s.String())

@@ -158,13 +158,21 @@ func NewWorkspace(p Params) *Workspace {
 	return &Workspace{Params: p, models: make(map[int]*Model), tables: make(map[tableKey]*tableSlot)}
 }
 
-// PosteriorTable returns the cached posterior table for the searcher's
-// configuration at threshold tau, building it (with rows for every size in
-// sizes) on first use. s must have been assembled over this workspace.
-// The build — the only expensive part — runs once per configuration,
-// outside the tables mutex, so a slow build never blocks lookups of other
-// configurations; see PosteriorTable for the per-pair lookup contract.
+// PosteriorTable is Table with a size list already in hand.
 func (w *Workspace) PosteriorTable(s *Searcher, tau int, sizes []int) *PosteriorTable {
+	return w.Table(s, tau, func() []int { return sizes })
+}
+
+// Table returns the cached posterior table for the searcher's
+// configuration at threshold tau, building it on first use with rows for
+// every size sizes returns. sizes is called by that build alone, so a
+// list that costs a pass over the database is paid once per
+// configuration, not once per search. s must have been assembled over
+// this workspace. The build — the only expensive part — runs once per
+// configuration, outside the tables mutex, so a slow build never blocks
+// lookups of other configurations; see PosteriorTable for the per-pair
+// lookup contract.
+func (w *Workspace) Table(s *Searcher, tau int, sizes func() []int) *PosteriorTable {
 	if tau > w.TauMax {
 		tau = w.TauMax
 	}
@@ -176,7 +184,7 @@ func (w *Workspace) PosteriorTable(s *Searcher, tau int, sizes []int) *Posterior
 		w.tables[key] = slot
 	}
 	w.tmu.Unlock()
-	slot.once.Do(func() { slot.t.Store(NewPosteriorTable(s, tau, sizes)) })
+	slot.once.Do(func() { slot.t.Store(NewPosteriorTable(s, tau, sizes())) })
 	return slot.t.Load()
 }
 
@@ -216,11 +224,4 @@ func (w *Workspace) Model(v int) *Model {
 	}
 	w.mu.Unlock()
 	return m
-}
-
-// Sizes returns the extended sizes with built models (diagnostics).
-func (w *Workspace) Sizes() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.models)
 }

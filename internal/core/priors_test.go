@@ -101,12 +101,12 @@ func TestWorkspaceCachesModels(t *testing.T) {
 	if a != b {
 		t.Fatal("Workspace built two models for one size")
 	}
-	if ws.Sizes() != 1 {
-		t.Fatalf("Sizes() = %d", ws.Sizes())
+	if modelsBuilt(ws) != 1 {
+		t.Fatalf("built %d models, want 1", modelsBuilt(ws))
 	}
 	_ = ws.Model(18)
-	if ws.Sizes() != 2 {
-		t.Fatalf("Sizes() = %d after second size", ws.Sizes())
+	if modelsBuilt(ws) != 2 {
+		t.Fatalf("built %d models after a second size, want 2", modelsBuilt(ws))
 	}
 }
 
@@ -143,8 +143,8 @@ func TestWorkspaceCachesGEDPrior(t *testing.T) {
 			t.Fatalf("prior for v=%d rebuilt", v)
 		}
 	}
-	if ws.Sizes() != len(sizes) {
-		t.Fatalf("built %d models, want %d", ws.Sizes(), len(sizes))
+	if modelsBuilt(ws) != len(sizes) {
+		t.Fatalf("built %d models, want %d", modelsBuilt(ws), len(sizes))
 	}
 }
 
@@ -180,4 +180,18 @@ func TestGEDPriorScoreRegimes(t *testing.T) {
 	if !big.wildDeriv {
 		t.Fatal("v=1000, τ̂=30 not flagged as wild-derivative regime")
 	}
+}
+
+// modelsBuilt counts the sizes w has built a model for.
+func modelsBuilt(w *Workspace) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.models)
+}
+
+// innerCached counts m's cached ϕ entries.
+func innerCached(m *Model) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.innerCache)
 }

@@ -144,21 +144,21 @@ func TestTableRetiresInnerCache(t *testing.T) {
 	// Direct use grows the cache...
 	m := ws.Model(6)
 	_ = s.PosteriorTau(6, 2, 5)
-	if m.InnerCacheLen() == 0 {
+	if innerCached(m) == 0 {
 		t.Fatal("direct PosteriorTau left no cached inner tables — test premise broken")
 	}
 	// ...table construction folds it into rows and retires it.
 	ws.PosteriorTable(s, 5, []int{6, 8})
-	if n := m.InnerCacheLen(); n != 0 {
+	if n := innerCached(m); n != 0 {
 		t.Fatalf("inner cache holds %d entries after table build", n)
 	}
-	if n := ws.Model(8).InnerCacheLen(); n != 0 {
+	if n := innerCached(ws.Model(8)); n != 0 {
 		t.Fatalf("inner cache of second size holds %d entries after table build", n)
 	}
 	// The miss path retires too.
 	tbl := ws.PosteriorTable(s, 5, []int{6, 8})
 	_ = tbl.Posterior(9, 1)
-	if n := ws.Model(9).InnerCacheLen(); n != 0 {
+	if n := innerCached(ws.Model(9)); n != 0 {
 		t.Fatalf("inner cache holds %d entries after miss-path row build", n)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 
 	"gsim/internal/branch"
@@ -36,7 +35,7 @@ import (
 // scorers that need the whole graph, and the readers that hand a stored
 // graph out, unpack it. Labels is the graph's label span (see NewEntry):
 // its sizes and sorted label multisets, encoded for the prefilter's size
-// and label tiers and read by every column and statistic the store keeps.
+// and label tiers and read by the store's columns and by StatsOf.
 type Entry struct {
 	ID       uint64
 	G        graph.Packed
@@ -69,7 +68,6 @@ type Collection struct {
 	Dict    *graph.Labels
 	entries []*Entry
 	bdict   *BranchDict
-	st      Tally
 }
 
 // New returns an empty collection with fresh label and branch dictionaries.
@@ -78,7 +76,6 @@ func New(name string) *Collection {
 		Name:  name,
 		Dict:  graph.NewLabels(),
 		bdict: NewBranchDict(),
-		st:    NewTally(),
 	}
 }
 
@@ -86,13 +83,11 @@ func New(name string) *Collection {
 // resolves against it (ResolveMultiset) without interning.
 func (c *Collection) BranchDict() *BranchDict { return c.bdict }
 
-// Add stores g, computing and interning its branch multiset and updating
-// the collection statistics. The graph must have been built against the
-// collection's dictionary.
+// Add stores g, computing and interning its branch multiset. The graph
+// must have been built against the collection's dictionary.
 func (c *Collection) Add(g *graph.Graph) *Entry {
 	e := BuildEntry(c.bdict, uint64(len(c.entries)), g)
 	c.entries = append(c.entries, e)
-	c.st.Add(e.Labels)
 	return e
 }
 
@@ -109,9 +104,9 @@ func (c *Collection) Graph(i int) *graph.Graph { return c.entries[i].G.Unpack() 
 // Entries returns the stored entries as a point-in-time view: the caller
 // sees exactly the graphs present at call time, and entries Added later
 // never appear through the returned slice. Callers that interleave scans
-// with Adds must serialise the Entries call itself against Add (the gsim
-// layer does so with its database lock); after that the view is safe to
-// read concurrently with further Adds.
+// with Adds must serialise the Entries call itself against Add; after that
+// the view is safe to read concurrently with further Adds. (The gsim layer
+// reads a collection once, when FromCollection copies it into a store.)
 func (c *Collection) Entries() []*Entry { return c.entries }
 
 // Stats summarises the collection in the shape of the paper's Table III.
@@ -124,118 +119,39 @@ type Stats struct {
 	LE        int     // distinct edge labels
 }
 
-// Stats returns the running statistics.
-func (c *Collection) Stats() Stats { return c.st.Stats() }
+// Stats summarises the stored graphs in insertion order (StatsOf).
+func (c *Collection) Stats() Stats { return StatsOf(c.entries) }
+
+// StatsOf summarises the graphs of entries in one pass over their label
+// spans, never reading the graphs themselves. The average degree is summed
+// in the order given, so the same entries in the same order give
+// bit-identical figures.
+func StatsOf(entries []*Entry) Stats {
+	s := Stats{Graphs: len(entries)}
+	vLabels, eLabels := make(map[graph.ID]bool), make(map[graph.ID]bool)
+	sumDeg := 0.0
+	for _, e := range entries {
+		nv, ne, off := SpanSizes(e.Labels)
+		s.MaxV, s.MaxE = max(s.MaxV, nv), max(s.MaxE, ne)
+		if nv > 0 {
+			sumDeg += float64(2*ne) / float64(nv) // graph.AvgDegree
+		}
+		off = SpanRuns(e.Labels, off, nv, func(l graph.ID, _ int) { vLabels[l] = true })
+		SpanRuns(e.Labels, off, ne, func(l graph.ID, _ int) { eLabels[l] = true })
+	}
+	delete(vLabels, graph.Epsilon)
+	delete(eLabels, graph.Epsilon)
+	s.LV, s.LE = len(vLabels), len(eLabels)
+	if s.Graphs > 0 {
+		s.AvgDegree = sumDeg / float64(s.Graphs)
+	}
+	return s
+}
 
 // String renders a Table III row.
 func (s Stats) String() string {
 	return fmt.Sprintf("|D|=%d Vm=%d Em=%d d=%.1f |LV|=%d |LE|=%d",
 		s.Graphs, s.MaxV, s.MaxE, s.AvgDegree, s.LV, s.LE)
-}
-
-// Tally is the running statistics of a changing set of graphs — the
-// figures Stats reports — refcounted so Remove subtracts exactly what Add
-// added. It counts each graph from its label span, so it never reads the
-// graph itself. The maxima are the largest keys of the size histograms,
-// so a removal needs no rescan. Not safe for concurrent use.
-type Tally struct {
-	n       int
-	sumDeg  float64
-	sizes   map[int]int      // vertex-count histogram
-	edges   map[int]int      // edge-count histogram
-	vLabels map[graph.ID]int // non-ε vertex label occurrences
-	eLabels map[graph.ID]int // non-ε edge label occurrences
-}
-
-// NewTally returns an empty tally.
-func NewTally() Tally {
-	return Tally{
-		sizes:   make(map[int]int),
-		edges:   make(map[int]int),
-		vLabels: make(map[graph.ID]int),
-		eLabels: make(map[graph.ID]int),
-	}
-}
-
-// Len reports the number of graphs counted.
-func (t *Tally) Len() int { return t.n }
-
-// Add counts the graph whose label span is span.
-func (t *Tally) Add(span string) { t.count(span, 1) }
-
-// Remove uncounts the graph whose label span is span, which must have
-// been counted.
-func (t *Tally) Remove(span string) { t.count(span, -1) }
-
-func (t *Tally) count(span string, d int) {
-	nv, ne, off := SpanSizes(span)
-	t.n += d
-	if nv > 0 {
-		t.sumDeg += float64(d) * (float64(2*ne) / float64(nv)) // graph.AvgDegree
-	}
-	bump(t.sizes, nv, d)
-	bump(t.edges, ne, d)
-	off = SpanRuns(span, off, nv, func(l graph.ID, n int) {
-		if l != graph.Epsilon {
-			bump(t.vLabels, l, d*n)
-		}
-	})
-	SpanRuns(span, off, ne, func(l graph.ID, n int) {
-		if l != graph.Epsilon {
-			bump(t.eLabels, l, d*n)
-		}
-	})
-}
-
-// Merge adds o's counts to t.
-func (t *Tally) Merge(o *Tally) {
-	t.n += o.n
-	t.sumDeg += o.sumDeg
-	for k, c := range o.sizes {
-		bump(t.sizes, k, c)
-	}
-	for k, c := range o.edges {
-		bump(t.edges, k, c)
-	}
-	for k, c := range o.vLabels {
-		bump(t.vLabels, k, c)
-	}
-	for k, c := range o.eLabels {
-		bump(t.eLabels, k, c)
-	}
-}
-
-// Sizes returns the distinct vertex counts, ascending — the sizes a
-// posterior table prebuilds rows for.
-func (t *Tally) Sizes() []int {
-	out := make([]int, 0, len(t.sizes))
-	for v := range t.sizes {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Stats summarises the counted graphs.
-func (t *Tally) Stats() Stats {
-	s := Stats{Graphs: t.n, LV: len(t.vLabels), LE: len(t.eLabels)}
-	for v := range t.sizes {
-		s.MaxV = max(s.MaxV, v)
-	}
-	for e := range t.edges {
-		s.MaxE = max(s.MaxE, e)
-	}
-	if t.n > 0 {
-		s.AvgDegree = t.sumDeg / float64(t.n)
-	}
-	return s
-}
-
-// bump adds d to m[k], deleting the key when its count reaches zero.
-func bump[K comparable](m map[K]int, k K, d int) {
-	if m[k] += d; m[k] == 0 {
-		delete(m, k)
-	}
 }
 
 // SamplePairGBDs implements Steps 1.1–1.2 of the offline stage

@@ -2,7 +2,6 @@ package db
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 	"unsafe"
 
@@ -152,28 +151,5 @@ func TestInternMultisetClonesKeys(t *testing.T) {
 				t.Fatalf("trial %d: dictionary key %q points into the caller's multiset", trial, k)
 			}
 		}
-	}
-}
-
-// TestDistinctSizes: a tally's size histogram tracks Add and Remove.
-func TestDistinctSizes(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	dict := graph.NewLabels()
-	tally := NewTally()
-	var spans []string
-	for _, n := range []int{4, 7, 4, 9, 7, 7} {
-		spans = append(spans, labelSpan(randomDictGraph(rng, dict, n, 2)))
-		tally.Add(spans[len(spans)-1])
-	}
-	if got := tally.Sizes(); !slices.Equal(got, []int{4, 7, 9}) {
-		t.Fatalf("Sizes = %v, want [4 7 9]", got)
-	}
-	tally.Remove(spans[3]) // the only 9
-	tally.Remove(spans[0]) // one of two 4s
-	if got := tally.Sizes(); !slices.Equal(got, []int{4, 7}) {
-		t.Fatalf("Sizes after removals = %v, want [4 7]", got)
-	}
-	if st := tally.Stats(); st.Graphs != 4 || st.MaxV != 7 {
-		t.Fatalf("Stats after removals = %+v, want 4 graphs, MaxV 7", st)
 	}
 }

@@ -58,8 +58,9 @@ func fromEdgesSeeds(t *testing.T) []*graph.Graph {
 	return out
 }
 
-// graphStats is the statistics of gs read off the graphs themselves, in
-// the order a Tally adds them: the reference for a Tally fed spans.
+// graphStats is the statistics of gs read off the graphs themselves, the
+// average degree summed in the order given: the reference for
+// db.StatsOf over the graphs' entries in the same order.
 func graphStats(gs []*graph.Graph) db.Stats {
 	st := db.Stats{Graphs: len(gs)}
 	vl, el := map[graph.ID]bool{}, map[graph.ID]bool{}
@@ -87,9 +88,10 @@ func graphStats(gs []*graph.Graph) db.Stats {
 
 // TestSpanColumnsMatchGraph: what a shard keeps of a stored graph, read
 // off its entry's label span, is what the graph itself gives — SpanSig is
-// bit-identical to Sig, and a Tally fed the spans reports the Stats of
-// the graphs, before and after removing half of them. The graphs are the
-// AASD generator's at scale 0.05 and the FuzzFromEdges seeds.
+// bit-identical to Sig, and db.StatsOf over the entries is exactly the
+// Stats of the graphs, for all of them and for every second one. The
+// graphs are the AASD generator's at scale 0.05 and the FuzzFromEdges
+// seeds.
 func TestSpanColumnsMatchGraph(t *testing.T) {
 	cfg, err := dataset.Profile("aasd", 0.05)
 	if err != nil {
@@ -104,32 +106,24 @@ func TestSpanColumnsMatchGraph(t *testing.T) {
 		gs = append(gs, ds.Col.Graph(i))
 	}
 	gs = append(gs, fromEdgesSeeds(t)...)
-	tally := db.NewTally()
-	spans := make([]string, len(gs))
+	entries := make([]*db.Entry, len(gs))
 	for i, g := range gs {
-		spans[i] = db.NewEntry(uint64(i), g, branch.Coded{}).Labels
-		if got, want := SpanSig(spans[i]), Sig(g); got != want {
+		entries[i] = db.NewEntry(uint64(i), g, branch.Coded{})
+		if got, want := SpanSig(entries[i].Labels), Sig(g); got != want {
 			t.Fatalf("graph %d (%s): span signs to %#x, graph to %#x", i, g.Name, got, want)
 		}
-		tally.Add(spans[i])
 	}
-	if got, want := tally.Stats(), graphStats(gs); got != want {
-		t.Fatalf("span tally %+v, graphs %+v", got, want)
+	if got, want := db.StatsOf(entries), graphStats(gs); got != want {
+		t.Fatalf("span stats %#v, graphs %#v", got, want)
 	}
+	var keptEntries []*db.Entry
 	var kept []*graph.Graph
 	for i, g := range gs {
-		if i%2 == 0 {
-			tally.Remove(spans[i])
-		} else {
-			kept = append(kept, g)
+		if i%2 == 1 {
+			keptEntries, kept = append(keptEntries, entries[i]), append(kept, g)
 		}
 	}
-	got, want := tally.Stats(), graphStats(kept)
-	if d := got.AvgDegree - want.AvgDegree; d > 1e-9 || d < -1e-9 {
-		t.Fatalf("average degree %v after removals, graphs say %v", got.AvgDegree, want.AvgDegree)
-	}
-	got.AvgDegree = want.AvgDegree
-	if got != want {
-		t.Fatalf("span tally %+v after removals, graphs %+v", got, want)
+	if got, want := db.StatsOf(keptEntries), graphStats(kept); got != want {
+		t.Fatalf("span stats %#v of the kept half, graphs %#v", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package method
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"gsim/internal/branch"
@@ -72,14 +73,16 @@ func newEquivFixture(t *testing.T) *equivFixture {
 		t.Fatal(err)
 	}
 	st := stored.Stats()
-	sizes := db.NewTally()
+	var sizes []int
 	for _, e := range fx.entries {
-		sizes.Add(e.Labels)
+		sizes = append(sizes, e.Branches.Len())
 	}
+	slices.Sort(sizes)
+	sizes = slices.Compact(sizes)
 	fx.mdb = &DB{
 		ActiveN:  len(fx.entries),
 		Ordered:  func() []*db.Entry { return fx.entries },
-		Sizes:    sizes.Sizes,
+		Sizes:    func() []int { return sizes },
 		WS:       core.NewWorkspace(core.Params{LV: st.LV, LE: st.LE, TauMax: 5}),
 		GBDPrior: prior,
 		TauMax:   5,

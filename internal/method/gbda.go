@@ -53,27 +53,28 @@ func preparePosterior(d *DB, opt Options) (*core.Searcher, error) {
 // which runs under the database read lock — to the first scored pair,
 // which runs lock-free during the scan: a cold table build for a
 // collection with many distinct sizes takes real time, and paying it
-// inside the lock would stall every concurrent mutation. The inputs are
-// snapshotted at Prepare (DistinctSizes reads collection state the lock
-// protects); the once gate makes the deferred build race-free and its
-// fast path is one atomic load per pair.
+// inside the lock would hold up everything that waits on that lock (a
+// BuildPriors or LoadPriors, and every search queued behind it). The
+// size list is kept as a function and read only by the workspace's first
+// build of the table (core.Workspace.Table); the once gate makes the
+// deferred fetch race-free and its fast path is one atomic load per pair.
 type lazyTable struct {
 	once  sync.Once
 	ws    *core.Workspace
 	s     *core.Searcher
 	tau   int
-	sizes []int
+	sizes func() []int
 	t     *core.PosteriorTable
 }
 
-// newLazyTable captures the table inputs under the Prepare lock.
+// newLazyTable captures the table inputs at Prepare.
 func newLazyTable(d *DB, s *core.Searcher, opt Options) *lazyTable {
-	return &lazyTable{ws: d.WS, s: s, tau: opt.Tau, sizes: d.Sizes()}
+	return &lazyTable{ws: d.WS, s: s, tau: opt.Tau, sizes: d.Sizes}
 }
 
-// get returns the table, building it on first use.
+// get returns the table, fetching it on first use.
 func (l *lazyTable) get() *core.PosteriorTable {
-	l.once.Do(func() { l.t = l.ws.PosteriorTable(l.s, l.tau, l.sizes) })
+	l.once.Do(func() { l.t = l.ws.Table(l.s, l.tau, l.sizes) })
 	return l.t
 }
 

@@ -71,7 +71,8 @@ type DB struct {
 	// order. Implementations memoise; callers must not mutate.
 	Ordered func() []*db.Entry
 	// Sizes lists the distinct vertex counts of stored graphs, ascending —
-	// the sizes a posterior table prebuilds rows for at Prepare time.
+	// the sizes a posterior table prebuilds rows for. It is called only
+	// when a table is first built, not at every Prepare.
 	Sizes func() []int
 	// BranchUniverse is read by no scorer. It stays because
 	// benchmark/ladder.go sets it and a change there is a

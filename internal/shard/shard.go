@@ -42,9 +42,10 @@
 // stored graph: its signature word, a shard column beside ids and sizes
 // (sigs), and the label span its entry carries (db.Entry.Labels). Both are
 // computed when the entry is prepared, before any lock is taken, so every
-// cut carries the filter and no search has to build it. The columns and
-// the shard statistics read only an entry's span and branch count: a
-// stored graph stays packed (db.Entry.G) from insert to delete.
+// cut carries the filter and no search has to build it. The columns read
+// only an entry's span and branch count, and no write keeps statistics
+// (Stats computes them from a cut when asked): a stored graph stays packed
+// (db.Entry.G) from insert to delete.
 //
 // # Branch postings
 //
@@ -124,8 +125,6 @@ type Map struct {
 	seq     atomic.Uint64 // next graph ID
 	gepoch  atomic.Uint64 // global epoch: one advance per mutation batch
 
-	sizes atomic.Pointer[sizesCache] // memoised DistinctSizes per epoch
-
 	// postGen advances whenever a shard installs built postings. builds
 	// counts the builds in flight, and closed refuses new ones (Close).
 	postGen atomic.Uint64
@@ -141,12 +140,6 @@ type Map struct {
 
 // Telemetry returns the store's metric group (never nil).
 func (m *Map) Telemetry() *telemetry.StoreMetrics { return m.tele }
-
-// sizesCache is one epoch's merged distinct-size list.
-type sizesCache struct {
-	epoch uint64
-	sizes []int
-}
 
 // bucket is one shard: a slice of entries plus the structures that let
 // mutations and scans address it independently of every other shard.
@@ -167,7 +160,6 @@ type bucket struct {
 	// slot.
 	asc   int
 	slots map[uint64]int // graph ID → position in entries
-	st    db.Tally       // this shard's contribution to the store statistics
 
 	// post is the shard's branch postings, and building is set while a
 	// build of them is in flight. settle is the quiet timer, re-armed by
@@ -203,7 +195,7 @@ func NewWithDictionaries(name string, n int, dict *graph.Labels, bdict *db.Branc
 	n = Shards(n)
 	m := &Map{name: name, dict: dict, bdict: bdict, shards: make([]*bucket, n), tele: telemetry.NewStoreMetrics(n)}
 	for i := range m.shards {
-		m.shards[i] = &bucket{slots: make(map[uint64]int), st: db.NewTally(), counters: &m.tele.Shards[i]}
+		m.shards[i] = &bucket{slots: make(map[uint64]int), counters: &m.tele.Shards[i]}
 	}
 	return m
 }
@@ -293,7 +285,7 @@ func (m *Map) Len() int {
 	n := 0
 	for _, b := range m.shards {
 		b.mu.RLock()
-		n += b.st.Len()
+		n += len(b.entries)
 		b.mu.RUnlock()
 	}
 	return n
@@ -370,13 +362,11 @@ func (b *bucket) insert(e *db.Entry, sig uint64) {
 	b.sizes = append(b.sizes, uint32(e.Branches.Len()))
 	b.sigs = append(b.sigs, sig)
 	b.slots[e.ID] = len(b.entries) - 1
-	b.st.Add(e.Labels)
 }
 
 // removeAt swap-removes the entry at slot and returns it, publishing
-// fresh slices so snapshots handed to in-flight scans are never mutated,
-// and subtracts it from the shard's stats; the caller holds b.mu and is
-// responsible for refcounts and epochs.
+// fresh slices so snapshots handed to in-flight scans are never mutated;
+// the caller holds b.mu and is responsible for refcounts and epochs.
 func (b *bucket) removeAt(slot int) *db.Entry {
 	n := len(b.entries)
 	victim := b.entries[slot]
@@ -396,15 +386,13 @@ func (b *bucket) removeAt(slot int) *db.Entry {
 	b.entries, b.ids, b.sizes, b.sigs = fresh, ids, sizes, sigs
 	b.asc = min(b.asc, slot)
 	b.post.Removed(slot, n)
-	b.st.Remove(victim.Labels)
 	return victim
 }
 
 // replaceAt swaps a new entry, whose signature word is sig, into slot
 // (same ID, new graph) and returns the one it displaced, publishing fresh
-// slices — the ids column stays, the ID does — and moving the shard's
-// stats from the old graph to the new; the caller holds b.mu and is
-// responsible for refcounts and epochs.
+// slices — the ids column stays, the ID does; the caller holds b.mu and
+// is responsible for refcounts and epochs.
 func (b *bucket) replaceAt(slot int, e *db.Entry, sig uint64) *db.Entry {
 	old := b.entries[slot]
 	fresh := make([]*db.Entry, len(b.entries))
@@ -418,8 +406,6 @@ func (b *bucket) replaceAt(slot int, e *db.Entry, sig uint64) *db.Entry {
 	sigs[slot] = sig
 	b.entries, b.sizes, b.sigs = fresh, sizes, sigs
 	b.post.Replaced(slot)
-	b.st.Remove(old.Labels)
-	b.st.Add(e.Labels)
 	return old
 }
 
@@ -881,44 +867,25 @@ func (m *Map) SamplePairGBDs(n int, seed int64) []float64 {
 	return db.SamplePairGBDsEntries(m.Ordered(), n, seed)
 }
 
-// tally merges the per-shard statistics. Label and size counts are
-// refcounted per shard, so deletes subtract exactly; the merged
-// distinct-label counts are unions, not sums.
-func (m *Map) tally() *db.Tally {
-	t := db.NewTally()
-	for _, b := range m.shards {
-		b.mu.RLock()
-		t.Merge(&b.st)
-		b.mu.RUnlock()
-	}
-	return &t
-}
-
 // Stats summarises the stored graphs in the shape of the paper's
-// Table III.
-func (m *Map) Stats() db.Stats { return m.tally().Stats() }
+// Table III, computed from a consistent cut in ID order (db.StatsOf), so
+// the figures depend only on what is stored, never on the shard layout or
+// the order of the writes. O(n log n): it reads every label span.
+func (m *Map) Stats() db.Stats { return db.StatsOf(m.Ordered()) }
 
 // DistinctSizes returns the ascending distinct vertex counts of stored
-// graphs — the sizes a posterior table prebuilds rows for. The merge is
-// memoised per epoch (search preparation calls this on every GBDA-family
-// prepare); callers must not mutate the returned slice. The epoch is
-// read before the merge, so a racing mutation at worst stores a
-// conservative entry that the next call rebuilds.
+// graphs, read off a consistent cut's Sizes columns — the sizes a
+// posterior table prebuilds rows for. O(n log n).
 func (m *Map) DistinctSizes() []int {
-	epoch := m.gepoch.Load()
-	if c := m.sizes.Load(); c != nil && c.epoch == epoch {
-		return c.sizes
-	}
+	views, _ := m.Views(true)
 	var out []int
-	for _, b := range m.shards {
-		b.mu.RLock()
-		out = append(out, b.st.Sizes()...)
-		b.mu.RUnlock()
+	for _, v := range views {
+		for _, n := range v.Sizes {
+			out = append(out, int(n))
+		}
 	}
 	slices.Sort(out)
-	out = slices.Compact(out)
-	m.sizes.Store(&sizesCache{epoch: epoch, sizes: out})
-	return out
+	return slices.Compact(out)
 }
 
 // ShardSizes reports the current entry count of every shard — placement

@@ -133,7 +133,8 @@ func WithRecoveryBackoff(min, max time.Duration) Option {
 }
 
 // New creates an in-memory database — no directory, no WAL, no
-// checkpoints (Checkpoint returns ErrNotDurable; Close is a no-op).
+// checkpoints (Checkpoint returns ErrNotDurable; Close only stops the
+// shards' postings timers and waits for builds in flight).
 func New(opts ...Option) *Database {
 	o := applyOptions(opts)
 	if o.name == "" {
