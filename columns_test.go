@@ -26,9 +26,7 @@ import (
 // projection with its entries, slot for slot, and each span with its view.
 func checkProjectionColumns(t *testing.T, d *Database) *projection {
 	t.Helper()
-	d.mu.RLock()
 	p := d.projection()
-	d.mu.RUnlock()
 	for vi, v := range p.views {
 		if len(v.IDs) != len(v.Entries) || len(v.Sizes) != len(v.Entries) || v.Pre.Len() != len(v.Entries) {
 			t.Fatalf("view %d: %d ids, %d sizes, %d signatures for %d entries", vi, len(v.IDs), len(v.Sizes), v.Pre.Len(), len(v.Entries))

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"gsim/internal/branch"
 	"gsim/internal/core"
@@ -62,13 +63,9 @@ type Database struct {
 	dur    *durable   // persistence state; nil for an in-memory database
 	health health     // degraded-mode state machine (health.go); zero value = healthy
 
-	// mu guards the offline artifacts and the epoch component their
-	// refits advance; the store synchronises itself.
-	mu       sync.RWMutex
-	epoch    uint64 // db-level component: prior fits (plus the recovered floor)
-	tauMax   int
-	ws       *core.Workspace
-	gbdPrior *core.GBDPrior
+	// pri holds the offline artifacts, replaced whole by every prior fit
+	// (see offline); the store synchronises itself.
+	pri atomic.Pointer[priors]
 
 	// apMu guards the cached scan projection: prepare reuses it until a
 	// mutation moves the store epoch (see Database.projection in
@@ -121,11 +118,7 @@ func (p *projection) len() int { return p.starts[len(p.views)] }
 // with no mutations, so a result computed in between is still current.
 // The value combines the db-level epoch (prior fits) with the sharded
 // store's own mutation counter.
-func (d *Database) Epoch() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.epoch + d.store.Epoch()
-}
+func (d *Database) Epoch() uint64 { return d.offline().epoch + d.store.Epoch() }
 
 // FromCollection wraps an existing internal collection — the bridge used by
 // the experiment harness and dataset generators, which assemble collections
@@ -752,15 +745,53 @@ type OfflineConfig struct {
 // ErrNoPriors is returned by GBDA-family searches before BuildPriors.
 var ErrNoPriors = method.ErrNoPriors
 
+// priors is the offline artifacts of the GBDA search as one immutable
+// value: a fit builds a new one and installs it whole, and a reader loads
+// it once, so whatever it reads comes from one fit. The zero value is a
+// database with no priors.
+type priors struct {
+	epoch    uint64 // db-level epoch component: prior fits (plus the recovered floor)
+	tauMax   int
+	ws       *core.Workspace // nil before BuildPriors or LoadPriors
+	gbdPrior *core.GBDPrior
+}
+
+// offline returns the installed priors: the zero value when none are.
+func (d *Database) offline() *priors {
+	if p := d.pri.Load(); p != nil {
+		return p
+	}
+	return &noPriors
+}
+
+// noPriors is what a database reads before anything is installed.
+var noPriors priors
+
+// install makes p the database's priors, one epoch past the ones it
+// replaces. Racing installs each advance the epoch: a lost swap retries
+// against the value that won it.
+func (d *Database) install(p priors) {
+	for {
+		old := d.pri.Load()
+		p.epoch = 1
+		if old != nil {
+			p.epoch = old.epoch + 1
+		}
+		if d.pri.CompareAndSwap(old, &p) {
+			return
+		}
+	}
+}
+
 // BuildPriors runs the offline stage: it samples graph pairs, computes
 // their GBDs, fits the Gaussian-mixture GBD prior (Λ2, Section V-B) and
 // prepares the model workspace whose per-size Jeffreys priors (Λ3,
 // Section V-C) are filled lazily as sizes are encountered.
 // The sample is drawn from a point-in-time snapshot of the store (ID
-// order) and the fit runs without holding the database write lock, so
-// concurrent inserts and searches proceed during the offline stage;
-// graphs stored mid-fit simply miss the sample (the priors are
-// statistical). Only the final artifact install takes the write lock.
+// order) and the fit takes no lock, so concurrent inserts and searches
+// proceed during the offline stage; graphs stored mid-fit simply miss the
+// sample (the priors are statistical). A search prepared before the
+// install uses the old priors, one prepared after it the new ones.
 func (d *Database) BuildPriors(cfg OfflineConfig) error {
 	if cfg.TauMax <= 0 {
 		cfg.TauMax = 10
@@ -780,29 +811,20 @@ func (d *Database) BuildPriors(cfg OfflineConfig) error {
 		return fmt.Errorf("gsim: fitting GBD prior: %w", err)
 	}
 	s := d.store.Stats()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.gbdPrior = prior
-	d.tauMax = cfg.TauMax
-	d.ws = core.NewWorkspace(core.Params{LV: s.LV, LE: s.LE, TauMax: cfg.TauMax})
-	d.epoch++
+	d.install(priors{
+		tauMax:   cfg.TauMax,
+		ws:       core.NewWorkspace(core.Params{LV: s.LV, LE: s.LE, TauMax: cfg.TauMax}),
+		gbdPrior: prior,
+	})
 	return nil
 }
 
 // HasPriors reports whether the offline stage has run.
-func (d *Database) HasPriors() bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.ws != nil
-}
+func (d *Database) HasPriors() bool { return d.offline().ws != nil }
 
 // TauMax returns the threshold ceiling the priors were built for (0 before
 // BuildPriors).
-func (d *Database) TauMax() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.tauMax
-}
+func (d *Database) TauMax() int { return d.offline().tauMax }
 
 // WarmPosteriorTables builds the posterior lookup table for threshold tau
 // (plain-GBDA configuration) ahead of query traffic, so the first search
@@ -810,26 +832,22 @@ func (d *Database) TauMax() int {
 // the cold build. gsimd's -warm flag calls it at boot. tau must not
 // exceed the priors' ceiling; ErrNoPriors before BuildPriors/LoadPriors.
 func (d *Database) WarmPosteriorTables(tau int) error {
-	d.mu.RLock()
-	ws, prior, tauMax := d.ws, d.gbdPrior, d.tauMax
-	d.mu.RUnlock()
-	if ws == nil {
+	p := d.offline()
+	if p.ws == nil {
 		return ErrNoPriors
 	}
-	if tau <= 0 || tau > tauMax {
-		return fmt.Errorf("%w: warm tau %d outside (0, %d]", ErrBadOptions, tau, tauMax)
+	if tau <= 0 || tau > p.tauMax {
+		return fmt.Errorf("%w: warm tau %d outside (0, %d]", ErrBadOptions, tau, p.tauMax)
 	}
-	s := &core.Searcher{WS: ws, GBD: prior}
-	ws.PosteriorTable(s, tau, d.store.DistinctSizes())
+	s := &core.Searcher{WS: p.ws, GBD: p.gbdPrior}
+	p.ws.PosteriorTable(s, tau, d.store.DistinctSizes())
 	return nil
 }
 
 // GBDPriorProb exposes Pr[GBD = ϕ] from the fitted prior, for diagnostics
 // and the Figure 5 experiment.
 func (d *Database) GBDPriorProb(phi float64) (float64, error) {
-	d.mu.RLock()
-	prior := d.gbdPrior
-	d.mu.RUnlock()
+	prior := d.offline().gbdPrior
 	if prior == nil {
 		return 0, ErrNoPriors
 	}
@@ -839,9 +857,7 @@ func (d *Database) GBDPriorProb(phi float64) (float64, error) {
 // GEDPriorRow exposes the Jeffreys prior Pr[GED = τ] for extended size v,
 // for diagnostics and the Figure 6 experiment.
 func (d *Database) GEDPriorRow(v int) ([]float64, error) {
-	d.mu.RLock()
-	ws := d.ws
-	d.mu.RUnlock()
+	ws := d.offline().ws
 	if ws == nil {
 		return nil, ErrNoPriors
 	}
@@ -874,9 +890,7 @@ func (d *Database) PrefilterStats() PrefilterStats { return d.store.PrefilterMem
 // the priors were built — and their aggregate row payload in bytes. Zero
 // before BuildPriors.
 func (d *Database) PosteriorTableStats() (tables int, bytes int64) {
-	d.mu.RLock()
-	ws := d.ws
-	d.mu.RUnlock()
+	ws := d.offline().ws
 	if ws == nil {
 		return 0, 0
 	}

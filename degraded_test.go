@@ -158,7 +158,7 @@ func TestENOSPCFailsFast(t *testing.T) {
 
 	// Crash-style abandon (no Close), disk healed: recovery holds both
 	// acknowledged graphs.
-	d.health.stop()
+	d.dur.stopLoop()
 	in.Clear()
 	re, err := Open(dir)
 	if err != nil {
@@ -214,7 +214,7 @@ func TestCheckpointFaultKeepsOldManifestAuthoritative(t *testing.T) {
 	// Crash without Close; the disk heals; recovery must see the old
 	// manifest plus every WAL generation at or after it — including the
 	// generations the failed checkpoints skipped past.
-	d.health.stop()
+	d.dur.stopLoop()
 	in.Clear()
 	r, err := Open(dir)
 	if err != nil {
@@ -260,5 +260,43 @@ func TestCheckpointRecoversDegradedDatabase(t *testing.T) {
 	}
 	if err := storeExpectingError(d, "again"); err != nil {
 		t.Fatalf("store after recovery: %v", err)
+	}
+}
+
+// TestDegradedRetriesFollowTheBackoff: while the database is degraded its
+// checkpoints are retried on the recovery backoff alone. A log past the
+// auto-checkpoint threshold (one byte here) starts no retry of its own,
+// so with an hour's backoff and checkpoints failing, none is attempted
+// over the next 2.5 s — two and a half of the loop's log checks.
+func TestDegradedRetriesFollowTheBackoff(t *testing.T) {
+	in := faultfs.NewInjector(nil)
+	d, err := Open(t.TempDir(), WithShards(1), WithAutoCheckpoint(1),
+		WithFS(in), WithRecoveryBackoff(time.Hour, time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		in.Clear()
+		if err := d.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	storeChain(t, d, "a", 3)
+
+	seg := in.Add(&faultfs.Rule{Op: faultfs.OpCreate, PathContains: "seg-"})
+	in.Add(&faultfs.Rule{Op: faultfs.OpSync, PathContains: "wal-"})
+	if err := storeExpectingError(d, "doomed"); err == nil {
+		t.Fatal("store under a failing WAL fsync should error")
+	}
+	if st := d.Health().State; st != HealthDegraded {
+		t.Fatalf("state after the fault = %v, want degraded", st)
+	}
+	seen := seg.Seen()
+	time.Sleep(2500 * time.Millisecond)
+	if n := seg.Seen() - seen; n != 0 {
+		t.Fatalf("%d checkpoints attempted while degraded, inside an hour's backoff", n)
+	}
+	if hi := d.Health(); hi.Probes != 0 || hi.State != HealthDegraded {
+		t.Fatalf("health after 2.5 s = %v with %d probes, want degraded with none", hi.State, hi.Probes)
 	}
 }

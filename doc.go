@@ -246,7 +246,8 @@
 //
 // The offline stage (BuildPriors) fits the GBD prior — a Gaussian mixture
 // over sampled pair GBDs — and prepares the per-size Jeffreys priors the
-// posterior integrates over.
+// posterior integrates over. A fit installs them as one immutable value,
+// which a search loads once, lock-free, for its scorer and its epoch alike.
 //
 // # The two-table hot path
 //
@@ -344,11 +345,12 @@
 // misbehaves. A journaling or checkpoint fault flips the database into
 // a degraded-read-only state rather than crashing or silently dropping
 // durability: searches keep serving from memory, mutations fail fast
-// with ErrDegraded, and a background probe retries a checkpoint with
-// jittered exponential backoff (WithRecoveryBackoff). A successful
-// checkpoint — the probe's, the auto-checkpointer's or an operator's —
-// rotates every shard onto fresh logs and snapshots the whole store, so
-// it doubles as the recovery action and restores the healthy state.
+// with ErrDegraded, and the database's background loop retries a
+// checkpoint with jittered exponential backoff (WithRecoveryBackoff),
+// running no size-triggered checkpoint meanwhile. A successful
+// checkpoint — that retry or an operator's — rotates every shard onto
+// fresh logs and snapshots the whole store, so it doubles as the recovery
+// action and restores the healthy state.
 // Health reports the current state, cause and transition counters; the
 // HTTP layer maps it to 503 + Retry-After on mutations and a /readyz
 // readiness probe.

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -76,7 +77,9 @@ type durable struct {
 	gen    uint64     // current WAL generation (writers + next manifest)
 	closed bool
 
-	stopc    chan struct{} // auto-checkpointer lifecycle
+	// The background loop (Database.loop): stopLoop closes stop, the
+	// loop closes done as it exits.
+	stop     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
 
@@ -213,13 +216,14 @@ func openDurable(dir string, o dbOptions) (*Database, error) {
 		return nil, err
 	}
 	// Arm the health machine only once the database is fully built: a
-	// journaling fault from here on flips it degraded and starts the
-	// recovery probe (failures during Open surface as Open errors).
-	d.health.stopc = make(chan struct{})
+	// journaling fault from here on flips it degraded and wakes the
+	// background loop (failures during Open surface as Open errors).
+	d.health.kick = make(chan struct{}, 1)
 	if du.ws != nil {
 		du.ws.onFault = d.fault
 	}
-	d.startCheckpointer()
+	du.stop, du.done = make(chan struct{}), make(chan struct{})
+	go d.loop()
 	return d, nil
 }
 
@@ -240,7 +244,7 @@ func initFresh(dir string, o dbOptions, du *durable) (*Database, error) {
 	// First checkpoint: rotation creates the generation-1 logs, segments
 	// capture the (possibly imported) contents, the manifest makes the
 	// directory recoverable before Open returns.
-	if _, err := du.checkpoint(d.store, d.epoch); err != nil {
+	if _, err := du.checkpoint(d.store, 0); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -376,7 +380,10 @@ func recover_(dir string, o dbOptions, du *durable, man *manifest) (*Database, e
 	}
 	store.BuildPostings()
 
-	d := &Database{store: store, dur: du, epoch: man.Epoch}
+	// The recovered epoch is the floor of the db-level component: no
+	// priors, but an epoch that never goes back across a reopen.
+	d := &Database{store: store, dur: du}
+	d.pri.Store(&priors{epoch: man.Epoch})
 	if !o.noWAL {
 		du.ws = newWalSet(dir, n, wal.Options{Policy: o.policy, Metrics: &d.walTele, FS: o.fs}, dict)
 	}
@@ -389,7 +396,7 @@ func recover_(dir string, o dbOptions, du *durable, man *manifest) (*Database, e
 		if du.ws != nil {
 			d.store.SetJournal(du.ws)
 		}
-		if _, err := du.checkpoint(store, d.epoch); err != nil {
+		if _, err := du.checkpoint(store, man.Epoch); err != nil {
 			return nil, err
 		}
 		return d, nil
@@ -460,7 +467,7 @@ type CheckpointStats struct {
 // parallel from a consistent cut, the manifest moves to a fresh WAL
 // generation, and the superseded logs are deleted — bounding both
 // recovery time and disk growth. Safe (and serialised) against
-// concurrent mutations and the background checkpointer. Returns
+// concurrent mutations and the background loop. Returns
 // ErrNotDurable for in-memory databases and ErrClosed after Close.
 func (d *Database) Checkpoint() (CheckpointStats, error) {
 	if d.dur == nil {
@@ -471,15 +478,16 @@ func (d *Database) Checkpoint() (CheckpointStats, error) {
 	if d.dur.closed {
 		return CheckpointStats{}, ErrClosed
 	}
-	d.mu.RLock()
-	epoch := d.epoch
-	d.mu.RUnlock()
-	st, err := d.dur.checkpoint(d.store, epoch)
+	st, err := d.dur.checkpoint(d.store, d.offline().epoch)
 	// A successful checkpoint is the recovery action: every shard is on
 	// fresh logs and the segments capture the whole store, so it clears a
-	// degraded state whoever ran it — the background probe or an
+	// degraded state whoever ran it — the background loop or an
 	// operator's POST /v1/admin/checkpoint. A failure (re-)faults.
-	d.noteCheckpoint(err)
+	if err != nil {
+		d.fault(err)
+	} else {
+		d.health.recovered()
+	}
 	return st, err
 }
 
@@ -707,63 +715,87 @@ func cleanupDir(fs faultfs.FS, dir string, curGen uint64, keepSegs []string) {
 	}
 }
 
-// startCheckpointer launches the background checkpointer: once the WAL
-// grows past the auto-checkpoint threshold, a snapshot lands and the
-// logs truncate, bounding recovery time without any explicit call.
-func (d *Database) startCheckpointer() {
-	du := d.dur
-	if du == nil || du.ws == nil || du.opts.autoBytes <= 0 {
-		return
-	}
-	du.stopc = make(chan struct{})
-	du.done = make(chan struct{})
-	go func() {
-		defer close(du.done)
-		t := time.NewTicker(time.Second)
-		defer t.Stop()
-		for {
-			select {
-			case <-du.stopc:
-				return
-			case <-t.C:
+// loop is a durable database's one background goroutine, from Open to
+// Close. While the database is healthy it checks the logs once a second
+// and checkpoints once they pass the auto-checkpoint threshold, bounding
+// recovery time without any explicit call. While it is degraded it is the
+// recovery probe: it retries a checkpoint on a jittered exponential
+// backoff until one lands, and runs no size-triggered checkpoint. The
+// fault that degrades the database wakes it (health.kick), so the first
+// retry waits about the backoff's floor.
+func (d *Database) loop() {
+	du, h := d.dur, &d.health
+	defer close(du.done)
+	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	backoff := du.opts.probeMin
+	t := time.NewTimer(time.Second)
+	defer t.Stop()
+	for {
+		select {
+		case <-du.stop:
+			return
+		case <-h.kick:
+			backoff = du.opts.probeMin // a new degraded episode
+		case <-t.C:
+			switch {
+			case HealthState(h.state.Load()) != HealthHealthy:
+				h.state.CompareAndSwap(int32(HealthDegraded), int32(HealthRecovering))
+				h.probes.Add(1)
+				// Success recovers; a failure faults, which puts the state
+				// back to degraded.
+				if _, err := d.Checkpoint(); err != nil {
+					backoff = min(2*backoff, du.opts.probeMax)
+				}
+			case du.ws != nil && du.opts.autoBytes > 0:
 				if bytes, _, _ := du.ws.stats(); bytes >= du.opts.autoBytes {
-					// An error flips the database degraded (see Checkpoint);
-					// the recovery probe owns the retries from there.
-					d.Checkpoint()
+					d.Checkpoint() // an error degrades the database
 				}
 			}
 		}
-	}()
+		wait := time.Second
+		if HealthState(h.state.Load()) != HealthHealthy {
+			// Jitter to 50–100% of the nominal backoff so a fleet of
+			// databases degraded by one shared disk does not probe in step.
+			wait = backoff/2 + time.Duration(rng.Int63n(int64(backoff/2)+1))
+		}
+		// Under Go 1.22's timers a fired, unread tick stays buffered
+		// across Reset: stop the timer and drain it first.
+		if !t.Stop() {
+			select {
+			case <-t.C:
+			default:
+			}
+		}
+		t.Reset(wait)
+	}
+}
+
+// stopLoop ends the background loop and returns once it has exited; any
+// number of calls may make it.
+func (du *durable) stopLoop() {
+	du.stopOnce.Do(func() { close(du.stop) })
+	<-du.done
 }
 
 // Close stops the store's postings upkeep (its quiet timers and the
-// builds in flight) and, for a durable database, checkpoints it one last
-// time, closes every WAL writer and stops the background checkpointer.
-// Mutations of a durable database fail after Close; an in-memory one
-// stays usable, but its later writes leave its postings stale. Close is
-// idempotent.
+// builds in flight) and, for a durable database, stops the background
+// loop and waits for it, checkpoints one last time and closes every WAL
+// writer. Mutations of a durable database fail after Close; an in-memory
+// one stays usable, but its later writes leave its postings stale. Close
+// is idempotent.
 func (d *Database) Close() error {
 	d.store.Close()
 	du := d.dur
 	if du == nil {
 		return nil
 	}
-	d.health.stop()
-	du.stopOnce.Do(func() {
-		if du.stopc != nil {
-			close(du.stopc)
-			<-du.done
-		}
-	})
+	du.stopLoop()
 	du.pmu.Lock()
 	defer du.pmu.Unlock()
 	if du.closed {
 		return nil
 	}
-	d.mu.RLock()
-	epoch := d.epoch
-	d.mu.RUnlock()
-	_, cpErr := du.checkpoint(d.store, epoch)
+	_, cpErr := du.checkpoint(d.store, d.offline().epoch)
 	du.closed = true
 	var closeErr error
 	if du.ws != nil {

@@ -575,19 +575,24 @@ func openBuildsPostings(t *testing.T, shards int) {
 }
 
 // TestCloseLeavesNothingRunning: Close stops every shard's quiet timer and
-// waits for the postings builds in flight, in memory and on disk alike. A
-// few stores below the rebuild threshold arm the timers; after Close,
-// called twice, no shard installs a build for twice the timer's 250 ms,
-// and the goroutine count returns to what it was before the database was
-// made.
+// waits for the postings builds in flight, in memory and on disk alike,
+// and on disk it also stops the background loop and waits for it. A few
+// stores below the rebuild threshold arm the timers; after Close, called
+// twice, no shard installs a build for twice the timer's 250 ms, and the
+// goroutine count returns to what it was before the database was made.
+// In the degraded case the loop is retrying failing checkpoints every few
+// milliseconds when Close is called, and the faults stay on: after Close
+// it counts no probe and moves the state no more.
 func TestCloseLeavesNothingRunning(t *testing.T) {
-	for _, durable := range []bool{false, true} {
-		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+	for _, name := range []string{"durable=false", "durable=true", "degraded"} {
+		t.Run(name, func(t *testing.T) {
 			procs := runtime.NumGoroutine()
+			in := faultfs.NewInjector(nil)
 			var d *Database
-			if !durable {
+			if name == "durable=false" {
 				d = New(WithShards(2))
-			} else if open, err := Open(t.TempDir(), WithShards(2)); err != nil {
+			} else if open, err := Open(t.TempDir(), WithShards(2), WithFS(in),
+				WithRecoveryBackoff(time.Millisecond, 2*time.Millisecond)); err != nil {
 				t.Fatal(err)
 			} else {
 				d = open
@@ -601,8 +606,22 @@ func TestCloseLeavesNothingRunning(t *testing.T) {
 			if staleSlots(d) == 0 {
 				t.Fatal("the stores left no stale slot, so no timer is armed")
 			}
+			if name == "degraded" {
+				in.Add(&faultfs.Rule{Op: faultfs.OpSync, PathContains: "wal-"})
+				in.Add(&faultfs.Rule{Op: faultfs.OpCreate, PathContains: "seg-"})
+				if err := storeExpectingError(d, "doomed"); err == nil {
+					t.Fatal("store under a failing WAL fsync should error")
+				}
+				for deadline := time.Now().Add(5 * time.Second); d.Health().Probes < 3; {
+					if time.Now().After(deadline) {
+						t.Fatalf("the loop made %d recovery probes in 5 s", d.Health().Probes)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
 			for i := 0; i < 2; i++ {
-				if err := d.Close(); err != nil {
+				// A degraded database's last checkpoint fails like the others.
+				if err := d.Close(); err != nil && name != "degraded" {
 					t.Fatal(err)
 				}
 			}
@@ -612,10 +631,14 @@ func TestCloseLeavesNothingRunning(t *testing.T) {
 				}
 				return n
 			}
-			before := rebuilds()
+			before, health := rebuilds(), d.Health()
 			time.Sleep(500 * time.Millisecond)
 			if after := rebuilds(); after != before {
 				t.Fatalf("the shards installed %d postings builds after Close", after-before)
+			}
+			if after := d.Health(); after.Probes != health.Probes || after.State != health.State {
+				t.Fatalf("after Close the health moved from %v with %d probes to %v with %d",
+					health.State, health.Probes, after.State, after.Probes)
 			}
 			// The runtime counts a goroutine until it has finished exiting.
 			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > procs; {

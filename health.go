@@ -2,18 +2,12 @@ package gsim
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// The degraded-mode state machine. A durable database used to carry a
-// latent failure mode: one failed WAL append or fsync poisoned the
-// owning writer, and every later mutation on that shard errored with the
-// raw I/O failure, forever, while the data directory silently stopped
-// compacting. This file promotes that poisoned flag to an explicit
-// health state:
+// The degraded-mode state machine of a durable database:
 //
 //	healthy ──fault──▶ degraded ──probe──▶ recovering ──checkpoint ok──▶ healthy
 //	                      ▲                     │
@@ -22,17 +16,18 @@ import (
 // Any journaling or checkpoint I/O error flips the database to
 // degraded-read-only: searches keep serving (they never touch the disk),
 // mutations fail fast with ErrDegraded instead of timing out against a
-// poisoned writer. A background probe then retries a checkpoint with
-// jittered exponential backoff — a successful checkpoint rotates every
-// shard onto fresh log files and captures the full in-memory store in
-// segments, which is exactly the repair: whatever the fault interrupted
-// is re-persisted wholesale. The first checkpoint that succeeds (the
-// probe's, or an operator's POST /v1/admin/checkpoint) restores healthy.
+// poisoned writer. The database's background loop (Database.loop) then
+// retries a checkpoint with jittered exponential backoff — a successful
+// checkpoint rotates every shard onto fresh log files and captures the
+// full in-memory store in segments, which is exactly the repair: whatever
+// the fault interrupted is re-persisted wholesale. The first checkpoint
+// that succeeds (the loop's, or an operator's POST /v1/admin/checkpoint)
+// restores healthy.
 
 // ErrDegraded reports a mutation against a database in degraded
 // (read-only) mode after a durability fault. Searches still serve;
-// mutations fail fast until a checkpoint succeeds — the background
-// recovery probe retries automatically. The serving layer maps it to
+// mutations fail fast until a checkpoint succeeds — the database's
+// background loop retries automatically. The serving layer maps it to
 // HTTP 503 with a Retry-After.
 var ErrDegraded = errors.New("gsim: database is degraded (read-only) after a durability fault; retrying in the background")
 
@@ -43,7 +38,7 @@ const (
 	// HealthHealthy: mutations journal and checkpoints land normally.
 	HealthHealthy HealthState = iota
 	// HealthDegraded: a durability fault made the database read-only;
-	// the recovery probe is waiting out its backoff.
+	// the background loop is waiting out its backoff.
 	HealthDegraded
 	// HealthRecovering: a recovery checkpoint is in flight.
 	HealthRecovering
@@ -81,26 +76,21 @@ type HealthInfo struct {
 }
 
 // health is the machine itself: an atomic state word for the mutation
-// fast path, a mutex for transition bookkeeping, and the probe lifecycle.
+// fast path, a mutex for transition bookkeeping, and the background
+// loop's wake-up.
 type health struct {
 	state        atomic.Int32
 	degradations atomic.Uint64
 	probes       atomic.Uint64
 	recoveries   atomic.Uint64
 
-	mu      sync.Mutex
-	cause   error
-	since   time.Time
-	probing bool
+	mu    sync.Mutex
+	cause error
+	since time.Time
 
-	stopc    chan struct{} // closed by Database.Close; nil for in-memory DBs
-	stopOnce sync.Once
-}
-
-func (h *health) stop() {
-	if h.stopc != nil {
-		h.stopOnce.Do(func() { close(h.stopc) })
-	}
+	// kick (one slot) tells the background loop that the database has
+	// just degraded; nil for in-memory databases.
+	kick chan struct{}
 }
 
 // Health reports the database's durability health. In-memory databases
@@ -132,29 +122,27 @@ func (d *Database) writable() error {
 }
 
 // fault records a durability failure: healthy flips to degraded (with
-// cause and timestamp) and the recovery probe starts if it is not
-// already running. Re-faulting while degraded or recovering only keeps
-// the state pinned — the first cause stands until recovery.
+// cause and timestamp) and wakes the background loop, which starts
+// retrying checkpoints. Re-faulting while degraded or recovering only
+// keeps the state pinned — the first cause stands until recovery.
 func (d *Database) fault(err error) {
 	h := &d.health
 	h.mu.Lock()
-	if HealthState(h.state.Load()) == HealthHealthy {
+	defer h.mu.Unlock()
+	switch HealthState(h.state.Load()) {
+	case HealthHealthy:
 		h.state.Store(int32(HealthDegraded))
 		h.cause = err
 		h.since = time.Now()
 		h.degradations.Add(1)
-	} else if HealthState(h.state.Load()) == HealthRecovering {
-		// A concurrent mutation faulted while a probe was mid-checkpoint:
-		// make sure a failed probe's CAS back to degraded cannot be lost.
+		select {
+		case h.kick <- struct{}{}:
+		default: // a wake-up is already pending
+		}
+	case HealthRecovering:
+		// A recovery checkpoint failed, or a mutation faulted while one
+		// was in flight: back to waiting out the backoff.
 		h.state.Store(int32(HealthDegraded))
-	}
-	start := !h.probing && h.stopc != nil
-	if start {
-		h.probing = true
-	}
-	h.mu.Unlock()
-	if start {
-		go d.probeLoop()
 	}
 }
 
@@ -168,69 +156,5 @@ func (h *health) recovered() {
 		h.cause = nil
 		h.since = time.Now()
 		h.recoveries.Add(1)
-	}
-}
-
-// noteCheckpoint feeds a checkpoint outcome into the machine: success
-// recovers, lifecycle errors (closed, not durable) pass through, and
-// real I/O failures fault.
-func (d *Database) noteCheckpoint(err error) {
-	switch {
-	case err == nil:
-		d.health.recovered()
-	case errors.Is(err, ErrClosed), errors.Is(err, ErrNotDurable):
-	default:
-		d.fault(err)
-	}
-}
-
-// probeLoop is the background recovery loop: wait out a jittered
-// exponential backoff, attempt a checkpoint, repeat until one lands or
-// the database closes. One loop runs per degraded episode (h.probing).
-func (d *Database) probeLoop() {
-	h := &d.health
-	min, max := d.dur.opts.probeMin, d.dur.opts.probeMax
-	backoff := min
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	for {
-		// Jitter to 50–100% of the nominal backoff so a fleet of
-		// databases degraded by one shared disk does not probe in step.
-		delay := backoff/2 + time.Duration(rng.Int63n(int64(backoff/2)+1))
-		select {
-		case <-h.stopc:
-			h.mu.Lock()
-			h.probing = false
-			h.mu.Unlock()
-			return
-		case <-time.After(delay):
-		}
-		h.state.CompareAndSwap(int32(HealthDegraded), int32(HealthRecovering))
-		h.probes.Add(1)
-		_, err := d.Checkpoint() // noteCheckpoint inside recovers or re-faults
-		if errors.Is(err, ErrClosed) || errors.Is(err, ErrNotDurable) {
-			h.mu.Lock()
-			h.probing = false
-			h.mu.Unlock()
-			return
-		}
-		h.mu.Lock()
-		if HealthState(h.state.Load()) == HealthHealthy {
-			// Recovered — by this probe or an operator checkpoint. If a
-			// new fault raced in before this check, the state is degraded
-			// again and the loop keeps probing from a fresh backoff.
-			h.probing = false
-			h.mu.Unlock()
-			return
-		}
-		h.mu.Unlock()
-		if err == nil {
-			backoff = min // recovered and re-faulted: start over
-		} else {
-			h.state.CompareAndSwap(int32(HealthRecovering), int32(HealthDegraded))
-			backoff *= 2
-			if backoff > max {
-				backoff = max
-			}
-		}
 	}
 }

@@ -149,9 +149,9 @@ func (r reference) score(q *Query, e *db.Entry) (bool, float64) {
 // posteriorTable reaches the table a prepared scorer looks up in.
 func posteriorTable(s Scorer) *core.PosteriorTable {
 	if h, ok := s.(*hybridScorer); ok {
-		return h.table.get()
+		return h.table
 	}
-	return s.(*gbdaScorer).table.get()
+	return s.(*gbdaScorer).table
 }
 
 func TestBoundedScorersMatchUnbounded(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gsim/internal/branch"
+	"gsim/internal/core"
 	"gsim/internal/db"
 	"gsim/internal/ged"
 )
@@ -46,7 +47,7 @@ func (x *exactScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 // stage shares the GBDA table hot path: posterior by lookup, branch
 // distance by bounded integer merge.
 type hybridScorer struct {
-	table *lazyTable
+	table *core.PosteriorTable
 	opt   Options
 }
 
@@ -55,7 +56,7 @@ func (h *hybridScorer) Prepare(d *DB, opt Options) error {
 	if err != nil {
 		return err
 	}
-	h.table, h.opt = newLazyTable(d, s, opt), opt
+	h.table, h.opt = d.WS.Table(s, opt.Tau, d.Sizes), opt
 	return nil
 }
 
@@ -69,12 +70,11 @@ func (h *hybridScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 	countEntryDecomp()
 	// The filter is the GBDA merge path (see gbdaScorer.score): an
 	// intersection too small to reach the table's 2τ̂ support is Φ = 0.
-	t := h.table.get()
 	lq, le := len(q.Branches), e.Branches.Len()
 	vmax := maxInt(lq, le)
 	post := 0.0
-	if inter, ok := branch.IntersectAtLeastIDs(q.Branches, e.Branches, needGBD(vmax, t.Tau())); ok {
-		post = t.Posterior(vmax, branch.GBDOf(lq, le, inter))
+	if inter, ok := branch.IntersectAtLeastIDs(q.Branches, e.Branches, needGBD(vmax, h.table.Tau())); ok {
+		post = h.table.Posterior(vmax, branch.GBDOf(lq, le, inter))
 	}
 	if post < h.opt.Gamma {
 		return false, post, nil

@@ -3,7 +3,6 @@ package method
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"gsim/internal/branch"
 	"gsim/internal/core"
@@ -33,7 +32,7 @@ func init() {
 // stops once the pair is past the table's 2τ̂ support (see score).
 type gbdaScorer struct {
 	variant ID
-	table   *lazyTable
+	table   *core.PosteriorTable
 	opt     Options
 }
 
@@ -47,35 +46,6 @@ func preparePosterior(d *DB, opt Options) (*core.Searcher, error) {
 		return nil, fmt.Errorf("%w: tau %d exceeds prior ceiling %d; rebuild priors with a larger TauMax", ErrBadOptions, opt.Tau, d.TauMax)
 	}
 	return &core.Searcher{WS: d.WS, GBD: d.GBDPrior}, nil
-}
-
-// lazyTable defers the workspace posterior-table fetch from Prepare —
-// which runs under the database read lock — to the first scored pair,
-// which runs lock-free during the scan: a cold table build for a
-// collection with many distinct sizes takes real time, and paying it
-// inside the lock would hold up everything that waits on that lock (a
-// BuildPriors or LoadPriors, and every search queued behind it). The
-// size list is kept as a function and read only by the workspace's first
-// build of the table (core.Workspace.Table); the once gate makes the
-// deferred fetch race-free and its fast path is one atomic load per pair.
-type lazyTable struct {
-	once  sync.Once
-	ws    *core.Workspace
-	s     *core.Searcher
-	tau   int
-	sizes func() []int
-	t     *core.PosteriorTable
-}
-
-// newLazyTable captures the table inputs at Prepare.
-func newLazyTable(d *DB, s *core.Searcher, opt Options) *lazyTable {
-	return &lazyTable{ws: d.WS, s: s, tau: opt.Tau, sizes: d.Sizes}
-}
-
-// get returns the table, fetching it on first use.
-func (l *lazyTable) get() *core.PosteriorTable {
-	l.once.Do(func() { l.t = l.ws.Table(l.s, l.tau, l.sizes) })
-	return l.t
 }
 
 func (g *gbdaScorer) Prepare(d *DB, opt Options) error {
@@ -92,7 +62,7 @@ func (g *gbdaScorer) Prepare(d *DB, opt Options) error {
 		}
 		s.Weight = opt.V2Weight
 	}
-	g.table, g.opt = newLazyTable(d, s, opt), opt
+	g.table, g.opt = d.WS.Table(s, opt.Tau, d.Sizes), opt
 	return nil
 }
 
@@ -110,11 +80,10 @@ func (g *gbdaScorer) Score(q *Query, e *db.Entry) (bool, float64, error) {
 // branch multiset lengths (one branch per vertex), so a discarded entry
 // never touches e.G.
 func (g *gbdaScorer) score(q *Query, e *db.Entry) (bool, float64) {
-	t := g.table.get()
 	post := 0.0
 	lq, le := len(q.Branches), e.Branches.Len()
 	if inter, ok := branch.IntersectAtLeastIDs(q.Branches, e.Branches, g.need(maxInt(lq, le))); ok {
-		post = g.posterior(t, lq, le, inter)
+		post = g.posterior(lq, le, inter)
 	}
 	return g.keep(post), post
 }
@@ -205,11 +174,11 @@ func windowVGBD(m, tau int, w float64) (lo, hi int) {
 // posterior applies the model to an exact intersection size — the only
 // quantity both GBD (Definition 4) and VGBD (Eq. 26) consume — of a query
 // of lq branches and an entry of le.
-func (g *gbdaScorer) posterior(t *core.PosteriorTable, lq, le, inter int) float64 {
+func (g *gbdaScorer) posterior(lq, le, inter int) float64 {
 	if g.variant == GBDAV2 {
-		return t.PosteriorVGBD(maxInt(lq, le), inter, g.opt.V2Weight)
+		return g.table.PosteriorVGBD(maxInt(lq, le), inter, g.opt.V2Weight)
 	}
-	return t.Posterior(maxInt(lq, le), branch.GBDOf(lq, le, inter))
+	return g.table.Posterior(maxInt(lq, le), branch.GBDOf(lq, le, inter))
 }
 
 // keep is Step 4 of Algorithm 1, or everything under CollectAll.

@@ -288,8 +288,9 @@ func (r *modelRun) oracle(m Method, seed int64, tau int) (plain, pre []Match) {
 	}
 	info, _ := method.Lookup(method.ID(m))
 	scorer := info.New()
+	pri := d.offline()
 	mdb := &method.DB{ActiveN: len(entries), Ordered: func() []*db.Entry { return entries },
-		Sizes: func() []int { return sizes }, WS: d.ws, GBDPrior: d.gbdPrior, TauMax: d.tauMax}
+		Sizes: func() []int { return sizes }, WS: pri.ws, GBDPrior: pri.gbdPrior, TauMax: pri.tauMax}
 	if err := scorer.Prepare(mdb, SearchOptions{Method: m, Tau: tau}.withDefaults().methodOptions()); err != nil {
 		t.Fatal(err)
 	}

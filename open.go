@@ -108,9 +108,10 @@ func WithImport(path string) Option {
 }
 
 // WithAutoCheckpoint sets the WAL-size threshold (total bytes across
-// shards) at which the background checkpointer snapshots and truncates
-// the logs. Zero or negative disables automatic checkpointing; the
-// default is 64 MiB.
+// shards) at which the database's background loop, checking once a
+// second while the database is healthy, snapshots and truncates the logs.
+// Zero or negative disables automatic checkpointing; the default is
+// 64 MiB.
 func WithAutoCheckpoint(bytes int64) Option {
 	return func(o *dbOptions) { o.autoBytes = bytes }
 }
@@ -124,9 +125,9 @@ func WithFS(fs faultfs.FS) Option {
 	return func(o *dbOptions) { o.fs = fs }
 }
 
-// WithRecoveryBackoff bounds the degraded-mode recovery probe's jittered
-// exponential backoff: the first retry waits about min, doubling up to
-// max. The defaults (100ms, 5s) suit real disks; tests shrink them to
+// WithRecoveryBackoff bounds the jittered exponential backoff on which a
+// degraded database retries a checkpoint (the recovery probe): the first
+// retry waits about min, doubling up to max. The defaults (100ms, 5s) suit real disks; tests shrink them to
 // keep fault-recovery cycles fast.
 func WithRecoveryBackoff(min, max time.Duration) Option {
 	return func(o *dbOptions) { o.probeMin, o.probeMax = min, max }

@@ -29,20 +29,18 @@ type priorSnapshot struct {
 // SavePriors serialises the fitted offline priors. It fails before
 // BuildPriors has run.
 func (d *Database) SavePriors(w io.Writer) error {
-	d.mu.RLock()
-	ws, prior, tauMax := d.ws, d.gbdPrior, d.tauMax
-	d.mu.RUnlock()
-	if ws == nil {
+	p := d.offline()
+	if p.ws == nil {
 		return ErrNoPriors
 	}
 	snap := priorSnapshot{
-		TauMax: tauMax,
-		LV:     ws.LV,
-		LE:     ws.LE,
-		Floor:  prior.Floor,
+		TauMax: p.tauMax,
+		LV:     p.ws.LV,
+		LE:     p.ws.LE,
+		Floor:  p.gbdPrior.Floor,
 	}
-	for i, c := range prior.Mix.Comps {
-		snap.Weights = append(snap.Weights, prior.Mix.Weights[i])
+	for i, c := range p.gbdPrior.Mix.Comps {
+		snap.Weights = append(snap.Weights, p.gbdPrior.Mix.Weights[i])
 		snap.Mus = append(snap.Mus, c.Mu)
 		snap.Sigmas = append(snap.Sigmas, c.Sigma)
 	}
@@ -74,11 +72,10 @@ func (d *Database) LoadPriors(r io.Reader) error {
 	if floor <= 0 {
 		floor = core.DefaultPriorFloor
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.gbdPrior = &core.GBDPrior{Mix: mix, Floor: floor}
-	d.tauMax = snap.TauMax
-	d.ws = core.NewWorkspace(core.Params{LV: snap.LV, LE: snap.LE, TauMax: snap.TauMax})
-	d.epoch++
+	d.install(priors{
+		tauMax:   snap.TauMax,
+		ws:       core.NewWorkspace(core.Params{LV: snap.LV, LE: snap.LE, TauMax: snap.TauMax}),
+		gbdPrior: &core.GBDPrior{Mix: mix, Floor: floor},
+	})
 	return nil
 }

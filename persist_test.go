@@ -3,8 +3,11 @@ package gsim
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -168,4 +171,77 @@ func TestLoadPriorsGarbage(t *testing.T) {
 	if err := d.LoadPriors(strings.NewReader("this is not a gob stream")); err == nil {
 		t.Fatal("garbage input loaded")
 	}
+}
+
+// TestPriorFitsRacingSearches: a search's priors and its epoch come from
+// one install. One goroutine alternates LoadPriors of two snapshots of
+// one store, TauMax 5 and TauMax 2, while searchers run GBDA at τ̂ = 4,
+// which only the TauMax-5 priors admit. The store does not change, so
+// each install moves the epoch by one and every TauMax-5 install lands on
+// the same parity: a search that succeeds must report it, and one that
+// fails must fail for its threshold.
+func TestPriorFitsRacingSearches(t *testing.T) {
+	d := fittedDatabase(t)
+	snapshot := func(tauMax int) []byte {
+		if err := d.BuildPriors(OfflineConfig{TauMax: tauMax, SamplePairs: 2000, Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := d.SavePriors(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	wide, narrow := snapshot(5), snapshot(2)
+	load := func(snap []byte) {
+		if err := d.LoadPriors(bytes.NewReader(snap)); err != nil {
+			t.Error(err)
+		}
+	}
+	load(wide)
+	parity := d.Epoch() % 2
+	q := d.Query(0)
+
+	stop := make(chan struct{})
+	var fitter sync.WaitGroup
+	fitter.Add(1)
+	go func() {
+		defer fitter.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			load(narrow)
+			load(wide)
+		}
+	}()
+	var found, refused atomic.Int64
+	var searchers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		searchers.Add(1)
+		go func() {
+			defer searchers.Done()
+			for i := 0; i < 200; i++ {
+				res, err := d.Search(q, SearchOptions{Method: GBDA, Tau: 4})
+				switch {
+				case err == nil && res.Epoch%2 != parity:
+					t.Errorf("a search succeeded at epoch %d, a TauMax-2 install's", res.Epoch)
+					return
+				case err == nil:
+					found.Add(1)
+				case !errors.Is(err, ErrBadOptions):
+					t.Errorf("search failed with %v, want ErrBadOptions", err)
+					return
+				default:
+					refused.Add(1)
+				}
+			}
+		}()
+	}
+	searchers.Wait()
+	close(stop)
+	fitter.Wait()
+	t.Logf("%d searches succeeded, %d were refused", found.Load(), refused.Load())
 }

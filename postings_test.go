@@ -46,8 +46,9 @@ func TestSearchVisitsFewPositions(t *testing.T) {
 	info, _ := method.Lookup(method.GBDA)
 	scorer := info.New()
 	opt := SearchOptions{Method: GBDA, Tau: tau}
+	pri := d.offline()
 	mdb := &method.DB{ActiveN: n, Ordered: func() []*db.Entry { return entries }, Sizes: d.store.DistinctSizes,
-		WS: d.ws, GBDPrior: d.gbdPrior, TauMax: d.tauMax}
+		WS: pri.ws, GBDPrior: pri.gbdPrior, TauMax: pri.tauMax}
 	if err := scorer.Prepare(mdb, opt.withDefaults().methodOptions()); err != nil {
 		t.Fatal(err)
 	}

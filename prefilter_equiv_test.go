@@ -58,9 +58,7 @@ func buildRandomQuery(d *Database, rng *rand.Rand) *Query {
 // current projection against the legacy oracle.
 func checkPruneSet(t *testing.T, d *Database, rng *rand.Rand, round int) {
 	t.Helper()
-	d.mu.RLock()
 	p := d.projection()
-	d.mu.RUnlock()
 	for qi := 0; qi < 4; qi++ {
 		q := buildRandomQuery(d, rng)
 		qs := index.Summarize(q.g)

@@ -381,9 +381,10 @@ func (ps *preparedSearch) record(tr *traceAcc, scanned, matched int, mergeNS int
 }
 
 // prepare validates opt against the database state, takes a consistent
-// cut of the sharded store and readies a scorer. It holds the database
-// read lock (which excludes prior refits, not per-shard ingest) while
-// preparing; the scan itself runs lock-free against the cut.
+// cut of the sharded store and readies a scorer with the priors, loaded
+// once, so the result's epoch (the priors' plus the cut's) and its scorer
+// come from one value. It takes no lock beyond the cut's; the scan itself
+// runs lock-free against the cut.
 func (d *Database) prepare(opt SearchOptions) (*preparedSearch, error) {
 	start := time.Now()
 	opt = opt.withDefaults()
@@ -398,18 +399,17 @@ func (d *Database) prepare(opt SearchOptions) (*preparedSearch, error) {
 		return nil, fmt.Errorf("%w: CollectAll and Prefilter are mutually exclusive", ErrBadOptions)
 	}
 	scorer := info.New()
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	cutStart := time.Now()
 	proj := d.projection()
 	cutNS := int64(time.Since(cutStart))
+	pri := d.offline()
 	ps := &preparedSearch{
 		opt:    opt,
 		info:   info,
 		scorer: scorer,
 		proj:   proj,
 		bdict:  d.store.BranchDict(),
-		epoch:  d.epoch + proj.epoch,
+		epoch:  pri.epoch + proj.epoch,
 		tele:   &d.tele,
 		stele:  d.store.Telemetry(),
 		cutNS:  cutNS,
@@ -418,9 +418,9 @@ func (d *Database) prepare(opt SearchOptions) (*preparedSearch, error) {
 		ActiveN:  proj.len(),
 		Ordered:  ps.ordered,
 		Sizes:    d.store.DistinctSizes,
-		WS:       d.ws,
-		GBDPrior: d.gbdPrior,
-		TauMax:   d.tauMax,
+		WS:       pri.ws,
+		GBDPrior: pri.gbdPrior,
+		TauMax:   pri.tauMax,
 	}
 	if err := scorer.Prepare(mdb, opt.methodOptions()); err != nil {
 		return nil, err
